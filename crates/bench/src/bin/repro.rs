@@ -1,4 +1,4 @@
-//! `repro` — regenerate every table/figure of the reproduction (E1–E23).
+//! `repro` — regenerate every table/figure of the reproduction (E1–E21, E23).
 //!
 //! Usage: `cargo run --release -p cdb-bench --bin repro [-- e1 e2 …]`
 //! (no arguments = all experiments). Each experiment prints the paper's
@@ -10,8 +10,7 @@
 //! representation comparison to `BENCH_poly.json`, and E20 its modular
 //! resultant kernel comparison to `BENCH_resultant.json`, E21 its
 //! incremental-view-maintenance vs full-recompute comparison to
-//! `BENCH_ivm.json`, E22 its server throughput/latency load test to
-//! `BENCH_server.json`, and E23 its moving-objects alibi comparison
+//! `BENCH_ivm.json`, and E23 its moving-objects alibi comparison
 //! (per-disjunct planner vs forced CAD vs closed-form oracle) to
 //! `BENCH_alibi.json`, all at the repository root.
 
@@ -40,10 +39,14 @@ use cdb_qe::{evaluate_query, PlanMode, QeContext};
 #[allow(clippy::disallowed_methods)]
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let known: Vec<String> = (1..=23).map(|i| format!("e{i}")).collect();
+    // There is no E22; the other ids are stable references from EXPERIMENTS.md.
+    let known: Vec<String> = (1..=23)
+        .filter(|&i| i != 22)
+        .map(|i| format!("e{i}"))
+        .collect();
     for a in &args {
         if a != "all" && !known.iter().any(|k| k.eq_ignore_ascii_case(a)) {
-            eprintln!("unknown experiment id `{a}` (expected e1..e23 or all)");
+            eprintln!("unknown experiment id `{a}` (expected e1..e21, e23 or all)");
             std::process::exit(2);
         }
     }
@@ -111,9 +114,6 @@ fn main() {
     }
     if want("e21") {
         e21();
-    }
-    if want("e22") {
-        e22();
     }
     if want("e23") {
         e23();
@@ -2086,236 +2086,6 @@ fn e21() {
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_ivm.json");
     std::fs::write(path, &json).expect("write BENCH_ivm.json");
-    println!("  wrote {path}");
-}
-
-/// E22 — query-server load test: concurrent snapshot sessions, batched
-/// admission, throughput/latency, and byte-identical transcripts across
-/// every (batching, workers) configuration and thread interleaving.
-fn e22() {
-    use cdb_server::{Server, ServerConfig};
-
-    header(
-        "E22",
-        "constraint-DB server: sessions, batched admission, throughput/latency",
-    );
-    let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
-    const SESSIONS: usize = 4;
-    const REPS: usize = 5;
-    const RUNS: usize = 3;
-
-    // Shared read-only seed: the paper's nonlinear S plus a small point
-    // relation P. Every session sees these in its initial snapshot.
-    fn seed_db() -> constraintdb::ConstraintDb {
-        let mut db = constraintdb::ConstraintDb::new();
-        db.define("S", &["x", "y"], "4*x^2 - y - 20*x + 25 <= 0")
-            .unwrap();
-        db.insert_points(
-            "P",
-            1,
-            &[
-                vec![Rat::from(1)],
-                vec![Rat::from(2)],
-                vec![Rat::from_ints(7, 2)],
-            ],
-        )
-        .unwrap();
-        db
-    }
-
-    // Per-session script: a private relation W{i} (so concurrent writes
-    // never collide), shared-read SELECTs, private-read SELECTs, inserts,
-    // one retraction, and a Datalog view over the private relation. Every
-    // statement's answer is a pure function of (seed, own prior writes),
-    // so the transcript is independent of interleaving and batching.
-    fn session_script(i: usize, reps: usize) -> Vec<String> {
-        let mut script = vec![
-            format!("CREATE RELATION W{i}(x);"),
-            format!("INSERT INTO W{i} VALUES ({i}), ({}/2);", 2 * i + 1),
-        ];
-        for r in 0..reps {
-            script.push("SELECT P(x) and x >= 2;".to_owned());
-            script.push("SELECT S(x, y) and y = 0;".to_owned());
-            script.push(format!("SELECT exists y (S(x, y) and y <= {r});"));
-            script.push(format!("SELECT W{i}(x) and x >= 0;"));
-            script.push(format!("INSERT INTO W{i} VALUES ({});", 10 + r as i64));
-        }
-        script.push(format!("DELETE FROM W{i} VALUES (10);"));
-        script.push(format!("DATALOG {{ V{i}(x) :- W{i}(x), x >= 1. }};"));
-        script.push(format!("SELECT V{i}(x);"));
-        script
-    }
-
-    // Expected per-session transcripts: each script run alone, inline, on
-    // a fresh seed. Concurrency and batching must reproduce these.
-    let expected: Vec<Vec<String>> = (0..SESSIONS)
-        .map(|i| {
-            let server = Server::with_db(
-                seed_db(),
-                ServerConfig {
-                    workers: 1,
-                    max_batch: 1,
-                    batching: false,
-                },
-            );
-            let mut s = server.session();
-            session_script(i, REPS)
-                .iter()
-                .map(|stmt| match s.execute(stmt) {
-                    Ok(resp) => resp.to_string(),
-                    Err(e) => format!("error: {e}"),
-                })
-                .collect()
-        })
-        .collect();
-
-    struct RunOutcome {
-        wall_ms: f64,
-        latencies_ms: Vec<f64>,
-        transcripts_ok: bool,
-        stats: cdb_server::ServerStats,
-    }
-
-    // One load-generator run: SESSIONS threads, each driving its script
-    // through its own session; per-statement latencies on the submitting
-    // thread; transcripts checked against the solo baseline.
-    let run_once = |batching: bool, workers: usize| -> RunOutcome {
-        let server = Server::with_db(
-            seed_db(),
-            ServerConfig {
-                workers,
-                max_batch: 16,
-                batching,
-            },
-        );
-        let t0 = std::time::Instant::now();
-        let per_session: Vec<(Vec<String>, Vec<f64>)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..SESSIONS)
-                .map(|i| {
-                    let mut s = server.session();
-                    scope.spawn(move || {
-                        let mut transcript = Vec::new();
-                        let mut lats = Vec::new();
-                        for stmt in session_script(i, REPS) {
-                            let t = std::time::Instant::now();
-                            let out = match s.execute(&stmt) {
-                                Ok(resp) => resp.to_string(),
-                                Err(e) => format!("error: {e}"),
-                            };
-                            lats.push(t.elapsed().as_secs_f64() * 1e3);
-                            transcript.push(out);
-                        }
-                        (transcript, lats)
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-        let stats = server.stats();
-        server.shutdown();
-        let transcripts_ok = per_session.iter().zip(&expected).all(|((t, _), e)| t == e);
-        let latencies_ms = per_session.into_iter().flat_map(|(_, l)| l).collect();
-        RunOutcome {
-            wall_ms,
-            latencies_ms,
-            transcripts_ok,
-            stats,
-        }
-    };
-
-    let percentile = |sorted: &[f64], p: f64| -> f64 {
-        if sorted.is_empty() {
-            return 0.0;
-        }
-        let idx = ((sorted.len() - 1) as f64 * p / 100.0).round() as usize;
-        sorted[idx.min(sorted.len() - 1)]
-    };
-
-    let total_statements = SESSIONS * session_script(0, REPS).len();
-    let mut all_outputs_equal = true;
-    let mut entries: Vec<String> = Vec::new();
-    let mut throughput_by_cfg: Vec<((bool, usize), f64)> = Vec::new();
-    println!(
-        "  {:<9} {:>7} {:>10} {:>12} {:>9} {:>9} {:>8} {:>6}",
-        "batching", "workers", "wall", "stmt/s", "p50", "p99", "batches", "equal"
-    );
-    for batching in [false, true] {
-        for workers in [1usize, 4] {
-            // Median wall over RUNS runs; latencies pooled across runs.
-            let mut walls = Vec::new();
-            let mut lats: Vec<f64> = Vec::new();
-            let mut equal = true;
-            let mut last_stats = cdb_server::ServerStats::default();
-            for _ in 0..RUNS {
-                let out = run_once(batching, workers);
-                equal &= out.transcripts_ok;
-                walls.push(out.wall_ms);
-                lats.extend(out.latencies_ms);
-                last_stats = out.stats;
-            }
-            walls.sort_by(f64::total_cmp);
-            lats.sort_by(f64::total_cmp);
-            let wall_ms = walls[walls.len() / 2];
-            let throughput = total_statements as f64 / (wall_ms / 1e3).max(1e-9);
-            let p50 = percentile(&lats, 50.0);
-            let p99 = percentile(&lats, 99.0);
-            assert!(
-                equal,
-                "transcript divergence at batching={batching} workers={workers}"
-            );
-            all_outputs_equal &= equal;
-            throughput_by_cfg.push(((batching, workers), throughput));
-            let hist_json = last_stats
-                .batch_sizes
-                .iter()
-                .map(|(s, c)| format!("[{s}, {c}]"))
-                .collect::<Vec<_>>()
-                .join(", ");
-            println!(
-                "  {batching:<9} {workers:>7} {wall_ms:>8.2}ms {throughput:>12.0} {p50:>7.3}ms {p99:>7.3}ms {:>8} {equal:>6}",
-                last_stats.batches
-            );
-            entries.push(format!(
-                "{{\"batching\": {batching}, \"workers\": {workers}, \"wall_ms\": {wall_ms:.3}, \"throughput_stmt_per_s\": {throughput:.1}, \"p50_ms\": {p50:.4}, \"p99_ms\": {p99:.4}, \"reads\": {}, \"writes\": {}, \"batches\": {}, \"batched_reads\": {}, \"batch_sizes\": [{hist_json}], \"cache_hits\": {}, \"cache_misses\": {}}}",
-                last_stats.reads,
-                last_stats.writes,
-                last_stats.batches,
-                last_stats.batched_reads,
-                last_stats.cache_hits,
-                last_stats.cache_misses,
-            ));
-        }
-    }
-
-    let tp = |b: bool, w: usize| {
-        throughput_by_cfg
-            .iter()
-            .find(|((bb, ww), _)| *bb == b && *ww == w)
-            .map_or(0.0, |(_, t)| *t)
-    };
-    let ratio_w4 = tp(true, 4) / tp(false, 4).max(1e-9);
-    // Batching wins by controlling the fan-out when the host has spare
-    // cores; on a single-hardware-thread container everything serializes
-    // and the honest expectation is parity (ratio ≈ 1 up to queue
-    // overhead), which we document rather than hide.
-    let single_threaded_host = hw == 1;
-    println!(
-        "  batched/unbatched throughput at workers=4: {ratio_w4:.3}x (hardware_threads={hw}{})",
-        if single_threaded_host {
-            ", single-threaded host: parity expected"
-        } else {
-            ""
-        }
-    );
-
-    let json = format!(
-        "{{\n  \"experiment\": \"e22_server_throughput\",\n  \"hardware_threads\": {hw},\n  \"sessions\": {SESSIONS},\n  \"statements_per_session\": {},\n  \"runs_per_config\": {RUNS},\n  \"all_outputs_equal\": {all_outputs_equal},\n  \"batched_over_unbatched_throughput_w4\": {ratio_w4:.3},\n  \"single_threaded_host\": {single_threaded_host},\n  \"configs\": [\n    {}\n  ]\n}}\n",
-        session_script(0, REPS).len(),
-        entries.join(",\n    ")
-    );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_server.json");
-    std::fs::write(path, &json).expect("write BENCH_server.json");
     println!("  wrote {path}");
 }
 

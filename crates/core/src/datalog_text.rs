@@ -16,8 +16,9 @@ use cdb_calcf::CalcFEngine;
 use cdb_constraints::Database;
 use cdb_datalog::{Literal, Program, Rule};
 
-/// Parse a Datalog¬ program from text. Rules are terminated by `.`;
-/// `--` starts a comment to end of line.
+/// Parse a Datalog¬ program from text. Rules are terminated by `.` (a `.`
+/// between two digits is a decimal point); `--` starts a comment to end
+/// of line.
 pub fn parse_program(src: &str) -> Result<Program, DbError> {
     let cleaned: String = src
         .lines()
@@ -28,7 +29,7 @@ pub fn parse_program(src: &str) -> Result<Program, DbError> {
         .collect::<Vec<_>>()
         .join("\n");
     let mut rules = Vec::new();
-    for rule_src in cleaned.split('.') {
+    for rule_src in split_rules(&cleaned) {
         let rule_src = rule_src.trim();
         if rule_src.is_empty() {
             continue;
@@ -36,6 +37,26 @@ pub fn parse_program(src: &str) -> Result<Program, DbError> {
         rules.push(parse_rule(rule_src)?);
     }
     Ok(Program { rules })
+}
+
+/// Split on every `.` that is not a decimal point (one with an ASCII digit
+/// on both sides, as in `x <= 1.5`).
+fn split_rules(src: &str) -> Vec<&str> {
+    let mut out = Vec::new();
+    let mut start = 0;
+    let mut prev_is_digit = false;
+    let mut chars = src.char_indices().peekable();
+    while let Some((i, ch)) = chars.next() {
+        let decimal_point =
+            prev_is_digit && chars.peek().is_some_and(|&(_, next)| next.is_ascii_digit());
+        if ch == '.' && !decimal_point {
+            out.push(&src[start..i]);
+            start = i + 1;
+        }
+        prev_is_digit = ch.is_ascii_digit();
+    }
+    out.push(&src[start..]);
+    out
 }
 
 fn parse_rule(src: &str) -> Result<Rule, DbError> {
@@ -235,10 +256,12 @@ mod tests {
             "-- reachability with a step bound\n\
              R(x) :- Start(x).\n\
              R(y) :- R(x), x <= y, y <= x + 1, y <= 3.\n\
-             Off(x) :- Dom(x), not R(x).",
+             Off(x) :- Dom(x), not R(x).\n\
+             Frac(x) :- Dom(x), x <= 3/2.\n\
+             Dec(x) :- Dom(x), x <= 1.5.",
         )
         .unwrap();
-        assert_eq!(program.rules.len(), 3);
+        assert_eq!(program.rules.len(), 5);
         let mut db = ConstraintDb::new();
         db.insert_points("Start", 1, &[vec![Rat::zero()]]).unwrap();
         db.insert_points("Dom", 1, &[vec![Rat::one()], vec![Rat::from(5i64)]])
@@ -256,6 +279,12 @@ mod tests {
         let off = out.get("Off").unwrap();
         assert!(off.satisfied_at(&[Rat::one()]));
         assert!(off.satisfied_at(&[Rat::from(5i64)]));
+        // A decimal literal's `.` is not a rule terminator: `1.5` and `3/2`
+        // are two spellings of one bound.
+        let dec = out.get("Dec").unwrap();
+        assert!(dec.satisfied_at(&[Rat::one()]));
+        assert!(!dec.satisfied_at(&[Rat::from(5i64)]));
+        assert_eq!(dec, out.get("Frac").unwrap());
     }
 
     #[test]

@@ -212,10 +212,9 @@ pub fn classify(rel: &str) -> FileClass {
             || rel == "crates/core/src/deps.rs"
             || rel == "crates/core/src/update.rs"
             // The serving layer (DESIGN.md §13) promises byte-identical
-            // results across batch compositions, worker counts, and
-            // session interleavings; nothing order- or clock-dependent
-            // may sit on its result paths, and the session loop must
-            // never panic out from under a queued request.
+            // results across session interleavings; nothing order- or
+            // clock-dependent may sit on its result paths, and the
+            // session loop must never panic out from under a request.
             || rel.starts_with("crates/server/"),
         panic: !is_bin,
         lock: true,
@@ -231,7 +230,7 @@ const SKIP_DIRS: &[&str] = &[
 
 /// Path prefixes never scanned (bench code is an allowed float zone and is
 /// not part of the library panic surface).
-const SKIP_PREFIXES: &[&str] = &["crates/bench/"];
+const SKIP_PREFIXES: &[&str] = &["crates/bench/", "stmtbench/"];
 
 /// An allow directive parsed from a comment.
 #[derive(Debug)]

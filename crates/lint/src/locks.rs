@@ -2,9 +2,8 @@
 //!
 //! Every `.lock()` site is classified into a **lock class** by its receiver
 //! path and file (the serving stack's classes are enumerated in DESIGN.md
-//! §9: master db, admission queue, slot mailboxes, batch histogram,
-//! admission join handle, cache shards, interner shards, `RealAlg` root
-//! cells, parallel fan-out slots, stdio). The pass then computes, for every
+//! §9: master db, cache shards, interner shards, `RealAlg` root cells,
+//! parallel fan-out slots, stdio). The pass then computes, for every
 //! function, which classes can be *held* when another class is *acquired* —
 //! following calls made while a guard is live, with each callee's
 //! transitively-acquired classes — and reports any cycle in the resulting
@@ -134,11 +133,7 @@ fn lock_class(file: &str, segs: &[String]) -> String {
     for s in segs.iter().rev() {
         let class = match s.as_str() {
             "master" => "db-master",
-            "queue" => "admission-queue",
-            "batch_hist" => "batch-hist",
-            "admission" => "admission-join",
             "loc" => "realalg-loc",
-            "result" | "slot" => "slot-mailbox",
             "stdin" | "stdout" | "stderr" => "stdio",
             _ => continue,
         };
@@ -583,16 +578,16 @@ mod tests {
     fn opposite_order_acquisition_is_a_cycle() {
         let a = analyze_src(&[(
             "crates/s/src/l.rs",
-            "pub fn ab(s: &S) {\n  let g = s.master.lock().unwrap_or_else(e);\n  let h = s.queue.lock().unwrap_or_else(e);\n  use_both(g, h);\n}\npub fn ba(s: &S) {\n  let h = s.queue.lock().unwrap_or_else(e);\n  let g = s.master.lock().unwrap_or_else(e);\n  use_both(g, h);\n}\nfn use_both(a: G, b: H) {}\n",
+            "pub fn ab(s: &S) {\n  let g = s.master.lock().unwrap_or_else(e);\n  let h = s.loc.lock().unwrap_or_else(e);\n  use_both(g, h);\n}\npub fn ba(s: &S) {\n  let h = s.loc.lock().unwrap_or_else(e);\n  let g = s.master.lock().unwrap_or_else(e);\n  use_both(g, h);\n}\nfn use_both(a: G, b: H) {}\n",
         )]);
         assert!(a
             .edges
             .iter()
-            .any(|e| e.from == "db-master" && e.to == "admission-queue"));
+            .any(|e| e.from == "db-master" && e.to == "realalg-loc"));
         assert!(a
             .edges
             .iter()
-            .any(|e| e.from == "admission-queue" && e.to == "db-master"));
+            .any(|e| e.from == "realalg-loc" && e.to == "db-master"));
         assert_eq!(a.diags.len(), 1, "one deduplicated cycle: {:?}", a.diags);
         assert!(a.diags[0].message.contains("cycle"));
     }
@@ -601,12 +596,12 @@ mod tests {
     fn call_under_guard_propagates() {
         let a = analyze_src(&[(
             "crates/s/src/l.rs",
-            "pub fn outer(s: &S) {\n  let g = s.master.lock().unwrap_or_else(e);\n  helper(s);\n  g.touch();\n}\nfn helper(s: &S) {\n  let q = s.queue.lock().unwrap_or_else(e);\n  q.touch();\n}\n",
+            "pub fn outer(s: &S) {\n  let g = s.master.lock().unwrap_or_else(e);\n  helper(s);\n  g.touch();\n}\nfn helper(s: &S) {\n  let q = s.loc.lock().unwrap_or_else(e);\n  q.touch();\n}\n",
         )]);
         assert!(
             a.edges
                 .iter()
-                .any(|e| e.from == "db-master" && e.to == "admission-queue"),
+                .any(|e| e.from == "db-master" && e.to == "realalg-loc"),
             "edges: {:?}",
             a.edges
         );
@@ -617,7 +612,7 @@ mod tests {
     fn stmt_temp_guard_does_not_leak_past_statement() {
         let a = analyze_src(&[(
             "crates/s/src/l.rs",
-            "pub fn f(s: &S) {\n  let v = s.master.lock().unwrap_or_else(e).clone();\n  helper(s);\n}\nfn helper(s: &S) {\n  let q = s.queue.lock().unwrap_or_else(e);\n  q.touch();\n}\n",
+            "pub fn f(s: &S) {\n  let v = s.master.lock().unwrap_or_else(e).clone();\n  helper(s);\n}\nfn helper(s: &S) {\n  let q = s.loc.lock().unwrap_or_else(e);\n  q.touch();\n}\n",
         )]);
         assert!(a.edges.is_empty(), "edges: {:?}", a.edges);
     }
@@ -626,12 +621,12 @@ mod tests {
     fn match_scrutinee_guard_lives_through_block() {
         let a = analyze_src(&[(
             "crates/s/src/l.rs",
-            "pub fn f(s: &S) {\n  match *s.loc.lock().unwrap_or_else(e) {\n    X => helper(s),\n    _ => {}\n  }\n}\nfn helper(s: &S) {\n  let q = s.queue.lock().unwrap_or_else(e);\n  q.touch();\n}\n",
+            "pub fn f(s: &S) {\n  match *s.loc.lock().unwrap_or_else(e) {\n    X => helper(s),\n    _ => {}\n  }\n}\nfn helper(s: &S) {\n  let q = s.master.lock().unwrap_or_else(e);\n  q.touch();\n}\n",
         )]);
         assert!(
             a.edges
                 .iter()
-                .any(|e| e.from == "realalg-loc" && e.to == "admission-queue"),
+                .any(|e| e.from == "realalg-loc" && e.to == "db-master"),
             "edges: {:?}",
             a.edges
         );
@@ -641,7 +636,7 @@ mod tests {
     fn dropped_guard_clears_held_set() {
         let a = analyze_src(&[(
             "crates/s/src/l.rs",
-            "pub fn f(s: &S) {\n  let g = s.master.lock().unwrap_or_else(e);\n  drop(g);\n  helper(s);\n}\nfn helper(s: &S) {\n  let q = s.queue.lock().unwrap_or_else(e);\n  q.touch();\n}\n",
+            "pub fn f(s: &S) {\n  let g = s.master.lock().unwrap_or_else(e);\n  drop(g);\n  helper(s);\n}\nfn helper(s: &S) {\n  let q = s.loc.lock().unwrap_or_else(e);\n  q.touch();\n}\n",
         )]);
         assert!(a.edges.is_empty(), "edges: {:?}", a.edges);
     }

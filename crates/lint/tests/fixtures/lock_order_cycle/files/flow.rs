@@ -1,10 +1,10 @@
 //@ path: crates/srv/src/flow.rs
 //! Fixture: acquires the master cell, then calls into `helper`, which
-//! takes the admission queue — the forward direction of the cycle.
+//! takes a `RealAlg` root cell — the forward direction of the cycle.
 
 pub fn forward(s: &S) {
     let g = s.master.lock().unwrap_or_else(recover);
-    helper::grab_queue(s);
+    helper::grab_root(s);
     touch(&g);
 }
 

@@ -1,14 +1,14 @@
 //@ path: crates/srv/src/helper.rs
-//! Fixture: `backward` takes the admission queue first and the master cell
+//! Fixture: `backward` takes a `RealAlg` root cell first and the master cell
 //! under it — the opposite order to `flow::forward`, closing the cycle.
 
-pub fn grab_queue(s: &S) {
-    let q = s.queue.lock().unwrap_or_else(recover);
+pub fn grab_root(s: &S) {
+    let q = s.loc.lock().unwrap_or_else(recover);
     consume(&q);
 }
 
 pub fn backward(s: &S) {
-    let q = s.queue.lock().unwrap_or_else(recover);
+    let q = s.loc.lock().unwrap_or_else(recover);
     let g = s.master.lock().unwrap_or_else(recover);
     consume_both(&g, &q);
 }

@@ -1,10 +1,10 @@
 //! Pretend `cdb-server::session`: the serving layer is in the
-//! determinism scope (DESIGN.md §13) — batched and unbatched admission
-//! must return byte-identical results for every batch composition and
-//! worker count, so nothing order- or clock-dependent may sit on a
-//! result path, and the session loop must never panic out from under a
-//! queued request. BTree containers, SeqCst counters, and poison
-//! recovery pass untouched.
+//! determinism scope (DESIGN.md §13) — a session's transcript must be
+//! byte-identical under every interleaving with other sessions, so
+//! nothing order- or clock-dependent may sit on a result path, and the
+//! session loop must never panic out from under a request.
+//! BTree containers, SeqCst counters, and poison recovery pass
+//! untouched.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};

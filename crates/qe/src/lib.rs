@@ -58,10 +58,10 @@ pub enum QeError {
     FormulaConstruction(String),
     /// Structural error (internal invariant broken or unsupported input).
     Unsupported(String),
-    /// A forced plan mode ([`PlanMode::ForceFM`] / [`PlanMode::ForceQuad`])
-    /// was applied to a disjunct its eliminator cannot handle. Forced modes
-    /// never fall back silently — differential tests rely on the strategy
-    /// actually running — so the planner reports the mismatch instead.
+    /// A forced plan mode ([`PlanMode::ForceQuad`]) was applied to a
+    /// disjunct its eliminator cannot handle. Forced modes never fall back
+    /// silently — differential tests rely on the strategy actually
+    /// running — so the planner reports the mismatch instead.
     PlanUnsupported(String),
 }
 
@@ -180,9 +180,6 @@ pub enum PlanMode {
     /// Cost-based: substitution → Fourier–Motzkin → quadratic → CAD.
     #[default]
     Auto,
-    /// Fourier–Motzkin on every disjunct (error when nonlinear in the
-    /// target variable).
-    ForceFM,
     /// Whole-relation CAD, exactly the pre-planner pipeline path.
     ForceCAD,
     /// The quadratic one-variable shortcut on every disjunct (error when a

@@ -41,8 +41,8 @@ fn chunk_len(n: usize, workers: usize) -> usize {
 /// plain sequential iterator — no threads are spawned.
 ///
 /// Shared export: the same fan-out drives disjunct-level parallelism inside
-/// this crate, the per-rule QE jobs of the `cdb-datalog` semi-naive
-/// fixpoint, and the batched query admission of `cdb-server`.
+/// this crate and the per-rule QE jobs of the `cdb-datalog` semi-naive
+/// fixpoint.
 pub fn par_map_result<T: Sync, U: Send>(
     items: &[T],
     workers: usize,

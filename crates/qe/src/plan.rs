@@ -26,8 +26,8 @@
 //! worker count. `∀` runs go through `¬∃¬` when the relation is linear (or
 //! when a forced mode demands it); nonlinear `∀` keeps the pre-planner
 //! whole-relation CAD. [`crate::PlanMode::ForceCAD`] reproduces the old
-//! pipeline exactly; `ForceFM` / `ForceQuad` never fall back — they return
-//! [`QeError::PlanUnsupported`] on a disjunct outside their class.
+//! pipeline exactly; `ForceQuad` never falls back — it returns
+//! [`QeError::PlanUnsupported`] on a disjunct outside its class.
 
 use crate::cad;
 use crate::linear;
@@ -269,15 +269,6 @@ fn eliminate_var_from_tuple(
     }
     let strat = match ctx.plan_mode {
         PlanMode::Auto => classify(tuple, var),
-        PlanMode::ForceFM => {
-            if fm_applicable(tuple, var) {
-                Strategy::Fm
-            } else {
-                return Err(QeError::PlanUnsupported(format!(
-                    "ForceFM: disjunct is nonlinear in x{var}"
-                )));
-            }
-        }
         PlanMode::ForceQuad => {
             if quad1::applicable(tuple, var) {
                 Strategy::Quad

@@ -3,26 +3,22 @@
 #![warn(missing_docs)]
 
 //! `cdb-server`: the serving layer over the `constraintdb` facade —
-//! a textual statement surface, concurrent snapshot sessions, and
-//! batched query admission (DESIGN.md §13).
+//! a textual statement surface and concurrent snapshot sessions
+//! (DESIGN.md §13).
 //!
 //! The paper's setting ("heavy traffic from millions of users", §1) makes
 //! query evaluation a *repeated* elimination task; following
 //! Giusti–Heintz–Kuijpers, the win is amortization across queries. Here
-//! that takes two forms:
-//!
-//! * **one shared algebraic memo-cache** — every session snapshot clones
-//!   the master [`constraintdb::ConstraintDb`], whose cache handle is
-//!   `Arc`-backed, so resultants/discriminants/Sturm chains computed for
-//!   one user's query answer every user's later queries;
-//! * **batched admission** — concurrent read queries are drained into one
-//!   batch and fanned out through `cdb_qe::par_map_result`, putting the
-//!   parallel QE pipeline to work *across* queries instead of only within
-//!   one.
+//! that is **one shared algebraic memo-cache**: every session snapshot
+//! clones the master [`constraintdb::ConstraintDb`], whose cache handle is
+//! `Arc`-backed, so resultants/discriminants/Sturm chains computed for one
+//! user's query answer every user's later queries. Reads evaluate on the
+//! calling session's thread; there is no admission layer between a
+//! session and the engine (DESIGN.md §13 says why).
 //!
 //! Three layers, one module each: [`lexer`] (spanned tokens), [`parser`]
 //! (statements + canonical pretty-printer), [`session`] (server, sessions,
-//! admission loop).
+//! snapshots).
 
 pub mod lexer;
 pub mod parser;
@@ -34,7 +30,7 @@ pub use session::{Server, ServerConfig, ServerStats, Session};
 use std::fmt;
 
 /// What a statement returned. [`fmt::Display`] renders every variant as
-/// one deterministic line — the unit of E22's byte-identity transcripts.
+/// one deterministic line — the unit of the byte-identity transcripts.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Response {
     /// `CREATE RELATION` succeeded.
@@ -121,7 +117,7 @@ pub enum ServerError {
     /// The database rejected the operation (rendered
     /// [`constraintdb::DbError`]).
     Db(String),
-    /// The server is shutting down; the request was not admitted.
+    /// The server has shut down; the read was refused.
     Shutdown,
 }
 

@@ -107,8 +107,8 @@ pub enum Statement {
 }
 
 impl Statement {
-    /// Whether the statement only reads — eligible for batched admission
-    /// (snapshot-isolated, side-effect-free).
+    /// Whether the statement only reads: it evaluates against the session's
+    /// snapshot and never takes the master lock.
     #[must_use]
     pub fn is_read_only(&self) -> bool {
         matches!(self, Statement::Select { .. } | Statement::ShowRelations)

@@ -1,6 +1,4 @@
-//! Sessions, snapshots, and batched admission (DESIGN.md §13).
-//!
-//! ## Architecture
+//! Sessions and snapshots (DESIGN.md §13).
 //!
 //! One [`Server`] owns the **master** [`ConstraintDb`] behind a mutex.
 //! Each [`Session`] holds its own `ConstraintDb` **snapshot** — a cheap
@@ -9,65 +7,33 @@
 //! one cache with the master and with every other session: one user's CAD
 //! projections warm every user's cache.
 //!
-//! **Reads** (`SELECT`, `SHOW RELATIONS`) evaluate against the session's
-//! snapshot — never against the master — so they are snapshot-isolated and
-//! lock-free. **Writes** (`CREATE`, `INSERT`, `DELETE`, `DATALOG`, `DROP`)
+//! **Reads** (`SELECT`, `SHOW RELATIONS`) evaluate on the calling thread
+//! against the session's snapshot — never against the master — so they
+//! are snapshot-isolated and lock-free, and each result is a pure function
+//! of its own (snapshot, query) pair: concurrency changes *when* a query
+//! runs, never *what* it returns. Session threads are the one unit of
+//! parallelism; per-query engine parallelism is pinned to 1.
+//! **Writes** (`CREATE`, `INSERT`, `DELETE`, `DATALOG`, `DROP`)
 //! serialize through the master mutex via PR 7's update path
 //! (`insert_tuples` / `retract_tuples`, with incremental view
 //! maintenance), and the writing session then refreshes its own snapshot;
 //! other sessions keep their old snapshot until they next write or call
 //! [`Session::refresh`].
-//!
-//! ## Batched admission
-//!
-//! With [`ServerConfig::batching`] on, read statements are not evaluated
-//! on the submitting thread. The session enqueues the pair *(snapshot
-//! handle, query text)* and blocks; a dedicated admission thread drains
-//! the queue, groups up to [`ServerConfig::max_batch`] pending reads into
-//! one batch, and evaluates the batch through
-//! [`cdb_qe::par_map_result`] with [`ServerConfig::workers`] threads.
-//! All read statements are mutually compatible: each result is a pure
-//! function of its own (snapshot, query) pair, so grouping changes
-//! *when* a query runs, never *what* it returns — the determinism
-//! argument for why batched and unbatched admission are byte-identical
-//! (E22 asserts this across batch compositions and interleavings).
-//! Per-query engine parallelism is left at 1; the batch itself is the
-//! unit of parallelism, so nested fan-outs never oversubscribe the pool.
 
 use crate::parser::{parse_statement, Rows, Statement};
 use crate::{Response, ServerError};
 use cdb_constraints::{ConstraintRelation, GeneralizedTuple};
-use cdb_qe::par_map_result;
 use constraintdb::{parse_program, ConstraintDb};
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Maximum Datalog¬ fixpoint iterations a `DATALOG` statement may run.
 const MAX_DATALOG_ITERATIONS: usize = 256;
 
-/// Server tuning knobs.
-#[derive(Debug, Clone)]
-pub struct ServerConfig {
-    /// Worker threads for evaluating one admitted batch (clamped to the
-    /// hardware by `par_map_result`).
-    pub workers: usize,
-    /// Maximum read queries admitted into one batch.
-    pub max_batch: usize,
-    /// Batched admission on/off. Off = reads evaluate inline on the
-    /// submitting thread (same results, no cross-session batching).
-    pub batching: bool,
-}
-
-impl Default for ServerConfig {
-    fn default() -> ServerConfig {
-        ServerConfig {
-            workers: std::thread::available_parallelism().map_or(1, |n| n.get()),
-            max_batch: 32,
-            batching: true,
-        }
-    }
-}
+/// Server configuration. The server has no knobs; the type remains so
+/// that `Server::new(ServerConfig::default())` keeps compiling.
+#[derive(Debug, Clone, Default)]
+pub struct ServerConfig {}
 
 /// Integer snapshot of the server's counters (all exact — no rates; the
 /// bench layer derives ratios).
@@ -75,162 +41,34 @@ impl Default for ServerConfig {
 pub struct ServerStats {
     /// Statements executed (reads + writes).
     pub statements: u64,
-    /// Read statements (batched or inline).
+    /// Read statements.
     pub reads: u64,
     /// Write statements applied to the master.
     pub writes: u64,
-    /// Batches admitted by the admission loop.
+    /// Always 0: there is no admission layer, so nothing is batched. Kept
+    /// only because the frozen benchmark (`stmtbench/src/trace.rs`) reads it.
     pub batches: u64,
-    /// Reads that went through batched admission.
+    /// Always 0, for the same reason as [`ServerStats::batches`].
     pub batched_reads: u64,
-    /// Batch size distribution: `(size, count)`, ascending by size.
-    pub batch_sizes: Vec<(usize, u64)>,
     /// Algebraic memo-cache hits (shared across all sessions).
     pub cache_hits: u64,
     /// Algebraic memo-cache misses.
     pub cache_misses: u64,
 }
 
-/// A read request parked in the admission queue.
-struct Pending {
-    /// The submitting session's snapshot at enqueue time.
-    db: ConstraintDb,
-    /// The read to evaluate against it.
-    stmt: ReadStmt,
-    /// Where the result is delivered.
-    slot: Arc<Slot>,
-}
-
-/// The read-only statements eligible for admission.
-enum ReadStmt {
-    Select(String),
-    ShowRelations,
-}
-
-/// One-shot result mailbox.
-#[derive(Default)]
-struct Slot {
-    result: Mutex<Option<Result<Response, ServerError>>>,
-    ready: Condvar,
-}
-
-/// Admission queue state under one lock (the shutdown flag shares it so a
-/// submit can never race past a shutdown — no lost wakeups).
-#[derive(Default)]
-struct QueueState {
-    pending: Vec<Pending>,
-    shutdown: bool,
-}
-
 /// Shared server state.
 struct Inner {
-    cfg: ServerConfig,
     master: Mutex<ConstraintDb>,
-    queue: Mutex<QueueState>,
-    arrived: Condvar,
+    shutdown: AtomicBool,
     statements: AtomicU64,
     reads: AtomicU64,
     writes: AtomicU64,
-    batches: AtomicU64,
-    batched_reads: AtomicU64,
-    batch_hist: Mutex<BTreeMap<usize, u64>>,
 }
 
-impl Inner {
-    fn record_batch(&self, size: usize) {
-        self.batches.fetch_add(1, Ordering::SeqCst);
-        self.batched_reads.fetch_add(size as u64, Ordering::SeqCst);
-        let mut hist = self
-            .batch_hist
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        *hist.entry(size).or_insert(0) += 1;
-    }
-}
-
-/// Evaluate one read against a snapshot. Pure in (snapshot, statement):
-/// this is the whole batching determinism argument — admission order and
-/// batch composition cannot reach the result.
-fn eval_read(db: &ConstraintDb, stmt: &ReadStmt) -> Result<Response, ServerError> {
-    match stmt {
-        ReadStmt::Select(query) => db
-            .query(query)
-            .map(|r| Response::Rows {
-                text: r.display(),
-                exact: r.is_exact(),
-            })
-            .map_err(|e| ServerError::Db(e.to_string())),
-        ReadStmt::ShowRelations => Ok(Response::Relations {
-            schema: db.schema(),
-        }),
-    }
-}
-
-fn deliver(p: &Pending, r: Result<Response, ServerError>) {
-    let mut slot = p.slot.result.lock().unwrap_or_else(PoisonError::into_inner);
-    *slot = Some(r);
-    drop(slot);
-    p.slot.ready.notify_all();
-}
-
-/// Block until the queue has work (or shutdown), then drain up to
-/// `max_batch` pending reads. `None` means shutdown with an empty queue —
-/// every accepted request is drained before the loop exits. The queue
-/// guard never outlives this function, so batch evaluation runs lock-free.
-fn next_batch(inner: &Inner) -> Option<Vec<Pending>> {
-    let mut q = inner.queue.lock().unwrap_or_else(PoisonError::into_inner);
-    loop {
-        if !q.pending.is_empty() {
-            break;
-        }
-        if q.shutdown {
-            return None;
-        }
-        q = inner
-            .arrived
-            .wait(q)
-            .unwrap_or_else(PoisonError::into_inner);
-    }
-    let take = q.pending.len().min(inner.cfg.max_batch.max(1));
-    Some(q.pending.drain(..take).collect())
-}
-
-/// The admission loop: drain up to `max_batch` pending reads, evaluate
-/// them as one `par_map_result` batch, deliver, repeat until shutdown.
-fn admission_loop(inner: &Inner) {
-    loop {
-        let Some(batch) = next_batch(inner) else {
-            return;
-        };
-        inner.record_batch(batch.len());
-        // Evaluate the whole batch in parallel. The per-request mapping
-        // never returns `Err` at the fan-out layer (each request's own
-        // failure is data, delivered to its submitter), so one failing
-        // query cannot abort its batchmates.
-        let evaluated =
-            par_map_result(&batch, inner.cfg.workers, |p| Ok(eval_read(&p.db, &p.stmt)));
-        match evaluated {
-            Ok(results) => {
-                for (p, r) in batch.iter().zip(results) {
-                    deliver(p, r);
-                }
-            }
-            Err(e) => {
-                // Unreachable with an infallible mapping; answer everyone
-                // rather than leave them blocked.
-                for p in &batch {
-                    deliver(p, Err(ServerError::Db(e.to_string())));
-                }
-            }
-        }
-    }
-}
-
-/// A long-lived constraint-database server: master store, admission
-/// queue, and the worker that drains it.
+/// A long-lived constraint-database server: the master store and the
+/// counters its sessions share.
 pub struct Server {
     inner: Arc<Inner>,
-    admission: Mutex<Option<std::thread::JoinHandle<()>>>,
 }
 
 impl Server {
@@ -241,32 +79,19 @@ impl Server {
     }
 
     /// Serve an existing database (its memo-cache becomes the shared
-    /// server cache). Per-query engine parallelism is forced to 1 — the
-    /// admitted batch is the unit of parallelism.
+    /// server cache). Per-query engine parallelism is forced to 1 —
+    /// session threads are the unit of parallelism.
     #[must_use]
-    pub fn with_db(mut db: ConstraintDb, cfg: ServerConfig) -> Server {
+    pub fn with_db(mut db: ConstraintDb, _cfg: ServerConfig) -> Server {
         db.engine_mut().workers = 1;
-        let inner = Arc::new(Inner {
-            cfg: cfg.clone(),
-            master: Mutex::new(db),
-            queue: Mutex::new(QueueState::default()),
-            arrived: Condvar::new(),
-            statements: AtomicU64::new(0),
-            reads: AtomicU64::new(0),
-            writes: AtomicU64::new(0),
-            batches: AtomicU64::new(0),
-            batched_reads: AtomicU64::new(0),
-            batch_hist: Mutex::new(BTreeMap::new()),
-        });
-        let admission = if cfg.batching {
-            let worker = Arc::clone(&inner);
-            Some(std::thread::spawn(move || admission_loop(&worker)))
-        } else {
-            None
-        };
         Server {
-            inner,
-            admission: Mutex::new(admission),
+            inner: Arc::new(Inner {
+                master: Mutex::new(db),
+                shutdown: AtomicBool::new(false),
+                statements: AtomicU64::new(0),
+                reads: AtomicU64::new(0),
+                writes: AtomicU64::new(0),
+            }),
         }
     }
 
@@ -287,7 +112,7 @@ impl Server {
         }
     }
 
-    /// Counter snapshot (batch histogram sorted ascending by size).
+    /// Counter snapshot.
     #[must_use]
     pub fn stats(&self) -> ServerStats {
         let (cache_hits, cache_misses) = {
@@ -298,55 +123,21 @@ impl Server {
                 .unwrap_or_else(PoisonError::into_inner);
             (master.cache().hits(), master.cache().misses())
         };
-        let batch_sizes: Vec<(usize, u64)> = {
-            let hist = self
-                .inner
-                .batch_hist
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            hist.iter().map(|(&s, &c)| (s, c)).collect()
-        };
         ServerStats {
             statements: self.inner.statements.load(Ordering::SeqCst),
             reads: self.inner.reads.load(Ordering::SeqCst),
             writes: self.inner.writes.load(Ordering::SeqCst),
-            batches: self.inner.batches.load(Ordering::SeqCst),
-            batched_reads: self.inner.batched_reads.load(Ordering::SeqCst),
-            batch_sizes,
+            batches: 0,
+            batched_reads: 0,
             cache_hits,
             cache_misses,
         }
     }
 
-    /// Flag shutdown, wake the admission loop, and join it. Requests
-    /// already queued are answered; later submissions get
+    /// Flag shutdown: reads submitted from now on get
     /// [`ServerError::Shutdown`]. Idempotent.
     pub fn shutdown(&self) {
-        {
-            let mut q = self
-                .inner
-                .queue
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            q.shutdown = true;
-        }
-        self.inner.arrived.notify_all();
-        let handle = {
-            let mut slot = self
-                .admission
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            slot.take()
-        };
-        if let Some(h) = handle {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for Server {
-    fn drop(&mut self) {
-        self.shutdown();
+        self.inner.shutdown.store(true, Ordering::SeqCst);
     }
 }
 
@@ -368,8 +159,22 @@ impl Session {
     pub fn execute_statement(&mut self, stmt: &Statement) -> Result<Response, ServerError> {
         self.inner.statements.fetch_add(1, Ordering::SeqCst);
         match stmt {
-            Statement::Select { query } => self.read(ReadStmt::Select(query.clone())),
-            Statement::ShowRelations => self.read(ReadStmt::ShowRelations),
+            Statement::Select { query } => {
+                self.admit_read()?;
+                self.snapshot
+                    .query(query)
+                    .map(|r| Response::Rows {
+                        text: r.display(),
+                        exact: r.is_exact(),
+                    })
+                    .map_err(|e| ServerError::Db(e.to_string()))
+            }
+            Statement::ShowRelations => {
+                self.admit_read()?;
+                Ok(Response::Relations {
+                    schema: self.snapshot.schema(),
+                })
+            }
             _ => self.write(stmt),
         }
     }
@@ -395,40 +200,13 @@ impl Session {
         &self.snapshot
     }
 
-    fn read(&self, stmt: ReadStmt) -> Result<Response, ServerError> {
+    /// Count a read, and refuse it once the server has shut down.
+    fn admit_read(&self) -> Result<(), ServerError> {
         self.inner.reads.fetch_add(1, Ordering::SeqCst);
-        if !self.inner.cfg.batching {
-            return eval_read(&self.snapshot, &stmt);
+        if self.inner.shutdown.load(Ordering::SeqCst) {
+            return Err(ServerError::Shutdown);
         }
-        let slot = Arc::new(Slot::default());
-        {
-            let mut q = self
-                .inner
-                .queue
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            if q.shutdown {
-                return Err(ServerError::Shutdown);
-            }
-            q.pending.push(Pending {
-                db: self.snapshot.clone(),
-                stmt,
-                slot: Arc::clone(&slot),
-            });
-        }
-        self.inner.arrived.notify_all();
-        let mut result = slot.result.lock().unwrap_or_else(PoisonError::into_inner);
-        loop {
-            match result.take() {
-                Some(r) => return r,
-                None => {
-                    result = slot
-                        .ready
-                        .wait(result)
-                        .unwrap_or_else(PoisonError::into_inner);
-                }
-            }
-        }
+        Ok(())
     }
 
     fn write(&mut self, stmt: &Statement) -> Result<Response, ServerError> {
@@ -592,29 +370,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_and_inline_reads_agree() {
-        let batched = seeded_server(ServerConfig {
-            batching: true,
-            ..ServerConfig::default()
-        });
-        let inline = seeded_server(ServerConfig {
-            batching: false,
-            ..ServerConfig::default()
-        });
-        for q in [
-            "SELECT S(x, y) and y = 0;",
-            "SELECT P(x) and x >= 2;",
-            "SHOW RELATIONS;",
-        ] {
-            let a = batched.session().execute(q).unwrap();
-            let b = inline.session().execute(q).unwrap();
-            assert_eq!(a.to_string(), b.to_string(), "divergence on {q}");
-        }
-        assert!(batched.stats().batches >= 3);
-        assert_eq!(inline.stats().batches, 0);
-    }
-
-    #[test]
     fn snapshot_isolation_until_own_write_or_refresh() {
         let server = seeded_server(ServerConfig::default());
         let mut reader = server.session();
@@ -651,11 +406,7 @@ mod tests {
                 .map(|q| s.execute(q).unwrap().to_string())
                 .collect()
         };
-        let server = seeded_server(ServerConfig {
-            workers: 4,
-            max_batch: 8,
-            batching: true,
-        });
+        let server = seeded_server(ServerConfig::default());
         let transcripts: Vec<Vec<String>> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..4)
                 .map(|_| {
@@ -676,7 +427,6 @@ mod tests {
         }
         let stats = server.stats();
         assert_eq!(stats.reads, 12);
-        assert_eq!(stats.batched_reads, 12);
     }
 
     #[test]
@@ -703,6 +453,12 @@ mod tests {
             .unwrap();
         let band = s.execute("SELECT Band(x);").unwrap().to_string();
         assert!(band.contains('1') && band.contains('2'), "band: {band}");
+        // A decimal literal inside a DATALOG block is a number, not a rule
+        // terminator.
+        s.execute("DATALOG { Low(x) :- Band(x), x <= 1.5. };")
+            .unwrap();
+        let low = s.execute("SELECT Low(x);").unwrap().to_string();
+        assert!(low.contains("2*x - 3 <= 0"), "low: {low}");
     }
 
     #[test]

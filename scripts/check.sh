@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Repository gate: formatting, lints, and the tier-1 verify from ROADMAP.md.
+# Repository gate: formatting, lints, the tier-1 verify from ROADMAP.md, the
+# full workspace test suite, and the statement benchmark's own tests.
 # Run from anywhere; operates on the workspace containing this script.
 set -euo pipefail
 
@@ -22,10 +23,11 @@ echo "==> tier-1 verify: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q
 
-echo "==> E22 smoke: server transcripts byte-identical across batching/workers"
-cargo run --release -p cdb-bench --bin repro -- e22 > /dev/null
-grep -q '"all_outputs_equal": true' BENCH_server.json
-grep -q '"hardware_threads"' BENCH_server.json
+echo "==> full workspace: every per-crate unit, differential and fixture suite"
+cargo test --workspace -q
+
+echo "==> statement benchmark builds and its harness passes (stmtbench/, own workspace)"
+cargo test -q --offline --manifest-path stmtbench/Cargo.toml
 
 echo "==> E23 smoke: planned QE matches forced CAD and the alibi oracle"
 cargo run --release -p cdb-bench --bin repro -- e23 > /dev/null
