@@ -273,25 +273,24 @@ impl RealAlg {
     /// Exact comparison of two real algebraic numbers.
     #[must_use]
     pub fn cmp_alg(&self, other: &RealAlg) -> Ordering {
-        match (self.to_rat(), other.to_rat()) {
-            (Some(a), Some(b)) => return a.cmp(&b),
-            (Some(a), None) => return other.cmp_rat(&a).reverse(),
-            (None, Some(b)) => return self.cmp_rat(&b),
-            (None, None) => {}
-        }
-        // Both irrational. Cheap rounds of interval refinement decide all
-        // strictly-separated pairs; the (expensive) gcd machinery only runs
-        // when the intervals persist in overlapping — i.e. the numbers are
-        // plausibly equal.
-        let a = self.clone();
-        let b = other.clone();
         let quarter = Rat::from_ints(1, 4);
-        let fallback = Rat::from_ints(1, 1024);
-        // `None` = not yet computed; `Some(None)` = provably distinct;
-        // `Some(Some(..))` = both are roots of the gcd.
-        let mut gchain: Option<Option<(UPoly, SturmChain)>> = None;
+        // `None` = gcd not taken yet; `Some(None)` = provably distinct;
+        // `Some(Some(chain))` = both are roots of `g = gcd(p_α, p_β)`, whose
+        // Sturm chain this is.
+        let mut common: Option<Option<SturmChain>> = None;
         for round in 0.. {
-            let (ia, ib) = (a.interval(), b.interval());
+            // Checked every round: a bisection midpoint can land on the root.
+            match (self.to_rat(), other.to_rat()) {
+                (Some(a), Some(b)) => return a.cmp(&b),
+                (Some(a), None) => return other.cmp_rat(&a).reverse(),
+                (None, Some(b)) => return self.cmp_rat(&b),
+                (None, None) => {}
+            }
+            // Both irrational. Cheap rounds of interval refinement decide all
+            // strictly-separated pairs; the (expensive) gcd only runs when the
+            // intervals persist in overlapping — i.e. the numbers are
+            // plausibly equal.
+            let (ia, ib) = (self.interval(), other.interval());
             if ia.hi() < ib.lo() {
                 return Ordering::Less;
             }
@@ -299,39 +298,35 @@ impl RealAlg {
                 return Ordering::Greater;
             }
             if round >= 4 {
-                // If `other.poly(α) != 0` they are distinct and further
-                // refinement separates them; otherwise both are roots of
-                // g = gcd and shrinking hulls decide equality.
-                if gchain.is_none() {
+                let both_roots = common.get_or_insert_with(|| {
                     let g = self.poly.gcd(&other.poly);
-                    let common_possible =
-                        !g.is_constant() && self.sign_of(&other.poly) == Sign::Zero;
-                    gchain = Some(if common_possible {
-                        let chain = SturmChain::new(&g);
-                        Some((g, chain))
-                    } else {
-                        None
-                    });
-                }
-                if let Some(Some((g, chain))) = &gchain {
-                    // Hull of the overlapping intervals; α and β are both
-                    // roots of g. If the (closed) hull contains exactly one
-                    // g-root, they coincide.
+                    if g.is_constant() {
+                        return None;
+                    }
+                    // `g | p_α`, and α is the only root of `p_α` in its
+                    // isolating interval, whose endpoints are non-roots of
+                    // `p_α` hence of `g`: α is a root of `g` iff `g` has a
+                    // root in there. Likewise β. A `g` that misses either
+                    // one means distinct, and refinement separates them.
+                    let chain = SturmChain::new(&g);
+                    let holds =
+                        |iv: &RatInterval| chain.count_roots_half_open(iv.lo(), iv.hi()) > 0;
+                    (holds(&ia) && holds(&ib)).then_some(chain)
+                });
+                if let Some(chain) = both_roots {
+                    // The hull of the overlapping intervals holds α and β,
+                    // both roots of `g`, and its endpoints are non-roots of
+                    // `g`: exactly one `g`-root in it means they coincide.
                     let lo = Rat::min(ia.lo().clone(), ib.lo().clone());
                     let hi = Rat::max(ia.hi().clone(), ib.hi().clone());
-                    let mut count = chain.count_roots_half_open(&lo, &hi);
-                    if g.fsign_at(&lo) == Sign::Zero {
-                        count += 1;
-                    }
-                    if count == 1 {
+                    if chain.count_roots_half_open(&lo, &hi) == 1 {
                         return Ordering::Equal;
                     }
                 }
             }
             let w = &Rat::min(ia.width(), ib.width()) * &quarter;
-            let w = if w.is_zero() { fallback.clone() } else { w };
-            let _ = a.refined(&w);
-            let _ = b.refined(&w);
+            let _ = self.refined(&w);
+            let _ = other.refined(&w);
         }
         // cdb-lint: allow(panic) — the `for round in 0..` loop above only exits
         // via `return`: every pair of distinct reals separates under refinement
@@ -696,12 +691,9 @@ impl AlgUPoly {
         let d = self.coeffs.len() - 1;
         // Approximate |c_i(α)| from above, |c_d(α)| from below.
         let eps = Rat::from_ints(1, 1 << 20);
-        let alpha = f.alpha().refined(&eps);
-        let iv = alpha.interval();
-        let lead_iv = self.coeffs[d].rep.eval_interval(&iv);
         // |lead| lower bound: refine until bounded away from zero (it is
         // nonzero by construction).
-        let mut a = alpha;
+        let mut a = f.alpha().refined(&eps);
         let mut lead_lo;
         loop {
             let liv = self.coeffs[d].rep.eval_interval(&a.interval());
@@ -716,7 +708,6 @@ impl AlgUPoly {
         if lead_lo.is_zero() {
             lead_lo = Rat::from_ints(1, 1_000_000);
         }
-        let _ = lead_iv;
         let mut m = Rat::zero();
         for c in &self.coeffs[..d] {
             let civ = c.rep.eval_interval(&a.interval());
@@ -730,28 +721,29 @@ impl AlgUPoly {
     }
 
     /// Exact isolation of the real roots of this polynomial (over the reals,
-    /// viewing the coefficients as real numbers `c_i(α)`). Returns disjoint
-    /// open rational intervals, ascending, each containing exactly one root,
-    /// or exact rational roots.
+    /// viewing the coefficients as real numbers `c_i(α)`), which must be
+    /// squarefree (see [`AlgUPoly::squarefree`]: Euclid in `Q(α)[y]` is the
+    /// expensive step, so the caller takes it once for isolation and every
+    /// refinement). Returns disjoint open rational intervals, ascending,
+    /// each containing exactly one root, or exact rational roots.
     #[must_use]
     pub fn isolate_roots(&self) -> Vec<RootLocation> {
         if self.coeffs.len() <= 1 {
             return Vec::new();
         }
-        let sf = self.squarefree();
-        if let [c0, c1] = sf.coeffs.as_slice() {
+        if let [c0, c1] = self.coeffs.as_slice() {
             // Linear with algebraic coefficients: root = −c0/c1 ∈ Q(α); only
             // report as exact when rational.
-            let f = &sf.field;
+            let f = &self.field;
             let root = f.neg(&f.div(c0, c1));
             if root.rep.is_constant() {
                 return vec![RootLocation::Exact(root.rep.coeff(0))];
             }
             // Fall through to bisection below to localize it in Q-intervals.
         }
-        let chain = sf.sturm_chain();
+        let chain = self.sturm_chain();
         let var_at = |y: &Rat| -> usize { count_variations(chain.iter().map(|p| p.sign_at(y))) };
-        let bound = sf.root_bound();
+        let bound = self.root_bound();
         let lo = -bound.clone();
         let hi = bound;
         let total = var_at(&lo) - var_at(&hi);
@@ -763,15 +755,15 @@ impl AlgUPoly {
                 continue;
             }
             if count == 1 {
-                if sf.sign_at(&hi) == Sign::Zero {
+                if self.sign_at(&hi) == Sign::Zero {
                     out.push(RootLocation::Exact(hi));
                     continue;
                 }
                 let mut lo = lo;
                 let mut hi = hi;
-                while sf.sign_at(&lo) == Sign::Zero {
+                while self.sign_at(&lo) == Sign::Zero {
                     let mid = Rat::midpoint(&lo, &hi);
-                    if sf.sign_at(&mid) == Sign::Zero {
+                    if self.sign_at(&mid) == Sign::Zero {
                         lo = hi.clone(); // force exit; record exact below
                         out.push(RootLocation::Exact(mid));
                         break;
@@ -809,20 +801,21 @@ impl AlgUPoly {
         out
     }
 
-    /// Refine an isolated root location to width `<= eps` by bisection with
-    /// exact signs.
+    /// Refine an isolated root location of this (squarefree) polynomial to
+    /// width `<= eps` by bisection with exact signs. Every step halves the
+    /// interval, so refining a refined interval further lands on the same
+    /// intervals as refining the original one in one go.
     #[must_use]
     pub fn refine(&self, loc: &RootLocation, eps: &Rat) -> RatInterval {
         match loc {
             RootLocation::Exact(r) => RatInterval::point(r.clone()),
             RootLocation::Isolated(iv) => {
-                let sf = self.squarefree();
                 let mut lo = iv.lo().clone();
                 let mut hi = iv.hi().clone();
-                let s_hi = sf.sign_at(&hi);
+                let s_hi = self.sign_at(&hi);
                 while &(&hi - &lo) > eps {
                     let mid = Rat::midpoint(&lo, &hi);
-                    match sf.sign_at(&mid) {
+                    match self.sign_at(&mid) {
                         Sign::Zero => return RatInterval::point(mid),
                         s if s == s_hi => hi = mid,
                         _ => lo = mid,
@@ -890,6 +883,24 @@ mod tests {
             })
             .unwrap();
         assert!(a.eq_alg(&c));
+    }
+
+    /// `gcd(p_α, p_β)` must hold *both* operands before a one-root hull
+    /// proves equality: α = √2 is a root of the gcd x² − 2, β = √(2 + 10⁻¹²)
+    /// is not, and their intervals overlap until refined past 10⁻¹³.
+    #[test]
+    fn cmp_alg_checks_both_operands_against_the_gcd() {
+        let iso = |lo: &str, hi: &str| {
+            RootLocation::Isolated(RatInterval::new(lo.parse().unwrap(), hi.parse().unwrap()))
+        };
+        let near: Rat = "-2000000000001/1000000000000".parse().unwrap();
+        let a = RealAlg::new(p(&[-2, 0, 1]), iso("1", "2"));
+        let b = RealAlg::new(
+            &p(&[-2, 0, 1]) * &UPoly::from_coeffs(vec![near, Rat::zero(), Rat::one()]),
+            iso("14142135623731/10000000000000", "3"),
+        );
+        assert_eq!(a.cmp_alg(&b), Ordering::Less);
+        assert_eq!(b.cmp_alg(&a), Ordering::Greater);
     }
 
     #[test]
@@ -974,7 +985,8 @@ mod tests {
     fn alg_poly_with_double_root() {
         // (y − α)² = y² − 2αy + α²  → squarefree isolation finds one root ≈ √2.
         let f = NumberField::new(sqrt2());
-        let q = AlgUPoly::new(f, vec![p(&[0, 0, 1]), p(&[0, -2]), p(&[1])]);
+        let q = AlgUPoly::new(f, vec![p(&[0, 0, 1]), p(&[0, -2]), p(&[1])]).squarefree();
+        assert_eq!(q.degree(), Some(1));
         let roots = q.isolate_roots();
         assert_eq!(roots.len(), 1);
         let eps: Rat = "1/100000".parse().unwrap();

@@ -2,11 +2,12 @@
 //! Sturm counts vs brute-force sampling, root isolation invariants, and
 //! resultant specialization.
 
-use cdb_num::{Rat, Sign};
+use cdb_num::{Int, Rat, Sign};
 use cdb_poly::resultant::{discriminant, resultant};
 use cdb_poly::sturm::SturmChain;
 use cdb_poly::{isolate_real_roots, MPoly, RealAlg, RootLocation, UPoly};
 use proptest::prelude::*;
+use std::cmp::Ordering;
 
 fn arb_upoly(max_deg: usize, coeff: i64) -> impl Strategy<Value = UPoly> {
     prop::collection::vec(-coeff..=coeff, 1..=max_deg + 1).prop_map(|v| UPoly::from_ints(&v))
@@ -206,6 +207,33 @@ proptest! {
                 if approx_val.abs() > "1/1024".parse::<Rat>().unwrap() {
                     prop_assert_eq!(s, approx_val.sign());
                 }
+            }
+        }
+    }
+
+    /// Roots of `f·h` against roots of `g·h` (shared and near-shared roots):
+    /// `cmp_alg` is antisymmetric, its strict verdicts are the order of the
+    /// enclosures at width 2⁻⁶⁴, and `Equal` means exactly that those still
+    /// overlap and both numbers are roots of `gcd(f·h, g·h)`.
+    #[test]
+    fn cmp_alg_is_exact_on_shared_factors(f in nonzero_upoly(2, 4), g in nonzero_upoly(2, 4), h in nonzero_upoly(2, 4)) {
+        let (fh, gh) = (&f * &h, &g * &h);
+        let common = fh.gcd(&gh);
+        let eps = Rat::new(Int::one(), Int::pow2(64));
+        for a in RealAlg::roots_of(&fh) {
+            for b in RealAlg::roots_of(&gh) {
+                let ord = a.cmp_alg(&b);
+                prop_assert_eq!(b.cmp_alg(&a), ord.reverse());
+                let (ia, ib) = (a.refined(&eps).interval(), b.refined(&eps).interval());
+                match ord {
+                    Ordering::Less => prop_assert!(ia.hi() < ib.lo()),
+                    Ordering::Greater => prop_assert!(ib.hi() < ia.lo()),
+                    Ordering::Equal => {}
+                }
+                let overlap = ia.lo() <= ib.hi() && ib.lo() <= ia.hi();
+                let both_roots =
+                    a.sign_of(&common) == Sign::Zero && b.sign_of(&common) == Sign::Zero;
+                prop_assert_eq!(ord == Ordering::Equal, overlap && both_roots);
             }
         }
     }

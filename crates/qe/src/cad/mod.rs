@@ -61,6 +61,32 @@ pub struct Cad {
     pub level_poly_ids: Vec<Vec<usize>>,
     /// Per level: the cells.
     pub levels: Vec<Vec<CadCell>>,
+    /// The input polynomials, each resolved against `registry` once (truth
+    /// evaluation asks for their signs at every finest cell).
+    inputs: Vec<(MPoly, Option<Resolved>)>,
+}
+
+/// A polynomial's place in the registry: the projection polynomial that is
+/// its normal form, and — when it is a rational multiple of that normal form
+/// rather than differing by repeated factors — whether the multiple is
+/// negative.
+#[derive(Clone, Copy)]
+struct Resolved {
+    id: usize,
+    negated_multiple: Option<bool>,
+}
+
+impl Resolved {
+    /// `p` against its normal form, registered as `id`.
+    fn new(registry: &Registry, id: usize, p: &MPoly) -> Resolved {
+        // `primitive()` flips a negative lex-leading coefficient.
+        let negated_multiple = (&p.primitive() == registry.get(id))
+            .then(|| p.terms().last().is_some_and(|(_, c)| c.sign() == Sign::Neg));
+        Resolved {
+            id,
+            negated_multiple,
+        }
+    }
 }
 
 impl Cad {
@@ -100,22 +126,26 @@ pub fn build_cad(
     assert!(n >= 1, "CAD needs at least one variable");
     let mut registry = Registry::default();
     let mut level_poly_ids: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let add = |p: MPoly,
+    // Registers the normal form of `p` and returns its id.
+    let add = |p: &MPoly,
                registry: &mut Registry,
                level_poly_ids: &mut Vec<Vec<usize>>|
-     -> Result<(), QeError> {
-        ctx.observe_poly(&p)?;
-        if let Some(norm) = normalize(&p) {
-            let lvl = level_of(&norm, order);
-            let id = registry.insert(norm);
-            if !level_poly_ids[lvl - 1].contains(&id) {
-                level_poly_ids[lvl - 1].push(id);
-            }
+     -> Result<Option<usize>, QeError> {
+        ctx.observe_poly(p)?;
+        let Some(norm) = normalize(p) else {
+            return Ok(None);
+        };
+        let lvl = level_of(&norm, order);
+        let id = registry.insert(norm);
+        if !level_poly_ids[lvl - 1].contains(&id) {
+            level_poly_ids[lvl - 1].push(id);
         }
-        Ok(())
+        Ok(Some(id))
     };
+    let mut inputs = Vec::with_capacity(input_polys.len());
     for p in input_polys {
-        add(p.clone(), &mut registry, &mut level_poly_ids)?;
+        let id = add(p, &mut registry, &mut level_poly_ids)?;
+        inputs.push((p.clone(), id.map(|id| Resolved::new(&registry, id, p))));
     }
     // Projection phase, top level downwards.
     for l in (2..=n).rev() {
@@ -127,7 +157,7 @@ pub fn build_cad(
             continue;
         }
         let out = project::project(&polys, order[l - 1], ctx)?;
-        for p in out {
+        for p in &out {
             add(p, &mut registry, &mut level_poly_ids)?;
         }
     }
@@ -138,6 +168,7 @@ pub fn build_cad(
         registry,
         level_poly_ids,
         levels: Vec::with_capacity(n),
+        inputs,
     };
     for l in 1..=n {
         let cells = build_level(&cad, l, ctx)?;
@@ -250,7 +281,6 @@ fn lift_parent(
     for (k, sec_sample) in sectors.iter().enumerate() {
         // Sector k (1-based stack index 2k+1).
         out.push(make_cell(
-            cad,
             parent,
             parent_idx,
             Coord::Rat(sec_sample.clone()),
@@ -264,7 +294,6 @@ fn lift_parent(
         if k < stack.sections.len() {
             let section = &stack.sections[k];
             out.push(make_cell(
-                cad,
                 parent,
                 parent_idx,
                 Coord::Alg(section.root.clone()),
@@ -315,7 +344,6 @@ fn zeroness_at_parent(
 
 #[allow(clippy::too_many_arguments)]
 fn make_cell(
-    _cad: &Cad,
     parent: &CadCell,
     parent_idx: Option<usize>,
     coord: Coord,
@@ -361,28 +389,22 @@ pub fn sign_of_poly_at_cell(
     if let Some(c) = p.to_constant() {
         return Ok(c.sign());
     }
-    let level = cell.sample.len();
-    let vars: Vec<usize> = cad.order[..level].to_vec();
-    if let Some(norm) = normalize(p) {
-        if let Some(id) = cad.registry.find(&norm) {
-            if let Some(s) = cell.signs.get(&id) {
-                if *s == Sign::Zero {
-                    return Ok(Sign::Zero);
-                }
-                // Nonzero: if p equals its normal form up to a scalar, the
-                // stored sign determines the sign — negated when
-                // primitive() flipped a negative lex-leading coefficient.
-                if &p.primitive() == cad.registry.get(id) {
-                    let lead_sign = p.terms().last().map_or(Sign::Zero, |(_, c)| c.sign());
-                    return Ok(if lead_sign == Sign::Neg { s.neg() } else { *s });
-                }
-                // Otherwise p differs from its normal form by repeated
-                // factors; evaluate directly (value is nonzero).
-                return sample::sign_at(p, &vars, &cell.sample, ctx);
-            }
+    let resolved = match cad.inputs.iter().find(|(q, _)| q == p) {
+        Some((_, r)) => *r,
+        None => normalize(p)
+            .and_then(|norm| cad.registry.find(&norm))
+            .map(|id| Resolved::new(&cad.registry, id, p)),
+    };
+    if let Some(r) = resolved {
+        match (cell.signs.get(&r.id), r.negated_multiple) {
+            (Some(Sign::Zero), _) => return Ok(Sign::Zero),
+            (Some(s), Some(negated)) => return Ok(if negated { s.neg() } else { *s }),
+            // Repeated factors (the value is nonzero), or a polynomial of
+            // a higher level than the cell: evaluate directly.
+            _ => {}
         }
     }
-    sample::sign_at(p, &vars, &cell.sample, ctx)
+    sample::sign_at(p, &cad.order[..cell.sample.len()], &cell.sample, ctx)
 }
 
 /// Evaluate a pure quantifier-free formula at a cell's sample point.

@@ -17,19 +17,6 @@ pub enum Coord {
 }
 
 impl Coord {
-    /// Rational value if rational.
-    #[must_use]
-    pub fn as_rat(&self) -> Option<&Rat> {
-        match self {
-            Coord::Rat(r) => Some(r),
-            Coord::Alg(a) => {
-                // RealAlg may be exactly rational.
-                let _ = a;
-                None
-            }
-        }
-    }
-
     /// `f64` approximation (for reporting).
     #[must_use]
     // cdb-lint: allow(float) — display/reporting widening only: the value

@@ -59,7 +59,7 @@ pub fn build_stack(
     let mut nullified = BTreeSet::new();
     let mut merged: Vec<StackSection> = Vec::new();
     for (id, p) in polys {
-        let roots = roots_in_fiber(*id, p, vars, sample, yvar, is_zero_lower, ctx)?;
+        let roots = roots_in_fiber(p, vars, sample, yvar, is_zero_lower, ctx)?;
         match roots {
             FiberRoots::Nullified => {
                 nullified.insert(*id);
@@ -113,7 +113,6 @@ fn merge_root(merged: &mut Vec<StackSection>, root: RealAlg, id: usize) {
 
 /// Roots of `p` restricted to the fiber over `sample`.
 fn roots_in_fiber(
-    _id: usize,
     p: &MPoly,
     vars: &[usize],
     sample: &[Coord],
@@ -175,9 +174,12 @@ fn roots_in_fiber(
             }
             let sf_r = ru.squarefree();
             let chain = ctx.cache.sturm(&sf_r);
+            // Euclid in Q(α)[y], once: isolation and every refinement below
+            // work on the squarefree part.
+            let sf = ap.squarefree();
             let mut out = Vec::new();
-            for loc in ap.isolate_roots() {
-                out.push(promote_root(&ap, &loc, &sf_r, &chain)?);
+            for loc in sf.isolate_roots() {
+                out.push(promote_root(&sf, loc, &sf_r, &chain)?);
             }
             Ok(FiberRoots::Roots(out))
         }
@@ -185,31 +187,30 @@ fn roots_in_fiber(
     }
 }
 
-/// Promote a root of a `Q(α)[y]` polynomial (held in a rational isolating
-/// location) to a `RealAlg` over `Q` with defining polynomial `sf_r`.
+/// Promote a root of the squarefree `Q(α)[y]` polynomial `sf` (held in a
+/// rational isolating location) to a `RealAlg` over `Q` with defining
+/// polynomial `sf_r`.
 fn promote_root(
-    ap: &AlgUPoly,
-    loc: &RootLocation,
+    sf: &AlgUPoly,
+    mut loc: RootLocation,
     sf_r: &UPoly,
     chain: &SturmChain,
 ) -> Result<RealAlg, QeError> {
-    if let RootLocation::Exact(r) = loc {
-        return Ok(RealAlg::from_rat(r.clone()));
-    }
     // Refine the interval until it isolates exactly one root of sf_r with
     // non-root endpoints; the enclosed q-root is a root of sf_r, so they
-    // then coincide.
+    // then coincide. Each round bisects on from the interval it has.
     let mut width = loc.interval().width();
     for _ in 0..256 {
-        let iv = ap.refine(loc, &width);
+        let iv = sf.refine(&loc, &width);
         if iv.width().is_zero() {
             return Ok(RealAlg::from_rat(iv.midpoint()));
         }
-        let lo_ok = sf_r.sign_at(iv.lo()) != Sign::Zero;
-        let hi_ok = sf_r.sign_at(iv.hi()) != Sign::Zero;
+        let lo_ok = sf_r.fsign_at(iv.lo()) != Sign::Zero;
+        let hi_ok = sf_r.fsign_at(iv.hi()) != Sign::Zero;
         if lo_ok && hi_ok && chain.count_roots_half_open(iv.lo(), iv.hi()) == 1 {
             return Ok(RealAlg::new(sf_r.clone(), RootLocation::Isolated(iv)));
         }
+        loc = RootLocation::Isolated(iv);
         width = &width * &Rat::from_ints(1, 4);
     }
     Err(QeError::IndeterminateSign(

@@ -38,12 +38,24 @@ fn run_planner(
     let ctx = QeContext::exact()
         .with_workers(workers)
         .with_plan_mode(mode);
+    run_planner_in(&ctx, matrix, prefix, free, nvars)
+}
+
+/// [`run_planner`] in a caller-owned context (whose counters the caller
+/// then reads).
+fn run_planner_in(
+    ctx: &QeContext,
+    matrix: &Formula,
+    prefix: &[(Quantifier, usize)],
+    free: &[usize],
+    nvars: usize,
+) -> Result<ConstraintRelation, QeError> {
     let rel = matrix
         .to_dnf(nvars)
         .map_err(QeError::Unsupported)?
         .simplify()
         .prune_empty_boxes();
-    plan::eliminate_prefix(matrix, rel, prefix, free, nvars, &ctx)
+    plan::eliminate_prefix(matrix, rel, prefix, free, nvars, ctx)
 }
 
 /// One mixed-corpus disjunct over `(x, y)` (y is eliminated): `kind`
@@ -265,6 +277,119 @@ fn quad_shortcut_degenerate_cases() {
                 out.satisfied_at(&[Rat::zero()]),
                 expect,
                 "case {i} under {mode:?}"
+            );
+        }
+    }
+}
+
+/// `Σ c·xⁱ·yʲ` over `(x, y)`.
+fn poly2(terms: &[(i64, u32, u32)]) -> MPoly {
+    terms.iter().fold(c(0, 2), |acc, &(k, i, j)| {
+        &acc + &(&MPoly::var(0, 2).pow(i) * &MPoly::var(1, 2).pow(j)).scale(&Rat::from(k))
+    })
+}
+
+/// Lifting corpus (also probed pointwise in `tests/qe_soundness.rs`): the
+/// four `conic_cad` template shapes of `stmtbench/README.md` and two queries
+/// whose level-2 polynomials share an irrational root over an algebraic
+/// section of `x`. A rational line can only touch a rational conic at a
+/// rational point (a double root of a rational quadratic is rational), so
+/// the last row takes the line through the disc's boundary at `x = ±1/√2`.
+/// Each row: quantifier, matrix, then the `Display` bytes of the `ForceCAD`
+/// answer and the `cells_built` / `sign_evals` counters, all captured at
+/// the commit before lifting stopped repeating its algebra — the rewrite
+/// must build the same decomposition cell for cell.
+fn lifting_corpus() -> Vec<(Quantifier, Formula, &'static str, u64, u64)> {
+    let atom = |terms: &[(i64, u32, u32)], op| Formula::Atom(Atom::new(poly2(terms), op));
+    vec![
+        // Off-centre disc ∩ axis-parallel ellipse.
+        (
+            Quantifier::Exists,
+            Formula::And(vec![
+                atom(&[(1, 2, 0), (1, 0, 2), (-2, 1, 0), (4, 0, 1), (-4, 0, 0)], RelOp::Le),
+                atom(&[(2, 2, 0), (3, 0, 2), (-20, 0, 0)], RelOp::Le),
+            ]),
+            "(x0^4 - 12*x0^3 + 148*x0^2 - 96*x0 - 896 < 0) or (x0^4 - 12*x0^3 + 148*x0^2 - 96*x0 - 896 = 0) or (x0^2 - 2*x0 - 8 < 0 and x0^2 - 10 < 0) or (x0^2 - 2*x0 - 8 < 0 and x0^2 - 10 = 0)",
+            98,
+            182,
+        ),
+        // Non-constant leading coefficient with side conditions.
+        (
+            Quantifier::Exists,
+            Formula::And(vec![
+                atom(&[(1, 1, 2), (2, 0, 1), (-3, 0, 0)], RelOp::Eq),
+                atom(&[(1, 0, 1), (-1, 0, 0)], RelOp::Ge),
+                atom(&[(1, 1, 0), (-5, 0, 0)], RelOp::Le),
+            ]),
+            "(3*x0 + 1 = 0) or (3*x0 + 1 > 0 and x0 - 1 < 0) or (x0 - 1 = 0)",
+            62,
+            115,
+        ),
+        // Cubic in the bound variable.
+        (
+            Quantifier::Exists,
+            Formula::And(vec![
+                atom(&[(1, 0, 3), (1, 1, 1), (-2, 0, 1), (2, 1, 0), (1, 0, 0)], RelOp::Eq),
+                atom(&[(1, 0, 1), (1, 0, 0)], RelOp::Ge),
+                atom(&[(1, 0, 1), (-2, 0, 0)], RelOp::Le),
+            ]),
+            "(x0 + 2 = 0) or (x0 + 2 > 0 and 4*x0 + 5 < 0) or (4*x0 + 5 = 0) or (4*x0^3 + 84*x0^2 + 156*x0 - 5 < 0 and 4*x0 + 5 > 0) or (4*x0^3 + 84*x0^2 + 156*x0 - 5 = 0 and 4*x0 + 5 > 0)",
+            154,
+            421,
+        ),
+        // Nonlinear ∀: no point of the open disc lies above the line.
+        (
+            Quantifier::Forall,
+            Formula::Or(vec![
+                atom(&[(1, 2, 0), (1, 0, 2), (-2, 1, 0), (2, 0, 1), (-3, 0, 0)], RelOp::Ge),
+                atom(&[(1, 0, 1), (-2, 1, 0), (-1, 0, 0)], RelOp::Le),
+            ]),
+            "(2*x0 + 1 > 0 and 5*x0^2 + 6*x0 = 0) or (2*x0 + 1 > 0 and 5*x0^2 + 6*x0 > 0) or (x0^2 - 2*x0 - 4 = 0) or (x0^2 - 2*x0 - 4 > 0)",
+            104,
+            192,
+        ),
+        // ∃y (y² = x ∧ y ≥ 1).
+        (
+            Quantifier::Exists,
+            Formula::And(vec![
+                atom(&[(1, 0, 2), (-1, 1, 0)], RelOp::Eq),
+                atom(&[(1, 0, 1), (-1, 0, 0)], RelOp::Ge),
+            ]),
+            "(x0 - 1 = 0) or (x0 - 1 > 0)",
+            32,
+            50,
+        ),
+        // Unit disc and the line y = x: common root y = ±1/√2 over x = ±1/√2.
+        (
+            Quantifier::Exists,
+            Formula::And(vec![
+                atom(&[(1, 2, 0), (1, 0, 2), (-1, 0, 0)], RelOp::Le),
+                atom(&[(1, 0, 1), (-1, 1, 0)], RelOp::Eq),
+            ]),
+            "(2*x0^2 - 1 < 0) or (2*x0^2 - 1 = 0)",
+            72,
+            123,
+        ),
+    ]
+}
+
+/// The lifting corpus under `ForceCAD`, workers {1, 4}: output bytes and
+/// the deterministic CAD counters equal the pinned ones.
+#[test]
+fn lifting_corpus_matches_pinned_decomposition() {
+    for (i, (q, matrix, display, cells, sign_evals)) in lifting_corpus().into_iter().enumerate() {
+        let matrix = matrix.to_nnf();
+        for workers in [1usize, 4] {
+            let ctx = QeContext::exact()
+                .with_workers(workers)
+                .with_plan_mode(PlanMode::ForceCAD);
+            let out = run_planner_in(&ctx, &matrix, &[(q, 1)], &[0], 2).unwrap();
+            assert_eq!(format!("{out}"), display, "row {i}, workers {workers}");
+            assert_eq!(ctx.cells_built.get(), cells, "row {i}, workers {workers}");
+            assert_eq!(
+                ctx.sign_evals.get(),
+                sign_evals,
+                "row {i}, workers {workers}"
             );
         }
     }

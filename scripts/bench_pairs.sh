@@ -1,0 +1,97 @@
+#!/usr/bin/env bash
+# Paired parent-vs-change measurement of the statement benchmark
+# (choosing-metrics §8): build `stmtbench` at <parent-rev> and in the working
+# tree, run ten pairs per workload at the BENCHMARK.json run length,
+# alternating which side goes first, and print per workload x end-to-end
+# metric both medians, both quartile pairs, wins/pairs, and whether the
+# transcript hashes matched. Pair k runs both sides at --seed k.
+#
+#   scripts/bench_pairs.sh <parent-rev> [workload...]
+set -euo pipefail
+
+[ $# -ge 1 ] || { echo "usage: $0 <parent-rev> [workload...]" >&2; exit 2; }
+cd "$(dirname "$0")/.."
+root=$PWD
+rev=$1
+shift
+
+pairs=10
+section() { sed -n "/\"$1\"/,/^  \]/p" BENCHMARK.json; }
+seconds=$(grep -o '"run_seconds": *[0-9]*' BENCHMARK.json | grep -o '[0-9]*$')
+metrics=$(section end_to_end | grep -o '"name": "[^"]*"' | cut -d'"' -f4)
+if [ $# -gt 0 ]; then workloads=$*; else
+    workloads=$(section workloads | grep -o '"name": "[^"]*"' | cut -d'"' -f4)
+fi
+better() { section end_to_end | grep "\"name\": \"$1\"" | grep -o '"better": "[^"]*"' | cut -d'"' -f4; }
+
+work=$root/target/bench_pairs
+parent=$work/parent
+mkdir -p "$work"
+git worktree remove --force "$parent" 2>/dev/null || true
+git worktree add --detach --force "$parent" "$rev" >/dev/null
+trap 'git -C "$root" worktree remove --force "$parent"' EXIT
+
+build() { # <checkout> <target dir>
+    CARGO_TARGET_DIR=$2 cargo build --release --quiet --offline \
+        --manifest-path "$1/stmtbench/Cargo.toml" --bin bench
+}
+echo "building $rev and the working tree" >&2
+build "$parent" "$work/parent-target"
+build "$root" "$work/change-target"
+
+run() { # <side> <workload> <seed> -> the run's two JSON lines
+    local dir=$root
+    [ "$1" = parent ] && dir=$parent
+    (cd "$dir" && "$work/$1-target/release/bench" \
+        --workload "$2" --seed "$3" --seconds "$seconds" --trace 0 2>/dev/null) || true
+}
+value() { grep -o "\"$1\": {\"value\": [0-9.eE+-]*" | tail -1 | grep -o '[0-9.eE+-]*$'; }
+# median, lower and upper quartile of the numbers on stdin
+summary() {
+    sort -g | awk '{ v[NR] = $1 } END {
+        if (NR == 0) { print "- - -"; exit }
+        m = (NR % 2) ? v[(NR + 1) / 2] : (v[NR / 2] + v[NR / 2 + 1]) / 2
+        printf "%.4g %.4g %.4g", m, v[int((NR + 3) / 4)], v[int((3 * NR + 3) / 4)] }'
+}
+
+printf '%-12s %-12s %34s %34s %7s\n' workload metric \
+    "parent median [q1, q3]" "change median [q1, q3]" wins
+for w in $workloads; do
+    out=$work/$w
+    rm -rf "$out"
+    mkdir -p "$out"
+    hashes=same
+    for k in $(seq 1 $pairs); do
+        if [ $((k % 2)) -eq 1 ]; then order="parent change"; else order="change parent"; fi
+        for side in $order; do run "$side" "$w" "$k" >"$out/$side.$k.json"; done
+        echo "$w pair $k/$pairs done" >&2
+        for side in parent change; do
+            grep -q '"correct": true' "$out/$side.$k.json" && grep -q '"failed": 0[,}]' "$out/$side.$k.json" ||
+                echo "$w pair $k: $side run failed or was incorrect" >&2
+        done
+        hp=$(grep -o '"transcript_hash": "[^"]*"' "$out/parent.$k.json" | head -1)
+        hc=$(grep -o '"transcript_hash": "[^"]*"' "$out/change.$k.json" | head -1)
+        [ -n "$hp" ] && [ "$hp" = "$hc" ] || hashes=DIFFER
+    done
+    for m in $metrics; do
+        wins=0
+        decided=0
+        : >"$out/parent.$m"
+        : >"$out/change.$m"
+        for k in $(seq 1 $pairs); do
+            p=$(value "$m" <"$out/parent.$k.json")
+            c=$(value "$m" <"$out/change.$k.json")
+            [ -n "$p" ] && [ -n "$c" ] || continue
+            echo "$p" >>"$out/parent.$m"
+            echo "$c" >>"$out/change.$m"
+            decided=$((decided + 1))
+            if [ "$(better "$m")" = lower ]; then a=$c b=$p; else a=$p b=$c; fi
+            wins=$((wins + $(awk -v a="$a" -v b="$b" 'BEGIN { print (a + 0 < b + 0) }')))
+        done
+        read -r pm p1 p3 <<<"$(summary <"$out/parent.$m")"
+        read -r cm c1 c3 <<<"$(summary <"$out/change.$m")"
+        printf '%-12s %-12s %34s %34s %4s/%-2s\n' "$w" "$m" \
+            "$pm [$p1, $p3]" "$cm [$c1, $c3]" "$wins" "$decided"
+    done
+    echo "$w transcript hashes: $hashes"
+done

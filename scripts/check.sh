@@ -6,6 +6,9 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
+echo "==> bash -n scripts/bench_pairs.sh"
+bash -n scripts/bench_pairs.sh
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 

@@ -144,6 +144,116 @@ fn cad_soundness_on_random_conics() {
     }
 }
 
+/// The lifting corpus of `crates/qe/tests/plan_differential.rs` (the four
+/// `conic_cad` template shapes, two shared-root-over-an-algebraic-section
+/// cases), probed pointwise: a grid witness of `∃y` must lie in the answer,
+/// a grid counterexample of `∀y` must not.
+#[test]
+fn cad_soundness_on_lifting_corpus() {
+    type Row<'a> = (Quantifier, &'a [(&'a [(i64, u32, u32)], RelOp)]);
+    let corpus: [Row; 6] = [
+        (
+            Quantifier::Exists,
+            &[
+                (
+                    &[(1, 2, 0), (1, 0, 2), (-2, 1, 0), (4, 0, 1), (-4, 0, 0)],
+                    RelOp::Le,
+                ),
+                (&[(2, 2, 0), (3, 0, 2), (-20, 0, 0)], RelOp::Le),
+            ],
+        ),
+        (
+            Quantifier::Exists,
+            &[
+                (&[(1, 1, 2), (2, 0, 1), (-3, 0, 0)], RelOp::Eq),
+                (&[(1, 0, 1), (-1, 0, 0)], RelOp::Ge),
+                (&[(1, 1, 0), (-5, 0, 0)], RelOp::Le),
+            ],
+        ),
+        (
+            Quantifier::Exists,
+            &[
+                (
+                    &[(1, 0, 3), (1, 1, 1), (-2, 0, 1), (2, 1, 0), (1, 0, 0)],
+                    RelOp::Eq,
+                ),
+                (&[(1, 0, 1), (1, 0, 0)], RelOp::Ge),
+                (&[(1, 0, 1), (-2, 0, 0)], RelOp::Le),
+            ],
+        ),
+        // ∀y (outside the open disc ∨ on or below the line); the atoms are
+        // the disjuncts.
+        (
+            Quantifier::Forall,
+            &[
+                (
+                    &[(1, 2, 0), (1, 0, 2), (-2, 1, 0), (2, 0, 1), (-3, 0, 0)],
+                    RelOp::Ge,
+                ),
+                (&[(1, 0, 1), (-2, 1, 0), (-1, 0, 0)], RelOp::Le),
+            ],
+        ),
+        (
+            Quantifier::Exists,
+            &[
+                (&[(1, 0, 2), (-1, 1, 0)], RelOp::Eq),
+                (&[(1, 0, 1), (-1, 0, 0)], RelOp::Ge),
+            ],
+        ),
+        (
+            Quantifier::Exists,
+            &[
+                (&[(1, 2, 0), (1, 0, 2), (-1, 0, 0)], RelOp::Le),
+                (&[(1, 0, 1), (-1, 1, 0)], RelOp::Eq),
+            ],
+        ),
+    ];
+    let n = 2;
+    for (row, (q, atoms)) in corpus.into_iter().enumerate() {
+        let atoms: Vec<Atom> = atoms
+            .iter()
+            .map(|(terms, op)| {
+                let poly = terms.iter().fold(c(0, n), |acc, &(k, i, j)| {
+                    &acc + &(&MPoly::var(0, n).pow(i) * &MPoly::var(1, n).pow(j))
+                        .scale(&Rat::from(k))
+                });
+                Atom::new(poly, *op)
+            })
+            .collect();
+        let parts = atoms.iter().cloned().map(Formula::Atom).collect();
+        let matrix = match q {
+            Quantifier::Exists => Formula::And(parts),
+            Quantifier::Forall => Formula::Or(parts),
+        };
+        let ctx = QeContext::exact();
+        let out = cdb_qe::cad::eliminate(&matrix.to_nnf(), &[(q, 1)], &[0], n, &ctx).unwrap();
+        let mut decisive = 0;
+        for xi in -24..=24 {
+            let x = Rat::from_ints(xi, 4);
+            let claimed = out.satisfied_at(&[x.clone(), Rat::zero()]);
+            for yi in -48..=48 {
+                let point = [x.clone(), Rat::from_ints(yi, 8)];
+                match q {
+                    Quantifier::Exists if atoms.iter().all(|a| a.satisfied_at(&point)) => {
+                        decisive += 1;
+                        assert!(claimed, "row {row}: witness y = {} at x = {x}", point[1]);
+                    }
+                    Quantifier::Forall if !atoms.iter().any(|a| a.satisfied_at(&point)) => {
+                        decisive += 1;
+                        assert!(
+                            !claimed,
+                            "row {row}: counterexample y = {} at x = {x}",
+                            point[1]
+                        );
+                    }
+                    _ => {}
+                }
+            }
+        }
+        assert!(decisive > 0, "row {row}: the grid decided nothing");
+    }
+}
+
 #[test]
 fn numerical_evaluation_is_epsilon_close() {
     // Roots of random products of quadratics: numerical evaluation must be
