@@ -389,8 +389,8 @@ fn e10() {
     );
     println!("  => not order-invariant; needs + (separates FOF(<=) from FOF(<=,+))");
     // Addition-only cannot define multiplication: y = x² is not a finite
-    // union of linear pieces; its QE through the linear engine fails, while
-    // CAD handles it.
+    // union of linear pieces, so it is outside the linear class and its QE
+    // needs CAD.
     let parab = ConstraintRelation::new(
         n,
         vec![GeneralizedTuple::new(
@@ -399,12 +399,10 @@ fn e10() {
         )],
     );
     println!(
-        "  y = x^2 is linear? {} (the linear engine must reject it; CAD evaluates it)",
+        "  y = x^2 is linear? {} (outside Fourier–Motzkin's class; CAD evaluates it)",
         cdb_qe::linear::is_linear(&parab)
     );
     let ctx = QeContext::exact();
-    let err = cdb_qe::linear::eliminate_exists(&parab, 1, &ctx);
-    println!("  linear engine: {:?}", err.err().map(|e| e.to_string()));
     let mut db = Database::new();
     db.insert("P", parab);
     let q = Formula::exists(1, Formula::Rel("P".into(), vec![0, 1]));
@@ -613,18 +611,18 @@ fn e15() {
     println!("  (paper: F_k |= exists x forall y (y <= x); no distributive laws)");
 }
 
-/// E16 — parallel QE pipeline: sequential-vs-parallel speedup and memo-cache
-/// hit rates on multi-disjunct workloads, plus the polynomial-interner
+/// E16 — parallel CAD lifting: sequential-vs-parallel speedup and memo-cache
+/// hit rates on a multi-disjunct workload, plus the polynomial-interner
 /// occupancy/traffic snapshot (the memo-cache's keys are interned handles);
 /// results land in `BENCH_qe.json`.
 fn e16() {
     header(
         "E16",
-        "parallel QE speedup + algebraic memo-cache (workers=1 vs available_parallelism)",
+        "parallel CAD lifting speedup + algebraic memo-cache (workers=1 vs available_parallelism)",
     );
     let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
-    // Request an oversubscribed worker count so the fan-out *entry point*
-    // is always exercised; `par_map_result` clamps to the hardware (the
+    // Request at least two workers so the fan-out *entry point* is always
+    // exercised; `QeContext::effective_workers` clamps to the hardware (the
     // threaded claim path itself is force-exercised in cdb-qe's unit
     // tests), so the effective count is what the wall-clock comparison
     // actually measures.
@@ -635,71 +633,7 @@ fn e16() {
     );
     let mut entries: Vec<String> = Vec::new();
 
-    // Workload A: multi-disjunct linear FM — 96 disjuncts, each with 6
-    // atoms of 32-bit coefficients; ∃x₁ distributes over the union. Many
-    // cheap jobs: the workload that regressed to 0.93x under per-item
-    // claiming and that the chunked claiming (one atomic + one lock per
-    // ~n/(4·workers)-item run) is sized for. Timing is paired — seq/par
-    // samples alternate and the reported speedup is the median of
-    // per-pair ratios — so clock drift on busy hosts cancels.
-    {
-        let rel = gen_linear_relation(77, 96, 6, 32);
-        let run = |workers: usize| {
-            let ctx = QeContext::exact().with_workers(workers);
-            cdb_qe::linear::eliminate_exists(&rel, 1, &ctx).unwrap()
-        };
-        let out_seq = run(1);
-        let equal = out_seq == run(4) && out_seq == run(par_workers);
-        assert!(
-            equal,
-            "parallel linear elimination diverged from sequential"
-        );
-        let reps = 8usize;
-        let mut seq_samples = Vec::with_capacity(reps);
-        let mut par_samples = Vec::with_capacity(reps);
-        let mut ratios = Vec::with_capacity(reps);
-        for rep in 0..reps {
-            // Alternate which configuration runs first within the pair:
-            // allocator/cache state systematically favours one position.
-            let (t_first, t_second) = if rep % 2 == 0 {
-                let a = time_median(3, || {
-                    let _ = run(1);
-                });
-                let b = time_median(3, || {
-                    let _ = run(par_workers);
-                });
-                (a, b)
-            } else {
-                let b = time_median(3, || {
-                    let _ = run(par_workers);
-                });
-                let a = time_median(3, || {
-                    let _ = run(1);
-                });
-                (a, b)
-            };
-            let (t_seq, t_par) = (t_first, t_second);
-            ratios.push(t_seq.as_secs_f64() / t_par.as_secs_f64().max(1e-12));
-            seq_samples.push(t_seq);
-            par_samples.push(t_par);
-        }
-        ratios.sort_by(f64::total_cmp);
-        let speedup = ratios[reps / 2];
-        seq_samples.sort();
-        par_samples.sort();
-        let t_seq = seq_samples[reps / 2];
-        let t_par = par_samples[reps / 2];
-        println!(
-            "  linear FM, 96 disjuncts: workers=1 {t_seq:.2?}  workers={par_workers} (eff {eff_workers}) {t_par:.2?}  speedup {speedup:.2}x  outputs equal: {equal}"
-        );
-        entries.push(format!(
-            "{{\"name\": \"linear_fm_96_disjuncts\", \"disjuncts\": 96, \"workers_seq\": 1, \"workers_par\": {par_workers}, \"workers_par_effective\": {eff_workers}, \"seq_ms\": {:.3}, \"par_ms\": {:.3}, \"speedup\": {speedup:.3}, \"outputs_equal\": {equal}}}",
-            t_seq.as_secs_f64() * 1e3,
-            t_par.as_secs_f64() * 1e3
-        ));
-    }
-
-    // Workload B: multi-disjunct CAD — 6 random conics; the lifting phase
+    // Workload A: multi-disjunct CAD — 6 random conics; the lifting phase
     // fans parent cells out across workers and the memo-cache absorbs the
     // repeated resultants/discriminants/Sturm chains. The per-disjunct
     // planner would route these conics through the quadratic shortcut, so
@@ -744,8 +678,10 @@ fn e16() {
             "  resultant kernels: {} PRS / {} eval-interp / {} CRT ({} fallbacks)",
             strat.prs, strat.eval_interp, strat.crt, strat.fallbacks
         );
-        // Same paired measurement as workload A: alternate which config
-        // runs first, take the median of per-pair ratios.
+        // Paired measurement — seq/par samples alternate, which config
+        // runs first alternates too (allocator/cache state systematically
+        // favours one position), and the reported speedup is the median of
+        // per-pair ratios — so clock drift on busy hosts cancels.
         let reps = 5usize;
         let mut seq_samples = Vec::with_capacity(reps);
         let mut par_samples = Vec::with_capacity(reps);
@@ -800,11 +736,11 @@ fn e16() {
         ));
     }
 
-    // Workload C: repeated queries over the same stored relation with one
+    // Workload B: repeated queries over the same stored relation with one
     // shared context (the server scenario) — the memo-cache absorbs every
     // projection resultant/discriminant after the first query, a speedup
     // that holds even on a single hardware thread. Pinned to `ForceCAD`
-    // for the same reason as workload B: the cache under test is the CAD
+    // for the same reason as workload A: the cache under test is the CAD
     // projection cache.
     {
         let rel = gen_poly_relation(85, 6, 2, 3);
@@ -859,7 +795,7 @@ fn e16() {
         ));
     }
 
-    // Workload D: the projection kernel in isolation — all pairwise
+    // Workload C: the projection kernel in isolation — all pairwise
     // resultants of 12 random degree-4 bivariate polynomials, recomputed
     // from scratch vs served from a warmed memo-cache. This isolates the
     // cache's algorithmic win from thread scheduling, so it holds on any
@@ -912,7 +848,7 @@ fn e16() {
         ));
     }
 
-    // Workload E: bounded cache under a long-lived context — far more
+    // Workload D: bounded cache under a long-lived context — far more
     // distinct Sturm chains than the capacity admits; the LRU eviction
     // keeps occupancy at the cap instead of growing without bound.
     {
@@ -971,13 +907,13 @@ fn e16() {
     println!("  wrote {path}");
 }
 
-/// E17 — semi-naive parallel fixpoint vs the naive reference evaluator:
+/// E17 — semi-naive fixpoint vs the naive reference evaluator:
 /// QE-call counts, iterations, delta decay, and wall-clock on chain and
 /// cyclic transitive-closure inputs; results land in `BENCH_datalog.json`.
 fn e17() {
     header(
         "E17",
-        "semi-naive parallel Datalog¬ fixpoint vs naive reference (QE calls + wall-clock)",
+        "semi-naive Datalog¬ fixpoint vs naive reference (QE calls + wall-clock)",
     );
     let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
     let tc_program = || Program {
@@ -1026,17 +962,13 @@ fn e17() {
         db.insert("E", ConstraintRelation::from_points(2, &pts));
         let program = tc_program();
 
-        let ctx_naive = QeContext::exact().with_workers(1);
+        let ctx_naive = QeContext::exact();
         let (out_naive, stats_naive) = program.run_naive(&db, &ctx_naive, 64).unwrap();
-        let ctx_semi = QeContext::exact().with_workers(hw.max(2));
+        let ctx_semi = QeContext::exact();
         let (out_semi, stats_semi) = program.run(&db, &ctx_semi, 64).unwrap();
-        // Determinism across worker counts, and agreement with the naive
-        // reference (finite inputs stay finite, so extents are canonical
-        // point sets and compare structurally).
-        let ctx_one = QeContext::exact().with_workers(1);
-        let (out_one, _) = program.run(&db, &ctx_one, 64).unwrap();
-        let equal =
-            out_semi.get("T") == out_one.get("T") && out_semi.get("T") == out_naive.get("T");
+        // Agreement with the naive reference (finite inputs stay finite, so
+        // extents are canonical point sets and compare structurally).
+        let equal = out_semi.get("T") == out_naive.get("T");
         assert!(equal, "{name}: semi-naive diverged from naive reference");
         assert!(
             stats_semi.qe_calls < stats_naive.qe_calls,

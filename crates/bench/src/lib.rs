@@ -186,3 +186,30 @@ pub fn time_median<F: FnMut()>(reps: usize, mut f: F) -> std::time::Duration {
     samples.sort();
     samples[samples.len() / 2]
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cdb_constraints::Formula;
+    use cdb_qe::{evaluate_query, QeContext};
+
+    /// The shape `alibi_scan` is made of — many cheap linear disjuncts —
+    /// runs on one code path whatever `workers` says: E16's 96-disjunct
+    /// relation gives the same bytes at workers 1 and 4 and never reaches
+    /// CAD, the only place `workers` is read.
+    #[test]
+    fn linear_96_disjuncts_ignore_workers() {
+        let mut db = Database::new();
+        db.insert("R", gen_linear_relation(77, 96, 6, 32));
+        let q = Formula::exists(1, Formula::Rel("R".into(), vec![0, 1]));
+        let run = |workers: usize| {
+            let ctx = QeContext::exact().with_workers(workers);
+            let out = evaluate_query(&db, &q, 2, &ctx).unwrap();
+            let stats = ctx.plan_stats();
+            assert_eq!(stats.cad, 0, "workers {workers}");
+            assert!(stats.fm + stats.subst > 0, "workers {workers}");
+            format!("{}", out.relation)
+        };
+        assert_eq!(run(1), run(4));
+    }
+}

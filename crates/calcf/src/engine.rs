@@ -146,12 +146,14 @@ pub struct CalcFEngine {
     pub eps: Rat,
     /// Optional `Z_k` bit budget (finite precision semantics).
     pub budget_bits: Option<u64>,
-    /// Worker threads for independent aggregate DAG nodes and for the QE
-    /// stage (`1` = fully sequential evaluation).
+    /// Threads CAD lifting may use inside the QE and aggregate stages
+    /// ([`QeContext::workers`]; `1` = fully sequential evaluation). The
+    /// stages themselves, and sibling aggregates, run one after another.
     pub workers: usize,
-    /// Memo-cache for resultants/discriminants/Sturm chains in the QE
-    /// stage. Cloning an engine shares the cache (it is an [`Arc`]-backed
-    /// handle), so a long-lived engine amortizes algebra across queries.
+    /// Memo-cache for resultants/discriminants/Sturm chains, shared by the
+    /// QE stage and every aggregate stage. Cloning an engine shares the
+    /// cache (it is an [`Arc`]-backed handle), so a long-lived engine
+    /// amortizes algebra across queries.
     ///
     /// [`Arc`]: std::sync::Arc
     pub cache: cdb_qe::AlgebraicCache,
@@ -177,6 +179,20 @@ impl Default for CalcFEngine {
 }
 
 impl CalcFEngine {
+    /// The context every stage evaluates in: this engine's workers, plan
+    /// mode and shared memo-cache, under `budget_bits`. The QE stage passes
+    /// the engine's budget; aggregate stages pass `None`, because aggregate
+    /// modules are Definition 5.3 numeric modules with their own precision
+    /// `eps`, outside `⊨_QE^F`.
+    fn qe_context(&self, budget_bits: Option<u64>) -> QeContext {
+        let mut ctx = QeContext::exact()
+            .with_workers(self.workers)
+            .with_cache(&self.cache)
+            .with_plan_mode(self.plan_mode);
+        ctx.budget_bits = budget_bits;
+        ctx
+    }
+
     /// Evaluate a CALC_F query given as source text.
     pub fn evaluate(&self, db: &Database, src: &str) -> Result<CalcFOutput, CalcFError> {
         let ast = parse_formula(src)?;
@@ -254,13 +270,7 @@ impl CalcFEngine {
         let nnf = cnnf(&agg_free, false);
         let poly_formula = self.eliminate_analytic(&nnf, &index, nvars, &mut exact, &mut err)?;
         // Stage 3: the polynomial QE pipeline.
-        let ctx = match self.budget_bits {
-            Some(k) => QeContext::with_budget(k),
-            None => QeContext::exact(),
-        }
-        .with_workers(self.workers)
-        .with_cache(&self.cache)
-        .with_plan_mode(self.plan_mode);
+        let ctx = self.qe_context(self.budget_bits);
         let out = evaluate_query(db, &poly_formula, nvars, &ctx)?;
         let free_names = query.free_vars();
         let mut free_vars = Vec::with_capacity(free_names.len());
@@ -308,9 +318,7 @@ impl CalcFEngine {
                 // over the outer variables.
                 let inner = self.aggregate_input(db, Aggregate::Eval, vars, body, exact, err)?;
                 let (rel, inner_vars) = inner;
-                let ctx = QeContext::exact()
-                    .with_workers(self.workers)
-                    .with_plan_mode(self.plan_mode);
+                let ctx = self.qe_context(None);
                 let out = apply_aggregate(Aggregate::Eval, &rel, &inner_vars, &self.eps, &ctx)?;
                 let AggOutput::Relation(result) = out else {
                     return Err(CalcFError::Internal(
@@ -331,12 +339,16 @@ impl CalcFEngine {
             CFormula::Not(g) => CFormula::Not(Box::new(
                 self.eliminate_aggregates(db, g, index, nvars, exact, err)?,
             )),
-            CFormula::And(fs) => {
-                CFormula::And(self.eliminate_aggregates_children(db, fs, index, nvars, exact, err)?)
-            }
-            CFormula::Or(fs) => {
-                CFormula::Or(self.eliminate_aggregates_children(db, fs, index, nvars, exact, err)?)
-            }
+            CFormula::And(fs) => CFormula::And(
+                fs.iter()
+                    .map(|g| self.eliminate_aggregates(db, g, index, nvars, exact, err))
+                    .collect::<Result<_, _>>()?,
+            ),
+            CFormula::Or(fs) => CFormula::Or(
+                fs.iter()
+                    .map(|g| self.eliminate_aggregates(db, g, index, nvars, exact, err))
+                    .collect::<Result<_, _>>()?,
+            ),
             CFormula::Exists(v, g) => CFormula::Exists(
                 v.clone(),
                 Box::new(self.eliminate_aggregates(db, g, index, nvars, exact, err)?),
@@ -346,49 +358,6 @@ impl CalcFEngine {
                 Box::new(self.eliminate_aggregates(db, g, index, nvars, exact, err)?),
             ),
         })
-    }
-
-    /// Eliminate aggregates in the children of an `And`/`Or` node. Siblings
-    /// of the aggregate DAG are independent (aggregates are parameter-free,
-    /// §5 assumption), so when at least two children actually contain
-    /// aggregates they are evaluated on separate workers; the exactness
-    /// flag is AND-merged and the error bound max-merged, both
-    /// order-insensitive, and the rewritten children are returned in input
-    /// order — identical to the sequential result.
-    #[allow(clippy::too_many_arguments)]
-    fn eliminate_aggregates_children(
-        &self,
-        db: &Database,
-        fs: &[CFormula],
-        index: &BTreeMap<String, usize>,
-        nvars: usize,
-        exact: &mut bool,
-        // cdb-lint: allow(float) — diagnostic sup-norm bound (see above).
-        err: &mut f64,
-    ) -> Result<Vec<CFormula>, CalcFError> {
-        let heavy = fs.iter().filter(|g| contains_aggregate(g)).count();
-        if self.workers.max(1) <= 1 || heavy < 2 {
-            return fs
-                .iter()
-                .map(|g| self.eliminate_aggregates(db, g, index, nvars, exact, err))
-                .collect();
-        }
-        let results = par_indexed(fs.len(), self.workers, |i| {
-            let mut ex = true;
-            // cdb-lint: allow(float) — diagnostic sup-norm bound (see above).
-            let mut er = 0.0f64;
-            let g = self.eliminate_aggregates(db, &fs[i], index, nvars, &mut ex, &mut er)?;
-            Ok((g, ex, er))
-        })?;
-        let mut out = Vec::with_capacity(fs.len());
-        for (g, ex, er) in results {
-            if !ex {
-                *exact = false;
-            }
-            *err = err.max(er);
-            out.push(g);
-        }
-        Ok(out)
     }
 
     fn eliminate_aggregates_term(
@@ -431,9 +400,7 @@ impl CalcFEngine {
                     ));
                 }
                 let (rel, inner_vars) = self.aggregate_input(db, *agg, vars, body, exact, err)?;
-                let ctx = QeContext::exact()
-                    .with_workers(self.workers)
-                    .with_plan_mode(self.plan_mode);
+                let ctx = self.qe_context(None);
                 let out = apply_aggregate(*agg, &rel, &inner_vars, &self.eps, &ctx)?;
                 let AggOutput::Scalar(v) = out else {
                     return Err(CalcFError::Internal(
@@ -616,90 +583,6 @@ impl CalcFEngine {
         // Polynomial atom.
         let poly = term_to_mpoly(t, index, nvars)?;
         Ok(Formula::Atom(Atom::new(poly, op)))
-    }
-}
-
-/// Map `f` over `0..n` on up to `workers` scoped threads, results in index
-/// order; the reported error is the lowest-index one (indices are claimed
-/// monotonically, so everything below the first stored error completed).
-fn par_indexed<T: Send>(
-    n: usize,
-    workers: usize,
-    f: impl Fn(usize) -> Result<T, CalcFError> + Sync,
-) -> Result<Vec<T>, CalcFError> {
-    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-    use std::sync::Mutex;
-    let workers = workers.clamp(1, n.max(1));
-    if workers <= 1 {
-        return (0..n).map(f).collect();
-    }
-    // SeqCst per the determinism rule: claim order and the stop flag gate
-    // which slots get filled. A poisoned slot mutex means a worker panicked
-    // mid-store; the stored value (if any) is a fully-written `Some(r)`, so
-    // recovering the inner value is sound.
-    let next = AtomicUsize::new(0);
-    let stop = AtomicBool::new(false);
-    let slots: Vec<Mutex<Option<Result<T, CalcFError>>>> =
-        (0..n).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                if stop.load(Ordering::SeqCst) {
-                    break;
-                }
-                let i = next.fetch_add(1, Ordering::SeqCst);
-                if i >= n {
-                    break;
-                }
-                let r = f(i);
-                if r.is_err() {
-                    stop.store(true, Ordering::SeqCst);
-                }
-                *slots[i]
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(r);
-            });
-        }
-    });
-    let mut out = Vec::with_capacity(n);
-    for slot in slots {
-        match slot
-            .into_inner()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-        {
-            Some(Ok(v)) => out.push(v),
-            Some(Err(e)) => return Err(e),
-            // Unclaimed slots only exist past the first error, which the
-            // scan above returns before reaching them.
-            None => {
-                return Err(CalcFError::Internal(
-                    "parallel fan-out: unclaimed work slot without a prior error".to_owned(),
-                ))
-            }
-        }
-    }
-    Ok(out)
-}
-
-/// Whether a formula contains any aggregate predicate or aggregate term.
-fn contains_aggregate(f: &CFormula) -> bool {
-    match f {
-        CFormula::True | CFormula::False | CFormula::Rel(..) => false,
-        CFormula::EvalPred(..) => true,
-        CFormula::Cmp(a, _, b) => term_has_aggregate(a) || term_has_aggregate(b),
-        CFormula::Not(g) | CFormula::Exists(_, g) | CFormula::Forall(_, g) => contains_aggregate(g),
-        CFormula::And(fs) | CFormula::Or(fs) => fs.iter().any(contains_aggregate),
-    }
-}
-
-fn term_has_aggregate(t: &CTerm) -> bool {
-    match t {
-        CTerm::Var(_) | CTerm::Const(_) => false,
-        CTerm::Add(a, b) | CTerm::Sub(a, b) | CTerm::Mul(a, b) => {
-            term_has_aggregate(a) || term_has_aggregate(b)
-        }
-        CTerm::Neg(a) | CTerm::Pow(a, _) | CTerm::Apply(_, a) => term_has_aggregate(a),
-        CTerm::Agg(..) => true,
     }
 }
 
@@ -974,6 +857,23 @@ mod tests {
         let pts = out.as_points().expect("finite answer");
         assert_eq!(pts, vec![vec![Rat::from(18i64)]]);
         assert!(out.exact, "polynomial bounds are integrated exactly");
+    }
+
+    /// Aggregate stages evaluate in the engine's memo-cache, not a cold
+    /// one of their own: the same SURFACE query a second time on one engine
+    /// is answered from the cache, byte for byte.
+    #[test]
+    fn aggregate_stage_shares_engine_cache() {
+        let db = paper_db();
+        let engine = CalcFEngine::default();
+        let query = "z = SURFACE[x, y]{ S(x, y) and y <= 9 }";
+        let first = engine.evaluate(&db, query).unwrap().display();
+        let (hits, misses) = (engine.cache.hits(), engine.cache.misses());
+        assert!(misses > 0, "the aggregate stage never reached engine.cache");
+        let second = engine.evaluate(&db, query).unwrap().display();
+        assert_eq!(first, second);
+        assert!(engine.cache.hits() > hits);
+        assert_eq!(engine.cache.misses(), misses);
     }
 
     /// **Figure 1** through the CALC_F surface syntax.

@@ -83,8 +83,8 @@ pub struct QueryResult {
     output: CalcFOutput,
     eps: Rat,
     /// Engine configuration captured at query time, so the numeric step
-    /// runs under the same workers / bit budget / memo-cache as the
-    /// symbolic one.
+    /// runs under the same CAD lifting threads (`workers`) / bit budget /
+    /// memo-cache as the symbolic one.
     workers: usize,
     budget_bits: Option<u64>,
     cache: AlgebraicCache,
@@ -259,7 +259,8 @@ impl ConstraintDb {
     }
 
     /// The evaluation context carrying the engine's full configuration:
-    /// worker count, bit budget, planner mode, and the shared memo-cache.
+    /// CAD lifting threads (`workers`), bit budget, planner mode, and the
+    /// shared memo-cache.
     pub(crate) fn qe_context(&self) -> QeContext {
         let mut ctx = QeContext::exact()
             .with_workers(self.engine.workers)
@@ -476,7 +477,7 @@ impl ConstraintDb {
     }
 
     /// Run a Datalog¬ program to its inflationary fixpoint with the
-    /// semi-naive parallel evaluator, merging the saturated head relations
+    /// semi-naive evaluator, merging the saturated head relations
     /// back into this database. The evaluation context carries the
     /// engine's full configuration — `workers`, `budget_bits`, *and* the
     /// facade's persistent memo-cache (so repeated runs and the update

@@ -16,12 +16,11 @@
 //! than divergent (contrast `Datalog¬` under the exact semantics, which
 //! "contains all Turing computable queries").
 //!
-//! The default evaluator ([`Program::run`]) is **semi-naive and parallel**:
-//! per-relation deltas restrict each round to rule variants that consume at
-//! least one newly-derived tuple, and the round's QE jobs fan out over
-//! [`cdb_qe::par_map_result`] with a deterministic, worker-count-independent
-//! merge. The naive reference evaluator survives as [`Program::run_naive`]
-//! for differential testing and benchmarking.
+//! The default evaluator ([`Program::run`]) is **semi-naive**: per-relation
+//! deltas restrict each round to rule variants that consume at least one
+//! newly-derived tuple, and the round's QE jobs run one after another and
+//! merge in job order. The naive reference evaluator survives as
+//! [`Program::run_naive`] for differential testing and benchmarking.
 
 pub mod program;
 

@@ -2,13 +2,13 @@
 //!
 //! Two evaluators share the same semantics:
 //!
-//! * [`Program::run`] — the default **semi-naive, parallel** fixpoint
+//! * [`Program::run`] — the default **semi-naive** fixpoint
 //!   (Balbin–Ramamohanarao delta rewriting): each round tracks the tuples
 //!   derived in the previous round per head relation (the *delta*), rewrites
 //!   every recursive rule into variants where one positive IDB literal binds
 //!   to the delta instead of the full extent, and evaluates the round's QE
-//!   jobs concurrently through [`cdb_qe::par_map_result`]. Results merge in
-//!   job order, so the output is byte-identical for every worker count.
+//!   jobs one after another, merging in job order (semi-naive transitive
+//!   closure has one job per round; DESIGN.md §6).
 //! * [`Program::run_naive`] — the reference evaluator: every rule body
 //!   against the full extents, sequentially, every round. Kept for
 //!   differential testing and the E17 before/after benchmark.
@@ -21,7 +21,7 @@
 //! which is exactly what the rewritten variants enumerate.
 
 use cdb_constraints::{Atom, ConstraintRelation, Database, Formula, GeneralizedTuple};
-use cdb_qe::{evaluate_query, par_map_result, QeContext, QeError};
+use cdb_qe::{evaluate_query, QeContext, QeError};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 // cdb-lint: allow(determinism) — wall-clock readings feed only the
@@ -346,12 +346,11 @@ impl Program {
     }
 
     /// Run the inflationary fixpoint on (a copy of) the database with the
-    /// **semi-naive parallel** evaluator. Head relations are created empty
-    /// if absent. Returns the saturated database and run statistics.
+    /// **semi-naive** evaluator. Head relations are created empty if
+    /// absent. Returns the saturated database and run statistics.
     ///
     /// Determinism: the round's QE jobs and their merge order are fixed by
-    /// the program text, so the result is identical for every
-    /// `ctx.workers` value; `workers = 1` runs them sequentially.
+    /// the program text.
     pub fn run(
         &self,
         db: &Database,
@@ -380,7 +379,7 @@ impl Program {
     /// fixpoint and monotone in the base, so resuming from the saturated
     /// state converges to the same relations as a from-scratch run; on
     /// finite extents the canonicalized representation is byte-identical
-    /// (differential-tested, workers ∈ {1,4}).
+    /// (differential-tested).
     pub fn run_incremental(
         &self,
         db: &Database,
@@ -484,15 +483,18 @@ impl Program {
                 }
                 e
             };
-            let results = par_map_result(&jobs, ctx.effective_workers(), |job| {
-                evaluate_query(&eval_db, &job.formula, self.rules[job.rule_idx].nvars, ctx)
-            })?;
+            let results = jobs
+                .iter()
+                .map(|job| {
+                    evaluate_query(&eval_db, &job.formula, self.rules[job.rule_idx].nvars, ctx)
+                })
+                .collect::<Result<Vec<_>, QeError>>()?;
             stats.qe_calls += jobs.len();
             for job in &jobs {
                 stats.qe_calls_per_rule[job.rule_idx] += 1;
             }
             stats.max_bits_seen = stats.max_bits_seen.max(ctx.max_bits_seen.get());
-            // Merge in job order — deterministic for every worker count.
+            // Merge in job order.
             let mut changed = false;
             let mut grown: BTreeMap<String, ConstraintRelation> = BTreeMap::new();
             for (job, out) in jobs.iter().zip(results) {
@@ -1023,23 +1025,6 @@ mod tests {
         );
     }
 
-    /// The budget cut-off must survive parallel evaluation, with the same
-    /// error surfaced for every worker count (lowest-index job wins).
-    #[test]
-    fn budget_precision_exceeded_under_parallel_evaluation() {
-        let (db, program) = divergent_program();
-        let mut errors = Vec::new();
-        for workers in [1usize, 2, 4] {
-            let fp = QeContext::with_budget(8).with_workers(workers);
-            let err = program.run(&db, &fp, 64).unwrap_err();
-            match err {
-                DatalogError::Qe(qe @ QeError::PrecisionExceeded { .. }) => errors.push(qe),
-                other => panic!("workers={workers}: expected PrecisionExceeded, got {other:?}"),
-            }
-        }
-        assert!(errors.windows(2).all(|w| w[0] == w[1]), "{errors:?}");
-    }
-
     /// Fixpoint over already-saturated input terminates in one pass.
     #[test]
     fn immediate_fixpoint() {
@@ -1130,9 +1115,8 @@ mod tests {
         assert!(subset_of(&interval(150, 160), &b, &ctx).unwrap());
     }
 
-    /// Differential check: the semi-naive parallel evaluator agrees with
-    /// the naive reference on TC, is byte-identical across worker counts,
-    /// and issues strictly fewer QE calls.
+    /// Differential check: the semi-naive evaluator agrees with the naive
+    /// reference on TC and issues strictly fewer QE calls.
     #[test]
     fn semi_naive_matches_naive_with_fewer_qe_calls() {
         let mut db = Database::new();
@@ -1149,21 +1133,10 @@ mod tests {
             ),
         );
         let program = tc_program();
-        let ctx1 = QeContext::exact().with_workers(1);
-        let (naive, naive_stats) = program.run_naive(&db, &ctx1, 32).unwrap();
-        let mut outputs = Vec::new();
-        let mut semi_stats = None;
-        for workers in [1usize, 2, 4] {
-            let ctx = QeContext::exact().with_workers(workers);
-            let (out, stats) = program.run(&db, &ctx, 32).unwrap();
-            outputs.push(out);
-            semi_stats.get_or_insert(stats);
-        }
-        // Determinism: identical extents for every worker count.
-        let t1 = outputs[0].get("T").unwrap();
-        for out in &outputs[1..] {
-            assert_eq!(Some(t1), out.get("T"));
-        }
+        let ctx = QeContext::exact();
+        let (naive, naive_stats) = program.run_naive(&db, &ctx, 32).unwrap();
+        let (semi, semi_stats) = program.run(&db, &ctx, 32).unwrap();
+        let t1 = semi.get("T").unwrap();
         // Semantic agreement with the reference evaluator on the node grid.
         let tn = naive.get("T").unwrap();
         for a in 1..=4i64 {
@@ -1172,7 +1145,6 @@ mod tests {
                 assert_eq!(tn.satisfied_at(&p), t1.satisfied_at(&p), "T({a},{b})");
             }
         }
-        let semi_stats = semi_stats.unwrap();
         assert!(
             semi_stats.qe_calls < naive_stats.qe_calls,
             "semi-naive {} vs naive {}",
@@ -1209,49 +1181,47 @@ mod tests {
 
     /// Inserting edges into a saturated TC and resuming incrementally
     /// must print byte-identically to a from-scratch run on the updated
-    /// base — for 1 and 4 workers — while issuing fewer QE calls.
+    /// base while issuing fewer QE calls.
     #[test]
     fn incremental_insert_matches_from_scratch() {
         let program = tc_program();
-        for workers in [1usize, 4] {
-            let ctx = QeContext::exact().with_workers(workers);
-            let mut db = Database::new();
-            db.insert("E", edge_rel(&[(1, 2), (2, 3), (3, 4)]));
-            let (saturated, _) = program.run(&db, &ctx, 32).unwrap();
+        let ctx = QeContext::exact();
+        let mut db = Database::new();
+        db.insert("E", edge_rel(&[(1, 2), (2, 3), (3, 4)]));
+        let (saturated, _) = program.run(&db, &ctx, 32).unwrap();
 
-            // Apply the insert the way the update path does: union the
-            // delta into the base extent, canonicalized.
-            let delta = edge_rel(&[(4, 5), (5, 6)]);
-            let mut updated = saturated.clone();
-            let merged = updated.get("E").unwrap().union(&delta).canonicalized();
-            updated.insert("E", merged.clone());
+        // Apply the insert the way the update path does: union the
+        // delta into the base extent, canonicalized.
+        let delta = edge_rel(&[(4, 5), (5, 6)]);
+        let mut updated = saturated.clone();
+        let merged = updated.get("E").unwrap().union(&delta).canonicalized();
+        updated.insert("E", merged.clone());
 
-            let mut base_deltas = BTreeMap::new();
-            base_deltas.insert("E".to_owned(), delta);
-            let (inc, inc_stats) = program
-                .run_incremental(&updated, &base_deltas, &ctx, 32)
-                .unwrap();
+        let mut base_deltas = BTreeMap::new();
+        base_deltas.insert("E".to_owned(), delta);
+        let (inc, inc_stats) = program
+            .run_incremental(&updated, &base_deltas, &ctx, 32)
+            .unwrap();
 
-            // From scratch on the updated base only.
-            let mut fresh = Database::new();
-            fresh.insert("E", merged);
-            let (scratch, scratch_stats) = program.run(&fresh, &ctx, 32).unwrap();
+        // From scratch on the updated base only.
+        let mut fresh = Database::new();
+        fresh.insert("E", merged);
+        let (scratch, scratch_stats) = program.run(&fresh, &ctx, 32).unwrap();
 
-            let names = ["x", "y"];
-            for rel in ["E", "T"] {
-                assert_eq!(
-                    inc.get(rel).unwrap().display_with(&names),
-                    scratch.get(rel).unwrap().display_with(&names),
-                    "{rel} diverged (workers={workers})"
-                );
-            }
-            assert!(
-                inc_stats.qe_calls < scratch_stats.qe_calls,
-                "incremental {} vs scratch {} QE calls",
-                inc_stats.qe_calls,
-                scratch_stats.qe_calls
+        let names = ["x", "y"];
+        for rel in ["E", "T"] {
+            assert_eq!(
+                inc.get(rel).unwrap().display_with(&names),
+                scratch.get(rel).unwrap().display_with(&names),
+                "{rel} diverged"
             );
         }
+        assert!(
+            inc_stats.qe_calls < scratch_stats.qe_calls,
+            "incremental {} vs scratch {} QE calls",
+            inc_stats.qe_calls,
+            scratch_stats.qe_calls
+        );
     }
 
     /// A no-op change set (empty delta) is a fixpoint already: zero

@@ -143,7 +143,6 @@ fn lock_class(file: &str, segs: &[String]) -> String {
         "crates/qe/src/cache.rs" => Some("cache-shard"),
         "crates/poly/src/intern.rs" => Some("interner-shard"),
         "crates/qe/src/par.rs" => Some("par-slot"),
-        "crates/calcf/src/engine.rs" => Some("calcf-slot"),
         _ => None,
     };
     if let Some(c) = by_file {

@@ -14,6 +14,7 @@ pub mod sample;
 pub mod solution;
 pub mod stack;
 
+use crate::par::par_map_result;
 use crate::{QeContext, QeError};
 use cdb_constraints::{ConstraintRelation, Formula, Quantifier};
 use cdb_num::{Rat, Sign};
@@ -24,7 +25,8 @@ use stack::{build_stack, sector_samples};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Hard cap on the number of cells, to fail fast instead of thrashing.
+/// Hard cap on the number of cells of one level, to fail fast instead of
+/// thrashing.
 const MAX_CELLS: usize = 500_000;
 
 /// A cell of the decomposition at some level `L`, with its sample point and
@@ -199,37 +201,8 @@ fn build_level(cad: &Cad, l: usize, ctx: &QeContext) -> Result<Vec<CadCell>, QeE
     } else {
         &cad.levels[l - 2]
     };
-    let workers = ctx.effective_workers();
-    if workers <= 1 || parents.len() <= 1 {
-        let mut out: Vec<CadCell> = Vec::new();
-        for (pi, parent) in parents.iter().enumerate() {
-            let cells = lift_parent(
-                cad,
-                l,
-                pi,
-                parent,
-                &polys,
-                &parent_vars,
-                &level_vars,
-                yvar,
-                out.len(),
-                ctx,
-            )?;
-            out.extend(cells);
-        }
-        return Ok(out);
-    }
-    // Parallel lifting: each parent's stack is independent of its siblings
-    // (the stack depends only on the parent sample and the level
-    // polynomials), so parents fan out across workers and the per-parent
-    // cell runs are concatenated back in parent order — the exact sequence
-    // the sequential loop produces. The cell-count guard uses a shared
-    // running total so a runaway decomposition still fails fast.
-    let total = AtomicUsize::new(0);
-    let indexed: Vec<(usize, &CadCell)> = parents.iter().enumerate().collect();
-    let per_parent = crate::par::par_map_result(&indexed, workers, |&(pi, parent)| {
-        let base = total.load(Ordering::SeqCst);
-        let cells = lift_parent(
+    lift_level(parents, ctx.effective_workers(), MAX_CELLS, |pi, parent| {
+        lift_parent(
             cad,
             l,
             pi,
@@ -238,18 +211,59 @@ fn build_level(cad: &Cad, l: usize, ctx: &QeContext) -> Result<Vec<CadCell>, QeE
             &parent_vars,
             &level_vars,
             yvar,
-            base,
             ctx,
-        )?;
-        total.fetch_add(cells.len(), Ordering::SeqCst);
+        )
+    })
+}
+
+/// `Err` when a level that has reached `cells` cells is over `limit`.
+fn check_cell_limit(cells: usize, limit: usize) -> Result<(), QeError> {
+    if cells > limit {
+        return Err(QeError::Unsupported(format!("CAD exceeded {limit} cells")));
+    }
+    Ok(())
+}
+
+/// Lift every parent and concatenate the stacks in parent order; a level
+/// of more than `limit` cells is an error for every `workers`.
+///
+/// Each parent's stack is independent of its siblings (it depends only on
+/// the parent sample and the level polynomials), so with `workers > 1` the
+/// parents fan out and the per-parent runs are concatenated back in parent
+/// order — the exact sequence the sequential loop produces. This is the
+/// only fan-out under a query (DESIGN.md §6).
+fn lift_level(
+    parents: &[CadCell],
+    workers: usize,
+    limit: usize,
+    lift: impl Fn(usize, &CadCell) -> Result<Vec<CadCell>, QeError> + Sync,
+) -> Result<Vec<CadCell>, QeError> {
+    if workers <= 1 || parents.len() <= 1 {
+        let mut out: Vec<CadCell> = Vec::new();
+        for (pi, parent) in parents.iter().enumerate() {
+            out.extend(lift(pi, parent)?);
+            check_cell_limit(out.len(), limit)?;
+        }
+        return Ok(out);
+    }
+    // The guard counts the cells of *finished* stacks. That sum only grows
+    // towards the length of the concatenated level and reaches it when the
+    // last stack finishes, so some parent reports the error exactly when
+    // the level is over the limit — the sequential condition, whatever the
+    // interleaving — and a runaway level still fails before it is built.
+    let built = AtomicUsize::new(0);
+    let indexed: Vec<(usize, &CadCell)> = parents.iter().enumerate().collect();
+    let per_parent = par_map_result(&indexed, workers, |&(pi, parent)| {
+        let cells = lift(pi, parent)?;
+        let so_far = built.fetch_add(cells.len(), Ordering::SeqCst) + cells.len();
+        check_cell_limit(so_far, limit)?;
         Ok(cells)
     })?;
     Ok(per_parent.into_iter().flatten().collect())
 }
 
 /// Lift one parent cell: build its stack over `yvar` and emit the
-/// interleaved sector/section cells. `cells_so_far` seeds the `MAX_CELLS`
-/// guard with the number of cells already built at this level.
+/// interleaved sector/section cells.
 #[allow(clippy::too_many_arguments)]
 fn lift_parent(
     cad: &Cad,
@@ -260,7 +274,6 @@ fn lift_parent(
     parent_vars: &[usize],
     level_vars: &[usize],
     yvar: usize,
-    cells_so_far: usize,
     ctx: &QeContext,
 ) -> Result<Vec<CadCell>, QeError> {
     let is_zero_lower = |p: &MPoly| -> Result<bool, QeError> {
@@ -304,11 +317,6 @@ fn lift_parent(
                 level_vars,
                 ctx,
             )?);
-        }
-        if cells_so_far + out.len() > MAX_CELLS {
-            return Err(QeError::Unsupported(format!(
-                "CAD exceeded {MAX_CELLS} cells"
-            )));
         }
     }
     Ok(out)
@@ -565,4 +573,41 @@ pub fn cell_rational_sample(cell: &CadCell) -> Option<Vec<Rat>> {
             Coord::Alg(a) => a.to_rat(),
         })
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A level two cells over the limit is the same typed error however
+    /// many threads lift it, and a level exactly at the limit comes back
+    /// in parent order.
+    #[test]
+    fn cell_limit_is_worker_independent() {
+        let root = CadCell {
+            parent: None,
+            sample: Vec::new(),
+            index: Vec::new(),
+            signs: BTreeMap::new(),
+        };
+        let parents = vec![root; 8];
+        let lift = |pi: usize, parent: &CadCell| {
+            let cell = CadCell {
+                parent: Some(pi),
+                ..parent.clone()
+            };
+            Ok(vec![cell; 3])
+        };
+        for workers in [1usize, 2, 4] {
+            let level = lift_level(&parents, workers, 24, lift).unwrap();
+            let from: Vec<Option<usize>> = level.iter().map(|c| c.parent).collect();
+            let expect: Vec<Option<usize>> = (0..24).map(|i| Some(i / 3)).collect();
+            assert_eq!(from, expect, "workers {workers}");
+            assert_eq!(
+                lift_level(&parents, workers, 22, lift).unwrap_err(),
+                QeError::Unsupported("CAD exceeded 22 cells".into()),
+                "workers {workers}"
+            );
+        }
+    }
 }

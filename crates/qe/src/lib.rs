@@ -8,8 +8,8 @@
 //! Three engines, matching the operator hierarchy of Proposition 4.6:
 //!
 //! * **Dense order** `FO(≤)` and **linear** `FO(≤, +)` — Fourier–Motzkin
-//!   elimination ([`linear`]), exact and fast; the paper's Theorem 4.2 class
-//!   where finite precision loses nothing.
+//!   elimination (the planner's, [`plan`]), exact and fast; the paper's
+//!   Theorem 4.2 class where finite precision loses nothing.
 //! * **Polynomial** `FO(≤, +, ×)` — cylindrical algebraic decomposition
 //!   ([`cad`]): projection (coefficients + discriminants + pairwise
 //!   resultants), base-phase root isolation, stack lifting with exact
@@ -24,13 +24,12 @@
 pub mod cache;
 pub mod cad;
 pub mod linear;
-pub mod par;
+mod par;
 pub mod pipeline;
 pub mod plan;
 pub mod quad1;
 
 pub use cache::AlgebraicCache;
-pub use par::par_map_result;
 pub use pipeline::{evaluate_query, numerical_evaluation, EvalOutput};
 
 use std::fmt;
@@ -49,8 +48,6 @@ pub enum QeError {
         /// The bit length that tripped it.
         seen_bits: u64,
     },
-    /// The linear engine was handed a nonlinear atom.
-    NonLinear(String),
     /// CAD could not decide a sign at a degenerate sample point
     /// (documented limitation: repeated roots over multi-algebraic samples).
     IndeterminateSign(String),
@@ -73,7 +70,6 @@ impl fmt::Display for QeError {
                 f,
                 "finite-precision semantics: undefined (needs {seen_bits} bits, budget {budget_bits})"
             ),
-            QeError::NonLinear(m) => write!(f, "nonlinear atom in linear engine: {m}"),
             QeError::IndeterminateSign(m) => write!(f, "indeterminate sign: {m}"),
             QeError::FormulaConstruction(m) => {
                 write!(f, "solution formula construction failed: {m}")
@@ -91,8 +87,8 @@ impl std::error::Error for QeError {}
 /// A thread-safe statistic counter.
 ///
 /// Keeps the `get`/`set` API the old `Cell<u64>` counters exposed, so
-/// observers in other crates read it unchanged, while letting parallel
-/// elimination workers update it through a shared `&QeContext`.
+/// observers in other crates read it unchanged, while letting CAD lifting
+/// workers update it through a shared `&QeContext`.
 /// Sequentially consistent per the determinism rule (cdb-lint `determinism`):
 /// counters feed budget decisions via [`QeContext::observe_bits`], so their
 /// ordering must not depend on the memory model.
@@ -123,15 +119,15 @@ impl Counter {
 }
 
 /// Execution context: optional finite-precision budget plus statistics,
-/// worker-pool size, and the shared algebraic memo-cache.
+/// the CAD lifting thread count, and the shared algebraic memo-cache.
 ///
 /// The budget realizes §4's `Z_k` context: every polynomial produced during
 /// elimination is checked; exceeding `k` bits aborts the whole evaluation
 /// with [`QeError::PrecisionExceeded`] ("the value of terms might be
 /// undefined … caused by overflow").
 ///
-/// The context is `Sync`: one instance is shared by reference across all
-/// workers of a parallel elimination.
+/// The context is `Sync`: one instance is shared by reference across the
+/// threads of a CAD lift.
 #[derive(Debug)]
 pub struct QeContext {
     /// Maximum allowed integer bit length (`None` = exact semantics).
@@ -142,9 +138,12 @@ pub struct QeContext {
     pub cells_built: Counter,
     /// Number of polynomial sign evaluations.
     pub sign_evals: Counter,
-    /// Worker threads for disjunct/stack-level parallelism. `1` (or `0`)
-    /// runs the original sequential code path; the default is
-    /// [`std::thread::available_parallelism`].
+    /// Threads CAD lifting may use — the only fan-out under a query
+    /// (DESIGN.md §6); disjuncts, Datalog rounds and aggregate stages run
+    /// on the calling thread whatever this says. `1` (or `0`) lifts
+    /// sequentially; the default is [`std::thread::available_parallelism`].
+    /// The server pins it to 1 because its sessions are the unit of
+    /// parallelism. Output bytes are the same for every value.
     pub workers: usize,
     /// Shared memo-cache for resultants, discriminants, and Sturm chains.
     pub cache: AlgebraicCache,
@@ -187,11 +186,10 @@ pub enum PlanMode {
     ForceQuad,
 }
 
-/// Live per-strategy counters for the disjunct planner, updated by
-/// elimination workers through a shared `&QeContext`. Unlike the
-/// resultant-dispatcher counters these are per-context (the planner always
-/// holds a context, so no process-global is needed); [`QeContext::plan_stats`]
-/// snapshots them.
+/// Live per-strategy counters for the disjunct planner, updated through a
+/// shared `&QeContext`. Unlike the resultant-dispatcher counters these are
+/// per-context (the planner always holds a context, so no process-global is
+/// needed); [`QeContext::plan_stats`] snapshots them.
 #[derive(Debug, Default)]
 pub struct PlanCounters {
     /// Disjunct-eliminations answered by linear-equality substitution.
@@ -225,13 +223,13 @@ pub struct PlanStats {
     pub quad: u64,
     /// Disjuncts eliminated by the CAD fallback.
     pub cad: u64,
-    /// Nanoseconds spent in substitution eliminations (sum over workers).
+    /// Nanoseconds spent in substitution eliminations.
     pub subst_nanos: u64,
-    /// Nanoseconds spent in Fourier–Motzkin eliminations (sum over workers).
+    /// Nanoseconds spent in Fourier–Motzkin eliminations.
     pub fm_nanos: u64,
-    /// Nanoseconds spent in quadratic eliminations (sum over workers).
+    /// Nanoseconds spent in quadratic eliminations.
     pub quad_nanos: u64,
-    /// Nanoseconds spent in CAD-fallback eliminations (sum over workers).
+    /// Nanoseconds spent in CAD-fallback eliminations.
     pub cad_nanos: u64,
 }
 
@@ -283,7 +281,8 @@ impl QeContext {
         }
     }
 
-    /// Same context with an explicit worker count (`1` = sequential).
+    /// Same context with an explicit CAD lifting thread count (`1` =
+    /// sequential).
     #[must_use]
     pub fn with_workers(mut self, workers: usize) -> QeContext {
         self.workers = workers;
@@ -335,12 +334,11 @@ impl QeContext {
         }
     }
 
-    /// Effective worker count: at least 1, at most the host's hardware
-    /// parallelism. Oversubscribing a CPU-bound fan-out only adds
-    /// scheduling overhead, and the determinism contract (byte-identical
-    /// output for every worker count) makes the clamp unobservable in
-    /// results — so fan-out call sites can branch on this to take their
-    /// allocation-free sequential paths when threads cannot help.
+    /// Threads a CAD lift actually gets: [`QeContext::workers`], at least
+    /// 1, at most the host's hardware parallelism. Oversubscribing a
+    /// CPU-bound fan-out only adds scheduling overhead, and the determinism
+    /// contract (byte-identical output for every worker count) makes the
+    /// clamp unobservable in results.
     #[must_use]
     pub fn effective_workers(&self) -> usize {
         let hw = std::thread::available_parallelism().map_or(1, |n| n.get());

@@ -1,17 +1,15 @@
-//! Fourier–Motzkin elimination for linear constraints — the `FO(≤, +, 0, 1)`
-//! engine, covering the dense-order fragment `FO(≤)` as a special case.
+//! Linearity test and `≠` splitting for the linear fragment
+//! `FO(≤, +, 0, 1)` (dense order `FO(≤)` is a special case).
 //!
-//! Works on relations in DNF: for each generalized tuple, the variable is
-//! isolated in every atom (`a·x σ rest`), equalities are substituted,
-//! `≠` atoms are split into `<` / `>` disjuncts, and bound pairs are
-//! combined. This is the engine behind Theorem 4.2: every number produced is
-//! a sum/product of two input coefficients, so bit growth is linear in the
-//! input bit length — finite precision with `c·k` bits loses nothing.
+//! The Fourier–Motzkin eliminator itself is the planner's
+//! ([`crate::plan`]): per disjunct, the variable is isolated in every atom
+//! (`a·x σ rest`), equalities are substituted, `≠` atoms are split into
+//! `<` / `>` disjuncts, and bound pairs are combined. This is the engine
+//! behind Theorem 4.2: every number produced is a sum/product of two input
+//! coefficients, so bit growth is linear in the input bit length — finite
+//! precision with `c·k` bits loses nothing.
 
-use crate::{QeContext, QeError};
 use cdb_constraints::{Atom, ConstraintRelation, GeneralizedTuple, RelOp};
-use cdb_num::{Rat, Sign};
-use cdb_poly::MPoly;
 
 /// True iff every atom of the relation is linear (total degree ≤ 1).
 #[must_use]
@@ -21,59 +19,9 @@ pub fn is_linear(rel: &ConstraintRelation) -> bool {
         .all(|t| t.atoms().iter().all(|a| a.poly.total_degree() <= 1))
 }
 
-/// Eliminate `∃ var` from a DNF relation of linear constraints.
-///
-/// `∃x` distributes over the union of generalized tuples, so each disjunct
-/// is independent: with `ctx.workers > 1` they are fanned out over scoped
-/// threads and the per-tuple results merged back **in input order** (the
-/// cross-tuple dedup then sees elements in exactly the sequential order, so
-/// the output is identical to `workers = 1`).
-pub fn eliminate_exists(
-    rel: &ConstraintRelation,
-    var: usize,
-    ctx: &QeContext,
-) -> Result<ConstraintRelation, QeError> {
-    let nvars = rel.nvars();
-    let tuples = rel.tuples();
-    let mut out_tuples: Vec<GeneralizedTuple> = Vec::new();
-    if ctx.effective_workers() <= 1 || tuples.len() <= 1 {
-        for tuple in tuples {
-            for split in split_ne(tuple, var) {
-                if let Some(t) = eliminate_from_tuple(&split, var, ctx)? {
-                    if let Some(s) = t.simplify() {
-                        if !out_tuples.contains(&s) {
-                            out_tuples.push(s);
-                        }
-                    }
-                }
-            }
-        }
-    } else {
-        let per_tuple = crate::par::par_map_result(tuples, ctx.effective_workers(), |tuple| {
-            let mut results = Vec::new();
-            for split in split_ne(tuple, var) {
-                if let Some(t) = eliminate_from_tuple(&split, var, ctx)? {
-                    if let Some(s) = t.simplify() {
-                        results.push(s);
-                    }
-                }
-            }
-            Ok(results)
-        })?;
-        for results in per_tuple {
-            for s in results {
-                if !out_tuples.contains(&s) {
-                    out_tuples.push(s);
-                }
-            }
-        }
-    }
-    Ok(ConstraintRelation::new(nvars, out_tuples).simplify())
-}
-
 /// Split `p ≠ 0` atoms that involve `var` into `<` and `>` cases
-/// (a disjunction, so the tuple multiplies). Shared with the per-disjunct
-/// planner, which performs the same split before FM/quadratic elimination.
+/// (a disjunction, so the tuple multiplies) — the planner's step before
+/// FM/quadratic elimination, whose bound pairing has no case for `≠`.
 pub(crate) fn split_ne(tuple: &GeneralizedTuple, var: usize) -> Vec<GeneralizedTuple> {
     let mut result = vec![GeneralizedTuple::top(tuple.nvars())];
     for atom in tuple.atoms() {
@@ -97,309 +45,4 @@ pub(crate) fn split_ne(tuple: &GeneralizedTuple, var: usize) -> Vec<GeneralizedT
         }
     }
     result
-}
-
-/// A linear atom with `var` isolated: `coeff · var + rest σ 0`.
-struct Isolated {
-    /// Coefficient of `var` (nonzero rational).
-    coeff: Rat,
-    /// The rest (free of `var`).
-    rest: MPoly,
-    op: RelOp,
-}
-
-fn isolate(atom: &Atom, var: usize) -> Result<Option<Isolated>, QeError> {
-    if atom.poly.total_degree() > 1 {
-        return Err(QeError::NonLinear(atom.poly.to_string()));
-    }
-    if !atom.poly.uses_var(var) {
-        return Ok(None);
-    }
-    let coeffs = atom.poly.as_upoly_in(var);
-    // Degree ≤ 1 and `uses_var` hold above, so the coefficient vector is
-    // exactly [rest, coeff]; anything else is a nonlinear atom.
-    let [rest, lead] = coeffs.as_slice() else {
-        return Err(QeError::NonLinear(atom.poly.to_string()));
-    };
-    let coeff = lead
-        .to_constant()
-        .ok_or_else(|| QeError::NonLinear(atom.poly.to_string()))?;
-    Ok(Some(Isolated {
-        coeff,
-        rest: rest.clone(),
-        op: atom.op,
-    }))
-}
-
-/// Core FM step on one conjunction. Returns `None` when the tuple is
-/// trivially unsatisfiable after elimination.
-fn eliminate_from_tuple(
-    tuple: &GeneralizedTuple,
-    var: usize,
-    ctx: &QeContext,
-) -> Result<Option<GeneralizedTuple>, QeError> {
-    let nvars = tuple.nvars();
-    let mut passthrough: Vec<Atom> = Vec::new();
-    // Normalized bounds on var: var σ bound where bound = −rest/coeff.
-    // Lower bounds (var > / >= b), upper bounds (var < / <= b), equalities.
-    let mut lowers: Vec<(MPoly, bool)> = Vec::new(); // (bound, strict)
-    let mut uppers: Vec<(MPoly, bool)> = Vec::new();
-    let mut equals: Vec<MPoly> = Vec::new();
-    for atom in tuple.atoms() {
-        match isolate(atom, var)? {
-            None => passthrough.push(atom.clone()),
-            Some(iso) => {
-                // coeff·var + rest σ 0  ⇔  var σ' −rest/coeff,
-                // with σ' flipped when coeff < 0.
-                let bound = iso.rest.scale(&(-iso.coeff.recip()));
-                ctx.observe_poly(&bound)?;
-                let op = if iso.coeff.sign() == Sign::Neg {
-                    iso.op.flipped()
-                } else {
-                    iso.op
-                };
-                match op {
-                    RelOp::Eq => equals.push(bound),
-                    RelOp::Lt => uppers.push((bound, true)),
-                    RelOp::Le => uppers.push((bound, false)),
-                    RelOp::Gt => lowers.push((bound, true)),
-                    RelOp::Ge => lowers.push((bound, false)),
-                    RelOp::Ne => {
-                        return Err(QeError::Unsupported(
-                            "Fourier–Motzkin: `≠` atom not split before elimination".into(),
-                        ))
-                    }
-                }
-            }
-        }
-    }
-    let mut atoms = passthrough;
-    if let Some(e0) = equals.first() {
-        // Substitute var = e0 everywhere: each remaining constraint becomes
-        // a constraint between bounds.
-        for e in &equals[1..] {
-            let d = e0 - e;
-            ctx.observe_poly(&d)?;
-            atoms.push(Atom::new(d, RelOp::Eq));
-        }
-        for (u, strict) in &uppers {
-            let d = e0 - u; // var ≤ u ⇒ e0 − u ≤ 0
-            ctx.observe_poly(&d)?;
-            atoms.push(Atom::new(d, if *strict { RelOp::Lt } else { RelOp::Le }));
-        }
-        for (l, strict) in &lowers {
-            let d = l - e0; // var ≥ l ⇒ l − e0 ≤ 0
-            ctx.observe_poly(&d)?;
-            atoms.push(Atom::new(d, if *strict { RelOp::Lt } else { RelOp::Le }));
-        }
-        return Ok(Some(GeneralizedTuple::new(nvars, atoms)));
-    }
-    // Pure inequality case: ∃var iff every lower bound is below every upper
-    // bound (density of the reals — no integrality issues).
-    for (l, ls) in &lowers {
-        for (u, us) in &uppers {
-            let d = l - u; // need l < u (or ≤ when both non-strict)
-            ctx.observe_poly(&d)?;
-            let strict = *ls || *us;
-            atoms.push(Atom::new(d, if strict { RelOp::Lt } else { RelOp::Le }));
-        }
-    }
-    // No lower or no upper bounds: var unbounded on that side — always
-    // satisfiable, bounds impose nothing.
-    Ok(Some(GeneralizedTuple::new(nvars, atoms)))
-}
-
-/// Eliminate `∀ var` via `¬∃¬` (the relation is complemented, which may
-/// blow up; acceptable for the small DNFs the linear engine sees).
-pub fn eliminate_forall(
-    rel: &ConstraintRelation,
-    var: usize,
-    ctx: &QeContext,
-) -> Result<ConstraintRelation, QeError> {
-    let negated = rel.complement().simplify();
-    let elim = eliminate_exists(&negated, var, ctx)?;
-    Ok(elim.complement().simplify())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use cdb_constraints::GeneralizedTuple;
-
-    fn var(i: usize, n: usize) -> MPoly {
-        MPoly::var(i, n)
-    }
-
-    fn c(v: i64, n: usize) -> MPoly {
-        MPoly::constant(Rat::from(v), n)
-    }
-
-    /// ∃y (x ≤ y ∧ y ≤ 5): expect x ≤ 5.
-    #[test]
-    fn simple_projection() {
-        let x = var(0, 2);
-        let y = var(1, 2);
-        let t = GeneralizedTuple::new(
-            2,
-            vec![
-                Atom::cmp(x.clone(), RelOp::Le, y.clone()),
-                Atom::cmp(y, RelOp::Le, c(5, 2)),
-            ],
-        );
-        let rel = ConstraintRelation::new(2, vec![t]);
-        let ctx = QeContext::exact();
-        let out = eliminate_exists(&rel, 1, &ctx).unwrap();
-        assert!(out.satisfied_at(&[Rat::from(5i64), Rat::zero()]));
-        assert!(out.satisfied_at(&[Rat::from(-100i64), Rat::zero()]));
-        assert!(!out.satisfied_at(&[Rat::from(6i64), Rat::zero()]));
-    }
-
-    /// ∃y (y = 2x + 1 ∧ y ≥ 3 ∧ y ≤ 7): expect 1 ≤ x ≤ 3.
-    #[test]
-    fn equality_substitution() {
-        let n = 2;
-        let x = var(0, n);
-        let y = var(1, n);
-        let t = GeneralizedTuple::new(
-            n,
-            vec![
-                Atom::cmp(y.clone(), RelOp::Eq, &x.scale(&Rat::from(2i64)) + &c(1, n)),
-                Atom::cmp(y.clone(), RelOp::Ge, c(3, n)),
-                Atom::cmp(y, RelOp::Le, c(7, n)),
-            ],
-        );
-        let rel = ConstraintRelation::new(n, vec![t]);
-        let out = eliminate_exists(&rel, 1, &QeContext::exact()).unwrap();
-        for (v, expect) in [(0i64, false), (1, true), (2, true), (3, true), (4, false)] {
-            assert_eq!(
-                out.satisfied_at(&[Rat::from(v), Rat::zero()]),
-                expect,
-                "x = {v}"
-            );
-        }
-    }
-
-    /// ∃y (x < y ∧ y < x): empty.
-    #[test]
-    fn infeasible_bounds() {
-        let n = 2;
-        let x = var(0, n);
-        let y = var(1, n);
-        let t = GeneralizedTuple::new(
-            n,
-            vec![
-                Atom::cmp(x.clone(), RelOp::Lt, y.clone()),
-                Atom::cmp(y, RelOp::Lt, x),
-            ],
-        );
-        let rel = ConstraintRelation::new(n, vec![t]);
-        let out = eliminate_exists(&rel, 1, &QeContext::exact()).unwrap();
-        assert!(!out.satisfied_at(&[Rat::zero(), Rat::zero()]));
-        assert!(!out.satisfied_at(&[Rat::from(7i64), Rat::zero()]));
-    }
-
-    /// Unbounded side: ∃y (y ≥ x) is always true.
-    #[test]
-    fn unbounded_is_true() {
-        let n = 2;
-        let t = GeneralizedTuple::new(n, vec![Atom::cmp(var(1, n), RelOp::Ge, var(0, n))]);
-        let rel = ConstraintRelation::new(n, vec![t]);
-        let out = eliminate_exists(&rel, 1, &QeContext::exact()).unwrap();
-        for v in [-10i64, 0, 10] {
-            assert!(out.satisfied_at(&[Rat::from(v), Rat::zero()]));
-        }
-    }
-
-    /// Dense order with ≠: ∃y (x ≤ y ∧ y ≤ x ∧ y ≠ 3) ⇔ x ≠ 3.
-    #[test]
-    fn ne_split() {
-        let n = 2;
-        let x = var(0, n);
-        let y = var(1, n);
-        let t = GeneralizedTuple::new(
-            n,
-            vec![
-                Atom::cmp(x.clone(), RelOp::Le, y.clone()),
-                Atom::cmp(y.clone(), RelOp::Le, x),
-                Atom::cmp(y, RelOp::Ne, c(3, n)),
-            ],
-        );
-        let rel = ConstraintRelation::new(n, vec![t]);
-        let out = eliminate_exists(&rel, 1, &QeContext::exact()).unwrap();
-        assert!(out.satisfied_at(&[Rat::from(2i64), Rat::zero()]));
-        assert!(out.satisfied_at(&[Rat::from(4i64), Rat::zero()]));
-        assert!(!out.satisfied_at(&[Rat::from(3i64), Rat::zero()]));
-    }
-
-    /// Forall: ∀y (y ≥ x ∨ y ≤ 5) ⇔ x ≤ 5.
-    #[test]
-    fn forall_via_complement() {
-        let n = 2;
-        let x = var(0, n);
-        let y = var(1, n);
-        let rel = ConstraintRelation::new(
-            n,
-            vec![
-                GeneralizedTuple::new(n, vec![Atom::cmp(y.clone(), RelOp::Ge, x)]),
-                GeneralizedTuple::new(n, vec![Atom::cmp(y, RelOp::Le, c(5, n))]),
-            ],
-        );
-        let out = eliminate_forall(&rel, 1, &QeContext::exact()).unwrap();
-        assert!(out.satisfied_at(&[Rat::from(5i64), Rat::zero()]));
-        assert!(out.satisfied_at(&[Rat::from(-3i64), Rat::zero()]));
-        assert!(!out.satisfied_at(&[Rat::from(6i64), Rat::zero()]));
-    }
-
-    /// Budget: coefficients double per elimination; a tiny budget trips.
-    #[test]
-    fn budget_trips() {
-        let n = 2;
-        let x = var(0, n);
-        let y = var(1, n);
-        // y = 1000003·x, y ≥ 999983 — products of ~20-bit numbers.
-        let t = GeneralizedTuple::new(
-            n,
-            vec![
-                Atom::cmp(y.clone(), RelOp::Eq, x.scale(&Rat::from(1_000_003i64))),
-                Atom::cmp(y, RelOp::Ge, c(999_983, n)),
-            ],
-        );
-        let rel = ConstraintRelation::new(n, vec![t]);
-        let ctx = QeContext::with_budget(8);
-        let err = eliminate_exists(&rel, 1, &ctx).unwrap_err();
-        assert!(matches!(err, QeError::PrecisionExceeded { .. }));
-        // Generous budget fine.
-        let ctx2 = QeContext::with_budget(64);
-        assert!(eliminate_exists(&rel, 1, &ctx2).is_ok());
-    }
-
-    /// Randomized soundness: eliminated formula agrees with a brute-force
-    /// scan over sample witnesses.
-    #[test]
-    fn soundness_spot_check() {
-        let n = 2;
-        let x = var(0, n);
-        let y = var(1, n);
-        // ∃y (2y ≤ x + 4 ∧ −3y ≤ x − 1 ∧ y ≥ −10)
-        let t = GeneralizedTuple::new(
-            n,
-            vec![
-                Atom::cmp(y.scale(&Rat::from(2i64)), RelOp::Le, &x + &c(4, n)),
-                Atom::cmp(y.scale(&Rat::from(-3i64)), RelOp::Le, &x - &c(1, n)),
-                Atom::cmp(y.clone(), RelOp::Ge, c(-10, n)),
-            ],
-        );
-        let rel = ConstraintRelation::new(n, vec![t]);
-        let out = eliminate_exists(&rel, 1, &QeContext::exact()).unwrap();
-        for xv in -15..=15i64 {
-            let expect = (-1000..=1000)
-                .map(|i| Rat::from_ints(i, 50))
-                .any(|yv| rel.satisfied_at(&[Rat::from(xv), yv]));
-            let got = out.satisfied_at(&[Rat::from(xv), Rat::zero()]);
-            // The brute scan over a grid can only under-approximate ∃;
-            // still, on this instance bounds are rational with small
-            // denominators so the grid finds all witnesses.
-            assert_eq!(got, expect, "x = {xv}");
-        }
-    }
 }

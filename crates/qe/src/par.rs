@@ -1,4 +1,5 @@
-//! Deterministic scoped-thread fan-out for the QE pipeline.
+//! Deterministic scoped-thread fan-out for CAD lifting — the one place a
+//! query spawns threads (DESIGN.md §6).
 //!
 //! The build environment is offline (no `rayon`), so parallelism is plain
 //! [`std::thread::scope`] over a shared atomic work queue. Determinism
@@ -7,14 +8,13 @@
 //! loop would have hit first.
 //!
 //! Work is claimed in **chunks** of consecutive indices (one `fetch_add`
-//! and one slot-mutex lock per chunk, not per item), so fan-outs over many
-//! cheap jobs — the 96-disjunct linear FM workload of E16 — no longer pay
-//! a SeqCst atomic plus a lock per job. Chunks are handed out in ascending
-//! order and every claimed chunk is processed to completion (or to its own
-//! first error), which is what keeps the lowest-index-error guarantee: the
-//! first error the sequential loop would hit lives in a chunk at or below
-//! any chunk whose error triggered the stop flag, and that chunk was
-//! necessarily claimed earlier.
+//! and one slot-mutex lock per chunk, not per item), so a level with
+//! thousands of parent cells does not pay a SeqCst atomic plus a lock per
+//! stack. Chunks are handed out in ascending order and every claimed chunk
+//! is processed to completion (or to its own first error), which is what
+//! keeps the lowest-index-error guarantee: the first error the sequential
+//! loop would hit lives in a chunk at or below any chunk whose error
+//! triggered the stop flag, and that chunk was necessarily claimed earlier.
 
 use crate::QeError;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -36,41 +36,22 @@ fn chunk_len(n: usize, workers: usize) -> usize {
     (n / (workers * CHUNKS_PER_WORKER)).max(1)
 }
 
-/// Map `f` over `items` on up to `workers` scoped threads, preserving input
-/// order. With `workers <= 1` (or at most one item) this degenerates to the
-/// plain sequential iterator — no threads are spawned.
-///
-/// Shared export: the same fan-out drives disjunct-level parallelism inside
-/// this crate and the per-rule QE jobs of the `cdb-datalog` semi-naive
-/// fixpoint.
-pub fn par_map_result<T: Sync, U: Send>(
+/// Map `f` over `items` on up to `workers` scoped threads (the caller's
+/// thread is worker 0), preserving input order. With `workers <= 1` (or at
+/// most one item) this degenerates to the plain sequential iterator — no
+/// threads are spawned. `workers` is taken as given: the caller passes
+/// [`crate::QeContext::effective_workers`], which has already clamped the
+/// request to the hardware.
+pub(crate) fn par_map_result<T: Sync, U: Send>(
     items: &[T],
     workers: usize,
     f: impl Fn(&T) -> Result<U, QeError> + Sync,
 ) -> Result<Vec<U>, QeError> {
     let n = items.len();
-    // Never run more threads than the hardware can: oversubscribing a
-    // CPU-bound fan-out only adds scheduling overhead, and the determinism
-    // contract makes the worker count unobservable in the output (the
-    // byte-identity property tests quantify over worker counts).
-    let hw = std::thread::available_parallelism().map_or(1, |p| p.get());
-    let workers = workers.clamp(1, n.max(1)).min(hw);
+    let workers = workers.clamp(1, n.max(1));
     if workers <= 1 {
         return items.iter().map(f).collect();
     }
-    chunked_map(items, workers, f)
-}
-
-/// The threaded fan-out body: `workers >= 2` scoped threads (the caller's
-/// thread is worker 0) over chunk-claimed slots. Private so the public
-/// entry point can clamp to the hardware; unit tests call this directly to
-/// exercise the threaded path regardless of the host's core count.
-fn chunked_map<T: Sync, U: Send>(
-    items: &[T],
-    workers: usize,
-    f: impl Fn(&T) -> Result<U, QeError> + Sync,
-) -> Result<Vec<U>, QeError> {
-    let n = items.len();
     let chunk = chunk_len(n, workers);
     let nchunks = n.div_ceil(chunk);
     // SeqCst per the determinism rule: claim order and the stop flag gate
@@ -154,10 +135,6 @@ mod tests {
         let items: Vec<u64> = (0..100).collect();
         let out = par_map_result(&items, 8, |&x| Ok(x * x)).unwrap();
         assert_eq!(out, items.iter().map(|x| x * x).collect::<Vec<_>>());
-        // Forced-thread variant: the same contract holds on the threaded
-        // path even when the host has a single hardware thread.
-        let out = chunked_map(&items, 8, |&x| Ok(x * x)).unwrap();
-        assert_eq!(out, items.iter().map(|x| x * x).collect::<Vec<_>>());
     }
 
     #[test]
@@ -170,7 +147,7 @@ mod tests {
     #[test]
     fn reports_lowest_index_error() {
         let items: Vec<u64> = (0..64).collect();
-        let err = chunked_map(&items, 8, |&x| {
+        let err = par_map_result(&items, 8, |&x| {
             if x >= 10 {
                 Err(QeError::Unsupported(format!("item {x}")))
             } else {
@@ -190,8 +167,8 @@ mod tests {
 
     #[test]
     fn chunk_len_scales_with_input() {
-        // 96 cheap jobs over 2 workers: 12-item chunks (8 claims total)
-        // instead of 96 single-item claims.
+        // 96 jobs over 2 workers: 12-item chunks (8 claims total) instead
+        // of 96 single-item claims.
         assert_eq!(chunk_len(96, 2), 12);
         // Few heavyweight jobs: per-item claiming preserved.
         assert_eq!(chunk_len(6, 4), 1);
@@ -205,7 +182,7 @@ mod tests {
     fn mid_chunk_error_is_lowest_index() {
         let items: Vec<u64> = (0..97).collect(); // non-multiple of chunk len
         for workers in [2, 3, 8] {
-            let err = chunked_map(&items, workers, |&x| {
+            let err = par_map_result(&items, workers, |&x| {
                 if x == 13 || x >= 40 {
                     Err(QeError::Unsupported(format!("item {x}")))
                 } else {
@@ -226,10 +203,6 @@ mod tests {
             for workers in [1usize, 2, 3, 4, 9] {
                 let out = par_map_result(&items, workers, |&x| Ok(x * 3 + 1)).unwrap();
                 assert_eq!(out, expect, "n={n} workers={workers}");
-                if workers > 1 && n > 1 {
-                    let out = chunked_map(&items, workers.min(n), |&x| Ok(x * 3 + 1)).unwrap();
-                    assert_eq!(out, expect, "forced threads, n={n} workers={workers}");
-                }
             }
         }
     }

@@ -20,18 +20,17 @@
 //! last — substituting a pinned variable first can collapse a disjunct
 //! that would otherwise need CAD.
 //!
-//! Determinism: disjunct jobs fan through [`par_map_result`], which merges
-//! results in input order; the cross-disjunct dedup therefore sees tuples
-//! in exactly the sequential order, so output is byte-identical for every
-//! worker count. `∀` runs go through `¬∃¬` when the relation is linear (or
-//! when a forced mode demands it); nonlinear `∀` keeps the pre-planner
-//! whole-relation CAD. [`crate::PlanMode::ForceCAD`] reproduces the old
-//! pipeline exactly; `ForceQuad` never falls back — it returns
+//! Disjuncts are eliminated one after another on the calling thread: a
+//! typical disjunct costs microseconds, less than a thread spawn (DESIGN.md
+//! §6), so the only fan-out under a query is CAD lifting inside a disjunct
+//! that falls back to CAD. `∀` runs go through `¬∃¬` when the relation is
+//! linear (or when a forced mode demands it); nonlinear `∀` keeps the
+//! pre-planner whole-relation CAD. [`crate::PlanMode::ForceCAD`] reproduces
+//! the old pipeline exactly; `ForceQuad` never falls back — it returns
 //! [`QeError::PlanUnsupported`] on a disjunct outside its class.
 
 use crate::cad;
 use crate::linear;
-use crate::par::par_map_result;
 use crate::quad1;
 use crate::{PlanMode, QeContext, QeError};
 use cdb_constraints::formula::relation_to_formula;
@@ -150,9 +149,8 @@ pub(crate) fn subst_eliminate_tuple(
 
 /// Generalized Fourier–Motzkin on one disjunct (`≠` atoms using `var`
 /// already split): isolate `var` in each atom using it, substitute
-/// equalities, pair lower × upper bounds. Identical to the linear engine's
-/// core step except that pass-through atoms may have any degree and bounds
-/// are arbitrary polynomials in the other variables.
+/// equalities, pair lower × upper bounds. Pass-through atoms may have any
+/// degree and bounds are arbitrary polynomials in the other variables.
 pub(crate) fn fm_eliminate_tuple(
     tuple: &GeneralizedTuple,
     var: usize,
@@ -374,35 +372,18 @@ fn eliminate_run_from_tuple(
 }
 
 /// Eliminate a run of existential quantifiers (`run` innermost-first) from
-/// a DNF relation, planning each disjunct independently. With
-/// `ctx.workers > 1` the disjunct jobs fan out through [`par_map_result`]
-/// and merge **in input order**, so the output is byte-identical to the
-/// sequential path for every worker count.
+/// a DNF relation, planning each disjunct independently.
 pub fn eliminate_exists_run(
     rel: &ConstraintRelation,
     run: &[usize],
     ctx: &QeContext,
 ) -> Result<ConstraintRelation, QeError> {
     let nvars = rel.nvars();
-    let tuples = rel.tuples();
     let mut out: Vec<GeneralizedTuple> = Vec::new();
-    if ctx.effective_workers() <= 1 || tuples.len() <= 1 {
-        for tuple in tuples {
-            for t in eliminate_run_from_tuple(tuple, run, nvars, ctx)? {
-                if !out.contains(&t) {
-                    out.push(t);
-                }
-            }
-        }
-    } else {
-        let per_tuple = par_map_result(tuples, ctx.effective_workers(), |tuple| {
-            eliminate_run_from_tuple(tuple, run, nvars, ctx)
-        })?;
-        for results in per_tuple {
-            for t in results {
-                if !out.contains(&t) {
-                    out.push(t);
-                }
+    for tuple in rel.tuples() {
+        for t in eliminate_run_from_tuple(tuple, run, nvars, ctx)? {
+            if !out.contains(&t) {
+                out.push(t);
             }
         }
     }
@@ -492,4 +473,187 @@ pub fn eliminate_prefix(
         rest.truncate(start);
     }
     Ok(rel)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cdb_num::Rat;
+
+    fn var(i: usize, n: usize) -> MPoly {
+        MPoly::var(i, n)
+    }
+
+    fn c(v: i64, n: usize) -> MPoly {
+        MPoly::constant(Rat::from(v), n)
+    }
+
+    /// `∃ x1` over one conjunction of atoms in `(x0, x1)`.
+    fn exists_y(atoms: Vec<Atom>, ctx: &QeContext) -> Result<ConstraintRelation, QeError> {
+        let rel = ConstraintRelation::new(2, vec![GeneralizedTuple::new(2, atoms)]);
+        eliminate_exists_run(&rel, &[1], ctx)
+    }
+
+    fn holds_at(rel: &ConstraintRelation, x: i64) -> bool {
+        rel.satisfied_at(&[Rat::from(x), Rat::zero()])
+    }
+
+    /// ∃y (x ≤ y ∧ y ≤ 5): expect x ≤ 5.
+    #[test]
+    fn simple_projection() {
+        let (x, y) = (var(0, 2), var(1, 2));
+        let ctx = QeContext::exact();
+        let out = exists_y(
+            vec![
+                Atom::cmp(x, RelOp::Le, y.clone()),
+                Atom::cmp(y, RelOp::Le, c(5, 2)),
+            ],
+            &ctx,
+        )
+        .unwrap();
+        assert!(holds_at(&out, 5));
+        assert!(holds_at(&out, -100));
+        assert!(!holds_at(&out, 6));
+        assert_eq!(ctx.plan_stats().fm, 1);
+    }
+
+    /// ∃y (y = 2x + 1 ∧ y ≥ 3 ∧ y ≤ 7): expect 1 ≤ x ≤ 3.
+    #[test]
+    fn equality_substitution() {
+        let n = 2;
+        let (x, y) = (var(0, n), var(1, n));
+        let out = exists_y(
+            vec![
+                Atom::cmp(y.clone(), RelOp::Eq, &x.scale(&Rat::from(2i64)) + &c(1, n)),
+                Atom::cmp(y.clone(), RelOp::Ge, c(3, n)),
+                Atom::cmp(y, RelOp::Le, c(7, n)),
+            ],
+            &QeContext::exact(),
+        )
+        .unwrap();
+        for (v, expect) in [(0i64, false), (1, true), (2, true), (3, true), (4, false)] {
+            assert_eq!(holds_at(&out, v), expect, "x = {v}");
+        }
+    }
+
+    /// ∃y (x < y ∧ y < x): empty.
+    #[test]
+    fn infeasible_bounds() {
+        let (x, y) = (var(0, 2), var(1, 2));
+        let out = exists_y(
+            vec![
+                Atom::cmp(x.clone(), RelOp::Lt, y.clone()),
+                Atom::cmp(y, RelOp::Lt, x),
+            ],
+            &QeContext::exact(),
+        )
+        .unwrap();
+        assert!(!holds_at(&out, 0));
+        assert!(!holds_at(&out, 7));
+    }
+
+    /// Unbounded side: ∃y (y ≥ x) is always true.
+    #[test]
+    fn unbounded_is_true() {
+        let out = exists_y(
+            vec![Atom::cmp(var(1, 2), RelOp::Ge, var(0, 2))],
+            &QeContext::exact(),
+        )
+        .unwrap();
+        for v in [-10i64, 0, 10] {
+            assert!(holds_at(&out, v));
+        }
+    }
+
+    /// Dense order with ≠: ∃y (x ≤ y ∧ y ≤ x ∧ y ≠ 3) ⇔ x ≠ 3.
+    #[test]
+    fn ne_split() {
+        let n = 2;
+        let (x, y) = (var(0, n), var(1, n));
+        let out = exists_y(
+            vec![
+                Atom::cmp(x.clone(), RelOp::Le, y.clone()),
+                Atom::cmp(y.clone(), RelOp::Le, x),
+                Atom::cmp(y, RelOp::Ne, c(3, n)),
+            ],
+            &QeContext::exact(),
+        )
+        .unwrap();
+        assert!(holds_at(&out, 2));
+        assert!(holds_at(&out, 4));
+        assert!(!holds_at(&out, 3));
+    }
+
+    /// Forall through `¬∃¬`: ∀y (y ≥ x ∨ y ≤ 5) ⇔ x ≤ 5.
+    #[test]
+    fn forall_via_complement() {
+        let n = 2;
+        let (x, y) = (var(0, n), var(1, n));
+        let rel = ConstraintRelation::new(
+            n,
+            vec![
+                GeneralizedTuple::new(n, vec![Atom::cmp(y.clone(), RelOp::Ge, x)]),
+                GeneralizedTuple::new(n, vec![Atom::cmp(y, RelOp::Le, c(5, n))]),
+            ],
+        );
+        let ctx = QeContext::exact();
+        let out = eliminate_prefix(
+            &relation_to_formula(&rel),
+            rel,
+            &[(Quantifier::Forall, 1)],
+            &[0],
+            n,
+            &ctx,
+        )
+        .unwrap();
+        assert!(holds_at(&out, 5));
+        assert!(holds_at(&out, -3));
+        assert!(!holds_at(&out, 6));
+        assert_eq!(ctx.plan_stats().cad, 0);
+    }
+
+    /// Budget: the bound `1000003·x` needs ~20 bits, so a tiny budget
+    /// trips — through substitution (`=`) and through FM (`≤`) alike.
+    #[test]
+    fn budget_trips() {
+        let n = 2;
+        let (x, y) = (var(0, n), var(1, n));
+        for op in [RelOp::Eq, RelOp::Le] {
+            let atoms = vec![
+                Atom::cmp(y.clone(), op, x.scale(&Rat::from(1_000_003i64))),
+                Atom::cmp(y.clone(), RelOp::Ge, c(999_983, n)),
+            ];
+            let err = exists_y(atoms.clone(), &QeContext::with_budget(8)).unwrap_err();
+            assert!(
+                matches!(err, QeError::PrecisionExceeded { .. }),
+                "{op:?}: {err}"
+            );
+            assert!(exists_y(atoms, &QeContext::with_budget(64)).is_ok());
+        }
+    }
+
+    /// Soundness: the eliminated formula agrees with a brute-force scan
+    /// over sample witnesses.
+    #[test]
+    fn soundness_spot_check() {
+        let n = 2;
+        let (x, y) = (var(0, n), var(1, n));
+        // ∃y (2y ≤ x + 4 ∧ −3y ≤ x − 1 ∧ y ≥ −10)
+        let atoms = vec![
+            Atom::cmp(y.scale(&Rat::from(2i64)), RelOp::Le, &x + &c(4, n)),
+            Atom::cmp(y.scale(&Rat::from(-3i64)), RelOp::Le, &x - &c(1, n)),
+            Atom::cmp(y, RelOp::Ge, c(-10, n)),
+        ];
+        let rel = ConstraintRelation::new(n, vec![GeneralizedTuple::new(n, atoms.clone())]);
+        let out = exists_y(atoms, &QeContext::exact()).unwrap();
+        for xv in -15..=15i64 {
+            // The grid can only under-approximate ∃; on this instance the
+            // bounds are rational with small denominators, so it finds
+            // every witness.
+            let expect = (-1000..=1000)
+                .map(|i| Rat::from_ints(i, 50))
+                .any(|yv| rel.satisfied_at(&[Rat::from(xv), yv]));
+            assert_eq!(holds_at(&out, xv), expect, "x = {xv}");
+        }
+    }
 }

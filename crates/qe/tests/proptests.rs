@@ -9,7 +9,7 @@
 use cdb_constraints::{Atom, ConstraintRelation, Database, Formula, GeneralizedTuple, RelOp};
 use cdb_num::Rat;
 use cdb_poly::MPoly;
-use cdb_qe::{evaluate_query, linear, QeContext};
+use cdb_qe::{evaluate_query, plan, QeContext};
 use proptest::prelude::*;
 
 fn linear_atom(a: i64, b: i64, d: i64, op: u8) -> Atom {
@@ -40,7 +40,7 @@ proptest! {
         );
         let rel = ConstraintRelation::new(n, vec![tuple]);
         let ctx = QeContext::exact();
-        let out = linear::eliminate_exists(&rel, 1, &ctx).unwrap();
+        let out = plan::eliminate_exists_run(&rel, &[1], &ctx).unwrap();
         // Probe x on a half-integer grid; witnesses on a 1/12 grid (all
         // bounds here have denominators dividing 12).
         for xi in -8..=8 {
@@ -75,8 +75,16 @@ proptest! {
         );
         let rel = ConstraintRelation::new(n, vec![tuple]);
         let ctx = QeContext::exact();
-        let fa = linear::eliminate_forall(&rel, 1, &ctx).unwrap();
-        let ex_not = linear::eliminate_exists(&rel.complement().simplify(), 1, &ctx).unwrap();
+        let fa = plan::eliminate_prefix(
+            &cdb_constraints::formula::relation_to_formula(&rel),
+            rel.clone(),
+            &[(cdb_constraints::Quantifier::Forall, 1)],
+            &[0],
+            n,
+            &ctx,
+        )
+        .unwrap();
+        let ex_not = plan::eliminate_exists_run(&rel.complement().simplify(), &[1], &ctx).unwrap();
         for xi in -6..=6 {
             let x = Rat::from_ints(xi, 2);
             prop_assert_eq!(
@@ -158,41 +166,10 @@ proptest! {
         }
     }
 
-    /// Disjunct-level parallelism is invisible: eliminating with one worker
-    /// (the verbatim sequential path) and with many workers produces
-    /// structurally identical relations, atom for atom, in the same order.
-    #[test]
-    fn fm_parallel_matches_sequential(
-        disjuncts in prop::collection::vec(
-            prop::collection::vec((-3i64..=3, -3i64..=3, -4i64..=4, 0u8..4), 1..=3),
-            1..=6,
-        ),
-    ) {
-        let n = 2;
-        let tuples = disjuncts
-            .iter()
-            .map(|atoms| {
-                GeneralizedTuple::new(
-                    n,
-                    atoms.iter().map(|&(a, b, d, op)| linear_atom(a, b, d, op)).collect(),
-                )
-            })
-            .collect();
-        let rel = ConstraintRelation::new(n, tuples);
-        let seq = linear::eliminate_exists(&rel, 1, &QeContext::exact().with_workers(1)).unwrap();
-        for workers in [2, 4, 8] {
-            let par = linear::eliminate_exists(
-                &rel,
-                1,
-                &QeContext::exact().with_workers(workers),
-            )
-            .unwrap();
-            prop_assert_eq!(&seq, &par, "workers = {}", workers);
-        }
-    }
-
-    /// CAD lifting parallelism is likewise invisible, and the shared
-    /// memo-cache does not perturb results.
+    /// CAD lifting parallelism is invisible: one worker (the sequential
+    /// loop) and many produce structurally identical relations, atom for
+    /// atom, in the same order, and the shared memo-cache does not perturb
+    /// results.
     #[test]
     fn cad_parallel_matches_sequential(
         a in -2i64..=2, b in -2i64..=2, c in -2i64..=2,
