@@ -1,29 +1,16 @@
-//! `repro` — regenerate every table/figure of the reproduction (E1–E21, E23).
+//! `repro` — regenerate every table/figure of the paper (E1–E15).
 //!
 //! Usage: `cargo run --release -p cdb-bench --bin repro [-- e1 e2 …]`
 //! (no arguments = all experiments). Each experiment prints the paper's
-//! artifact next to the measured result; EXPERIMENTS.md records a full run.
-//! E16 additionally writes its parallel-QE speedup and cache statistics to
-//! `BENCH_qe.json`, E17 its naive-vs-semi-naive fixpoint comparison to
-//! `BENCH_datalog.json`, E18 its split-word filter before/after to
-//! `BENCH_kernels.json`, E19 its interned-vs-seed polynomial
-//! representation comparison to `BENCH_poly.json`, and E20 its modular
-//! resultant kernel comparison to `BENCH_resultant.json`, E21 its
-//! incremental-view-maintenance vs full-recompute comparison to
-//! `BENCH_ivm.json`, and E23 its moving-objects alibi comparison
-//! (per-disjunct planner vs forced CAD vs closed-form oracle) to
-//! `BENCH_alibi.json`, all at the repository root.
+//! artifact next to the measured result and asserts the paper's own numbers;
+//! EXPERIMENTS.md records a full run. Performance is measured by the
+//! statement-level benchmark in `stmtbench/` (see `BENCHMARK.json`), not here.
 
 use cdb_approx::modules::{approximate_on_abase, ApproxMethod};
 use cdb_approx::{sup_error, ABase, AnalyticFn};
-use cdb_bench::{
-    gen_linear_relation, gen_poly_relation, gen_trajectories, gen_upoly, paper_db, time_median,
-    Trajectories,
-};
+use cdb_bench::{gen_linear_relation, gen_poly_relation, gen_upoly, paper_db, time_median};
 use cdb_calcf::CalcFEngine;
-use cdb_constraints::{
-    Atom, ConstraintRelation, Database, Formula, GeneralizedTuple, Quantifier, RelOp,
-};
+use cdb_constraints::{Atom, ConstraintRelation, Database, Formula, GeneralizedTuple, RelOp};
 use cdb_datalog::{Literal, Program, Rule};
 use cdb_fp::doubling::{add2k_hi, add2k_lo, mul2k_words, Pair};
 use cdb_fp::pathologies::{
@@ -31,22 +18,18 @@ use cdb_fp::pathologies::{
 };
 use cdb_fp::semantics::{compare_semantics, fp_evaluate_query, input_bit_length, FpOutcome};
 use cdb_num::{FkParams, Int, Rat, Zk};
-use cdb_poly::{isolate_real_roots, refine_to_width, MPoly, UPoly};
-use cdb_qe::{evaluate_query, PlanMode, QeContext};
+use cdb_poly::{isolate_real_roots, refine_to_width, MPoly};
+use cdb_qe::{evaluate_query, QeContext};
 
 // Bench driver, not library code: a bad experiment id should abort the run
 // immediately with the conventional usage exit code.
 #[allow(clippy::disallowed_methods)]
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    // There is no E22; the other ids are stable references from EXPERIMENTS.md.
-    let known: Vec<String> = (1..=23)
-        .filter(|&i| i != 22)
-        .map(|i| format!("e{i}"))
-        .collect();
+    let known: Vec<String> = (1..=15).map(|i| format!("e{i}")).collect();
     for a in &args {
         if a != "all" && !known.iter().any(|k| k.eq_ignore_ascii_case(a)) {
-            eprintln!("unknown experiment id `{a}` (expected e1..e21, e23 or all)");
+            eprintln!("unknown experiment id `{a}` (expected e1..e15 or all)");
             std::process::exit(2);
         }
     }
@@ -96,27 +79,6 @@ fn main() {
     }
     if want("e15") {
         e15();
-    }
-    if want("e16") {
-        e16();
-    }
-    if want("e17") {
-        e17();
-    }
-    if want("e18") {
-        e18();
-    }
-    if want("e19") {
-        e19();
-    }
-    if want("e20") {
-        e20();
-    }
-    if want("e21") {
-        e21();
-    }
-    if want("e23") {
-        e23();
     }
 }
 
@@ -609,1631 +571,4 @@ fn e15() {
         assert_ne!(ltr, rtl);
     }
     println!("  (paper: F_k |= exists x forall y (y <= x); no distributive laws)");
-}
-
-/// E16 — parallel CAD lifting: sequential-vs-parallel speedup and memo-cache
-/// hit rates on a multi-disjunct workload, plus the polynomial-interner
-/// occupancy/traffic snapshot (the memo-cache's keys are interned handles);
-/// results land in `BENCH_qe.json`.
-fn e16() {
-    header(
-        "E16",
-        "parallel CAD lifting speedup + algebraic memo-cache (workers=1 vs available_parallelism)",
-    );
-    let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
-    // Request at least two workers so the fan-out *entry point* is always
-    // exercised; `QeContext::effective_workers` clamps to the hardware (the
-    // threaded claim path itself is force-exercised in cdb-qe's unit
-    // tests), so the effective count is what the wall-clock comparison
-    // actually measures.
-    let par_workers = hw.max(2);
-    let eff_workers = par_workers.min(hw);
-    println!(
-        "  hardware threads: {hw} (parallel runs request {par_workers} workers, effective {eff_workers})"
-    );
-    let mut entries: Vec<String> = Vec::new();
-
-    // Workload A: multi-disjunct CAD — 6 random conics; the lifting phase
-    // fans parent cells out across workers and the memo-cache absorbs the
-    // repeated resultants/discriminants/Sturm chains. The per-disjunct
-    // planner would route these conics through the quadratic shortcut, so
-    // the timed runs pin `ForceCAD` (this workload measures the CAD
-    // fan-out, not the planner); one extra Auto run records what the
-    // planner does instead — its strategy histogram lands in the JSON.
-    {
-        let rel = gen_poly_relation(79, 6, 2, 3);
-        let run = |workers: usize, mode: PlanMode| {
-            let mut db = Database::new();
-            db.insert("R", rel.clone());
-            let q = Formula::exists(1, Formula::Rel("R".into(), vec![0, 1]));
-            let ctx = QeContext::exact()
-                .with_workers(workers)
-                .with_plan_mode(mode);
-            let out = evaluate_query(&db, &q, 2, &ctx).unwrap();
-            (out.relation, ctx)
-        };
-        let (out_seq, _) = run(1, PlanMode::ForceCAD);
-        let (out_par, ctx_par) = run(par_workers, PlanMode::ForceCAD);
-        let equal = out_seq == out_par;
-        assert!(equal, "parallel CAD elimination diverged from sequential");
-        let (out_planned, ctx_planned) = run(par_workers, PlanMode::Auto);
-        let plan = ctx_planned.plan_stats();
-        // The planner output may differ syntactically (sign conditions vs
-        // CAD cells); compare semantically on a probe grid.
-        let planned_matches_cad = (-6i64..=6).all(|i| {
-            let x = Rat::new(Int::from(i), Int::from(2i64)); // step 1/2 over [-3, 3]
-            let p = [x, Rat::zero()];
-            out_planned.satisfied_at(&p) == out_par.satisfied_at(&p)
-        });
-        assert!(planned_matches_cad, "planned QE diverged from forced CAD");
-        println!(
-            "  planner (Auto) on the same workload: {} subst / {} FM / {} quad / {} CAD disjuncts, matches CAD: {planned_matches_cad}",
-            plan.subst, plan.fm, plan.quad, plan.cad
-        );
-        let hits = ctx_par.cache.hits();
-        let misses = ctx_par.cache.misses();
-        let hit_rate = hits as f64 / ((hits + misses) as f64).max(1.0);
-        let strat = ctx_par.resultant_strategies();
-        println!(
-            "  resultant kernels: {} PRS / {} eval-interp / {} CRT ({} fallbacks)",
-            strat.prs, strat.eval_interp, strat.crt, strat.fallbacks
-        );
-        // Paired measurement — seq/par samples alternate, which config
-        // runs first alternates too (allocator/cache state systematically
-        // favours one position), and the reported speedup is the median of
-        // per-pair ratios — so clock drift on busy hosts cancels.
-        let reps = 5usize;
-        let mut seq_samples = Vec::with_capacity(reps);
-        let mut par_samples = Vec::with_capacity(reps);
-        let mut ratios = Vec::with_capacity(reps);
-        for rep in 0..reps {
-            let (t_seq, t_par) = if rep % 2 == 0 {
-                let a = time_median(3, || {
-                    let _ = run(1, PlanMode::ForceCAD);
-                });
-                let b = time_median(3, || {
-                    let _ = run(par_workers, PlanMode::ForceCAD);
-                });
-                (a, b)
-            } else {
-                let b = time_median(3, || {
-                    let _ = run(par_workers, PlanMode::ForceCAD);
-                });
-                let a = time_median(3, || {
-                    let _ = run(1, PlanMode::ForceCAD);
-                });
-                (a, b)
-            };
-            ratios.push(t_seq.as_secs_f64() / t_par.as_secs_f64().max(1e-12));
-            seq_samples.push(t_seq);
-            par_samples.push(t_par);
-        }
-        ratios.sort_by(f64::total_cmp);
-        let speedup = ratios[reps / 2];
-        seq_samples.sort();
-        par_samples.sort();
-        let t_seq = seq_samples[reps / 2];
-        let t_par = par_samples[reps / 2];
-        println!(
-            "  CAD, 6 conic disjuncts: workers=1 {t_seq:.2?}  workers={par_workers} {t_par:.2?}  speedup {speedup:.2}x  outputs equal: {equal}"
-        );
-        println!(
-            "  memo-cache: {hits} hits / {misses} misses (hit rate {:.1}%)",
-            hit_rate * 100.0
-        );
-        entries.push(format!(
-            "{{\"name\": \"cad_6_conic_disjuncts\", \"disjuncts\": 6, \"workers_seq\": 1, \"workers_par\": {par_workers}, \"seq_ms\": {:.3}, \"par_ms\": {:.3}, \"speedup\": {speedup:.3}, \"outputs_equal\": {equal}, \"cache_hits\": {hits}, \"cache_misses\": {misses}, \"cache_hit_rate\": {hit_rate:.3}, \"resultant_prs\": {}, \"resultant_eval_interp\": {}, \"resultant_crt\": {}, \"resultant_fallbacks\": {}, \"plan_subst\": {}, \"plan_fm\": {}, \"plan_quad\": {}, \"plan_cad\": {}, \"planned_matches_cad\": {planned_matches_cad}}}",
-            t_seq.as_secs_f64() * 1e3,
-            t_par.as_secs_f64() * 1e3,
-            strat.prs,
-            strat.eval_interp,
-            strat.crt,
-            strat.fallbacks,
-            plan.subst,
-            plan.fm,
-            plan.quad,
-            plan.cad
-        ));
-    }
-
-    // Workload B: repeated queries over the same stored relation with one
-    // shared context (the server scenario) — the memo-cache absorbs every
-    // projection resultant/discriminant after the first query, a speedup
-    // that holds even on a single hardware thread. Pinned to `ForceCAD`
-    // for the same reason as workload A: the cache under test is the CAD
-    // projection cache.
-    {
-        let rel = gen_poly_relation(85, 6, 2, 3);
-        let reps = 4usize;
-        let query_once = |ctx: &QeContext| {
-            let mut db = Database::new();
-            db.insert("R", rel.clone());
-            let q = Formula::exists(1, Formula::Rel("R".into(), vec![0, 1]));
-            let out = evaluate_query(&db, &q, 2, ctx).unwrap();
-            out.relation
-        };
-        let t_cold = time_median(3, || {
-            for _ in 0..reps {
-                let ctx = QeContext::exact()
-                    .with_workers(1)
-                    .with_plan_mode(PlanMode::ForceCAD);
-                let _ = query_once(&ctx);
-            }
-        });
-        let shared = QeContext::exact()
-            .with_workers(1)
-            .with_plan_mode(PlanMode::ForceCAD);
-        let baseline = query_once(&shared); // warm the cache once
-        let t_warm = time_median(3, || {
-            for _ in 0..reps {
-                let r = query_once(&shared);
-                assert_eq!(r, baseline, "warm-cache result diverged");
-            }
-        });
-        let speedup = t_cold.as_secs_f64() / t_warm.as_secs_f64().max(1e-12);
-        let hits = shared.cache.hits();
-        let misses = shared.cache.misses();
-        let hit_rate = hits as f64 / ((hits + misses) as f64).max(1.0);
-        let entries_now = shared.cache.len();
-        let capacity = shared.cache.capacity();
-        let evictions = shared.cache.evictions();
-        assert!(
-            entries_now <= capacity,
-            "cache occupancy {entries_now} exceeds capacity {capacity}"
-        );
-        println!(
-            "  repeated query (x{reps}), shared cache: cold {t_cold:.2?}  warm {t_warm:.2?}  speedup {speedup:.2}x"
-        );
-        println!(
-            "  memo-cache: {hits} hits / {misses} misses (hit rate {:.1}%), {entries_now}/{capacity} entries, {evictions} evictions",
-            hit_rate * 100.0
-        );
-        entries.push(format!(
-            "{{\"name\": \"warm_cache_repeated_query\", \"disjuncts\": 6, \"repetitions\": {reps}, \"cold_ms\": {:.3}, \"warm_ms\": {:.3}, \"speedup\": {speedup:.3}, \"cache_hits\": {hits}, \"cache_misses\": {misses}, \"cache_hit_rate\": {hit_rate:.3}, \"cache_entries\": {entries_now}, \"cache_capacity\": {capacity}, \"cache_evictions\": {evictions}}}",
-            t_cold.as_secs_f64() * 1e3,
-            t_warm.as_secs_f64() * 1e3
-        ));
-    }
-
-    // Workload C: the projection kernel in isolation — all pairwise
-    // resultants of 12 random degree-4 bivariate polynomials, recomputed
-    // from scratch vs served from a warmed memo-cache. This isolates the
-    // cache's algorithmic win from thread scheduling, so it holds on any
-    // hardware (including a single core).
-    {
-        let polys: Vec<_> = gen_poly_relation(91, 12, 4, 10)
-            .tuples()
-            .iter()
-            .map(|t| t.atoms()[0].poly.clone())
-            .collect();
-        let npairs = polys.len() * (polys.len() - 1) / 2;
-        let direct = || {
-            for (i, p) in polys.iter().enumerate() {
-                for q in &polys[i + 1..] {
-                    let _ = cdb_poly::resultant::resultant(p, q, 1);
-                }
-            }
-        };
-        let cache = cdb_qe::AlgebraicCache::new();
-        for (i, p) in polys.iter().enumerate() {
-            for q in &polys[i + 1..] {
-                let _ = cache.resultant(p, q, 1); // warm
-            }
-        }
-        let cached = || {
-            for (i, p) in polys.iter().enumerate() {
-                for q in &polys[i + 1..] {
-                    let _ = cache.resultant(p, q, 1);
-                }
-            }
-        };
-        // Cached lookups agree with direct computation.
-        let equal = polys.iter().enumerate().all(|(i, p)| {
-            polys[i + 1..]
-                .iter()
-                .all(|q| cache.resultant(p, q, 1) == cdb_poly::resultant::resultant(p, q, 1))
-        });
-        assert!(equal, "cached resultant diverged from direct computation");
-        let t_direct = time_median(5, direct);
-        let t_cached = time_median(5, cached);
-        let speedup = t_direct.as_secs_f64() / t_cached.as_secs_f64().max(1e-12);
-        println!(
-            "  projection kernel, {npairs} resultants of degree-4 pairs: direct {t_direct:.2?}  warm cache {t_cached:.2?}  speedup {speedup:.2}x"
-        );
-        entries.push(format!(
-            "{{\"name\": \"projection_kernel_cached\", \"polys\": {}, \"resultant_pairs\": {npairs}, \"direct_ms\": {:.3}, \"cached_ms\": {:.3}, \"speedup\": {speedup:.3}, \"outputs_equal\": {equal}}}",
-            polys.len(),
-            t_direct.as_secs_f64() * 1e3,
-            t_cached.as_secs_f64() * 1e3
-        ));
-    }
-
-    // Workload D: bounded cache under a long-lived context — far more
-    // distinct Sturm chains than the capacity admits; the LRU eviction
-    // keeps occupancy at the cap instead of growing without bound.
-    {
-        let capacity = 64usize;
-        let cache = cdb_qe::AlgebraicCache::with_capacity(capacity);
-        let keys = 10 * capacity;
-        for i in 0..keys {
-            // x² − i: a fresh cache key per polynomial.
-            let p =
-                cdb_poly::UPoly::from_coeffs(vec![Rat::from(-(i as i64)), Rat::zero(), Rat::one()]);
-            let _ = cache.sturm(&p);
-        }
-        let occupancy = cache.len();
-        let evictions = cache.evictions();
-        let shard_counts = cache.shard_entry_counts();
-        assert!(
-            occupancy <= capacity,
-            "bounded cache grew past its capacity: {occupancy} > {capacity}"
-        );
-        assert!(evictions > 0, "no evictions despite {keys} distinct keys");
-        println!(
-            "  bounded cache, {keys} distinct keys at capacity {capacity}: occupancy {occupancy}, {evictions} evictions"
-        );
-        entries.push(format!(
-            "{{\"name\": \"bounded_cache_eviction\", \"distinct_keys\": {keys}, \"cache_capacity\": {capacity}, \"cache_entries\": {occupancy}, \"cache_evictions\": {evictions}, \"shard_entry_counts\": {shard_counts:?}}}"
-        ));
-    }
-
-    // Polynomial-interner snapshot beside the memo-cache stats: every cache
-    // key above is an interned handle (O(1) hash), so the two caches'
-    // behaviour belongs in one artifact.
-    let ist = cdb_poly::intern::stats();
-    println!(
-        "  poly interner: {} entries (peak {}), {} hits / {} misses (hit rate {}), {} evictions, ~{} bytes shared",
-        ist.entries,
-        ist.peak_entries,
-        ist.hits,
-        ist.misses,
-        ist.hit_rate(),
-        ist.evictions,
-        ist.bytes_shared_estimate
-    );
-    let json = format!(
-        "{{\n  \"experiment\": \"e16_parallel_qe\",\n  \"hardware_threads\": {hw},\n  \"interner\": {{\"entries\": {}, \"peak_entries\": {}, \"hits\": {}, \"misses\": {}, \"hit_rate\": {}, \"evictions\": {}, \"bytes_shared_estimate\": {}}},\n  \"workloads\": [\n    {}\n  ]\n}}\n",
-        ist.entries,
-        ist.peak_entries,
-        ist.hits,
-        ist.misses,
-        ist.hit_rate(),
-        ist.evictions,
-        ist.bytes_shared_estimate,
-        entries.join(",\n    ")
-    );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_qe.json");
-    std::fs::write(path, &json).expect("write BENCH_qe.json");
-    println!("  wrote {path}");
-}
-
-/// E17 — semi-naive fixpoint vs the naive reference evaluator:
-/// QE-call counts, iterations, delta decay, and wall-clock on chain and
-/// cyclic transitive-closure inputs; results land in `BENCH_datalog.json`.
-fn e17() {
-    header(
-        "E17",
-        "semi-naive Datalog¬ fixpoint vs naive reference (QE calls + wall-clock)",
-    );
-    let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let tc_program = || Program {
-        rules: vec![
-            Rule::new(
-                "T",
-                vec![0, 1],
-                vec![Literal::Rel("E".into(), vec![0, 1])],
-                2,
-            )
-            .unwrap(),
-            Rule::new(
-                "T",
-                vec![0, 1],
-                vec![
-                    Literal::Rel("T".into(), vec![0, 2]),
-                    Literal::Rel("E".into(), vec![2, 1]),
-                ],
-                3,
-            )
-            .unwrap(),
-        ],
-    };
-    let mut entries: Vec<String> = Vec::new();
-    println!(
-        "  {:<16} {:>6} {:>10} {:>10} {:>9} {:>9} {:>10}",
-        "input", "iters", "naive QE", "semi QE", "naive t", "semi t", "equal"
-    );
-    for (name, edges) in [
-        ("chain_8", (0..8i64).map(|i| (i, i + 1)).collect::<Vec<_>>()),
-        (
-            "chain_12",
-            (0..12i64).map(|i| (i, i + 1)).collect::<Vec<_>>(),
-        ),
-        ("cycle_8", {
-            let mut v: Vec<_> = (0..8i64).map(|i| (i, i + 1)).collect();
-            v.push((8, 0));
-            v
-        }),
-    ] {
-        let pts: Vec<Vec<Rat>> = edges
-            .iter()
-            .map(|&(a, b)| vec![Rat::from(a), Rat::from(b)])
-            .collect();
-        let mut db = Database::new();
-        db.insert("E", ConstraintRelation::from_points(2, &pts));
-        let program = tc_program();
-
-        let ctx_naive = QeContext::exact();
-        let (out_naive, stats_naive) = program.run_naive(&db, &ctx_naive, 64).unwrap();
-        let ctx_semi = QeContext::exact();
-        let (out_semi, stats_semi) = program.run(&db, &ctx_semi, 64).unwrap();
-        // Agreement with the naive reference (finite inputs stay finite, so
-        // extents are canonical point sets and compare structurally).
-        let equal = out_semi.get("T") == out_naive.get("T");
-        assert!(equal, "{name}: semi-naive diverged from naive reference");
-        assert!(
-            stats_semi.qe_calls < stats_naive.qe_calls,
-            "{name}: semi-naive issued {} QE calls vs naive {}",
-            stats_semi.qe_calls,
-            stats_naive.qe_calls
-        );
-        let deltas: Vec<usize> = stats_semi
-            .per_iteration
-            .iter()
-            .map(|it| it.delta_tuples.iter().map(|(_, n)| n).sum())
-            .collect();
-        println!(
-            "  {name:<16} {:>6} {:>10} {:>10} {:>9.2?} {:>9.2?} {:>10}",
-            stats_semi.iterations,
-            stats_naive.qe_calls,
-            stats_semi.qe_calls,
-            stats_naive.wall,
-            stats_semi.wall,
-            equal
-        );
-        println!("    delta tuples per round: {deltas:?}");
-        entries.push(format!(
-            "{{\"name\": \"{name}\", \"edges\": {}, \"iterations\": {}, \"naive_qe_calls\": {}, \"semi_naive_qe_calls\": {}, \"naive_ms\": {:.3}, \"semi_naive_ms\": {:.3}, \"delta_tuples_per_round\": {deltas:?}, \"outputs_equal\": {equal}}}",
-            edges.len(),
-            stats_semi.iterations,
-            stats_naive.qe_calls,
-            stats_semi.qe_calls,
-            stats_naive.wall.as_secs_f64() * 1e3,
-            stats_semi.wall.as_secs_f64() * 1e3
-        ));
-    }
-    let json = format!(
-        "{{\n  \"experiment\": \"e17_semi_naive_fixpoint\",\n  \"hardware_threads\": {hw},\n  \"inputs\": [\n    {}\n  ]\n}}\n",
-        entries.join(",\n    ")
-    );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_datalog.json");
-    std::fs::write(path, &json).expect("write BENCH_datalog.json");
-    println!("  wrote {path}");
-}
-
-/// E18 — split-word float filter under the algebraic hot kernels: filter
-/// hit rates and before/after wall-clock on root isolation and the E16 CAD
-/// workloads, with a byte-identity differential check (filter on vs off);
-/// results land in `BENCH_kernels.json`.
-///
-/// The filter only short-circuits sign decisions the exact path would have
-/// confirmed (DESIGN.md §8), so every workload asserts that the filtered run
-/// produces *byte-identical* output before reporting its speedup.
-fn e18() {
-    header(
-        "E18",
-        "split-word float filter + small-int fast path (filter off vs on, exact outputs)",
-    );
-    let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
-    println!("  hardware threads: {hw} (all runs sequential: workers=1)");
-    let mut entries: Vec<String> = Vec::new();
-    let mut total_hits = 0u64;
-    let mut total_fallbacks = 0u64;
-    let mut all_equal = true;
-
-    // Workload A: root-isolation microbench — Sturm isolation plus
-    // bisection refinement of 24 random degree-9 polynomials with 12-bit
-    // coefficients. Every Sturm-chain sign evaluation goes through the
-    // filter; the exact path runs only on zero-straddles.
-    {
-        let polys: Vec<UPoly> = (0..24).map(|i| gen_upoly(1800 + i, 9, 12)).collect();
-        let eps: Rat = "1/1048576".parse().unwrap();
-        let run = || {
-            let mut widths = Vec::new();
-            for p in &polys {
-                for loc in isolate_real_roots(p) {
-                    widths.push(refine_to_width(p, &loc, &eps));
-                }
-            }
-            widths
-        };
-        cdb_num::fintv::set_filter_enabled(false);
-        let out_off = run();
-        let t_off = time_median(3, || {
-            let _ = run();
-        });
-        cdb_num::fintv::set_filter_enabled(true);
-        let (h0, f0) = cdb_num::fintv::filter_counters();
-        let out_on = run();
-        let (h1, f1) = cdb_num::fintv::filter_counters();
-        let t_on = time_median(3, || {
-            let _ = run();
-        });
-        let equal = out_off == out_on;
-        assert!(equal, "filtered root isolation diverged from exact");
-        let (hits, fallbacks) = (h1 - h0, f1 - f0);
-        let hit_rate = hits as f64 / ((hits + fallbacks) as f64).max(1.0);
-        let speedup = t_off.as_secs_f64() / t_on.as_secs_f64().max(1e-12);
-        total_hits += hits;
-        total_fallbacks += fallbacks;
-        all_equal &= equal;
-        println!(
-            "  root isolation, 24 degree-9 polys ({} roots): filter off {t_off:.2?}  on {t_on:.2?}  speedup {speedup:.2}x  outputs equal: {equal}",
-            out_on.len()
-        );
-        println!(
-            "  filter: {hits} hits / {fallbacks} exact fallbacks (hit rate {:.1}%)",
-            hit_rate * 100.0
-        );
-        entries.push(format!(
-            "{{\"name\": \"root_isolation_refine\", \"polys\": 24, \"degree\": 9, \"roots\": {}, \"filter_off_ms\": {:.3}, \"filter_on_ms\": {:.3}, \"speedup\": {speedup:.3}, \"filter_hits\": {hits}, \"filter_fallbacks\": {fallbacks}, \"filter_hit_rate\": {hit_rate:.3}, \"outputs_equal\": {equal}}}",
-            out_on.len(),
-            t_off.as_secs_f64() * 1e3,
-            t_on.as_secs_f64() * 1e3
-        ));
-    }
-
-    // Workload B: the E16 conic CAD workload (6 random conics, ∃x₁),
-    // sequential, filter off vs on. Byte-identity is checked on the printed
-    // form of the output relation — the strongest observable equality.
-    {
-        let rel = gen_poly_relation(79, 6, 2, 3);
-        let run = || {
-            let mut db = Database::new();
-            db.insert("R", rel.clone());
-            let q = Formula::exists(1, Formula::Rel("R".into(), vec![0, 1]));
-            let ctx = QeContext::exact().with_workers(1);
-            let out = evaluate_query(&db, &q, 2, &ctx).unwrap();
-            (format!("{}", out.relation), ctx)
-        };
-        cdb_num::fintv::set_filter_enabled(false);
-        let (s_off, _) = run();
-        let t_off = time_median(3, || {
-            let _ = run();
-        });
-        cdb_num::fintv::set_filter_enabled(true);
-        let (s_on, ctx_on) = run();
-        let t_on = time_median(3, || {
-            let _ = run();
-        });
-        let equal = s_off == s_on;
-        assert!(
-            equal,
-            "filtered CAD output diverged from exact (byte-level)"
-        );
-        let (hits, fallbacks) = (ctx_on.filter_hits(), ctx_on.filter_fallbacks());
-        let hit_rate = hits as f64 / ((hits + fallbacks) as f64).max(1.0);
-        let speedup = t_off.as_secs_f64() / t_on.as_secs_f64().max(1e-12);
-        total_hits += hits;
-        total_fallbacks += fallbacks;
-        all_equal &= equal;
-        println!(
-            "  CAD, 6 conic disjuncts: filter off {t_off:.2?}  on {t_on:.2?}  speedup {speedup:.2}x  outputs byte-equal: {equal}"
-        );
-        println!(
-            "  filter: {hits} hits / {fallbacks} exact fallbacks (hit rate {:.1}%)",
-            hit_rate * 100.0
-        );
-        entries.push(format!(
-            "{{\"name\": \"cad_6_conic_disjuncts\", \"disjuncts\": 6, \"workers\": 1, \"filter_off_ms\": {:.3}, \"filter_on_ms\": {:.3}, \"speedup\": {speedup:.3}, \"filter_hits\": {hits}, \"filter_fallbacks\": {fallbacks}, \"filter_hit_rate\": {hit_rate:.3}, \"outputs_equal\": {equal}}}",
-            t_off.as_secs_f64() * 1e3,
-            t_on.as_secs_f64() * 1e3
-        ));
-    }
-
-    // Workload C: E16's repeated-query scenario (4 cold repetitions over a
-    // fresh context each) — shows the filter win is complementary to the
-    // memo-cache: it compounds on the cache-cold part of the work.
-    {
-        let rel = gen_poly_relation(85, 6, 2, 3);
-        let reps = 4usize;
-        let run = || {
-            let mut last = String::new();
-            for _ in 0..reps {
-                let mut db = Database::new();
-                db.insert("R", rel.clone());
-                let q = Formula::exists(1, Formula::Rel("R".into(), vec![0, 1]));
-                let ctx = QeContext::exact().with_workers(1);
-                let out = evaluate_query(&db, &q, 2, &ctx).unwrap();
-                last = format!("{}", out.relation);
-            }
-            last
-        };
-        cdb_num::fintv::set_filter_enabled(false);
-        let s_off = run();
-        let t_off = time_median(3, || {
-            let _ = run();
-        });
-        cdb_num::fintv::set_filter_enabled(true);
-        let (h0, f0) = cdb_num::fintv::filter_counters();
-        let s_on = run();
-        let (h1, f1) = cdb_num::fintv::filter_counters();
-        let t_on = time_median(3, || {
-            let _ = run();
-        });
-        let equal = s_off == s_on;
-        assert!(equal, "filtered repeated query diverged from exact");
-        let (hits, fallbacks) = (h1 - h0, f1 - f0);
-        let hit_rate = hits as f64 / ((hits + fallbacks) as f64).max(1.0);
-        let speedup = t_off.as_secs_f64() / t_on.as_secs_f64().max(1e-12);
-        total_hits += hits;
-        total_fallbacks += fallbacks;
-        all_equal &= equal;
-        println!(
-            "  repeated query (x{reps}, cold contexts): filter off {t_off:.2?}  on {t_on:.2?}  speedup {speedup:.2}x  outputs byte-equal: {equal}"
-        );
-        println!(
-            "  filter: {hits} hits / {fallbacks} exact fallbacks (hit rate {:.1}%)",
-            hit_rate * 100.0
-        );
-        entries.push(format!(
-            "{{\"name\": \"repeated_query_cold\", \"disjuncts\": 6, \"repetitions\": {reps}, \"filter_off_ms\": {:.3}, \"filter_on_ms\": {:.3}, \"speedup\": {speedup:.3}, \"filter_hits\": {hits}, \"filter_fallbacks\": {fallbacks}, \"filter_hit_rate\": {hit_rate:.3}, \"outputs_equal\": {equal}}}",
-            t_off.as_secs_f64() * 1e3,
-            t_on.as_secs_f64() * 1e3
-        ));
-    }
-
-    // CI smoke assertions: the filter must actually fire, and every
-    // workload must have produced byte-identical output.
-    let total_rate = total_hits as f64 / ((total_hits + total_fallbacks) as f64).max(1.0);
-    assert!(total_hits > 0, "float filter never fired across E18");
-    assert!(all_equal, "some E18 workload diverged under the filter");
-    println!(
-        "  overall: {total_hits} hits / {total_fallbacks} fallbacks (hit rate {:.1}%), all outputs byte-identical",
-        total_rate * 100.0
-    );
-
-    let json = format!(
-        "{{\n  \"experiment\": \"e18_kernel_filter\",\n  \"hardware_threads\": {hw},\n  \"total_filter_hits\": {total_hits},\n  \"total_filter_fallbacks\": {total_fallbacks},\n  \"total_filter_hit_rate\": {total_rate:.3},\n  \"all_outputs_equal\": {all_equal},\n  \"workloads\": [\n    {}\n  ]\n}}\n",
-        entries.join(",\n    ")
-    );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_kernels.json");
-    std::fs::write(path, &json).expect("write BENCH_kernels.json");
-    println!("  wrote {path}");
-}
-
-/// E19 workload-B helper: a warm memo-table (keys inserted once) served
-/// `reps` times, returning the median lookup wall-clock and whether every
-/// lookup produced the inserted value. Keyed access only — iteration order
-/// never reaches any output (the same contract as cdb-qe's memo shards),
-/// hence the use-site allow.
-#[allow(clippy::disallowed_types)]
-fn warm_memo_lookups<K: std::hash::Hash + Eq, V: PartialEq>(
-    keys: &[K],
-    values: &[V],
-    reps: u32,
-) -> (std::time::Duration, bool) {
-    let map: std::collections::HashMap<&K, &V> = keys.iter().zip(values.iter()).collect();
-    let ok = keys
-        .iter()
-        .zip(values)
-        .all(|(k, v)| map.get(k).is_some_and(|got| **got == *v));
-    let t = time_median(3, || {
-        let mut served = 0usize;
-        for _ in 0..reps {
-            for k in keys {
-                if map.contains_key(k) {
-                    served += 1;
-                }
-            }
-        }
-        let _ = std::hint::black_box(served);
-    });
-    (t, ok)
-}
-
-/// E19 — hash-consed polynomial interner + flat-term representation: the
-/// interned `MPoly` against the retained seed representation
-/// (`cdb_poly::refimpl`) on the E16 conic-CAD workload, warm-cache repeated
-/// queries, the cache-key hashing cost, and the raw `mul`/`resultant`/`eval`
-/// kernels; results land in `BENCH_poly.json`.
-///
-/// Interning changes sharing, never values (DESIGN.md §10), so every
-/// workload asserts byte-identical output before reporting its speedup.
-fn e19() {
-    use cdb_poly::intern;
-    use cdb_poly::refimpl::{ref_resultant, RefPoly};
-    use std::collections::hash_map::DefaultHasher;
-    use std::hash::{Hash, Hasher};
-    header(
-        "E19",
-        "polynomial interner + flat terms (interned vs seed representation, exact outputs)",
-    );
-    let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
-    println!("  hardware threads: {hw} (all runs sequential: workers=1)");
-    let mut entries: Vec<String> = Vec::new();
-    let mut all_equal = true;
-
-    // Workload A: the E16 conic-CAD workload (6 random conics, ∃x₁),
-    // interner on vs off. Hash-consing must be invisible to results: byte
-    // identity is checked on the printed output relation.
-    {
-        let rel = gen_poly_relation(79, 6, 2, 3);
-        let run = || {
-            let mut db = Database::new();
-            db.insert("R", rel.clone());
-            let q = Formula::exists(1, Formula::Rel("R".into(), vec![0, 1]));
-            let ctx = QeContext::exact().with_workers(1);
-            let out = evaluate_query(&db, &q, 2, &ctx).unwrap();
-            format!("{}", out.relation)
-        };
-        intern::set_enabled(false);
-        let s_off = run();
-        let t_off = time_median(3, || {
-            let _ = run();
-        });
-        intern::set_enabled(true);
-        intern::clear();
-        intern::reset_metrics();
-        let s_on = run();
-        let st = intern::stats();
-        let t_on = time_median(3, || {
-            let _ = run();
-        });
-        let equal = s_off == s_on;
-        assert!(
-            equal,
-            "interned CAD output diverged from uninterned (byte-level)"
-        );
-        all_equal &= equal;
-        let speedup = t_off.as_secs_f64() / t_on.as_secs_f64().max(1e-12);
-        println!(
-            "  CAD, 6 conic disjuncts: interner off {t_off:.2?}  on {t_on:.2?}  speedup {speedup:.2}x  outputs byte-equal: {equal}"
-        );
-        println!(
-            "  interner: {} entries (peak {}), {} hits / {} misses (hit rate {}), {} evictions",
-            st.entries,
-            st.peak_entries,
-            st.hits,
-            st.misses,
-            st.hit_rate(),
-            st.evictions
-        );
-        entries.push(format!(
-            "{{\"name\": \"cad_6_conic_disjuncts\", \"disjuncts\": 6, \"workers\": 1, \"interner_off_ms\": {:.3}, \"interner_on_ms\": {:.3}, \"speedup\": {speedup:.3}, \"interner_entries\": {}, \"interner_peak_entries\": {}, \"interner_hits\": {}, \"interner_misses\": {}, \"interner_hit_rate\": {}, \"outputs_equal\": {equal}}}",
-            t_off.as_secs_f64() * 1e3,
-            t_on.as_secs_f64() * 1e3,
-            st.entries,
-            st.peak_entries,
-            st.hits,
-            st.misses,
-            st.hit_rate()
-        ));
-    }
-
-    // Workload B: repeated warm-cache queries — a projection memo-table
-    // (all 66 pairwise resultants of 12 random degree-4 conics, warmed
-    // once) served repeatedly under each key representation. A warm hit
-    // costs one key hash plus one equality check: the interned handle
-    // writes a precomputed u64 and compares by pointer, while the seed key
-    // re-walks its whole term map for both. This is the per-query cost the
-    // new representation removes from the server scenario.
-    {
-        let polys: Vec<MPoly> = gen_poly_relation(91, 12, 4, 10)
-            .tuples()
-            .iter()
-            .map(|t| t.atoms()[0].poly.clone())
-            .collect();
-        let ref_polys: Vec<RefPoly> = polys.iter().map(RefPoly::from_mpoly).collect();
-        let pairs: Vec<(usize, usize)> = (0..polys.len())
-            .flat_map(|i| (i + 1..polys.len()).map(move |j| (i, j)))
-            .collect();
-        let keys: Vec<(MPoly, MPoly)> = pairs
-            .iter()
-            .map(|&(i, j)| (polys[i].clone(), polys[j].clone()))
-            .collect();
-        let vals: Vec<MPoly> = pairs
-            .iter()
-            .map(|&(i, j)| cdb_poly::resultant::resultant(&polys[i], &polys[j], 1))
-            .collect();
-        let ref_keys: Vec<(RefPoly, RefPoly)> = pairs
-            .iter()
-            .map(|&(i, j)| (ref_polys[i].clone(), ref_polys[j].clone()))
-            .collect();
-        let ref_vals: Vec<RefPoly> = pairs
-            .iter()
-            .map(|&(i, j)| ref_resultant(&ref_polys[i], &ref_polys[j], 1))
-            .collect();
-        let t_direct = time_median(3, || {
-            for &(i, j) in &pairs {
-                let _ = cdb_poly::resultant::resultant(&polys[i], &polys[j], 1);
-            }
-        });
-        let reps = 300u32;
-        let (t_interned, ok_new) = warm_memo_lookups(&keys, &vals, reps);
-        let (t_seed, ok_seed) = warm_memo_lookups(&ref_keys, &ref_vals, reps);
-        let equal = ok_new
-            && ok_seed
-            && vals
-                .iter()
-                .zip(&ref_vals)
-                .all(|(a, b)| a.to_string() == b.to_string());
-        assert!(equal, "warm-cache lookups diverged between representations");
-        all_equal &= equal;
-        let lookups = reps as usize * keys.len();
-        let speedup = t_seed.as_secs_f64() / t_interned.as_secs_f64().max(1e-12);
-        let per_pass = t_interned.as_secs_f64() / f64::from(reps);
-        let vs_recompute = t_direct.as_secs_f64() / per_pass.max(1e-12);
-        println!(
-            "  warm-cache repeated queries, {lookups} lookups over {} resultants: seed keys {t_seed:.2?}  interned keys {t_interned:.2?}  speedup {speedup:.2}x  outputs equal: {equal}",
-            keys.len()
-        );
-        println!(
-            "  (one warm pass vs recomputing all {} resultants: {vs_recompute:.0}x)",
-            keys.len()
-        );
-        entries.push(format!(
-            "{{\"name\": \"warm_cache_repeated_query\", \"resultant_pairs\": {}, \"repetitions\": {reps}, \"lookups\": {lookups}, \"direct_ms\": {:.3}, \"seed_keys_ms\": {:.3}, \"interned_keys_ms\": {:.3}, \"speedup\": {speedup:.3}, \"speedup_vs_recompute\": {vs_recompute:.3}, \"outputs_equal\": {equal}}}",
-            keys.len(),
-            t_direct.as_secs_f64() * 1e3,
-            t_seed.as_secs_f64() * 1e3,
-            t_interned.as_secs_f64() * 1e3
-        ));
-    }
-
-    // Workload C: cache-key hashing cost in isolation. The seed
-    // representation re-walks every (monomial, coefficient) pair on each
-    // `Hash`; the interned handle writes one precomputed u64. Keys are the
-    // squares of 12 random degree-4 bivariate polynomials (dozens of terms
-    // each — the size a projection memo-key actually has).
-    {
-        let pool: Vec<MPoly> = gen_poly_relation(91, 12, 4, 10)
-            .tuples()
-            .iter()
-            .map(|t| t.atoms()[0].poly.clone())
-            .collect();
-        let keys: Vec<MPoly> = pool.iter().map(|p| p * p).collect();
-        let ref_keys: Vec<RefPoly> = keys.iter().map(RefPoly::from_mpoly).collect();
-        let equal = keys
-            .iter()
-            .zip(&ref_keys)
-            .all(|(a, b)| a.to_string() == b.to_string());
-        assert!(equal, "seed conversion of hashing keys diverged");
-        all_equal &= equal;
-        let rounds = 4_000u32;
-        let t_interned = time_median(3, || {
-            let mut acc = 0u64;
-            for _ in 0..rounds {
-                for k in &keys {
-                    let mut h = DefaultHasher::new();
-                    k.hash(&mut h);
-                    acc ^= h.finish();
-                }
-            }
-            let _ = std::hint::black_box(acc);
-        });
-        let t_seed = time_median(3, || {
-            let mut acc = 0u64;
-            for _ in 0..rounds {
-                for k in &ref_keys {
-                    let mut h = DefaultHasher::new();
-                    k.hash(&mut h);
-                    acc ^= h.finish();
-                }
-            }
-            let _ = std::hint::black_box(acc);
-        });
-        let reduction = t_seed.as_secs_f64() / t_interned.as_secs_f64().max(1e-12);
-        let hashes = rounds as usize * keys.len();
-        println!(
-            "  cache-key hashing, {hashes} hashes of {}-key set: seed {t_seed:.2?}  interned {t_interned:.2?}  cost reduction {reduction:.1}x",
-            keys.len()
-        );
-        entries.push(format!(
-            "{{\"name\": \"cache_key_hashing\", \"keys\": {}, \"hashes\": {hashes}, \"seed_ms\": {:.3}, \"interned_ms\": {:.3}, \"hash_cost_reduction\": {reduction:.3}, \"outputs_equal\": {equal}}}",
-            keys.len(),
-            t_seed.as_secs_f64() * 1e3,
-            t_interned.as_secs_f64() * 1e3
-        ));
-    }
-
-    // Workload D: the raw kernels head-to-head — all pairwise products and
-    // resultants of 12 random degree-4 bivariate polynomials, plus a 9-point
-    // grid evaluation, in both representations. Every rendered result (and
-    // every evaluated `Rat`) must agree byte-for-byte.
-    {
-        let polys: Vec<MPoly> = gen_poly_relation(91, 12, 4, 10)
-            .tuples()
-            .iter()
-            .map(|t| t.atoms()[0].poly.clone())
-            .collect();
-        let ref_polys: Vec<RefPoly> = polys.iter().map(RefPoly::from_mpoly).collect();
-        let npairs = polys.len() * (polys.len() - 1) / 2;
-        let pts: Vec<[Rat; 2]> = (-1i64..=1)
-            .flat_map(|x| (-1i64..=1).map(move |y| [Rat::from(x), Rat::from(y)]))
-            .collect();
-
-        let mul_new = || -> Vec<MPoly> {
-            let mut out = Vec::new();
-            for (i, p) in polys.iter().enumerate() {
-                for q in &polys[i + 1..] {
-                    out.push(p * q);
-                }
-            }
-            out
-        };
-        let mul_seed = || -> Vec<RefPoly> {
-            let mut out = Vec::new();
-            for (i, p) in ref_polys.iter().enumerate() {
-                for q in &ref_polys[i + 1..] {
-                    out.push(p * q);
-                }
-            }
-            out
-        };
-        let res_new = || -> Vec<MPoly> {
-            let mut out = Vec::new();
-            for (i, p) in polys.iter().enumerate() {
-                for q in &polys[i + 1..] {
-                    out.push(cdb_poly::resultant::resultant(p, q, 1));
-                }
-            }
-            out
-        };
-        let res_seed = || -> Vec<RefPoly> {
-            let mut out = Vec::new();
-            for (i, p) in ref_polys.iter().enumerate() {
-                for q in &ref_polys[i + 1..] {
-                    out.push(ref_resultant(p, q, 1));
-                }
-            }
-            out
-        };
-        let eval_new = || -> Vec<Rat> {
-            polys
-                .iter()
-                .flat_map(|p| pts.iter().map(|pt| p.eval(pt)))
-                .collect()
-        };
-        let eval_seed = || -> Vec<Rat> {
-            ref_polys
-                .iter()
-                .flat_map(|p| pts.iter().map(|pt| p.eval(pt)))
-                .collect()
-        };
-
-        let same = |a: &[MPoly], b: &[RefPoly]| {
-            a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_string() == y.to_string())
-        };
-        let mut equal = same(&mul_new(), &mul_seed());
-        equal &= same(&res_new(), &res_seed());
-        equal &= eval_new() == eval_seed();
-        assert!(equal, "raw kernel outputs diverged between representations");
-        all_equal &= equal;
-
-        let t_mul_new = time_median(5, || {
-            let _ = mul_new();
-        });
-        let t_mul_seed = time_median(5, || {
-            let _ = mul_seed();
-        });
-        let t_res_new = time_median(5, || {
-            let _ = res_new();
-        });
-        let t_res_seed = time_median(5, || {
-            let _ = res_seed();
-        });
-        let t_eval_new = time_median(5, || {
-            let _ = eval_new();
-        });
-        let t_eval_seed = time_median(5, || {
-            let _ = eval_seed();
-        });
-        let sp = |seed: std::time::Duration, new: std::time::Duration| {
-            seed.as_secs_f64() / new.as_secs_f64().max(1e-12)
-        };
-        let (sp_mul, sp_res, sp_eval) = (
-            sp(t_mul_seed, t_mul_new),
-            sp(t_res_seed, t_res_new),
-            sp(t_eval_seed, t_eval_new),
-        );
-        println!(
-            "  raw kernels, {npairs} pairs / {} grid evals:",
-            polys.len() * pts.len()
-        );
-        println!(
-            "    mul:       seed {t_mul_seed:.2?}  interned {t_mul_new:.2?}  speedup {sp_mul:.2}x"
-        );
-        println!(
-            "    resultant: seed {t_res_seed:.2?}  interned {t_res_new:.2?}  speedup {sp_res:.2}x"
-        );
-        println!(
-            "    eval:      seed {t_eval_seed:.2?}  interned {t_eval_new:.2?}  speedup {sp_eval:.2}x"
-        );
-        entries.push(format!(
-            "{{\"name\": \"raw_kernels\", \"polys\": {}, \"pairs\": {npairs}, \"grid_points\": {}, \"mul_seed_ms\": {:.3}, \"mul_interned_ms\": {:.3}, \"mul_speedup\": {sp_mul:.3}, \"resultant_seed_ms\": {:.3}, \"resultant_interned_ms\": {:.3}, \"resultant_speedup\": {sp_res:.3}, \"eval_seed_ms\": {:.3}, \"eval_interned_ms\": {:.3}, \"eval_speedup\": {sp_eval:.3}, \"outputs_equal\": {equal}}}",
-            polys.len(),
-            pts.len(),
-            t_mul_seed.as_secs_f64() * 1e3,
-            t_mul_new.as_secs_f64() * 1e3,
-            t_res_seed.as_secs_f64() * 1e3,
-            t_res_new.as_secs_f64() * 1e3,
-            t_eval_seed.as_secs_f64() * 1e3,
-            t_eval_new.as_secs_f64() * 1e3
-        ));
-    }
-
-    // CI smoke assertion: every workload produced byte-identical output.
-    assert!(
-        all_equal,
-        "some E19 workload diverged between representations"
-    );
-    let st = intern::stats();
-    println!(
-        "  overall: all outputs byte-identical; interner {} entries (peak {}), hit rate {}",
-        st.entries,
-        st.peak_entries,
-        st.hit_rate()
-    );
-
-    let json = format!(
-        "{{\n  \"experiment\": \"e19_poly_interner\",\n  \"hardware_threads\": {hw},\n  \"interner_entries\": {},\n  \"interner_peak_entries\": {},\n  \"interner_hits\": {},\n  \"interner_misses\": {},\n  \"interner_hit_rate\": {},\n  \"interner_evictions\": {},\n  \"interner_bytes_shared_estimate\": {},\n  \"all_outputs_equal\": {all_equal},\n  \"workloads\": [\n    {}\n  ]\n}}\n",
-        st.entries,
-        st.peak_entries,
-        st.hits,
-        st.misses,
-        st.hit_rate(),
-        st.evictions,
-        st.bytes_shared_estimate,
-        entries.join(",\n    ")
-    );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_poly.json");
-    std::fs::write(path, &json).expect("write BENCH_poly.json");
-    println!("  wrote {path}");
-}
-
-/// E20 — modular resultant kernels (DESIGN.md §11): the CRT and
-/// evaluation–interpolation tiers behind the `resultant` dispatcher versus
-/// the seed Bareiss/PRS path, with byte-identical outputs asserted across
-/// every applicable strategy. Writes `BENCH_resultant.json`.
-fn e20() {
-    use cdb_poly::resultant::{
-        resultant, resultant_with_strategy, set_fast_enabled, strategy_counters, Strategy,
-    };
-    header(
-        "E20",
-        "modular resultant kernels: CRT + eval-interp vs seed Bareiss PRS (exact outputs)",
-    );
-    let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
-    println!("  hardware threads: {hw} (all runs sequential: workers=1)");
-    let mut entries: Vec<String> = Vec::new();
-    let mut all_equal = true;
-    let base = strategy_counters();
-
-    // Compare the dispatcher result against every forced strategy that
-    // claims applicability, byte-for-byte.
-    let check_pairs =
-        |polys: &[MPoly], pairs: &[(usize, usize)], var: usize, want: &[String]| -> bool {
-            let mut ok = true;
-            for strat in [Strategy::Prs, Strategy::EvalInterp, Strategy::Crt] {
-                for (k, &(i, j)) in pairs.iter().enumerate() {
-                    if let Some(r) = resultant_with_strategy(&polys[i], &polys[j], var, strat) {
-                        ok &= r.to_string() == want[k];
-                    }
-                }
-            }
-            ok
-        };
-
-    // Workload A: the raw resultant kernel — all 66 pairwise resultants of
-    // 12 random degree-4 bivariate polynomials (the E19 Workload D set),
-    // fast kernels on (dispatcher: these route to CRT) vs off (the seed
-    // Bareiss/PRS path — the PR 5 baseline).
-    let raw_speedup;
-    {
-        let polys: Vec<MPoly> = gen_poly_relation(91, 12, 4, 10)
-            .tuples()
-            .iter()
-            .map(|t| t.atoms()[0].poly.clone())
-            .collect();
-        let pairs: Vec<(usize, usize)> = (0..polys.len())
-            .flat_map(|i| (i + 1..polys.len()).map(move |j| (i, j)))
-            .collect();
-        let run = || -> Vec<String> {
-            pairs
-                .iter()
-                .map(|&(i, j)| resultant(&polys[i], &polys[j], 1).to_string())
-                .collect()
-        };
-        set_fast_enabled(false);
-        let out_prs = run();
-        let t_prs = time_median(5, || {
-            let _ = run();
-        });
-        set_fast_enabled(true);
-        let out_fast = run();
-        let t_fast = time_median(5, || {
-            let _ = run();
-        });
-        let equal = out_prs == out_fast && check_pairs(&polys, &pairs, 1, &out_prs);
-        assert!(equal, "fast resultant kernels diverged from the seed PRS");
-        all_equal &= equal;
-        raw_speedup = t_prs.as_secs_f64() / t_fast.as_secs_f64().max(1e-12);
-        println!(
-            "  raw kernel, {} degree-4 pairs: PRS {t_prs:.2?}  fast {t_fast:.2?}  speedup {raw_speedup:.2}x  outputs byte-equal: {equal}",
-            pairs.len()
-        );
-        entries.push(format!(
-            "{{\"name\": \"raw_resultant_deg4_pairs\", \"polys\": {}, \"pairs\": {}, \"prs_ms\": {:.3}, \"fast_ms\": {:.3}, \"speedup\": {raw_speedup:.3}, \"outputs_equal\": {equal}}}",
-            polys.len(),
-            pairs.len(),
-            t_prs.as_secs_f64() * 1e3,
-            t_fast.as_secs_f64() * 1e3
-        ));
-    }
-
-    // Workload B: wide integer coefficients (~96 bits) — each CRT call needs
-    // several 62-bit primes and an exact symmetric-range reconstruction
-    // against the Hadamard-style bound.
-    {
-        let polys: Vec<MPoly> = gen_poly_relation(91, 6, 4, 10)
-            .tuples()
-            .iter()
-            .enumerate()
-            .map(|(i, t)| {
-                let big = Rat::from(&Int::pow2(96) + &Int::from(2 * i as i64 + 1));
-                &(&t.atoms()[0].poly * &MPoly::constant(big, 2)) + &MPoly::var(0, 2)
-            })
-            .collect();
-        let pairs: Vec<(usize, usize)> = (0..polys.len())
-            .flat_map(|i| (i + 1..polys.len()).map(move |j| (i, j)))
-            .collect();
-        let run = || -> Vec<String> {
-            pairs
-                .iter()
-                .map(|&(i, j)| resultant(&polys[i], &polys[j], 1).to_string())
-                .collect()
-        };
-        set_fast_enabled(false);
-        let out_prs = run();
-        let t_prs = time_median(3, || {
-            let _ = run();
-        });
-        set_fast_enabled(true);
-        let out_fast = run();
-        let t_fast = time_median(3, || {
-            let _ = run();
-        });
-        let equal = out_prs == out_fast && check_pairs(&polys, &pairs, 1, &out_prs);
-        assert!(equal, "multi-prime CRT diverged from the seed PRS");
-        all_equal &= equal;
-        let speedup = t_prs.as_secs_f64() / t_fast.as_secs_f64().max(1e-12);
-        println!(
-            "  96-bit coefficients, {} pairs (multi-prime CRT): PRS {t_prs:.2?}  fast {t_fast:.2?}  speedup {speedup:.2}x  outputs byte-equal: {equal}",
-            pairs.len()
-        );
-        entries.push(format!(
-            "{{\"name\": \"raw_resultant_96bit_coeffs\", \"polys\": {}, \"pairs\": {}, \"prs_ms\": {:.3}, \"fast_ms\": {:.3}, \"speedup\": {speedup:.3}, \"outputs_equal\": {equal}}}",
-            polys.len(),
-            pairs.len(),
-            t_prs.as_secs_f64() * 1e3,
-            t_fast.as_secs_f64() * 1e3
-        ));
-    }
-
-    // Workload C: strictly univariate degree-5 pairs — no surviving
-    // variable, so tier 1 is a single rational Euclid per pair with no
-    // interpolation step, and the dispatcher routes small-coefficient
-    // univariate calls there. This is the shape of the iterated-resultant
-    // tails in algebraic sample-point arithmetic.
-    {
-        let polys: Vec<MPoly> = (0..12)
-            .map(|i| MPoly::from_upoly(&gen_upoly(300 + i, 5, 8), 0, 1))
-            .collect();
-        let pairs: Vec<(usize, usize)> = (0..polys.len())
-            .flat_map(|i| (i + 1..polys.len()).map(move |j| (i, j)))
-            .collect();
-        let run = || -> Vec<String> {
-            pairs
-                .iter()
-                .map(|&(i, j)| resultant(&polys[i], &polys[j], 0).to_string())
-                .collect()
-        };
-        set_fast_enabled(false);
-        let out_prs = run();
-        let t_prs = time_median(5, || {
-            let _ = run();
-        });
-        set_fast_enabled(true);
-        let out_fast = run();
-        let t_fast = time_median(5, || {
-            let _ = run();
-        });
-        let equal = out_prs == out_fast && check_pairs(&polys, &pairs, 0, &out_prs);
-        assert!(equal, "univariate eval-interp diverged from the seed PRS");
-        all_equal &= equal;
-        let speedup = t_prs.as_secs_f64() / t_fast.as_secs_f64().max(1e-12);
-        println!(
-            "  univariate degree-5, {} pairs (tier-1 rational Euclid): PRS {t_prs:.2?}  fast {t_fast:.2?}  speedup {speedup:.2}x  outputs byte-equal: {equal}",
-            pairs.len()
-        );
-        entries.push(format!(
-            "{{\"name\": \"raw_resultant_univariate_deg5\", \"polys\": {}, \"pairs\": {}, \"prs_ms\": {:.3}, \"fast_ms\": {:.3}, \"speedup\": {speedup:.3}, \"outputs_equal\": {equal}}}",
-            polys.len(),
-            pairs.len(),
-            t_prs.as_secs_f64() * 1e3,
-            t_fast.as_secs_f64() * 1e3
-        ));
-    }
-
-    // Workload D: end-to-end conic CAD — the E16 workload (6 random conic
-    // disjuncts, ∃x₁) with kernels on vs off. Conic projections carry a
-    // surviving variable, so the dispatcher sends them to the modular CRT
-    // tier; the per-context strategy counters surface through
-    // `QeContext::resultant_strategies`.
-    {
-        let rel = gen_poly_relation(79, 6, 2, 3);
-        let run = || -> (String, cdb_qe::ResultantStrategies) {
-            let mut db = Database::new();
-            db.insert("R", rel.clone());
-            let q = Formula::exists(1, Formula::Rel("R".into(), vec![0, 1]));
-            let ctx = QeContext::exact().with_workers(1);
-            let out = evaluate_query(&db, &q, 2, &ctx).unwrap();
-            (format!("{}", out.relation), ctx.resultant_strategies())
-        };
-        set_fast_enabled(false);
-        let (s_off, _) = run();
-        let t_off = time_median(3, || {
-            let _ = run();
-        });
-        set_fast_enabled(true);
-        let (s_on, strat) = run();
-        let t_on = time_median(3, || {
-            let _ = run();
-        });
-        let equal = s_off == s_on;
-        assert!(equal, "CAD output changed under the fast resultant kernels");
-        all_equal &= equal;
-        let speedup = t_off.as_secs_f64() / t_on.as_secs_f64().max(1e-12);
-        println!(
-            "  conic CAD, 6 disjuncts: kernels off {t_off:.2?}  on {t_on:.2?}  speedup {speedup:.2}x  outputs byte-equal: {equal}"
-        );
-        println!(
-            "  CAD strategy counters: {} PRS / {} eval-interp / {} CRT ({} fallbacks)",
-            strat.prs, strat.eval_interp, strat.crt, strat.fallbacks
-        );
-        entries.push(format!(
-            "{{\"name\": \"cad_6_conic_disjuncts\", \"disjuncts\": 6, \"workers\": 1, \"kernels_off_ms\": {:.3}, \"kernels_on_ms\": {:.3}, \"speedup\": {speedup:.3}, \"cad_prs\": {}, \"cad_eval_interp\": {}, \"cad_crt\": {}, \"cad_fallbacks\": {}, \"outputs_equal\": {equal}}}",
-            t_off.as_secs_f64() * 1e3,
-            t_on.as_secs_f64() * 1e3,
-            strat.prs,
-            strat.eval_interp,
-            strat.crt,
-            strat.fallbacks
-        ));
-    }
-
-    // Workload E: dispatcher coverage — shapes that must stay on PRS: a
-    // linear pair (2×2 Sylvester matrix) and a trivariate pair (two
-    // auxiliary variables, outside the bivariate fast kernels).
-    {
-        let x = MPoly::var(0, 2);
-        let y = MPoly::var(1, 2);
-        let lin_p = &(&x + &y) + &MPoly::constant(Rat::from(3), 2);
-        let lin_q = &(&x - &y) + &MPoly::constant(Rat::from(1), 2);
-        let x3 = MPoly::var(0, 3);
-        let y3 = MPoly::var(1, 3);
-        let z3 = MPoly::var(2, 3);
-        let tri_p = &(&x3 * &x3) + &(&y3 * &z3);
-        let tri_q = &(&x3 * &y3) - &z3;
-        for (p, q) in [(&lin_p, &lin_q), (&tri_p, &tri_q)] {
-            set_fast_enabled(false);
-            let slow = resultant(p, q, 0).to_string();
-            set_fast_enabled(true);
-            let fast = resultant(p, q, 0).to_string();
-            let equal = slow == fast;
-            assert!(equal, "PRS-shaped input diverged under the dispatcher");
-            all_equal &= equal;
-        }
-        println!("  PRS-shaped inputs (linear pair, trivariate pair): outputs byte-equal: true");
-        entries.push(
-            "{\"name\": \"prs_shapes_linear_and_trivariate\", \"pairs\": 2, \"outputs_equal\": true}"
-                .to_string(),
-        );
-    }
-
-    // CI smoke assertions: byte identity everywhere, and the dispatcher
-    // exercised all three strategies at least once across the workloads.
-    let after = strategy_counters();
-    let (d_prs, d_eval, d_crt, d_fb) = (
-        after.0 - base.0,
-        after.1 - base.1,
-        after.2 - base.2,
-        after.3 - base.3,
-    );
-    let strategies_all_exercised = d_prs > 0 && d_eval > 0 && d_crt > 0;
-    assert!(all_equal, "some E20 workload diverged between strategies");
-    assert!(
-        strategies_all_exercised,
-        "E20 must exercise PRS, eval-interp and CRT at least once \
-         (got {d_prs}/{d_eval}/{d_crt})"
-    );
-    println!(
-        "  overall: all outputs byte-identical; strategies exercised: {d_prs} PRS / {d_eval} eval-interp / {d_crt} CRT ({d_fb} fallbacks); raw-kernel speedup {raw_speedup:.2}x"
-    );
-
-    let json = format!(
-        "{{\n  \"experiment\": \"e20_resultant_kernels\",\n  \"hardware_threads\": {hw},\n  \"raw_resultant_speedup\": {raw_speedup:.3},\n  \"strategy_prs\": {d_prs},\n  \"strategy_eval_interp\": {d_eval},\n  \"strategy_crt\": {d_crt},\n  \"strategy_fallbacks\": {d_fb},\n  \"strategies_all_exercised\": {strategies_all_exercised},\n  \"all_outputs_equal\": {all_equal},\n  \"workloads\": [\n    {}\n  ]\n}}\n",
-        entries.join(",\n    ")
-    );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_resultant.json");
-    std::fs::write(path, &json).expect("write BENCH_resultant.json");
-    println!("  wrote {path}");
-}
-
-/// E21 — incremental view maintenance under updates: `insert_tuples` on a
-/// materialized transitive closure (delta-seeded semi-naive resume) vs a
-/// from-scratch `run_datalog` of the updated base, swept over update batch
-/// sizes, with a byte-identity differential for workers ∈ {1, 4}; plus the
-/// retraction path (full recompute + cache invalidation) and a stale-cache
-/// differential. Results land in `BENCH_ivm.json`.
-fn e21() {
-    header(
-        "E21",
-        "incremental view maintenance vs full recompute (update path)",
-    );
-    let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let base_len = 24i64;
-    let tc = constraintdb::parse_program(
-        "T(x, y) :- E(x, y).\n\
-         T(x, y) :- T(x, z), E(z, y).",
-    )
-    .unwrap();
-    let base_edges: Vec<Vec<Rat>> = (0..base_len)
-        .map(|i| vec![Rat::from(i), Rat::from(i + 1)])
-        .collect();
-    let t_display =
-        |db: &constraintdb::ConstraintDb| db.relation("T").unwrap().display_with(&["x", "y"]);
-
-    let mut entries: Vec<String> = Vec::new();
-    let mut all_equal = true;
-    println!(
-        "  {:<8} {:>8} {:>12} {:>12} {:>9} {:>7}",
-        "batch", "inc runs", "incr t", "scratch t", "speedup", "equal"
-    );
-    for batch in [1usize, 2, 4, 8] {
-        let delta_points: Vec<Vec<Rat>> = (0..batch as i64)
-            .map(|k| vec![Rat::from(base_len + k), Rat::from(base_len + k + 1)])
-            .collect();
-        let delta: Vec<GeneralizedTuple> = delta_points
-            .iter()
-            .map(|p| GeneralizedTuple::point(p))
-            .collect();
-        let mut displays: Vec<String> = Vec::new();
-        let mut inc_ms = 0.0f64;
-        let mut full_ms = 0.0f64;
-        let mut inc_reruns = 0usize;
-        for workers in [1usize, 4] {
-            // Incremental: materialize on the base, then update.
-            let mut db = constraintdb::ConstraintDb::new();
-            db.engine_mut().workers = workers;
-            db.insert_points("E", 2, &base_edges).unwrap();
-            db.run_datalog(&tc, 64).unwrap();
-            let t0 = std::time::Instant::now();
-            let report = db.insert_tuples("E", &delta).unwrap();
-            let inc_wall = t0.elapsed();
-            assert_eq!(report.full_reruns, 0, "insert must stay incremental");
-            assert!(!report.cache_invalidated, "pure inserts keep the cache");
-
-            // From scratch: the final base state, evaluated cold.
-            let mut all_edges = base_edges.clone();
-            all_edges.extend(delta_points.iter().cloned());
-            let mut scratch = constraintdb::ConstraintDb::new();
-            scratch.engine_mut().workers = workers;
-            scratch.insert_points("E", 2, &all_edges).unwrap();
-            let t1 = std::time::Instant::now();
-            scratch.run_datalog(&tc, 64).unwrap();
-            let full_wall = t1.elapsed();
-
-            displays.push(t_display(&db));
-            displays.push(t_display(&scratch));
-            if workers == 1 {
-                inc_ms = inc_wall.as_secs_f64() * 1e3;
-                full_ms = full_wall.as_secs_f64() * 1e3;
-                inc_reruns = report.incremental_reruns;
-            }
-        }
-        let equal = displays.windows(2).all(|w| w[0] == w[1]);
-        assert!(equal, "batch {batch}: incremental ≢ from-scratch");
-        all_equal &= equal;
-        let speedup = full_ms / inc_ms.max(1e-9);
-        println!(
-            "  {batch:<8} {inc_reruns:>8} {:>10.3}ms {:>10.3}ms {speedup:>8.2}x {equal:>7}",
-            inc_ms, full_ms
-        );
-        entries.push(format!(
-            "{{\"batch\": {batch}, \"base_edges\": {base_len}, \"incremental_reruns\": {inc_reruns}, \"incremental_ms\": {inc_ms:.3}, \"from_scratch_ms\": {full_ms:.3}, \"speedup\": {speedup:.3}, \"outputs_equal\": {equal}}}"
-        ));
-    }
-
-    // Retraction takes the destructive path: full recompute from base-head
-    // snapshots plus memo-cache invalidation, agreeing byte-for-byte with a
-    // from-scratch evaluation of the shrunken base.
-    let mut db = constraintdb::ConstraintDb::new();
-    db.insert_points("E", 2, &base_edges).unwrap();
-    db.run_datalog(&tc, 64).unwrap();
-    let mid = base_len / 2;
-    let report = db
-        .retract_tuples(
-            "E",
-            &[GeneralizedTuple::point(&[
-                Rat::from(mid),
-                Rat::from(mid + 1),
-            ])],
-        )
-        .unwrap();
-    let mut scratch = constraintdb::ConstraintDb::new();
-    let shrunk: Vec<Vec<Rat>> = base_edges
-        .iter()
-        .filter(|p| p[0] != Rat::from(mid))
-        .cloned()
-        .collect();
-    scratch.insert_points("E", 2, &shrunk).unwrap();
-    scratch.run_datalog(&tc, 64).unwrap();
-    let retract_full_recompute = report.full_reruns >= 1 && report.cache_invalidated;
-    let retract_consistent = t_display(&db) == t_display(&scratch);
-    assert!(retract_full_recompute, "{report:?}");
-    assert!(retract_consistent, "retraction diverged from from-scratch");
-    println!(
-        "  retract: full_reruns={} cache_invalidated={} consistent={retract_consistent}",
-        report.full_reruns, report.cache_invalidated
-    );
-
-    // Stale-cache differential: warm the shared memo-cache on a nonlinear
-    // relation, destructively replace the relation, and check the answer
-    // matches a database that never saw the old state (cold cache).
-    let mut warm = constraintdb::ConstraintDb::new();
-    warm.define("C", &["x", "y"], "x^2 + y^2 - 25 <= 0")
-        .unwrap();
-    let _ = warm
-        .query("exists y (C(x, y) and y^2 - x - 1 <= 0)")
-        .unwrap();
-    warm.define("C", &["x", "y"], "x^2 - y = 0").unwrap();
-    let after = warm.query("exists y (C(x, y) and y <= 4)").unwrap();
-    let mut cold = constraintdb::ConstraintDb::new();
-    cold.define("C", &["x", "y"], "x^2 - y = 0").unwrap();
-    let fresh = cold.query("exists y (C(x, y) and y <= 4)").unwrap();
-    let no_stale_cache_hits =
-        warm.cache().invalidations() >= 1 && after.display() == fresh.display();
-    assert!(no_stale_cache_hits, "stale cache answer after invalidation");
-    println!(
-        "  stale-cache differential: invalidations={} answers_equal={}",
-        warm.cache().invalidations(),
-        after.display() == fresh.display()
-    );
-
-    let all_outputs_equal = all_equal && retract_consistent && no_stale_cache_hits;
-    let json = format!(
-        "{{\n  \"experiment\": \"e21_incremental_view_maintenance\",\n  \"hardware_threads\": {hw},\n  \"all_outputs_equal\": {all_outputs_equal},\n  \"retract_full_recompute\": {retract_full_recompute},\n  \"no_stale_cache_hits\": {no_stale_cache_hits},\n  \"updates\": [\n    {}\n  ]\n}}\n",
-        entries.join(",\n    ")
-    );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_ivm.json");
-    std::fs::write(path, &json).expect("write BENCH_ivm.json");
-    println!("  wrote {path}");
-}
-
-/// Relative motion of objects `i` and `j` during slice `s`:
-/// `Δp + Δv·u` with `u = t − s ∈ [0, 1]`, as rational pairs.
-fn relative_motion(traj: &Trajectories, i: usize, j: usize, s: usize) -> ((Rat, Rat), (Rat, Rat)) {
-    let (pix, piy) = &traj.pos[i][s];
-    let (pjx, pjy) = &traj.pos[j][s];
-    let (vix, viy) = &traj.vel[i][s];
-    let (vjx, vjy) = &traj.vel[j][s];
-    ((pix - pjx, piy - pjy), (vix - vjx, viy - vjy))
-}
-
-/// Every 4th slice is a *sighting* slice: a mid-slice radar ping pins the
-/// time exactly (`t = s + 1/2`), so only proximity at the ping counts.
-fn is_sighting_slice(s: usize) -> bool {
-    s % 4 == 3
-}
-
-/// The alibi sentence matrix for one object pair over one time variable
-/// `t` (ring index 0): a disjunct per slice, quadratic in `t` with a
-/// constant leading coefficient `|Δv|²` (zero for convoy slices — those
-/// disjuncts are linear), plus the slice bounds. Sighting slices carry a
-/// linear equality instead of bounds.
-fn alibi_matrix(traj: &Trajectories, i: usize, j: usize, r2: &Rat) -> Formula {
-    let n = 1;
-    let t = MPoly::var(0, n);
-    let slices = traj.pos[i].len();
-    let mut disjuncts = Vec::with_capacity(slices);
-    for s in 0..slices {
-        let ((dpx, dpy), (dvx, dvy)) = relative_motion(traj, i, j, s);
-        let s_rat = Rat::from(s as i64);
-        let u = &t - &MPoly::constant(s_rat.clone(), n); // u = t − s
-        let dx = &MPoly::constant(dpx, n) + &u.scale(&dvx);
-        let dy = &MPoly::constant(dpy, n) + &u.scale(&dvy);
-        let q = &(&(&dx * &dx) + &(&dy * &dy)) - &MPoly::constant(r2.clone(), n);
-        let mut atoms = vec![Atom::new(q, RelOp::Le)];
-        if is_sighting_slice(s) {
-            let half = Rat::new(Int::from(1i64), Int::from(2i64));
-            let ping = &s_rat + &half;
-            atoms.push(Atom::new(&t - &MPoly::constant(ping, n), RelOp::Eq));
-        } else {
-            atoms.push(Atom::new(
-                &MPoly::constant(s_rat.clone(), n) - &t,
-                RelOp::Le,
-            ));
-            let s1 = &s_rat + &Rat::one();
-            atoms.push(Atom::new(&t - &MPoly::constant(s1, n), RelOp::Le));
-        }
-        disjuncts.push(Formula::And(atoms.into_iter().map(Formula::Atom).collect()));
-    }
-    Formula::Or(disjuncts).to_nnf()
-}
-
-/// Closed-form rational oracle for the alibi sentence: per slice, minimize
-/// `q(u) = A·u² + B·u + C` over `u ∈ [0, 1]` (endpoints, plus the vertex
-/// `u* = −B/2A` when it lies inside) — or evaluate at the ping for
-/// sighting slices. Pure `Rat` arithmetic, no QE involved.
-fn alibi_oracle(traj: &Trajectories, i: usize, j: usize, r2: &Rat) -> bool {
-    let slices = traj.pos[i].len();
-    let nonpos = |v: &Rat| v.sign() != cdb_num::Sign::Pos;
-    for s in 0..slices {
-        let ((dpx, dpy), (dvx, dvy)) = relative_motion(traj, i, j, s);
-        let a = &(&dvx * &dvx) + &(&dvy * &dvy);
-        let b = &(&(&dpx * &dvx) + &(&dpy * &dvy)) + &(&(&dpx * &dvx) + &(&dpy * &dvy));
-        let c = &(&(&dpx * &dpx) + &(&dpy * &dpy)) - r2;
-        let q_at = |u: &Rat| &(&(&(&a * u) + &b) * u) + &c;
-        if is_sighting_slice(s) {
-            let half = Rat::new(Int::from(1i64), Int::from(2i64));
-            if nonpos(&q_at(&half)) {
-                return true;
-            }
-            continue;
-        }
-        if nonpos(&q_at(&Rat::zero())) || nonpos(&q_at(&Rat::one())) {
-            return true;
-        }
-        if a.sign() == cdb_num::Sign::Pos {
-            let vertex = &(-&b) / &(&a + &a); // u* = −B / 2A
-            if vertex.sign() != cdb_num::Sign::Neg && vertex <= Rat::one() && nonpos(&q_at(&vertex))
-            {
-                return true;
-            }
-        }
-    }
-    false
-}
-
-/// E23 — moving objects & the alibi query (ROADMAP item): N
-/// piecewise-linear trajectories × T unit time slices with uncertainty
-/// beads of radius R/2 around each object; for every object pair, the
-/// sentence ∃t ⋁ₛ (s ≤ t ≤ s+1 ∧ |Δpₛ + Δvₛ·(t−s)|² ≤ R²) asks whether
-/// the beads ever touched. Per-disjunct planned QE vs the forced
-/// whole-relation CAD vs a closed-form rational oracle; results land in
-/// `BENCH_alibi.json`.
-fn e23() {
-    header(
-        "E23",
-        "moving objects: alibi sentences — per-disjunct planner vs forced CAD vs closed-form oracle",
-    );
-    let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let par_workers = hw.max(2);
-    let objects = 10usize;
-    let slices = 12usize;
-    let r2 = Rat::from(4i64); // R² (beads touch within distance 2)
-    let traj = gen_trajectories(123, objects, slices);
-    let pairs: Vec<(usize, usize)> = (0..objects)
-        .flat_map(|i| ((i + 1)..objects).map(move |j| (i, j)))
-        .collect();
-    let matrices: Vec<Formula> = pairs
-        .iter()
-        .map(|&(i, j)| alibi_matrix(&traj, i, j, &r2))
-        .collect();
-    println!(
-        "  {objects} objects x {slices} slices -> {} pair sentences, {} disjuncts each",
-        pairs.len(),
-        slices
-    );
-
-    // One sweep = eliminate ∃t from every pair sentence under one context
-    // (so the strategy counters accumulate across the whole sweep).
-    let sweep = |mode: PlanMode, workers: usize| {
-        let ctx = QeContext::exact()
-            .with_workers(workers)
-            .with_plan_mode(mode);
-        let mut printed = Vec::with_capacity(matrices.len());
-        let mut verdicts = Vec::with_capacity(matrices.len());
-        for m in &matrices {
-            let rel = m.to_dnf(1).unwrap().simplify().prune_empty_boxes();
-            let out =
-                cdb_qe::plan::eliminate_prefix(m, rel, &[(Quantifier::Exists, 0)], &[], 1, &ctx)
-                    .unwrap();
-            verdicts.push(out.satisfied_at(&[Rat::zero()]));
-            printed.push(format!("{out}"));
-        }
-        (ctx, printed, verdicts)
-    };
-
-    let (ctx_auto, out_auto1, v_auto) = sweep(PlanMode::Auto, 1);
-    let (_, out_auto_par, v_auto_par) = sweep(PlanMode::Auto, par_workers);
-    let (_, out_cad1, v_cad) = sweep(PlanMode::ForceCAD, 1);
-    let (_, out_cad_par, v_cad_par) = sweep(PlanMode::ForceCAD, par_workers);
-    let all_outputs_equal = out_auto1 == out_auto_par
-        && out_cad1 == out_cad_par
-        && v_auto == v_auto_par
-        && v_cad == v_cad_par
-        && v_auto == v_cad;
-    assert!(
-        all_outputs_equal,
-        "planned / forced-CAD alibi verdicts diverged across modes or worker counts"
-    );
-    let oracle: Vec<bool> = pairs
-        .iter()
-        .map(|&(i, j)| alibi_oracle(&traj, i, j, &r2))
-        .collect();
-    let oracle_matches = oracle == v_auto;
-    assert!(
-        oracle_matches,
-        "QE verdicts diverged from the closed-form oracle"
-    );
-    let close_pairs = v_auto.iter().filter(|&&v| v).count();
-    let stats = ctx_auto.plan_stats();
-    println!(
-        "  planner histogram: {} subst / {} FM / {} quad / {} CAD disjunct eliminations",
-        stats.subst, stats.fm, stats.quad, stats.cad
-    );
-    println!(
-        "  {} of {} pairs were ever within distance 2; oracle agrees: {oracle_matches}",
-        close_pairs,
-        pairs.len()
-    );
-
-    // Paired timing, median of per-pair ratios (same protocol as E16):
-    // forced-CAD sweep vs planned sweep, both at the parallel worker count.
-    let timed_sweep = |mode: PlanMode| {
-        let _ = sweep(mode, par_workers);
-    };
-    let reps = 5usize;
-    let mut cad_samples = Vec::with_capacity(reps);
-    let mut plan_samples = Vec::with_capacity(reps);
-    let mut ratios = Vec::with_capacity(reps);
-    for rep in 0..reps {
-        let (t_cad, t_plan) = if rep % 2 == 0 {
-            let a = time_median(3, || timed_sweep(PlanMode::ForceCAD));
-            let b = time_median(3, || timed_sweep(PlanMode::Auto));
-            (a, b)
-        } else {
-            let b = time_median(3, || timed_sweep(PlanMode::Auto));
-            let a = time_median(3, || timed_sweep(PlanMode::ForceCAD));
-            (a, b)
-        };
-        ratios.push(t_cad.as_secs_f64() / t_plan.as_secs_f64().max(1e-12));
-        cad_samples.push(t_cad);
-        plan_samples.push(t_plan);
-    }
-    ratios.sort_by(f64::total_cmp);
-    let speedup = ratios[reps / 2];
-    cad_samples.sort();
-    plan_samples.sort();
-    let t_cad = cad_samples[reps / 2];
-    let t_plan = plan_samples[reps / 2];
-    println!(
-        "  sweep wall time: forced CAD {t_cad:.2?}  planned {t_plan:.2?}  speedup {speedup:.2}x"
-    );
-
-    let json = format!(
-        "{{\n  \"experiment\": \"e23_moving_objects_alibi\",\n  \"hardware_threads\": {hw},\n  \"objects\": {objects},\n  \"slices\": {slices},\n  \"pairs\": {},\n  \"radius_sq\": \"{r2}\",\n  \"close_pairs\": {close_pairs},\n  \"forced_cad_ms\": {:.3},\n  \"planned_ms\": {:.3},\n  \"speedup_planned_vs_forced_cad\": {speedup:.3},\n  \"plan_subst\": {},\n  \"plan_fm\": {},\n  \"plan_quad\": {},\n  \"plan_cad\": {},\n  \"all_outputs_equal\": {all_outputs_equal},\n  \"oracle_matches\": {oracle_matches}\n}}\n",
-        pairs.len(),
-        t_cad.as_secs_f64() * 1e3,
-        t_plan.as_secs_f64() * 1e3,
-        stats.subst,
-        stats.fm,
-        stats.quad,
-        stats.cad
-    );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_alibi.json");
-    std::fs::write(path, &json).expect("write BENCH_alibi.json");
-    println!("  wrote {path}");
 }

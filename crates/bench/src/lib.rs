@@ -119,7 +119,7 @@ pub fn gen_upoly(seed: u64, degree: usize, bits: u32) -> cdb_poly::UPoly {
     cdb_poly::UPoly::from_ints(&coeffs)
 }
 
-/// A moving-objects scenario (E23): piecewise-linear 2-D trajectories over
+/// A moving-objects scenario (the `alibi_scan` workload): piecewise-linear 2-D trajectories over
 /// unit time slices. `pos[k][s]` is object `k`'s position at the start of
 /// slice `s`; `vel[k][s]` its (constant) velocity during slice `s`. Both
 /// are integer-valued rationals, so every derived constraint is exact.
@@ -194,7 +194,7 @@ mod tests {
     use cdb_qe::{evaluate_query, QeContext};
 
     /// The shape `alibi_scan` is made of — many cheap linear disjuncts —
-    /// runs on one code path whatever `workers` says: E16's 96-disjunct
+    /// runs on one code path whatever `workers` says: a 96-disjunct
     /// relation gives the same bytes at workers 1 and 4 and never reaches
     /// CAD, the only place `workers` is read.
     #[test]

@@ -21,6 +21,11 @@
 //!
 //! An identifier followed by `(` is a relation symbol inside formulas and
 //! an analytic function inside terms; aggregates are recognized by name.
+//!
+//! The descent recurses once per nested construct (parentheses, `not`,
+//! quantifier, unary minus, function argument, aggregate body), so input
+//! text controls the stack depth; [`MAX_NESTING`] bounds it and deeper
+//! input is a [`ParseError`], not a stack overflow.
 
 use crate::ast::{CFormula, CTerm};
 use crate::lexer::{tokenize, LexError, Token};
@@ -53,10 +58,21 @@ impl From<LexError> for ParseError {
     }
 }
 
+/// How many constructs may be open at once (parentheses, `not`,
+/// quantifiers, unary minus, function arguments, aggregate bodies, counted
+/// together). A level costs a few KiB of stack here and in the passes that
+/// later walk the tree, so this keeps a hostile statement far inside a
+/// 2 MiB thread stack while no hand-written query comes near it.
+const MAX_NESTING: usize = 256;
+
 /// Parse a CALC_F formula from source text.
 pub fn parse_formula(src: &str) -> Result<CFormula, ParseError> {
     let tokens = tokenize(src)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser {
+        tokens,
+        pos: 0,
+        depth: 0,
+    };
     let f = p.formula()?;
     if p.pos != p.tokens.len() {
         return Err(ParseError {
@@ -69,9 +85,28 @@ pub fn parse_formula(src: &str) -> Result<CFormula, ParseError> {
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Constructs currently open (see [`MAX_NESTING`]).
+    depth: usize,
 }
 
 impl Parser {
+    /// Run `inner` one nesting level down; every recursive arm of the
+    /// grammar goes through here.
+    fn nested<T>(
+        &mut self,
+        inner: impl FnOnce(&mut Parser) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        if self.depth == MAX_NESTING {
+            return Err(ParseError {
+                message: format!("nesting deeper than {MAX_NESTING} levels"),
+            });
+        }
+        self.depth += 1;
+        let out = inner(self);
+        self.depth -= 1;
+        out
+    }
+
     fn peek(&self) -> Option<&Token> {
         self.tokens.get(self.pos)
     }
@@ -144,17 +179,23 @@ impl Parser {
         match self.peek() {
             Some(Token::Not) => {
                 self.next();
-                Ok(CFormula::Not(Box::new(self.unary_formula()?)))
+                Ok(CFormula::Not(Box::new(self.nested(Parser::unary_formula)?)))
             }
             Some(Token::Exists) => {
                 self.next();
                 let v = self.ident()?;
-                Ok(CFormula::Exists(v, Box::new(self.unary_formula()?)))
+                Ok(CFormula::Exists(
+                    v,
+                    Box::new(self.nested(Parser::unary_formula)?),
+                ))
             }
             Some(Token::Forall) => {
                 self.next();
                 let v = self.ident()?;
-                Ok(CFormula::Forall(v, Box::new(self.unary_formula()?)))
+                Ok(CFormula::Forall(
+                    v,
+                    Box::new(self.nested(Parser::unary_formula)?),
+                ))
             }
             Some(Token::True) => {
                 self.next();
@@ -169,7 +210,7 @@ impl Parser {
                 // beginning an atom; try formula first with backtracking.
                 let save = self.pos;
                 self.next();
-                if let Ok(f) = self.formula() {
+                if let Ok(f) = self.nested(Parser::formula) {
                     if self.peek() == Some(&Token::RParen) {
                         self.next();
                         // If a comparison operator follows, it was a term.
@@ -215,7 +256,7 @@ impl Parser {
                 }
                 self.expect(&Token::RBracket)?;
                 self.expect(&Token::LBrace)?;
-                let body = self.formula()?;
+                let body = self.nested(Parser::formula)?;
                 self.expect(&Token::RBrace)?;
                 if self.peek_cmp().is_none() {
                     return Ok(CFormula::EvalPred(vars, Box::new(body)));
@@ -309,7 +350,7 @@ impl Parser {
     fn factor(&mut self) -> Result<CTerm, ParseError> {
         if self.peek() == Some(&Token::Minus) {
             self.next();
-            return Ok(CTerm::Neg(Box::new(self.factor()?)));
+            return Ok(CTerm::Neg(Box::new(self.nested(Parser::factor)?)));
         }
         self.power()
     }
@@ -346,7 +387,7 @@ impl Parser {
                 Ok(CTerm::Const(r))
             }
             Some(Token::LParen) => {
-                let t = self.term()?;
+                let t = self.nested(Parser::term)?;
                 self.expect(&Token::RParen)?;
                 Ok(t)
             }
@@ -362,7 +403,7 @@ impl Parser {
                         }
                         self.expect(&Token::RBracket)?;
                         self.expect(&Token::LBrace)?;
-                        let body = self.formula()?;
+                        let body = self.nested(Parser::formula)?;
                         self.expect(&Token::RBrace)?;
                         return Ok(CTerm::Agg(agg, vars, Box::new(body)));
                     }
@@ -371,7 +412,7 @@ impl Parser {
                 if let Some(f) = AnalyticFn::by_name(&name) {
                     if self.peek() == Some(&Token::LParen) {
                         self.next();
-                        let arg = self.term()?;
+                        let arg = self.nested(Parser::term)?;
                         self.expect(&Token::RParen)?;
                         return Ok(CTerm::Apply(f, Box::new(arg)));
                     }
@@ -486,6 +527,55 @@ mod tests {
         assert!(parse_formula("x <=").is_err());
         assert!(parse_formula("x <= 1 garbage").is_err());
         assert!(parse_formula("S(x,) <= 1").is_err());
+    }
+
+    /// Each recursive construct parses at [`MAX_NESTING`] levels and is a
+    /// typed error one level deeper — and at sizes an unbounded descent
+    /// cannot survive (test threads have the 2 MiB a session thread has).
+    #[test]
+    fn nesting_is_bounded_per_construct() {
+        type Wrap = fn(usize) -> String;
+        let constructs: [(&str, Wrap, usize); 6] = [
+            (
+                "formula parens",
+                |n| format!("{}x <= 0{}", "(".repeat(n), ")".repeat(n)),
+                5_000,
+            ),
+            (
+                "term parens",
+                |n| format!("{}x{} <= 0", "(".repeat(n), ")".repeat(n)),
+                5_000,
+            ),
+            ("not", |n| format!("{}x <= 0", "not ".repeat(n)), 10_000),
+            (
+                "unary minus",
+                |n| format!("0 <= {}x", "- ".repeat(n)),
+                10_000,
+            ),
+            (
+                "quantifier",
+                |n| format!("{}x <= 0", "exists v ".repeat(n)),
+                10_000,
+            ),
+            (
+                "function argument",
+                |n| format!("{}x{} <= 0", "sin(".repeat(n), ")".repeat(n)),
+                5_000,
+            ),
+        ];
+        for (what, wrap, hostile) in constructs {
+            assert!(parse_formula(&wrap(MAX_NESTING)).is_ok(), "{what} at limit");
+            for n in [MAX_NESTING + 1, hostile] {
+                let err = parse_formula(&wrap(n)).expect_err(what);
+                assert!(err.message.contains("nesting deeper"), "{what}: {err}");
+            }
+        }
+        // Aggregate bodies count too, and levels of different kinds add up.
+        let agg = |n: usize| format!("z = {}0{}", "MIN[v]{ v = ".repeat(n), " }".repeat(n));
+        assert!(parse_formula(&agg(MAX_NESTING)).is_ok());
+        assert!(parse_formula(&agg(MAX_NESTING + 1)).is_err());
+        let mixed = format!("{}(x <= 0)", "not ".repeat(MAX_NESTING));
+        assert!(parse_formula(&mixed).is_err());
     }
 
     #[test]

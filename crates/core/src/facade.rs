@@ -8,7 +8,7 @@ use cdb_datalog::{DatalogError, FixpointStats, Program, DELTA_PREFIX};
 use cdb_num::Rat;
 use cdb_qe::pipeline::numerical_evaluation;
 use cdb_qe::{AlgebraicCache, QeContext, QeError};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 /// Errors from the facade.
@@ -290,6 +290,18 @@ impl ConstraintDb {
         Ok(())
     }
 
+    /// Reject a column list that names one variable twice: positional
+    /// binding would silently keep the last position only.
+    pub(crate) fn check_distinct_vars(name: &str, vars: &[&str]) -> Result<(), DbError> {
+        let mut seen = BTreeSet::new();
+        match vars.iter().find(|v| !seen.insert(**v)) {
+            Some(v) => Err(DbError::Schema(format!(
+                "relation {name} has repeated variable {v}"
+            ))),
+            None => Ok(()),
+        }
+    }
+
     /// [`DbError::ArityMismatch`] if `name` exists with an arity other
     /// than `requested`.
     fn check_arity(&self, name: &str, requested: usize) -> Result<(), DbError> {
@@ -340,6 +352,7 @@ impl ConstraintDb {
     /// otherwise) and refreshes everything that reads *it*.
     pub fn define(&mut self, name: &str, vars: &[&str], src: &str) -> Result<(), DbError> {
         Self::check_schema(name, vars.len())?;
+        Self::check_distinct_vars(name, vars)?;
         self.check_arity(name, vars.len())?;
         let rel = self.engine.compile_relation(&self.db, vars, src)?;
         let reads = formula_reads(&cdb_calcf::parse_formula(src).map_err(CalcFError::from)?);
@@ -416,8 +429,8 @@ impl ConstraintDb {
     }
 
     /// Declare the variable names of an existing relation (count must
-    /// match its arity). The names are cosmetic — display and storage —
-    /// so no recompilation happens.
+    /// match its arity, no name twice). The names are cosmetic — display
+    /// and storage — so no recompilation happens.
     pub fn rename_vars(&mut self, name: &str, vars: &[&str]) -> Result<(), DbError> {
         let Some(rel) = self.db.get(name) else {
             return Err(DbError::Schema(format!("no relation named {name}")));
@@ -429,6 +442,7 @@ impl ConstraintDb {
                 requested: vars.len(),
             });
         }
+        Self::check_distinct_vars(name, vars)?;
         let var_names: Vec<String> = vars.iter().map(|v| (*v).to_owned()).collect();
         match self.catalog.get_mut(name) {
             Some(meta) => meta.var_names = var_names,
@@ -621,6 +635,23 @@ mod tests {
         let mut db = ConstraintDb::new();
         let err = db.define("R", &["x"], "x <= y");
         assert!(err.is_err(), "undeclared variable must be rejected");
+    }
+
+    /// Accepting `P(x, x) := x <= 1` would bind only the last position:
+    /// `P(a, b)` would answer `b - 1 <= 0`.
+    #[test]
+    fn repeated_column_names_rejected() {
+        let mut db = ConstraintDb::new();
+        let err = db.define("P", &["x", "x"], "x <= 1").unwrap_err();
+        assert!(
+            matches!(&err, DbError::Schema(m) if m.contains("repeated variable x")),
+            "{err}"
+        );
+        assert!(db.relation("P").is_none());
+        db.insert("Q", ConstraintRelation::empty(3)).unwrap();
+        let err = db.rename_vars("Q", &["a", "b", "a"]).unwrap_err();
+        assert!(matches!(err, DbError::Schema(_)), "{err}");
+        assert_eq!(db.var_names("Q").unwrap(), ["v0", "v1", "v2"]);
     }
 
     #[test]

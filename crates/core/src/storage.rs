@@ -55,7 +55,8 @@ pub fn save(db: &ConstraintDb) -> Result<String, DbError> {
 /// Variable names from the relation heads are recorded in the catalog, so
 /// save → load → save is byte-identical. A nullary head `relation X()` is
 /// rejected with [`DbError::Storage`] (the seed implementation silently
-/// loaded it at arity 1 — schema drift).
+/// loaded it at arity 1 — schema drift); a head that repeats a variable
+/// is rejected with the facade's [`DbError::Schema`].
 pub fn load(text: &str) -> Result<ConstraintDb, DbError> {
     let mut db = ConstraintDb::new();
     let mut lines = text.lines().peekable();
@@ -91,6 +92,7 @@ pub fn load(text: &str) -> Result<ConstraintDb, DbError> {
             )));
         }
         let refs: Vec<&str> = vars.iter().map(String::as_str).collect();
+        ConstraintDb::check_distinct_vars(&name, &refs)?;
         let mut rel = ConstraintRelation::empty(vars.len());
         for src in &tuples_src {
             let tuple_rel = db
@@ -223,6 +225,17 @@ mod tests {
         assert!(load("relation X(a)\ntuple a <= 1").is_err()); // no end
         assert!(load("tuple a <= 1").is_err());
         assert!(load("relation X(a)\nnonsense\nend").is_err());
+        // A repeated column name, with and without tuples.
+        for text in [
+            "relation X(a, a)\ntuple a <= 1\nend",
+            "relation X(a, a)\nend",
+        ] {
+            let err = load(text).unwrap_err();
+            assert!(
+                matches!(&err, DbError::Schema(m) if m.contains("relation X has repeated variable a")),
+                "{err}"
+            );
+        }
         // Empty DB round trip.
         let db = load("# constraintdb v1\n").unwrap();
         assert!(db.schema().is_empty());

@@ -18,8 +18,8 @@
 //!   [`cdb_qe::AlgebraicCache`] invalidated first — entries are pure and
 //!   can never serve stale answers, but destructive updates strand entries
 //!   whose polynomials no longer occur anywhere, and the invalidation
-//!   gives the no-stale-hits differential tests (E21) a hard firebreak to
-//!   pivot on.
+//!   gives the no-stale-hits differential tests (`tests/update_path.rs`) a
+//!   hard firebreak to pivot on.
 //!
 //! On finite extents the propagated state is byte-identical to a
 //! from-scratch evaluation of the updated database (differential-tested

@@ -11,7 +11,7 @@
 //!   closure has one job per round; DESIGN.md §6).
 //! * [`Program::run_naive`] — the reference evaluator: every rule body
 //!   against the full extents, sequentially, every round. Kept for
-//!   differential testing and the E17 before/after benchmark.
+//!   differential testing.
 //!
 //! Delta rewriting is sound here *because* the semantics is inflationary:
 //! extents only grow, so negated IDB literals only shrink, and any body
@@ -25,7 +25,7 @@ use cdb_qe::{evaluate_query, QeContext, QeError};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 // cdb-lint: allow(determinism) — wall-clock readings feed only the
-// `Duration` fields of `IterationStats`/`FixpointStats` (E11/E17 timing
+// `Duration` fields of `IterationStats`/`FixpointStats` (E11 timing
 // instrumentation); derived relations never depend on them.
 use std::time::{Duration, Instant};
 
@@ -220,7 +220,7 @@ pub struct IterationStats {
     pub wall: Duration,
 }
 
-/// Statistics of a fixpoint run (experiments E11 and E17 read these).
+/// Statistics of a fixpoint run (experiment E11 reads these).
 #[derive(Debug, Clone, Default)]
 pub struct FixpointStats {
     /// Iterations executed (including the final no-change pass).
@@ -551,8 +551,7 @@ impl Program {
 
     /// The reference evaluator: every rule body against the full extents,
     /// sequentially, every round. Semantically equivalent to [`Program::run`]
-    /// (property-tested); kept for differential testing and as the E17
-    /// baseline.
+    /// (property-tested); kept for differential testing.
     pub fn run_naive(
         &self,
         db: &Database,

@@ -20,7 +20,7 @@
 //!
 //! The module also hosts the process-global filter instrumentation
 //! (hit/fallback counters and the on/off switch used by the differential
-//! tests and E18's before/after measurements).
+//! tests).
 
 use crate::{Int, Rat, Sign};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

@@ -10,10 +10,9 @@
 //! Determinism: interning changes **sharing**, never **values**. Handles
 //! carry a content hash computed from `(nvars, terms)` with the fixed-key
 //! `DefaultHasher`, so ids ([`crate::PolyId`]) are a pure function of the
-//! polynomial — independent of insertion order, eviction history, thread
-//! schedule, or whether the interner is enabled at all. A lookup miss (or a
-//! disabled interner) yields a fresh allocation whose observable behaviour
-//! is identical.
+//! polynomial — independent of insertion order, eviction history or thread
+//! schedule. A lookup miss yields a fresh allocation whose observable
+//! behaviour is identical.
 //!
 //! Concurrency: 16 shards, each a `Mutex` around a hash → bucket map
 //! (the PR 1 `AlgebraicCache` pattern), poisoned locks recovered with
@@ -31,7 +30,7 @@ use crate::mpoly::PolyData;
 // content-addressed (the same contract as cdb-qe's memo shards).
 #[allow(clippy::disallowed_types)]
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::sync::{Mutex, OnceLock, PoisonError};
 
@@ -57,32 +56,13 @@ fn pool() -> &'static Vec<Mutex<ShardMap>> {
     POOL.get_or_init(|| (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect())
 }
 
-static ENABLED: AtomicBool = AtomicBool::new(true);
 static HITS: AtomicU64 = AtomicU64::new(0);
 static MISSES: AtomicU64 = AtomicU64::new(0);
-static EVICTIONS: AtomicU64 = AtomicU64::new(0);
 static ENTRIES: AtomicU64 = AtomicU64::new(0);
-static PEAK_ENTRIES: AtomicU64 = AtomicU64::new(0);
-
-/// Enable or disable hash-consing globally (stats/bench toggle, mirroring
-/// `cdb_num::fintv::set_filter_enabled`). Disabling never changes results —
-/// only sharing; used by E19's differential benchmark.
-pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Ordering::SeqCst);
-}
-
-/// True iff hash-consing is enabled (the default).
-#[must_use]
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::SeqCst)
-}
 
 /// Intern a canonical polynomial: return the resident `Arc` for a
 /// structurally equal polynomial if one exists, else insert `data`.
 pub(crate) fn canonicalize(data: PolyData) -> Arc<PolyData> {
-    if !enabled() {
-        return Arc::new(data);
-    }
     let shards = pool();
     let idx = (data.hash as usize) & (SHARDS - 1);
     let mut map = shards[idx].lock().unwrap_or_else(PoisonError::into_inner);
@@ -101,8 +81,7 @@ pub(crate) fn canonicalize(data: PolyData) -> Arc<PolyData> {
     }
     let arc = Arc::new(data);
     map.entry(arc.hash).or_default().push(Arc::clone(&arc));
-    let now = ENTRIES.fetch_add(1, Ordering::SeqCst) + 1;
-    PEAK_ENTRIES.fetch_max(now, Ordering::SeqCst);
+    ENTRIES.fetch_add(1, Ordering::SeqCst);
     arc
 }
 
@@ -122,7 +101,6 @@ fn sweep(map: &mut ShardMap) {
         !bucket.is_empty()
     });
     if removed > 0 {
-        EVICTIONS.fetch_add(removed, Ordering::SeqCst);
         ENTRIES.fetch_sub(removed, Ordering::SeqCst);
     }
 }
@@ -132,77 +110,23 @@ fn sweep(map: &mut ShardMap) {
 pub struct InternStats {
     /// Resident canonical polynomials.
     pub entries: u64,
-    /// High-water mark of `entries` since the last [`reset_metrics`].
-    pub peak_entries: u64,
     /// Lookups answered by an already-resident polynomial.
     pub hits: u64,
     /// Lookups that inserted a new polynomial.
     pub misses: u64,
-    /// Entries dropped by watermark sweeps.
-    pub evictions: u64,
-    /// Estimated bytes deduplicated: for each resident polynomial, its
-    /// approximate heap size times the number of handles sharing it beyond
-    /// the first (interner's own reference excluded).
-    pub bytes_shared_estimate: u64,
 }
 
-impl InternStats {
-    /// Hit fraction of all lookups (0 when idle).
-    #[must_use]
-    pub fn hit_rate(&self) -> String {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            return "0.000".to_owned();
-        }
-        // Fixed-point rendering avoids floats (rule F) in this crate.
-        let milli = self.hits * 1000 / total;
-        format!("{}.{:03}", milli / 1000, milli % 1000)
-    }
-}
-
-/// Approximate heap footprint of one canonical polynomial, in bytes.
-fn approx_bytes(p: &PolyData) -> u64 {
-    let mut total = 64u64; // struct + vec headers
-    for (m, c) in &p.terms {
-        // Packed monos are inline; spilled ones carry a u32 vector.
-        let mono = 24
-            + if m.len() > crate::mono::PACK_VARS {
-                4 * m.len() as u64
-            } else {
-                0
-            };
-        total += mono + c.bit_length() / 4 + 16;
-    }
-    total + 4 * p.var_degrees.len() as u64
-}
-
-/// Snapshot the interner metrics. Walks every shard (one lock at a time) to
-/// size the bytes-shared estimate.
+/// Snapshot the interner metrics.
 #[must_use]
 pub fn stats() -> InternStats {
-    let mut bytes = 0u64;
-    for shard in pool() {
-        let map = shard.lock().unwrap_or_else(PoisonError::into_inner);
-        for bucket in map.values() {
-            for a in bucket {
-                let extra_handles = (Arc::strong_count(a) as u64).saturating_sub(2);
-                if extra_handles > 0 {
-                    bytes += approx_bytes(a) * extra_handles;
-                }
-            }
-        }
-    }
     InternStats {
         entries: ENTRIES.load(Ordering::SeqCst),
-        peak_entries: PEAK_ENTRIES.load(Ordering::SeqCst),
         hits: HITS.load(Ordering::SeqCst),
         misses: MISSES.load(Ordering::SeqCst),
-        evictions: EVICTIONS.load(Ordering::SeqCst),
-        bytes_shared_estimate: bytes,
     }
 }
 
-/// Drop every resident entry (bench workload isolation; outstanding handles
+/// Drop every resident entry (memory reclamation; outstanding handles
 /// stay valid — they own their `Arc`s). Not intended to race live interning:
 /// concurrent inserts between shard drains are counted correctly but may
 /// survive the clear.
@@ -214,13 +138,4 @@ pub fn clear() {
         map.clear();
     }
     ENTRIES.fetch_sub(removed, Ordering::SeqCst);
-}
-
-/// Zero the traffic counters and re-seat the peak at current occupancy
-/// (bench workload isolation).
-pub fn reset_metrics() {
-    HITS.store(0, Ordering::SeqCst);
-    MISSES.store(0, Ordering::SeqCst);
-    EVICTIONS.store(0, Ordering::SeqCst);
-    PEAK_ENTRIES.store(ENTRIES.load(Ordering::SeqCst), Ordering::SeqCst);
 }

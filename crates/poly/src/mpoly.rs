@@ -798,10 +798,8 @@ mod tests {
         // Equal content → equal id, equal handle.
         assert_eq!(p, q);
         assert_eq!(p.id(), q.id());
-        // And (with the interner enabled by default) one shared allocation.
-        if crate::intern::enabled() {
-            assert!(Arc::ptr_eq(&p.data, &q.data));
-        }
+        // And one shared allocation.
+        assert!(Arc::ptr_eq(&p.data, &q.data));
         // Clones are pointer bumps.
         let r = p.clone();
         assert!(Arc::ptr_eq(&p.data, &r.data));

@@ -4,15 +4,11 @@
 //! terms in a `BTreeMap<Vec<u32>, Rat>` and [`crate::UPoly`] owned a plain
 //! `Vec<Rat>`; every clone was a deep copy and every hash walked all terms.
 //! This module keeps those representations and the seed algorithms alive,
-//! bit-for-bit, for two purposes:
+//! bit-for-bit, for **differential/property testing**: interned arithmetic
+//! must agree with the reference on `add`/`mul`/`div_exact`/`resultant`/Sturm
+//! chains, with byte-identical `Display` (see `crates/poly/tests/`).
 //!
-//! * **differential/property testing** — interned arithmetic must agree
-//!   with the reference on `add`/`mul`/`div_exact`/`resultant`/Sturm chains,
-//!   with byte-identical `Display` (see `crates/poly/tests/`);
-//! * **benchmarking** — E19 (`BENCH_poly.json`) measures interned vs. seed
-//!   representation on the same inputs.
-//!
-//! Nothing outside tests and `cdb-bench` should use these types.
+//! Nothing outside tests should use these types.
 
 use crate::mpoly::MPoly;
 use crate::upoly::UPoly;

@@ -2,13 +2,13 @@
 //! with the retained seed reference implementation (`cdb_poly::refimpl`) —
 //! same values, byte-identical `Display` — on random inputs, for
 //! `add`/`mul`/`div_exact`/`resultant`/Sturm chains, under 1 and 4 worker
-//! threads, and with the interner enabled or disabled.
+//! threads.
 
 use cdb_num::Rat;
 use cdb_poly::refimpl::{ref_resultant, ref_sturm_chain, RefPoly, RefUPoly};
 use cdb_poly::resultant::resultant;
 use cdb_poly::sturm::SturmChain;
-use cdb_poly::{intern, MPoly, UPoly};
+use cdb_poly::{MPoly, UPoly};
 use proptest::prelude::*;
 
 /// Build both representations from one term list.
@@ -201,32 +201,6 @@ fn workers_1_and_4_byte_identical() {
         let got: Vec<Vec<String>> = got.into_iter().map(|r| r.expect("task ran")).collect();
         assert_eq!(got, want, "workers = {workers}");
     }
-}
-
-/// Disabling the interner changes sharing, never values: every rendered
-/// result and every content-derived id is identical either way.
-#[test]
-fn interner_toggle_is_invisible() {
-    let on: Vec<Vec<String>> = (100..112u64).map(work_item).collect();
-    let ids_on: Vec<_> = (100..112u64)
-        .map(|s| {
-            let mut st = s;
-            let (a, _) = both(2, &terms2(&rand_terms(&mut st, 4)));
-            a.id()
-        })
-        .collect();
-    intern::set_enabled(false);
-    let off: Vec<Vec<String>> = (100..112u64).map(work_item).collect();
-    let ids_off: Vec<_> = (100..112u64)
-        .map(|s| {
-            let mut st = s;
-            let (a, _) = both(2, &terms2(&rand_terms(&mut st, 4)));
-            a.id()
-        })
-        .collect();
-    intern::set_enabled(true);
-    assert_eq!(on, off);
-    assert_eq!(ids_on, ids_off);
 }
 
 /// Spilled monomials (exponent > 255) and packed ones agree with the seed.

@@ -1,17 +1,14 @@
-//! Differential tests for the modular / evaluation–interpolation resultant
-//! kernels (DESIGN.md §11): every strategy the dispatcher can pick must
-//! agree with the retained seed reference implementation
-//! (`cdb_poly::refimpl::ref_resultant`) byte-for-byte — on random inputs,
-//! on the degenerate shapes the fast paths special-case (zero polynomials,
-//! vanishing leading coefficients, shared factors, spilled >8-variable
-//! monomials), under 1 and 4 worker threads, and with the interner enabled
-//! or disabled. The kernels are enabled by default; nothing here toggles
-//! them off except the test that checks the toggle itself.
+//! Differential tests for the resultant kernels (DESIGN.md §11): both
+//! strategies the dispatcher can pick must agree with the retained seed
+//! reference implementation (`cdb_poly::refimpl::ref_resultant`)
+//! byte-for-byte — on random inputs, on the degenerate shapes the CRT path
+//! special-cases (zero polynomials, vanishing leading coefficients, shared
+//! factors, spilled >8-variable monomials) and under 1 and 4 worker threads.
 
 use cdb_num::Rat;
 use cdb_poly::refimpl::{ref_resultant, RefPoly};
-use cdb_poly::resultant::{resultant, resultant_with_strategy, set_fast_enabled, Strategy};
-use cdb_poly::{intern, MPoly};
+use cdb_poly::resultant::{resultant, resultant_with_strategy, Strategy};
+use cdb_poly::MPoly;
 use proptest::prelude::*;
 
 /// Build both representations from one term list.
@@ -30,12 +27,12 @@ fn terms2(raw: &[(u32, u32, i64)]) -> Vec<(Vec<u32>, i64)> {
     raw.iter().map(|&(e0, e1, c)| (vec![e0, e1], c)).collect()
 }
 
-/// Assert the dispatcher *and* every applicable forced strategy agree with
+/// Assert the dispatcher *and* each applicable forced strategy agree with
 /// the reference, byte-for-byte.
 fn assert_all_strategies_match(a: &MPoly, fa: &RefPoly, b: &MPoly, fb: &RefPoly, var: usize) {
     let want = ref_resultant(fa, fb, var).to_string();
     assert_eq!(resultant(a, b, var).to_string(), want, "dispatcher");
-    for strat in [Strategy::Prs, Strategy::EvalInterp, Strategy::Crt] {
+    for strat in [Strategy::Prs, Strategy::Crt] {
         if let Some(r) = resultant_with_strategy(a, b, var, strat) {
             assert_eq!(r.to_string(), want, "{strat:?}");
         }
@@ -45,7 +42,7 @@ fn assert_all_strategies_match(a: &MPoly, fa: &RefPoly, b: &MPoly, fb: &RefPoly,
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Random bivariate inputs: all kernels ≡ the seed algorithm.
+    /// Random bivariate inputs: both kernels ≡ the seed algorithm.
     #[test]
     fn random_bivariate_matches_reference(
         ra in prop::collection::vec((0u32..=3, 0u32..=3, -9i64..=9), 1..=6),
@@ -58,7 +55,7 @@ proptest! {
     }
 
     /// Products with a constructed common factor: the resultant is zero and
-    /// every kernel must detect it (no "lucky prime" can hide a common
+    /// both kernels must detect it (no "lucky prime" can hide a common
     /// root, and interpolation of the zero function is zero).
     #[test]
     fn shared_factor_resultant_is_zero(
@@ -123,9 +120,9 @@ fn zero_polynomial_inputs() {
 #[test]
 fn vanishing_leading_coefficient_cases() {
     // lc_x(p) = y and lc_x(q) = y − 2: specializations at y = 0 and y = 2
-    // drop degrees, so the evaluation kernels must skip those points; the
-    // CRT kernel additionally sees the leading row reduce to a single
-    // coefficient that stays nonzero mod every 62-bit prime.
+    // drop degrees, so the CRT kernel must skip those points; it
+    // additionally sees the leading row reduce to a single coefficient that
+    // stays nonzero mod every 62-bit prime.
     let (p, fp) = both(2, &terms2(&[(2, 1, 1), (1, 0, 1), (0, 0, 1)])); // y·x² + x + 1
     let (q, fq) = both(
         2,
@@ -135,8 +132,8 @@ fn vanishing_leading_coefficient_cases() {
     assert_all_strategies_match(&p, &fp, &q, &fq, 1);
 }
 
-/// One deterministic work item: a dispatcher resultant rendered to string.
-fn work_item(seed: u64) -> String {
+/// One deterministic pair of bivariate inputs, in both representations.
+fn work_inputs(seed: u64) -> ((MPoly, RefPoly), (MPoly, RefPoly)) {
     let mut st = seed;
     let mut next = move || {
         st = st.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -156,37 +153,23 @@ fn work_item(seed: u64) -> String {
             })
             .collect()
     };
-    let (a, _) = both(2, &terms2(&raw(5)));
-    let (b, _) = both(2, &terms2(&raw(5)));
+    let a = both(2, &terms2(&raw(5)));
+    let b = both(2, &terms2(&raw(5)));
+    (a, b)
+}
+
+/// One deterministic work item: a dispatcher resultant rendered to string.
+fn work_item(seed: u64) -> String {
+    let ((a, _), (b, _)) = work_inputs(seed);
     resultant(&a, &b, 1).to_string()
 }
 
 fn reference_item(seed: u64) -> String {
-    let mut st = seed;
-    let mut next = move || {
-        st = st.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = st;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    };
-    let mut raw = |n: usize| -> Vec<(u32, u32, i64)> {
-        (0..n)
-            .map(|_| {
-                (
-                    (next() % 4) as u32,
-                    (next() % 4) as u32,
-                    (next() % 19) as i64 - 9,
-                )
-            })
-            .collect()
-    };
-    let (_, fa) = both(2, &terms2(&raw(5)));
-    let (_, fb) = both(2, &terms2(&raw(5)));
+    let ((_, fa), (_, fb)) = work_inputs(seed);
     ref_resultant(&fa, &fb, 1).to_string()
 }
 
-/// The modular kernels share process-global state (strategy counters, the
+/// The CRT kernel shares process-global state (strategy counters, the
 /// interner, the prime table): sharding the same work over 1 and 4 threads
 /// must stay byte-identical to the sequential seed reference.
 #[test]
@@ -225,22 +208,15 @@ fn workers_1_and_4_byte_identical() {
     }
 }
 
-/// Interner on/off changes sharing, never resultant values.
+/// The dispatcher's choice changes speed, never bytes: whatever it picks
+/// equals the forced seed strategy on the same inputs.
 #[test]
-fn interner_toggle_is_invisible_to_kernels() {
-    let on: Vec<String> = (300..316u64).map(work_item).collect();
-    intern::set_enabled(false);
-    let off: Vec<String> = (300..316u64).map(work_item).collect();
-    intern::set_enabled(true);
-    assert_eq!(on, off);
-}
-
-/// The fast-kernel master switch changes speed, never bytes.
-#[test]
-fn fast_toggle_is_invisible() {
-    let fast: Vec<String> = (700..712u64).map(work_item).collect();
-    set_fast_enabled(false);
-    let slow: Vec<String> = (700..712u64).map(work_item).collect();
-    set_fast_enabled(true);
-    assert_eq!(fast, slow);
+fn dispatcher_matches_forced_prs() {
+    for seed in 700..712u64 {
+        let ((a, _), (b, _)) = work_inputs(seed);
+        let fast = resultant(&a, &b, 1);
+        let slow = resultant_with_strategy(&a, &b, 1, Strategy::Prs).expect("PRS always applies");
+        assert_eq!(fast, slow, "seed {seed}");
+        assert_eq!(fast.to_string(), slow.to_string(), "seed {seed}");
+    }
 }

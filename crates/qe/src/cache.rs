@@ -33,8 +33,8 @@
 //! a new key evicts the least-recently-used entry (recency is a global
 //! atomic tick stamped on every hit and insert). This keeps long-lived
 //! server contexts from growing without bound while preserving the working
-//! set of a hot query mix; evictions are counted and reported next to
-//! hits/misses (experiment E16 writes all three to `BENCH_qe.json`).
+//! set of a hot query mix; evictions are counted next to hits/misses (the
+//! statement benchmark reports all three as `qe.cache.*`).
 //!
 //! # Sharing and invalidation
 //!
@@ -47,7 +47,8 @@
 //! exists for the update path anyway, both as memory reclamation after
 //! destructive updates (retractions/replacements strand entries whose
 //! polynomials no longer occur in any extent) and as the hook the
-//! no-stale-hits differential tests pivot on (E21).
+//! no-stale-hits differential tests pivot on
+//! (`crates/core/tests/update_path.rs`).
 
 use cdb_poly::resultant as resfn;
 use cdb_poly::sturm::SturmChain;
@@ -328,8 +329,7 @@ impl AlgebraicCache {
     }
 
     /// Current entry count of each shard (index = shard number).
-    #[must_use]
-    pub fn shard_entry_counts(&self) -> Vec<usize> {
+    fn shard_entry_counts(&self) -> Vec<usize> {
         self.inner
             .shards
             .iter()

@@ -151,28 +151,14 @@ pub struct QeContext {
     pub plan_mode: PlanMode,
     /// Per-strategy planner counters (snapshot via [`QeContext::plan_stats`]).
     pub plan: PlanCounters,
-    /// Baseline snapshot of the process-global float-filter `(hits,
-    /// fallbacks)` counters (see [`cdb_num::fintv::filter_counters`]),
-    /// taken at construction so [`QeContext::filter_hits`] /
-    /// [`QeContext::filter_fallbacks`] report activity attributable to this
-    /// context. Contexts running concurrently also observe each other's
-    /// filter traffic — acceptable for instrumentation.
-    filter_base: (u64, u64),
-    /// Baseline snapshot of the process-global resultant-dispatcher
-    /// counters `(prs, eval_interp, crt, fallbacks)` (see
-    /// [`cdb_poly::resultant::strategy_counters`]), taken at construction —
-    /// the same snapshot-and-delta idiom as `filter_base`, so
-    /// [`QeContext::resultant_strategies`] reports kernel choices
-    /// attributable to this context.
-    resultant_base: (u64, u64, u64, u64),
 }
 
 /// Strategy selection policy for the per-disjunct planner ([`plan`]).
 ///
 /// `Auto` is the production setting: every disjunct is classified into the
 /// cheapest applicable eliminator. The `Force*` modes pin one strategy for
-/// differential tests and benchmarks (mirroring the resultant dispatcher's
-/// forced kernels, DESIGN.md §11); a forced strategy that does not apply to
+/// differential tests (mirroring the resultant dispatcher's forced
+/// kernels, DESIGN.md §11); a forced strategy that does not apply to
 /// a disjunct returns [`QeError::PlanUnsupported`] rather than falling back.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum PlanMode {
@@ -210,9 +196,9 @@ pub struct PlanCounters {
     pub cad_nanos: Counter,
 }
 
-/// Snapshot of the planner's per-strategy decisions for one context
-/// (surfaced in E16/E23 JSON): how many disjunct-eliminations each strategy
-/// answered and how much wall time each consumed.
+/// Snapshot of the planner's per-strategy decisions for one context: how
+/// many disjunct-eliminations each strategy answered and how much wall time
+/// each consumed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlanStats {
     /// Disjuncts eliminated by linear-equality substitution.
@@ -233,21 +219,6 @@ pub struct PlanStats {
     pub cad_nanos: u64,
 }
 
-/// Per-context view of the resultant dispatcher's decisions (DESIGN.md
-/// §11): how many projection resultants/discriminants each kernel answered
-/// since the context was created.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ResultantStrategies {
-    /// Calls answered by the Bareiss fraction-free PRS (incl. fallbacks).
-    pub prs: u64,
-    /// Calls answered by rational evaluation–interpolation.
-    pub eval_interp: u64,
-    /// Calls answered by the modular CRT kernel.
-    pub crt: u64,
-    /// Fast-path attempts that fell back to PRS.
-    pub fallbacks: u64,
-}
-
 impl Default for QeContext {
     fn default() -> QeContext {
         QeContext {
@@ -259,8 +230,6 @@ impl Default for QeContext {
             cache: AlgebraicCache::new(),
             plan_mode: PlanMode::default(),
             plan: PlanCounters::default(),
-            filter_base: cdb_num::fintv::filter_counters(),
-            resultant_base: cdb_poly::resultant::strategy_counters(),
         }
     }
 }
@@ -289,15 +258,6 @@ impl QeContext {
         self
     }
 
-    /// Same context with a fresh memo-cache bounded at roughly `capacity`
-    /// total entries (long-lived server contexts tune this; see
-    /// [`AlgebraicCache::with_capacity`]).
-    #[must_use]
-    pub fn with_cache_capacity(mut self, capacity: usize) -> QeContext {
-        self.cache = AlgebraicCache::with_capacity(capacity);
-        self
-    }
-
     /// Same context sharing `cache` (a cheap handle clone) instead of a
     /// fresh cold cache. A long-lived owner — the `constraintdb` facade's
     /// update path — threads one cache through every per-call context so
@@ -309,8 +269,7 @@ impl QeContext {
     }
 
     /// Same context with an explicit planner strategy policy (the default
-    /// is [`PlanMode::Auto`]; forced modes drive differential tests and the
-    /// E23 forced-CAD baseline).
+    /// is [`PlanMode::Auto`]; forced modes drive differential tests).
     #[must_use]
     pub fn with_plan_mode(mut self, mode: PlanMode) -> QeContext {
         self.plan_mode = mode;
@@ -318,8 +277,7 @@ impl QeContext {
     }
 
     /// Snapshot of the per-disjunct planner's strategy counters for this
-    /// context (reported next to the cache/filter/resultant counters in
-    /// E16/E23).
+    /// context.
     #[must_use]
     pub fn plan_stats(&self) -> PlanStats {
         PlanStats {
@@ -360,37 +318,5 @@ impl QeContext {
     /// Check a polynomial's coefficients against the budget.
     pub fn observe_poly(&self, p: &cdb_poly::MPoly) -> Result<(), QeError> {
         self.observe_bits(p.max_coeff_bits())
-    }
-
-    /// Float-filter hits (sign decisions settled by the split-word f64
-    /// enclosure) since this context was created. Reported next to the
-    /// cache hit/miss counters in E16/E18.
-    #[must_use]
-    pub fn filter_hits(&self) -> u64 {
-        cdb_num::fintv::filter_counters()
-            .0
-            .saturating_sub(self.filter_base.0)
-    }
-
-    /// Float-filter fallbacks (straddles certified by exact arithmetic)
-    /// since this context was created.
-    #[must_use]
-    pub fn filter_fallbacks(&self) -> u64 {
-        cdb_num::fintv::filter_counters()
-            .1
-            .saturating_sub(self.filter_base.1)
-    }
-
-    /// Resultant-kernel dispatch decisions since this context was created
-    /// (reported next to the cache and filter counters in E16/E20).
-    #[must_use]
-    pub fn resultant_strategies(&self) -> ResultantStrategies {
-        let (prs, ev, crt, fb) = cdb_poly::resultant::strategy_counters();
-        ResultantStrategies {
-            prs: prs.saturating_sub(self.resultant_base.0),
-            eval_interp: ev.saturating_sub(self.resultant_base.1),
-            crt: crt.saturating_sub(self.resultant_base.2),
-            fallbacks: fb.saturating_sub(self.resultant_base.3),
-        }
     }
 }

@@ -38,8 +38,8 @@ use cdb_constraints::{Atom, ConstraintRelation, Formula, GeneralizedTuple, Quant
 use cdb_num::Sign;
 use cdb_poly::MPoly;
 // cdb-lint: allow(determinism) — wall-clock readings feed only the
-// per-strategy PlanStats diagnostics surfaced in E16/E23 JSON; no
-// result-producing decision reads them.
+// per-strategy PlanStats diagnostics; no result-producing decision reads
+// them.
 use std::time::Instant;
 
 /// The eliminator chosen for one (disjunct, variable) step, cheapest first.

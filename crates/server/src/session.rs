@@ -246,9 +246,13 @@ fn apply_write(db: &mut ConstraintDb, stmt: &Statement) -> Result<Response, Serv
             match definition {
                 Some(src) => db.define(name, &var_refs, src).map_err(db_err)?,
                 None => {
-                    db.insert(name, ConstraintRelation::new(vars.len(), Vec::new()))
+                    // Two facade calls, either of which can reject: apply
+                    // them to a (copy-on-write) copy and commit together.
+                    let mut next = db.clone();
+                    next.insert(name, ConstraintRelation::new(vars.len(), Vec::new()))
                         .map_err(db_err)?;
-                    db.rename_vars(name, &var_refs).map_err(db_err)?;
+                    next.rename_vars(name, &var_refs).map_err(db_err)?;
+                    *db = next;
                 }
             }
             Ok(Response::Created {
@@ -476,6 +480,55 @@ mod tests {
         ));
         // A failing query does not abort its batch or wedge the server.
         assert!(s.execute("SELECT P(x);").is_ok());
+        // A repeated column name is a schema error on both CREATE forms,
+        // and neither leaves a relation behind.
+        for create in [
+            "CREATE RELATION D(x, x);",
+            "CREATE RELATION D(x, x) AS x <= 1;",
+        ] {
+            let err = s.execute(create).unwrap_err();
+            assert!(
+                matches!(&err, ServerError::Db(m) if m.contains("repeated variable x")),
+                "{err}"
+            );
+        }
+        assert!(matches!(
+            s.execute("SELECT D(a, b);"),
+            Err(ServerError::Db(_))
+        ));
+    }
+
+    /// Statement text controls the CALC_F parser's recursion depth; past
+    /// its limit the answer is a typed error and the session (this test's
+    /// thread has the 2 MiB stack a client thread has) goes on to answer
+    /// the next statement — including one nested right at the limit.
+    #[test]
+    fn over_deep_statements_are_errors_and_the_session_survives() {
+        let server = seeded_server(ServerConfig::default());
+        let mut s = server.session();
+        for hostile in [
+            format!("SELECT {}x{} <= 0;", "(".repeat(5_000), ")".repeat(5_000)),
+            format!("SELECT {}x <= 0;", "not ".repeat(10_000)),
+            format!("SELECT 0 <= {}x;", "- ".repeat(10_000)),
+        ] {
+            let err = s.execute(&hostile).unwrap_err();
+            assert!(
+                matches!(&err, ServerError::Db(m) if m.contains("nesting deeper")),
+                "{err}"
+            );
+            assert!(s.execute("SELECT P(x);").is_ok());
+        }
+        for (deep, want) in [
+            (
+                format!("SELECT {}x{} <= 0;", "(".repeat(256), ")".repeat(256)),
+                "(x <= 0)",
+            ),
+            (format!("SELECT {}x <= 0;", "not ".repeat(256)), "(x <= 0)"),
+            (format!("SELECT 0 <= {}x;", "- ".repeat(256)), "(x >= 0)"),
+        ] {
+            let resp = s.execute(&deep).unwrap().to_string();
+            assert!(resp.contains(want), "{resp}");
+        }
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Moving objects & the alibi query (the ROADMAP workload; benchmarked
-//! as E23).
+//! as the `alibi_scan` workload of `stmtbench/`).
 //!
 //! Three delivery drones fly piecewise-linear routes over five unit time
 //! slices, each surrounded by an uncertainty bead of radius 1 (GPS slack).

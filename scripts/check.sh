@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Repository gate: formatting, lints, the tier-1 verify from ROADMAP.md, the
-# full workspace test suite, and the statement benchmark's own tests.
+# full workspace test suite, the statement benchmark's own tests, the paper's
+# experiments (E1-E15) and one checked run of every benchmark workload.
 # Run from anywhere; operates on the workspace containing this script.
 set -euo pipefail
 
@@ -32,10 +33,15 @@ cargo test --workspace -q
 echo "==> statement benchmark builds and its harness passes (stmtbench/, own workspace)"
 cargo test -q --offline --manifest-path stmtbench/Cargo.toml
 
-echo "==> E23 smoke: planned QE matches forced CAD and the alibi oracle"
-cargo run --release -p cdb-bench --bin repro -- e23 > /dev/null
-grep -q '"all_outputs_equal": true' BENCH_alibi.json
-grep -q '"oracle_matches": true' BENCH_alibi.json
-grep -q '"hardware_threads"' BENCH_alibi.json
+echo "==> repro: E1-E15 assert the paper's own numbers and unwrap every pipeline stage"
+cargo run --release -p cdb-bench --bin repro > /dev/null
+
+echo "==> statement benchmark: every BENCHMARK.json workload at full size answers and matches its oracle"
+# Workload entries are the only ones with "name" alone on its line; `bench`
+# exits 1 when any statement fails or misses its oracle.
+for w in $(sed -n 's/^ *"name": "\([a-z_]*\)",$/\1/p' BENCHMARK.json); do
+    cargo run --release --quiet --offline --manifest-path stmtbench/Cargo.toml --bin bench -- \
+        --workload "$w" --seed 1 --seconds 1 --trace 0 > /dev/null
+done
 
 echo "All checks passed."
