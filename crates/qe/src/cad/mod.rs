@@ -21,7 +21,7 @@ use cdb_num::{Rat, Sign};
 use cdb_poly::MPoly;
 use project::{normalize, Registry};
 use sample::Coord;
-use stack::{build_stack, sector_samples};
+use stack::{build_stack, StackWalk};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -79,6 +79,21 @@ struct Resolved {
 }
 
 impl Resolved {
+    /// Sign of the resolved polynomial where its normal form has sign `s`;
+    /// `direct` evaluates the polynomial itself, and runs only when the two
+    /// differ by repeated factors and the value is nonzero.
+    fn sign(
+        self,
+        s: Sign,
+        direct: impl FnOnce() -> Result<Sign, QeError>,
+    ) -> Result<Sign, QeError> {
+        match (s, self.negated_multiple) {
+            (Sign::Zero, _) => Ok(Sign::Zero),
+            (s, Some(negated)) => Ok(if negated { s.neg() } else { s }),
+            (_, None) => direct(),
+        }
+    }
+
     /// `p` against its normal form, registered as `id`.
     fn new(registry: &Registry, id: usize, p: &MPoly) -> Resolved {
         // `primitive()` flips a negative lex-leading coefficient.
@@ -96,6 +111,17 @@ impl Cad {
     #[must_use]
     pub fn top_cells(&self) -> usize {
         self.levels.last().map_or(0, Vec::len)
+    }
+
+    /// `p`'s place in the registry: looked up among the inputs (resolved
+    /// once, at construction), else by normal form.
+    fn resolve(&self, p: &MPoly) -> Option<Resolved> {
+        match self.inputs.iter().find(|(q, _)| q == p) {
+            Some((_, r)) => *r,
+            None => normalize(p)
+                .and_then(|norm| self.registry.find(&norm))
+                .map(|id| Resolved::new(&self.registry, id, p)),
+        }
     }
 
     /// Level (1-based) of a normalized polynomial under the variable order:
@@ -117,11 +143,25 @@ fn level_of(p: &MPoly, order: &[usize]) -> usize {
 }
 
 /// Build a CAD of `R^order.len()` sign-invariant for (the normal forms of)
-/// `input_polys`.
+/// `input_polys`, materialising **every** level: region scans
+/// (`cdb_agg::region`), [`crate::pipeline`] and [`true_cells`] enumerate the
+/// finest cells, and [`solution::evaluate_truth`] is the reference the
+/// partial path of [`eliminate`] is tested against.
 pub fn build_cad(
     input_polys: &[MPoly],
     order: &[usize],
     nvars: usize,
+    ctx: &QeContext,
+) -> Result<Cad, QeError> {
+    build_levels(input_polys, order, nvars, order.len(), ctx)
+}
+
+/// Project for all of `order`, then lift levels `1..=upto` only.
+fn build_levels(
+    input_polys: &[MPoly],
+    order: &[usize],
+    nvars: usize,
+    upto: usize,
     ctx: &QeContext,
 ) -> Result<Cad, QeError> {
     let n = order.len();
@@ -169,27 +209,41 @@ pub fn build_cad(
         order: order.to_vec(),
         registry,
         level_poly_ids,
-        levels: Vec::with_capacity(n),
+        levels: Vec::with_capacity(upto),
         inputs,
     };
-    for l in 1..=n {
-        let cells = build_level(&cad, l, ctx)?;
-        ctx.cells_built.add(cells.len() as u64);
-        cad.levels.push(cells);
+    for l in 1..=upto {
+        let stacks = lift(&cad, l, ctx, |level, pi, parent| {
+            lift_parent(&cad, level, pi, parent, ctx)
+        })?;
+        cad.levels.push(stacks.into_iter().flatten().collect());
     }
     Ok(cad)
 }
 
-/// Build all cells of level `l` by lifting every cell of level `l−1`
-/// (or the virtual root cell when `l == 1`).
-fn build_level(cad: &Cad, l: usize, ctx: &QeContext) -> Result<Vec<CadCell>, QeError> {
-    let yvar = cad.order[l - 1];
-    let level_vars: Vec<usize> = cad.order[..l].to_vec();
-    let parent_vars: Vec<usize> = cad.order[..l - 1].to_vec();
-    let polys: Vec<(usize, MPoly)> = cad.level_poly_ids[l - 1]
-        .iter()
-        .map(|&id| (id, cad.registry.get(id).clone()))
-        .collect();
+/// What lifting to one level needs of the CAD: the variables of levels
+/// `1..=l` (the last is the stack variable) and the level's polynomials.
+struct Level {
+    vars: Vec<usize>,
+    polys: Vec<(usize, MPoly)>,
+}
+
+/// Run `per_parent` (→ its result and the number of cells it cost) on every
+/// cell of level `l−1` — the virtual root cell when `l == 1` — through the
+/// one fan-out site, and book the cells.
+fn lift<T: Send>(
+    cad: &Cad,
+    l: usize,
+    ctx: &QeContext,
+    per_parent: impl Fn(&Level, usize, &CadCell) -> Result<(T, usize), QeError> + Sync,
+) -> Result<Vec<T>, QeError> {
+    let level = Level {
+        vars: cad.order[..l].to_vec(),
+        polys: cad.level_poly_ids[l - 1]
+            .iter()
+            .map(|&id| (id, cad.registry.get(id).clone()))
+            .collect(),
+    };
     let root_cell = CadCell {
         parent: None,
         sample: Vec::new(),
@@ -201,125 +255,147 @@ fn build_level(cad: &Cad, l: usize, ctx: &QeContext) -> Result<Vec<CadCell>, QeE
     } else {
         &cad.levels[l - 2]
     };
-    lift_level(parents, ctx.effective_workers(), MAX_CELLS, |pi, parent| {
-        lift_parent(
-            cad,
-            l,
-            pi,
-            parent,
-            &polys,
-            &parent_vars,
-            &level_vars,
-            yvar,
-            ctx,
-        )
-    })
+    let (out, cells) = lift_level(parents, ctx.effective_workers(), MAX_CELLS, |pi, parent| {
+        per_parent(&level, pi, parent)
+    })?;
+    ctx.cells_built.add(cells as u64);
+    Ok(out)
 }
 
-/// `Err` when a level that has reached `cells` cells is over `limit`.
-fn check_cell_limit(cells: usize, limit: usize) -> Result<(), QeError> {
-    if cells > limit {
-        return Err(QeError::Unsupported(format!("CAD exceeded {limit} cells")));
-    }
-    Ok(())
-}
-
-/// Lift every parent and concatenate the stacks in parent order; a level
-/// of more than `limit` cells is an error for every `workers`.
+/// Lift every parent; the results come back in parent order with the
+/// level's cell count, and a level of more than `limit` cells is an error
+/// for every `workers`.
 ///
+/// `lift` returns a parent's result and the cells it cost: the stack it
+/// materialised, or the cells it visited deciding the innermost quantifier.
 /// Each parent's stack is independent of its siblings (it depends only on
 /// the parent sample and the level polynomials), so with `workers > 1` the
-/// parents fan out and the per-parent runs are concatenated back in parent
+/// parents fan out and the per-parent results are collected back in parent
 /// order — the exact sequence the sequential loop produces. This is the
 /// only fan-out under a query (DESIGN.md §6).
-fn lift_level(
+fn lift_level<T: Send>(
     parents: &[CadCell],
     workers: usize,
     limit: usize,
-    lift: impl Fn(usize, &CadCell) -> Result<Vec<CadCell>, QeError> + Sync,
-) -> Result<Vec<CadCell>, QeError> {
-    if workers <= 1 || parents.len() <= 1 {
-        let mut out: Vec<CadCell> = Vec::new();
-        for (pi, parent) in parents.iter().enumerate() {
-            out.extend(lift(pi, parent)?);
-            check_cell_limit(out.len(), limit)?;
-        }
-        return Ok(out);
-    }
-    // The guard counts the cells of *finished* stacks. That sum only grows
-    // towards the length of the concatenated level and reaches it when the
-    // last stack finishes, so some parent reports the error exactly when
-    // the level is over the limit — the sequential condition, whatever the
-    // interleaving — and a runaway level still fails before it is built.
+    lift: impl Fn(usize, &CadCell) -> Result<(T, usize), QeError> + Sync,
+) -> Result<(Vec<T>, usize), QeError> {
+    // The guard counts the cells of *finished* parents. That sum only grows
+    // towards the size of the level and reaches it when the last parent
+    // finishes, so some parent reports the error exactly when the level is
+    // over the limit — the sequential condition, whatever the interleaving —
+    // and a runaway level still fails before it is built.
     let built = AtomicUsize::new(0);
     let indexed: Vec<(usize, &CadCell)> = parents.iter().enumerate().collect();
-    let per_parent = par_map_result(&indexed, workers, |&(pi, parent)| {
-        let cells = lift(pi, parent)?;
-        let so_far = built.fetch_add(cells.len(), Ordering::SeqCst) + cells.len();
-        check_cell_limit(so_far, limit)?;
-        Ok(cells)
+    let out = par_map_result(&indexed, workers, |&(pi, parent)| {
+        let (result, cells) = lift(pi, parent)?;
+        if built.fetch_add(cells, Ordering::SeqCst) + cells > limit {
+            return Err(QeError::Unsupported(format!("CAD exceeded {limit} cells")));
+        }
+        Ok(result)
     })?;
-    Ok(per_parent.into_iter().flatten().collect())
+    Ok((out, built.into_inner()))
 }
 
-/// Lift one parent cell: build its stack over `yvar` and emit the
-/// interleaved sector/section cells.
-#[allow(clippy::too_many_arguments)]
-fn lift_parent(
+/// The stack over `parent` for the polynomials of `level`, ready to walk.
+fn open_stack<'l>(
     cad: &Cad,
-    l: usize,
-    pi: usize,
-    parent: &CadCell,
-    polys: &[(usize, MPoly)],
-    parent_vars: &[usize],
-    level_vars: &[usize],
-    yvar: usize,
+    level: &'l Level,
+    parent: &'l CadCell,
     ctx: &QeContext,
-) -> Result<Vec<CadCell>, QeError> {
+) -> Result<StackWalk<'l>, QeError> {
+    let (yvar, parent_vars) = level
+        .vars
+        .split_last()
+        .ok_or_else(|| QeError::Unsupported("CAD level without a variable".into()))?;
     let is_zero_lower = |p: &MPoly| -> Result<bool, QeError> {
         zeroness_at_parent(cad, parent, p, parent_vars, ctx)
     };
-    let mut stack = build_stack(
-        polys,
+    let stack = build_stack(
+        &level.polys,
         parent_vars,
         &parent.sample,
-        yvar,
+        *yvar,
         &is_zero_lower,
         ctx,
     )?;
-    let sectors = sector_samples(&mut stack.sections);
-    let parent_idx = if l == 1 { None } else { Some(pi) };
-    let mut out: Vec<CadCell> = Vec::new();
-    // Interleave: sector 1, section 2, sector 3, …
-    for (k, sec_sample) in sectors.iter().enumerate() {
-        // Sector k (1-based stack index 2k+1).
-        out.push(make_cell(
-            parent,
-            parent_idx,
-            Coord::Rat(sec_sample.clone()),
-            2 * k + 1,
-            polys,
-            &stack,
-            None,
-            level_vars,
-            ctx,
-        )?);
-        if k < stack.sections.len() {
-            let section = &stack.sections[k];
-            out.push(make_cell(
-                parent,
-                parent_idx,
-                Coord::Alg(section.root.clone()),
-                2 * (k + 1),
-                polys,
-                &stack,
-                Some(k),
-                level_vars,
-                ctx,
-            )?);
+    Ok(StackWalk::new(
+        &level.polys,
+        &level.vars,
+        &parent.sample,
+        stack,
+    ))
+}
+
+/// Lift one parent cell: build its stack and emit the interleaved
+/// sector/section cells with their sign vectors (and their number).
+fn lift_parent(
+    cad: &Cad,
+    level: &Level,
+    pi: usize,
+    parent: &CadCell,
+    ctx: &QeContext,
+) -> Result<(Vec<CadCell>, usize), QeError> {
+    let mut walk = open_stack(cad, level, parent, ctx)?;
+    let mut out: Vec<CadCell> = Vec::with_capacity(walk.cells());
+    loop {
+        let mut sample = parent.sample.clone();
+        sample.push(walk.coord());
+        let mut index = parent.index.clone();
+        index.push(out.len() + 1); // 1-based; odd = sector
+        let mut signs = parent.signs.clone();
+        for (id, _) in &level.polys {
+            signs.insert(*id, walk.sign(*id, ctx)?);
+        }
+        out.push(CadCell {
+            parent: (level.vars.len() > 1).then_some(pi),
+            sample,
+            index,
+            signs,
+        });
+        if !walk.advance() {
+            return Ok((out, walk.cells()));
         }
     }
-    Ok(out)
+}
+
+/// Decide the innermost quantifier `q` over one cell of level `n−1` without
+/// building its stack's cells (DESIGN.md §5 rule 4): the verdict, and the
+/// number of cells looked at.
+fn decide_parent(
+    cad: &Cad,
+    level: &Level,
+    parent: &CadCell,
+    matrix: &Formula,
+    q: Quantifier,
+    ctx: &QeContext,
+) -> Result<(bool, usize), QeError> {
+    // A parent whose own signs decide the matrix gets no stack. (The virtual
+    // root of an `n = 1` sentence has no signs to try.)
+    if level.vars.len() > 1 {
+        if let Some(v) = eval3(matrix, &mut |p| cell_sign(cad, parent, p, ctx))? {
+            return Ok((v, 1));
+        }
+    }
+    let deciding = q == Quantifier::Exists;
+    let mut walk = open_stack(cad, level, parent, ctx)?;
+    let mut visited = 0;
+    loop {
+        visited += 1;
+        let truth = eval3(matrix, &mut |p| match cell_sign(cad, parent, p, ctx)? {
+            Some(s) => Ok(Some(s)),
+            None => {
+                let r = cad.resolve(p).ok_or_else(|| {
+                    QeError::Unsupported(format!("matrix polynomial {p} is not in the CAD"))
+                })?;
+                let s = walk.sign(r.id, ctx)?;
+                r.sign(s, || walk.sign_at_sector(p, ctx)).map(Some)
+            }
+        })?
+        .ok_or_else(|| QeError::Unsupported("matrix undecided on a stack cell".into()))?;
+        if truth == deciding || !walk.advance() {
+            return Ok((truth, visited));
+        }
+    }
 }
 
 /// Zero-test of a lower-level polynomial at a parent sample via the sign
@@ -350,69 +426,59 @@ fn zeroness_at_parent(
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn make_cell(
-    parent: &CadCell,
-    parent_idx: Option<usize>,
-    coord: Coord,
-    stack_pos: usize,
-    polys: &[(usize, MPoly)],
-    stack: &stack::Stack,
-    section_k: Option<usize>,
-    level_vars: &[usize],
-    ctx: &QeContext,
-) -> Result<CadCell, QeError> {
-    let mut sample = parent.sample.clone();
-    sample.push(coord);
-    let mut index = parent.index.clone();
-    index.push(stack_pos);
-    let mut signs = parent.signs.clone();
-    for (id, p) in polys {
-        let structurally_zero = stack.nullified.contains(id)
-            || section_k.is_some_and(|k| stack.sections[k].vanish.contains(id));
-        let s = if structurally_zero {
-            Sign::Zero
-        } else {
-            // Known nonzero at this sample: refinement terminates.
-            sample::sign_at(p, level_vars, &sample, ctx)?
-        };
-        signs.insert(*id, s);
-    }
-    Ok(CadCell {
-        parent: parent_idx,
-        sample,
-        index,
-        signs,
-    })
-}
-
-/// Exact sign of an arbitrary polynomial at a cell's sample point, using
-/// structural zero information from the cell's sign vector.
-pub fn sign_of_poly_at_cell(
+/// Exact sign of a polynomial at a cell's sample point, read off the cell's
+/// sign vector where that decides it; `None` for a polynomial of a higher
+/// level than the cell.
+fn cell_sign(
     cad: &Cad,
     cell: &CadCell,
     p: &MPoly,
     ctx: &QeContext,
-) -> Result<Sign, QeError> {
+) -> Result<Option<Sign>, QeError> {
     if let Some(c) = p.to_constant() {
-        return Ok(c.sign());
+        return Ok(Some(c.sign()));
     }
-    let resolved = match cad.inputs.iter().find(|(q, _)| q == p) {
-        Some((_, r)) => *r,
-        None => normalize(p)
-            .and_then(|norm| cad.registry.find(&norm))
-            .map(|id| Resolved::new(&cad.registry, id, p)),
-    };
-    if let Some(r) = resolved {
-        match (cell.signs.get(&r.id), r.negated_multiple) {
-            (Some(Sign::Zero), _) => return Ok(Sign::Zero),
-            (Some(s), Some(negated)) => return Ok(if negated { s.neg() } else { *s }),
-            // Repeated factors (the value is nonzero), or a polynomial of
-            // a higher level than the cell: evaluate directly.
-            _ => {}
+    let at_sample = || sample::sign_at(p, &cad.order[..cell.sample.len()], &cell.sample, ctx);
+    match cad.resolve(p) {
+        Some(r) => match cell.signs.get(&r.id) {
+            Some(&s) => r.sign(s, at_sample).map(Some),
+            None => Ok(None),
+        },
+        None => at_sample().map(Some),
+    }
+}
+
+/// Three-valued evaluation of a pure quantifier-free formula over a sign
+/// oracle that may not know a polynomial's sign (`None`): `And`/`Or` still
+/// short-circuit on a deciding member, and are unknown only when no member
+/// decides and some member is unknown. The one formula evaluator of the CAD.
+fn eval3(
+    f: &Formula,
+    sign: &mut impl FnMut(&MPoly) -> Result<Option<Sign>, QeError>,
+) -> Result<Option<bool>, QeError> {
+    match f {
+        Formula::True => Ok(Some(true)),
+        Formula::False => Ok(Some(false)),
+        Formula::Atom(a) => Ok(sign(&a.poly)?.map(|s| a.op.accepts(s))),
+        Formula::Not(b) => Ok(eval3(b, sign)?.map(|t| !t)),
+        Formula::And(fs) | Formula::Or(fs) => {
+            // `Or` stops at its first true member, `And` at its first false.
+            let stop = matches!(f, Formula::Or(_));
+            let mut unknown = false;
+            for g in fs {
+                match eval3(g, sign)? {
+                    Some(t) if t == stop => return Ok(Some(stop)),
+                    Some(_) => {}
+                    None => unknown = true,
+                }
+            }
+            Ok((!unknown).then_some(!stop))
         }
+        Formula::Rel(name, _) => Err(QeError::Schema(format!(
+            "uninstantiated relation {name} in CAD matrix"
+        ))),
+        Formula::Quant(..) => Err(QeError::Unsupported("quantifier inside CAD matrix".into())),
     }
-    sample::sign_at(p, &cad.order[..cell.sample.len()], &cell.sample, ctx)
 }
 
 /// Evaluate a pure quantifier-free formula at a cell's sample point.
@@ -422,35 +488,9 @@ pub fn eval_formula_at_cell(
     f: &Formula,
     ctx: &QeContext,
 ) -> Result<bool, QeError> {
-    match f {
-        Formula::True => Ok(true),
-        Formula::False => Ok(false),
-        Formula::Atom(a) => {
-            let s = sign_of_poly_at_cell(cad, cell, &a.poly, ctx)?;
-            Ok(a.op.accepts(s))
-        }
-        Formula::Not(b) => Ok(!eval_formula_at_cell(cad, cell, b, ctx)?),
-        Formula::And(fs) => {
-            for g in fs {
-                if !eval_formula_at_cell(cad, cell, g, ctx)? {
-                    return Ok(false);
-                }
-            }
-            Ok(true)
-        }
-        Formula::Or(fs) => {
-            for g in fs {
-                if eval_formula_at_cell(cad, cell, g, ctx)? {
-                    return Ok(true);
-                }
-            }
-            Ok(false)
-        }
-        Formula::Rel(name, _) => Err(QeError::Schema(format!(
-            "uninstantiated relation {name} in CAD matrix"
-        ))),
-        Formula::Quant(..) => Err(QeError::Unsupported("quantifier inside CAD matrix".into())),
-    }
+    eval3(f, &mut |p| cell_sign(cad, cell, p, ctx))?.ok_or_else(|| {
+        QeError::Unsupported("formula uses a variable above the cell's level".into())
+    })
 }
 
 /// CAD-based quantifier elimination.
@@ -460,6 +500,9 @@ pub fn eval_formula_at_cell(
 /// variables in ascending order. The output is a DNF relation over the free
 /// variables, equivalent to `prefix. matrix` (and sign-invariant formula
 /// construction is retried with derivative augmentation on collision).
+///
+/// Unlike [`build_cad`], this is a *partial* CAD ([`decide`]): the level of
+/// the innermost quantifier is decided stack by stack, never materialised.
 pub fn eliminate(
     matrix: &Formula,
     prefix: &[(Quantifier, usize)],
@@ -467,16 +510,13 @@ pub fn eliminate(
     nvars: usize,
     ctx: &QeContext,
 ) -> Result<ConstraintRelation, QeError> {
-    let mut order: Vec<usize> = free.to_vec();
-    order.extend(prefix.iter().map(|(_, v)| *v));
-    assert!(!order.is_empty(), "eliminate with no variables");
-    // Gather matrix polynomials.
-    let mut polys: Vec<MPoly> = Vec::new();
-    collect_polys(matrix, &mut polys)?;
-    let mut augmented = polys.clone();
+    assert!(
+        !free.is_empty() || !prefix.is_empty(),
+        "eliminate with no variables"
+    );
+    let mut augmented = matrix_polys(matrix)?;
     for attempt in 0..3 {
-        let cad = build_cad(&augmented, &order, nvars, ctx)?;
-        let truth = solution::evaluate_truth(&cad, matrix, prefix, free.len(), ctx)?;
+        let (cad, truth) = decide(&augmented, matrix, prefix, free, nvars, ctx)?;
         match solution::construct_formula(&cad, &truth, free.len(), nvars, ctx) {
             Ok(rel) => return Ok(rel),
             Err(QeError::FormulaConstruction(_)) if attempt < 2 => {
@@ -498,6 +538,50 @@ pub fn eliminate(
     Err(QeError::FormulaConstruction(
         "sign vectors still collide after augmentation".into(),
     ))
+}
+
+/// The partial CAD behind [`eliminate`] and [`decide_sentence`], and the
+/// truth table it yields (DESIGN.md §5 rule 4).
+///
+/// The variable order is `free` then `prefix`, `n` levels in all. Only
+/// levels `1..n−1` of the returned CAD are materialised: for each cell of
+/// level `n−1` (the virtual root when `n == 1`) the innermost quantifier is
+/// *decided* — by the cell's own sign vector when the lower-level atoms
+/// settle the matrix, otherwise by walking the cell's stack in order and
+/// stopping at the first deciding cell — and the verdicts are folded through
+/// the outer quantifiers. With an empty `prefix` there is nothing to decide
+/// and every level is built. The table equals
+/// [`solution::evaluate_truth`] on the full [`build_cad`].
+pub fn decide(
+    input_polys: &[MPoly],
+    matrix: &Formula,
+    prefix: &[(Quantifier, usize)],
+    free: &[usize],
+    nvars: usize,
+    ctx: &QeContext,
+) -> Result<(Cad, solution::TruthTable), QeError> {
+    let mut order: Vec<usize> = free.to_vec();
+    order.extend(prefix.iter().map(|(_, v)| *v));
+    let Some(((q, _), outer)) = prefix.split_last() else {
+        let cad = build_cad(input_polys, &order, nvars, ctx)?;
+        let truth = solution::evaluate_truth(&cad, matrix, prefix, free.len(), ctx)?;
+        return Ok((cad, truth));
+    };
+    let n = order.len();
+    let cad = build_levels(input_polys, &order, nvars, n - 1, ctx)?;
+    let verdicts = lift(&cad, n, ctx, |level, _, parent| {
+        decide_parent(&cad, level, parent, matrix, *q, ctx)
+    })?;
+    let truth = solution::fold_prefix(&cad, verdicts, outer, free.len())?;
+    Ok((cad, truth))
+}
+
+/// Distinct non-constant polynomials of a pure quantifier-free formula, in
+/// first-occurrence order: the CAD's input set.
+pub fn matrix_polys(f: &Formula) -> Result<Vec<MPoly>, QeError> {
+    let mut out = Vec::new();
+    collect_polys(f, &mut out)?;
+    Ok(out)
 }
 
 fn collect_polys(f: &Formula, out: &mut Vec<MPoly>) -> Result<(), QeError> {
@@ -525,8 +609,8 @@ fn collect_polys(f: &Formula, out: &mut Vec<MPoly>) -> Result<(), QeError> {
     }
 }
 
-/// Decide a sentence (no free variables): CAD of the quantified space plus
-/// truth propagation to the root.
+/// Decide a sentence (no free variables): partial CAD of the quantified
+/// space ([`decide`]) plus truth propagation to the root.
 pub fn decide_sentence(
     matrix: &Formula,
     prefix: &[(Quantifier, usize)],
@@ -537,11 +621,7 @@ pub fn decide_sentence(
         // Variable-free matrix.
         return matrix.eval_at(&[]).map_err(QeError::Unsupported);
     }
-    let order: Vec<usize> = prefix.iter().map(|(_, v)| *v).collect();
-    let mut polys = Vec::new();
-    collect_polys(matrix, &mut polys)?;
-    let cad = build_cad(&polys, &order, nvars, ctx)?;
-    let truth = solution::evaluate_truth(&cad, matrix, prefix, 0, ctx)?;
+    let (_, truth) = decide(&matrix_polys(matrix)?, matrix, prefix, &[], nvars, ctx)?;
     // With no free levels, `truth` holds the single root verdict.
     Ok(truth.root_truth)
 }
@@ -578,10 +658,165 @@ pub fn cell_rational_sample(cell: &CadCell) -> Option<Vec<Rat>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cdb_constraints::{Atom, RelOp};
+
+    fn c(v: i64, n: usize) -> MPoly {
+        MPoly::constant(Rat::from(v), n)
+    }
+
+    fn atom(p: MPoly, op: RelOp) -> Formula {
+        Formula::Atom(Atom::new(p, op))
+    }
+
+    /// The three-valued evaluator over an oracle that knows `x`'s sign but
+    /// not `y`'s: a deciding member wins over unknown ones on either side,
+    /// `Not` keeps unknown unknown, and the oracle is not asked past a
+    /// deciding member.
+    #[test]
+    fn eval3_short_circuits_around_unknowns() {
+        let (x, y) = (MPoly::var(0, 2), MPoly::var(1, 2));
+        let asked = std::cell::Cell::new(0);
+        let eval = |f: &Formula| {
+            eval3(f, &mut |p| {
+                asked.set(asked.get() + 1);
+                Ok((*p == x).then_some(Sign::Pos))
+            })
+            .unwrap()
+        };
+        let (x_pos, x_neg) = (atom(x.clone(), RelOp::Gt), atom(x.clone(), RelOp::Lt));
+        let y_pos = atom(y.clone(), RelOp::Gt);
+        assert_eq!(eval(&y_pos), None);
+        assert_eq!(eval(&Formula::Not(Box::new(y_pos.clone()))), None);
+        assert_eq!(eval(&Formula::Not(Box::new(x_neg.clone()))), Some(true));
+        let and = |fs: &[&Formula]| Formula::And(fs.iter().map(|&f| f.clone()).collect());
+        let or = |fs: &[&Formula]| Formula::Or(fs.iter().map(|&f| f.clone()).collect());
+        assert_eq!(eval(&and(&[&y_pos, &x_neg])), Some(false));
+        assert_eq!(eval(&and(&[&y_pos, &x_pos])), None);
+        assert_eq!(eval(&and(&[&x_pos, &x_pos])), Some(true));
+        assert_eq!(eval(&or(&[&y_pos, &x_pos])), Some(true));
+        assert_eq!(eval(&or(&[&y_pos, &x_neg])), None);
+        assert_eq!(eval(&or(&[&x_neg, &x_neg])), Some(false));
+        assert_eq!(eval(&and(&[&or(&[&y_pos, &x_pos]), &y_pos])), None);
+        assert_eq!(eval(&Formula::True), Some(true));
+        asked.set(0);
+        assert_eq!(eval(&and(&[&x_neg, &y_pos, &y_pos])), Some(false));
+        assert_eq!(eval(&or(&[&x_pos, &y_pos, &y_pos])), Some(true));
+        assert_eq!(asked.get(), 2);
+    }
+
+    /// `∃y (x ≥ 1 ∧ y² ≤ x)`: where `x < 1` the parent's own signs decide
+    /// the matrix — no stack, one cell booked, no sign evaluation — and the
+    /// answer and counters are the same for every worker count.
+    #[test]
+    fn parents_decided_by_lower_level_atoms_get_no_stack() {
+        let (x, y) = (MPoly::var(0, 2), MPoly::var(1, 2));
+        let matrix = Formula::and(
+            atom(&x - &c(1, 2), RelOp::Ge),
+            atom(&y.pow(2) - &x, RelOp::Le),
+        );
+        let prefix = [(Quantifier::Exists, 1)];
+        let mut counters = Vec::new();
+        for workers in [1usize, 4] {
+            let ctx = QeContext::exact().with_workers(workers);
+            let polys = matrix_polys(&matrix).unwrap();
+            let (cad, truth) = decide(&polys, &matrix, &prefix, &[0], 2, &ctx).unwrap();
+            // Level 1: roots of x and x − 1 → 5 cells; true from x = 1 up.
+            assert_eq!(cad.levels.len(), 1);
+            assert_eq!(
+                truth.free_cell_truth,
+                [false, false, false, true, true],
+                "workers {workers}"
+            );
+            counters.push((ctx.cells_built.get(), ctx.sign_evals.get()));
+        }
+        // 5 level-1 cells, x and x − 1 each evaluated once on either side
+        // of its root; then 3 trial-decided parents (1 cell each) and two walks that stop
+        // on their second cell (the sector below −√x fails y² ≤ x, the
+        // section holds), each taking y² − x's sign once.
+        assert_eq!(counters, [(5 + 3 + 2 + 2, 4 + 2); 2]);
+    }
+
+    /// Satellite edge cases of the partial CAD, each against the answer it
+    /// must give.
+    #[test]
+    fn partial_cad_edge_cases() {
+        let (x, y) = (MPoly::var(0, 2), MPoly::var(1, 2));
+        let ctx = QeContext::exact();
+        let exists_y = [(Quantifier::Exists, 1)];
+        let forall_y = [(Quantifier::Forall, 1)];
+        let holds_at = |rel: &ConstraintRelation, v: &str| {
+            rel.satisfied_at(&[v.parse().unwrap(), Rat::zero()])
+        };
+        // Empty prefix: nothing to decide, every level materialised.
+        let disc = atom(&(&x.pow(2) + &y.pow(2)) - &c(1, 2), RelOp::Le);
+        let polys = matrix_polys(&disc).unwrap();
+        let (cad, truth) = decide(&polys, &disc, &[], &[0, 1], 2, &ctx).unwrap();
+        assert_eq!(cad.levels.len(), 2);
+        assert_eq!(truth.free_cell_truth.len(), cad.top_cells());
+        let rel = eliminate(&disc, &[], &[0, 1], 2, &ctx).unwrap();
+        assert!(rel.satisfied_at(&[Rat::zero(), Rat::one()]));
+        assert!(!rel.satisfied_at(&[Rat::one(), Rat::one()]));
+        // Repeated factors: (x − y)² resolves to x − y only up to the square,
+        // so its sign is never read off the carried sign of x − y.
+        let square = (&x - &y).pow(2);
+        let rel = eliminate(&atom(square.clone(), RelOp::Le), &exists_y, &[0], 2, &ctx).unwrap();
+        assert!(holds_at(&rel, "-3") && holds_at(&rel, "1/2"));
+        let rel = eliminate(&atom(square.clone(), RelOp::Gt), &forall_y, &[0], 2, &ctx).unwrap();
+        assert!(!holds_at(&rel, "-3") && !holds_at(&rel, "1/2"));
+        let rel = eliminate(&atom(-&square, RelOp::Le), &forall_y, &[0], 2, &ctx).unwrap();
+        assert!(holds_at(&rel, "-3") && holds_at(&rel, "1/2"));
+        let pinned = Formula::and(atom(square, RelOp::Le), atom(&y - &c(1, 2), RelOp::Ge));
+        let rel = eliminate(&pinned, &exists_y, &[0], 2, &ctx).unwrap();
+        assert!(holds_at(&rel, "1") && holds_at(&rel, "7") && !holds_at(&rel, "1/2"));
+        // Nullified: x·y − … vanishes on the whole fiber over x = 0.
+        let xy = &x * &y;
+        let rel = eliminate(&atom(xy.clone(), RelOp::Eq), &forall_y, &[0], 2, &ctx).unwrap();
+        assert!(holds_at(&rel, "0") && !holds_at(&rel, "1") && !holds_at(&rel, "-1"));
+        let rel = eliminate(&atom(&xy - &c(1, 2), RelOp::Eq), &exists_y, &[0], 2, &ctx).unwrap();
+        assert!(!holds_at(&rel, "0") && holds_at(&rel, "1") && holds_at(&rel, "-1"));
+        // No fiber roots: one evaluation for the whole (one-cell) stack, on
+        // top of the one x² + 1 took on the one-cell level below.
+        let ctx = QeContext::exact();
+        let positive = atom(&(&x.pow(2) + &y.pow(2)) + &c(1, 2), RelOp::Gt);
+        let rel = eliminate(&positive, &forall_y, &[0], 2, &ctx).unwrap();
+        assert!(holds_at(&rel, "0") && holds_at(&rel, "-5"));
+        assert_eq!((ctx.cells_built.get(), ctx.sign_evals.get()), (2, 2));
+    }
+
+    /// `n = 1` sentences: the parent is the virtual root, and the walk stops
+    /// at the first deciding cell.
+    #[test]
+    fn one_variable_sentences_stop_at_the_deciding_cell() {
+        let x = MPoly::var(0, 1);
+        let p = &x.pow(2) - &c(2, 1);
+        for (q, op, expect, visited) in [
+            (Quantifier::Exists, RelOp::Eq, true, 2), // the section −√2
+            (Quantifier::Exists, RelOp::Gt, true, 1), // the lowest sector
+            (Quantifier::Forall, RelOp::Ne, false, 2),
+            (Quantifier::Forall, RelOp::Ge, false, 3), // between the roots
+            (Quantifier::Exists, RelOp::Ne, true, 1),
+            (Quantifier::Forall, RelOp::Eq, false, 1),
+        ] {
+            let ctx = QeContext::exact();
+            let matrix = atom(p.clone(), op);
+            assert_eq!(
+                decide_sentence(&matrix, &[(q, 0)], 1, &ctx).unwrap(),
+                expect,
+                "{q:?} {op:?}"
+            );
+            assert_eq!(ctx.cells_built.get(), visited, "{q:?} {op:?}");
+        }
+        // Undecided to the end: all five cells.
+        let ctx = QeContext::exact();
+        let sq = atom(x.pow(2), RelOp::Ge);
+        assert!(decide_sentence(&sq, &[(Quantifier::Forall, 0)], 1, &ctx).unwrap());
+        assert_eq!(ctx.cells_built.get(), 3);
+    }
 
     /// A level two cells over the limit is the same typed error however
     /// many threads lift it, and a level exactly at the limit comes back
-    /// in parent order.
+    /// in parent order — whether the parents' cells are materialised or, as
+    /// on the innermost quantifier's level, only counted.
     #[test]
     fn cell_limit_is_worker_independent() {
         let root = CadCell {
@@ -591,21 +826,32 @@ mod tests {
             signs: BTreeMap::new(),
         };
         let parents = vec![root; 8];
-        let lift = |pi: usize, parent: &CadCell| {
+        let materialise = |pi: usize, parent: &CadCell| {
             let cell = CadCell {
                 parent: Some(pi),
                 ..parent.clone()
             };
-            Ok(vec![cell; 3])
+            Ok((vec![cell; 3], 3))
         };
+        // A decided parent: a verdict, and 3 cells visited getting it.
+        let decide = |pi: usize, _: &CadCell| Ok((pi.is_multiple_of(2), 3));
         for workers in [1usize, 2, 4] {
-            let level = lift_level(&parents, workers, 24, lift).unwrap();
-            let from: Vec<Option<usize>> = level.iter().map(|c| c.parent).collect();
+            let (level, cells) = lift_level(&parents, workers, 24, materialise).unwrap();
+            let from: Vec<Option<usize>> = level.iter().flatten().map(|c| c.parent).collect();
             let expect: Vec<Option<usize>> = (0..24).map(|i| Some(i / 3)).collect();
-            assert_eq!(from, expect, "workers {workers}");
+            assert_eq!((from, cells), (expect, 24), "workers {workers}");
+            let (verdicts, cells) = lift_level(&parents, workers, 24, decide).unwrap();
+            let expect: Vec<bool> = (0..8usize).map(|pi| pi.is_multiple_of(2)).collect();
+            assert_eq!((verdicts, cells), (expect, 24), "workers {workers}");
+            let over = QeError::Unsupported("CAD exceeded 22 cells".into());
             assert_eq!(
-                lift_level(&parents, workers, 22, lift).unwrap_err(),
-                QeError::Unsupported("CAD exceeded 22 cells".into()),
+                lift_level(&parents, workers, 22, materialise).unwrap_err(),
+                over,
+                "workers {workers}"
+            );
+            assert_eq!(
+                lift_level(&parents, workers, 22, decide).unwrap_err(),
+                over,
                 "workers {workers}"
             );
         }

@@ -24,8 +24,11 @@ pub struct TruthTable {
     pub root_truth: bool,
 }
 
-/// Evaluate the matrix on every finest cell, then fold the quantifier
-/// prefix down to the free level.
+/// Evaluate the matrix on every finest cell of a *full* CAD
+/// ([`super::build_cad`]), then fold the quantifier prefix down to the free
+/// level. The engine itself goes through [`super::decide`], which never
+/// builds the finest level; this is the reference that path is tested
+/// against.
 pub fn evaluate_truth(
     cad: &Cad,
     matrix: &Formula,
@@ -33,40 +36,37 @@ pub fn evaluate_truth(
     free_levels: usize,
     ctx: &QeContext,
 ) -> Result<TruthTable, QeError> {
-    let n = cad.levels.len();
-    debug_assert_eq!(free_levels + prefix.len(), n);
-    let top = &cad.levels[n - 1];
-    let mut truth: Vec<bool> = Vec::with_capacity(top.len());
-    for cell in top {
+    debug_assert_eq!(free_levels + prefix.len(), cad.levels.len());
+    let mut truth: Vec<bool> = Vec::with_capacity(cad.top_cells());
+    for cell in cad.levels.last().into_iter().flatten() {
         truth.push(eval_formula_at_cell(cad, cell, matrix, ctx)?);
     }
-    // Fold levels n → free_levels+1.
-    for l in (free_levels + 1..=n).rev() {
-        let (q, _) = prefix[l - 1 - free_levels];
-        let cells = &cad.levels[l - 1];
-        if l == 1 {
-            // Fold into the virtual root.
-            let verdict = match q {
-                Quantifier::Exists => truth.iter().any(|&t| t),
-                Quantifier::Forall => truth.iter().all(|&t| t),
+    fold_prefix(cad, truth, prefix, free_levels)
+}
+
+/// Fold `truth` — one verdict per cell of level `free_levels + prefix.len()`
+/// (one for the virtual root when that is level 0) — through `prefix`,
+/// innermost quantifier first, down to the free level.
+pub(super) fn fold_prefix(
+    cad: &Cad,
+    mut truth: Vec<bool>,
+    prefix: &[(Quantifier, usize)],
+    free_levels: usize,
+) -> Result<TruthTable, QeError> {
+    for (k, (q, _)) in prefix.iter().enumerate().rev() {
+        // Level `l` folds into level `l − 1`; level 0 is the virtual root.
+        let l = free_levels + k + 1;
+        let parent_count = if l == 1 { 1 } else { cad.levels[l - 2].len() };
+        let mut folded = vec![*q == Quantifier::Forall; parent_count];
+        for (cell, t) in cad.levels[l - 1].iter().zip(&truth) {
+            let p = match cell.parent {
+                None if l > 1 => {
+                    return Err(QeError::Unsupported(
+                        "truth fold: non-base cell without a parent".to_owned(),
+                    ))
+                }
+                p => p.unwrap_or(0),
             };
-            return Ok(TruthTable {
-                free_cell_truth: Vec::new(),
-                root_truth: verdict,
-            });
-        }
-        let parent_count = cad.levels[l - 2].len();
-        let mut folded = vec![
-            match q {
-                Quantifier::Exists => false,
-                Quantifier::Forall => true,
-            };
-            parent_count
-        ];
-        for (cell, t) in cells.iter().zip(&truth) {
-            let p = cell.parent.ok_or_else(|| {
-                QeError::Unsupported("truth fold: non-base cell without a parent".to_owned())
-            })?;
             match q {
                 Quantifier::Exists => folded[p] = folded[p] || *t,
                 Quantifier::Forall => folded[p] = folded[p] && *t,
@@ -74,10 +74,22 @@ pub fn evaluate_truth(
         }
         truth = folded;
     }
-    Ok(TruthTable {
-        free_cell_truth: truth,
-        root_truth: false,
-    })
+    if free_levels > 0 {
+        return Ok(TruthTable {
+            free_cell_truth: truth,
+            root_truth: false,
+        });
+    }
+    match truth.as_slice() {
+        [root] => Ok(TruthTable {
+            free_cell_truth: Vec::new(),
+            root_truth: *root,
+        }),
+        _ => Err(QeError::Unsupported(format!(
+            "truth fold: {} verdicts for the root",
+            truth.len()
+        ))),
+    }
 }
 
 /// A cell's sign signature over the free-space projection polynomials.
@@ -283,6 +295,21 @@ mod tests {
             &ctx,
         )
         .unwrap());
+    }
+
+    /// The sentence-case fold wants exactly one verdict for the root; any
+    /// other count is a typed error, not an index out of bounds.
+    #[test]
+    fn root_fold_is_typed_on_a_miscounted_table() {
+        let p = &MPoly::var(0, 1).pow(2) - &c(2, 1);
+        let cad = build_cad(&[p], &[0], 1, &QeContext::exact()).unwrap();
+        assert!(fold_prefix(&cad, vec![true], &[], 0).unwrap().root_truth);
+        for miscounted in [Vec::new(), vec![true, false]] {
+            assert!(matches!(
+                fold_prefix(&cad, miscounted, &[], 0),
+                Err(QeError::Unsupported(_))
+            ));
+        }
     }
 
     /// Two quantifiers: ∃x∃y (x² + y² = 0 ∧ x = y) is true (origin).

@@ -22,7 +22,7 @@ use cdb_poly::algebraic::{AlgUPoly, NumberField};
 use cdb_poly::roots::RootLocation;
 use cdb_poly::sturm::SturmChain;
 use cdb_poly::{MPoly, RealAlg, UPoly};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// A section of a stack: a root of one or more level polynomials.
 #[derive(Clone, Debug)]
@@ -65,8 +65,10 @@ pub fn build_stack(
                 nullified.insert(*id);
             }
             FiberRoots::Roots(rs) => {
+                // Ascending: each root resumes above where the previous landed.
+                let mut from = 0;
                 for r in rs {
-                    merge_root(&mut merged, r, *id);
+                    from = merge_root(&mut merged, r, *id, from) + 1;
                 }
             }
         }
@@ -84,31 +86,30 @@ enum FiberRoots {
     Roots(Vec<RealAlg>),
 }
 
-fn merge_root(merged: &mut Vec<StackSection>, root: RealAlg, id: usize) {
-    // Insert in order, merging with an equal existing root (exact compare).
-    for (i, s) in merged.iter_mut().enumerate() {
+/// Insert `root` in order among `merged[from..]` (everything below `from` is
+/// known to be smaller), merging with an equal existing root (exact
+/// compare). Returns the index it landed on.
+fn merge_root(merged: &mut Vec<StackSection>, root: RealAlg, id: usize, from: usize) -> usize {
+    let mut at = merged.len();
+    for (i, s) in merged.iter_mut().enumerate().skip(from) {
         match root.cmp_alg(&s.root) {
             std::cmp::Ordering::Equal => {
                 s.vanish.insert(id);
-                return;
+                return i;
             }
             std::cmp::Ordering::Less => {
-                merged.insert(
-                    i,
-                    StackSection {
-                        root,
-                        vanish: BTreeSet::from([id]),
-                    },
-                );
-                return;
+                at = i;
+                break;
             }
             std::cmp::Ordering::Greater => {}
         }
     }
-    merged.push(StackSection {
+    let section = StackSection {
         root,
         vanish: BTreeSet::from([id]),
-    });
+    };
+    merged.insert(at, section);
+    at
 }
 
 /// Roots of `p` restricted to the fiber over `sample`.
@@ -349,7 +350,7 @@ fn sign_nonzero_at(q: &MPoly, algs: &[(usize, RealAlg)], ctx: &QeContext) -> Res
 /// Pick rational sector sample points interleaving the sections: one below,
 /// one between each adjacent pair, one above. For an empty stack the single
 /// sector sample is 0.
-pub fn sector_samples(sections: &mut [StackSection]) -> Vec<Rat> {
+fn sector_samples(sections: &mut [StackSection]) -> Vec<Rat> {
     separate(sections);
     let (Some(first), Some(last)) = (sections.first(), sections.last()) else {
         return vec![Rat::zero()];
@@ -393,6 +394,111 @@ fn separate(sections: &mut [StackSection]) {
             };
             s.root = s.root.refined(&w);
         }
+    }
+}
+
+/// The cells of one stack in order — sector, section, sector, … — with the
+/// signs of the level polynomials on them (DESIGN.md §5 rule 5).
+///
+/// A polynomial's sign is constant between two consecutive roots of its own
+/// on the fiber, and the stack knows those roots (`vanish`), so each
+/// polynomial is evaluated once per such interval, at the rational sample of
+/// a sector inside it, and the sign is carried across the sections and
+/// sectors other polynomials cut into that interval. A polynomial nobody
+/// asks about is never evaluated.
+pub struct StackWalk<'a> {
+    polys: &'a [(usize, MPoly)],
+    vars: &'a [usize],
+    base: &'a [Coord],
+    stack: Stack,
+    sectors: Vec<Rat>,
+    /// 0-based position of the current cell (even = sector).
+    pos: usize,
+    /// Signs on the current root intervals, by polynomial id.
+    carried: BTreeMap<usize, Sign>,
+}
+
+impl<'a> StackWalk<'a> {
+    /// Start at the lowest sector of `stack`, built for the level
+    /// polynomials `polys` over `base` (coordinates of `vars[..vars.len()−1]`;
+    /// the last of `vars` is the stack variable).
+    #[must_use]
+    pub fn new(
+        polys: &'a [(usize, MPoly)],
+        vars: &'a [usize],
+        base: &'a [Coord],
+        mut stack: Stack,
+    ) -> StackWalk<'a> {
+        let sectors = sector_samples(&mut stack.sections);
+        StackWalk {
+            polys,
+            vars,
+            base,
+            stack,
+            sectors,
+            pos: 0,
+            carried: BTreeMap::new(),
+        }
+    }
+
+    /// Number of cells in the stack.
+    #[must_use]
+    pub fn cells(&self) -> usize {
+        2 * self.stack.sections.len() + 1
+    }
+
+    /// The section the current cell is, if it is one.
+    fn section(&self) -> Option<&StackSection> {
+        (self.pos % 2 == 1).then(|| &self.stack.sections[self.pos / 2])
+    }
+
+    /// The current cell's own sample coordinate: the root on a section, the
+    /// rational sector sample otherwise.
+    #[must_use]
+    pub fn coord(&self) -> Coord {
+        match self.section() {
+            Some(section) => Coord::Alg(section.root.clone()),
+            None => Coord::Rat(self.sectors[self.pos / 2].clone()),
+        }
+    }
+
+    /// Sign of level polynomial `id` on the current cell.
+    pub fn sign(&mut self, id: usize, ctx: &QeContext) -> Result<Sign, QeError> {
+        if self.stack.nullified.contains(&id)
+            || self.section().is_some_and(|s| s.vanish.contains(&id))
+        {
+            return Ok(Sign::Zero);
+        }
+        if let Some(&s) = self.carried.get(&id) {
+            return Ok(s);
+        }
+        let (_, p) =
+            self.polys.iter().find(|(i, _)| *i == id).ok_or_else(|| {
+                QeError::Unsupported(format!("polynomial {id} is not of this level"))
+            })?;
+        let s = self.sign_at_sector(p, ctx)?;
+        self.carried.insert(id, s);
+        Ok(s)
+    }
+
+    /// Sign at the current cell of a polynomial known to have no root
+    /// between the cell and the sector sample at or just below it: all
+    /// evaluation happens at that rational point.
+    pub fn sign_at_sector(&self, p: &MPoly, ctx: &QeContext) -> Result<Sign, QeError> {
+        let mut point = self.base.to_vec();
+        point.push(Coord::Rat(self.sectors[self.pos / 2].clone()));
+        sign_at(p, self.vars, &point, ctx)
+    }
+
+    /// Move to the next cell up; `false` when the stack is exhausted.
+    pub fn advance(&mut self) -> bool {
+        if self.pos % 2 == 1 {
+            // Above one of its roots a polynomial starts a new interval.
+            let vanish = &self.stack.sections[self.pos / 2].vanish;
+            self.carried.retain(|id, _| !vanish.contains(id));
+        }
+        self.pos += 1;
+        self.pos < self.cells()
     }
 }
 
@@ -505,6 +611,109 @@ mod tests {
         assert_eq!(stack.sections.len(), 1);
         let root = &stack.sections[0].root;
         assert_eq!(root.cmp_rat(&Rat::from(2i64)), std::cmp::Ordering::Equal);
+    }
+
+    /// Sign by interval against brute force: over a rational and an
+    /// algebraic base, every level polynomial's sign on every cell of the
+    /// stack equals `sign_at` at the cell's own sample — with one evaluation
+    /// per interval between the polynomial's own roots (none for a nullified
+    /// one, one for one without roots) — and a walk that is only asked now
+    /// and then, first on a section as often as not, reads the same signs.
+    #[test]
+    fn walk_signs_match_direct_evaluation_on_every_cell() {
+        let x = MPoly::var(0, 2);
+        let y = MPoly::var(1, 2);
+        let polys = vec![
+            (3, &(&x.pow(2) + &y.pow(2)) - &c(4, 2)), // roots ±√(4 − x²)
+            (5, &y - &x),                             // shares y = √2 over x = √2
+            (6, &x * &y),                             // nullified over x = 0
+            (8, &y.pow(2) + &c(1, 2)),                // no roots
+            (9, &y.pow(3) - &y),                      // −1, 0, 1
+        ];
+        let sqrt2 = RealAlg::roots_of(&UPoly::from_ints(&[-2, 0, 1]))
+            .pop()
+            .unwrap();
+        for base in [
+            Coord::Rat(Rat::zero()),
+            Coord::Rat(Rat::one()),
+            Coord::Alg(sqrt2),
+        ] {
+            let ctx = QeContext::exact();
+            let base = [base];
+            let build = || build_stack(&polys, &[0], &base, 1, &no_lower, &ctx).unwrap();
+            let stack = build();
+            let roots_of = |id| {
+                stack
+                    .sections
+                    .iter()
+                    .filter(|s| s.vanish.contains(id))
+                    .count()
+            };
+            let expected_evals: usize = polys
+                .iter()
+                .filter(|(id, _)| !stack.nullified.contains(id))
+                .map(|(id, _)| roots_of(id) + 1)
+                .sum();
+            let before = ctx.sign_evals.get();
+            let mut walk = StackWalk::new(&polys, &[0, 1], &base, stack);
+            let mut table: Vec<(Coord, Vec<Sign>)> = Vec::new();
+            loop {
+                let signs = polys.iter().map(|(id, _)| walk.sign(*id, &ctx).unwrap());
+                let signs: Vec<Sign> = signs.collect();
+                table.push((walk.coord(), signs));
+                if !walk.advance() {
+                    break;
+                }
+            }
+            assert_eq!(ctx.sign_evals.get() - before, expected_evals as u64);
+            assert_eq!(table.len(), walk.cells());
+            for (coord, signs) in &table {
+                let cell = [base[0].clone(), coord.clone()];
+                for ((_, p), s) in polys.iter().zip(signs) {
+                    match sign_at(p, &[0, 1], &cell, &ctx) {
+                        Ok(direct) => assert_eq!(direct, *s, "{p} at {cell:?}"),
+                        // Two algebraic coordinates: refinement cannot
+                        // prove a zero, it can only fail to refute it.
+                        Err(QeError::IndeterminateSign(_)) => assert_eq!(*s, Sign::Zero),
+                        Err(e) => panic!("{p} at {cell:?}: {e}"),
+                    }
+                }
+            }
+            let mut lazy = StackWalk::new(&polys, &[0, 1], &base, build());
+            for (k, (_, signs)) in table.iter().enumerate() {
+                for (j, (id, _)) in polys.iter().enumerate() {
+                    if (k + j) % 3 == 1 {
+                        assert_eq!(lazy.sign(*id, &ctx).unwrap(), signs[j], "cell {k}");
+                    }
+                }
+                lazy.advance();
+            }
+        }
+    }
+
+    /// The merge cursor lands every root where a scan from the bottom
+    /// would: interleaved and shared roots of three polynomials.
+    #[test]
+    fn merge_resumes_above_the_previous_root() {
+        // Over x = 0: y³ − y → {−1, 0, 1}; y² − 2 → {−√2, √2}; y² − y → {0, 1}.
+        let y = MPoly::var(1, 2);
+        let polys = [
+            (0, &y.pow(3) - &y),
+            (1, &y.pow(2) - &c(2, 2)),
+            (2, &y.pow(2) - &y),
+        ];
+        let ctx = QeContext::exact();
+        let base = [Coord::Rat(Rat::zero())];
+        let stack = build_stack(&polys, &[0], &base, 1, &no_lower, &ctx).unwrap();
+        let vanish: Vec<Vec<usize>> = stack
+            .sections
+            .iter()
+            .map(|s| s.vanish.iter().copied().collect())
+            .collect();
+        assert_eq!(vanish, [vec![1], vec![0], vec![0, 2], vec![0, 2], vec![1]]);
+        for w in stack.sections.windows(2) {
+            assert_eq!(w[0].root.cmp_alg(&w[1].root), std::cmp::Ordering::Less);
+        }
     }
 
     #[test]

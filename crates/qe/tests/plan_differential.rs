@@ -17,6 +17,7 @@
 use cdb_constraints::{Atom, ConstraintRelation, Formula, GeneralizedTuple, Quantifier, RelOp};
 use cdb_num::Rat;
 use cdb_poly::MPoly;
+use cdb_qe::cad::{self, solution};
 use cdb_qe::{plan, PlanMode, QeContext, QeError};
 use proptest::prelude::*;
 
@@ -296,9 +297,10 @@ fn poly2(terms: &[(i64, u32, u32)]) -> MPoly {
 /// rational point (a double root of a rational quadratic is rational), so
 /// the last row takes the line through the disc's boundary at `x = ±1/√2`.
 /// Each row: quantifier, matrix, then the `Display` bytes of the `ForceCAD`
-/// answer and the `cells_built` / `sign_evals` counters, all captured at
-/// the commit before lifting stopped repeating its algebra — the rewrite
-/// must build the same decomposition cell for cell.
+/// answer, captured at the commit before lifting stopped repeating its
+/// algebra and untouched since, and the `cells_built` / `sign_evals`
+/// counters of the partial CAD (re-baselined when the innermost level
+/// stopped being materialised; [`FULL_CAD_PINS`] keeps the old ones).
 fn lifting_corpus() -> Vec<(Quantifier, Formula, &'static str, u64, u64)> {
     let atom = |terms: &[(i64, u32, u32)], op| Formula::Atom(Atom::new(poly2(terms), op));
     vec![
@@ -310,8 +312,8 @@ fn lifting_corpus() -> Vec<(Quantifier, Formula, &'static str, u64, u64)> {
                 atom(&[(2, 2, 0), (3, 0, 2), (-20, 0, 0)], RelOp::Le),
             ]),
             "(x0^4 - 12*x0^3 + 148*x0^2 - 96*x0 - 896 < 0) or (x0^4 - 12*x0^3 + 148*x0^2 - 96*x0 - 896 = 0) or (x0^2 - 2*x0 - 8 < 0 and x0^2 - 10 < 0) or (x0^2 - 2*x0 - 8 < 0 and x0^2 - 10 = 0)",
-            98,
-            182,
+            69,
+            50,
         ),
         // Non-constant leading coefficient with side conditions.
         (
@@ -322,8 +324,8 @@ fn lifting_corpus() -> Vec<(Quantifier, Formula, &'static str, u64, u64)> {
                 atom(&[(1, 1, 0), (-5, 0, 0)], RelOp::Le),
             ]),
             "(3*x0 + 1 = 0) or (3*x0 + 1 > 0 and x0 - 1 < 0) or (x0 - 1 = 0)",
-            62,
-            115,
+            49,
+            30,
         ),
         // Cubic in the bound variable.
         (
@@ -334,8 +336,8 @@ fn lifting_corpus() -> Vec<(Quantifier, Formula, &'static str, u64, u64)> {
                 atom(&[(1, 0, 1), (-2, 0, 0)], RelOp::Le),
             ]),
             "(x0 + 2 = 0) or (x0 + 2 > 0 and 4*x0 + 5 < 0) or (4*x0 + 5 = 0) or (4*x0^3 + 84*x0^2 + 156*x0 - 5 < 0 and 4*x0 + 5 > 0) or (4*x0^3 + 84*x0^2 + 156*x0 - 5 = 0 and 4*x0 + 5 > 0)",
-            154,
-            421,
+            123,
+            85,
         ),
         // Nonlinear ∀: no point of the open disc lies above the line.
         (
@@ -345,8 +347,8 @@ fn lifting_corpus() -> Vec<(Quantifier, Formula, &'static str, u64, u64)> {
                 atom(&[(1, 0, 1), (-2, 1, 0), (-1, 0, 0)], RelOp::Le),
             ]),
             "(2*x0 + 1 > 0 and 5*x0^2 + 6*x0 = 0) or (2*x0 + 1 > 0 and 5*x0^2 + 6*x0 > 0) or (x0^2 - 2*x0 - 4 = 0) or (x0^2 - 2*x0 - 4 > 0)",
-            104,
-            192,
+            90,
+            59,
         ),
         // ∃y (y² = x ∧ y ≥ 1).
         (
@@ -356,8 +358,8 @@ fn lifting_corpus() -> Vec<(Quantifier, Formula, &'static str, u64, u64)> {
                 atom(&[(1, 0, 1), (-1, 0, 0)], RelOp::Ge),
             ]),
             "(x0 - 1 = 0) or (x0 - 1 > 0)",
-            32,
-            50,
+            30,
+            19,
         ),
         // Unit disc and the line y = x: common root y = ±1/√2 over x = ±1/√2.
         (
@@ -367,16 +369,36 @@ fn lifting_corpus() -> Vec<(Quantifier, Formula, &'static str, u64, u64)> {
                 atom(&[(1, 0, 1), (-1, 1, 0)], RelOp::Eq),
             ]),
             "(2*x0^2 - 1 < 0) or (2*x0^2 - 1 = 0)",
-            72,
-            123,
+            59,
+            37,
         ),
     ]
 }
 
+/// `cells_built` / `sign_evals` per corpus row when every level was
+/// materialised and every cell took every polynomial's sign afresh.
+const FULL_CAD_PINS: [(u64, u64); 6] = [
+    (98, 182),
+    (62, 115),
+    (154, 421),
+    (104, 192),
+    (32, 50),
+    (72, 123),
+];
+
 /// The lifting corpus under `ForceCAD`, workers {1, 4}: output bytes and
-/// the deterministic CAD counters equal the pinned ones.
+/// the deterministic CAD counters equal the pinned ones, and the partial
+/// CAD does strictly less work than the full one did on every row — under
+/// half the sign evaluations overall.
 #[test]
 fn lifting_corpus_matches_pinned_decomposition() {
+    let pins = lifting_corpus().into_iter().map(|row| (row.3, row.4));
+    for ((cells, sign_evals), (full_cells, full_evals)) in pins.clone().zip(FULL_CAD_PINS) {
+        assert!(cells < full_cells && sign_evals < full_evals);
+    }
+    let evals: u64 = pins.map(|(_, e)| e).sum();
+    let full_evals: u64 = FULL_CAD_PINS.iter().map(|(_, e)| e).sum();
+    assert!(2 * evals <= full_evals, "{evals} vs {full_evals}");
     for (i, (q, matrix, display, cells, sign_evals)) in lifting_corpus().into_iter().enumerate() {
         let matrix = matrix.to_nnf();
         for workers in [1usize, 4] {
@@ -395,8 +417,111 @@ fn lifting_corpus_matches_pinned_decomposition() {
     }
 }
 
+/// The partial CAD of [`cad::decide`] against the reference — a full
+/// [`cad::build_cad`] under [`solution::evaluate_truth`]: the innermost
+/// quantifier's verdict per cell of level `n − 1`, the truth table after
+/// the whole prefix, and the `Display` bytes of the solution formula.
+fn assert_partial_matches_full(
+    matrix: &Formula,
+    prefix: &[(Quantifier, usize)],
+    free: &[usize],
+    nvars: usize,
+) {
+    let matrix = matrix.to_nnf();
+    let ctx = QeContext::exact();
+    let polys = cad::matrix_polys(&matrix).unwrap();
+    let mut order = free.to_vec();
+    order.extend(prefix.iter().map(|(_, v)| *v));
+    let full = cad::build_cad(&polys, &order, nvars, &ctx).unwrap();
+    // Innermost quantifier alone, every level below it taken as free.
+    let (inner, below) = (&prefix[prefix.len() - 1..], &order[..order.len() - 1]);
+    let (partial, verdicts) = cad::decide(&polys, &matrix, inner, below, nvars, &ctx).unwrap();
+    let reference = solution::evaluate_truth(&full, &matrix, inner, below.len(), &ctx).unwrap();
+    assert_eq!(partial.levels.len(), below.len(), "{matrix}");
+    assert_eq!(
+        verdicts.free_cell_truth, reference.free_cell_truth,
+        "{matrix}"
+    );
+    assert_eq!(verdicts.root_truth, reference.root_truth, "{matrix}");
+    // The whole prefix.
+    let (partial, truth) = cad::decide(&polys, &matrix, prefix, free, nvars, &ctx).unwrap();
+    let reference = solution::evaluate_truth(&full, &matrix, prefix, free.len(), &ctx).unwrap();
+    assert_eq!(truth.free_cell_truth, reference.free_cell_truth, "{matrix}");
+    assert_eq!(truth.root_truth, reference.root_truth, "{matrix}");
+    if !free.is_empty() {
+        let bytes = |cad: &cad::Cad, truth: &solution::TruthTable| {
+            solution::construct_formula(cad, truth, free.len(), nvars, &ctx)
+                .map(|rel| rel.to_string())
+        };
+        assert_eq!(
+            bytes(&partial, &truth),
+            bytes(&full, &reference),
+            "{matrix}"
+        );
+    }
+}
+
+/// [`assert_partial_matches_full`] over the lifting corpus, a sweep of the
+/// mixed-corpus generator, two-quantifier prefixes (`∃∃`, `∀∃`, `∃∀`) over
+/// the algebraic-coordinate matrices of `cad_depth.rs`, and sentences.
+#[test]
+fn partial_matches_full() {
+    for (q, matrix, ..) in lifting_corpus() {
+        assert_partial_matches_full(&matrix, &[(q, 1)], &[0], 2);
+    }
+    for k1 in 0u8..=3 {
+        for k2 in 0u8..=3 {
+            for (a, b) in [(-2, 1), (1, -1), (2, 0)] {
+                let matrix = mixed_matrix(&[(k1, a, b), (k2, b, a)]);
+                assert_partial_matches_full(&matrix, &[(Quantifier::Exists, 1)], &[0], 2);
+            }
+        }
+    }
+    // x² = 2 ∧ y² = 3 ∧ z = x·y ∧ 5z ≥ 12, and a sphere cut by a saddle.
+    let n = 3;
+    let (x, y, z) = (MPoly::var(0, n), MPoly::var(1, n), MPoly::var(2, n));
+    let roots = Formula::And(vec![
+        Formula::Atom(Atom::new(&x.pow(2) - &c(2, n), RelOp::Eq)),
+        Formula::Atom(Atom::new(&y.pow(2) - &c(3, n), RelOp::Eq)),
+        Formula::Atom(Atom::new(&z - &(&x * &y), RelOp::Eq)),
+        Formula::Atom(Atom::new(&c(12, n) - &z.scale(&Rat::from(5)), RelOp::Le)),
+    ]);
+    let sphere = Formula::Or(vec![
+        Formula::Atom(Atom::new(
+            &(&(&x.pow(2) + &y.pow(2)) + &z.pow(2)) - &c(4, n),
+            RelOp::Lt,
+        )),
+        Formula::Atom(Atom::new(&z - &(&x * &y), RelOp::Ge)),
+    ]);
+    use Quantifier::{Exists, Forall};
+    for matrix in [&roots, &sphere] {
+        for (qy, qz) in [(Exists, Exists), (Forall, Exists), (Exists, Forall)] {
+            assert_partial_matches_full(matrix, &[(qy, 1), (qz, 2)], &[0], n);
+        }
+    }
+    // Sentences: three levels, and the `n = 1` case whose parent is the root.
+    assert_partial_matches_full(&roots, &[(Exists, 0), (Exists, 1), (Exists, 2)], &[], n);
+    let x = MPoly::var(0, 1);
+    for (q, op) in [
+        (Exists, RelOp::Eq),
+        (Forall, RelOp::Ne),
+        (Forall, RelOp::Ge),
+    ] {
+        let matrix = Formula::Atom(Atom::new(&x.pow(2) - &c(2, 1), op));
+        assert_partial_matches_full(&matrix, &[(q, 0)], &[], 1);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The partial CAD equals the full one on randomized mixed corpora.
+    #[test]
+    fn partial_matches_full_on_mixed_corpora(
+        spec in proptest::collection::vec((0u8..=3, -2i64..=2, -2i64..=2), 2..=3),
+    ) {
+        assert_partial_matches_full(&mixed_matrix(&spec), &[(Quantifier::Exists, 1)], &[0], 2);
+    }
 
     /// Randomized mixed corpora: Auto is byte-identical across workers
     /// {1, 4}, ForceCAD likewise, and the two modes agree semantically on

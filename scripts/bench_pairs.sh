@@ -3,13 +3,23 @@
 # (choosing-metrics §8): build `stmtbench` at <parent-rev> and in the working
 # tree, run ten pairs per workload at the BENCHMARK.json run length,
 # alternating which side goes first, and print per workload x end-to-end
-# metric both medians, both quartile pairs, wins/pairs, and whether the
-# transcript hashes matched. Pair k runs both sides at --seed k.
+# metric both medians, both quartile pairs, wins/pairs, a verdict, and whether
+# the transcript hashes matched. Pair k runs both sides at --seed k.
 #
-#   scripts/bench_pairs.sh <parent-rev> [workload...]
+# Verdicts (choosing-metrics §8, §6.5), first that applies:
+#   gain        change wins >= 9/10 of the pairs run (ties count for neither)
+#               and the medians differ by more than the parent's IQR
+#   regressed   change median worse than the parent's by more than the
+#               metric's `bound` in BENCHMARK.json
+#   unresolved  the parent's IQR is wider than that bound, and not every
+#               change run reads better than every parent run
+#   same        none of the above
+# Exit status 1 when any row is `regressed`.
+#
+#   scripts/bench_pairs.sh <parent-rev | parent-checkout-dir> [workload...]
 set -euo pipefail
 
-[ $# -ge 1 ] || { echo "usage: $0 <parent-rev> [workload...]" >&2; exit 2; }
+[ $# -ge 1 ] || { echo "usage: $0 <parent-rev | parent-checkout-dir> [workload...]" >&2; exit 2; }
 cd "$(dirname "$0")/.."
 root=$PWD
 rev=$1
@@ -23,13 +33,19 @@ if [ $# -gt 0 ]; then workloads=$*; else
     workloads=$(section workloads | grep -o '"name": "[^"]*"' | cut -d'"' -f4)
 fi
 better() { section end_to_end | grep "\"name\": \"$1\"" | grep -o '"better": "[^"]*"' | cut -d'"' -f4; }
+bound() { section end_to_end | grep "\"name\": \"$1\"" | grep -o '"bound": [0-9.]*' | grep -o '[0-9.]*$'; }
 
 work=$root/target/bench_pairs
-parent=$work/parent
 mkdir -p "$work"
-git worktree remove --force "$parent" 2>/dev/null || true
-git worktree add --detach --force "$parent" "$rev" >/dev/null
-trap 'git -C "$root" worktree remove --force "$parent"' EXIT
+if [ -d "$rev" ]; then
+    # An existing checkout of the parent (no worktree is made or removed).
+    parent=$(cd "$rev" && pwd)
+else
+    parent=$work/parent
+    git worktree remove --force "$parent" 2>/dev/null || true
+    git worktree add --detach --force "$parent" "$rev" >/dev/null
+    trap 'git -C "$root" worktree remove --force "$parent"' EXIT
+fi
 
 build() { # <checkout> <target dir>
     CARGO_TARGET_DIR=$2 cargo build --release --quiet --offline \
@@ -54,8 +70,31 @@ summary() {
         printf "%.4g %.4g %.4g", m, v[int((NR + 3) / 4)], v[int((3 * NR + 3) / 4)] }'
 }
 
-printf '%-12s %-12s %34s %34s %7s\n' workload metric \
-    "parent median [q1, q3]" "change median [q1, q3]" wins
+# verdict <parent values> <change values> <better> <bound> <wins> <pairs>
+verdict() {
+    { sort -g "$1"; echo; sort -g "$2"; } | awk -v better="$3" -v bound="$4" -v wins="$5" -v pairs="$6" '
+        function median(v, n) { return (n % 2) ? v[(n + 1) / 2] : (v[n / 2] + v[n / 2 + 1]) / 2 }
+        $0 == "" { second = 1; next }
+        second { c[++nc] = $1; next }
+        { p[++np] = $1 }
+        END {
+            if (!np || !nc) { print "-"; exit }
+            s = (better == "lower") ? 1 : -1
+            pm = median(p, np)
+            worse = s * (median(c, nc) - pm)
+            iqr = p[int((3 * np + 3) / 4)] - p[int((np + 3) / 4)]
+            limit = bound * (pm < 0 ? -pm : pm)
+            all_better = (s > 0) ? (c[nc] < p[1]) : (c[1] > p[np])
+            if (10 * wins >= 9 * pairs && -worse > iqr) print "gain"
+            else if (worse > limit) print "regressed"
+            else if (iqr > limit && !all_better) print "unresolved"
+            else print "same"
+        }'
+}
+
+status=0
+printf '%-12s %-12s %34s %34s %7s  %s\n' workload metric \
+    "parent median [q1, q3]" "change median [q1, q3]" wins verdict
 for w in $workloads; do
     out=$work/$w
     rm -rf "$out"
@@ -90,8 +129,11 @@ for w in $workloads; do
         done
         read -r pm p1 p3 <<<"$(summary <"$out/parent.$m")"
         read -r cm c1 c3 <<<"$(summary <"$out/change.$m")"
-        printf '%-12s %-12s %34s %34s %4s/%-2s\n' "$w" "$m" \
-            "$pm [$p1, $p3]" "$cm [$c1, $c3]" "$wins" "$decided"
+        v=$(verdict "$out/parent.$m" "$out/change.$m" "$(better "$m")" "$(bound "$m")" "$wins" "$decided")
+        [ "$v" = regressed ] && status=1
+        printf '%-12s %-12s %34s %34s %4s/%-2s  %s\n' "$w" "$m" \
+            "$pm [$p1, $p3]" "$cm [$c1, $c3]" "$wins" "$decided" "$v"
     done
     echo "$w transcript hashes: $hashes"
 done
+exit $status
