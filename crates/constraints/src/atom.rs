@@ -76,7 +76,7 @@ impl RelOp {
 }
 
 /// An atomic constraint `poly op 0` over the variables of `poly`'s ring.
-#[derive(Clone, PartialEq, Eq)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct Atom {
     /// Left-hand polynomial (compared against zero).
     pub poly: MPoly,
@@ -144,6 +144,27 @@ impl Atom {
             self.op
         };
         CanonicalAtom::Atom(Atom { poly: prim, op })
+    }
+
+    /// Read a one-variable linear atom `a·xᵢ + b σ 0` straight off its
+    /// (at most two) terms: `(i, −b/a, a < 0)`, i.e. the atom says
+    /// `xᵢ σ −b/a`, with `σ` flipped when the last component is set. `None`
+    /// for every other shape.
+    #[must_use]
+    pub fn as_linear_bound(&self) -> Option<(usize, Rat, bool)> {
+        if self.poly.total_degree() != 1 || self.poly.num_terms() > 2 {
+            return None;
+        }
+        // Ascending lex order puts the constant term, if any, first.
+        let mut terms = self.poly.terms();
+        let (mono, a) = terms.next_back()?;
+        let b = match terms.next() {
+            Some((m, b)) if m.is_constant() => -b,
+            Some(_) => return None,
+            None => Rat::zero(),
+        };
+        let var = mono.exps().position(|e| e == 1)?;
+        Some((var, &b / a, a.sign() == Sign::Neg))
     }
 
     /// True iff this atom is trivially constant.

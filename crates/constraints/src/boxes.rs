@@ -12,7 +12,7 @@
 use crate::atom::RelOp;
 use crate::gtuple::GeneralizedTuple;
 use crate::relation::ConstraintRelation;
-use cdb_num::{Rat, Sign};
+use cdb_num::Rat;
 
 /// One-sided bound with strictness.
 #[derive(Debug, Clone, PartialEq)]
@@ -24,7 +24,7 @@ pub struct SideBound {
 }
 
 /// Per-variable interval hull of a generalized tuple.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TupleBox {
     /// Per variable: `(lower, upper)`; `None` = unbounded on that side.
     pub sides: Vec<(Option<SideBound>, Option<SideBound>)>,
@@ -42,40 +42,24 @@ impl TupleBox {
     /// Conservative hull of a tuple, from its univariate linear atoms.
     #[must_use]
     pub fn of_tuple(t: &GeneralizedTuple) -> TupleBox {
-        let k = t.nvars();
-        let mut bb = TupleBox::unbounded(k);
+        let mut bb = TupleBox::unbounded(t.nvars());
         for atom in t.atoms() {
-            let vars: Vec<usize> = (0..k).filter(|&i| atom.poly.uses_var(i)).collect();
-            if vars.len() != 1 {
-                continue;
-            }
-            let &[v] = vars.as_slice() else {
+            let Some((v, value, negative)) = atom.as_linear_bound() else {
                 continue;
             };
-            if atom.poly.degree_in(v) != 1 {
-                continue;
-            }
-            let coeffs = atom.poly.as_upoly_in(v);
-            let (Some(c1), Some(c0)) = (
-                coeffs.get(1).and_then(cdb_poly::MPoly::to_constant),
-                coeffs.first().and_then(cdb_poly::MPoly::to_constant),
-            ) else {
-                continue;
-            };
-            let bound = -(&c0 / &c1);
-            let op = if c1.sign() == Sign::Neg {
-                atom.op.flipped()
-            } else {
-                atom.op
+            let op = if negative { atom.op.flipped() } else { atom.op };
+            let bound = |strict| SideBound {
+                value: value.clone(),
+                strict,
             };
             match op {
-                RelOp::Le => bb.tighten_upper(v, bound, false),
-                RelOp::Lt => bb.tighten_upper(v, bound, true),
-                RelOp::Ge => bb.tighten_lower(v, bound, false),
-                RelOp::Gt => bb.tighten_lower(v, bound, true),
+                RelOp::Le => bb.tighten_upper(v, &bound(false)),
+                RelOp::Lt => bb.tighten_upper(v, &bound(true)),
+                RelOp::Ge => bb.tighten_lower(v, &bound(false)),
+                RelOp::Gt => bb.tighten_lower(v, &bound(true)),
                 RelOp::Eq => {
-                    bb.tighten_upper(v, bound.clone(), false);
-                    bb.tighten_lower(v, bound, false);
+                    bb.tighten_upper(v, &bound(false));
+                    bb.tighten_lower(v, &bound(false));
                 }
                 RelOp::Ne => {}
             }
@@ -83,26 +67,40 @@ impl TupleBox {
         bb
     }
 
-    fn tighten_upper(&mut self, v: usize, value: Rat, strict: bool) {
+    fn tighten_upper(&mut self, v: usize, new: &SideBound) {
         let side = &mut self.sides[v].1;
-        let replace = match side {
-            None => true,
-            Some(cur) => value < cur.value || (value == cur.value && strict && !cur.strict),
-        };
+        let replace = side.as_ref().is_none_or(|cur| {
+            new.value < cur.value || (new.value == cur.value && new.strict && !cur.strict)
+        });
         if replace {
-            *side = Some(SideBound { value, strict });
+            *side = Some(new.clone());
         }
     }
 
-    fn tighten_lower(&mut self, v: usize, value: Rat, strict: bool) {
+    fn tighten_lower(&mut self, v: usize, new: &SideBound) {
         let side = &mut self.sides[v].0;
-        let replace = match side {
-            None => true,
-            Some(cur) => value > cur.value || (value == cur.value && strict && !cur.strict),
-        };
+        let replace = side.as_ref().is_none_or(|cur| {
+            new.value > cur.value || (new.value == cur.value && new.strict && !cur.strict)
+        });
         if replace {
-            *side = Some(SideBound { value, strict });
+            *side = Some(new.clone());
         }
+    }
+
+    /// The box of a conjunction: per variable and side, the tighter of the
+    /// two bounds — `meet(of_tuple(a), of_tuple(b)) == of_tuple(a.and(b))`.
+    #[must_use]
+    pub fn meet(&self, other: &TupleBox) -> TupleBox {
+        let mut out = self.clone();
+        for (v, (lo, hi)) in other.sides.iter().enumerate() {
+            if let Some(lo) = lo {
+                out.tighten_lower(v, lo);
+            }
+            if let Some(hi) = hi {
+                out.tighten_upper(v, hi);
+            }
+        }
+        out
     }
 
     /// True iff the box is certainly empty (some variable's lower bound
@@ -116,6 +114,31 @@ impl TupleBox {
             _ => false,
         })
     }
+
+    /// Could the point be inside? (Conservative: `true` on any open side.)
+    #[must_use]
+    pub fn may_contain(&self, point: &[Rat]) -> bool {
+        (self.sides.iter().zip(point)).all(|(side, p)| overlaps(side, p, p))
+    }
+
+    /// Could this box intersect the closed probe box `[lo, hi]` per
+    /// dimension?
+    #[must_use]
+    pub fn may_intersect(&self, probe: &[(Rat, Rat)]) -> bool {
+        (self.sides.iter().zip(probe)).all(|(side, (lo, hi))| overlaps(side, lo, hi))
+    }
+}
+
+/// Does one variable's `(lower, upper)` leave room for some value of the
+/// closed interval `[lo, hi]`?
+fn overlaps(side: &(Option<SideBound>, Option<SideBound>), lo: &Rat, hi: &Rat) -> bool {
+    let (lower, upper) = side;
+    lower
+        .as_ref()
+        .is_none_or(|b| b.value < *hi || (b.value == *hi && !b.strict))
+        && upper
+            .as_ref()
+            .is_none_or(|b| b.value > *lo || (b.value == *lo && !b.strict))
 }
 
 impl ConstraintRelation {

@@ -5,10 +5,13 @@
 //! precision semantics requires to be fixed — §4).
 
 use crate::atom::Atom;
+use crate::boxes::TupleBox;
 use crate::database::Database;
 use crate::gtuple::GeneralizedTuple;
 use crate::relation::ConstraintRelation;
+use crate::tupleset::TupleSet;
 use cdb_num::Rat;
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -310,28 +313,61 @@ impl Formula {
     }
 
     /// Convert a pure quantifier-free formula (NNF, no `Rel`, no `Not`) into
-    /// DNF as a [`ConstraintRelation`] over `nvars` variables.
+    /// DNF as a [`ConstraintRelation`] over `nvars` variables, in normal
+    /// form: every tuple simplified ([`GeneralizedTuple::simplify`]), no
+    /// tuple repeated (first occurrence kept), no tuple whose [`TupleBox`]
+    /// is certified empty, and [`ConstraintRelation::full`] as soon as one
+    /// tuple is unconstrained. Tuple order is the ordered cross product of
+    /// the `And` operands and the concatenation of the `Or` operands; atom
+    /// order inside a tuple is operand order.
+    ///
+    /// The result equals — byte for byte, tuple and atom order included —
+    /// the pairwise `intersection`/`union` fold followed by
+    /// [`ConstraintRelation::simplify`] and
+    /// [`ConstraintRelation::prune_empty_boxes`] (both idempotent on it),
+    /// but is built in one pass whose work follows the pairs that survive:
+    /// a cross product of two many-tuple operands meets the operands' boxes
+    /// first and never conjoins a pair whose meet is empty (DESIGN.md §5.1
+    /// has the identity arguments).
     pub fn to_dnf(&self, nvars: usize) -> Result<ConstraintRelation, String> {
+        let mut kept = TupleSet::default();
+        for t in self.disjuncts(nvars)? {
+            // Only here, at the root: `a ∧ (b ∨ ⊤)` stays `a∧b ∨ a`.
+            if t.is_top() {
+                return Ok(ConstraintRelation::full(nvars));
+            }
+            if !TupleBox::of_tuple(&t).is_empty() {
+                kept.insert(Cow::Owned(t));
+            }
+        }
+        Ok(ConstraintRelation::new(nvars, kept.into_tuples()))
+    }
+
+    /// The disjuncts of [`Formula::to_dnf`] before the root's top-collapse
+    /// and prune.
+    fn disjuncts(&self, nvars: usize) -> Result<Vec<GeneralizedTuple>, String> {
         match self {
-            Formula::True => Ok(ConstraintRelation::full(nvars)),
-            Formula::False => Ok(ConstraintRelation::empty(nvars)),
-            Formula::Atom(a) => Ok(ConstraintRelation::new(
-                nvars,
-                vec![GeneralizedTuple::new(nvars, vec![a.clone()])],
-            )),
+            Formula::True => Ok(vec![GeneralizedTuple::top(nvars)]),
+            Formula::False => Ok(Vec::new()),
+            Formula::Atom(a) => {
+                let leaf = GeneralizedTuple::new(nvars, vec![a.clone()]).simplify();
+                Ok(leaf.into_iter().collect())
+            }
             Formula::And(fs) => {
-                let mut acc = ConstraintRelation::full(nvars);
+                let mut acc = vec![GeneralizedTuple::top(nvars)];
                 for f in fs {
-                    acc = acc.intersection(&f.to_dnf(nvars)?);
+                    acc = product(&acc, &f.disjuncts(nvars)?);
                 }
                 Ok(acc)
             }
             Formula::Or(fs) => {
-                let mut acc = ConstraintRelation::empty(nvars);
+                let mut acc = TupleSet::default();
                 for f in fs {
-                    acc = acc.union(&f.to_dnf(nvars)?);
+                    for t in f.disjuncts(nvars)? {
+                        acc.insert(Cow::Owned(t));
+                    }
                 }
-                Ok(acc)
+                Ok(acc.into_tuples())
             }
             Formula::Not(_) => Err("to_dnf requires NNF input (no Not nodes)".into()),
             Formula::Rel(name, _) => Err(format!("to_dnf on uninstantiated relation {name}")),
@@ -366,6 +402,31 @@ impl Formula {
             Formula::Quant(..) => Err("eval_at on quantified formula".into()),
         }
     }
+}
+
+/// The ordered cross product `lhs ∧ rhs` of two lists of simplified tuples.
+/// When both sides have several tuples, each operand tuple's box is computed
+/// once, a pair's box is the meet of the two, and a certified-empty meet
+/// skips the pair before anything is cloned; a one-tuple side — an `And` of
+/// atoms — computes no box at all. Boxes are not kept past the product: where
+/// nothing is prunable (curved atoms) they would cost a box per survivor.
+fn product(lhs: &[GeneralizedTuple], rhs: &[GeneralizedTuple]) -> Vec<GeneralizedTuple> {
+    let prune = lhs.len() > 1 && rhs.len() > 1;
+    let boxes = |side: &[GeneralizedTuple]| -> Vec<TupleBox> {
+        let side = if prune { side } else { &[] };
+        side.iter().map(TupleBox::of_tuple).collect()
+    };
+    let (lhs_boxes, rhs_boxes) = (boxes(lhs), boxes(rhs));
+    let mut out = Vec::new();
+    for (i, a) in lhs.iter().enumerate() {
+        for (j, b) in rhs.iter().enumerate() {
+            if prune && lhs_boxes[i].meet(&rhs_boxes[j]).is_empty() {
+                continue;
+            }
+            out.extend(a.conjoin(b));
+        }
+    }
+    out
 }
 
 /// Expand a relation into the equivalent disjunction-of-conjunctions formula.

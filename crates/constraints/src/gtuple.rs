@@ -7,7 +7,7 @@ use std::fmt;
 
 /// A `k`-ary generalized tuple: a conjunction of atomic constraints over `k`
 /// variables, denoting a (possibly infinite, possibly empty) subset of `R^k`.
-#[derive(Clone, PartialEq, Eq)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct GeneralizedTuple {
     nvars: usize,
     atoms: Vec<Atom>,
@@ -41,13 +41,42 @@ impl GeneralizedTuple {
             .iter()
             .enumerate()
             .map(|(i, v)| {
-                Atom::new(
-                    &MPoly::var(i, nvars) - &MPoly::constant(v.clone(), nvars),
-                    RelOp::Eq,
-                )
+                let mut x = vec![0; nvars];
+                x[i] = 1;
+                let terms = [(x, Rat::one()), (vec![0; nvars], -v)];
+                Atom::new(MPoly::from_terms(nvars, terms), RelOp::Eq)
             })
             .collect();
         GeneralizedTuple { nvars, atoms }
+    }
+
+    /// The point this tuple pins down, when it is a conjunction of
+    /// `a·xᵢ + b = 0` atoms fixing every coordinate exactly once in value.
+    #[must_use]
+    pub fn as_point(&self) -> Option<Vec<Rat>> {
+        let mut coords: Vec<Option<Rat>> = vec![None; self.nvars];
+        for a in &self.atoms {
+            if a.op != RelOp::Eq {
+                return None;
+            }
+            let (i, val, _) = a.as_linear_bound()?;
+            match &coords[i] {
+                Some(prev) if *prev != val => return None,
+                _ => coords[i] = Some(val),
+            }
+        }
+        coords.into_iter().collect()
+    }
+
+    /// The canonical representative of a point tuple ([`Self::point`] of
+    /// [`Self::as_point`]); any other tuple unchanged. Stored finite extents
+    /// hold this form, so the update path compares against it.
+    #[must_use]
+    pub fn canonicalized(self) -> GeneralizedTuple {
+        match self.as_point() {
+            Some(p) => GeneralizedTuple::point(&p),
+            None => self,
+        }
     }
 
     /// Number of variables.
@@ -96,29 +125,52 @@ impl GeneralizedTuple {
     /// `None` if some conjunct is trivially false (empty set).
     #[must_use]
     pub fn simplify(&self) -> Option<GeneralizedTuple> {
-        let mut atoms: Vec<Atom> = Vec::with_capacity(self.atoms.len());
+        let mut out = GeneralizedTuple {
+            nvars: self.nvars,
+            atoms: Vec::with_capacity(self.atoms.len()),
+        };
         for a in &self.atoms {
             match a.canonicalize() {
                 CanonicalAtom::Trivial(true) => {}
                 CanonicalAtom::Trivial(false) => return None,
                 CanonicalAtom::Atom(c) => {
-                    if !atoms.contains(&c) {
-                        // Contradiction pair p≤0 ∧ p>0 etc. — cheap check.
-                        if atoms
-                            .iter()
-                            .any(|e| e.poly == c.poly && e.op == c.op.negated())
-                        {
-                            return None;
-                        }
-                        atoms.push(c);
+                    if !out.push_canonical(c) {
+                        return None;
                     }
                 }
             }
         }
-        Some(GeneralizedTuple {
-            nvars: self.nvars,
-            atoms,
-        })
+        Some(out)
+    }
+
+    /// Append an already-canonical atom unless it repeats one; `false` on
+    /// the contradiction pair `p σ 0 ∧ p σ̄ 0` (the cheap syntactic check).
+    fn push_canonical(&mut self, c: Atom) -> bool {
+        if !self.atoms.contains(&c) {
+            if self
+                .atoms
+                .iter()
+                .any(|e| e.poly == c.poly && e.op == c.op.negated())
+            {
+                return false;
+            }
+            self.atoms.push(c);
+        }
+        true
+    }
+
+    /// `self.and(other).simplify()` for two tuples that are already
+    /// simplified: canonicalisation is idempotent, so the atoms are merged
+    /// as they stand.
+    #[must_use]
+    pub(crate) fn conjoin(&self, other: &GeneralizedTuple) -> Option<GeneralizedTuple> {
+        let mut out = self.clone();
+        for c in &other.atoms {
+            if !out.push_canonical(c.clone()) {
+                return None;
+            }
+        }
+        Some(out)
     }
 
     /// All distinct polynomials appearing, in canonical primitive form.

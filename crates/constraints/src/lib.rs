@@ -26,6 +26,7 @@ pub mod database;
 pub mod formula;
 pub mod gtuple;
 pub mod relation;
+pub mod tupleset;
 
 pub use atom::{Atom, RelOp};
 pub use boxes::TupleBox;
@@ -33,3 +34,4 @@ pub use database::Database;
 pub use formula::{Formula, Quantifier};
 pub use gtuple::GeneralizedTuple;
 pub use relation::ConstraintRelation;
+pub use tupleset::TupleSet;

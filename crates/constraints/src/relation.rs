@@ -1,11 +1,12 @@
 //! Finitely representable relations: finite unions of generalized tuples.
 
 #[cfg(test)]
-use crate::atom::Atom;
-use crate::atom::RelOp;
+use crate::atom::{Atom, RelOp};
 use crate::gtuple::GeneralizedTuple;
+use crate::tupleset::TupleSet;
 use cdb_num::Rat;
 use cdb_poly::MPoly;
+use std::borrow::Cow;
 use std::fmt;
 
 /// A `k`-ary finitely representable relation — a disjunction (finite set) of
@@ -101,6 +102,7 @@ impl ConstraintRelation {
     /// relations in canonical form is exact point deletion.
     #[must_use]
     pub fn without_tuples(&self, remove: &[GeneralizedTuple]) -> ConstraintRelation {
+        let remove = TupleSet::from_slice(remove);
         ConstraintRelation {
             nvars: self.nvars,
             tuples: self
@@ -122,15 +124,13 @@ impl ConstraintRelation {
     #[must_use]
     pub fn union(&self, other: &ConstraintRelation) -> ConstraintRelation {
         assert_eq!(self.nvars, other.nvars);
-        let mut tuples = self.tuples.clone();
+        let mut tuples = TupleSet::from_slice(&self.tuples);
         for t in &other.tuples {
-            if !tuples.contains(t) {
-                tuples.push(t.clone());
-            }
+            tuples.insert(Cow::Borrowed(t));
         }
         ConstraintRelation {
             nvars: self.nvars,
-            tuples,
+            tuples: tuples.into_tuples(),
         }
     }
 
@@ -174,20 +174,18 @@ impl ConstraintRelation {
     /// Simplify every tuple, drop empty ones and exact duplicates.
     #[must_use]
     pub fn simplify(&self) -> ConstraintRelation {
-        let mut tuples: Vec<GeneralizedTuple> = Vec::new();
+        let mut tuples = TupleSet::default();
         for t in &self.tuples {
             if let Some(s) = t.simplify() {
                 if s.is_top() {
                     return ConstraintRelation::full(self.nvars);
                 }
-                if !tuples.contains(&s) {
-                    tuples.push(s);
-                }
+                tuples.insert(Cow::Owned(s));
             }
         }
         ConstraintRelation {
             nvars: self.nvars,
-            tuples,
+            tuples: tuples.into_tuples(),
         }
     }
 
@@ -258,41 +256,7 @@ impl ConstraintRelation {
     /// (conjunctions of `xᵢ = cᵢ` only), extract them.
     #[must_use]
     pub fn as_finite_points(&self) -> Option<Vec<Vec<Rat>>> {
-        let mut out = Vec::with_capacity(self.tuples.len());
-        for t in &self.tuples {
-            let mut coords: Vec<Option<Rat>> = vec![None; self.nvars];
-            for a in t.atoms() {
-                if a.op != RelOp::Eq {
-                    return None;
-                }
-                // Expect xᵢ − c (or c − xᵢ, or scaled): linear in exactly
-                // one variable with degree 1.
-                let vars: Vec<usize> = (0..self.nvars).filter(|&i| a.poly.uses_var(i)).collect();
-                if vars.len() != 1 {
-                    return None;
-                }
-                let &[i] = vars.as_slice() else {
-                    return None;
-                };
-                if a.poly.degree_in(i) != 1 {
-                    return None;
-                }
-                let coeffs = a.poly.as_upoly_in(i);
-                let c1 = coeffs.get(1)?.to_constant()?;
-                let c0 = coeffs
-                    .first()
-                    .map(|p| p.to_constant())
-                    .unwrap_or(Some(Rat::zero()))?;
-                let val = -(&c0 / &c1);
-                match &coords[i] {
-                    Some(prev) if *prev != val => return None,
-                    _ => coords[i] = Some(val),
-                }
-            }
-            let point: Option<Vec<Rat>> = coords.into_iter().collect();
-            out.push(point?);
-        }
-        Some(out)
+        self.tuples.iter().map(GeneralizedTuple::as_point).collect()
     }
 
     /// Render with names.

@@ -3,135 +3,17 @@
 //! The paper points to "indexing techniques for constraint data \[KRVV93\]"
 //! as an implementation concern. We provide the standard first step: each
 //! generalized tuple gets a conservative axis-aligned bounding box derived
-//! from its single-variable linear atoms; membership tests and box probes
-//! prune tuples whose boxes miss the probe before evaluating polynomials.
+//! from its single-variable linear atoms ([`TupleBox`], the box the DNF's
+//! cross product prunes with); membership tests and box probes prune tuples
+//! whose boxes miss the probe before evaluating polynomials.
 
-use cdb_constraints::{ConstraintRelation, GeneralizedTuple, RelOp};
-use cdb_num::{Rat, Sign};
-
-/// One side of a box: a bound or unbounded.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Bound {
-    /// No constraint.
-    Open,
-    /// `<= value` / `>= value` (closedness is irrelevant for pruning).
-    At(Rat),
-}
-
-/// An axis-aligned (hyper)box: per variable, lower and upper bounds.
-#[derive(Debug, Clone)]
-pub struct BoundingBox {
-    /// Per-variable `(lower, upper)`.
-    pub sides: Vec<(Bound, Bound)>,
-}
-
-impl BoundingBox {
-    /// Unbounded box in `k` dimensions.
-    #[must_use]
-    pub fn unbounded(k: usize) -> BoundingBox {
-        BoundingBox {
-            sides: vec![(Bound::Open, Bound::Open); k],
-        }
-    }
-
-    /// Conservative box of a generalized tuple: scan its atoms for
-    /// single-variable degree-1 constraints (`a·xᵢ + b σ 0`) and tighten.
-    #[must_use]
-    pub fn of_tuple(t: &GeneralizedTuple) -> BoundingBox {
-        let k = t.nvars();
-        let mut bb = BoundingBox::unbounded(k);
-        for atom in t.atoms() {
-            // Single-variable, degree 1?
-            let vars: Vec<usize> = (0..k).filter(|&i| atom.poly.uses_var(i)).collect();
-            if vars.len() != 1 {
-                continue;
-            }
-            let &[v] = vars.as_slice() else {
-                continue;
-            };
-            if atom.poly.degree_in(v) != 1 {
-                continue;
-            }
-            let coeffs = atom.poly.as_upoly_in(v);
-            let (Some(c1), Some(c0)) = (
-                coeffs.get(1).and_then(cdb_poly::MPoly::to_constant),
-                coeffs.first().and_then(cdb_poly::MPoly::to_constant),
-            ) else {
-                continue;
-            };
-            // a·x + b σ 0 ⇔ x σ' −b/a.
-            let bound = -(&c0 / &c1);
-            let op = if c1.sign() == Sign::Neg {
-                atom.op.flipped()
-            } else {
-                atom.op
-            };
-            match op {
-                RelOp::Le | RelOp::Lt => bb.tighten_upper(v, &bound),
-                RelOp::Ge | RelOp::Gt => bb.tighten_lower(v, &bound),
-                RelOp::Eq => {
-                    bb.tighten_upper(v, &bound);
-                    bb.tighten_lower(v, &bound);
-                }
-                RelOp::Ne => {}
-            }
-        }
-        bb
-    }
-
-    fn tighten_upper(&mut self, v: usize, value: &Rat) {
-        match &self.sides[v].1 {
-            Bound::Open => self.sides[v].1 = Bound::At(value.clone()),
-            Bound::At(cur) if value < cur => self.sides[v].1 = Bound::At(value.clone()),
-            Bound::At(_) => {}
-        }
-    }
-
-    fn tighten_lower(&mut self, v: usize, value: &Rat) {
-        match &self.sides[v].0 {
-            Bound::Open => self.sides[v].0 = Bound::At(value.clone()),
-            Bound::At(cur) if value > cur => self.sides[v].0 = Bound::At(value.clone()),
-            Bound::At(_) => {}
-        }
-    }
-
-    /// Could the point be inside? (Conservative: `true` on any open side.)
-    #[must_use]
-    pub fn may_contain(&self, point: &[Rat]) -> bool {
-        self.sides.iter().zip(point).all(|((lo, hi), p)| {
-            let lo_ok = match lo {
-                Bound::Open => true,
-                Bound::At(v) => p >= v,
-            };
-            let hi_ok = match hi {
-                Bound::Open => true,
-                Bound::At(v) => p <= v,
-            };
-            lo_ok && hi_ok
-        })
-    }
-
-    /// Could this box intersect the probe box `[lo, hi]` per dimension?
-    #[must_use]
-    pub fn may_intersect(&self, probe: &[(Rat, Rat)]) -> bool {
-        self.sides.iter().zip(probe).all(|((lo, hi), (plo, phi))| {
-            let lo_ok = match hi {
-                Bound::Open => true,
-                Bound::At(v) => v >= plo,
-            };
-            let hi_ok = match lo {
-                Bound::Open => true,
-                Bound::At(v) => v <= phi,
-            };
-            lo_ok && hi_ok
-        })
-    }
-}
+use cdb_constraints::{ConstraintRelation, GeneralizedTuple, TupleBox};
+use cdb_num::Rat;
 
 /// A box index over a relation's generalized tuples.
 #[derive(Debug, Clone)]
 pub struct BoxIndex {
-    boxes: Vec<BoundingBox>,
+    boxes: Vec<TupleBox>,
     relation: ConstraintRelation,
     /// Tuples pruned by the last probe (for instrumentation/benchmarks).
     pub last_pruned: std::cell::Cell<usize>,
@@ -141,11 +23,7 @@ impl BoxIndex {
     /// Build the index.
     #[must_use]
     pub fn build(relation: ConstraintRelation) -> BoxIndex {
-        let boxes = relation
-            .tuples()
-            .iter()
-            .map(BoundingBox::of_tuple)
-            .collect();
+        let boxes = relation.tuples().iter().map(TupleBox::of_tuple).collect();
         BoxIndex {
             boxes,
             relation,
@@ -194,8 +72,16 @@ impl BoxIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cdb_constraints::Atom;
+    use cdb_constraints::boxes::SideBound;
+    use cdb_constraints::{Atom, RelOp};
     use cdb_poly::MPoly;
+
+    fn closed(v: i64) -> Option<SideBound> {
+        Some(SideBound {
+            value: Rat::from(v),
+            strict: false,
+        })
+    }
 
     fn square_at(cx: i64, cy: i64) -> GeneralizedTuple {
         // [cx, cx+1] × [cy, cy+1]
@@ -215,15 +101,9 @@ mod tests {
 
     #[test]
     fn boxes_extracted() {
-        let bb = BoundingBox::of_tuple(&square_at(3, 4));
-        assert_eq!(
-            bb.sides[0],
-            (Bound::At(Rat::from(3i64)), Bound::At(Rat::from(4i64)))
-        );
-        assert_eq!(
-            bb.sides[1],
-            (Bound::At(Rat::from(4i64)), Bound::At(Rat::from(5i64)))
-        );
+        let bb = TupleBox::of_tuple(&square_at(3, 4));
+        assert_eq!(bb.sides[0], (closed(3), closed(4)));
+        assert_eq!(bb.sides[1], (closed(4), closed(5)));
     }
 
     #[test]
@@ -260,10 +140,9 @@ mod tests {
                 ),
             ],
         );
-        let bb = BoundingBox::of_tuple(&t);
-        assert_eq!(bb.sides[0].0, Bound::At(Rat::zero()));
-        assert_eq!(bb.sides[0].1, Bound::Open);
-        assert_eq!(bb.sides[1], (Bound::Open, Bound::Open));
+        let bb = TupleBox::of_tuple(&t);
+        assert_eq!(bb.sides[0], (closed(0), None));
+        assert_eq!(bb.sides[1], (None, None));
         assert!(bb.may_contain(&[Rat::one(), Rat::from(100i64)]));
         assert!(!bb.may_contain(&[Rat::from(-1i64), Rat::zero()]));
     }

@@ -26,8 +26,9 @@
 //! across worker counts); on infinite extents it is semantically equal.
 
 use crate::facade::{ConstraintDb, DbError};
-use cdb_constraints::{ConstraintRelation, GeneralizedTuple};
+use cdb_constraints::{ConstraintRelation, GeneralizedTuple, TupleSet};
 use cdb_datalog::{DatalogError, Program};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// A Datalog¬ program whose heads are materialized in the database,
@@ -66,6 +67,31 @@ pub struct UpdateReport {
     pub cache_invalidated: bool,
 }
 
+/// The incoming tuples of an update as the store would hold them: arity
+/// checked, point tuples in the canonical point form stored finite extents
+/// are kept in — so `VALUES (1/2)` and `CONSTRAINT 2*x = 1` name the same
+/// stored tuple — everything else as given.
+fn stored_form(
+    name: &str,
+    arity: usize,
+    tuples: &[GeneralizedTuple],
+) -> Result<Vec<GeneralizedTuple>, DbError> {
+    tuples
+        .iter()
+        .map(|t| {
+            if t.nvars() == arity {
+                Ok(t.clone().canonicalized())
+            } else {
+                Err(DbError::ArityMismatch {
+                    name: name.to_owned(),
+                    existing: arity,
+                    requested: t.nvars(),
+                })
+            }
+        })
+        .collect()
+}
+
 /// How a relation changed, as seen by downstream consumers.
 #[derive(Debug, Clone)]
 enum Change {
@@ -100,8 +126,8 @@ impl Unit {
 impl ConstraintDb {
     /// Insert generalized tuples into the named base relation, propagating
     /// the delta to every derived relation that reads it. Tuples already
-    /// present (syntactically) are skipped; an empty effective delta is a
-    /// no-op. The relation must exist ([`DbError::Schema`]) with matching
+    /// present (syntactically, in stored form) are skipped; an empty
+    /// effective delta is a no-op. The relation must exist ([`DbError::Schema`]) with matching
     /// arity ([`DbError::ArityMismatch`]), and must not itself be derived
     /// (update its base relations, or redefine it, instead).
     pub fn insert_tuples(
@@ -112,20 +138,15 @@ impl ConstraintDb {
         let (arity, fresh) = {
             let rel = self.updatable_relation(name)?;
             let arity = rel.nvars();
-            let mut fresh: Vec<GeneralizedTuple> = Vec::new();
-            for t in tuples {
-                if t.nvars() != arity {
-                    return Err(DbError::ArityMismatch {
-                        name: name.to_owned(),
-                        existing: arity,
-                        requested: t.nvars(),
-                    });
-                }
-                if !rel.tuples().contains(t) && !fresh.contains(t) {
-                    fresh.push(t.clone());
+            let incoming = stored_form(name, arity, tuples)?;
+            let stored = TupleSet::from_slice(rel.tuples());
+            let mut fresh = TupleSet::default();
+            for t in incoming {
+                if !stored.contains(&t) {
+                    fresh.insert(Cow::Owned(t));
                 }
             }
-            (arity, fresh)
+            (arity, fresh.into_tuples())
         };
         let mut report = UpdateReport {
             relation: name.to_owned(),
@@ -144,8 +165,8 @@ impl ConstraintDb {
     }
 
     /// Retract generalized tuples from the named base relation
-    /// (syntactic-equality deletion — exact point deletion on canonical
-    /// finite relations), propagating to every derived relation that reads
+    /// (syntactic-equality deletion in stored form — exact point deletion on
+    /// canonical finite relations), propagating to every derived relation that reads
     /// it. Retraction is always the destructive path: dependents are
     /// recomputed from scratch and the memo-cache is invalidated.
     pub fn retract_tuples(
@@ -155,17 +176,7 @@ impl ConstraintDb {
     ) -> Result<UpdateReport, DbError> {
         let shrunk = {
             let rel = self.updatable_relation(name)?;
-            let arity = rel.nvars();
-            for t in tuples {
-                if t.nvars() != arity {
-                    return Err(DbError::ArityMismatch {
-                        name: name.to_owned(),
-                        existing: arity,
-                        requested: t.nvars(),
-                    });
-                }
-            }
-            let shrunk = rel.without_tuples(tuples);
+            let shrunk = rel.without_tuples(&stored_form(name, rel.nvars(), tuples)?);
             if shrunk.tuples().len() == rel.tuples().len() {
                 None
             } else {

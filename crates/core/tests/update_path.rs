@@ -7,8 +7,9 @@
 //! extents — and the shared `AlgebraicCache` never serves a stale answer
 //! across destructive updates.
 
-use cdb_constraints::GeneralizedTuple;
+use cdb_constraints::{Atom, GeneralizedTuple, RelOp};
 use cdb_num::Rat;
+use cdb_poly::MPoly;
 use constraintdb::{parse_program, ConstraintDb, DbError};
 use proptest::prelude::*;
 
@@ -148,6 +149,60 @@ fn insert_tuples_refreshes_views() {
     let report = db.insert_tuples("P", &edge_tuples(&[(9, 9)])).unwrap();
     assert_eq!(report.refreshed_views, vec!["Fst".to_owned()]);
     assert!(db.query("Fst(x)").unwrap().contains(&[Rat::from(9i64)]));
+}
+
+/// One canonical form on the update path: a point written as a scaled
+/// constraint (`2x − 1 = 0`, what a compiled `CONSTRAINT 2*x = 1` row is)
+/// names the stored point `x − 1/2 = 0`. Inserting it again changes
+/// nothing and re-runs nothing; deleting by it removes the point.
+#[test]
+fn scaled_point_constraint_names_the_stored_point() {
+    let half: Rat = "1/2".parse().unwrap();
+    let scaled = {
+        let p = &MPoly::var(0, 1).scale(&Rat::from(2i64)) - &MPoly::constant(Rat::one(), 1);
+        GeneralizedTuple::new(1, vec![Atom::new(p, RelOp::Eq)])
+    };
+    let mut db = ConstraintDb::new();
+    db.insert_points("P", 1, &[vec![half.clone()]]).unwrap();
+    db.define("V", &["x"], "P(x) and x >= 0").unwrap();
+    db.run_datalog(&parse_program("H(x) :- P(x).").unwrap(), 8)
+        .unwrap();
+
+    let again = db
+        .insert_tuples("P", std::slice::from_ref(&scaled))
+        .unwrap();
+    assert_eq!(again.inserted, 0, "{again:?}");
+    assert!(again.refreshed_views.is_empty() && again.refreshed_heads.is_empty());
+    assert_eq!(again.incremental_reruns + again.full_reruns, 0, "{again:?}");
+    assert_eq!(db.relation("P").unwrap().tuples().len(), 1);
+
+    // Two spellings of one new point in one call are one tuple.
+    let both = db
+        .insert_tuples(
+            "P",
+            &[
+                GeneralizedTuple::point(&[Rat::from(3i64)]),
+                GeneralizedTuple::new(
+                    1,
+                    vec![Atom::new(
+                        &MPoly::constant(Rat::from(6i64), 1)
+                            - &MPoly::var(0, 1).scale(&Rat::from(2i64)),
+                        RelOp::Eq,
+                    )],
+                ),
+            ],
+        )
+        .unwrap();
+    assert_eq!(both.inserted, 1, "{both:?}");
+
+    let gone = db.retract_tuples("P", &[scaled]).unwrap();
+    assert_eq!(gone.retracted, 1, "{gone:?}");
+    assert!(!db
+        .query("P(x)")
+        .unwrap()
+        .contains(std::slice::from_ref(&half)));
+    assert!(!db.query("H(x)").unwrap().contains(&[half]));
+    assert!(db.query("V(x)").unwrap().contains(&[Rat::from(3i64)]));
 }
 
 /// No stale cache hits across destructive updates: with the shared,

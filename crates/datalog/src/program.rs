@@ -21,6 +21,7 @@
 //! which is exactly what the rewritten variants enumerate.
 
 use cdb_constraints::{Atom, ConstraintRelation, Database, Formula, GeneralizedTuple};
+use cdb_num::Rat;
 use cdb_qe::{evaluate_query, QeContext, QeError};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -510,10 +511,9 @@ impl Program {
                         slot.insert(base)
                     }
                 };
-                if !subset_of(&derived, current, ctx)? {
-                    changed = true;
-                }
-                *current = canonicalize_extent(current.union(&derived).simplify());
+                let (merged, grew) = merge_extent(current, &derived, ctx)?;
+                changed |= grew;
+                *current = merged;
             }
             // Next round's deltas: the syntactically new tuples per head.
             // Stale deltas (heads untouched this round) drop out — every
@@ -521,13 +521,7 @@ impl Program {
             deltas = BTreeMap::new();
             for (name, g) in &grown {
                 let old = db.get(name).ok_or_else(|| missing_head(name))?;
-                let fresh: Vec<GeneralizedTuple> = g
-                    .tuples()
-                    .iter()
-                    .filter(|t| !old.tuples().contains(t))
-                    .cloned()
-                    .collect();
-                deltas.insert(name.clone(), ConstraintRelation::new(g.nvars(), fresh));
+                deltas.insert(name.clone(), g.without_tuples(old.tuples()));
             }
             stats.per_iteration.push(IterationStats {
                 qe_calls: jobs.len(),
@@ -582,25 +576,16 @@ impl Program {
                 let derived = project_to_head(rule, &out.relation)?;
                 let current = next
                     .get(&rule.head)
-                    .ok_or_else(|| missing_head(&rule.head))?
-                    .clone();
-                let grown = canonicalize_extent(current.union(&derived).simplify());
-                // Inflationary growth test: anything new? Derived \ current
-                // must be empty for a fixpoint.
-                if !subset_of(&derived, &current, ctx)? {
-                    changed = true;
-                }
+                    .ok_or_else(|| missing_head(&rule.head))?;
+                let (grown, grew) = merge_extent(current, &derived, ctx)?;
+                changed |= grew;
                 next.insert(rule.head.clone(), grown);
             }
             let mut delta_tuples = Vec::with_capacity(heads.len());
             for h in &heads {
                 let old = db.get(h).ok_or_else(|| missing_head(h))?;
                 let new = next.get(h).ok_or_else(|| missing_head(h))?;
-                let fresh = new
-                    .tuples()
-                    .iter()
-                    .filter(|t| !old.tuples().contains(t))
-                    .count();
+                let fresh = new.without_tuples(old.tuples()).tuples().len();
                 delta_tuples.push(((*h).to_owned(), fresh));
             }
             stats.per_iteration.push(IterationStats {
@@ -657,11 +642,33 @@ fn project_to_head(
     Ok(derived.remap_vars(&remap, head_arity).simplify())
 }
 
-/// Canonicalize finite point sets (QE may render the same point with
-/// differently-ordered atoms, defeating the syntactic dedup and bloating
-/// the extent).
-fn canonicalize_extent(rel: ConstraintRelation) -> ConstraintRelation {
-    rel.canonicalized()
+/// Merge one job's `derived` tuples into a head's `current` extent: the
+/// merged extent in canonical form (QE may render the same point with
+/// differently-ordered atoms, defeating the syntactic dedup and bloating the
+/// extent) and whether anything new arrived — the inflationary growth test
+/// `derived ⊄ current`.
+///
+/// Two finite point sets merge as point sets: the sorted, deduplicated
+/// union, rebuilt once. That is what `canonicalized` makes of
+/// `union → simplify` there (`simplify` has nothing to drop from a point
+/// tuple, and its atom order does not survive `canonicalized`), and the
+/// set difference is `subset_of` on points. Anything else takes that
+/// general path.
+fn merge_extent(
+    current: &ConstraintRelation,
+    derived: &ConstraintRelation,
+    ctx: &QeContext,
+) -> Result<(ConstraintRelation, bool), QeError> {
+    if let (Some(have), Some(new)) = (current.as_finite_points(), derived.as_finite_points()) {
+        let mut all: BTreeSet<Vec<Rat>> = have.into_iter().collect();
+        let before = all.len();
+        all.extend(new);
+        let grew = all.len() > before;
+        let all: Vec<Vec<Rat>> = all.into_iter().collect();
+        return Ok((ConstraintRelation::from_points(current.nvars(), &all), grew));
+    }
+    let grew = !subset_of(derived, current, ctx)?;
+    Ok((current.union(derived).simplify().canonicalized(), grew))
 }
 
 /// Tuple-count cap beyond which `subset_of` refuses to De-Morgan-expand
@@ -681,13 +688,14 @@ fn complement_expansion_estimate(b: &ConstraintRelation) -> usize {
         .unwrap_or(usize::MAX)
 }
 
-/// Semantic subset test `a ⊆ b`, with fast paths: finite point sets are
-/// compared directly, syntactically subsumed tuples are skipped, and only
-/// the remainder goes through QE (`¬∃x̄ (a ∧ ¬b)`). The De Morgan expansion
-/// of `¬b` is exponential in b's tuple count, so past
-/// [`COMPLEMENT_TUPLE_CAP`] / [`COMPLEMENT_EXPANSION_CAP`] the test falls
-/// back to a per-tuple containment loop (sound, conservatively incomplete:
-/// a `false` may cost an extra fixpoint round, never a wrong answer).
+/// Semantic subset test `a ⊆ b` (two finite point sets never get here —
+/// [`merge_extent`] compares those as sets): syntactically subsumed tuples
+/// are skipped, and only the remainder goes through QE (`¬∃x̄ (a ∧ ¬b)`).
+/// The De Morgan expansion of `¬b` is exponential in b's tuple count, so
+/// past [`COMPLEMENT_TUPLE_CAP`] / [`COMPLEMENT_EXPANSION_CAP`] the test
+/// falls back to a per-tuple containment loop (sound, conservatively
+/// incomplete: a `false` may cost an extra fixpoint round, never a wrong
+/// answer).
 fn subset_of(
     a: &ConstraintRelation,
     b: &ConstraintRelation,
@@ -696,18 +704,9 @@ fn subset_of(
     if a.is_syntactically_empty() {
         return Ok(true);
     }
-    // Fast path 1: finite sets of explicit points.
-    if let (Some(pa), Some(pb)) = (a.as_finite_points(), b.as_finite_points()) {
-        return Ok(pa.iter().all(|p| pb.contains(p)));
-    }
-    // Fast path 2: drop tuples of `a` that appear verbatim in `b`.
-    let remaining: Vec<_> = a
-        .tuples()
-        .iter()
-        .filter(|t| !b.tuples().contains(t))
-        .cloned()
-        .collect();
-    if remaining.is_empty() {
+    // Fast path: drop tuples of `a` that appear verbatim in `b`.
+    let remaining = a.without_tuples(b.tuples());
+    if remaining.is_syntactically_empty() {
         return Ok(true);
     }
     if b.tuples().len() > COMPLEMENT_TUPLE_CAP
@@ -716,7 +715,7 @@ fn subset_of(
         // Per-tuple fallback: every remaining tuple must lie inside some
         // single tuple of `b`. Each check negates one conjunction only, so
         // the formulas stay linear in the atom counts.
-        'tuples: for ta in &remaining {
+        'tuples: for ta in remaining.tuples() {
             for tb in b.tuples() {
                 if tuple_contained_in(ta, tb, ctx)? {
                     continue 'tuples;
@@ -726,9 +725,8 @@ fn subset_of(
         }
         return Ok(true);
     }
-    let a = &ConstraintRelation::new(a.nvars(), remaining);
     let nvars = a.nvars();
-    let fa = cdb_constraints::formula::relation_to_formula(a);
+    let fa = cdb_constraints::formula::relation_to_formula(&remaining);
     let fb = cdb_constraints::formula::relation_to_formula(b);
     sentence_is_empty(Formula::and(fa, Formula::not(fb)), nvars, ctx)
 }
@@ -768,9 +766,7 @@ fn sentence_is_empty(diff: Formula, nvars: usize, ctx: &QeContext) -> Result<boo
     let out = evaluate_query(&db, &diff, nvars, ctx)?;
     // The sentence result is a full or empty relation.
     Ok(out.relation.is_syntactically_empty()
-        || !out
-            .relation
-            .satisfied_at(&vec![cdb_num::Rat::zero(); nvars]))
+        || !out.relation.satisfied_at(&vec![Rat::zero(); nvars]))
 }
 
 #[cfg(test)]
@@ -1112,6 +1108,87 @@ mod tests {
         assert!(!subset_of(&interval(50, 50), &b, &ctx).unwrap());
         // [150, 160] sits inside the unbounded tail disjunct.
         assert!(subset_of(&interval(150, 160), &b, &ctx).unwrap());
+    }
+
+    /// `merge_extent` against the four passes it replaced — `subset_of` with
+    /// its linear point scan, `union → simplify → canonicalized`, and the
+    /// round's `Vec::contains` delta — on finite, mixed and non-finite
+    /// extents, including a head snapshot that is not yet in canonical form.
+    #[test]
+    fn merge_extent_matches_the_passes_it_replaced() {
+        let n = 1;
+        let x = || MPoly::var(0, 1);
+        let pts = |vs: &[i64]| {
+            let ps: Vec<Vec<Rat>> = vs.iter().map(|&v| vec![Rat::from(v)]).collect();
+            ConstraintRelation::from_points(n, &ps)
+        };
+        let interval = |lo: i64, hi: i64| {
+            GeneralizedTuple::new(
+                n,
+                vec![
+                    Atom::cmp(x(), RelOp::Ge, c(lo, n)),
+                    Atom::cmp(x(), RelOp::Le, c(hi, n)),
+                ],
+            )
+        };
+        // {3, 1, 1} with the first point written `2x − 6 = 0`: unsorted,
+        // repeated and unscaled, as a user-supplied head extent can be.
+        let raw_points = ConstraintRelation::new(
+            n,
+            vec![
+                GeneralizedTuple::new(
+                    n,
+                    vec![Atom::new(
+                        (&x() - &c(3, n)).scale(&Rat::from(2i64)),
+                        RelOp::Eq,
+                    )],
+                ),
+                GeneralizedTuple::point(&[Rat::one()]),
+                GeneralizedTuple::point(&[Rat::one()]),
+            ],
+        );
+        let band = ConstraintRelation::new(n, vec![interval(0, 2)]);
+        let mixed = pts(&[7]).union(&band);
+        let cases = [
+            (pts(&[]), pts(&[])),
+            (pts(&[]), pts(&[2, 1, 2])),
+            (pts(&[1, 2, 5]), pts(&[])),
+            (pts(&[1, 2, 5]), pts(&[2, 5])),
+            (pts(&[1, 2, 5]), pts(&[4, 2, 0])),
+            (raw_points.clone(), pts(&[1, 3])),
+            (raw_points.clone(), pts(&[2])),
+            (raw_points, band.clone()),
+            (pts(&[1, 9]), band.clone()),
+            (band.clone(), pts(&[1, 9])),
+            (
+                band.clone(),
+                ConstraintRelation::new(n, vec![interval(1, 2)]),
+            ),
+            (band, ConstraintRelation::new(n, vec![interval(1, 3)])),
+            (mixed.clone(), pts(&[7, 1])),
+            (mixed, ConstraintRelation::full(n)),
+        ];
+        let ctx = QeContext::exact().with_workers(1);
+        for (current, derived) in &cases {
+            let grew = match (current.as_finite_points(), derived.as_finite_points()) {
+                (Some(pc), Some(pd)) => !pd.iter().all(|p| pc.contains(p)),
+                _ => !subset_of(derived, current, &ctx).unwrap(),
+            };
+            let merged = current.union(derived).simplify().canonicalized();
+            let fresh: Vec<GeneralizedTuple> = merged
+                .tuples()
+                .iter()
+                .filter(|t| !current.tuples().contains(t))
+                .cloned()
+                .collect();
+            let got = merge_extent(current, derived, &ctx).unwrap();
+            assert_eq!(got, (merged, grew), "{current} + {derived}");
+            assert_eq!(
+                got.0.without_tuples(current.tuples()).tuples(),
+                fresh,
+                "delta of {current} + {derived}"
+            );
+        }
     }
 
     /// Differential check: the semi-naive evaluator agrees with the naive

@@ -526,6 +526,10 @@ impl MPoly {
         } else {
             scale
         };
+        if scale == Rat::one() {
+            // Already primitive: the handle itself, no interner round-trip.
+            return self.clone();
+        }
         self.scale(&scale)
     }
 

@@ -41,14 +41,11 @@ pub fn evaluate_query(
     // Normalize: NNF, then prenex.
     let nnf = pure.to_nnf();
     let (prefix, matrix) = nnf.to_prenex();
-    // Step 2: QUANTIFIER ELIMINATION. The DNF is needed on every path, so
-    // build it once, ahead of the prefix check; the per-disjunct planner is
-    // the single entry point for the quantified cases.
-    let matrix_rel = matrix
-        .to_dnf(nvars)
-        .map_err(QeError::Unsupported)?
-        .simplify()
-        .prune_empty_boxes();
+    // Step 2: QUANTIFIER ELIMINATION. The DNF (simplified, deduplicated,
+    // box-pruned) is needed on every path, so build it once, ahead of the
+    // prefix check; the per-disjunct planner is the single entry point for
+    // the quantified cases.
+    let matrix_rel = matrix.to_dnf(nvars).map_err(QeError::Unsupported)?;
     let relation = plan::eliminate_prefix(&matrix, matrix_rel, &prefix, &free_vars, nvars, ctx)?;
     Ok(EvalOutput {
         relation,

@@ -51,11 +51,7 @@ fn run_planner_in(
     free: &[usize],
     nvars: usize,
 ) -> Result<ConstraintRelation, QeError> {
-    let rel = matrix
-        .to_dnf(nvars)
-        .map_err(QeError::Unsupported)?
-        .simplify()
-        .prune_empty_boxes();
+    let rel = matrix.to_dnf(nvars).map_err(QeError::Unsupported)?;
     plan::eliminate_prefix(matrix, rel, prefix, free, nvars, ctx)
 }
 
@@ -120,7 +116,7 @@ fn strategies_all_exercised() {
         let ctx = QeContext::exact()
             .with_workers(workers)
             .with_plan_mode(PlanMode::Auto);
-        let rel = matrix.to_dnf(2).unwrap().simplify().prune_empty_boxes();
+        let rel = matrix.to_dnf(2).unwrap();
         plan::eliminate_prefix(&matrix, rel, &prefix, &[0], 2, &ctx).unwrap();
         let stats = ctx.plan_stats();
         assert!(stats.subst >= 1, "substitution never fired (w={workers})");
@@ -185,7 +181,7 @@ fn reorder_avoids_cad_dispatch() {
     .to_nnf();
     let prefix = [(Quantifier::Exists, 0), (Quantifier::Exists, 1)];
     let ctx = QeContext::exact().with_workers(1);
-    let rel = matrix.to_dnf(n).unwrap().simplify().prune_empty_boxes();
+    let rel = matrix.to_dnf(n).unwrap();
     let out = plan::eliminate_prefix(&matrix, rel, &prefix, &[], n, &ctx).unwrap();
     // The sentence is true: y = 1 gives 2 + 1 − 3 ≤ 0.
     assert!(out.satisfied_at(&[Rat::zero(), Rat::zero()]));

@@ -465,6 +465,27 @@ mod tests {
         assert!(low.contains("2*x - 3 <= 0"), "low: {low}");
     }
 
+    /// A point is the same stored tuple however the row spells it: the
+    /// compiled `CONSTRAINT 2*x = 1` is `2x − 1 = 0`, the stored point is
+    /// `x − 1/2 = 0`.
+    #[test]
+    fn point_rows_and_constraint_rows_share_one_canonical_form() {
+        let server = Server::new(ServerConfig::default());
+        let mut s = server.session();
+        s.execute("CREATE RELATION P(x);").unwrap();
+        s.execute("CREATE RELATION V(x) AS P(x) and x >= 0;")
+            .unwrap();
+        s.execute("DATALOG { H(x) :- P(x). };").unwrap();
+        let first = s.execute("INSERT INTO P VALUES (1/2);").unwrap();
+        assert_eq!(first.to_string(), "updated P: +1 -0 (refreshed 2)");
+        let again = s.execute("INSERT INTO P CONSTRAINT 2*x = 1;").unwrap();
+        assert_eq!(again.to_string(), "updated P: +0 -0 (refreshed 0)");
+        let gone = s.execute("DELETE FROM P CONSTRAINT 2*x = 1;").unwrap();
+        assert_eq!(gone.to_string(), "updated P: +0 -1 (refreshed 2)");
+        let left = s.execute("SELECT P(x);").unwrap().to_string();
+        assert!(left.ends_with(": false"), "point survived: {left}");
+    }
+
     #[test]
     fn errors_are_typed_and_do_not_poison() {
         let server = seeded_server(ServerConfig::default());

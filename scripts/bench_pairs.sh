@@ -3,8 +3,11 @@
 # (choosing-metrics §8): build `stmtbench` at <parent-rev> and in the working
 # tree, run ten pairs per workload at the BENCHMARK.json run length,
 # alternating which side goes first, and print per workload x end-to-end
-# metric both medians, both quartile pairs, wins/pairs, a verdict, and whether
-# the transcript hashes matched. Pair k runs both sides at --seed k.
+# metric both medians, both quartile pairs, both minima, wins/pairs, a
+# verdict, and whether the transcript hashes matched, with the host's
+# 1-minute load average before the first and after the last pair — medians
+# that drift apart while the minima agree and the load moved are a noisy
+# host, not a regression. Pair k runs both sides at --seed k.
 #
 # Verdicts (choosing-metrics §8, §6.5), first that applies:
 #   gain        change wins >= 9/10 of the pairs run (ties count for neither)
@@ -62,13 +65,14 @@ run() { # <side> <workload> <seed> -> the run's two JSON lines
         --workload "$2" --seed "$3" --seconds "$seconds" --trace 0 2>/dev/null) || true
 }
 value() { grep -o "\"$1\": {\"value\": [0-9.eE+-]*" | tail -1 | grep -o '[0-9.eE+-]*$'; }
-# median, lower and upper quartile of the numbers on stdin
+# median, lower and upper quartile, minimum of the numbers on stdin
 summary() {
     sort -g | awk '{ v[NR] = $1 } END {
-        if (NR == 0) { print "- - -"; exit }
+        if (NR == 0) { print "- - - -"; exit }
         m = (NR % 2) ? v[(NR + 1) / 2] : (v[NR / 2] + v[NR / 2 + 1]) / 2
-        printf "%.4g %.4g %.4g", m, v[int((NR + 3) / 4)], v[int((3 * NR + 3) / 4)] }'
+        printf "%.4g %.4g %.4g %.4g", m, v[int((NR + 3) / 4)], v[int((3 * NR + 3) / 4)], v[1] }'
 }
+load1() { cut -d' ' -f1 /proc/loadavg 2>/dev/null || echo -; }
 
 # verdict <parent values> <change values> <better> <bound> <wins> <pairs>
 verdict() {
@@ -93,13 +97,14 @@ verdict() {
 }
 
 status=0
-printf '%-12s %-12s %34s %34s %7s  %s\n' workload metric \
-    "parent median [q1, q3]" "change median [q1, q3]" wins verdict
+printf '%-12s %-12s %42s %42s %7s  %s\n' workload metric \
+    "parent median [q1, q3] min" "change median [q1, q3] min" wins verdict
 for w in $workloads; do
     out=$work/$w
     rm -rf "$out"
     mkdir -p "$out"
     hashes=same
+    load_before=$(load1)
     for k in $(seq 1 $pairs); do
         if [ $((k % 2)) -eq 1 ]; then order="parent change"; else order="change parent"; fi
         for side in $order; do run "$side" "$w" "$k" >"$out/$side.$k.json"; done
@@ -112,6 +117,7 @@ for w in $workloads; do
         hc=$(grep -o '"transcript_hash": "[^"]*"' "$out/change.$k.json" | head -1)
         [ -n "$hp" ] && [ "$hp" = "$hc" ] || hashes=DIFFER
     done
+    load_after=$(load1)
     for m in $metrics; do
         wins=0
         decided=0
@@ -127,13 +133,13 @@ for w in $workloads; do
             if [ "$(better "$m")" = lower ]; then a=$c b=$p; else a=$p b=$c; fi
             wins=$((wins + $(awk -v a="$a" -v b="$b" 'BEGIN { print (a + 0 < b + 0) }')))
         done
-        read -r pm p1 p3 <<<"$(summary <"$out/parent.$m")"
-        read -r cm c1 c3 <<<"$(summary <"$out/change.$m")"
+        read -r pm p1 p3 pmin <<<"$(summary <"$out/parent.$m")"
+        read -r cm c1 c3 cmin <<<"$(summary <"$out/change.$m")"
         v=$(verdict "$out/parent.$m" "$out/change.$m" "$(better "$m")" "$(bound "$m")" "$wins" "$decided")
         [ "$v" = regressed ] && status=1
-        printf '%-12s %-12s %34s %34s %4s/%-2s  %s\n' "$w" "$m" \
-            "$pm [$p1, $p3]" "$cm [$c1, $c3]" "$wins" "$decided" "$v"
+        printf '%-12s %-12s %42s %42s %4s/%-2s  %s\n' "$w" "$m" \
+            "$pm [$p1, $p3] $pmin" "$cm [$c1, $c3] $cmin" "$wins" "$decided" "$v"
     done
-    echo "$w transcript hashes: $hashes"
+    echo "$w transcript hashes: $hashes; 1-minute load average $load_before before the first pair, $load_after after the last"
 done
 exit $status
