@@ -6,6 +6,7 @@
 
 // cdb-lint: allow-file(float) — §5 accuracy auditing: the sup-norm error estimate is a float diagnostic by definition
 use crate::funcs::AnalyticFn;
+use cdb_num::Rat;
 use cdb_poly::UPoly;
 
 /// Estimated sup-norm error of `poly` against `f` on `[a, b]`, sampled at
@@ -13,13 +14,17 @@ use cdb_poly::UPoly;
 #[must_use]
 pub fn sup_error(f: AnalyticFn, poly: &UPoly, a: f64, b: f64, samples: usize) -> f64 {
     assert!(samples >= 1 && a <= b);
+    // Coefficients converted once, high-to-low; the fold below is
+    // `UPoly::eval_f64`'s Horner order, so every sample is the same `f64`.
+    let coeffs: Vec<f64> = poly.coeffs().iter().rev().map(Rat::to_f64).collect();
     let mut worst = 0.0f64;
     for i in 0..=samples {
         let x = a + (b - a) * (i as f64) / (samples as f64);
         if !f.in_domain(x) {
             continue;
         }
-        let e = (f.eval(x) - poly.eval_f64(x)).abs();
+        let p_x = coeffs.iter().fold(0.0, |acc, c| acc * x + c);
+        let e = (f.eval(x) - p_x).abs();
         if e > worst {
             worst = e;
         }
@@ -62,7 +67,6 @@ mod tests {
     use super::*;
     use crate::abase::ABase;
     use crate::modules::{approximate_on_abase, ApproxMethod};
-    use cdb_num::Rat;
 
     #[test]
     fn zero_error_for_polynomial_functions() {
@@ -79,6 +83,20 @@ mod tests {
         .unwrap();
         let e = sup_error_piecewise(crate::funcs::AnalyticFn::Sin, &pw, 500);
         assert!(e < 1e-10, "error {e}");
+    }
+
+    /// Hoisting the coefficient conversion out of the sample loop keeps
+    /// `UPoly::eval_f64`'s Horner order: the estimate is the same `f64`.
+    #[test]
+    fn sup_error_is_eval_f64_bit_for_bit() {
+        let f = crate::funcs::AnalyticFn::Cos;
+        let (lo, hi) = (Rat::from(1i64), Rat::from(2i64));
+        let p = crate::modules::approximate(f, &lo, &hi, 6, ApproxMethod::Chebyshev).unwrap();
+        let want = (0..=64)
+            .map(|i| 1.0 + f64::from(i) / 64.0)
+            .map(|x| (f.eval(x) - p.eval_f64(x)).abs())
+            .fold(0.0, f64::max);
+        assert_eq!(sup_error(f, &p, 1.0, 2.0, 64).to_bits(), want.to_bits());
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //!   Sturm-based exact real-root isolation for polynomials with coefficients
 //!   in `Q(α)`, which is what lifting a CAD stack over a section cell needs.
 
-use crate::roots::{isolate_real_roots, RootLocation};
+use crate::roots::{isolate_squarefree, refine_squarefree, RootLocation};
 use crate::sturm::SturmChain;
 use crate::upoly::UPoly;
 use cdb_num::{fintv, FIntv, Rat, RatInterval, Sign};
@@ -70,9 +70,16 @@ impl RealAlg {
 
     /// From a squarefree polynomial and an isolating location. The caller
     /// guarantees `poly` is squarefree and `loc` isolates exactly one root.
+    /// Squarefreeness is load-bearing: `approx`/`refined`/`roots_of` bisect
+    /// on `poly` itself and `sign_of`/`cmp_alg` read root counts off Sturm
+    /// chains of its divisors, none of them re-deriving the squarefree part.
     #[must_use]
     pub fn new(poly: UPoly, loc: RootLocation) -> RealAlg {
         debug_assert!(!poly.is_constant());
+        debug_assert!(
+            poly.gcd(&poly.derivative()).is_constant(),
+            "RealAlg::new: defining polynomial must be squarefree"
+        );
         RealAlg {
             poly: poly.monic(),
             loc: Arc::new(Mutex::new(loc)),
@@ -86,7 +93,7 @@ impl RealAlg {
             return Vec::new();
         }
         let sf = p.squarefree();
-        isolate_real_roots(&sf)
+        isolate_squarefree(&sf)
             .into_iter()
             .map(|loc| match loc {
                 RootLocation::Exact(r) => RealAlg::from_rat(r),
@@ -137,7 +144,7 @@ impl RealAlg {
         match loc {
             RootLocation::Exact(r) => r,
             RootLocation::Isolated(_) => {
-                let iv = crate::roots::refine_to_width(&self.poly, &loc, eps);
+                let iv = refine_squarefree(&self.poly, &loc, eps);
                 self.store_refinement(&iv);
                 iv.midpoint()
             }
@@ -180,7 +187,7 @@ impl RealAlg {
         match loc {
             RootLocation::Exact(_) => self.clone(),
             RootLocation::Isolated(_) => {
-                let iv = crate::roots::refine_to_width(&self.poly, &loc, eps);
+                let iv = refine_squarefree(&self.poly, &loc, eps);
                 self.store_refinement(&iv);
                 self.clone()
             }
@@ -228,8 +235,10 @@ impl RealAlg {
             }
         }
         self.store_refinement(&iv);
-        // Still ambiguous: decide zero-ness exactly.
-        let g = self.poly.gcd(&q.squarefree());
+        // Still ambiguous: decide zero-ness exactly. `p_α` is squarefree, so
+        // `gcd(p_α, q)` already is (and equals the gcd with `q`'s squarefree
+        // part): no need to take that part first.
+        let g = self.poly.gcd(q);
         if !g.is_constant() {
             // q(α) = 0 iff g has a root in the isolating interval. Interval
             // endpoints are non-roots of p_α hence of g (g | p_α).
@@ -901,6 +910,48 @@ mod tests {
         );
         assert_eq!(a.cmp_alg(&b), Ordering::Less);
         assert_eq!(b.cmp_alg(&a), Ordering::Greater);
+    }
+
+    /// The squarefree invariant is established by `roots_of`, not assumed
+    /// of its input: numbers built from `(x²−2)²·(x−1)` carry `x³−x²−2x+2`
+    /// and `approx`/`refined`/`cmp_alg`/`sign_of`, which bisect on that
+    /// polynomial without re-deriving it, agree with the per-call reference
+    /// (`refine_to_width` on the raw input) and with the exact answers.
+    #[test]
+    fn roots_of_establishes_the_squarefree_invariant() {
+        let raw = &p(&[-2, 0, 1]).pow(2) * &p(&[-1, 1]);
+        let eps = Rat::new(1i64.into(), cdb_num::Int::pow2(40));
+        let roots = RealAlg::roots_of(&raw);
+        assert_eq!(roots.len(), 3);
+        assert_eq!(roots[1].to_rat(), Some(Rat::one()));
+        for r in [&roots[0], &roots[2]] {
+            assert_eq!(r.poly(), &p(&[2, -2, -1, 1]));
+            let before = RootLocation::Isolated(r.interval());
+            let want = crate::roots::refine_to_width(&raw, &before, &eps);
+            assert_eq!(r.approx(&eps), want.midpoint());
+            assert_eq!(r.refined(&eps).interval(), want);
+            assert_eq!(r.sign_of(&p(&[-2, 0, 1])), Sign::Zero);
+            // Non-squarefree `q`, zero and ambiguously-close-to-zero at ±√2.
+            assert_eq!(r.sign_of(&raw), Sign::Zero);
+            let near = UPoly::from_coeffs(vec![
+                "-2000000000001/1000000000000".parse().unwrap(),
+                Rat::zero(),
+                Rat::one(),
+            ]);
+            assert_eq!(r.sign_of(&(&near.pow(2) * &p(&[7, 1]))), Sign::Pos);
+        }
+        assert_eq!(roots[0].cmp_alg(&roots[2]), Ordering::Less);
+        assert_eq!(roots[2].cmp_alg(&roots[1]), Ordering::Greater);
+        assert!(roots[2].eq_alg(&sqrt2()));
+        assert_eq!(roots[0].cmp_alg(&sqrt2()), Ordering::Less);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "must be squarefree")]
+    fn new_rejects_a_non_squarefree_polynomial() {
+        let iv = RatInterval::new(Rat::one(), Rat::from(2i64));
+        let _ = RealAlg::new(p(&[-2, 0, 1]).pow(2), RootLocation::Isolated(iv));
     }
 
     #[test]

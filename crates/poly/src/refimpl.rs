@@ -6,7 +6,11 @@
 //! This module keeps those representations and the seed algorithms alive,
 //! bit-for-bit, for **differential/property testing**: interned arithmetic
 //! must agree with the reference on `add`/`mul`/`div_exact`/`resultant`/Sturm
-//! chains, with byte-identical `Display` (see `crates/poly/tests/`).
+//! chains, with byte-identical `Display` (see `crates/poly/tests/`). The
+//! `Rat` remainder sequences behind `gcd`/`squarefree`/Sturm chains, which
+//! the live kernel replaced by integer pseudo-remainders (DESIGN.md §10.1),
+//! are kept here the same way ([`ref_gcd`], [`ref_squarefree`],
+//! [`ref_sturm_chain`]).
 //!
 //! Nothing outside tests should use these types.
 
@@ -694,4 +698,52 @@ pub fn ref_sturm_chain(p: &RefUPoly) -> Vec<RefUPoly> {
         }
     }
     seq
+}
+
+/// Seed `monic`: scale by the reciprocal of the (nonzero) leading coefficient.
+fn ref_monic(p: &RefUPoly) -> RefUPoly {
+    let inv = p.leading().recip();
+    RefUPoly::from_coeffs(p.coeffs.iter().map(|a| a * &inv).collect())
+}
+
+/// Seed-algorithm monic gcd: the primitive remainder sequence over `Rat`
+/// (`divrem` in `Q[x]`, `primitive()` after every step) that
+/// [`crate::UPoly::gcd`] ran before it moved to integers.
+#[must_use]
+pub fn ref_gcd(p: &RefUPoly, q: &RefUPoly) -> RefUPoly {
+    if p.is_zero() {
+        return if q.is_zero() { q.clone() } else { ref_monic(q) };
+    }
+    if q.is_zero() {
+        return ref_monic(p);
+    }
+    let mut a = p.primitive();
+    let mut b = q.primitive();
+    if a.deg() < b.deg() {
+        std::mem::swap(&mut a, &mut b);
+    }
+    while !b.is_zero() {
+        let (_, r) = a.divrem(&b);
+        a = b;
+        b = if r.is_zero() { r } else { r.primitive() };
+    }
+    if a.is_constant() {
+        RefUPoly::from_coeffs(vec![Rat::one()])
+    } else {
+        ref_monic(&a)
+    }
+}
+
+/// Seed-algorithm squarefree part `p / gcd(p, p')` (monic), over [`ref_gcd`].
+#[must_use]
+pub fn ref_squarefree(p: &RefUPoly) -> RefUPoly {
+    if p.is_constant() {
+        return p.clone();
+    }
+    let g = ref_gcd(p, &p.derivative());
+    if g.is_constant() {
+        ref_monic(p)
+    } else {
+        ref_monic(&p.divrem(&g).0)
+    }
 }

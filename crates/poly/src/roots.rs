@@ -43,16 +43,23 @@ impl RootLocation {
 }
 
 /// Isolate all distinct real roots of `p` (any nonzero polynomial; the
-/// squarefree part is taken internally). Roots are returned in increasing
+/// squarefree part is taken here, once). Roots are returned in increasing
 /// order. Rational roots with small coefficients are detected exactly
 /// (rational sample points keep downstream CAD arithmetic cheap).
 #[must_use]
 pub fn isolate_real_roots(p: &UPoly) -> Vec<RootLocation> {
-    assert!(!p.is_zero(), "cannot isolate roots of the zero polynomial");
-    if p.is_constant() {
+    isolate_squarefree(&p.squarefree())
+}
+
+/// [`isolate_real_roots`] for a polynomial the caller knows to be squarefree
+/// (`gcd(sf, sf')` constant) — `RealAlg` and `real_roots_approx` establish
+/// that once and carry it instead of re-deriving it per call.
+pub(crate) fn isolate_squarefree(sf: &UPoly) -> Vec<RootLocation> {
+    assert!(!sf.is_zero(), "cannot isolate roots of the zero polynomial");
+    if sf.is_constant() {
         return Vec::new();
     }
-    let mut sf = p.squarefree();
+    let mut sf = sf.clone();
     let mut exact = Vec::new();
     // Deflate exact rational roots first (bounded divisor enumeration).
     for r in rational_roots(&sf) {
@@ -230,11 +237,16 @@ fn isolate_in(
 }
 
 /// Refine an isolated root to an enclosing interval of width `<= eps` by
-/// bisection. Exact roots return a degenerate interval immediately.
+/// bisection. Exact roots return a degenerate interval immediately. The
+/// squarefree part of `p` is taken here, once.
 #[must_use]
 pub fn refine_to_width(p: &UPoly, loc: &RootLocation, eps: &Rat) -> RatInterval {
+    refine_squarefree(&p.squarefree(), loc, eps)
+}
+
+/// [`refine_to_width`] for a polynomial the caller knows to be squarefree.
+pub(crate) fn refine_squarefree(sf: &UPoly, loc: &RootLocation, eps: &Rat) -> RatInterval {
     assert!(eps.sign() == Sign::Pos, "eps must be positive");
-    let sf = p.squarefree();
     match loc {
         RootLocation::Exact(r) => RatInterval::point(r.clone()),
         RootLocation::Isolated(iv) => {
@@ -258,9 +270,10 @@ pub fn refine_to_width(p: &UPoly, loc: &RootLocation, eps: &Rat) -> RatInterval 
 /// Convenience: all real roots ε-approximated as rationals, increasing.
 #[must_use]
 pub fn real_roots_approx(p: &UPoly, eps: &Rat) -> Vec<Rat> {
-    isolate_real_roots(p)
+    let sf = p.squarefree();
+    isolate_squarefree(&sf)
         .iter()
-        .map(|loc| refine_to_width(p, loc, eps).midpoint())
+        .map(|loc| refine_squarefree(&sf, loc, eps).midpoint())
         .collect()
 }
 
@@ -348,6 +361,94 @@ mod tests {
         for w in roots.windows(2) {
             assert!(w[0] < w[1]);
         }
+    }
+
+    /// The hardest univariate inputs the system sees (§5): the five
+    /// degree-6, 41-bit Chebyshev pieces of `cos` on `[-1, 4]` that
+    /// `LENGTH[x]{cos(x) >= 0 and 0 <= x <= 3}` isolates and refines. The
+    /// integer kernel's squarefree part and Sturm chain equal the seed `Rat`
+    /// sequences member for member — all that isolation and refinement read
+    /// besides the polynomial itself — and the path that carries the
+    /// squarefree part lands on the same `RootLocation`s and ε = 2⁻³⁰
+    /// midpoints as the path that re-derives it per call.
+    #[test]
+    fn abase_cos_pieces_match_the_reference_path() {
+        use crate::refimpl::{ref_squarefree, ref_sturm_chain, RefUPoly};
+        const DEN: &str = "1099511627776"; // 2^40
+        const PIECES: [[i64; 7]; 5] = [
+            [
+                1099511638972,
+                1094188,
+                -549738557827,
+                100527211,
+                46084972505,
+                358056343,
+                -1329722187,
+            ],
+            [
+                1099511638972,
+                -1094188,
+                -549738557827,
+                -100527211,
+                46084972505,
+                -358056343,
+                -1329722187,
+            ],
+            [
+                1102396247956,
+                -14132428864,
+                -520530499629,
+                -32936811091,
+                67459583737,
+                -8080216358,
+                -107181741,
+            ],
+            [
+                1196063927307,
+                -281312321739,
+                -199167078489,
+                -241831977067,
+                144935211647,
+                -23635202465,
+                1213901104,
+            ],
+            [
+                1182938960437,
+                -307765315907,
+                -133275438499,
+                -290760355773,
+                162164566114,
+                -26616756100,
+                1418928872,
+            ],
+        ];
+        let eps = Rat::new(1i64.into(), cdb_num::Int::pow2(30));
+        let den: Rat = rat(DEN);
+        let mut in_cell = Vec::new();
+        for (lo, ints) in (-1i64..).zip(PIECES) {
+            let f = UPoly::from_coeffs(ints.iter().map(|&c| &Rat::from(c) / &den).collect());
+            assert_eq!(f.max_coeff_bits(), 41);
+            let sf = f.squarefree();
+            assert_eq!(sf, ref_squarefree(&RefUPoly::from_upoly(&f)).to_upoly());
+            let want: Vec<UPoly> = ref_sturm_chain(&RefUPoly::from_upoly(&sf))
+                .iter()
+                .map(RefUPoly::to_upoly)
+                .collect();
+            assert_eq!(SturmChain::new(&sf).sequence(), want.as_slice());
+
+            let locs = isolate_real_roots(&f);
+            assert_eq!(isolate_squarefree(&sf), locs);
+            let mids: Vec<Rat> = locs
+                .iter()
+                .map(|loc| refine_to_width(&f, loc, &eps).midpoint())
+                .collect();
+            assert_eq!(real_roots_approx(&f, &eps), mids);
+            let (lo, hi) = (Rat::from(lo), Rat::from(lo + 1));
+            in_cell.extend(mids.into_iter().filter(|m| &lo <= m && m <= &hi));
+        }
+        // On their own cells the pieces have one root between them: π/2.
+        assert_eq!(in_cell.len(), 1);
+        assert!((in_cell[0].to_f64() - std::f64::consts::FRAC_PI_2).abs() < 1e-6);
     }
 
     #[test]

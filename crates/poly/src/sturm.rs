@@ -5,7 +5,7 @@
 //! roots of a squarefree `p` in `(a, b]` is `V(a) − V(b)` where `V(x)` is
 //! the number of sign variations of the Sturm chain at `x`.
 
-use crate::upoly::UPoly;
+use crate::upoly::{negate, prem_primitive, UPoly};
 use cdb_num::{FIntv, Rat, Sign};
 
 /// A precomputed Sturm chain for one polynomial.
@@ -15,8 +15,13 @@ pub struct SturmChain {
 }
 
 impl SturmChain {
-    /// Build the chain `p, p', -rem(p, p'), ...` with primitive-part scaling
-    /// (positive scaling preserves signs, controls coefficient growth).
+    /// Build the chain `p, p', -rem(p, p'), ...`; every member after the
+    /// first two is the primitive integer multiple of `-rem` by a *positive*
+    /// factor (positive scaling preserves signs, controls coefficient
+    /// growth). The remainders are taken on integers (DESIGN.md §10.1): `p`
+    /// and `p'` become their primitive integer multiples once and each step
+    /// is one sign-preserving pseudo-remainder, so no `Rat` arithmetic runs
+    /// inside the loop.
     #[must_use]
     pub fn new(p: &UPoly) -> SturmChain {
         let mut seq = Vec::new();
@@ -27,29 +32,19 @@ impl SturmChain {
         if p.is_constant() {
             return SturmChain { seq };
         }
-        seq.push(p.derivative());
-        loop {
-            let n = seq.len();
-            let (_, r) = seq[n - 2].divrem(&seq[n - 1]);
-            if r.is_zero() {
+        let dp = p.derivative();
+        let mut a = p.primitive_ints();
+        let mut b = dp.primitive_ints();
+        seq.push(dp);
+        while b.len() > 1 {
+            let mut r = prem_primitive(&a, &b);
+            if r.is_empty() {
                 break;
             }
-            // Negate, then scale to primitive form preserving the sign of
-            // the leading coefficient's... scaling must be positive: use
-            // primitive() but re-apply the original sign.
-            let neg = -&r;
-            let prim = neg.primitive();
-            // primitive() flips to positive lead; restore the true sign.
-            let signed = if neg.leading().sign() == Sign::Neg {
-                -&prim
-            } else {
-                prim
-            };
-            let done = signed.is_constant();
-            seq.push(signed);
-            if done {
-                break;
-            }
+            negate(&mut r);
+            seq.push(UPoly::from_int_coeffs(r.clone()));
+            a = b;
+            b = r;
         }
         SturmChain { seq }
     }

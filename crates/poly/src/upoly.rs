@@ -1,5 +1,6 @@
 //! Dense univariate polynomials over `Q`.
 
+use cdb_num::modp::{ModP, PRIMES};
 use cdb_num::{fintv, FIntv, Int, Rat, RatInterval, Sign};
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -308,13 +309,21 @@ impl UPoly {
 
     /// Integer-primitive form: the unique positive-rational multiple of
     /// `self` with coprime integer coefficients and positive leading
-    /// coefficient. Returns the polynomial and the (positive) scale `s` with
-    /// `self = s^sign * ...`; we only need the polynomial.
+    /// coefficient.
     #[must_use]
     pub fn primitive(&self) -> UPoly {
-        if self.is_zero() {
-            return UPoly::zero();
+        let mut ints = self.primitive_ints();
+        if self.leading().sign() == Sign::Neg {
+            negate(&mut ints);
         }
+        UPoly::from_int_coeffs(ints)
+    }
+
+    /// The unique *positive*-rational multiple of `self` with coprime
+    /// integer coefficients, low-to-high: every coefficient keeps its sign.
+    /// This is the operand form of the integer kernels ([`UPoly::gcd`],
+    /// `SturmChain::new`); empty for the zero polynomial.
+    pub(crate) fn primitive_ints(&self) -> Vec<Int> {
         // lcm of denominators.
         let mut l = Int::one();
         for c in self.coeffs.iter() {
@@ -322,29 +331,19 @@ impl UPoly {
             let g = l.gcd(d);
             l = &(&l / &g) * d;
         }
-        let ints: Vec<Int> = self
+        let mut ints: Vec<Int> = self
             .coeffs
             .iter()
-            .map(|c| (c * &Rat::from(l.clone())).numer().clone())
+            .map(|c| c.numer() * &(&l / c.denom()))
             .collect();
-        let mut g = Int::zero();
-        for v in &ints {
-            g = g.gcd(v);
-        }
-        debug_assert!(!g.is_zero());
-        let flip = self.leading().sign() == Sign::Neg;
-        UPoly::from_coeffs(
-            ints.iter()
-                .map(|v| {
-                    let q = Rat::from(v.div_exact(&g));
-                    if flip {
-                        -q
-                    } else {
-                        q
-                    }
-                })
-                .collect(),
-        )
+        divide_content(&mut ints);
+        ints
+    }
+
+    /// From integer coefficients, low-to-high (no `Rat` normalisation: an
+    /// integer over 1 is already in lowest terms).
+    pub(crate) fn from_int_coeffs(ints: Vec<Int>) -> UPoly {
+        UPoly::from_coeffs(ints.into_iter().map(Rat::from).collect())
     }
 
     /// Maximum bit length over all coefficient numerators/denominators —
@@ -354,7 +353,12 @@ impl UPoly {
         self.coeffs.iter().map(Rat::bit_length).max().unwrap_or(0)
     }
 
-    /// GCD via primitive pseudo-remainder sequence (monic result).
+    /// Monic GCD in `Q[x]`, computed on integers (DESIGN.md §10.1): both
+    /// operands become their primitive integer multiples once, a one-prime
+    /// modular Euclid settles the coprime case ([`coprime_mod_prime`], exact),
+    /// and anything else runs the primitive pseudo-remainder sequence
+    /// ([`prem_primitive`]) — no `Rat` is built until the final `monic()`.
+    /// The monic gcd is unique, so the result does not depend on the route.
     #[must_use]
     pub fn gcd(&self, other: &UPoly) -> UPoly {
         if self.is_zero() {
@@ -367,24 +371,23 @@ impl UPoly {
         if other.is_zero() {
             return self.monic();
         }
-        let mut a = self.primitive();
-        let mut b = other.primitive();
-        if a.deg() < b.deg() {
+        let mut a = self.primitive_ints();
+        let mut b = other.primitive_ints();
+        if a.len() < b.len() {
             std::mem::swap(&mut a, &mut b);
         }
-        while !b.is_zero() {
-            let (_, r) = a.divrem(&b);
-            a = b;
-            b = if r.is_zero() {
-                UPoly::zero()
-            } else {
-                r.primitive()
-            };
+        if coprime_mod_prime(&a, &b) {
+            return UPoly::one();
         }
-        if a.is_constant() {
+        while !b.is_empty() {
+            let r = prem_primitive(&a, &b);
+            a = b;
+            b = r;
+        }
+        if a.len() <= 1 {
             UPoly::one()
         } else {
-            a.monic()
+            UPoly::from_int_coeffs(a).monic()
         }
     }
 
@@ -495,6 +498,106 @@ impl UPoly {
         }
         acc
     }
+}
+
+/// Negate every coefficient in place.
+pub(crate) fn negate(v: &mut [Int]) {
+    for c in v {
+        *c = -std::mem::take(c);
+    }
+}
+
+/// Divide the (positive) content out of `v`; a zero vector is left alone.
+fn divide_content(v: &mut [Int]) {
+    let mut g = Int::zero();
+    for c in v.iter() {
+        g = g.gcd(c);
+        if g.is_one() {
+            return;
+        }
+    }
+    if !g.is_zero() {
+        for c in v {
+            *c = c.div_exact(&g);
+        }
+    }
+}
+
+/// Sign-preserving primitive pseudo-remainder of integer polynomials
+/// (low-to-high, leading entries nonzero, `deg a >= deg b` in every use):
+/// the primitive *positive* integer multiple of `rem(a, b)`, empty when `b`
+/// divides `a` over `Q`. Each elimination step is
+/// `r <- |lc(b)|·r − sgn(lc(b))·r_k·x^(k−n)·b`, which scales `r` by the
+/// positive `|lc(b)|` only, so the sign of the true remainder survives; the
+/// content is divided out once at the end. `rem(a, 0) = a`.
+pub(crate) fn prem_primitive(a: &[Int], b: &[Int]) -> Vec<Int> {
+    let mut r = a.to_vec();
+    if let Some((lc, low)) = b.split_last() {
+        let scale = lc.abs();
+        while r.len() > low.len() {
+            let Some(top) = r.pop() else { break };
+            if top.is_zero() {
+                continue;
+            }
+            let f = if lc.is_negative() { -top } else { top };
+            let shift = r.len() - low.len();
+            let (below, aligned) = r.split_at_mut(shift);
+            for c in below {
+                *c = &*c * &scale;
+            }
+            for (c, bc) in aligned.iter_mut().zip(low) {
+                *c = &(&*c * &scale) - &(&f * bc);
+            }
+        }
+        while r.last().is_some_and(Int::is_zero) {
+            r.pop();
+        }
+    }
+    divide_content(&mut r);
+    r
+}
+
+/// One-prime coprimality certificate for primitive integer operands: `true`
+/// only if `gcd(a, b) = 1` in `Q[x]`. Exact, not a heuristic: when the prime
+/// divides neither leading coefficient, the primitive integer gcd `g`
+/// divides both operands over `Z` (Gauss), `lc(g)` divides both leading
+/// coefficients, so `g mod p` keeps its degree and divides both images —
+/// `deg g <= deg gcd_p`. A constant `gcd_p` therefore proves `deg g = 0`.
+/// `false` (bad prime, or a non-constant modular gcd, lucky or not) proves
+/// nothing and the caller runs the integer remainder sequence.
+fn coprime_mod_prime(a: &[Int], b: &[Int]) -> bool {
+    let Some(&p) = PRIMES.first() else {
+        return false;
+    };
+    let f = ModP::new(p);
+    let image = |v: &[Int]| -> Vec<u64> { v.iter().map(|c| f.from_int(c)).collect() };
+    let (mut a, mut b) = (image(a), image(b));
+    if a.last() == Some(&0) || b.last() == Some(&0) {
+        return false; // the prime divides a leading coefficient
+    }
+    // Euclid in Z_p[x]; `b` keeps a nonzero leading entry throughout.
+    while let Some((&lc, low)) = b.split_last() {
+        if low.is_empty() {
+            return true; // nonzero constant remainder
+        }
+        while a.len() > low.len() {
+            let Some(top) = a.pop() else { break };
+            // a <- lc·a − top·x^shift·b: a unit multiple of the remainder.
+            let shift = a.len() - low.len();
+            let (below, aligned) = a.split_at_mut(shift);
+            for c in below {
+                *c = f.mul(*c, lc);
+            }
+            for (c, bc) in aligned.iter_mut().zip(low) {
+                *c = f.sub(f.mul(*c, lc), f.mul(top, *bc));
+            }
+        }
+        while a.last() == Some(&0) {
+            a.pop();
+        }
+        std::mem::swap(&mut a, &mut b);
+    }
+    false // `b` ran out: the last divisor, of degree >= 1, is the modular gcd
 }
 
 impl fmt::Display for UPoly {

@@ -4,8 +4,11 @@
 //! `add`/`mul`/`div_exact`/`resultant`/Sturm chains, under 1 and 4 worker
 //! threads.
 
-use cdb_num::Rat;
-use cdb_poly::refimpl::{ref_resultant, ref_sturm_chain, RefPoly, RefUPoly};
+use cdb_num::modp::PRIMES;
+use cdb_num::{Int, Rat};
+use cdb_poly::refimpl::{
+    ref_gcd, ref_resultant, ref_squarefree, ref_sturm_chain, RefPoly, RefUPoly,
+};
 use cdb_poly::resultant::resultant;
 use cdb_poly::sturm::SturmChain;
 use cdb_poly::{MPoly, UPoly};
@@ -25,6 +28,23 @@ fn both(nvars: usize, terms: &[(Vec<u32>, i64)]) -> (MPoly, RefPoly) {
 
 fn terms2(raw: &[(u32, u32, i64)]) -> Vec<(Vec<u32>, i64)> {
     raw.iter().map(|&(e0, e1, c)| (vec![e0, e1], c)).collect()
+}
+
+/// A rational whose numerator has up to ~200 bits (40 and up in the common
+/// case) over a denominator that is 1, small, or a full word.
+fn big_rat() -> impl Strategy<Value = Rat> {
+    (
+        any::<i128>(),
+        0u64..=72,
+        prop_oneof![Just(1u64), 1u64..=97, any::<u64>()],
+    )
+        .prop_map(|(num, shift, den)| Rat::new(&Int::from(num) << shift, Int::from(den.max(1))))
+}
+
+/// A polynomial of the given coefficient count over [`big_rat`] (count 0 is
+/// the zero polynomial; trailing zero coefficients are trimmed as usual).
+fn big_poly(len: std::ops::RangeInclusive<usize>) -> impl Strategy<Value = UPoly> {
+    prop::collection::vec(big_rat(), len).prop_map(UPoly::from_coeffs)
 }
 
 proptest! {
@@ -78,16 +98,69 @@ proptest! {
         );
     }
 
-    /// Sturm chains agree member-by-member with the seed algorithm.
+    /// Sturm chains agree member-by-member with the seed algorithm: `==` on
+    /// `UPoly` (coefficients and content hash), so every `AlgebraicCache`
+    /// key built from a chain member is unchanged. Inputs run from the small
+    /// integer polynomials the seed test used to 200-bit rational
+    /// coefficients, with repeated factors (the chain ends on a zero
+    /// remainder), constants and linear polynomials.
     #[test]
-    fn sturm_chain_matches_reference(coeffs in prop::collection::vec(-20i64..=20, 1..=7)) {
-        let p = UPoly::from_ints(&coeffs);
-        let rp = RefUPoly::from_coeffs(coeffs.iter().map(|&c| Rat::from(c)).collect());
-        let chain = SturmChain::new(&p);
-        let rchain = ref_sturm_chain(&rp);
-        let got: Vec<String> = chain.sequence().iter().map(|q| q.to_string()).collect();
-        let want: Vec<String> = rchain.iter().map(|q| q.to_string()).collect();
-        prop_assert_eq!(got, want);
+    fn sturm_chain_matches_reference(
+        small in prop::collection::vec(-20i64..=20, 1..=7),
+        p in big_poly(0..=6),
+        q in big_poly(1..=3),
+    ) {
+        for p in [UPoly::from_ints(&small), p.clone(), &(&q * &q) * &p, &q * &p.derivative()] {
+            let want = ref_sturm_chain(&RefUPoly::from_upoly(&p));
+            let chain = SturmChain::new(&p);
+            prop_assert_eq!(chain.sequence().len(), want.len(), "chain of {}", &p);
+            for (got, want) in chain.sequence().iter().zip(&want) {
+                prop_assert_eq!(got, &want.to_upoly(), "chain of {}", &p);
+            }
+        }
+    }
+
+    /// `gcd` and `squarefree` agree with the seed `Rat` remainder sequence
+    /// on every route through the integer kernel: certificate hit (random
+    /// pairs), shared and repeated factors (integer PRS, non-trivial
+    /// answer), a zero / constant / linear operand, a leading coefficient
+    /// divisible by the certificate prime (bad prime: exact path, trivial
+    /// and non-trivial answer), and a pair coprime over `Q` with a common
+    /// root modulo the prime (certificate inconclusive, PRS must say 1).
+    #[test]
+    fn gcd_matches_reference(
+        p in big_poly(0..=6),
+        q in big_poly(0..=6),
+        f in big_poly(1..=3),
+        r in -1000i64..=1000,
+    ) {
+        let prime = Rat::from(Int::from(PRIMES[0]));
+        let lin = |c: Rat| UPoly::from_coeffs(vec![-c, Rat::one()]);
+        // `p`'s primitive integer form with the leading coefficient times
+        // the prime (the other coefficients keep the content at 1).
+        let bad_lead = {
+            let prim = p.primitive();
+            let extra = &prim.leading() * &(&prime - &Rat::one());
+            &prim + &UPoly::x().pow(prim.deg() as u32).scale(&extra)
+        };
+        let pairs = [
+            (p.clone(), q.clone()),
+            (&p * &f, &q * &f),
+            (&(&p * &p) * &f, &p * &q),
+            (p.clone(), UPoly::zero()),
+            (UPoly::zero(), q.clone()),
+            (&p * &lin(Rat::from(r)), lin(Rat::from(r))),
+            (p.clone(), UPoly::constant(Rat::from(r))),
+            (bad_lead.clone(), q.clone()),
+            (&bad_lead * &f, &q * &f),
+            (&p * &lin(Rat::from(r)), &q * &lin(&Rat::from(r) + &prime)),
+        ];
+        for (a, b) in &pairs {
+            let (ra, rb) = (RefUPoly::from_upoly(a), RefUPoly::from_upoly(b));
+            prop_assert_eq!(a.gcd(b), ref_gcd(&ra, &rb).to_upoly(), "gcd({}, {})", a, b);
+            prop_assert_eq!(b.gcd(a), ref_gcd(&rb, &ra).to_upoly(), "gcd({}, {})", b, a);
+            prop_assert_eq!(a.squarefree(), ref_squarefree(&ra).to_upoly(), "squarefree({})", a);
+        }
     }
 
     /// Eq/Hash invariants: equal content built along different construction

@@ -613,6 +613,41 @@ mod tests {
         assert_eq!(root.cmp_rat(&Rat::from(2i64)), std::cmp::Ordering::Equal);
     }
 
+    /// `promote_root` hands `RealAlg::new` the squarefree part of the
+    /// resultant, never the resultant: `y² − x²` over `x = √2` eliminates to
+    /// `(y² − 2)²`, and the promoted `±√2` carry `y² − 2`, refine to the same
+    /// interval as the per-call reference on the raw resultant, and compare
+    /// and take signs exactly.
+    #[test]
+    fn promoted_roots_carry_a_squarefree_polynomial() {
+        let x = MPoly::var(0, 2);
+        let y = MPoly::var(1, 2);
+        let p = &y.pow(2) - &x.pow(2);
+        let minpoly = UPoly::from_ints(&[-2, 0, 1]);
+        let sqrt2 = RealAlg::roots_of(&minpoly).pop().unwrap();
+        let ctx = QeContext::exact();
+        let alg = [Coord::Alg(sqrt2.clone())];
+        let stack = build_stack(&[(0, p)], &[0], &alg, 1, &no_lower, &ctx).unwrap();
+        assert_eq!(stack.sections.len(), 2);
+        let raw = minpoly.pow(2);
+        let eps = Rat::new(1i64.into(), cdb_num::Int::pow2(40));
+        for section in &stack.sections {
+            let root = &section.root;
+            assert_eq!(root.poly(), &minpoly);
+            let before = RootLocation::Isolated(root.interval());
+            let want = cdb_poly::refine_to_width(&raw, &before, &eps);
+            assert_eq!(root.approx(&eps), want.midpoint());
+            assert_eq!(root.refined(&eps).interval(), want);
+            assert_eq!(root.sign_of(&raw), Sign::Zero);
+        }
+        let [below, above] = stack.sections.as_slice() else {
+            unreachable!("two sections")
+        };
+        assert_eq!(below.root.cmp_alg(&above.root), std::cmp::Ordering::Less);
+        assert!(above.root.eq_alg(&sqrt2));
+        assert_eq!(above.root.sign_of(&UPoly::from_ints(&[-1, 1])), Sign::Pos);
+    }
+
     /// Sign by interval against brute force: over a rational and an
     /// algebraic base, every level polynomial's sign on every cell of the
     /// stack equals `sign_at` at the cell's own sample — with one evaluation

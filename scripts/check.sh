@@ -36,12 +36,31 @@ cargo test -q --offline --manifest-path stmtbench/Cargo.toml
 echo "==> repro: E1-E15 assert the paper's own numbers and unwrap every pipeline stage"
 cargo run --release -p cdb-bench --bin repro > /dev/null
 
-echo "==> statement benchmark: every BENCHMARK.json workload at full size answers and matches its oracle"
+echo "==> statement benchmark: every BENCHMARK.json workload at full size answers, matches its oracle and its pinned transcript"
 # Workload entries are the only ones with "name" alone on its line; `bench`
-# exits 1 when any statement fails or misses its oracle.
+# exits 1 when any statement fails or misses its oracle. The transcript hash
+# (first JSON line) covers every response byte of the run: byte identity is
+# the refactoring licence (ROADMAP north star), so a change that means to
+# alter an answer re-pins the value here and says why.
+pinned_hash() {
+    case $1 in
+        alibi_scan) echo f58e4cbc16019355 ;;
+        conic_cad) echo eb4732f732f472fa ;;
+        tc_update) echo 39b3c949d823325c ;;
+        calcf_agg) echo 194296bcf4cb4725 ;;
+        serve_mixed) echo fd881f3dadab7d81 ;;
+        *) echo "no transcript hash pinned for workload $1" >&2; return 1 ;;
+    esac
+}
 for w in $(sed -n 's/^ *"name": "\([a-z_]*\)",$/\1/p' BENCHMARK.json); do
-    cargo run --release --quiet --offline --manifest-path stmtbench/Cargo.toml --bin bench -- \
-        --workload "$w" --seed 1 --seconds 1 --trace 0 > /dev/null
+    want=$(pinned_hash "$w")
+    got=$(cargo run --release --quiet --offline --manifest-path stmtbench/Cargo.toml --bin bench -- \
+        --workload "$w" --seed 1 --seconds 1 --trace 0 |
+        sed -n '1s/.*"transcript_hash": "\([0-9a-f]*\)".*/\1/p')
+    if [ "$got" != "$want" ]; then
+        echo "$w: transcript_hash $got at --seed 1, pinned $want" >&2
+        exit 1
+    fi
 done
 
 echo "All checks passed."
