@@ -292,21 +292,6 @@ impl Region2D {
         })
     }
 
-    /// Evaluate a bound function at a rational `x`: the exact `y` value as a
-    /// rational when [`BoundFn::Poly`], else the refined branch root.
-    pub fn bound_at(&self, b: &BoundFn, x: &Rat, eps: &Rat) -> Result<Rat, AggError> {
-        match b {
-            BoundFn::Poly(g) => Ok(g.eval(x)),
-            BoundFn::Branch(k) => {
-                let roots = self.stack_roots_at(x)?;
-                roots
-                    .get(k - 1)
-                    .map(|r| r.approx(eps))
-                    .ok_or_else(|| AggError::Quadrature(format!("branch {k} missing at x={x}")))
-            }
-        }
-    }
-
     /// Fast approximate stack roots for quadrature: the sample `x` is
     /// snapped to a dyadic rational (bounded coefficient growth), roots are
     /// isolated to ~1e-12 and deduplicated by closeness. Used only on

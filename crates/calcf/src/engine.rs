@@ -184,7 +184,8 @@ impl CalcFEngine {
     /// the engine's budget; aggregate stages pass `None`, because aggregate
     /// modules are Definition 5.3 numeric modules with their own precision
     /// `eps`, outside `⊨_QE^F`.
-    fn qe_context(&self, budget_bits: Option<u64>) -> QeContext {
+    #[must_use]
+    pub fn qe_context(&self, budget_bits: Option<u64>) -> QeContext {
         let mut ctx = QeContext::exact()
             .with_workers(self.workers)
             .with_cache(&self.cache)
@@ -219,7 +220,16 @@ impl CalcFEngine {
         names: &[&str],
         src: &str,
     ) -> Result<cdb_constraints::ConstraintRelation, CalcFError> {
-        let ast = parse_formula(src)?;
+        self.compile_relation_ast(db, names, &parse_formula(src)?)
+    }
+
+    /// [`Self::compile_relation`] for an already-parsed definition.
+    pub fn compile_relation_ast(
+        &self,
+        db: &Database,
+        names: &[&str],
+        ast: &CFormula,
+    ) -> Result<cdb_constraints::ConstraintRelation, CalcFError> {
         for v in ast.free_vars() {
             if !names.contains(&v.as_str()) {
                 return Err(CalcFError::Semantic(format!(
@@ -228,7 +238,7 @@ impl CalcFEngine {
             }
         }
         let leading: Vec<String> = names.iter().map(|s| (*s).to_owned()).collect();
-        let out = self.evaluate_with_vars(db, &ast, &leading)?;
+        let out = self.evaluate_with_vars(db, ast, &leading)?;
         // The declared variables occupy ring indices 0..names.len() by
         // construction; quantified helper variables (eliminated by QE, so
         // absent from the relation) are dropped from the ring.

@@ -114,31 +114,6 @@ impl TupleBox {
             _ => false,
         })
     }
-
-    /// Could the point be inside? (Conservative: `true` on any open side.)
-    #[must_use]
-    pub fn may_contain(&self, point: &[Rat]) -> bool {
-        (self.sides.iter().zip(point)).all(|(side, p)| overlaps(side, p, p))
-    }
-
-    /// Could this box intersect the closed probe box `[lo, hi]` per
-    /// dimension?
-    #[must_use]
-    pub fn may_intersect(&self, probe: &[(Rat, Rat)]) -> bool {
-        (self.sides.iter().zip(probe)).all(|(side, (lo, hi))| overlaps(side, lo, hi))
-    }
-}
-
-/// Does one variable's `(lower, upper)` leave room for some value of the
-/// closed interval `[lo, hi]`?
-fn overlaps(side: &(Option<SideBound>, Option<SideBound>), lo: &Rat, hi: &Rat) -> bool {
-    let (lower, upper) = side;
-    lower
-        .as_ref()
-        .is_none_or(|b| b.value < *hi || (b.value == *hi && !b.strict))
-        && upper
-            .as_ref()
-            .is_none_or(|b| b.value > *lo || (b.value == *lo && !b.strict))
 }
 
 impl ConstraintRelation {

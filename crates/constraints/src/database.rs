@@ -30,22 +30,10 @@ impl Database {
         self.relations.insert(name.into(), Arc::new(rel));
     }
 
-    /// Insert or replace a relation through a shared handle (no deep copy).
-    pub fn insert_shared(&mut self, name: impl Into<String>, rel: Arc<ConstraintRelation>) {
-        self.relations.insert(name.into(), rel);
-    }
-
     /// Look up a relation.
     #[must_use]
     pub fn get(&self, name: &str) -> Option<&ConstraintRelation> {
         self.relations.get(name).map(Arc::as_ref)
-    }
-
-    /// Look up a relation as a shared handle (cheap to clone into another
-    /// database snapshot).
-    #[must_use]
-    pub fn get_shared(&self, name: &str) -> Option<Arc<ConstraintRelation>> {
-        self.relations.get(name).cloned()
     }
 
     /// Remove a relation.

@@ -116,37 +116,6 @@ impl Formula {
         out
     }
 
-    /// All variables mentioned (free or bound).
-    #[must_use]
-    pub fn all_vars(&self) -> BTreeSet<usize> {
-        fn go(f: &Formula, out: &mut BTreeSet<usize>) {
-            match f {
-                Formula::True | Formula::False => {}
-                Formula::Atom(a) => {
-                    for i in 0..a.nvars() {
-                        if a.poly.uses_var(i) {
-                            out.insert(i);
-                        }
-                    }
-                }
-                Formula::Rel(_, args) => out.extend(args.iter().copied()),
-                Formula::Not(b) => go(b, out),
-                Formula::And(fs) | Formula::Or(fs) => {
-                    for g in fs {
-                        go(g, out);
-                    }
-                }
-                Formula::Quant(_, v, b) => {
-                    out.insert(*v);
-                    go(b, out);
-                }
-            }
-        }
-        let mut out = BTreeSet::new();
-        go(self, &mut out);
-        out
-    }
-
     /// True iff no database relation symbols occur.
     #[must_use]
     pub fn is_pure(&self) -> bool {

@@ -1,7 +1,7 @@
 //! The user-facing constraint database.
 
 use crate::deps::{formula_reads, DepTracker};
-use crate::update::Materialization;
+use crate::update::{Change, Materialization, UpdateReport};
 use cdb_calcf::{CalcFEngine, CalcFError, CalcFOutput};
 use cdb_constraints::{ConstraintRelation, Database};
 use cdb_datalog::{DatalogError, FixpointStats, Program, DELTA_PREFIX};
@@ -81,13 +81,10 @@ impl From<DatalogError> for DbError {
 #[derive(Debug, Clone)]
 pub struct QueryResult {
     output: CalcFOutput,
-    eps: Rat,
-    /// Engine configuration captured at query time, so the numeric step
-    /// runs under the same CAD lifting threads (`workers`) / bit budget /
-    /// memo-cache as the symbolic one.
-    workers: usize,
-    budget_bits: Option<u64>,
-    cache: AlgebraicCache,
+    /// The engine that evaluated `output`, so the numeric step runs under
+    /// the same configuration (precision, CAD lifting threads, bit budget,
+    /// planner mode, memo-cache) as the symbolic one.
+    engine: CalcFEngine,
 }
 
 impl QueryResult {
@@ -149,15 +146,11 @@ impl QueryResult {
     /// NUMERICAL EVALUATION (paper §2 step 3): if the answer is a finite
     /// set, ε-approximate all solution points; `None` for infinite answers.
     pub fn solve(&self) -> Result<Option<Vec<Vec<Rat>>>, DbError> {
-        let mut ctx = QeContext::exact()
-            .with_workers(self.workers)
-            .with_cache(&self.cache);
-        ctx.budget_bits = self.budget_bits;
         let pts = numerical_evaluation(
             &self.output.relation,
             &self.output.free_vars,
-            &self.eps,
-            &ctx,
+            &self.engine.eps,
+            &self.engine.qe_context(self.engine.budget_bits),
         )?;
         Ok(pts.map(|ps| ps.into_iter().map(|p| p.coords).collect()))
     }
@@ -182,11 +175,9 @@ pub(crate) struct RelMeta {
 #[derive(Debug, Clone)]
 pub struct ConstraintDb {
     pub(crate) db: Database,
+    /// Engine configuration, including the one algebraic memo-cache
+    /// handle every evaluation context of this database shares.
     pub(crate) engine: CalcFEngine,
-    /// Persistent algebraic memo-cache, threaded into every evaluation
-    /// context built by the facade (shared handle; see
-    /// [`AlgebraicCache`]'s module docs).
-    pub(crate) cache: AlgebraicCache,
     /// Per-relation schema metadata (variable names, view sources).
     pub(crate) catalog: BTreeMap<String, RelMeta>,
     /// Which derived relations read which others.
@@ -213,15 +204,9 @@ impl ConstraintDb {
     /// Use a custom engine configuration.
     #[must_use]
     pub fn with_engine(engine: CalcFEngine) -> ConstraintDb {
-        // One memo-cache for the whole database: the engine's handle and
-        // the facade's are the same Arc-backed storage, so CALC_F queries,
-        // Datalog runs, and the update path all share (and invalidate)
-        // the same entries.
-        let cache = engine.cache.clone();
         ConstraintDb {
             db: Database::new(),
             engine,
-            cache,
             catalog: BTreeMap::new(),
             deps: DepTracker::new(),
             programs: Vec::new(),
@@ -239,35 +224,18 @@ impl ConstraintDb {
         &self.db
     }
 
-    /// The shared algebraic memo-cache the facade threads into every
-    /// evaluation context it builds (a cheap handle; cloning shares it).
+    /// The engine's algebraic memo-cache: the one handle CALC_F queries,
+    /// Datalog runs and the update path all evaluate through (cloning the
+    /// database, or the engine, shares it).
     #[must_use]
     pub fn cache(&self) -> &AlgebraicCache {
-        &self.cache
+        &self.engine.cache
     }
 
-    /// Drop every memoized algebraic result *and* the process-wide
-    /// polynomial interner pool, returning how many entries were removed
-    /// from the memo-cache. Neither store can serve stale data (entries
-    /// are pure functions of their keys), so this is a memory-reclamation
-    /// hook — destructive updates call the cache half automatically; the
-    /// interner half is explicit because the pool is shared process-wide.
-    pub fn invalidate_caches(&self) -> usize {
-        let removed = self.cache.invalidate();
-        cdb_poly::intern::clear();
-        removed
-    }
-
-    /// The evaluation context carrying the engine's full configuration:
-    /// CAD lifting threads (`workers`), bit budget, planner mode, and the
-    /// shared memo-cache.
+    /// The evaluation context carrying the engine's full configuration
+    /// ([`CalcFEngine::qe_context`] under the engine's own bit budget).
     pub(crate) fn qe_context(&self) -> QeContext {
-        let mut ctx = QeContext::exact()
-            .with_workers(self.engine.workers)
-            .with_cache(&self.cache)
-            .with_plan_mode(self.engine.plan_mode);
-        ctx.budget_bits = self.engine.budget_bits;
-        ctx
+        self.engine.qe_context(self.engine.budget_bits)
     }
 
     /// Reject names the evaluator reserves and arity-0 schemas (the
@@ -354,25 +322,13 @@ impl ConstraintDb {
         Self::check_schema(name, vars.len())?;
         Self::check_distinct_vars(name, vars)?;
         self.check_arity(name, vars.len())?;
-        let rel = self.engine.compile_relation(&self.db, vars, src)?;
-        let reads = formula_reads(&cdb_calcf::parse_formula(src).map_err(CalcFError::from)?);
-        let replacing = self.db.get(name).is_some();
-        if replacing {
-            self.unregister_derived(name);
-        }
-        self.db.insert(name, rel.canonicalized());
-        self.catalog.insert(
-            name.to_owned(),
-            RelMeta {
-                var_names: vars.iter().map(|v| (*v).to_owned()).collect(),
-                view_src: Some(src.to_owned()),
-            },
-        );
-        self.deps.record(name, reads);
-        if replacing {
-            self.refresh_dependents_of(name)?;
-        }
-        Ok(())
+        let ast = cdb_calcf::parse_formula(src).map_err(CalcFError::from)?;
+        let rel = self.engine.compile_relation_ast(&self.db, vars, &ast)?;
+        let meta = RelMeta {
+            var_names: vars.iter().map(|v| (*v).to_owned()).collect(),
+            view_src: Some(src.to_owned()),
+        };
+        self.store(name, rel, meta, Some(formula_reads(&ast)))
     }
 
     /// Insert (or replace) a pre-built relation. Replacing requires the
@@ -381,28 +337,45 @@ impl ConstraintDb {
     pub fn insert(&mut self, name: &str, rel: ConstraintRelation) -> Result<(), DbError> {
         Self::check_schema(name, rel.nvars())?;
         self.check_arity(name, rel.nvars())?;
-        let replacing = self.db.get(name).is_some();
-        if replacing {
-            self.unregister_derived(name);
-        }
         let arity = rel.nvars();
-        self.db.insert(name, rel.canonicalized());
         let keep_names = self
             .catalog
             .get(name)
             .filter(|m| m.var_names.len() == arity)
             .map(|m| m.var_names.clone());
-        self.catalog.insert(
-            name.to_owned(),
-            RelMeta {
-                var_names: keep_names.unwrap_or_else(|| Self::default_var_names(arity)),
-                view_src: None,
-            },
-        );
-        if replacing {
-            self.refresh_dependents_of(name)?;
-        }
-        Ok(())
+        let meta = RelMeta {
+            var_names: keep_names.unwrap_or_else(|| Self::default_var_names(arity)),
+            view_src: None,
+        };
+        self.store(name, rel, meta, None)
+    }
+
+    /// Store `rel` as `name` with its catalog entry — and, for a view, the
+    /// relations it reads. Over an existing relation this takes manual
+    /// control of the extent and refreshes everything that reads it, all
+    /// or nothing: when a dependent fails to refresh, nothing is stored.
+    fn store(
+        &mut self,
+        name: &str,
+        rel: ConstraintRelation,
+        meta: RelMeta,
+        reads: Option<BTreeSet<String>>,
+    ) -> Result<(), DbError> {
+        let replacing = self.db.get(name).is_some();
+        self.atomically(|next| {
+            if replacing {
+                next.unregister_derived(name);
+            }
+            next.db.insert(name, rel.canonicalized());
+            next.catalog.insert(name.to_owned(), meta);
+            if let Some(reads) = reads {
+                next.deps.record(name, reads);
+            }
+            if replacing {
+                next.propagate(name, Change::Destructive, &mut UpdateReport::default())?;
+            }
+            Ok(())
+        })
     }
 
     /// Insert (or replace) a finite relation from explicit points.
@@ -467,7 +440,7 @@ impl ConstraintDb {
         if removed.is_some() {
             self.catalog.remove(name);
             self.unregister_derived(name);
-            self.cache.invalidate();
+            self.engine.cache.invalidate();
         }
         removed
     }
@@ -483,10 +456,7 @@ impl ConstraintDb {
         let output = self.engine.evaluate(&self.db, src)?;
         Ok(QueryResult {
             output,
-            eps: self.engine.eps.clone(),
-            workers: self.engine.workers,
-            budget_bits: self.engine.budget_bits,
-            cache: self.cache.clone(),
+            engine: self.engine.clone(),
         })
     }
 
@@ -546,13 +516,7 @@ impl ConstraintDb {
         let mut engine = self.engine.clone();
         engine.budget_bits = Some(budget_bits);
         match engine.evaluate(&self.db, src) {
-            Ok(output) => Ok(Some(QueryResult {
-                output,
-                eps: engine.eps.clone(),
-                workers: engine.workers,
-                budget_bits: engine.budget_bits,
-                cache: self.cache.clone(),
-            })),
+            Ok(output) => Ok(Some(QueryResult { output, engine })),
             Err(CalcFError::Qe(QeError::PrecisionExceeded { .. })) => Ok(None),
             Err(e) => Err(e.into()),
         }

@@ -16,7 +16,6 @@
 //! * exact and **finite precision** evaluation (§4 of the paper): a `Z_k`
 //!   bit budget under which queries are *undefined* rather than wrong;
 //! * ε-precise numerical evaluation of finite answers (Theorem 3.2);
-//! * a bounding-box index over generalized tuples ([`index`]);
 //! * a text storage format ([`storage`]).
 //!
 //! ```
@@ -37,7 +36,6 @@
 pub mod datalog_text;
 pub mod deps;
 pub mod facade;
-pub mod index;
 pub mod storage;
 pub mod update;
 
@@ -52,5 +50,4 @@ pub use cdb_qe::{QeContext, QeError};
 pub use datalog_text::parse_program;
 pub use deps::DepTracker;
 pub use facade::{ConstraintDb, DbError, QueryResult};
-pub use index::BoxIndex;
 pub use update::UpdateReport;

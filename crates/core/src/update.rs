@@ -15,11 +15,17 @@
 //! * **by recompute**, for retractions, replacements and redefinitions
 //!   (views recompile from their stored source; programs restart from
 //!   their pre-materialization head snapshots), with the shared
-//!   [`cdb_qe::AlgebraicCache`] invalidated first — entries are pure and
-//!   can never serve stale answers, but destructive updates strand entries
-//!   whose polynomials no longer occur anywhere, and the invalidation
-//!   gives the no-stale-hits differential tests (`tests/update_path.rs`) a
-//!   hard firebreak to pivot on.
+//!   [`cdb_qe::AlgebraicCache`] invalidated first. Its entries are pure
+//!   functions of their polynomial keys and cannot go stale
+//!   (`tests/update_path.rs` pins warm ≡ cold), so the wipe is never
+//!   needed; it stays only while the frozen benchmark asserts its counter
+//!   ([`UpdateReport::cache_invalidated`]).
+//!
+//! Every write is **all or nothing** ([`ConstraintDb::atomically`]): the
+//! base change and its whole propagation run on a copy-on-write copy that
+//! replaces the database only when every dependent refreshed; when one
+//! fails (an iteration cap, a bit budget) the caller gets the error and the
+//! database is exactly as it was.
 //!
 //! On finite extents the propagated state is byte-identical to a
 //! from-scratch evaluation of the updated database (differential-tested
@@ -64,6 +70,10 @@ pub struct UpdateReport {
     /// Programs re-run from scratch (restored head snapshots).
     pub full_reruns: usize,
     /// Whether the shared memo-cache was invalidated (destructive path).
+    /// The wipe buys nothing — entries are pure and cannot go stale — and
+    /// goes together with this field once the frozen benchmark stops
+    /// asserting `core.cache_invalidations > 0` (`stmtbench/tests/harness.rs`;
+    /// ROADMAP item 1(d)).
     pub cache_invalidated: bool,
 }
 
@@ -94,7 +104,7 @@ fn stored_form(
 
 /// How a relation changed, as seen by downstream consumers.
 #[derive(Debug, Clone)]
-enum Change {
+pub(crate) enum Change {
     /// The relation grew by exactly this delta — eligible for incremental
     /// maintenance.
     Enlarge(ConstraintRelation),
@@ -124,6 +134,22 @@ impl Unit {
 }
 
 impl ConstraintDb {
+    /// Run `write` on a copy of the database (relation storage is
+    /// copy-on-write, so the copy is shallow) and commit the copy only if
+    /// `write` succeeds; on `Err` this database is exactly as it was. Every
+    /// facade write that can fail after its first mutation goes through
+    /// here, and a caller with several writes to commit together (the
+    /// server's `CREATE RELATION`) can too.
+    pub fn atomically<T, E>(
+        &mut self,
+        write: impl FnOnce(&mut ConstraintDb) -> Result<T, E>,
+    ) -> Result<T, E> {
+        let mut next = self.clone();
+        let out = write(&mut next)?;
+        *self = next;
+        Ok(out)
+    }
+
     /// Insert generalized tuples into the named base relation, propagating
     /// the delta to every derived relation that reads it. Tuples already
     /// present (syntactically, in stored form) are skipped; an empty
@@ -158,9 +184,10 @@ impl ConstraintDb {
         }
         let delta = ConstraintRelation::new(arity, fresh);
         let merged = self.updatable_relation(name)?.union(&delta).canonicalized();
-        self.db.insert(name, merged);
-        let changes = BTreeMap::from([(name.to_owned(), Change::Enlarge(delta))]);
-        self.propagate(changes, &mut report)?;
+        self.atomically(|next| {
+            next.db.insert(name, merged);
+            next.propagate(name, Change::Enlarge(delta), &mut report)
+        })?;
         Ok(report)
     }
 
@@ -191,22 +218,10 @@ impl ConstraintDb {
             return Ok(report);
         };
         report.retracted = removed;
-        self.db.insert(name, shrunk.canonicalized());
-        let changes = BTreeMap::from([(name.to_owned(), Change::Destructive)]);
-        self.propagate(changes, &mut report)?;
-        Ok(report)
-    }
-
-    /// Refresh everything that transitively reads `name` after a
-    /// destructive replacement (facade `insert` / `define` over an
-    /// existing relation).
-    pub(crate) fn refresh_dependents_of(&mut self, name: &str) -> Result<UpdateReport, DbError> {
-        let mut report = UpdateReport {
-            relation: name.to_owned(),
-            ..UpdateReport::default()
-        };
-        let changes = BTreeMap::from([(name.to_owned(), Change::Destructive)]);
-        self.propagate(changes, &mut report)?;
+        self.atomically(|next| {
+            next.db.insert(name, shrunk.canonicalized());
+            next.propagate(name, Change::Destructive, &mut report)
+        })?;
         Ok(report)
     }
 
@@ -223,26 +238,28 @@ impl ConstraintDb {
             .ok_or_else(|| DbError::Schema(format!("no relation named {name}")))
     }
 
-    /// Propagate `changes` to every affected derived relation, each
-    /// refreshed exactly once in dependency order. Views recompile from
-    /// their stored source; programs re-run incrementally when every dirty
-    /// input carries an enlarging delta and the program is incrementally
-    /// maintainable for the change set, from their base-head snapshots
-    /// otherwise. Any destructive change invalidates the shared
-    /// memo-cache first.
-    fn propagate(
+    /// Propagate the `change` of relation `name` to every affected derived
+    /// relation, each refreshed exactly once in dependency order. Views
+    /// recompile from their stored source; programs re-run incrementally
+    /// when every dirty input carries an enlarging delta and the program is
+    /// incrementally maintainable for the change set, from their base-head
+    /// snapshots otherwise. A destructive change invalidates the shared
+    /// memo-cache first. Mutates in place: callers run it inside
+    /// [`ConstraintDb::atomically`].
+    pub(crate) fn propagate(
         &mut self,
-        changes: BTreeMap<String, Change>,
+        name: &str,
+        change: Change,
         report: &mut UpdateReport,
     ) -> Result<(), DbError> {
-        if changes.values().any(|c| matches!(c, Change::Destructive)) {
-            self.cache.invalidate();
+        if matches!(change, Change::Destructive) {
+            self.engine.cache.invalidate();
             report.cache_invalidated = true;
         }
         // `arrived` tracks how each relation has changed so far; it grows
         // as units run (their outputs become Destructive changes for
         // downstream units).
-        let mut arrived = changes;
+        let mut arrived = BTreeMap::from([(name.to_owned(), change)]);
         let units = self.schedule_units(&arrived);
         for unit in units {
             match unit {
@@ -258,7 +275,7 @@ impl ConstraintDb {
                     } else {
                         report.full_reruns += 1;
                         if !report.cache_invalidated {
-                            self.cache.invalidate();
+                            self.engine.cache.invalidate();
                             report.cache_invalidated = true;
                         }
                     }

@@ -39,15 +39,6 @@ impl FkParams {
             exp_bound: i64::from(k.max(2)),
         }
     }
-
-    /// IEEE-double-like shape (53-bit mantissa).
-    #[must_use]
-    pub fn double_like() -> FkParams {
-        FkParams {
-            mantissa_bits: 53,
-            exp_bound: 1023,
-        }
-    }
 }
 
 /// Error raised when an `F_k` operation is undefined.
@@ -256,35 +247,16 @@ impl Fk {
         Fk::from_rat_exact(&(&self.to_rat() * &other.to_rat()), self.params)
     }
 
-    /// Partial exact subtraction.
-    pub fn sub_exact(&self, other: &Fk) -> Result<Fk, FkError> {
-        self.check_params(other);
-        Fk::from_rat_exact(&(&self.to_rat() - &other.to_rat()), self.params)
-    }
-
     /// Rounded addition (round to nearest, ties even).
     pub fn add_round(&self, other: &Fk) -> Result<Fk, FkError> {
         self.check_params(other);
         Fk::from_rat_round(&(&self.to_rat() + &other.to_rat()), self.params)
     }
 
-    /// Rounded subtraction.
-    pub fn sub_round(&self, other: &Fk) -> Result<Fk, FkError> {
-        self.check_params(other);
-        Fk::from_rat_round(&(&self.to_rat() - &other.to_rat()), self.params)
-    }
-
     /// Rounded multiplication.
     pub fn mul_round(&self, other: &Fk) -> Result<Fk, FkError> {
         self.check_params(other);
         Fk::from_rat_round(&(&self.to_rat() * &other.to_rat()), self.params)
-    }
-
-    /// Rounded division. `Err(InsufficientPrecision)` is never produced;
-    /// `Err(ExponentOverflow)` on range overflow. Panics on division by zero.
-    pub fn div_round(&self, other: &Fk) -> Result<Fk, FkError> {
-        self.check_params(other);
-        Fk::from_rat_round(&(&self.to_rat() / &other.to_rat()), self.params)
     }
 }
 

@@ -81,16 +81,6 @@ impl Sign {
         }
     }
 
-    /// From any integer-like comparison value.
-    #[must_use]
-    pub fn from_i32(v: i32) -> Sign {
-        match v.cmp(&0) {
-            std::cmp::Ordering::Less => Sign::Neg,
-            std::cmp::Ordering::Equal => Sign::Zero,
-            std::cmp::Ordering::Greater => Sign::Pos,
-        }
-    }
-
     /// As -1 / 0 / +1.
     #[must_use]
     pub fn to_i32(self) -> i32 {

@@ -86,12 +86,6 @@ impl Rat {
         self.num.is_zero()
     }
 
-    /// True iff an integer.
-    #[must_use]
-    pub fn is_integer(&self) -> bool {
-        self.den.is_one()
-    }
-
     /// Sign.
     #[must_use]
     pub fn sign(&self) -> Sign {

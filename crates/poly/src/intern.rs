@@ -125,17 +125,3 @@ pub fn stats() -> InternStats {
         misses: MISSES.load(Ordering::SeqCst),
     }
 }
-
-/// Drop every resident entry (memory reclamation; outstanding handles
-/// stay valid — they own their `Arc`s). Not intended to race live interning:
-/// concurrent inserts between shard drains are counted correctly but may
-/// survive the clear.
-pub fn clear() {
-    let mut removed = 0u64;
-    for shard in pool() {
-        let mut map = shard.lock().unwrap_or_else(PoisonError::into_inner);
-        removed += map.values().map(|b| b.len() as u64).sum::<u64>();
-        map.clear();
-    }
-    ENTRIES.fetch_sub(removed, Ordering::SeqCst);
-}

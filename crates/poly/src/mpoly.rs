@@ -41,14 +41,6 @@ pub type Monomial = Vec<u32>;
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
 pub struct PolyId(u64);
 
-impl PolyId {
-    /// The raw 64-bit id.
-    #[must_use]
-    pub fn as_u64(self) -> u64 {
-        self.0
-    }
-}
-
 /// The interned payload: canonical terms plus caches computed once at
 /// construction. Immutable after interning.
 pub(crate) struct PolyData {

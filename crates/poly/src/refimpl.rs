@@ -72,12 +72,6 @@ impl RefPoly {
         RefPoly { nvars, terms }
     }
 
-    /// Convert from the interned representation.
-    #[must_use]
-    pub fn from_mpoly(p: &MPoly) -> RefPoly {
-        RefPoly::from_terms(p.nvars(), p.terms().map(|(m, c)| (m.to_vec(), c.clone())))
-    }
-
     /// Convert to the interned representation.
     #[must_use]
     pub fn to_mpoly(&self) -> MPoly {

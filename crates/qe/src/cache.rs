@@ -27,38 +27,36 @@
 //! it, but the functions are pure so either result is identical and the
 //! insert is idempotent.
 //!
-//! # Eviction
+//! # Size bound
 //!
-//! Each shard is bounded: once it reaches its per-shard capacity, inserting
-//! a new key evicts the least-recently-used entry (recency is a global
-//! atomic tick stamped on every hit and insert). This keeps long-lived
-//! server contexts from growing without bound while preserving the working
-//! set of a hot query mix; evictions are counted next to hits/misses (the
-//! statement benchmark reports all three as `qe.cache.*`).
+//! Each shard is bounded: inserting a new key into a shard that has reached
+//! its per-shard capacity clears that shard first, and the entries dropped
+//! are counted in [`AlgebraicCache::evictions`] next to hits/misses (the
+//! statement benchmark reports all three as `qe.cache.*`). No recency is
+//! kept: no workload has ever filled a shard, so the bound is a safety
+//! property for long-lived server contexts, not a replacement policy.
 //!
 //! # Sharing and invalidation
 //!
 //! The cache is a cheap-to-clone handle (`Arc` around the shard table):
 //! cloning shares the entries and counters, so a long-lived owner — the
-//! `constraintdb` facade's update path, a server session pool — can hand
-//! the *same* cache to every per-call `QeContext` instead of rebuilding a
-//! cold one per call. Entries are pure functions of their
-//! polynomial keys and can never go stale; [`AlgebraicCache::invalidate`]
-//! exists for the update path anyway, both as memory reclamation after
-//! destructive updates (retractions/replacements strand entries whose
-//! polynomials no longer occur in any extent) and as the hook the
-//! no-stale-hits differential tests pivot on
-//! (`crates/core/tests/update_path.rs`).
+//! `constraintdb` facade, every server session's snapshot — hands the
+//! *same* cache to every per-call `QeContext` instead of rebuilding a cold
+//! one per call. Entries are pure functions of their polynomial keys and
+//! can never go stale. The facade's destructive writes call
+//! [`AlgebraicCache::invalidate`] anyway; nothing needs the wipe
+//! (`crates/core/tests/update_path.rs` pins warm ≡ cold), and it goes once
+//! the frozen benchmark stops asserting that it fired (ROADMAP item 1(d)).
 
 use cdb_poly::resultant as resfn;
 use cdb_poly::sturm::SturmChain;
 use cdb_poly::{MPoly, UPoly};
 use std::collections::hash_map::DefaultHasher;
 #[allow(clippy::disallowed_types)]
-// cdb-lint: allow(determinism) — bounded memo table: access is by key only,
-// iteration happens solely to pick the LRU victim (recency ticks are unique,
-// so the minimum is order-independent), and cached values are pure functions
-// of the key, so cache contents can never alter a result.
+// cdb-lint: allow(determinism) — bounded memo table: the map is only ever
+// read by key, counted (`len`) and emptied (`clear`), never iterated, and
+// cached values are pure functions of the key, so cache contents can never
+// alter a result.
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -91,15 +89,10 @@ enum Value {
     Sturm(Arc<SturmChain>),
 }
 
-/// A cached value plus its last-access tick (for LRU eviction).
-struct Entry {
-    value: Value,
-    last_used: u64,
-}
-
 #[allow(clippy::disallowed_types)]
-// cdb-lint: allow(determinism) — see the `use` above: keyed access only.
-type Shard = Mutex<HashMap<Key, Entry>>;
+// cdb-lint: allow(determinism) — see the `use` above: keyed access, `len`
+// and `clear` only.
+type Shard = Mutex<HashMap<Key, Value>>;
 
 /// Sharded, thread-safe, size-bounded memo-cache for resultants,
 /// discriminants, and Sturm sequences. One instance lives on
@@ -113,15 +106,12 @@ pub struct AlgebraicCache {
 
 struct CacheInner {
     shards: Box<[Shard]>,
-    /// Maximum entries *per shard*; reaching it evicts the shard's LRU entry.
+    /// Maximum entries *per shard*; a new key arriving at a full shard
+    /// clears it.
     per_shard_capacity: usize,
-    /// Global recency clock, stamped on every hit and insert.
-    tick: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
-    /// Completed [`AlgebraicCache::invalidate`] calls.
-    invalidations: AtomicU64,
 }
 
 impl Default for AlgebraicCache {
@@ -156,7 +146,8 @@ impl AlgebraicCache {
         let shards: Vec<Shard> = (0..SHARD_COUNT)
             .map(|_| {
                 #[allow(clippy::disallowed_types)]
-                // cdb-lint: allow(determinism) — see the `use` above: keyed access only.
+                // cdb-lint: allow(determinism) — see the `use` above: keyed
+                // access, `len` and `clear` only.
                 Mutex::new(HashMap::new())
             })
             .collect();
@@ -164,11 +155,9 @@ impl AlgebraicCache {
             inner: Arc::new(CacheInner {
                 shards: shards.into(),
                 per_shard_capacity: capacity.div_ceil(SHARD_COUNT).max(1),
-                tick: AtomicU64::new(0),
                 hits: AtomicU64::new(0),
                 misses: AtomicU64::new(0),
                 evictions: AtomicU64::new(0),
-                invalidations: AtomicU64::new(0),
             }),
         }
     }
@@ -180,12 +169,11 @@ impl AlgebraicCache {
         Arc::ptr_eq(&self.inner, &other.inner)
     }
 
-    /// Drop every memoized entry, returning how many were removed. Counted
-    /// in [`AlgebraicCache::invalidations`]. Entries are pure functions of
-    /// their keys, so this can never change a result — it reclaims memory
-    /// after destructive updates (retract/replace) strand entries for
-    /// polynomials that no longer occur in any extent, and gives the update
-    /// path an explicit staleness firebreak to differential-test against.
+    /// Drop every memoized entry, returning how many were removed. Entries
+    /// are pure functions of their keys, so this can never change a result
+    /// and no write can make one stale; the facade's destructive writes
+    /// call it all the same, for as long as the frozen benchmark
+    /// (`stmtbench/`) names it and asserts that they do.
     pub fn invalidate(&self) -> usize {
         let mut removed = 0usize;
         for shard in self.inner.shards.iter() {
@@ -195,7 +183,6 @@ impl AlgebraicCache {
             removed += guard.len();
             guard.clear();
         }
-        self.inner.invalidations.fetch_add(1, Ordering::SeqCst);
         removed
     }
 
@@ -206,21 +193,20 @@ impl AlgebraicCache {
     }
 
     /// Look up `key`, or compute it with `f` (outside the shard lock) and
-    /// insert, evicting the shard's least-recently-used entry when full.
-    /// Pure `f` makes the compute-twice race benign. A poisoned shard holds
-    /// a structurally valid map (std's `HashMap` never unwinds mid-rehash
-    /// into an invalid state) of fully-constructed pure entries, so poison
-    /// recovery is sound here.
+    /// insert, clearing the shard first when it is full. Pure `f` makes the
+    /// compute-twice race benign. A poisoned shard holds a structurally
+    /// valid map (std's `HashMap` never unwinds mid-rehash into an invalid
+    /// state) of fully-constructed pure entries, so poison recovery is
+    /// sound here.
     fn get_or_insert(&self, key: Key, f: impl FnOnce() -> Value) -> Value {
         let shard = self.shard_of(&key);
-        if let Some(e) = shard
+        if let Some(v) = shard
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .get_mut(&key)
+            .get(&key)
         {
             self.inner.hits.fetch_add(1, Ordering::SeqCst);
-            e.last_used = self.inner.tick.fetch_add(1, Ordering::SeqCst);
-            return e.value.clone();
+            return v.clone();
         }
         self.inner.misses.fetch_add(1, Ordering::SeqCst);
         let v = f();
@@ -228,28 +214,12 @@ impl AlgebraicCache {
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
         if !guard.contains_key(&key) && guard.len() >= self.inner.per_shard_capacity {
-            // Evict the LRU entry (O(shard) scan — shards are small and
-            // eviction is the rare path, so a scan beats an intrusive list).
-            // Recency ticks are unique, so the minimum is iteration-order
-            // independent.
-            if let Some(victim) = guard
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone())
-            {
-                guard.remove(&victim);
-                self.inner.evictions.fetch_add(1, Ordering::SeqCst);
-            }
+            self.inner
+                .evictions
+                .fetch_add(guard.len() as u64, Ordering::SeqCst);
+            guard.clear();
         }
-        let last_used = self.inner.tick.fetch_add(1, Ordering::SeqCst);
-        guard
-            .entry(key)
-            .or_insert(Entry {
-                value: v,
-                last_used,
-            })
-            .value
-            .clone()
+        guard.entry(key).or_insert(v).clone()
     }
 
     /// Memoized `res_var(p, q)`.
@@ -313,13 +283,6 @@ impl AlgebraicCache {
     #[must_use]
     pub fn evictions(&self) -> u64 {
         self.inner.evictions.load(Ordering::SeqCst)
-    }
-
-    /// Completed [`AlgebraicCache::invalidate`] calls over the cache's
-    /// lifetime (shared by every handle).
-    #[must_use]
-    pub fn invalidations(&self) -> u64 {
-        self.inner.invalidations.load(Ordering::SeqCst)
     }
 
     /// Total entry capacity across all shards.
@@ -433,8 +396,6 @@ mod tests {
         let removed = b.invalidate();
         assert_eq!(removed, 1);
         assert!(a.is_empty(), "invalidate through one handle empties all");
-        assert_eq!(a.invalidations(), 1);
-        assert_eq!(b.invalidations(), 1);
 
         // Post-invalidation lookups recompute and still agree exactly.
         let r3 = a.resultant(&p, &q, 1);
@@ -471,24 +432,6 @@ mod tests {
         let c1 = cache.sturm(&u);
         let c2 = cache.sturm(&u);
         assert!(Arc::ptr_eq(&c1, &c2), "recomputed chain must be shared");
-    }
-
-    /// LRU keeps the hot entry: re-touching a key between cold inserts
-    /// protects it, so across a long churn the hot key misses exactly once.
-    #[test]
-    fn lru_retains_recently_used() {
-        let cache = AlgebraicCache::with_capacity(2 * SHARD_COUNT); // 2/shard
-        let hot = UPoly::from_ints(&[-2, 0, 1]);
-        let _ = cache.sturm(&hot); // miss #1 — the only hot miss allowed
-        let cold = 190u64;
-        for i in 10..(10 + cold as i64) {
-            let _ = cache.sturm(&UPoly::from_ints(&[-i, 0, 1]));
-            let _ = cache.sturm(&hot); // re-touch: hot is never the LRU
-        }
-        // Every miss is accounted for by the distinct cold keys + the first
-        // hot access; any eviction of the hot entry would add to this.
-        assert_eq!(cache.misses(), cold + 1, "hot entry was evicted");
-        assert!(cache.evictions() > 0, "cold churn must evict");
     }
 
     #[test]

@@ -17,7 +17,7 @@ pub mod stack;
 use crate::par::par_map_result;
 use crate::{QeContext, QeError};
 use cdb_constraints::{ConstraintRelation, Formula, Quantifier};
-use cdb_num::{Rat, Sign};
+use cdb_num::Sign;
 use cdb_poly::MPoly;
 use project::{normalize, Registry};
 use sample::Coord;
@@ -642,23 +642,11 @@ pub fn true_cells<'c>(
     Ok(out)
 }
 
-/// Pick a fresh rational sample between stack neighbours (re-exported for
-/// aggregate integration).
-#[must_use]
-pub fn cell_rational_sample(cell: &CadCell) -> Option<Vec<Rat>> {
-    cell.sample
-        .iter()
-        .map(|c| match c {
-            Coord::Rat(r) => Some(r.clone()),
-            Coord::Alg(a) => a.to_rat(),
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use cdb_constraints::{Atom, RelOp};
+    use cdb_num::Rat;
 
     fn c(v: i64, n: usize) -> MPoly {
         MPoly::constant(Rat::from(v), n)

@@ -220,7 +220,7 @@ impl Session {
             let r = apply_write(&mut master, stmt);
             // Refresh the session's own snapshot on success so it reads
             // its own writes; on failure the master is untouched (every
-            // update path rejects before mutating).
+            // facade write is all-or-nothing, `ConstraintDb::atomically`).
             match r {
                 Ok(resp) => {
                     self.snapshot = master.clone();
@@ -245,15 +245,14 @@ fn apply_write(db: &mut ConstraintDb, stmt: &Statement) -> Result<Response, Serv
             let var_refs: Vec<&str> = vars.iter().map(String::as_str).collect();
             match definition {
                 Some(src) => db.define(name, &var_refs, src).map_err(db_err)?,
-                None => {
-                    // Two facade calls, either of which can reject: apply
-                    // them to a (copy-on-write) copy and commit together.
-                    let mut next = db.clone();
-                    next.insert(name, ConstraintRelation::new(vars.len(), Vec::new()))
-                        .map_err(db_err)?;
-                    next.rename_vars(name, &var_refs).map_err(db_err)?;
-                    *db = next;
-                }
+                // Two facade calls, either of which can reject: commit
+                // them together.
+                None => db
+                    .atomically(|next| {
+                        next.insert(name, ConstraintRelation::new(vars.len(), Vec::new()))?;
+                        next.rename_vars(name, &var_refs)
+                    })
+                    .map_err(db_err)?,
             }
             Ok(Response::Created {
                 name: name.clone(),

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Repository gate: formatting, lints, the tier-1 verify from ROADMAP.md, the
 # full workspace test suite, the statement benchmark's own tests, the paper's
-# experiments (E1-E15) and one checked run of every benchmark workload.
+# experiments (E1-E15), one checked run of every benchmark workload, and a
+# last look that none of it rewrote a frozen benchmark file.
 # Run from anywhere; operates on the workspace containing this script.
 set -euo pipefail
 
@@ -13,7 +14,7 @@ bash -n scripts/bench_pairs.sh
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
-echo "==> cargo clippy --workspace -- -D warnings"
+echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cdb-lint (hygiene rules + interprocedural passes, baseline ratchet)"
@@ -62,5 +63,13 @@ for w in $(sed -n 's/^ *"name": "\([a-z_]*\)",$/\1/p' BENCHMARK.json); do
         exit 1
     fi
 done
+
+echo "==> the frozen benchmark is as committed (no step above rewrote stmtbench/ or BENCHMARK.json)"
+# A manifest edit that makes cargo rewrite stmtbench/Cargo.lock shows up here.
+frozen=$(git status --short stmtbench/ BENCHMARK.json)
+if [ -n "$frozen" ]; then
+    echo "$frozen" >&2
+    exit 1
+fi
 
 echo "All checks passed."

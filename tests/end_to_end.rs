@@ -1,11 +1,10 @@
 //! Integration: cross-crate flows — storage round trips, derived
 //! definitions feeding aggregates, Datalog over facade-built databases,
-//! analytic queries against stored relations, and the box index against
-//! brute-force membership.
+//! and analytic queries against stored relations.
 
 use cdb_datalog::{Literal, Program, Rule};
 use cdb_qe::QeContext;
-use constraintdb::{storage, BoxIndex, ConstraintDb, Rat};
+use constraintdb::{storage, ConstraintDb, Rat};
 
 #[test]
 fn storage_roundtrip_preserves_query_answers() {
@@ -133,27 +132,6 @@ fn analytic_query_against_stored_relation() {
     let lo = db.query("m = MIN[t]{ Window(t) and exp(t) >= 2 }").unwrap();
     let m = lo.points().unwrap()[0][0].to_f64();
     assert!((m - std::f64::consts::LN_2).abs() < 1e-3, "{m}");
-}
-
-#[test]
-fn box_index_agrees_with_relation() {
-    let mut db = ConstraintDb::new();
-    db.define(
-        "Cells",
-        &["x", "y"],
-        "(x >= 0 and x <= 1 and y >= 0 and y <= 1) or \
-         (x >= 3 and x <= 4 and y >= 0 and y <= 1) or \
-         (x >= 6 and x <= 7 and y >= 2 and y <= 5)",
-    )
-    .unwrap();
-    let rel = db.relation("Cells").unwrap().clone();
-    let idx = BoxIndex::build(rel.clone());
-    for xi in -2..=16 {
-        for yi in -2..=12 {
-            let p = [Rat::from_ints(xi, 2), Rat::from_ints(yi, 2)];
-            assert_eq!(idx.contains(&p), rel.satisfied_at(&p), "at {p:?}");
-        }
-    }
 }
 
 #[test]
