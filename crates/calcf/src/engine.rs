@@ -42,7 +42,7 @@ pub enum CalcFError {
 impl fmt::Display for CalcFError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            CalcFError::Parse(e) => write!(f, "{e}"),
+            CalcFError::Parse(e) => write!(f, "parse error: {e}"),
             CalcFError::Aggregate(e) => write!(f, "{e}"),
             CalcFError::Approx(e) => write!(f, "{e}"),
             CalcFError::Qe(e) => write!(f, "{e}"),

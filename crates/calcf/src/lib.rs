@@ -27,4 +27,5 @@ pub mod parser;
 
 pub use ast::{CFormula, CTerm};
 pub use engine::{CalcFEngine, CalcFError, CalcFOutput};
-pub use parser::parse_formula;
+pub use lexer::{ParseError, Token};
+pub use parser::{parse_formula, Parser};

@@ -16,6 +16,7 @@
 //! Commands: `define`, `query`, `solve`, `fp <k>`, `datalog <file>`,
 //! `schema`, `save <file>`, `load <file>`, `help`, `quit`.
 
+use cdb_calcf::{Parser, Token};
 use constraintdb::{parse_program, storage, ConstraintDb, QueryResult};
 use std::io::{BufRead, Write};
 
@@ -133,22 +134,19 @@ fn main() {
 
 fn define(db: &mut ConstraintDb, rest: &str) {
     // define Name(v1, v2) := <formula>
-    let Some((head, body)) = rest.split_once(":=") else {
-        println!("usage: define Name(v1, v2) := <formula>");
-        return;
+    let head = Parser::new(rest).and_then(|mut p| {
+        let (name, vars) = p.head()?;
+        p.require(Token::ColonEq)?;
+        Ok((name, vars, p.rest()))
+    });
+    let (name, vars, body) = match head {
+        Ok(parts) => parts,
+        Err(e) => {
+            println!("usage: define Name(v1, v2) := <formula> ({e})");
+            return;
+        }
     };
-    let head = head.trim();
-    let Some(open) = head.find('(') else {
-        println!("bad head: {head}");
-        return;
-    };
-    let name = head[..open].trim().to_owned();
-    let Some(args) = head[open + 1..].trim().strip_suffix(')') else {
-        println!("bad head: {head}");
-        return;
-    };
-    let vars: Vec<&str> = args.split(',').map(str::trim).collect();
-    match db.define(&name, &vars, body.trim()) {
+    match db.define(name, &vars, body) {
         Ok(()) => println!("defined {name}/{}", vars.len()),
         Err(e) => println!("error: {e}"),
     }

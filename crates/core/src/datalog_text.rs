@@ -7,203 +7,136 @@
 //! Unmarked(x) :- Domain(x), not Marked(x).
 //! ```
 //!
-//! Body literals are positive/negated relation atoms or polynomial
-//! constraints (compiled through the CALC_F term grammar). Variables are
-//! scoped per rule, in first-appearance order.
+//! A token-driven grammar over `cdb_calcf`'s tokenizer and [`Parser`]:
+//!
+//! ```text
+//! program := rule*
+//! rule    := head (":-" literal ("," literal)*)? "."
+//! literal := conjunction                       -- CALC_F's `and` level
+//! ```
+//!
+//! Each literal is parsed once and classified from its AST: `R(v, …)`,
+//! `not R(v, …)`, or a relation-free constraint compiled from that AST.
+//! Variables are scoped per rule, in first-appearance order: head, then
+//! relation atoms, then constraints.
 
 use crate::facade::DbError;
-use cdb_calcf::CalcFEngine;
+use cdb_calcf::{CFormula, CalcFEngine, CalcFError, ParseError, Parser, Token};
 use cdb_constraints::Database;
 use cdb_datalog::{Literal, Program, Rule};
 
-/// Parse a Datalog¬ program from text. Rules are terminated by `.` (a `.`
-/// between two digits is a decimal point); `--` starts a comment to end
-/// of line.
+/// Parse a Datalog¬ program from text. Syntax errors are
+/// [`CalcFError::Parse`] with their line and column.
 pub fn parse_program(src: &str) -> Result<Program, DbError> {
-    let cleaned: String = src
-        .lines()
-        .map(|l| match l.find("--") {
-            Some(i) => &l[..i],
-            None => l,
-        })
-        .collect::<Vec<_>>()
-        .join("\n");
+    let syntax = |e: ParseError| DbError::CalcF(CalcFError::Parse(e));
+    let mut p = Parser::new(src).map_err(syntax)?;
+    let engine = CalcFEngine::default();
     let mut rules = Vec::new();
-    for rule_src in split_rules(&cleaned) {
-        let rule_src = rule_src.trim();
-        if rule_src.is_empty() {
-            continue;
-        }
-        rules.push(parse_rule(rule_src)?);
+    while !p.at_end() {
+        rules.push(RuleSyntax::parse(&mut p).map_err(syntax)?.build(&engine)?);
     }
     Ok(Program { rules })
 }
 
-/// Split on every `.` that is not a decimal point (one with an ASCII digit
-/// on both sides, as in `x <= 1.5`).
-fn split_rules(src: &str) -> Vec<&str> {
-    let mut out = Vec::new();
-    let mut start = 0;
-    let mut prev_is_digit = false;
-    let mut chars = src.char_indices().peekable();
-    while let Some((i, ch)) = chars.next() {
-        let decimal_point =
-            prev_is_digit && chars.peek().is_some_and(|&(_, next)| next.is_ascii_digit());
-        if ch == '.' && !decimal_point {
-            out.push(&src[start..i]);
-            start = i + 1;
-        }
-        prev_is_digit = ch.is_ascii_digit();
-    }
-    out.push(&src[start..]);
-    out
+/// One rule as written: its head, and each body literal with its source
+/// text (for error messages).
+struct RuleSyntax<'a> {
+    head: &'a str,
+    head_vars: Vec<&'a str>,
+    body: Vec<(CFormula, &'a str)>,
 }
 
-fn parse_rule(src: &str) -> Result<Rule, DbError> {
-    let (head_src, body_src) = match src.split_once(":-") {
-        Some((h, b)) => (h.trim(), b.trim()),
-        None => (src.trim(), ""),
-    };
-    let (head_name, head_vars) = parse_atom_shape(head_src)
-        .ok_or_else(|| DbError::Storage(format!("bad rule head: {head_src}")))?;
-    // Variable table, head first.
-    let mut vars: Vec<String> = Vec::new();
-    let var_index = |name: &str, vars: &mut Vec<String>| -> usize {
-        if let Some(i) = vars.iter().position(|v| v == name) {
-            i
-        } else {
-            vars.push(name.to_owned());
-            vars.len() - 1
-        }
-    };
-    let head_idx: Vec<usize> = head_vars.iter().map(|v| var_index(v, &mut vars)).collect();
-    // Pass 1: split body literals and register relation-atom variables so
-    // the ring is known before compiling constraints.
-    let body_parts = split_literals(body_src);
-    #[derive(Debug)]
-    enum Raw<'a> {
-        Rel(String, Vec<String>),
-        NegRel(String, Vec<String>),
-        Constraint(&'a str),
+/// `R(v, …)` or `not R(v, …)`: (negated, name, arguments).
+fn relation_literal(literal: &CFormula) -> Option<(bool, &str, &[String])> {
+    match literal {
+        CFormula::Rel(name, args) => Some((false, name, args)),
+        CFormula::Not(inner) => match inner.as_ref() {
+            CFormula::Rel(name, args) => Some((true, name, args)),
+            _ => None,
+        },
+        _ => None,
     }
-    let mut raw = Vec::new();
-    for part in &body_parts {
-        let part = part.trim();
-        if part.is_empty() {
-            continue;
-        }
-        if let Some(rest) = part.strip_prefix("not ") {
-            let (name, args) = parse_atom_shape(rest.trim())
-                .ok_or_else(|| DbError::Storage(format!("bad negated literal: {part}")))?;
-            for a in &args {
-                var_index(a, &mut vars);
-            }
-            raw.push(Raw::NegRel(name, args));
-        } else if let Some((name, args)) = parse_atom_shape(part) {
-            for a in &args {
-                var_index(a, &mut vars);
-            }
-            raw.push(Raw::Rel(name, args));
-        } else {
-            raw.push(Raw::Constraint(part));
-        }
-    }
-    // Constraints may introduce further variables: collect them by parsing.
-    for part in &raw {
-        if let Raw::Constraint(src) = part {
-            let ast = cdb_calcf::parse_formula(src)
-                .map_err(|e| DbError::Storage(format!("in constraint '{src}': {e}")))?;
-            for v in ast.free_vars() {
-                var_index(&v, &mut vars);
-            }
-        }
-    }
-    let nvars = vars.len().max(1);
-    // Pass 2: build literals.
-    let engine = CalcFEngine::default();
-    let scratch = Database::new();
-    let mut body = Vec::new();
-    for part in raw {
-        match part {
-            Raw::Rel(name, args) => {
-                let idx = args.iter().map(|a| var_index(a, &mut vars)).collect();
-                body.push(Literal::Rel(name, idx));
-            }
-            Raw::NegRel(name, args) => {
-                let idx = args.iter().map(|a| var_index(a, &mut vars)).collect();
-                body.push(Literal::NegRel(name, idx));
-            }
-            Raw::Constraint(src) => {
-                // Compile over the full rule ring; a conjunction of atoms
-                // comes back as a single generalized tuple.
-                let refs: Vec<&str> = vars.iter().map(String::as_str).collect();
-                let rel = engine
-                    .compile_relation(&scratch, &refs, src)
-                    .map_err(|e| DbError::Storage(format!("in constraint '{src}': {e}")))?;
-                let tuples = rel.tuples();
-                let [tuple] = tuples else {
-                    return Err(DbError::Storage(format!(
-                        "constraint '{src}' must be a conjunction (one tuple), got {}",
-                        tuples.len()
-                    )));
-                };
-                for atom in tuple.atoms() {
-                    body.push(Literal::Constraint(atom.clone()));
+}
+
+impl<'a> RuleSyntax<'a> {
+    fn parse(p: &mut Parser<'a>) -> Result<RuleSyntax<'a>, ParseError> {
+        let (head, head_vars) = p.head()?;
+        let mut body = Vec::new();
+        if p.eat(Token::ColonDash) {
+            loop {
+                let from = p.mark();
+                let literal = p.conjunction()?;
+                body.push((literal, p.text(from, p.mark())));
+                if !p.eat(Token::Comma) {
+                    break;
                 }
             }
         }
+        p.require(Token::Dot)?;
+        Ok(RuleSyntax {
+            head,
+            head_vars,
+            body,
+        })
     }
-    Rule::new(head_name, head_idx, body, nvars).map_err(|e| DbError::Storage(e.to_string()))
-}
 
-/// Parse `Name(v1, v2, …)`; `None` if the string is not of that shape.
-fn parse_atom_shape(src: &str) -> Option<(String, Vec<String>)> {
-    let open = src.find('(')?;
-    let name = src[..open].trim();
-    if name.is_empty() || !name.chars().all(|c| c.is_alphanumeric() || c == '_') {
-        return None;
-    }
-    let rest = src[open + 1..].trim().strip_suffix(')')?;
-    let args: Vec<String> = rest
-        .split(',')
-        .map(|v| v.trim().to_owned())
-        .filter(|v| !v.is_empty())
-        .collect();
-    if args.is_empty()
-        || !args
+    fn build(self, engine: &CalcFEngine) -> Result<Rule, DbError> {
+        // Variable table: head, relation-atom arguments, then constraint
+        // variables, so the ring is known before constraints compile.
+        let mut vars: Vec<String> = Vec::new();
+        let mut var_index = |name: &str| match vars.iter().position(|v| v == name) {
+            Some(i) => i,
+            None => {
+                vars.push(name.to_owned());
+                vars.len() - 1
+            }
+        };
+        let head_idx: Vec<usize> = self.head_vars.iter().map(|v| var_index(v)).collect();
+        let relations: Vec<Option<Literal>> = self
+            .body
             .iter()
-            .all(|a| a.chars().all(|c| c.is_alphanumeric() || c == '_'))
-    {
-        return None;
-    }
-    Some((name.to_owned(), args))
-}
-
-/// Split on commas at parenthesis depth zero.
-fn split_literals(src: &str) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut depth = 0i32;
-    let mut cur = String::new();
-    for ch in src.chars() {
-        match ch {
-            '(' | '[' | '{' => {
-                depth += 1;
-                cur.push(ch);
+            .map(|(literal, _)| {
+                relation_literal(literal).map(|(negated, name, args)| {
+                    let idx = args.iter().map(|a| var_index(a)).collect();
+                    if negated {
+                        Literal::NegRel(name.to_owned(), idx)
+                    } else {
+                        Literal::Rel(name.to_owned(), idx)
+                    }
+                })
+            })
+            .collect();
+        for ((literal, _), relation) in self.body.iter().zip(&relations) {
+            if relation.is_none() {
+                for v in literal.free_vars() {
+                    var_index(&v);
+                }
             }
-            ')' | ']' | '}' => {
-                depth -= 1;
-                cur.push(ch);
-            }
-            ',' if depth == 0 => {
-                out.push(std::mem::take(&mut cur));
-            }
-            _ => cur.push(ch),
         }
+        let nvars = vars.len().max(1);
+        let refs: Vec<&str> = vars.iter().map(String::as_str).collect();
+        let scratch = Database::new();
+        let mut body = Vec::new();
+        for ((literal, text), relation) in self.body.iter().zip(relations) {
+            if let Some(relation) = relation {
+                body.push(relation);
+                continue;
+            }
+            // Compile over the full rule ring; a conjunction of atoms comes
+            // back as a single generalized tuple.
+            let rel = engine
+                .compile_relation_ast(&scratch, &refs, literal)
+                .map_err(|e| DbError::Storage(format!("in constraint '{text}': {e}")))?;
+            let [tuple] = rel.tuples() else {
+                return Err(DbError::Storage(format!(
+                    "constraint '{text}' must be a conjunction (one tuple), got {}",
+                    rel.tuples().len()
+                )));
+            };
+            body.extend(tuple.atoms().iter().cloned().map(Literal::Constraint));
+        }
+        Rule::new(self.head, head_idx, body, nvars).map_err(|e| DbError::Storage(e.to_string()))
     }
-    if !cur.trim().is_empty() {
-        out.push(cur);
-    }
-    out
 }
 
 #[cfg(test)]
@@ -285,6 +218,40 @@ mod tests {
         assert!(dec.satisfied_at(&[Rat::one()]));
         assert!(!dec.satisfied_at(&[Rat::from(5i64)]));
         assert_eq!(dec, out.get("Frac").unwrap());
+    }
+
+    /// `not` is a token, not a string prefix: every spelling of a negated
+    /// atom is the same literal.
+    #[test]
+    fn negation_spellings_agree() {
+        let want = format!("{:?}", parse_program("B(x) :- D(x), not P(x).").unwrap());
+        assert!(want.contains("NegRel(\"P\""), "{want}");
+        for spelling in [
+            "B(x) :- D(x), not(P(x)).",
+            "B(x) :- D(x), not\tP(x).",
+            "B(x) :- D(x),\n  not -- negated\n  P(x).",
+        ] {
+            let got = format!("{:?}", parse_program(spelling).unwrap());
+            assert_eq!(got, want, "{spelling:?}");
+        }
+    }
+
+    /// Syntax errors are parse errors positioned in the program text.
+    #[test]
+    fn syntax_errors_carry_positions() {
+        for (src, at) in [
+            ("T(x) :- x <=.", "line 1, col 13"),
+            ("T(x) :- E(x)\nT(y) :- E(y).", "line 2, col 1"),
+            ("T(x) :- E(x),, F(x).", "line 1, col 14"),
+            ("T(x) :- E(x) # F(x).", "line 1, col 14"),
+        ] {
+            let err = parse_program(src).unwrap_err();
+            assert!(
+                matches!(err, DbError::CalcF(CalcFError::Parse(_)))
+                    && err.to_string().starts_with(&format!("parse error: {at}:")),
+                "{src:?}: {err}"
+            );
+        }
     }
 
     #[test]

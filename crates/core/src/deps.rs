@@ -3,10 +3,10 @@
 //! Every derived relation — a [`crate::ConstraintDb::define`]d view or a
 //! Datalog¬ head materialized by [`crate::ConstraintDb::run_datalog`] —
 //! is recorded here with the set of relations its definition *reads*.
-//! When a base relation changes, [`DepTracker::affected_by`] closes the
-//! read edges transitively to name exactly the derived relations whose
-//! stored extents may no longer match their definitions; the update path
-//! (`crate::update`) then refreshes those and nothing else.
+//! The update path's scheduler (`crate::update`) closes a change over
+//! these edges ([`DepTracker::reads_of`]) to find exactly the derived
+//! relations whose stored extents may no longer match their definitions,
+//! and refreshes those and nothing else.
 //!
 //! The tracker stores names only — no extents, no formulas — so it stays
 //! cheap to clone with the database (`ConstraintDb` is `Clone`) and
@@ -44,38 +44,6 @@ impl DepTracker {
     #[must_use]
     pub fn reads_of(&self, target: &str) -> Option<&BTreeSet<String>> {
         self.reads.get(target)
-    }
-
-    /// Derived relations that directly read `source`.
-    #[must_use]
-    pub fn dependents_of(&self, source: &str) -> BTreeSet<String> {
-        self.reads
-            .iter()
-            .filter(|(_, reads)| reads.contains(source))
-            .map(|(target, _)| target.clone())
-            .collect()
-    }
-
-    /// Every derived relation whose stored extent may be stale after the
-    /// relations in `changed` changed: the transitive closure of the
-    /// dependent edges. Self-edges (a recursive head reading itself) and
-    /// cycles terminate because the result only grows.
-    #[must_use]
-    pub fn affected_by(&self, changed: &BTreeSet<String>) -> BTreeSet<String> {
-        let mut affected = BTreeSet::new();
-        let mut frontier: BTreeSet<String> = changed.clone();
-        while !frontier.is_empty() {
-            let mut next = BTreeSet::new();
-            for source in &frontier {
-                for dep in self.dependents_of(source) {
-                    if !changed.contains(&dep) && affected.insert(dep.clone()) {
-                        next.insert(dep);
-                    }
-                }
-            }
-            frontier = next;
-        }
-        affected
     }
 }
 
@@ -127,29 +95,6 @@ mod tests {
 
     fn set(names: &[&str]) -> BTreeSet<String> {
         names.iter().map(|s| (*s).to_owned()).collect()
-    }
-
-    #[test]
-    fn transitive_dependents() {
-        let mut deps = DepTracker::new();
-        deps.record("V", set(&["B"]));
-        deps.record("W", set(&["V"]));
-        deps.record("U", set(&["C"]));
-        assert_eq!(deps.dependents_of("B"), set(&["V"]));
-        assert_eq!(deps.affected_by(&set(&["B"])), set(&["V", "W"]));
-        assert_eq!(deps.affected_by(&set(&["C"])), set(&["U"]));
-        assert_eq!(deps.affected_by(&set(&["Z"])), set(&[]));
-    }
-
-    #[test]
-    fn cycles_terminate() {
-        let mut deps = DepTracker::new();
-        // A recursive head reads itself and its base.
-        deps.record("T", set(&["E", "T"]));
-        deps.record("V", set(&["T"]));
-        assert_eq!(deps.affected_by(&set(&["E"])), set(&["T", "V"]));
-        // A changed relation is not its own "affected" entry.
-        assert_eq!(deps.affected_by(&set(&["T"])), set(&["V"]));
     }
 
     #[test]

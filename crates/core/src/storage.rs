@@ -16,12 +16,16 @@
 //! ```
 
 use crate::facade::{ConstraintDb, DbError};
-use cdb_constraints::ConstraintRelation;
+use cdb_calcf::{CFormula, ParseError, Parser};
+use cdb_constraints::{ConstraintRelation, Database};
 
 /// Serialize the database to the text format. Declared variable names are
-/// written as-is (and round-trip through [`load`]); a nullary relation is
-/// rejected with [`DbError::Storage`] — the format cannot represent one,
-/// and silently writing it would load back at a different arity.
+/// written as-is (and round-trip through [`load`]). A relation the format
+/// cannot represent is rejected with [`DbError::Storage`] rather than
+/// written to a file [`load`] refuses: a nullary one (it would load back at
+/// a different arity), and one whose name or variable names do not read
+/// back through the head rule — a keyword such as `not`, a non-ASCII or
+/// punctuated name.
 pub fn save(db: &ConstraintDb) -> Result<String, DbError> {
     let mut out = String::from("# constraintdb v1\n");
     for (name, rel) in db.raw().iter() {
@@ -35,7 +39,14 @@ pub fn save(db: &ConstraintDb) -> Result<String, DbError> {
             _ => (0..rel.nvars()).map(|i| format!("v{i}")).collect(),
         };
         let refs: Vec<&str> = names.iter().map(String::as_str).collect();
-        out.push_str(&format!("relation {name}({})\n", names.join(", ")));
+        let head = format!("relation {name}({})", names.join(", "));
+        if !relation_line(&head).is_ok_and(|(n, vs)| n == name && vs == refs) {
+            return Err(DbError::Storage(format!(
+                "`{head}` would not load back: relation and variable names must be identifiers"
+            )));
+        }
+        out.push_str(&head);
+        out.push('\n');
         for t in rel.tuples() {
             out.push_str("tuple ");
             if t.atoms().is_empty() {
@@ -53,88 +64,70 @@ pub fn save(db: &ConstraintDb) -> Result<String, DbError> {
 
 /// Parse the text format into a database (using the default engine).
 /// Variable names from the relation heads are recorded in the catalog, so
-/// save → load → save is byte-identical. A nullary head `relation X()` is
-/// rejected with [`DbError::Storage`] (the seed implementation silently
-/// loaded it at arity 1 — schema drift); a head that repeats a variable
-/// is rejected with the facade's [`DbError::Schema`].
+/// save → load → save is byte-identical. Every line is lexed by the shared
+/// tokenizer and parsed once: heads through the shared `Name(v, …)` rule
+/// ([`Parser::head`]), tuples as CALC_F formulas compiled from their AST. A
+/// syntax error, a malformed or a nullary head is a [`DbError::Storage`]
+/// with its line and column (the seed implementation loaded `relation X()`
+/// at arity 1 and `relation S(x))` with a column named `x)`); a head that
+/// repeats a variable is rejected with the facade's [`DbError::Schema`].
 pub fn load(text: &str) -> Result<ConstraintDb, DbError> {
     let mut db = ConstraintDb::new();
-    let mut lines = text.lines().peekable();
-    while let Some(line) = lines.next() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let Some(head) = line.strip_prefix("relation ") else {
-            return Err(DbError::Storage(format!(
-                "expected 'relation', got: {line}"
-            )));
-        };
-        let (name, vars) = parse_relation_head(head)?;
-        let mut tuples_src: Vec<String> = Vec::new();
-        loop {
-            match lines.next().map(str::trim) {
-                Some("end") => break,
-                Some(t) if t.starts_with("tuple ") => {
-                    tuples_src.push(t["tuple ".len()..].to_owned());
-                }
-                Some(other) => {
-                    return Err(DbError::Storage(format!(
-                        "expected 'tuple' or 'end', got: {other}"
-                    )))
-                }
-                None => return Err(DbError::Storage(format!("unterminated relation {name}"))),
-            }
-        }
-        if vars.is_empty() {
-            return Err(DbError::Storage(format!(
-                "relation {name} has no variables; nullary relations are not supported"
-            )));
-        }
-        let refs: Vec<&str> = vars.iter().map(String::as_str).collect();
-        ConstraintDb::check_distinct_vars(&name, &refs)?;
+    // Tuples are quantifier-free over their own head: no stored relation
+    // is read while compiling one.
+    let scratch = Database::new();
+    let mut lines = text
+        .lines()
+        .zip(1u32..)
+        .filter(|(l, _)| !l.trim().is_empty() && !l.trim_start().starts_with('#'));
+    let at_line = |number: u32| {
+        move |e: ParseError| DbError::Storage(ParseError { line: number, ..e }.to_string())
+    };
+    while let Some((line, number)) = lines.next() {
+        let (name, vars) = relation_line(line).map_err(at_line(number))?;
+        ConstraintDb::check_distinct_vars(name, &vars)?;
         let mut rel = ConstraintRelation::empty(vars.len());
-        for src in &tuples_src {
+        loop {
+            let Some((line, number)) = lines.next() else {
+                return Err(DbError::Storage(format!("unterminated relation {name}")));
+            };
+            let Some((tuple, src)) = tuple_line(line).map_err(at_line(number))? else {
+                break;
+            };
             let tuple_rel = db
-                .query_compile(&refs, src)
+                .engine
+                .compile_relation_ast(&scratch, &vars, &tuple)
                 .map_err(|e| DbError::Storage(format!("in tuple '{src}': {e}")))?;
-            rel = rel.union(&tuple_rel);
+            rel = rel.union(&tuple_rel.canonicalized());
         }
-        db.insert(&name, rel)?;
-        db.rename_vars(&name, &refs)?;
+        db.insert(name, rel)?;
+        db.rename_vars(name, &vars)?;
     }
     Ok(db)
 }
 
-impl ConstraintDb {
-    /// Compile a quantifier-free source fragment over named variables
-    /// (storage helper; uses the engine but not the stored relations).
-    fn query_compile(&self, vars: &[&str], src: &str) -> Result<ConstraintRelation, DbError> {
-        let mut scratch = ConstraintDb::new();
-        scratch.define("__tmp", vars, src)?;
-        scratch
-            .remove("__tmp")
-            .ok_or_else(|| DbError::Storage("scratch relation vanished after define".to_owned()))
-    }
+/// `relation Name(v, …)`, through the shared head rule.
+fn relation_line(line: &str) -> Result<(&str, Vec<&str>), ParseError> {
+    let mut p = Parser::new(line)?;
+    p.keyword("relation")?;
+    let head = p.head()?;
+    p.finish()?;
+    Ok(head)
 }
 
-fn parse_relation_head(head: &str) -> Result<(String, Vec<String>), DbError> {
-    let Some(open) = head.find('(') else {
-        return Err(DbError::Storage(format!("missing '(' in: {head}")));
-    };
-    let name = head[..open].trim().to_owned();
-    let Some(rest) = head[open + 1..].strip_suffix(')') else {
-        return Err(DbError::Storage(format!("missing ')' in: {head}")));
-    };
-    let vars: Vec<String> = rest
-        .split(',')
-        .map(|v| v.trim().to_owned())
-        .filter(|v| !v.is_empty())
-        .collect();
-    if name.is_empty() {
-        return Err(DbError::Storage(format!("empty relation name in: {head}")));
+/// `tuple <formula>` → the formula and its text; `end` → `None`.
+fn tuple_line(line: &str) -> Result<Option<(CFormula, &str)>, ParseError> {
+    let mut p = Parser::new(line)?;
+    if p.at_keyword("end") {
+        p.advance();
+        p.finish()?;
+        return Ok(None);
     }
-    Ok((name, vars))
+    p.keyword("tuple")?;
+    let src = p.rest();
+    let tuple = p.formula()?;
+    p.finish()?;
+    Ok(Some((tuple, src)))
 }
 
 #[cfg(test)]
@@ -236,9 +229,56 @@ mod tests {
                 "{err}"
             );
         }
+        // Malformed heads are rejected, not loaded (and saved back); every
+        // line's syntax error carries its position.
+        for (text, line, col) in [
+            ("relation S(x))\nend", 1, 14),
+            ("relation S(a b)\nend", 1, 14),
+            ("relation S(x, )\nend", 1, 15),
+            ("# header\n\n relation 1(x)\nend", 3, 11),
+            ("relation S(x)\n\ntuple x <= 1 # 2\nend", 3, 14),
+            ("relation S(x)\nend x", 2, 5),
+        ] {
+            let err = load(text).unwrap_err();
+            assert!(
+                matches!(&err, DbError::Storage(m) if m.starts_with(&format!("line {line}, col {col}:"))),
+                "{text:?}: {err}"
+            );
+        }
         // Empty DB round trip.
         let db = load("# constraintdb v1\n").unwrap();
         assert!(db.schema().is_empty());
+    }
+
+    /// `save` refuses a name that `load`'s head rule would reject, so every
+    /// file it writes loads back.
+    #[test]
+    fn unloadable_names_rejected_by_save() {
+        for (name, var) in [
+            ("not", "x"),
+            ("true", "x"),
+            ("my-rel", "x"),
+            ("Café", "x"),
+            ("S", "and"),
+            ("S", "a b"),
+            ("S", " x"),
+        ] {
+            let mut db = ConstraintDb::new();
+            db.insert_points(name, 1, &[vec![Rat::one()]]).unwrap();
+            db.rename_vars(name, &[var]).unwrap();
+            let err = save(&db).unwrap_err();
+            assert!(
+                matches!(&err, DbError::Storage(m) if m.contains("would not load back")),
+                "{name}({var}): {err}"
+            );
+        }
+        // Keywords are lowercase: `Not` is an identifier, and so is `end`.
+        let mut db = ConstraintDb::new();
+        db.insert_points("Not", 1, &[vec![Rat::one()]]).unwrap();
+        db.rename_vars("Not", &["end"]).unwrap();
+        let text = save(&db).unwrap();
+        assert!(text.contains("relation Not(end)"), "{text}");
+        assert_eq!(save(&load(&text).unwrap()).unwrap(), text);
     }
 
     #[test]

@@ -725,7 +725,6 @@ impl FromStr for Int {
             return Err(ParseIntError(s.to_owned()));
         }
         let mut acc = Int::zero();
-        let _ten_pow19 = Int::from(10_000_000_000_000_000_000u64);
         for chunk in digits.as_bytes().chunks(19) {
             let chunk_str = std::str::from_utf8(chunk).map_err(|_| ParseIntError(s.to_owned()))?;
             let v: u64 = chunk_str.parse().map_err(|_| ParseIntError(s.to_owned()))?;

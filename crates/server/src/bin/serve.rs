@@ -1,8 +1,9 @@
 //! `serve`: a line-oriented REPL over one server session.
 //!
 //! Reads statements from stdin (`;`-terminated, possibly spanning lines),
-//! prints one response or error line per statement. A quick way to poke
-//! the surface by hand:
+//! prints one response or error line per statement
+//! ([`cdb_server::Session::serve`]). A quick way to poke the surface by
+//! hand:
 //!
 //! ```text
 //! $ echo 'CREATE RELATION P(x); INSERT INTO P VALUES (1), (2); SELECT P(x);' | serve
@@ -11,68 +12,16 @@
 //! rows (exact=true): ...
 //! ```
 
-use cdb_server::{parse_script, Server, ServerConfig};
-use std::io::{BufRead, Write};
+use cdb_server::{Server, ServerConfig};
 
 fn main() {
     let server = Server::new(ServerConfig::default());
     let mut session = server.session();
-    let stdin = std::io::stdin();
-    let mut out = std::io::stdout();
-    let mut buf = String::new();
-    for line in stdin.lock().lines() {
-        let line = match line {
-            Ok(l) => l,
-            Err(_) => break,
-        };
-        buf.push_str(&line);
-        buf.push('\n');
-        // Execute once the buffer holds at least one full statement.
-        if !line.contains(';') {
-            continue;
-        }
-        match parse_script(&buf) {
-            Ok(stmts) => {
-                for stmt in &stmts {
-                    match session.execute_statement(stmt) {
-                        Ok(resp) => {
-                            let _ = writeln!(out, "{resp}");
-                        }
-                        Err(e) => {
-                            let _ = writeln!(out, "error: {e}");
-                        }
-                    }
-                }
-                buf.clear();
-            }
-            Err(e) => {
-                // Incomplete trailing statement: keep buffering. A real
-                // syntax error surfaces once the input ends.
-                if buf.trim_end().ends_with(';') {
-                    let _ = writeln!(out, "error: parse error: {e}");
-                    buf.clear();
-                }
-            }
-        }
-    }
-    if !buf.trim().is_empty() {
-        match parse_script(&buf) {
-            Ok(stmts) => {
-                for stmt in &stmts {
-                    match session.execute_statement(stmt) {
-                        Ok(resp) => {
-                            let _ = writeln!(out, "{resp}");
-                        }
-                        Err(e) => {
-                            let _ = writeln!(out, "error: {e}");
-                        }
-                    }
-                }
-            }
-            Err(e) => {
-                let _ = writeln!(out, "error: parse error: {e}");
-            }
-        }
-    }
+    // The stdin lock is held for the whole session.
+    let input = std::io::stdin().lock();
+    let served = session.serve(input, &mut std::io::stdout());
     server.shutdown();
+    if let Err(e) = served {
+        eprintln!("serve: {e}");
+    }
 }

@@ -16,15 +16,15 @@
 //! calling session's thread; there is no admission layer between a
 //! session and the engine (DESIGN.md §13 says why).
 //!
-//! Three layers, one module each: [`lexer`] (spanned tokens), [`parser`]
-//! (statements + canonical pretty-printer), [`session`] (server, sessions,
-//! snapshots).
+//! Two layers, one module each: [`parser`] (statements over `cdb_calcf`'s
+//! tokenizer and parser, plus the canonical pretty-printer) and [`session`]
+//! (server, sessions, snapshots).
 
-pub mod lexer;
 pub mod parser;
 pub mod session;
 
-pub use parser::{parse_script, parse_statement, ParseError, Rows, Statement};
+pub use cdb_calcf::ParseError;
+pub use parser::{parse_script, parse_statement, Rows, Statement};
 pub use session::{Server, ServerConfig, ServerStats, Session};
 
 use std::fmt;

@@ -1,11 +1,12 @@
-//! Recursive-descent parser for the statement surface, plus the canonical
-//! pretty-printer ([`fmt::Display`] on [`Statement`]).
+//! The statement surface — a thin grammar over `cdb_calcf`'s tokenizer
+//! and [`Parser`] — plus the canonical pretty-printer ([`fmt::Display`] on
+//! [`Statement`]).
 //!
 //! Grammar (keywords case-insensitive, statements `;`-terminated):
 //!
 //! ```text
 //! script    := statement*
-//! statement := "CREATE" "RELATION" IDENT "(" idents ")" ("AS" raw)? ";"
+//! statement := "CREATE" "RELATION" head ("AS" raw)? ";"
 //!            | "INSERT" "INTO" IDENT rows ";"
 //!            | "DELETE" "FROM" IDENT rows ";"
 //!            | "SELECT" raw ";"                      -- CALC_F query text
@@ -15,39 +16,19 @@
 //! rows      := "VALUES" point ("," point)*
 //!            | "CONSTRAINT" raw                      -- CALC_F conjunction
 //! point     := "(" number ("," number)* ")"
-//! number    := "-"? INT ("/" INT)?
 //! ```
 //!
-//! `raw` spans are captured **verbatim** from the source by byte offset
-//! (trimmed), never re-serialized from tokens — embedded CALC_F and
-//! Datalog¬ text round-trips exactly, and their own parsers remain the
-//! single source of truth for that grammar. The pretty-printer emits the
-//! canonical spacing for everything else, so `parse ∘ print ∘ parse`
+//! `head` (`Name(v, …)`) and `number` (`"-"? NUMBER ("/" NUMBER)?`) are
+//! the shared rules of [`Parser`]. `raw` spans are captured **verbatim**
+//! from the source by byte offset, never re-serialized from tokens —
+//! embedded CALC_F and Datalog¬ text round-trips exactly, and is parsed by
+//! its own grammar when the statement executes. The pretty-printer emits
+//! the canonical spacing for everything else, so `parse ∘ print ∘ parse`
 //! is the identity on parsed statements (property-tested).
 
-use crate::lexer::{lex, Token, TokenKind};
+use cdb_calcf::{ParseError, Parser, Token};
 use cdb_num::Rat;
 use std::fmt;
-
-/// Parse failure at a precise source position (1-based line/column; the
-/// position of the offending token, or of end-of-input).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseError {
-    /// What went wrong.
-    pub message: String,
-    /// 1-based line.
-    pub line: u32,
-    /// 1-based column.
-    pub col: u32,
-}
-
-impl fmt::Display for ParseError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "line {}, col {}: {}", self.line, self.col, self.message)
-    }
-}
-
-impl std::error::Error for ParseError {}
 
 /// Rows of an `INSERT`/`DELETE`: explicit points, or one generalized tuple
 /// given as a CALC_F constraint conjunction over the relation's variables.
@@ -170,329 +151,154 @@ pub fn parse_statement(src: &str) -> Result<Statement, ParseError> {
     let mut stmts = parse_script(src)?;
     match (stmts.len(), stmts.pop()) {
         (1, Some(s)) => Ok(s),
-        (0, _) => Err(ParseError {
-            message: "empty input: expected a statement".to_owned(),
-            line: 1,
-            col: 1,
-        }),
-        _ => Err(ParseError {
-            message: "expected a single statement, found several".to_owned(),
-            line: 1,
-            col: 1,
-        }),
+        (0, _) => Err(ParseError::at(src, 0, "empty input: expected a statement")),
+        _ => Err(ParseError::at(
+            src,
+            0,
+            "expected a single statement, found several",
+        )),
     }
 }
 
 /// Parse a `;`-separated script into statements.
 pub fn parse_script(src: &str) -> Result<Vec<Statement>, ParseError> {
-    let toks = lex(src).map_err(|e| ParseError {
-        message: format!("unexpected character `{}`", e.ch),
-        line: e.line,
-        col: e.col,
-    })?;
-    let mut p = Parser {
-        src,
-        toks: &toks,
-        pos: 0,
-    };
+    let mut p = Parser::new(src)?;
     let mut out = Vec::new();
-    while p.pos < p.toks.len() {
-        out.push(p.statement()?);
+    while !p.at_end() {
+        out.push(statement(&mut p)?);
     }
     Ok(out)
 }
 
-struct Parser<'a> {
-    src: &'a str,
-    toks: &'a [Token],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn peek(&self) -> Option<&'a Token> {
-        self.toks.get(self.pos)
-    }
-
-    /// Error at the current token (or at end of input, positioned after
-    /// the last token).
-    fn err_here(&self, message: String) -> ParseError {
-        match self.peek() {
-            Some(t) => ParseError {
-                message,
-                line: t.span.line,
-                col: t.span.col,
-            },
-            None => {
-                let (line, col) = self
-                    .toks
-                    .last()
-                    .map_or((1, 1), |t| (t.span.line, t.span.col + 1));
-                ParseError { message, line, col }
-            }
+fn statement(p: &mut Parser<'_>) -> Result<Statement, ParseError> {
+    let stmt = if p.at_keyword("SELECT") {
+        p.advance();
+        Statement::Select {
+            query: raw_until_semi(p, "CALC_F query")?,
         }
-    }
-
-    /// Error at the token with index `pos` (which must exist).
-    fn err_at(&self, pos: usize, message: String) -> ParseError {
-        match self.toks.get(pos) {
-            Some(t) => ParseError {
-                message,
-                line: t.span.line,
-                col: t.span.col,
-            },
-            None => self.err_here(message),
+    } else if p.at_keyword("INSERT") {
+        p.advance();
+        p.keyword("INTO")?;
+        Statement::Insert {
+            name: p.ident()?.to_owned(),
+            rows: rows(p)?,
         }
-    }
-
-    /// Consume an identifier in keyword position, matched
-    /// case-insensitively.
-    fn keyword(&mut self, kw: &str) -> Result<(), ParseError> {
-        match self.peek().map(|t| &t.kind) {
-            Some(TokenKind::Ident(s)) if s.eq_ignore_ascii_case(kw) => {
-                self.pos += 1;
-                Ok(())
-            }
-            Some(k) => Err(self.err_here(format!("expected `{kw}`, got {}", describe(k)))),
-            None => Err(self.err_here(format!("expected `{kw}`, got end of input"))),
+    } else if p.at_keyword("DELETE") {
+        p.advance();
+        p.keyword("FROM")?;
+        Statement::Delete {
+            name: p.ident()?.to_owned(),
+            rows: rows(p)?,
         }
-    }
-
-    /// Whether the current token is the given keyword (not consumed).
-    fn at_keyword(&self, kw: &str) -> bool {
-        matches!(self.peek().map(|t| &t.kind),
-                 Some(TokenKind::Ident(s)) if s.eq_ignore_ascii_case(kw))
-    }
-
-    fn ident(&mut self) -> Result<String, ParseError> {
-        match self.peek().map(|t| &t.kind) {
-            Some(TokenKind::Ident(s)) => {
-                let s = s.clone();
-                self.pos += 1;
-                Ok(s)
-            }
-            Some(k) => Err(self.err_here(format!("expected identifier, got {}", describe(k)))),
-            None => Err(self.err_here("expected identifier, got end of input".to_owned())),
-        }
-    }
-
-    fn punct(&mut self, c: char) -> Result<(), ParseError> {
-        match self.peek().map(|t| &t.kind) {
-            Some(TokenKind::Punct(p)) if *p == c => {
-                self.pos += 1;
-                Ok(())
-            }
-            Some(k) => Err(self.err_here(format!("expected `{c}`, got {}", describe(k)))),
-            None => Err(self.err_here(format!("expected `{c}`, got end of input"))),
-        }
-    }
-
-    fn at_punct(&self, c: char) -> bool {
-        matches!(self.peek().map(|t| &t.kind), Some(TokenKind::Punct(p)) if *p == c)
-    }
-
-    fn statement(&mut self) -> Result<Statement, ParseError> {
-        let Some(TokenKind::Ident(head)) = self.peek().map(|t| &t.kind) else {
-            return Err(self.err_here("expected a statement keyword".to_owned()));
-        };
-        let head = head.to_ascii_uppercase();
-        match head.as_str() {
-            "CREATE" => self.create_relation(),
-            "INSERT" => self.insert(),
-            "DELETE" => self.delete(),
-            "SELECT" => self.select(),
-            "DATALOG" => self.datalog(),
-            "SHOW" => {
-                self.keyword("SHOW")?;
-                self.keyword("RELATIONS")?;
-                self.punct(';')?;
-                Ok(Statement::ShowRelations)
-            }
-            "DROP" => {
-                self.keyword("DROP")?;
-                self.keyword("RELATION")?;
-                let name = self.ident()?;
-                self.punct(';')?;
-                Ok(Statement::DropRelation { name })
-            }
-            _ => Err(self.err_here(format!(
-                "unknown statement `{head}` (expected CREATE, INSERT, DELETE, SELECT, DATALOG, SHOW, or DROP)"
-            ))),
-        }
-    }
-
-    fn create_relation(&mut self) -> Result<Statement, ParseError> {
-        self.keyword("CREATE")?;
-        self.keyword("RELATION")?;
-        let name = self.ident()?;
-        self.punct('(')?;
-        let mut vars = vec![self.ident()?];
-        while self.at_punct(',') {
-            self.pos += 1;
-            vars.push(self.ident()?);
-        }
-        self.punct(')')?;
-        let definition = if self.at_keyword("AS") {
-            self.pos += 1;
-            Some(self.raw_until_semi("CALC_F definition")?)
+    } else if p.at_keyword("CREATE") {
+        p.advance();
+        p.keyword("RELATION")?;
+        let (name, vars) = p.head()?;
+        let definition = if p.at_keyword("AS") {
+            p.advance();
+            Some(raw_until_semi(p, "CALC_F definition")?)
         } else {
             None
         };
-        self.punct(';')?;
-        Ok(Statement::CreateRelation {
-            name,
-            vars,
+        Statement::CreateRelation {
+            name: name.to_owned(),
+            vars: vars.into_iter().map(str::to_owned).collect(),
             definition,
-        })
-    }
-
-    fn insert(&mut self) -> Result<Statement, ParseError> {
-        self.keyword("INSERT")?;
-        self.keyword("INTO")?;
-        let name = self.ident()?;
-        let rows = self.rows()?;
-        self.punct(';')?;
-        Ok(Statement::Insert { name, rows })
-    }
-
-    fn delete(&mut self) -> Result<Statement, ParseError> {
-        self.keyword("DELETE")?;
-        self.keyword("FROM")?;
-        let name = self.ident()?;
-        let rows = self.rows()?;
-        self.punct(';')?;
-        Ok(Statement::Delete { name, rows })
-    }
-
-    fn select(&mut self) -> Result<Statement, ParseError> {
-        self.keyword("SELECT")?;
-        let query = self.raw_until_semi("CALC_F query")?;
-        self.punct(';')?;
-        Ok(Statement::Select { query })
-    }
-
-    fn rows(&mut self) -> Result<Rows, ParseError> {
-        if self.at_keyword("CONSTRAINT") {
-            self.pos += 1;
-            return Ok(Rows::Constraint(self.raw_until_semi("constraint body")?));
         }
-        self.keyword("VALUES")?;
-        let mut points = vec![self.point()?];
-        while self.at_punct(',') {
-            self.pos += 1;
-            points.push(self.point()?);
+    } else if p.at_keyword("DATALOG") {
+        p.advance();
+        Statement::Datalog {
+            program: datalog_block(p)?,
         }
-        Ok(Rows::Points(points))
-    }
-
-    fn point(&mut self) -> Result<Vec<Rat>, ParseError> {
-        self.punct('(')?;
-        let mut coords = vec![self.number()?];
-        while self.at_punct(',') {
-            self.pos += 1;
-            coords.push(self.number()?);
+    } else if p.at_keyword("SHOW") {
+        p.advance();
+        p.keyword("RELATIONS")?;
+        Statement::ShowRelations
+    } else if p.at_keyword("DROP") {
+        p.advance();
+        p.keyword("RELATION")?;
+        Statement::DropRelation {
+            name: p.ident()?.to_owned(),
         }
-        self.punct(')')?;
-        Ok(coords)
-    }
-
-    fn number(&mut self) -> Result<Rat, ParseError> {
-        let neg = if self.at_punct('-') {
-            self.pos += 1;
-            true
-        } else {
-            false
-        };
-        let num = self.int_literal()?;
-        let den = if self.at_punct('/') {
-            self.pos += 1;
-            let den_tok = self.pos;
-            let d = self.int_literal()?;
-            if d == 0 {
-                return Err(self.err_at(den_tok, "zero denominator in rational literal".to_owned()));
+    } else {
+        let head = match p.peek() {
+            Some(Token::Ident(word)) => {
+                format!("unknown statement `{}`", word.to_ascii_uppercase())
             }
-            d
-        } else {
-            1
+            Some(t) => format!("expected a statement keyword, got `{t}`"),
+            None => "expected a statement keyword".to_owned(),
         };
-        let num = if neg { -num } else { num };
-        Ok(Rat::from_ints(num, den))
-    }
-
-    fn int_literal(&mut self) -> Result<i64, ParseError> {
-        match self.peek().map(|t| &t.kind) {
-            Some(TokenKind::Int(s)) => match s.parse::<i64>() {
-                Ok(v) => {
-                    self.pos += 1;
-                    Ok(v)
-                }
-                Err(_) => Err(self.err_here(format!("integer literal `{s}` out of range"))),
-            },
-            Some(k) => Err(self.err_here(format!("expected a number, got {}", describe(k)))),
-            None => Err(self.err_here("expected a number, got end of input".to_owned())),
-        }
-    }
-
-    /// Capture raw source text from the current token up to (not
-    /// including) the statement-terminating `;`, which is left for the
-    /// caller to consume. At least one token is required.
-    fn raw_until_semi(&mut self, what: &str) -> Result<String, ParseError> {
-        let start_tok = self.pos;
-        let mut end_tok = self.pos;
-        while self.pos < self.toks.len() && !self.at_punct(';') {
-            end_tok = self.pos;
-            self.pos += 1;
-        }
-        if self.pos == start_tok {
-            return Err(self.err_here(format!("expected {what} before `;`")));
-        }
-        let start = self.toks[start_tok].span.start;
-        let end = self.toks[end_tok].span.end;
-        Ok(self.src[start..end].trim().to_owned())
-    }
-
-    fn datalog(&mut self) -> Result<Statement, ParseError> {
-        self.keyword("DATALOG")?;
-        self.punct('{')?;
-        // Capture to the matching `}` (depth-counted: aggregate constraint
-        // bodies may themselves contain braces).
-        let start_tok = self.pos;
-        let mut depth = 1usize;
-        let mut end_tok = self.pos;
-        loop {
-            match self.peek().map(|t| &t.kind) {
-                Some(TokenKind::Punct('{')) => depth += 1,
-                Some(TokenKind::Punct('}')) => {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                }
-                Some(_) => {}
-                None => {
-                    return Err(self.err_here("unterminated DATALOG block: expected `}`".to_owned()))
-                }
-            }
-            end_tok = self.pos;
-            self.pos += 1;
-        }
-        if self.pos == start_tok {
-            return Err(self.err_here("empty DATALOG block".to_owned()));
-        }
-        let start = self.toks[start_tok].span.start;
-        let end = self.toks[end_tok].span.end;
-        let program = self.src[start..end].trim().to_owned();
-        self.punct('}')?;
-        self.punct(';')?;
-        Ok(Statement::Datalog { program })
-    }
+        return Err(p.error(format!(
+            "{head} (expected CREATE, INSERT, DELETE, SELECT, DATALOG, SHOW, or DROP)"
+        )));
+    };
+    p.require(Token::Semi)?;
+    Ok(stmt)
 }
 
-fn describe(k: &TokenKind) -> String {
-    match k {
-        TokenKind::Ident(s) => format!("`{s}`"),
-        TokenKind::Int(s) => format!("`{s}`"),
-        TokenKind::Punct(c) => format!("`{c}`"),
+fn rows(p: &mut Parser<'_>) -> Result<Rows, ParseError> {
+    if p.at_keyword("CONSTRAINT") {
+        p.advance();
+        return Ok(Rows::Constraint(raw_until_semi(p, "constraint body")?));
     }
+    p.keyword("VALUES")?;
+    let mut points = vec![point(p)?];
+    while p.eat(Token::Comma) {
+        points.push(point(p)?);
+    }
+    Ok(Rows::Points(points))
+}
+
+fn point(p: &mut Parser<'_>) -> Result<Vec<Rat>, ParseError> {
+    p.require(Token::LParen)?;
+    let mut coords = vec![p.number()?];
+    while p.eat(Token::Comma) {
+        coords.push(p.number()?);
+    }
+    p.require(Token::RParen)?;
+    Ok(coords)
+}
+
+/// Capture raw source text from the current token up to (not including)
+/// the statement-terminating `;`, which is left for the caller to consume.
+/// At least one token is required.
+fn raw_until_semi(p: &mut Parser<'_>, what: &str) -> Result<String, ParseError> {
+    let start = p.mark();
+    while !matches!(p.peek(), None | Some(Token::Semi)) {
+        p.advance();
+    }
+    if p.mark() == start {
+        return Err(p.error(format!("expected {what} before `;`")));
+    }
+    Ok(p.text(start, p.mark()).to_owned())
+}
+
+/// `"{" raw "}"`, captured to the matching `}` (depth-counted: aggregate
+/// constraint bodies may themselves contain braces).
+fn datalog_block(p: &mut Parser<'_>) -> Result<String, ParseError> {
+    p.require(Token::LBrace)?;
+    let start = p.mark();
+    let mut depth = 1usize;
+    loop {
+        match p.peek() {
+            Some(Token::LBrace) => depth += 1,
+            Some(Token::RBrace) => {
+                depth -= 1;
+                if depth == 0 {
+                    break;
+                }
+            }
+            Some(_) => {}
+            None => return Err(p.error("unterminated DATALOG block: expected `}`")),
+        }
+        p.advance();
+    }
+    if p.mark() == start {
+        return Err(p.error("empty DATALOG block"));
+    }
+    let program = p.text(start, p.mark()).to_owned();
+    p.advance();
+    Ok(program)
 }
 
 #[cfg(test)]

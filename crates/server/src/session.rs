@@ -20,10 +20,11 @@
 //! other sessions keep their old snapshot until they next write or call
 //! [`Session::refresh`].
 
-use crate::parser::{parse_statement, Rows, Statement};
+use crate::parser::{parse_script, parse_statement, Rows, Statement};
 use crate::{Response, ServerError};
 use cdb_constraints::{ConstraintRelation, GeneralizedTuple};
 use constraintdb::{parse_program, ConstraintDb};
+use std::io::{self, BufRead, Write};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -177,6 +178,54 @@ impl Session {
             }
             _ => self.write(stmt),
         }
+    }
+
+    /// The `serve` REPL: read `;`-terminated statements (possibly spanning
+    /// lines) from `input` and write one response or error line per
+    /// statement to `out`.
+    pub fn serve(&mut self, input: impl BufRead, out: &mut impl Write) -> io::Result<()> {
+        let mut buf = String::new();
+        for line in input.lines() {
+            let line = line?;
+            buf.push_str(&line);
+            buf.push('\n');
+            // Execute once the buffer holds at least one full statement.
+            if line.contains(';') {
+                self.run_buffered(&mut buf, false, out)?;
+            }
+        }
+        if buf.trim().is_empty() {
+            return Ok(());
+        }
+        self.run_buffered(&mut buf, true, out)
+    }
+
+    /// Parse → execute → print for the statements buffered so far, then
+    /// clear the buffer. An incomplete trailing statement keeps buffering:
+    /// a real syntax error is printed once a line ends in `;` or the input
+    /// ends.
+    fn run_buffered(
+        &mut self,
+        buf: &mut String,
+        at_eof: bool,
+        out: &mut impl Write,
+    ) -> io::Result<()> {
+        match parse_script(buf) {
+            Ok(stmts) => {
+                for stmt in &stmts {
+                    match self.execute_statement(stmt) {
+                        Ok(resp) => writeln!(out, "{resp}")?,
+                        Err(e) => writeln!(out, "error: {e}")?,
+                    }
+                }
+            }
+            Err(e) if at_eof || buf.trim_end().ends_with(';') => {
+                writeln!(out, "error: {}", ServerError::Parse(e))?;
+            }
+            Err(_) => return Ok(()),
+        }
+        buf.clear();
+        Ok(())
     }
 
     /// Re-snapshot from the master, picking up other sessions' committed

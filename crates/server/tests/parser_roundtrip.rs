@@ -34,7 +34,7 @@ fn arb_rat() -> impl Strategy<Value = Rat> {
     (-999i64..=999, 1i64..=30).prop_map(|(n, d)| Rat::from_ints(n, d))
 }
 
-/// CALC_F-ish embedded text. Only has to lex under the statement lexer
+/// CALC_F-ish embedded text. Only has to lex under the shared tokenizer
 /// and survive a trim round-trip — the CALC_F parser owns its own
 /// grammar — but everything generated here is in fact valid CALC_F.
 fn arb_formula_text() -> impl Strategy<Value = String> {
@@ -191,4 +191,31 @@ fn multiline_columns_reset() {
 fn keyword_case_is_insensitive_but_canonicalized() {
     let stmt = parse_statement("create relation Mixed(a, b);").unwrap();
     assert_eq!(stmt.to_string(), "CREATE RELATION Mixed(a, b);");
+}
+
+/// Point rows use the shared number grammar — the one `CONSTRAINT` rows
+/// and `SELECT` bodies always had: integers of any size, decimals, and a
+/// decimal on either side of `/`.
+#[test]
+fn point_rows_take_every_number_literal() {
+    let stmt = parse_statement("INSERT INTO P VALUES (9223372036854775808, 1.5), (-0.25, 7/2.5);")
+        .unwrap();
+    let Statement::Insert {
+        rows: Rows::Points(points),
+        ..
+    } = &stmt
+    else {
+        panic!("wrong variant: {stmt:?}");
+    };
+    assert_eq!(points[0][0], "9223372036854775808".parse::<Rat>().unwrap());
+    assert_eq!(points[0][1], Rat::from_ints(3, 2));
+    assert_eq!(
+        points[1],
+        vec![Rat::from_ints(-1, 4), Rat::from_ints(14, 5)]
+    );
+    assert_eq!(
+        stmt.to_string(),
+        "INSERT INTO P VALUES (9223372036854775808, 3/2), (-1/4, 14/5);"
+    );
+    assert_eq!(parse_statement(&stmt.to_string()).unwrap(), stmt);
 }
