@@ -15,7 +15,7 @@ use cdb_approx::modules::{approximate, ApproxError, ApproxMethod};
 use cdb_approx::ABase;
 use cdb_constraints::{Atom, ConstraintRelation, Database, Formula, RelOp};
 use cdb_num::Rat;
-use cdb_poly::{MPoly, UPoly};
+use cdb_poly::{MPoly, Terms, UPoly};
 use cdb_qe::{evaluate_query, QeContext, QeError};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -548,7 +548,7 @@ impl CalcFEngine {
         if let Some((func, arg)) = find_innermost_apply(t) {
             *exact = false;
             // The argument is analytic-free: a polynomial.
-            let arg_poly = term_to_mpoly(&arg, index, nvars)?;
+            let arg_poly = term_to_terms(&arg, index, nvars)?;
             let mut branches = Vec::with_capacity(self.abase.num_intervals());
             let mut skipped = 0usize;
             for (lo, hi) in self.abase.intervals() {
@@ -571,8 +571,10 @@ impl CalcFEngine {
                 // Substitute h_e(arg) for the application.
                 let replaced = substitute_apply(t, &func, &arg, &h_e);
                 // Guard: lo ≤ arg ≤ hi.
-                let guard_lo = Atom::new(&MPoly::constant(lo, nvars) - &arg_poly, RelOp::Le);
-                let guard_hi = Atom::new(&arg_poly - &MPoly::constant(hi, nvars), RelOp::Le);
+                let guard_lo =
+                    Atom::new((&Terms::constant(lo, nvars) - &arg_poly).seal(), RelOp::Le);
+                let guard_hi =
+                    Atom::new((&arg_poly - &Terms::constant(hi, nvars)).seal(), RelOp::Le);
                 let inner = self.atom_to_formula(&replaced, op, index, nvars, exact, err)?;
                 branches.push(Formula::And(vec![
                     Formula::Atom(guard_lo),
@@ -591,7 +593,7 @@ impl CalcFEngine {
             return Ok(Formula::Or(branches));
         }
         // Polynomial atom.
-        let poly = term_to_mpoly(t, index, nvars)?;
+        let poly = term_to_terms(t, index, nvars)?.seal();
         Ok(Formula::Atom(Atom::new(poly, op)))
     }
 }
@@ -737,25 +739,27 @@ fn substitute_apply(t: &CTerm, func: &cdb_approx::AnalyticFn, arg: &CTerm, h: &U
     }
 }
 
-/// Convert an analytic-free, aggregate-free term to a polynomial.
-fn term_to_mpoly(
+/// Lower an analytic-free, aggregate-free term to an unsealed polynomial:
+/// the whole tree is built in [`Terms`], so a caller seals once per atom.
+fn term_to_terms(
     t: &CTerm,
     index: &BTreeMap<String, usize>,
     nvars: usize,
-) -> Result<MPoly, CalcFError> {
+) -> Result<Terms, CalcFError> {
+    let go = |u: &CTerm| term_to_terms(u, index, nvars);
     Ok(match t {
         CTerm::Var(v) => {
             let i = *index
                 .get(v)
                 .ok_or_else(|| CalcFError::Semantic(format!("unknown variable {v}")))?;
-            MPoly::var(i, nvars)
+            Terms::var(i, nvars)
         }
-        CTerm::Const(c) => MPoly::constant(c.clone(), nvars),
-        CTerm::Add(a, b) => &term_to_mpoly(a, index, nvars)? + &term_to_mpoly(b, index, nvars)?,
-        CTerm::Sub(a, b) => &term_to_mpoly(a, index, nvars)? - &term_to_mpoly(b, index, nvars)?,
-        CTerm::Mul(a, b) => &term_to_mpoly(a, index, nvars)? * &term_to_mpoly(b, index, nvars)?,
-        CTerm::Neg(a) => -&term_to_mpoly(a, index, nvars)?,
-        CTerm::Pow(a, n) => term_to_mpoly(a, index, nvars)?.pow(*n),
+        CTerm::Const(c) => Terms::constant(c.clone(), nvars),
+        CTerm::Add(a, b) => &go(a)? + &go(b)?,
+        CTerm::Sub(a, b) => &go(a)? - &go(b)?,
+        CTerm::Mul(a, b) => &go(a)? * &go(b)?,
+        CTerm::Neg(a) => -go(a)?,
+        CTerm::Pow(a, n) => go(a)?.pow(*n),
         CTerm::Apply(f, _) => {
             return Err(CalcFError::Semantic(format!(
                 "analytic function {f} not eliminated"

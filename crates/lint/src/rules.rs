@@ -388,14 +388,18 @@ fn check_lock(toks: &[Tok], out: &mut Vec<RawDiag>) {
                 });
             }
             // Interner entry points: `canonicalize(…)` (the shard-locking
-            // entry itself) or an `intern::…` path in expression position.
-            // Polynomial arithmetic interns every result, so doing either
-            // under a live guard nests the caller's lock inside the interner
-            // shard lock. `use crate::intern;` at module scope has no live
-            // guards and is not flagged.
+            // entry itself), a `.seal()` call (how every finished polynomial
+            // is interned, `MPoly`'s operators included), or an `intern::…`
+            // path in expression position. Doing any of them under a live
+            // guard nests the caller's lock inside the interner shard lock.
+            // `use crate::intern;` at module scope has no live guards and is
+            // not flagged.
             TokKind::Ident(s)
                 if !guards.is_empty()
                     && (s == "canonicalize"
+                        || (s == "seal"
+                            && punct_at(toks, i.wrapping_sub(1)) == Some('.')
+                            && punct_at(toks, i + 1) == Some('('))
                         || (s == "intern" && punct_at(toks, i + 1) == Some(':'))) =>
             {
                 let held: Vec<&str> = guards.iter().map(|(g, _)| g.as_str()).collect();

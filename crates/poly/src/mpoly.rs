@@ -7,13 +7,22 @@
 //!
 //! Representation: a canonical **sorted flat `Vec<(Mono, Rat)>`** (ascending
 //! lexicographic monomial order, no zero coefficients, no duplicate
-//! monomials) stored once behind `Arc` in the [`crate::intern`] shards.
-//! An `MPoly` is a handle: `Clone` is a pointer bump, `Hash` writes one
-//! precomputed content hash, and `Eq` short-circuits on pointer identity
-//! before falling back to a hash-guarded structural compare — so `MPoly`
-//! stays usable directly as a memo-cache key, now at O(1) per probe.
-//! Total degree and per-variable degrees are computed once at construction
-//! ([`MPoly::total_degree`]/[`MPoly::degree_in`] are O(1) reads).
+//! monomials). Two types carry it:
+//!
+//! * [`Terms`] — the owned, unsealed builder. Every polynomial operation
+//!   (`+ − × neg`, scaling, powers, exact division, coefficient views) is
+//!   implemented on it once, and a kernel that chains several operations
+//!   (term lowering, Horner substitution, discriminants) stays in `Terms`
+//!   until its result is final.
+//! * [`MPoly`] — the sealed handle. [`Terms::seal`] computes the caches and
+//!   interns the vector in the [`crate::intern`] shards, once per result
+//!   (DESIGN.md §10.2); `MPoly`'s own operators are a `Terms` operation
+//!   followed by one seal. `Clone` is a pointer bump, `Hash` writes one
+//!   precomputed content hash, and `Eq` short-circuits on pointer identity
+//!   before falling back to a hash-guarded structural compare — so `MPoly`
+//!   stays usable directly as a memo-cache key at O(1) per probe. Total
+//!   degree and per-variable degrees are computed at sealing
+//!   ([`MPoly::total_degree`]/[`MPoly::degree_in`] are O(1) reads).
 //!
 //! Lexicographic order is a valid monomial order; exact division
 //! ([`MPoly::div_exact`]) uses it for leading-term reduction.
@@ -41,12 +50,264 @@ pub type Monomial = Vec<u32>;
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
 pub struct PolyId(u64);
 
+/// An owned, unsealed polynomial under construction.
+///
+/// Invariant (kept by every operation): `terms` is canonical — ascending
+/// lex monomial order, distinct monomials, no zero coefficients — so
+/// [`Terms::seal`] only computes caches and interns, and structural
+/// equality is polynomial equality. Nothing is hashed or interned until
+/// `seal`.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub struct Terms {
+    nvars: usize,
+    terms: Vec<(Mono, Rat)>,
+}
+
+impl Terms {
+    /// The zero polynomial in `nvars` variables.
+    #[must_use]
+    pub fn zero(nvars: usize) -> Terms {
+        Terms {
+            nvars,
+            terms: Vec::new(),
+        }
+    }
+
+    /// A constant polynomial.
+    #[must_use]
+    pub fn constant(c: Rat, nvars: usize) -> Terms {
+        if c.is_zero() {
+            return Terms::zero(nvars);
+        }
+        Terms {
+            nvars,
+            terms: vec![(Mono::zero(nvars), c)],
+        }
+    }
+
+    /// The variable `x_i`.
+    #[must_use]
+    pub fn var(i: usize, nvars: usize) -> Terms {
+        assert!(i < nvars);
+        Terms {
+            nvars,
+            terms: vec![(Mono::zero(nvars).with_exp(i, 1), Rat::one())],
+        }
+    }
+
+    /// Canonicalize an arbitrary term list: sort, merge duplicate monomials,
+    /// drop zero coefficients.
+    fn from_pairs(nvars: usize, mut pairs: Vec<(Mono, Rat)>) -> Terms {
+        pairs.retain(|(_, c)| !c.is_zero());
+        pairs.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        let mut terms: Vec<(Mono, Rat)> = Vec::with_capacity(pairs.len());
+        for (m, c) in pairs {
+            match terms.last_mut() {
+                Some(last) if last.0 == m => last.1 = &last.1 + &c,
+                _ => terms.push((m, c)),
+            }
+        }
+        terms.retain(|(_, c)| !c.is_zero());
+        Terms { nvars, terms }
+    }
+
+    /// True iff the zero polynomial.
+    fn is_zero(&self) -> bool {
+        self.terms.is_empty()
+    }
+
+    /// Maximum bit length over coefficients.
+    #[must_use]
+    pub fn max_coeff_bits(&self) -> u64 {
+        self.terms
+            .iter()
+            .map(|(_, c)| c.bit_length())
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// Multiply by a scalar.
+    #[must_use]
+    pub fn scale(mut self, c: &Rat) -> Terms {
+        if c.is_zero() {
+            self.terms.clear();
+        } else {
+            // Scaling by a nonzero rational preserves order and nonzeroness.
+            for (_, a) in &mut self.terms {
+                *a = &*a * c;
+            }
+        }
+        self
+    }
+
+    /// Multiply by a single nonzero term.
+    fn mul_term(&self, mono: &Mono, c: &Rat) -> Terms {
+        // Adding a fixed exponent vector is strictly monotone in lex order,
+        // so the result is canonical without re-sorting.
+        Terms {
+            nvars: self.nvars,
+            terms: self
+                .terms
+                .iter()
+                .map(|(m, a)| (m.mul(mono), a * c))
+                .collect(),
+        }
+    }
+
+    /// `self^n`.
+    #[must_use]
+    pub fn pow(&self, mut n: u32) -> Terms {
+        // Binary exponentiation: O(log n) polynomial multiplications instead
+        // of n (the resultant base cases raise constants to degree-sized n).
+        let mut acc = Terms::constant(Rat::one(), self.nvars);
+        let mut base = self.clone();
+        while n > 0 {
+            if n & 1 == 1 {
+                acc = &acc * &base;
+            }
+            n >>= 1;
+            if n > 0 {
+                base = &base * &base;
+            }
+        }
+        acc
+    }
+
+    /// Exact division: `self / div`; panics if not exact.
+    fn div_exact(&self, div: &Terms) -> Terms {
+        assert!(!div.is_zero(), "MPoly division by zero");
+        assert_eq!(self.nvars, div.nvars);
+        let Some((dm, dc)) = div.terms.last() else {
+            // Unreachable: a zero divisor is rejected by the assert above.
+            return Terms::zero(self.nvars);
+        };
+        if dm.is_constant() {
+            return self.clone().scale(&dc.recip());
+        }
+        // Leading-term reduction: each step's quotient monomial is the
+        // remainder's (strictly falling) leading monomial over the
+        // divisor's, so the quotient comes out in descending order.
+        let mut rem = self.clone();
+        let mut quot: Vec<(Mono, Rat)> = Vec::new();
+        while let Some((rm, rc)) = rem.terms.last() {
+            let step = rm.try_div(dm);
+            assert!(step.is_some(), "MPoly::div_exact: not divisible");
+            let Some(qm) = step else {
+                // Unreachable: the assert above fired first.
+                break;
+            };
+            let qc = rc / dc;
+            rem = &rem - &div.mul_term(&qm, &qc);
+            quot.push((qm, qc));
+        }
+        quot.reverse();
+        Terms {
+            nvars: self.nvars,
+            terms: quot,
+        }
+    }
+
+    /// Merge two canonical term vectors (`a ± b`): one linear pass, output
+    /// canonical by construction.
+    fn merge(a: &[(Mono, Rat)], b: &[(Mono, Rat)], negate_b: bool) -> Vec<(Mono, Rat)> {
+        let mut out = Vec::with_capacity(a.len() + b.len());
+        let mut ia = 0usize;
+        let mut ib = 0usize;
+        let bc = |c: &Rat| if negate_b { -c.clone() } else { c.clone() };
+        while ia < a.len() && ib < b.len() {
+            match a[ia].0.cmp(&b[ib].0) {
+                std::cmp::Ordering::Less => {
+                    out.push(a[ia].clone());
+                    ia += 1;
+                }
+                std::cmp::Ordering::Greater => {
+                    out.push((b[ib].0.clone(), bc(&b[ib].1)));
+                    ib += 1;
+                }
+                std::cmp::Ordering::Equal => {
+                    let c = if negate_b {
+                        &a[ia].1 - &b[ib].1
+                    } else {
+                        &a[ia].1 + &b[ib].1
+                    };
+                    if !c.is_zero() {
+                        out.push((a[ia].0.clone(), c));
+                    }
+                    ia += 1;
+                    ib += 1;
+                }
+            }
+        }
+        out.extend(a[ia..].iter().cloned());
+        out.extend(b[ib..].iter().map(|(m, c)| (m.clone(), bc(c))));
+        out
+    }
+
+    /// Finish: compute the caches and intern — the one place a polynomial
+    /// is hashed and looked up.
+    #[must_use]
+    pub fn seal(self) -> MPoly {
+        MPoly::from_canonical(self)
+    }
+}
+
+impl From<&MPoly> for Terms {
+    fn from(p: &MPoly) -> Terms {
+        p.as_terms().clone()
+    }
+}
+
+impl Add for &Terms {
+    type Output = Terms;
+    fn add(self, rhs: &Terms) -> Terms {
+        assert_eq!(self.nvars, rhs.nvars);
+        Terms {
+            nvars: self.nvars,
+            terms: Terms::merge(&self.terms, &rhs.terms, false),
+        }
+    }
+}
+
+impl Sub for &Terms {
+    type Output = Terms;
+    fn sub(self, rhs: &Terms) -> Terms {
+        assert_eq!(self.nvars, rhs.nvars);
+        Terms {
+            nvars: self.nvars,
+            terms: Terms::merge(&self.terms, &rhs.terms, true),
+        }
+    }
+}
+
+impl Mul for &Terms {
+    type Output = Terms;
+    fn mul(self, rhs: &Terms) -> Terms {
+        assert_eq!(self.nvars, rhs.nvars);
+        let mut pairs = Vec::with_capacity(self.terms.len() * rhs.terms.len());
+        for (ma, ca) in &self.terms {
+            for (mb, cb) in &rhs.terms {
+                pairs.push((ma.mul(mb), ca * cb));
+            }
+        }
+        Terms::from_pairs(self.nvars, pairs)
+    }
+}
+
+impl Neg for Terms {
+    type Output = Terms;
+    fn neg(mut self) -> Terms {
+        for (_, c) in &mut self.terms {
+            *c = -std::mem::replace(c, Rat::zero());
+        }
+        self
+    }
+}
+
 /// The interned payload: canonical terms plus caches computed once at
-/// construction. Immutable after interning.
+/// sealing. Immutable after interning.
 pub(crate) struct PolyData {
-    pub(crate) nvars: usize,
-    /// Nonzero terms, ascending lex monomial order, duplicates merged.
-    pub(crate) terms: Vec<(Mono, Rat)>,
+    /// The canonical term vector and its ring arity.
+    pub(crate) body: Terms,
     /// Content hash of `(nvars, terms)` (fixed-key `DefaultHasher`).
     pub(crate) hash: u64,
     /// Max total degree over terms (0 for the zero polynomial).
@@ -70,9 +331,7 @@ impl PartialEq for MPoly {
     fn eq(&self, other: &MPoly) -> bool {
         // Interned handles to equal polynomials are usually the same Arc.
         Arc::ptr_eq(&self.data, &other.data)
-            || (self.data.hash == other.data.hash
-                && self.data.nvars == other.data.nvars
-                && self.data.terms == other.data.terms)
+            || (self.data.hash == other.data.hash && self.data.body == other.data.body)
     }
 }
 
@@ -88,17 +347,18 @@ impl Hash for MPoly {
 /// Content hash of canonical `(nvars, terms)` under the fixed-key
 /// `DefaultHasher` (deterministic across processes; same idiom as the
 /// `AlgebraicCache` shard router).
-fn content_hash(nvars: usize, terms: &[(Mono, Rat)]) -> u64 {
+fn content_hash(body: &Terms) -> u64 {
     let mut h = std::collections::hash_map::DefaultHasher::new();
-    h.write_usize(nvars);
-    terms.hash(&mut h);
+    h.write_usize(body.nvars);
+    body.terms.hash(&mut h);
     h.finish()
 }
 
 impl MPoly {
-    /// Seal a vector that is already canonical (sorted, distinct monomials,
-    /// no zero coefficients): compute caches and intern.
-    fn from_canonical(nvars: usize, terms: Vec<(Mono, Rat)>) -> MPoly {
+    /// Seal a term vector that is already canonical: compute caches and
+    /// intern.
+    fn from_canonical(body: Terms) -> MPoly {
+        let terms = &body.terms;
         debug_assert!(
             terms
                 .iter()
@@ -108,18 +368,17 @@ impl MPoly {
         );
         debug_assert!(terms.iter().all(|(_, c)| !c.is_zero()), "zero coefficient");
         let mut total_degree = 0u32;
-        let mut var_degrees = vec![0u32; nvars];
-        for (m, _) in &terms {
+        let mut var_degrees = vec![0u32; body.nvars];
+        for (m, _) in terms {
             total_degree = total_degree.max(m.total_degree());
             for (d, e) in var_degrees.iter_mut().zip(m.exps()) {
                 *d = (*d).max(e);
             }
         }
-        let hash = content_hash(nvars, &terms);
+        let hash = content_hash(&body);
         MPoly {
             data: intern::canonicalize(PolyData {
-                nvars,
-                terms,
+                body,
                 hash,
                 total_degree,
                 var_degrees,
@@ -127,42 +386,33 @@ impl MPoly {
         }
     }
 
-    /// Canonicalize an arbitrary term list: sort, merge duplicate monomials,
-    /// drop zero coefficients, then intern.
-    fn canonical(nvars: usize, mut pairs: Vec<(Mono, Rat)>) -> MPoly {
-        pairs.retain(|(_, c)| !c.is_zero());
-        pairs.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        let mut terms: Vec<(Mono, Rat)> = Vec::with_capacity(pairs.len());
-        for (m, c) in pairs {
-            match terms.last_mut() {
-                Some(last) if last.0 == m => last.1 = &last.1 + &c,
-                _ => terms.push((m, c)),
-            }
-        }
-        terms.retain(|(_, c)| !c.is_zero());
-        MPoly::from_canonical(nvars, terms)
+    /// The canonical term vector, borrowed: arithmetic on it builds an
+    /// unsealed [`Terms`] without copying this polynomial.
+    #[must_use]
+    pub fn as_terms(&self) -> &Terms {
+        &self.data.body
+    }
+
+    fn terms_slice(&self) -> &[(Mono, Rat)] {
+        &self.data.body.terms
     }
 
     /// The zero polynomial in `nvars` variables.
     #[must_use]
     pub fn zero(nvars: usize) -> MPoly {
-        MPoly::from_canonical(nvars, Vec::new())
+        Terms::zero(nvars).seal()
     }
 
     /// A constant polynomial.
     #[must_use]
     pub fn constant(c: Rat, nvars: usize) -> MPoly {
-        if c.is_zero() {
-            return MPoly::zero(nvars);
-        }
-        MPoly::from_canonical(nvars, vec![(Mono::zero(nvars), c)])
+        Terms::constant(c, nvars).seal()
     }
 
     /// The variable `x_i`.
     #[must_use]
     pub fn var(i: usize, nvars: usize) -> MPoly {
-        assert!(i < nvars);
-        MPoly::from_canonical(nvars, vec![(Mono::zero(nvars).with_exp(i, 1), Rat::one())])
+        Terms::var(i, nvars).seal()
     }
 
     /// Build from `(monomial, coefficient)` pairs (summing duplicates).
@@ -175,7 +425,7 @@ impl MPoly {
                 (Mono::from_vec(m), c)
             })
             .collect();
-        MPoly::canonical(nvars, pairs)
+        Terms::from_pairs(nvars, pairs).seal()
     }
 
     /// Deterministic content-derived identity (see [`PolyId`]).
@@ -187,24 +437,24 @@ impl MPoly {
     /// Number of variables of the ambient ring.
     #[must_use]
     pub fn nvars(&self) -> usize {
-        self.data.nvars
+        self.data.body.nvars
     }
 
     /// Nonzero terms (lexicographic monomial order, ascending).
     pub fn terms(&self) -> impl DoubleEndedIterator<Item = (&Mono, &Rat)> {
-        self.data.terms.iter().map(|(m, c)| (m, c))
+        self.terms_slice().iter().map(|(m, c)| (m, c))
     }
 
     /// Number of nonzero terms.
     #[must_use]
     pub fn num_terms(&self) -> usize {
-        self.data.terms.len()
+        self.terms_slice().len()
     }
 
     /// True iff the zero polynomial.
     #[must_use]
     pub fn is_zero(&self) -> bool {
-        self.data.terms.is_empty()
+        self.data.body.is_zero()
     }
 
     /// True iff constant (possibly zero). O(1) via the degree cache.
@@ -220,7 +470,7 @@ impl MPoly {
             return Some(Rat::zero());
         }
         if self.is_constant() {
-            return self.data.terms.first().map(|(_, c)| c.clone());
+            return self.terms_slice().first().map(|(_, c)| c.clone());
         }
         None
     }
@@ -245,68 +495,44 @@ impl MPoly {
         self.degree_in(i) > 0
     }
 
-    /// Leading term under lex order.
-    fn leading_term(&self) -> Option<(&Mono, &Rat)> {
-        self.data.terms.last().map(|(m, c)| (m, c))
+    /// The leading coefficient of `self` viewed as univariate in `var`,
+    /// when that coefficient is a constant — exactly
+    /// `as_upoly_in(var).last().and_then(MPoly::to_constant)` (so `Some(0)`
+    /// for the zero polynomial), read in one scan of the terms without
+    /// building any coefficient polynomial.
+    #[must_use]
+    pub fn lead_coeff_in(&self, var: usize) -> Option<Rat> {
+        let d = self.degree_in(var);
+        let mut lead = Rat::zero();
+        for (m, c) in self.terms_slice() {
+            if m.get(var) == d {
+                // A term of top degree in `var` that also uses another
+                // variable makes the leading coefficient non-constant.
+                if m.total_degree() != d {
+                    return None;
+                }
+                lead = c.clone();
+            }
+        }
+        Some(lead)
     }
 
     /// Multiply by a scalar.
     #[must_use]
     pub fn scale(&self, c: &Rat) -> MPoly {
-        if c.is_zero() {
-            return MPoly::zero(self.data.nvars);
-        }
-        // Scaling by a nonzero rational preserves order and nonzeroness.
-        MPoly::from_canonical(
-            self.data.nvars,
-            self.data
-                .terms
-                .iter()
-                .map(|(m, a)| (m.clone(), a * c))
-                .collect(),
-        )
-    }
-
-    /// Multiply by a single term.
-    fn mul_term(&self, mono: &Mono, c: &Rat) -> MPoly {
-        if c.is_zero() {
-            return MPoly::zero(self.data.nvars);
-        }
-        // Adding a fixed exponent vector is strictly monotone in lex order,
-        // so the result is canonical without re-sorting.
-        MPoly::from_canonical(
-            self.data.nvars,
-            self.data
-                .terms
-                .iter()
-                .map(|(m, a)| (m.mul(mono), a * c))
-                .collect(),
-        )
+        Terms::from(self).scale(c).seal()
     }
 
     /// `self^n`.
     #[must_use]
-    pub fn pow(&self, mut n: u32) -> MPoly {
-        // Binary exponentiation: O(log n) polynomial multiplications instead
-        // of n (the resultant base cases raise constants to degree-sized n).
-        let mut acc = MPoly::constant(Rat::one(), self.data.nvars);
-        let mut base = self.clone();
-        while n > 0 {
-            if n & 1 == 1 {
-                acc = &acc * &base;
-            }
-            n >>= 1;
-            if n > 0 {
-                base = &base * &base;
-            }
-        }
-        acc
+    pub fn pow(&self, n: u32) -> MPoly {
+        self.as_terms().pow(n).seal()
     }
 
     /// Full evaluation at a rational point.
     #[must_use]
     pub fn eval(&self, point: &[Rat]) -> Rat {
-        assert_eq!(point.len(), self.data.nvars);
+        assert_eq!(point.len(), self.nvars());
         // Per-variable power tables: each `point[i]^e` is computed once per
         // call instead of once per term mentioning `x_i^e`; table sizes come
         // straight from the cached per-variable degrees.
@@ -325,7 +551,7 @@ impl MPoly {
             })
             .collect();
         let mut acc = Rat::zero();
-        for (m, c) in &self.data.terms {
+        for (m, c) in self.terms_slice() {
             let mut t = c.clone();
             for (i, e) in m.exps().enumerate() {
                 if e > 0 {
@@ -341,17 +567,16 @@ impl MPoly {
     /// ambient arity; variable `i` no longer occurs).
     #[must_use]
     pub fn substitute(&self, i: usize, v: &Rat) -> MPoly {
-        assert!(i < self.data.nvars);
+        assert!(i < self.nvars());
         let pairs = self
-            .data
-            .terms
+            .terms_slice()
             .iter()
             .map(|(m, c)| {
                 let e = m.get(i);
                 (m.zeroed(i), c * &v.pow(e as i32))
             })
             .collect();
-        MPoly::canonical(self.data.nvars, pairs)
+        Terms::from_pairs(self.nvars(), pairs).seal()
     }
 
     /// Partial derivative with respect to variable `i`.
@@ -360,8 +585,7 @@ impl MPoly {
         // Decrementing one coordinate on every surviving term preserves both
         // lex order and distinctness, so the result is canonical as built.
         let terms = self
-            .data
-            .terms
+            .terms_slice()
             .iter()
             .filter_map(|(m, c)| {
                 let e = m.get(i);
@@ -371,25 +595,36 @@ impl MPoly {
                 Some((m.with_exp(i, e - 1), c * &Rat::from(i64::from(e))))
             })
             .collect();
-        MPoly::from_canonical(self.data.nvars, terms)
+        Terms {
+            nvars: self.nvars(),
+            terms,
+        }
+        .seal()
     }
 
     /// View as a univariate polynomial in variable `i`: coefficients (in the
     /// other variables) by ascending power of `x_i`.
     #[must_use]
     pub fn as_upoly_in(&self, i: usize) -> Vec<MPoly> {
+        self.coeffs_in(i).into_iter().map(Terms::seal).collect()
+    }
+
+    /// [`MPoly::as_upoly_in`] with the coefficients left unsealed, for
+    /// kernels that keep computing with them.
+    #[must_use]
+    pub fn coeffs_in(&self, i: usize) -> Vec<Terms> {
+        let nvars = self.nvars();
         let d = self.degree_in(i) as usize;
-        let mut buckets: Vec<Vec<(Mono, Rat)>> = vec![Vec::new(); d + 1];
-        for (m, c) in &self.data.terms {
+        let mut buckets: Vec<Terms> = vec![Terms::zero(nvars); d + 1];
+        for (m, c) in self.terms_slice() {
             // Terms sharing an `x_i` power keep their relative lex order and
             // distinctness after zeroing coordinate `i`, so each bucket is
             // canonical as collected.
-            buckets[m.get(i) as usize].push((m.zeroed(i), c.clone()));
+            buckets[m.get(i) as usize]
+                .terms
+                .push((m.zeroed(i), c.clone()));
         }
         buckets
-            .into_iter()
-            .map(|b| MPoly::from_canonical(self.data.nvars, b))
-            .collect()
     }
 
     /// Inverse of [`MPoly::as_upoly_in`].
@@ -397,20 +632,20 @@ impl MPoly {
     pub fn from_upoly_in(i: usize, coeffs: &[MPoly], nvars: usize) -> MPoly {
         let mut pairs = Vec::new();
         for (e, c) in coeffs.iter().enumerate() {
-            assert_eq!(c.data.nvars, nvars);
+            assert_eq!(c.nvars(), nvars);
             assert!(!c.uses_var(i), "coefficient uses the main variable");
-            for (m, a) in &c.data.terms {
+            for (m, a) in c.terms_slice() {
                 pairs.push((m.with_exp(i, e as u32), a.clone()));
             }
         }
-        MPoly::canonical(nvars, pairs)
+        Terms::from_pairs(nvars, pairs).seal()
     }
 
     /// Convert to [`UPoly`] if only variable `i` occurs.
     #[must_use]
     pub fn to_upoly_in(&self, i: usize) -> Option<UPoly> {
         let mut coeffs = vec![Rat::zero(); self.degree_in(i) as usize + 1];
-        for (m, c) in &self.data.terms {
+        for (m, c) in self.terms_slice() {
             for (j, e) in m.exps().enumerate() {
                 if j != i && e > 0 {
                     return None;
@@ -431,7 +666,7 @@ impl MPoly {
             .enumerate()
             .map(|(e, c)| (base.with_exp(i, e as u32), c.clone()))
             .collect();
-        MPoly::canonical(nvars, pairs)
+        Terms::from_pairs(nvars, pairs).seal()
     }
 
     /// Rename variables: variable `i` becomes `map[i]` in a ring of
@@ -439,11 +674,10 @@ impl MPoly {
     /// instantiated as `R(u, w)` inside a query (INSTANTIATION step).
     #[must_use]
     pub fn remap_vars(&self, map: &[usize], new_nvars: usize) -> MPoly {
-        assert_eq!(map.len(), self.data.nvars);
+        assert_eq!(map.len(), self.nvars());
         assert!(map.iter().all(|&m| m < new_nvars));
         let pairs = self
-            .data
-            .terms
+            .terms_slice()
             .iter()
             .map(|(m, c)| {
                 // Mapping two sources onto one target is legal (diagonals like
@@ -455,41 +689,14 @@ impl MPoly {
                 (Mono::from_vec(nm), c.clone())
             })
             .collect();
-        MPoly::canonical(new_nvars, pairs)
+        Terms::from_pairs(new_nvars, pairs).seal()
     }
 
     /// Exact division: `self / div`; panics if not exact (callers guarantee
     /// divisibility — Bareiss elimination and discriminant-by-lc division).
     #[must_use]
     pub fn div_exact(&self, div: &MPoly) -> MPoly {
-        assert!(!div.is_zero(), "MPoly division by zero");
-        assert_eq!(self.data.nvars, div.data.nvars);
-        if self.is_zero() {
-            return MPoly::zero(self.data.nvars);
-        }
-        if let Some(c) = div.to_constant() {
-            return self.scale(&c.recip());
-        }
-        let mut rem = self.clone();
-        let mut quot = MPoly::zero(self.data.nvars);
-        let Some((dm, dc)) = div.leading_term().map(|(m, c)| (m.clone(), c.clone())) else {
-            // Unreachable after the zero checks above; a zero divisor is
-            // already rejected by the assert, so an empty quotient is inert.
-            return quot;
-        };
-        while let Some((rm, rc)) = rem.leading_term().map(|(m, c)| (m.clone(), c.clone())) {
-            let step = rm.try_div(&dm);
-            assert!(step.is_some(), "MPoly::div_exact: not divisible");
-            let Some(qm) = step else {
-                // Unreachable: the assert above fired first.
-                return quot;
-            };
-            let qc = &rc / &dc;
-            let t = div.mul_term(&qm, &qc);
-            rem = &rem - &t;
-            quot = &quot + &MPoly::from_canonical(self.data.nvars, vec![(qm, qc)]);
-        }
-        quot
+        self.as_terms().div_exact(div.as_terms()).seal()
     }
 
     /// Integer-primitive normal form with positive lex-leading coefficient
@@ -501,18 +708,21 @@ impl MPoly {
         }
         // Scale by lcm of denominators / gcd of numerators.
         let mut l = cdb_num::Int::one();
-        for (_, c) in &self.data.terms {
+        for (_, c) in self.terms_slice() {
             let d = c.denom();
             let g = l.gcd(d);
             l = &(&l / &g) * d;
         }
         let lr = Rat::from(l);
         let mut g = cdb_num::Int::zero();
-        for (_, c) in &self.data.terms {
+        for (_, c) in self.terms_slice() {
             g = g.gcd((c * &lr).numer());
         }
         let scale = &lr / &Rat::from(g);
-        let lead_sign = self.leading_term().map_or(Sign::Zero, |(_, c)| c.sign());
+        let lead_sign = self
+            .terms_slice()
+            .last()
+            .map_or(Sign::Zero, |(_, c)| c.sign());
         let scale = if lead_sign == Sign::Neg {
             -scale
         } else {
@@ -528,24 +738,19 @@ impl MPoly {
     /// Maximum bit length over coefficients.
     #[must_use]
     pub fn max_coeff_bits(&self) -> u64 {
-        self.data
-            .terms
-            .iter()
-            .map(|(_, c)| c.bit_length())
-            .max()
-            .unwrap_or(0)
+        self.data.body.max_coeff_bits()
     }
 
     /// Render with the given variable names.
     #[must_use]
     pub fn display_with(&self, names: &[&str]) -> String {
-        assert!(names.len() >= self.data.nvars);
+        assert!(names.len() >= self.nvars());
         if self.is_zero() {
             return "0".to_owned();
         }
         let mut out = String::new();
         // Highest terms first for readability.
-        for (m, c) in self.data.terms.iter().rev() {
+        for (m, c) in self.terms_slice().iter().rev() {
             let neg = c.sign() == Sign::Neg;
             if out.is_empty() {
                 if neg {
@@ -583,7 +788,7 @@ impl MPoly {
 
 impl fmt::Display for MPoly {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let names: Vec<String> = (0..self.data.nvars).map(|i| format!("x{i}")).collect();
+        let names: Vec<String> = (0..self.nvars()).map(|i| format!("x{i}")).collect();
         let refs: Vec<&str> = names.iter().map(String::as_str).collect();
         write!(f, "{}", self.display_with(&refs))
     }
@@ -598,86 +803,28 @@ impl fmt::Debug for MPoly {
 impl Add for &MPoly {
     type Output = MPoly;
     fn add(self, rhs: &MPoly) -> MPoly {
-        assert_eq!(self.data.nvars, rhs.data.nvars);
-        MPoly::from_canonical(
-            self.data.nvars,
-            merge(&self.data.terms, &rhs.data.terms, false),
-        )
+        (self.as_terms() + rhs.as_terms()).seal()
     }
 }
 
 impl Sub for &MPoly {
     type Output = MPoly;
     fn sub(self, rhs: &MPoly) -> MPoly {
-        assert_eq!(self.data.nvars, rhs.data.nvars);
-        MPoly::from_canonical(
-            self.data.nvars,
-            merge(&self.data.terms, &rhs.data.terms, true),
-        )
+        (self.as_terms() - rhs.as_terms()).seal()
     }
-}
-
-/// Merge two canonical term vectors (`a ± b`): one linear pass, output
-/// canonical by construction.
-fn merge(a: &[(Mono, Rat)], b: &[(Mono, Rat)], negate_b: bool) -> Vec<(Mono, Rat)> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let mut ia = 0usize;
-    let mut ib = 0usize;
-    let bc = |c: &Rat| if negate_b { -c.clone() } else { c.clone() };
-    while ia < a.len() && ib < b.len() {
-        match a[ia].0.cmp(&b[ib].0) {
-            std::cmp::Ordering::Less => {
-                out.push(a[ia].clone());
-                ia += 1;
-            }
-            std::cmp::Ordering::Greater => {
-                out.push((b[ib].0.clone(), bc(&b[ib].1)));
-                ib += 1;
-            }
-            std::cmp::Ordering::Equal => {
-                let c = if negate_b {
-                    &a[ia].1 - &b[ib].1
-                } else {
-                    &a[ia].1 + &b[ib].1
-                };
-                if !c.is_zero() {
-                    out.push((a[ia].0.clone(), c));
-                }
-                ia += 1;
-                ib += 1;
-            }
-        }
-    }
-    out.extend(a[ia..].iter().cloned());
-    out.extend(b[ib..].iter().map(|(m, c)| (m.clone(), bc(c))));
-    out
 }
 
 impl Neg for &MPoly {
     type Output = MPoly;
     fn neg(self) -> MPoly {
-        MPoly::from_canonical(
-            self.data.nvars,
-            self.data
-                .terms
-                .iter()
-                .map(|(m, c)| (m.clone(), -c.clone()))
-                .collect(),
-        )
+        (-Terms::from(self)).seal()
     }
 }
 
 impl Mul for &MPoly {
     type Output = MPoly;
     fn mul(self, rhs: &MPoly) -> MPoly {
-        assert_eq!(self.data.nvars, rhs.data.nvars);
-        let mut pairs = Vec::with_capacity(self.data.terms.len() * rhs.data.terms.len());
-        for (ma, ca) in &self.data.terms {
-            for (mb, cb) in &rhs.data.terms {
-                pairs.push((ma.mul(mb), ca * cb));
-            }
-        }
-        MPoly::canonical(self.data.nvars, pairs)
+        (self.as_terms() * rhs.as_terms()).seal()
     }
 }
 

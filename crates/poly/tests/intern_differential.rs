@@ -2,7 +2,8 @@
 //! with the retained seed reference implementation (`cdb_poly::refimpl`) —
 //! same values, byte-identical `Display` — on random inputs, for
 //! `add`/`mul`/`div_exact`/`resultant`/Sturm chains, under 1 and 4 worker
-//! threads.
+//! threads; and a whole expression built in one `Terms` and sealed once
+//! must equal the same expression chained through `MPoly` operators.
 
 use cdb_num::modp::PRIMES;
 use cdb_num::{Int, Rat};
@@ -11,7 +12,7 @@ use cdb_poly::refimpl::{
 };
 use cdb_poly::resultant::resultant;
 use cdb_poly::sturm::SturmChain;
-use cdb_poly::{MPoly, UPoly};
+use cdb_poly::{MPoly, Terms, UPoly};
 use proptest::prelude::*;
 
 /// Build both representations from one term list.
@@ -47,8 +48,106 @@ fn big_poly(len: std::ops::RangeInclusive<usize>) -> impl Strategy<Value = UPoly
     prop::collection::vec(big_rat(), len).prop_map(UPoly::from_coeffs)
 }
 
+/// A polynomial expression tree over the builder's operations.
+#[derive(Clone, Debug)]
+enum Expr {
+    /// `x_i^e` (variable index taken modulo the ring's arity); exponents
+    /// above 255 spill the monomial out of its packed form.
+    Power(usize, u32),
+    Const(i64),
+    Add(Box<Expr>, Box<Expr>),
+    Sub(Box<Expr>, Box<Expr>),
+    Mul(Box<Expr>, Box<Expr>),
+    Neg(Box<Expr>),
+    Scale(Box<Expr>, i64),
+    Pow(Box<Expr>, u32),
+}
+
+fn expr() -> impl Strategy<Value = Expr> {
+    let leaf = prop_oneof![
+        (0usize..9, prop_oneof![0u32..=3, 250u32..=300]).prop_map(|(i, e)| Expr::Power(i, e)),
+        (-9i64..=9).prop_map(Expr::Const),
+    ];
+    leaf.prop_recursive(4, 24, 2, |inner| {
+        prop_oneof![
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| Expr::Add(Box::new(a), Box::new(b))),
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| Expr::Sub(Box::new(a), Box::new(b))),
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| Expr::Mul(Box::new(a), Box::new(b))),
+            inner.clone().prop_map(|a| Expr::Neg(Box::new(a))),
+            (inner.clone(), -4i64..=4).prop_map(|(a, c)| Expr::Scale(Box::new(a), c)),
+            (inner, 0u32..=3).prop_map(|(a, n)| Expr::Pow(Box::new(a), n)),
+        ]
+    })
+}
+
+/// Chained `MPoly` operators: every intermediate is sealed.
+fn eval_mpoly(e: &Expr, n: usize) -> MPoly {
+    match e {
+        Expr::Power(i, k) => MPoly::var(i % n, n).pow(*k),
+        Expr::Const(c) => MPoly::constant(Rat::from(*c), n),
+        Expr::Add(a, b) => &eval_mpoly(a, n) + &eval_mpoly(b, n),
+        Expr::Sub(a, b) => &eval_mpoly(a, n) - &eval_mpoly(b, n),
+        Expr::Mul(a, b) => &eval_mpoly(a, n) * &eval_mpoly(b, n),
+        Expr::Neg(a) => -&eval_mpoly(a, n),
+        Expr::Scale(a, c) => eval_mpoly(a, n).scale(&Rat::from(*c)),
+        Expr::Pow(a, k) => eval_mpoly(a, n).pow(*k),
+    }
+}
+
+/// The same tree in one unsealed builder.
+fn eval_terms(e: &Expr, n: usize) -> Terms {
+    match e {
+        Expr::Power(i, k) => Terms::var(i % n, n).pow(*k),
+        Expr::Const(c) => Terms::constant(Rat::from(*c), n),
+        Expr::Add(a, b) => &eval_terms(a, n) + &eval_terms(b, n),
+        Expr::Sub(a, b) => &eval_terms(a, n) - &eval_terms(b, n),
+        Expr::Mul(a, b) => &eval_terms(a, n) * &eval_terms(b, n),
+        Expr::Neg(a) => -eval_terms(a, n),
+        Expr::Scale(a, c) => eval_terms(a, n).scale(&Rat::from(*c)),
+        Expr::Pow(a, k) => eval_terms(a, n).pow(*k),
+    }
+}
+
+/// The seed reference representation.
+fn eval_ref(e: &Expr, n: usize) -> RefPoly {
+    match e {
+        Expr::Power(i, k) => RefPoly::var(i % n, n).pow(*k),
+        Expr::Const(c) => RefPoly::constant(Rat::from(*c), n),
+        Expr::Add(a, b) => &eval_ref(a, n) + &eval_ref(b, n),
+        Expr::Sub(a, b) => &eval_ref(a, n) - &eval_ref(b, n),
+        Expr::Mul(a, b) => &eval_ref(a, n) * &eval_ref(b, n),
+        Expr::Neg(a) => -&eval_ref(a, n),
+        Expr::Scale(a, c) => eval_ref(a, n).scale(&Rat::from(*c)),
+        Expr::Pow(a, k) => eval_ref(a, n).pow(*k),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// One `Terms` sealed once, chained `MPoly` operators and the seed
+    /// reference agree on `==`, `id()` and `Display`, in a packed (3) and
+    /// an always-spilled (9) variable ring; and the one-scan leading
+    /// coefficient equals the one read off the coefficient polynomials.
+    #[test]
+    fn terms_sealed_once_matches_chained_and_reference(e in expr(), wide in any::<bool>()) {
+        let n = if wide { 9 } else { 3 };
+        let chained = eval_mpoly(&e, n);
+        let sealed = eval_terms(&e, n).seal();
+        let reference = eval_ref(&e, n);
+        prop_assert_eq!(&sealed, &chained);
+        prop_assert_eq!(sealed.id(), chained.id());
+        prop_assert_eq!(sealed.to_string(), chained.to_string());
+        prop_assert_eq!(sealed.to_string(), reference.to_string());
+        prop_assert_eq!(&sealed, &reference.to_mpoly());
+        for v in 0..n {
+            prop_assert_eq!(
+                sealed.lead_coeff_in(v),
+                sealed.as_upoly_in(v).last().and_then(MPoly::to_constant),
+                "lead of {} in x{}", &sealed, v
+            );
+        }
+    }
 
     /// Ring operations agree with the seed representation, down to the
     /// rendered string.

@@ -35,8 +35,8 @@ use crate::quad1;
 use crate::{PlanMode, QeContext, QeError};
 use cdb_constraints::formula::relation_to_formula;
 use cdb_constraints::{Atom, ConstraintRelation, Formula, GeneralizedTuple, Quantifier, RelOp};
-use cdb_num::Sign;
-use cdb_poly::MPoly;
+use cdb_num::{Rat, Sign};
+use cdb_poly::{MPoly, Terms};
 // cdb-lint: allow(determinism) — wall-clock readings feed only the
 // per-strategy PlanStats diagnostics; no result-producing decision reads
 // them.
@@ -65,18 +65,16 @@ fn rank(s: Strategy) -> u8 {
     }
 }
 
-/// Index of an `=` atom linear in `var` with a constant (nonzero)
-/// coefficient, if any — the substitution eliminator's anchor.
-fn find_subst_atom(tuple: &GeneralizedTuple, var: usize) -> Option<usize> {
-    tuple.atoms().iter().position(|a| {
-        a.op == RelOp::Eq && a.poly.degree_in(var) == 1 && lead_constant(&a.poly, var).is_some()
+/// Index and coefficient of an `=` atom linear in `var` with a constant
+/// (nonzero) coefficient, if any — the substitution eliminator's anchor.
+fn find_subst_atom(tuple: &GeneralizedTuple, var: usize) -> Option<(usize, Rat)> {
+    tuple.atoms().iter().enumerate().find_map(|(i, a)| {
+        if a.op == RelOp::Eq && a.poly.degree_in(var) == 1 {
+            Some((i, a.poly.lead_coeff_in(var)?))
+        } else {
+            None
+        }
     })
-}
-
-/// The leading coefficient of `p` viewed as univariate in `var`, when that
-/// coefficient is a constant (the shape every non-CAD eliminator needs).
-fn lead_constant(p: &MPoly, var: usize) -> Option<cdb_num::Rat> {
-    p.as_upoly_in(var).last().and_then(MPoly::to_constant)
 }
 
 /// True iff Fourier–Motzkin can eliminate `var`: every atom *using* `var`
@@ -87,7 +85,7 @@ fn lead_constant(p: &MPoly, var: usize) -> Option<cdb_num::Rat> {
 fn fm_applicable(tuple: &GeneralizedTuple, var: usize) -> bool {
     tuple.atoms().iter().all(|a| {
         a.poly.degree_in(var) == 0
-            || (a.poly.degree_in(var) == 1 && lead_constant(&a.poly, var).is_some())
+            || (a.poly.degree_in(var) == 1 && a.poly.lead_coeff_in(var).is_some())
     })
 }
 
@@ -116,17 +114,12 @@ pub(crate) fn subst_eliminate_tuple(
     ctx: &QeContext,
 ) -> Result<Option<GeneralizedTuple>, QeError> {
     let nvars = tuple.nvars();
-    let (idx, c, rest) = find_subst_atom(tuple, var)
-        .and_then(|i| {
-            let coeffs = tuple.atoms().get(i)?.poly.as_upoly_in(var);
-            let c = coeffs.last().and_then(MPoly::to_constant)?;
-            Some((i, c, coeffs.into_iter().next()?))
-        })
-        .ok_or_else(|| {
-            QeError::PlanUnsupported(format!("substitution: no linear equality atom in x{var}"))
-        })?;
+    let (idx, c) = find_subst_atom(tuple, var).ok_or_else(|| {
+        QeError::PlanUnsupported(format!("substitution: no linear equality atom in x{var}"))
+    })?;
+    let rest = constant_coeff(&tuple.atoms()[idx].poly, var);
     let sub = rest.scale(&(-c.recip())); // v := −rest/c
-    ctx.observe_poly(&sub)?;
+    ctx.observe_bits(sub.max_coeff_bits())?;
     let mut atoms = Vec::with_capacity(tuple.atoms().len() - 1);
     for (i, atom) in tuple.atoms().iter().enumerate() {
         if i == idx {
@@ -136,15 +129,25 @@ pub(crate) fn subst_eliminate_tuple(
             atoms.push(atom.clone());
             continue;
         }
-        let cs = atom.poly.as_upoly_in(var);
-        let mut acc = cs.last().cloned().unwrap_or_else(|| MPoly::zero(nvars));
-        for lower in cs.iter().rev().skip(1) {
-            acc = &(&acc * &sub) + lower;
+        // Horner in `Terms`: only the substituted atom is sealed.
+        let mut cs = atom.poly.coeffs_in(var).into_iter().rev();
+        let mut acc = cs.next().unwrap_or_else(|| Terms::zero(nvars));
+        for lower in cs {
+            acc = &(&acc * &sub) + &lower;
         }
+        let acc = acc.seal();
         ctx.observe_poly(&acc)?;
         atoms.push(Atom::new(acc, atom.op));
     }
     Ok(GeneralizedTuple::new(nvars, atoms).simplify())
+}
+
+/// The coefficient of `var⁰` in `p`, unsealed.
+fn constant_coeff(p: &MPoly, var: usize) -> Terms {
+    p.coeffs_in(var)
+        .into_iter()
+        .next()
+        .unwrap_or_else(|| Terms::zero(p.nvars()))
 }
 
 /// Generalized Fourier–Motzkin on one disjunct (`≠` atoms using `var`
@@ -158,9 +161,9 @@ pub(crate) fn fm_eliminate_tuple(
 ) -> Result<Option<GeneralizedTuple>, QeError> {
     let nvars = tuple.nvars();
     let mut atoms: Vec<Atom> = Vec::new();
-    let mut lowers: Vec<(MPoly, bool)> = Vec::new(); // (bound, strict)
-    let mut uppers: Vec<(MPoly, bool)> = Vec::new();
-    let mut equals: Vec<MPoly> = Vec::new();
+    let mut lowers: Vec<(Terms, bool)> = Vec::new(); // (bound, strict)
+    let mut uppers: Vec<(Terms, bool)> = Vec::new();
+    let mut equals: Vec<Terms> = Vec::new();
     for atom in tuple.atoms() {
         if !atom.poly.uses_var(var) {
             atoms.push(atom.clone());
@@ -171,17 +174,11 @@ pub(crate) fn fm_eliminate_tuple(
                 "Fourier–Motzkin: atom is nonlinear in x{var}"
             )));
         }
-        let c = lead_constant(&atom.poly, var).ok_or_else(|| {
+        let c = atom.poly.lead_coeff_in(var).ok_or_else(|| {
             QeError::PlanUnsupported(format!("Fourier–Motzkin: symbolic coefficient of x{var}"))
         })?;
-        let rest = atom
-            .poly
-            .as_upoly_in(var)
-            .into_iter()
-            .next()
-            .unwrap_or_else(|| MPoly::zero(nvars));
-        let bound = rest.scale(&(-c.recip()));
-        ctx.observe_poly(&bound)?;
+        let bound = constant_coeff(&atom.poly, var).scale(&(-c.recip()));
+        ctx.observe_bits(bound.max_coeff_bits())?;
         let op = if c.sign() == Sign::Neg {
             atom.op.flipped()
         } else {
@@ -202,17 +199,17 @@ pub(crate) fn fm_eliminate_tuple(
     }
     if let Some(e0) = equals.first() {
         for e in &equals[1..] {
-            let d = e0 - e;
+            let d = (e0 - e).seal();
             ctx.observe_poly(&d)?;
             atoms.push(Atom::new(d, RelOp::Eq));
         }
         for (u, strict) in &uppers {
-            let d = e0 - u; // var ≤ u ⇒ e0 − u ≤ 0
+            let d = (e0 - u).seal(); // var ≤ u ⇒ e0 − u ≤ 0
             ctx.observe_poly(&d)?;
             atoms.push(Atom::new(d, if *strict { RelOp::Lt } else { RelOp::Le }));
         }
         for (l, strict) in &lowers {
-            let d = l - e0; // var ≥ l ⇒ l − e0 ≤ 0
+            let d = (l - e0).seal(); // var ≥ l ⇒ l − e0 ≤ 0
             ctx.observe_poly(&d)?;
             atoms.push(Atom::new(d, if *strict { RelOp::Lt } else { RelOp::Le }));
         }
@@ -220,7 +217,7 @@ pub(crate) fn fm_eliminate_tuple(
     }
     for (l, ls) in &lowers {
         for (u, us) in &uppers {
-            let d = l - u; // need l ⋈ u (density of the reals)
+            let d = (l - u).seal(); // need l ⋈ u (density of the reals)
             ctx.observe_poly(&d)?;
             atoms.push(Atom::new(d, if *ls || *us { RelOp::Lt } else { RelOp::Le }));
         }

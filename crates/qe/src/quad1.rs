@@ -39,7 +39,7 @@ use crate::plan;
 use crate::{QeContext, QeError};
 use cdb_constraints::{Atom, GeneralizedTuple, RelOp};
 use cdb_num::{Rat, Sign};
-use cdb_poly::MPoly;
+use cdb_poly::{MPoly, Terms};
 
 /// True iff the quadratic shortcut can eliminate `∃ var` from this
 /// disjunct: every atom using `var` has degree ≤ 2 in it with a constant
@@ -52,13 +52,7 @@ pub fn applicable(tuple: &GeneralizedTuple, var: usize) -> bool {
         match atom.poly.degree_in(var) {
             0 => {}
             1 | 2 => {
-                if atom
-                    .poly
-                    .as_upoly_in(var)
-                    .last()
-                    .and_then(cdb_poly::MPoly::to_constant)
-                    .is_none()
-                {
+                if atom.poly.lead_coeff_in(var).is_none() {
                     return false;
                 }
                 if atom.poly.degree_in(var) == 2 {
@@ -94,7 +88,8 @@ fn disj(branches: &mut Vec<Vec<Atom>>, alt1: &[Atom], alt2: &[Atom]) {
 
 /// `X² − D`, budget-checked.
 fn sq_minus_d(x: &MPoly, d: &MPoly, ctx: &QeContext) -> Result<MPoly, QeError> {
-    let p = &(x * x) - d;
+    let (x, d) = (x.as_terms(), d.as_terms());
+    let p = (&(x * x) - d).seal();
     ctx.observe_poly(&p)?;
     Ok(p)
 }
@@ -184,10 +179,10 @@ pub fn eliminate_tuple(
     }
     let nvars = tuple.nvars();
     let mut passthrough: Vec<Atom> = Vec::new();
-    let mut lowers: Vec<(MPoly, bool)> = Vec::new(); // (bound, strict)
-    let mut uppers: Vec<(MPoly, bool)> = Vec::new();
+    let mut lowers: Vec<(Terms, bool)> = Vec::new(); // (bound, strict)
+    let mut uppers: Vec<(Terms, bool)> = Vec::new();
     let mut has_linear_eq = false;
-    let mut quad: Option<(Rat, MPoly, MPoly, RelOp)> = None; // a>0, b, c, op
+    let mut quad: Option<(Rat, Terms, Terms, RelOp)> = None; // a>0, b, c, op
     for atom in tuple.atoms() {
         let deg = atom.poly.degree_in(var);
         if deg == 0 {
@@ -199,22 +194,18 @@ pub fn eliminate_tuple(
                 "quadratic shortcut: `≠` atom not split before elimination".into(),
             ));
         }
-        let coeffs = atom.poly.as_upoly_in(var);
-        let lead = coeffs
-            .last()
-            .and_then(cdb_poly::MPoly::to_constant)
-            .ok_or_else(|| {
-                QeError::Unsupported(format!(
-                    "quadratic shortcut: symbolic leading coefficient in x{var}"
-                ))
-            })?;
-        let mut rest = coeffs.into_iter();
-        let c0 = rest.next().unwrap_or_else(|| MPoly::zero(nvars));
-        let c1 = rest.next().unwrap_or_else(|| MPoly::zero(nvars));
+        let lead = atom.poly.lead_coeff_in(var).ok_or_else(|| {
+            QeError::Unsupported(format!(
+                "quadratic shortcut: symbolic leading coefficient in x{var}"
+            ))
+        })?;
+        let mut rest = atom.poly.coeffs_in(var).into_iter();
+        let c0 = rest.next().unwrap_or_else(|| Terms::zero(nvars));
+        let c1 = rest.next().unwrap_or_else(|| Terms::zero(nvars));
         if deg == 1 {
             // lead·var + rest σ 0 ⇔ var σ' −rest/lead.
             let bound = c0.scale(&(-lead.recip()));
-            ctx.observe_poly(&bound)?;
+            ctx.observe_bits(bound.max_coeff_bits())?;
             let op = if lead.sign() == Sign::Neg {
                 atom.op.flipped()
             } else {
@@ -234,10 +225,9 @@ pub fn eliminate_tuple(
             let mut c = c0;
             let mut op = atom.op;
             if a.sign() == Sign::Neg {
-                let m1 = Rat::from(-1i64);
                 a = -a;
-                b = b.scale(&m1);
-                c = c.scale(&m1);
+                b = -b;
+                c = -c;
                 op = op.flipped();
             }
             quad = Some((a, b, c, op));
@@ -260,10 +250,10 @@ pub fn eliminate_tuple(
     // ±√D exactly as t compares against r∓ (a > 0 keeps directions).
     let two_a = &a + &a;
     let four_a = &two_a + &two_a;
-    let d_poly = &(&b * &b) - &c.scale(&four_a);
+    let d_poly = (&(&b * &b) - &c.scale(&four_a)).seal();
     ctx.observe_poly(&d_poly)?;
-    let lin = |t: &MPoly| -> Result<MPoly, QeError> {
-        let p = &t.scale(&two_a) + &b;
+    let lin = |t: &Terms| -> Result<MPoly, QeError> {
+        let p = (&t.clone().scale(&two_a) + &b).seal();
         ctx.observe_poly(&p)?;
         Ok(p)
     };
@@ -271,7 +261,7 @@ pub fn eliminate_tuple(
     let mut base = passthrough;
     for (l, ls) in &lowers {
         for (u, us) in &uppers {
-            let d = l - u;
+            let d = (l - u).seal();
             ctx.observe_poly(&d)?;
             base.push(Atom::new(d, if *ls || *us { RelOp::Lt } else { RelOp::Le }));
         }

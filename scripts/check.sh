@@ -64,6 +64,21 @@ for w in $(sed -n 's/^ *"name": "\([a-z_]*\)",$/\1/p' BENCHMARK.json); do
     fi
 done
 
+echo "==> alibi_scan interner lookups stay under their ceiling (one traced repeat at --seed 1)"
+# The count is deterministic (sealing once per finished polynomial took it
+# from 529,498 to 57,506; DESIGN.md §10.2). The number below is a ceiling,
+# not a target: a change that cuts lookups further lowers it on purpose, and
+# one that needs more must say why here.
+intern_ceiling=57506
+lookups=$(cargo run --release --quiet --offline --manifest-path stmtbench/Cargo.toml --bin bench -- \
+    --workload alibi_scan --seed 1 --seconds 1 --trace 1 |
+    grep -o '"poly\.intern\.\(hits\|misses\)": {"value": [0-9]*' |
+    awk '{ n += $NF } END { print n + 0 }')
+if [ "$lookups" -gt "$intern_ceiling" ]; then
+    echo "alibi_scan: $lookups interner lookups at --seed 1, ceiling $intern_ceiling" >&2
+    exit 1
+fi
+
 echo "==> the frozen benchmark is as committed (no step above rewrote stmtbench/ or BENCHMARK.json)"
 # A manifest edit that makes cargo rewrite stmtbench/Cargo.lock shows up here.
 frozen=$(git status --short stmtbench/ BENCHMARK.json)
