@@ -9,9 +9,12 @@
 //!   interval, refinable on demand, with **exact** sign determination
 //!   `sign(q(α))` for rational-coefficient `q` (gcd test for zero, interval
 //!   refinement otherwise — never a guess);
-//! * [`NfElem`]/[`AlgUPoly`] — arithmetic in the number field `Q(α)` and
-//!   Sturm-based exact real-root isolation for polynomials with coefficients
-//!   in `Q(α)`, which is what lifting a CAD stack over a section cell needs.
+//! * [`NfElem`]/[`AlgUPoly`] — arithmetic in the number field `Q(α)`, the
+//!   squarefree part of a polynomial with coefficients in `Q(α)` and its
+//!   exact sign at a rational point. That is all lifting a CAD stack over a
+//!   section cell needs: its roots are found over `Q`, among the roots of a
+//!   resultant, and `Q(α)[y]` only decides which candidates are roots
+//!   (DESIGN.md §5, rule 2).
 
 use crate::roots::{isolate_squarefree, refine_squarefree, RootLocation};
 use crate::sturm::SturmChain;
@@ -387,12 +390,6 @@ impl NumberField {
         NumberField { alpha }
     }
 
-    /// The generator.
-    #[must_use]
-    pub fn alpha(&self) -> &RealAlg {
-        &self.alpha
-    }
-
     fn modulus(&self) -> &UPoly {
         self.alpha.poly()
     }
@@ -441,12 +438,6 @@ impl NumberField {
         NfElem {
             rep: (&a.rep * &b.rep).divrem(self.modulus()).1,
         }
-    }
-
-    /// Negation.
-    #[must_use]
-    pub fn neg(&self, a: &NfElem) -> NfElem {
-        NfElem { rep: -&a.rep }
     }
 
     /// Exact zero test: the representative vanishes at `α`.
@@ -499,12 +490,6 @@ impl NumberField {
         });
         NfElem { rep: inv.rep }
     }
-
-    /// Division.
-    #[must_use]
-    pub fn div(&self, a: &NfElem, b: &NfElem) -> NfElem {
-        self.mul(a, &self.inv(b))
-    }
 }
 
 /// Extended Euclid returning `(g, u)` with `u·a ≡ g (mod b)`.
@@ -524,8 +509,9 @@ fn half_xgcd(a: &UPoly, b: &UPoly) -> (UPoly, UPoly) {
     (r0, u0)
 }
 
-/// A univariate polynomial with coefficients in `Q(α)`, used for exact root
-/// isolation when lifting a CAD stack over a section cell.
+/// A univariate polynomial with coefficients in `Q(α)`. Lifting a CAD stack
+/// over a section cell takes its squarefree part once and reads exact signs
+/// of it at rational points.
 #[derive(Clone)]
 pub struct AlgUPoly {
     field: NumberField,
@@ -565,15 +551,16 @@ impl AlgUPoly {
         self.coeffs.len().checked_sub(1)
     }
 
-    /// Value at a rational point, as an element of `Q(α)`.
+    /// Value at a rational point, as an element of `Q(α)`: a `Q`-linear
+    /// combination of the representatives, whose degrees are already below
+    /// the modulus's, so no product in `Q(α)` and no reduction is needed.
     #[must_use]
     pub fn eval_rat(&self, y: &Rat) -> NfElem {
-        let mut acc = self.field.from_rat(Rat::zero());
-        let ye = self.field.from_rat(y.clone());
+        let mut rep = UPoly::zero();
         for c in self.coeffs.iter().rev() {
-            acc = self.field.add(&self.field.mul(&acc, &ye), c);
+            rep = &rep.scale(y) + &c.rep;
         }
-        acc
+        NfElem { rep }
     }
 
     /// Exact sign of the value at a rational point.
@@ -653,25 +640,6 @@ impl AlgUPoly {
         )
     }
 
-    /// Sturm chain in `Q(α)[y]`.
-    fn sturm_chain(&self) -> Vec<AlgUPoly> {
-        let mut seq = vec![self.clone(), self.derivative()];
-        while seq.last().is_some_and(|tail| !tail.is_zero()) {
-            let n = seq.len();
-            let (_, r) = seq[n - 2].divrem(&seq[n - 1]);
-            if r.is_zero() {
-                break;
-            }
-            let negated = AlgUPoly {
-                field: r.field.clone(),
-                coeffs: r.coeffs.iter().map(|c| r.field.neg(c)).collect(),
-            };
-            seq.push(negated);
-        }
-        seq.retain(|p| !p.is_zero());
-        seq
-    }
-
     /// Make squarefree (divide by gcd with derivative).
     #[must_use]
     pub fn squarefree(&self) -> AlgUPoly {
@@ -692,165 +660,6 @@ impl AlgUPoly {
             self.divrem(&a).0
         }
     }
-
-    /// Cauchy-style bound on root magnitude: `1 + max |c_i| / |c_d|`, with
-    /// numerically safe rational over-approximation via interval refinement.
-    fn root_bound(&self) -> Rat {
-        let f = &self.field;
-        let d = self.coeffs.len() - 1;
-        // Approximate |c_i(α)| from above, |c_d(α)| from below.
-        let eps = Rat::from_ints(1, 1 << 20);
-        // |lead| lower bound: refine until bounded away from zero (it is
-        // nonzero by construction).
-        let mut a = f.alpha().refined(&eps);
-        let mut lead_lo;
-        loop {
-            let liv = self.coeffs[d].rep.eval_interval(&a.interval());
-            lead_lo = Rat::min(liv.lo().abs(), liv.hi().abs());
-            if liv.sign().is_some() && liv.sign() != Some(Sign::Zero) {
-                break;
-            }
-            let w = &a.interval().width() * &Rat::from_ints(1, 16);
-            let w = if w.is_zero() { break } else { w };
-            a = a.refined(&w);
-        }
-        if lead_lo.is_zero() {
-            lead_lo = Rat::from_ints(1, 1_000_000);
-        }
-        let mut m = Rat::zero();
-        for c in &self.coeffs[..d] {
-            let civ = c.rep.eval_interval(&a.interval());
-            let hi = Rat::max(civ.lo().abs(), civ.hi().abs());
-            let q = &hi / &lead_lo;
-            if q > m {
-                m = q;
-            }
-        }
-        &m + &Rat::one()
-    }
-
-    /// Exact isolation of the real roots of this polynomial (over the reals,
-    /// viewing the coefficients as real numbers `c_i(α)`), which must be
-    /// squarefree (see [`AlgUPoly::squarefree`]: Euclid in `Q(α)[y]` is the
-    /// expensive step, so the caller takes it once for isolation and every
-    /// refinement). Returns disjoint open rational intervals, ascending,
-    /// each containing exactly one root, or exact rational roots.
-    #[must_use]
-    pub fn isolate_roots(&self) -> Vec<RootLocation> {
-        if self.coeffs.len() <= 1 {
-            return Vec::new();
-        }
-        if let [c0, c1] = self.coeffs.as_slice() {
-            // Linear with algebraic coefficients: root = −c0/c1 ∈ Q(α); only
-            // report as exact when rational.
-            let f = &self.field;
-            let root = f.neg(&f.div(c0, c1));
-            if root.rep.is_constant() {
-                return vec![RootLocation::Exact(root.rep.coeff(0))];
-            }
-            // Fall through to bisection below to localize it in Q-intervals.
-        }
-        let chain = self.sturm_chain();
-        let var_at = |y: &Rat| -> usize { count_variations(chain.iter().map(|p| p.sign_at(y))) };
-        let bound = self.root_bound();
-        let lo = -bound.clone();
-        let hi = bound;
-        let total = var_at(&lo) - var_at(&hi);
-        let mut out = Vec::new();
-        // Bisection stack: (lo, hi, count) with count roots in (lo, hi].
-        let mut stack = vec![(lo, hi, total)];
-        while let Some((lo, hi, count)) = stack.pop() {
-            if count == 0 {
-                continue;
-            }
-            if count == 1 {
-                if self.sign_at(&hi) == Sign::Zero {
-                    out.push(RootLocation::Exact(hi));
-                    continue;
-                }
-                let mut lo = lo;
-                let mut hi = hi;
-                while self.sign_at(&lo) == Sign::Zero {
-                    let mid = Rat::midpoint(&lo, &hi);
-                    if self.sign_at(&mid) == Sign::Zero {
-                        lo = hi.clone(); // force exit; record exact below
-                        out.push(RootLocation::Exact(mid));
-                        break;
-                    }
-                    if var_at(&mid) - var_at(&hi) == 1 {
-                        lo = mid;
-                    } else {
-                        hi = mid;
-                    }
-                }
-                if lo != hi {
-                    out.push(RootLocation::Isolated(RatInterval::new(lo, hi)));
-                }
-                continue;
-            }
-            let mid = Rat::midpoint(&lo, &hi);
-            let right = var_at(&mid) - var_at(&hi);
-            let left = count - right;
-            // Push right first so the ascending order pops left first; we
-            // sort at the end anyway.
-            stack.push((mid.clone(), hi, right));
-            stack.push((lo, mid, left));
-        }
-        out.sort_by(|a, b| {
-            let ka = match a {
-                RootLocation::Exact(r) => r.clone(),
-                RootLocation::Isolated(iv) => iv.lo().clone(),
-            };
-            let kb = match b {
-                RootLocation::Exact(r) => r.clone(),
-                RootLocation::Isolated(iv) => iv.lo().clone(),
-            };
-            ka.cmp(&kb)
-        });
-        out
-    }
-
-    /// Refine an isolated root location of this (squarefree) polynomial to
-    /// width `<= eps` by bisection with exact signs. Every step halves the
-    /// interval, so refining a refined interval further lands on the same
-    /// intervals as refining the original one in one go.
-    #[must_use]
-    pub fn refine(&self, loc: &RootLocation, eps: &Rat) -> RatInterval {
-        match loc {
-            RootLocation::Exact(r) => RatInterval::point(r.clone()),
-            RootLocation::Isolated(iv) => {
-                let mut lo = iv.lo().clone();
-                let mut hi = iv.hi().clone();
-                let s_hi = self.sign_at(&hi);
-                while &(&hi - &lo) > eps {
-                    let mid = Rat::midpoint(&lo, &hi);
-                    match self.sign_at(&mid) {
-                        Sign::Zero => return RatInterval::point(mid),
-                        s if s == s_hi => hi = mid,
-                        _ => lo = mid,
-                    }
-                }
-                RatInterval::new(lo, hi)
-            }
-        }
-    }
-}
-
-fn count_variations<I: IntoIterator<Item = Sign>>(signs: I) -> usize {
-    let mut prev: Option<Sign> = None;
-    let mut count = 0;
-    for s in signs {
-        if s == Sign::Zero {
-            continue;
-        }
-        if let Some(p) = prev {
-            if p != s {
-                count += 1;
-            }
-        }
-        prev = Some(s);
-    }
-    count
 }
 
 #[cfg(test)]
@@ -1006,43 +815,56 @@ mod tests {
         assert!(f.is_zero(&f.sub(&prod, &f.from_rat(Rat::one()))));
     }
 
+    /// `eval_rat` is the `Q(α)` Horner value without the products: the same
+    /// representative, since it already has degree below the modulus's.
     #[test]
-    fn alg_poly_roots_sqrt_alpha() {
-        // q(y) = y² − α with α = √2: roots ±2^(1/4).
+    fn eval_rat_is_the_field_horner_value() {
         let f = NumberField::new(sqrt2());
-        let q = AlgUPoly::new(f, vec![-&UPoly::x(), UPoly::zero(), UPoly::one()]);
-        let roots = q.isolate_roots();
-        assert_eq!(roots.len(), 2);
-        let eps: Rat = "1/1000000".parse().unwrap();
-        let hi = q.refine(&roots[1], &eps).midpoint().to_f64();
-        assert!((hi - 2f64.powf(0.25)).abs() < 1e-4, "got {hi}");
-        let lo = q.refine(&roots[0], &eps).midpoint().to_f64();
-        assert!((lo + 2f64.powf(0.25)).abs() < 1e-4, "got {lo}");
+        // (α + 1)·y³ − 3α·y + 7/2, at α = √2.
+        let q = AlgUPoly::new(
+            f.clone(),
+            vec![
+                UPoly::constant("7/2".parse().unwrap()),
+                p(&[0, -3]),
+                UPoly::zero(),
+                p(&[1, 1]),
+            ],
+        );
+        for y in ["0", "1", "-5/3", "1234567/1000"] {
+            let y: Rat = y.parse().unwrap();
+            let mut horner = f.from_rat(Rat::zero());
+            for c in q.coeffs.iter().rev() {
+                horner = f.add(&f.mul(&horner, &f.from_rat(y.clone())), c);
+            }
+            assert!(q.eval_rat(&y) == horner, "at {y}");
+        }
+        // 2√2 + 23/2 at y = 2, −2√2 − 9/2 at y = −2.
+        assert_eq!(q.sign_at(&Rat::from(2i64)), Sign::Pos);
+        assert_eq!(q.sign_at(&Rat::from(-2i64)), Sign::Neg);
     }
 
     #[test]
     fn alg_poly_detects_vanishing_lead() {
         // (α² − 2)·y² + y − 1 has a zero leading coefficient at α = √2:
-        // effectively linear, one root at 1.
+        // effectively linear, with its root at 1.
         let f = NumberField::new(sqrt2());
         let q = AlgUPoly::new(f, vec![p(&[-1]), p(&[1]), p(&[-2, 0, 1])]);
         assert_eq!(q.degree(), Some(1));
-        let roots = q.isolate_roots();
-        assert_eq!(roots.len(), 1);
-        assert_eq!(roots[0], RootLocation::Exact(Rat::one()));
+        assert_eq!(q.sign_at(&Rat::one()), Sign::Zero);
+        assert_eq!(q.sign_at(&Rat::zero()), Sign::Neg);
     }
 
     #[test]
     fn alg_poly_with_double_root() {
-        // (y − α)² = y² − 2αy + α²  → squarefree isolation finds one root ≈ √2.
+        // (y − α)² = y² − 2αy + α²: the squarefree part is linear and
+        // changes sign across √2.
         let f = NumberField::new(sqrt2());
-        let q = AlgUPoly::new(f, vec![p(&[0, 0, 1]), p(&[0, -2]), p(&[1])]).squarefree();
-        assert_eq!(q.degree(), Some(1));
-        let roots = q.isolate_roots();
-        assert_eq!(roots.len(), 1);
-        let eps: Rat = "1/100000".parse().unwrap();
-        let v = q.refine(&roots[0], &eps).midpoint().to_f64();
-        assert!((v - std::f64::consts::SQRT_2).abs() < 1e-4);
+        let q = AlgUPoly::new(f, vec![p(&[0, 0, 1]), p(&[0, -2]), p(&[1])]);
+        assert_eq!(q.sign_at(&Rat::one()), Sign::Pos);
+        assert_eq!(q.sign_at(&Rat::from(2i64)), Sign::Pos);
+        let sf = q.squarefree();
+        assert_eq!(sf.degree(), Some(1));
+        assert_ne!(sf.sign_at(&Rat::one()), sf.sign_at(&Rat::from(2i64)));
     }
 
     #[test]
@@ -1051,7 +873,6 @@ mod tests {
         let a = f.gen();
         assert_eq!(f.sign(&f.sub(&a, &f.from_rat(Rat::from(3i64)))), Sign::Zero);
         let q = AlgUPoly::new(f, vec![-&UPoly::x(), UPoly::one()]); // y − α
-        let roots = q.isolate_roots();
-        assert_eq!(roots, vec![RootLocation::Exact(Rat::from(3i64))]);
+        assert_eq!(q.sign_at(&Rat::from(3i64)), Sign::Zero);
     }
 }

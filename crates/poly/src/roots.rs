@@ -135,6 +135,11 @@ pub(crate) fn isolate_squarefree(sf: &UPoly) -> Vec<RootLocation> {
 /// theorem with a budget: skipped when the constant/leading coefficients are
 /// too large to enumerate divisors cheaply (irrational/huge roots are then
 /// simply reported as isolated intervals — correctness is unaffected).
+///
+/// A candidate `s·p/q` in lowest terms reaches the exact evaluation only if
+/// `q − s·p` divides `f(1)` and `q + s·p` divides `f(−1)`, `f` the primitive
+/// integer multiple: were it a root, `q·x − s·p` would divide `f` over `Z`
+/// (Gauss's lemma), so `f(±1)` would be a multiple of `±q − s·p`.
 fn rational_roots(sf: &UPoly) -> Vec<Rat> {
     use cdb_num::Int;
     const LIMIT: i64 = 1_000_000;
@@ -171,6 +176,20 @@ fn rational_roots(sf: &UPoly) -> Vec<Rat> {
         }
         d
     };
+    // f(1) and f(−1); dividing out x^start changes neither up to sign.
+    let (mut at_one, mut at_minus_one) = (Int::zero(), Int::zero());
+    for (i, c) in prim.coeffs().iter().enumerate() {
+        at_one += c.numer();
+        if i % 2 == 0 {
+            at_minus_one += c.numer();
+        } else {
+            at_minus_one -= c.numer();
+        }
+    }
+    let divides = |d: i64, v: &Int| match d.unsigned_abs() {
+        0 => v.is_zero(),
+        m => v.mod_u64(m) == 0,
+    };
     let ps = divisors(a0);
     let qs = divisors(ad);
     for &p in &ps {
@@ -179,6 +198,9 @@ fn rational_roots(sf: &UPoly) -> Vec<Rat> {
                 continue;
             }
             for s in [1i64, -1] {
+                if !divides(q - s * p, &at_one) || !divides(q + s * p, &at_minus_one) {
+                    continue;
+                }
                 let cand = Rat::new(Int::from(s * p), Int::from(q));
                 if sf.fsign_at(&cand) == Sign::Zero {
                     out.push(cand);
@@ -280,6 +302,8 @@ pub fn real_roots_approx(p: &UPoly, eps: &Rat) -> Vec<Rat> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cdb_num::Int;
+    use proptest::prelude::*;
 
     fn p(coeffs: &[i64]) -> UPoly {
         UPoly::from_ints(coeffs)
@@ -449,6 +473,95 @@ mod tests {
         // On their own cells the pieces have one root between them: π/2.
         assert_eq!(in_cell.len(), 1);
         assert!((in_cell[0].to_f64() - std::f64::consts::FRAC_PI_2).abs() < 1e-6);
+    }
+
+    /// `(s·p, q)` in lowest terms for a planted factor `q·x − s·p`: 0, ±1,
+    /// small fractions, and numerators and denominators at the divisor
+    /// enumeration's 10⁶ limit.
+    fn arb_root() -> impl Strategy<Value = (i64, i64)> {
+        let limit = || prop_oneof![Just(1i64), Just(999_999), Just(1_000_000)];
+        prop_oneof![
+            Just((0i64, 1i64)),
+            Just((1, 1)),
+            Just((-1, 1)),
+            (-12i64..=12, 1i64..=12),
+            (limit(), limit()),
+            (limit(), limit()).prop_map(|(p, q)| (-p, q)),
+        ]
+        .prop_map(|(p, q)| {
+            let g = Int::from(p).gcd(&Int::from(q)).to_i64().unwrap_or(1);
+            (p / g, q / g)
+        })
+    }
+
+    /// Every `±p/q` with `p | a0`, `q | ad` coprime that `f` vanishes at,
+    /// without the divisibility filter.
+    fn unfiltered_rational_roots(f: &UPoly) -> Vec<Rat> {
+        let prim = f.primitive();
+        let start = (0..).find(|&i| !prim.coeff(i).is_zero()).unwrap_or(0);
+        let divisors = |n: &Int| -> Vec<i64> {
+            let n = n.abs().to_i64().unwrap_or(0);
+            (1..=n).filter(|d| n % d == 0).collect()
+        };
+        let mut out: Vec<Rat> = if start > 0 {
+            vec![Rat::zero()]
+        } else {
+            Vec::new()
+        };
+        for p in divisors(prim.coeff(start).numer()) {
+            for q in divisors(prim.leading().numer()) {
+                for cand in [Rat::from_ints(p, q), Rat::from_ints(-p, q)] {
+                    if f.sign_at(&cand) == Sign::Zero {
+                        out.push(cand);
+                    }
+                }
+            }
+        }
+        out.sort();
+        out.dedup();
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The `f(±1)` divisibility filter drops no root: planted factors
+        /// `q·x − s·p` times a quadratic cofactor without rational roots
+        /// (or 1) come back as exactly the planted roots, which is what the
+        /// unfiltered enumeration finds; past the 10⁶ limit only the root 0
+        /// is reported.
+        #[test]
+        fn rational_roots_are_the_planted_ones(
+            planted in prop::collection::vec(arb_root(), 0..4),
+            (c0, c1, c2) in (-3i64..=3, -3i64..=3, 1i64..=3),
+        ) {
+            let cofactor = if c0 == 0 {
+                UPoly::one()
+            } else {
+                let disc = c1 * c1 - 4 * c0 * c2;
+                prop_assume!(disc < 0 || (0..=disc).all(|r| r * r != disc));
+                p(&[c0, c1, c2])
+            };
+            let mut roots: Vec<Rat> = planted.iter().map(|&(p, q)| Rat::from_ints(p, q)).collect();
+            roots.sort();
+            roots.dedup();
+            let mut f = cofactor;
+            for r in &roots {
+                let q = Rat::from(r.denom().clone());
+                f = &f * &UPoly::from_coeffs(vec![-(r * &q), q]);
+            }
+            let found = rational_roots(&f);
+            let prim = f.primitive();
+            let start = (0..).find(|&i| !prim.coeff(i).is_zero()).unwrap_or(0);
+            let limit = Int::from(1_000_000i64);
+            if prim.coeff(start).numer().abs() <= limit && prim.leading().numer().abs() <= limit {
+                prop_assert_eq!(&found, &roots);
+                prop_assert_eq!(&found, &unfiltered_rational_roots(&f));
+            } else {
+                let zero: Vec<Rat> = roots.into_iter().filter(Rat::is_zero).collect();
+                prop_assert_eq!(found, zero);
+            }
+        }
     }
 
     #[test]

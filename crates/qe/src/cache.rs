@@ -1,18 +1,18 @@
 //! Shared algebraic memo-cache for the QE hot path.
 //!
-//! CAD projection and root isolation recompute the same resultants,
-//! discriminants, and Sturm sequences many times: projection emits pairwise
-//! resultants level by level, and every lifted stack re-derives minimal
-//! polynomials by iterated resultants against the same coordinate moduli.
-//! All three operations are *pure* functions of their (canonicalized)
-//! polynomial arguments, so memoizing them cannot change any result — only
-//! skip redundant work.
+//! CAD projection and lifting recompute the same resultants and
+//! discriminants many times: projection emits pairwise resultants level by
+//! level, and every stack lifted over an algebraic sample eliminates the
+//! coordinates by resultants against the same minimal polynomials. Both
+//! operations are *pure* functions of their (canonicalized) polynomial
+//! arguments, so memoizing them cannot change any result — only skip
+//! redundant work.
 //!
 //! # Cache key canonicalization
 //!
-//! [`MPoly`] and [`UPoly`] store polynomials canonically (sorted monomial
-//! maps / trimmed coefficient vectors, no explicit zeros, normalized
-//! rationals), so structural equality coincides with mathematical equality
+//! [`MPoly`] stores polynomials canonically (sorted monomials, no explicit
+//! zeros, normalized rationals), so structural equality coincides with
+//! mathematical equality
 //! and the polynomial itself serves as the key — no separate canonical form
 //! is computed. Resultant keys are *ordered* pairs `(p, q, var)`:
 //! `res(p, q)` and `res(q, p)` differ by sign, so the two orders are cached
@@ -49,8 +49,7 @@
 //! the frozen benchmark stops asserting that it fired (ROADMAP item 1(d)).
 
 use cdb_poly::resultant as resfn;
-use cdb_poly::sturm::SturmChain;
-use cdb_poly::{MPoly, UPoly};
+use cdb_poly::MPoly;
 use std::collections::hash_map::DefaultHasher;
 #[allow(clippy::disallowed_types)]
 // cdb-lint: allow(determinism) — bounded memo table: the map is only ever
@@ -67,7 +66,7 @@ use std::sync::{Arc, Mutex};
 const SHARD_COUNT: usize = 16;
 
 /// Default total entry capacity (spread across the shards). Each entry is a
-/// polynomial or Sturm chain — tens of thousands comfortably fit in memory
+/// polynomial — tens of thousands comfortably fit in memory
 /// while covering every workload in the test and bench suites without a
 /// single eviction.
 pub const DEFAULT_CAPACITY: usize = 65_536;
@@ -79,23 +78,15 @@ enum Key {
     Resultant(MPoly, MPoly, usize),
     /// `disc_var(p)`.
     Discriminant(MPoly, usize),
-    /// Sturm chain of a univariate polynomial.
-    Sturm(UPoly),
-}
-
-#[derive(Clone)]
-enum Value {
-    Poly(MPoly),
-    Sturm(Arc<SturmChain>),
 }
 
 #[allow(clippy::disallowed_types)]
 // cdb-lint: allow(determinism) — see the `use` above: keyed access, `len`
 // and `clear` only.
-type Shard = Mutex<HashMap<Key, Value>>;
+type Shard = Mutex<HashMap<Key, MPoly>>;
 
-/// Sharded, thread-safe, size-bounded memo-cache for resultants,
-/// discriminants, and Sturm sequences. One instance lives on
+/// Sharded, thread-safe, size-bounded memo-cache for resultants and
+/// discriminants. One instance lives on
 /// [`crate::QeContext`] and is shared by every worker of a parallel
 /// elimination; `clone()` is a shallow handle copy, so one instance can
 /// also be shared *across* contexts (see the module docs).
@@ -198,7 +189,7 @@ impl AlgebraicCache {
     /// valid map (std's `HashMap` never unwinds mid-rehash into an invalid
     /// state) of fully-constructed pure entries, so poison recovery is
     /// sound here.
-    fn get_or_insert(&self, key: Key, f: impl FnOnce() -> Value) -> Value {
+    fn get_or_insert(&self, key: Key, f: impl FnOnce() -> MPoly) -> MPoly {
         let shard = self.shard_of(&key);
         if let Some(v) = shard
             .lock()
@@ -225,46 +216,18 @@ impl AlgebraicCache {
     /// Memoized `res_var(p, q)`.
     #[must_use]
     pub fn resultant(&self, p: &MPoly, q: &MPoly, var: usize) -> MPoly {
-        let v = self.get_or_insert(Key::Resultant(p.clone(), q.clone(), var), || {
-            Value::Poly(resfn::resultant(p, q, var))
-        });
-        match v {
-            Value::Poly(r) => r,
-            // cdb-lint: allow(panic) — Key::Resultant is only ever inserted
-            // with Value::Poly two lines above; the pairing is local to this
-            // file and enforced by these three accessors.
-            Value::Sturm(_) => unreachable!("resultant key holds a polynomial"),
-        }
+        self.get_or_insert(Key::Resultant(p.clone(), q.clone(), var), || {
+            resfn::resultant(p, q, var)
+        })
     }
 
     /// Memoized `disc_var(p)` (requires `degree_in(var) >= 1`, as the
     /// underlying [`cdb_poly::resultant::discriminant`] does).
     #[must_use]
     pub fn discriminant(&self, p: &MPoly, var: usize) -> MPoly {
-        let v = self.get_or_insert(Key::Discriminant(p.clone(), var), || {
-            Value::Poly(resfn::discriminant(p, var))
-        });
-        match v {
-            Value::Poly(r) => r,
-            // cdb-lint: allow(panic) — Key::Discriminant is only ever
-            // inserted with Value::Poly (see `resultant` above).
-            Value::Sturm(_) => unreachable!("discriminant key holds a polynomial"),
-        }
-    }
-
-    /// Memoized Sturm chain of `p` (shared, so repeated isolations of roots
-    /// of the same polynomial reuse one chain).
-    #[must_use]
-    pub fn sturm(&self, p: &UPoly) -> Arc<SturmChain> {
-        let v = self.get_or_insert(Key::Sturm(p.clone()), || {
-            Value::Sturm(Arc::new(SturmChain::new(p)))
-        });
-        match v {
-            Value::Sturm(c) => c,
-            // cdb-lint: allow(panic) — Key::Sturm is only ever inserted with
-            // Value::Sturm (see `resultant` above).
-            Value::Poly(_) => unreachable!("sturm key holds a chain"),
-        }
+        self.get_or_insert(Key::Discriminant(p.clone(), var), || {
+            resfn::discriminant(p, var)
+        })
     }
 
     /// Total lookups that found an entry.
@@ -357,22 +320,22 @@ mod tests {
         assert_eq!(cache.misses(), 2, "res(p,q) and res(q,p) differ by sign");
     }
 
+    /// `x² − c` in one variable: a distinct key for every `c`.
+    fn shifted_square(c: i64) -> MPoly {
+        MPoly::from_terms(1, vec![(vec![2], Rat::one()), (vec![0], Rat::from(-c))])
+    }
+
     #[test]
-    fn discriminant_and_sturm_memoized() {
+    fn discriminant_memoized() {
         let cache = AlgebraicCache::new();
         let p = xy_poly();
         let d1 = cache.discriminant(&p, 1);
         let d2 = cache.discriminant(&p, 1);
         assert_eq!(d1, d2);
         assert_eq!(d1, resfn::discriminant(&p, 1));
-
-        let u = UPoly::from_ints(&[-2, 0, 1]); // x² − 2
-        let c1 = cache.sturm(&u);
-        let c2 = cache.sturm(&u);
-        assert!(Arc::ptr_eq(&c1, &c2), "second lookup must share the chain");
-        assert_eq!(cache.hits(), 2);
-        assert_eq!(cache.misses(), 2);
-        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.hits(), 1);
+        assert_eq!(cache.misses(), 1);
+        assert_eq!(cache.len(), 1);
     }
 
     /// Clones are handles onto one shared table: entries and counters
@@ -412,8 +375,7 @@ mod tests {
         let cache = AlgebraicCache::with_capacity(cap);
         assert_eq!(cache.capacity(), cap);
         for i in 0..10 * cap as i64 {
-            // Distinct Sturm keys: x² − i has a distinct canonical form.
-            let _ = cache.sturm(&UPoly::from_ints(&[-i, 0, 1]));
+            let _ = cache.discriminant(&shifted_square(i), 0);
         }
         assert!(
             cache.len() <= cache.capacity(),
@@ -427,11 +389,13 @@ mod tests {
         for (i, n) in cache.shard_entry_counts().iter().enumerate() {
             assert!(*n <= per_shard, "shard {i} holds {n} > {per_shard}");
         }
-        // Evicted entries are recomputed on re-access and shared thereafter.
-        let u = UPoly::from_ints(&[-1, 0, 1]);
-        let c1 = cache.sturm(&u);
-        let c2 = cache.sturm(&u);
-        assert!(Arc::ptr_eq(&c1, &c2), "recomputed chain must be shared");
+        // Evicted entries are recomputed on re-access and hit thereafter.
+        let p = shifted_square(1);
+        let d1 = cache.discriminant(&p, 0);
+        let hits = cache.hits();
+        assert_eq!(cache.discriminant(&p, 0), d1);
+        assert_eq!(d1, resfn::discriminant(&p, 0));
+        assert_eq!(cache.hits(), hits + 1, "recomputed entry must be kept");
     }
 
     #[test]

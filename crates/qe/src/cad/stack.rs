@@ -4,24 +4,23 @@
 //! Exactness strategy (DESIGN.md §5):
 //!
 //! * **All-rational sample** — substitute and isolate over `Q`.
-//! * **One algebraic coordinate `α`** — exact Sturm sequences in `Q(α)[y]`
-//!   ([`cdb_poly::algebraic::AlgUPoly`]); each root is then *promoted* to a
-//!   plain `RealAlg` over `Q` via the resultant `R(y) = res_x(m_α(x), p)`,
-//!   so downstream levels never see field towers.
-//! * **Several algebraic coordinates** — candidate roots from iterated
-//!   resultants against each coordinate's minimal polynomial; membership is
-//!   decided by exact sign changes at rational separators (sound because
-//!   the fiber polynomial is squarefree whenever the discriminant sign at
-//!   the base sample — known from the projection set — is nonzero;
-//!   otherwise a typed error is raised, never a guess).
+//! * **Algebraic coordinates** — the candidates are the real roots over `Q`
+//!   of the resultant(s) of the fiber polynomial against each coordinate's
+//!   minimal polynomial, so every root is a plain `RealAlg` over `Q` and
+//!   downstream levels never see field towers. Membership is decided by
+//!   exact sign changes at rational separators, which is sound because the
+//!   polynomial whose signs are taken has simple roots only:
+//!   - over one coordinate `α`, the squarefree part of `q(α, y)` in
+//!     `Q(α)[y]` ([`cdb_poly::algebraic::AlgUPoly`]), signed exactly;
+//!   - over several, the fiber polynomial itself, squarefree whenever the
+//!     discriminant sign at the base sample — known from the projection
+//!     set — is nonzero; otherwise a typed error is raised, never a guess.
 
 use super::sample::{as_alg_coeff_poly, sign_at, substitute_rationals, Coord};
 use crate::{QeContext, QeError};
 use cdb_num::{Int, Rat, Sign};
 use cdb_poly::algebraic::{AlgUPoly, NumberField};
-use cdb_poly::roots::RootLocation;
-use cdb_poly::sturm::SturmChain;
-use cdb_poly::{MPoly, RealAlg, UPoly};
+use cdb_poly::{MPoly, RealAlg};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// A section of a stack: a root of one or more level polynomials.
@@ -162,7 +161,8 @@ fn roots_in_fiber(
             if ap.degree() == Some(0) {
                 return Ok(FiberRoots::Roots(Vec::new()));
             }
-            // Minimal-polynomial candidates over Q via resultant.
+            // Candidates over Q: `m_α` is monic, so every real root of
+            // q(α, ·) is a root of the resultant.
             let m_emb = MPoly::from_upoly(alpha.poly(), avar, q.nvars());
             let r = ctx.cache.resultant(&q, &m_emb, avar);
             let ru = r
@@ -173,50 +173,39 @@ fn roots_in_fiber(
                     "iterated resultant vanished identically".into(),
                 ));
             }
-            let sf_r = ru.squarefree();
-            let chain = ctx.cache.sturm(&sf_r);
-            // Euclid in Q(α)[y], once: isolation and every refinement below
-            // work on the squarefree part.
-            let sf = ap.squarefree();
-            let mut out = Vec::new();
-            for loc in sf.isolate_roots() {
-                out.push(promote_root(&sf, loc, &sf_r, &chain)?);
+            let candidates = RealAlg::roots_of(&ru);
+            if candidates.is_empty() {
+                return Ok(FiberRoots::Roots(Vec::new()));
             }
-            Ok(FiberRoots::Roots(out))
+            // Euclid in Q(α)[y], once: the squarefree part has the roots of
+            // q(α, ·), all simple, so it changes sign across each of them.
+            let sf = ap.squarefree();
+            members(candidates, |s| Ok(sf.sign_at(s))).map(FiberRoots::Roots)
         }
         _ => roots_multi_alg(p, &q, &algs, yvar, is_zero_lower, ctx),
     }
 }
 
-/// Promote a root of the squarefree `Q(α)[y]` polynomial `sf` (held in a
-/// rational isolating location) to a `RealAlg` over `Q` with defining
-/// polynomial `sf_r`.
-fn promote_root(
-    sf: &AlgUPoly,
-    mut loc: RootLocation,
-    sf_r: &UPoly,
-    chain: &SturmChain,
-) -> Result<RealAlg, QeError> {
-    // Refine the interval until it isolates exactly one root of sf_r with
-    // non-root endpoints; the enclosed q-root is a root of sf_r, so they
-    // then coincide. Each round bisects on from the interval it has.
-    let mut width = loc.interval().width();
-    for _ in 0..256 {
-        let iv = sf.refine(&loc, &width);
-        if iv.width().is_zero() {
-            return Ok(RealAlg::from_rat(iv.midpoint()));
-        }
-        let lo_ok = sf_r.fsign_at(iv.lo()) != Sign::Zero;
-        let hi_ok = sf_r.fsign_at(iv.hi()) != Sign::Zero;
-        if lo_ok && hi_ok && chain.count_roots_half_open(iv.lo(), iv.hi()) == 1 {
-            return Ok(RealAlg::new(sf_r.clone(), RootLocation::Isolated(iv)));
-        }
-        loc = RootLocation::Isolated(iv);
-        width = &width * &Rat::from_ints(1, 4);
-    }
-    Err(QeError::IndeterminateSign(
-        "could not promote algebraic root to Q".into(),
-    ))
+/// The candidates that are roots of a fibre polynomial with simple roots
+/// only, every one of them among the candidates. `sign_at_separator` gives
+/// the polynomial's sign at a rational separator, which is not a candidate
+/// and so not a root. Each gap between consecutive separators holds exactly
+/// one candidate, hence at most one root, and a simple root is where the
+/// sign changes.
+fn members(
+    candidates: Vec<RealAlg>,
+    sign_at_separator: impl FnMut(&Rat) -> Result<Sign, QeError>,
+) -> Result<Vec<RealAlg>, QeError> {
+    let signs = separators(&candidates)
+        .iter()
+        .map(sign_at_separator)
+        .collect::<Result<Vec<Sign>, QeError>>()?;
+    let changes = signs.windows(2).map(|w| w.first() != w.last());
+    Ok(candidates
+        .into_iter()
+        .zip(changes)
+        .filter_map(|(cand, change)| change.then_some(cand))
+        .collect())
 }
 
 /// Root detection over a sample with ≥2 algebraic coordinates.
@@ -281,30 +270,12 @@ fn roots_multi_alg(
             "iterated resultant vanished identically".into(),
         ));
     }
-    if ru.is_constant() {
-        return Ok(FiberRoots::Roots(Vec::new()));
-    }
-    let sf_r = ru.squarefree();
-    let candidates = RealAlg::roots_of(&sf_r);
-    if candidates.is_empty() {
-        return Ok(FiberRoots::Roots(Vec::new()));
-    }
-    // Rational separators around every candidate.
-    let seps = separators(&candidates);
-    // Sign of q at each separator (nonzero by construction).
-    let mut signs = Vec::with_capacity(seps.len());
-    for s in &seps {
-        let qs = q.substitute(yvar, s);
-        let sg = sign_nonzero_at(&qs, algs, ctx)?;
-        signs.push(sg);
-    }
-    let mut out = Vec::new();
-    for (j, cand) in candidates.iter().enumerate() {
-        if signs[j] != signs[j + 1] {
-            out.push(cand.clone());
-        }
-    }
-    Ok(FiberRoots::Roots(out))
+    // The sign of q at a separator is nonzero by construction.
+    let candidates = RealAlg::roots_of(&ru);
+    members(candidates, |s| {
+        sign_nonzero_at(&q.substitute(yvar, s), algs, ctx)
+    })
+    .map(FiberRoots::Roots)
 }
 
 /// Rational points strictly interleaving the candidates: `seps[j] < root_j <
@@ -505,6 +476,11 @@ impl<'a> StackWalk<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cdb_num::RatInterval;
+    use cdb_poly::roots::RootLocation;
+    use cdb_poly::sturm::SturmChain;
+    use cdb_poly::UPoly;
+    use proptest::prelude::*;
 
     fn c(v: i64, n: usize) -> MPoly {
         MPoly::constant(Rat::from(v), n)
@@ -512,6 +488,146 @@ mod tests {
 
     fn no_lower(_: &MPoly) -> Result<bool, QeError> {
         panic!("no lower-level zero-tests expected in this test")
+    }
+
+    fn sqrt2() -> RealAlg {
+        RealAlg::roots_of(&UPoly::from_ints(&[-2, 0, 1]))
+            .pop()
+            .unwrap()
+    }
+
+    /// The stack of `polys` in `(x, y)` over the one coordinate `x`.
+    fn stack_over(polys: &[(usize, MPoly)], x: Coord) -> Stack {
+        build_stack(polys, &[0], &[x], 1, &no_lower, &QeContext::exact()).unwrap()
+    }
+
+    #[test]
+    fn fiber_roots_of_y_squared_minus_alpha() {
+        // y² − x over x = √2: the sections are ±2^(1/4).
+        let x = MPoly::var(0, 2);
+        let y = MPoly::var(1, 2);
+        let stack = stack_over(&[(0, &y.pow(2) - &x)], Coord::Alg(sqrt2()));
+        let [below, above] = stack.sections.as_slice() else {
+            panic!("two sections expected, got {}", stack.sections.len())
+        };
+        let quartic = UPoly::from_ints(&[-2, 0, 0, 0, 1]);
+        for root in [&below.root, &above.root] {
+            assert_eq!(root.sign_of(&quartic), Sign::Zero);
+        }
+        assert_eq!(below.root.cmp_rat(&Rat::zero()), std::cmp::Ordering::Less);
+        assert_eq!(
+            above.root.cmp_rat(&Rat::zero()),
+            std::cmp::Ordering::Greater
+        );
+        assert!((above.root.to_f64() - 2f64.powf(0.25)).abs() < 1e-9);
+    }
+
+    #[test]
+    fn fiber_with_a_vanishing_leading_coefficient() {
+        // (x² − 2)·y² + y − 1 over x = √2 is y − 1: one section, exactly 1.
+        let x = MPoly::var(0, 2);
+        let y = MPoly::var(1, 2);
+        let p = &(&(&(&x.pow(2) - &c(2, 2)) * &y.pow(2)) + &y) - &c(1, 2);
+        let stack = stack_over(&[(0, p)], Coord::Alg(sqrt2()));
+        assert_eq!(stack.sections.len(), 1);
+        assert_eq!(stack.sections[0].root.to_rat(), Some(Rat::one()));
+    }
+
+    #[test]
+    fn fiber_with_a_double_root() {
+        // (y − x)² over x = √2: one section, √2 itself.
+        let x = MPoly::var(0, 2);
+        let y = MPoly::var(1, 2);
+        let stack = stack_over(&[(0, (&y - &x).pow(2))], Coord::Alg(sqrt2()));
+        assert_eq!(stack.sections.len(), 1);
+        assert!(stack.sections[0].root.eq_alg(&sqrt2()));
+    }
+
+    #[test]
+    fn fiber_over_a_rational_algebraic_number() {
+        // y − x over x = 3 given as a `RealAlg`: one section, exactly 3.
+        let x = MPoly::var(0, 2);
+        let y = MPoly::var(1, 2);
+        let three = Coord::Alg(RealAlg::from_rat(Rat::from(3i64)));
+        let stack = stack_over(&[(0, &y - &x)], three);
+        assert_eq!(stack.sections.len(), 1);
+        assert_eq!(stack.sections[0].root.to_rat(), Some(Rat::from(3i64)));
+    }
+
+    /// `a` disguised as an irrational number: the root of `(x − a)·g` in an
+    /// isolating interval, `g` an irreducible quadratic (so `g(a) ≠ 0`).
+    /// The interval is skewed so that no bisection midpoint lands on `a`.
+    fn disguised(a: &Rat, g: &UPoly) -> RealAlg {
+        let m = &UPoly::from_coeffs(vec![-a.clone(), Rat::one()]) * g;
+        let chain = SturmChain::new(&m);
+        let mut delta = Rat::one();
+        loop {
+            let lo = a - &delta;
+            let hi = a + &(&delta * &Rat::from_ints(1, 2));
+            let clear = m.sign_at(&lo) != Sign::Zero && m.sign_at(&hi) != Sign::Zero;
+            if clear && chain.count_roots_half_open(&lo, &hi) == 1 {
+                let iv = RootLocation::Isolated(RatInterval::new(lo, hi));
+                return RealAlg::new(m, iv);
+            }
+            delta = &delta * &Rat::from_ints(1, 4);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The disguised-rational oracle: a base coordinate `a` given as an
+        /// irrational-looking `RealAlg` takes the algebraic branch — roots
+        /// among the resultant's over `Q`, membership by separator signs in
+        /// `Q(α)[y]` — and must lift exactly like the rational `a`. The
+        /// resultant's extra candidates come from `g`'s roots. Shapes:
+        /// random, nullified at `a`, a leading coefficient vanishing at `a`,
+        /// and a double root; `y − x` rides along to share roots.
+        #[test]
+        fn disguised_rational_base_lifts_like_the_rational_one(
+            coeffs in prop::collection::vec(-3i64..=3, 12),
+            (an, ad) in (-4i64..=4, 1i64..=3),
+            (k, l) in (-3i64..=3, -5i64..=5),
+            shape in 0usize..4,
+        ) {
+            let disc = k * k - 4 * l;
+            prop_assume!(disc < 0 || (0..=disc).all(|r| r * r != disc));
+            let a = Rat::from_ints(an, ad);
+            let x = MPoly::var(0, 2);
+            let y = MPoly::var(1, 2);
+            // Σ coeffs[4i + j]·xⁱ·yʲ over i < 3, j ≤ deg_y.
+            let random = |deg_y: u32| {
+                let mut sum = c(0, 2);
+                for (n, &k) in coeffs.iter().enumerate() {
+                    let (i, j) = ((n / 4) as u32, (n % 4) as u32);
+                    if j <= deg_y {
+                        sum = &sum + &(&c(k, 2) * &(&x.pow(i) * &y.pow(j)));
+                    }
+                }
+                sum
+            };
+            let vanishes_at_a = &(&x * &c(ad, 2)) - &c(an, 2);
+            let p = match shape {
+                0 => random(3),
+                1 => &vanishes_at_a * &random(2),
+                2 => &(&vanishes_at_a * &y.pow(3)) + &random(2),
+                _ => {
+                    let line = &y - &(&c(coeffs[0], 2) + &(&c(coeffs[1], 2) * &x));
+                    &line.pow(2) * &random(1)
+                }
+            };
+            let polys = [(0, p), (1, &y - &x)];
+            let alpha = disguised(&a, &UPoly::from_ints(&[l, k, 1]));
+            prop_assert!(alpha.to_rat().is_none());
+            let alg = stack_over(&polys, Coord::Alg(alpha));
+            let rat = stack_over(&polys, Coord::Rat(a));
+            prop_assert_eq!(alg.nullified, rat.nullified);
+            prop_assert_eq!(alg.sections.len(), rat.sections.len());
+            for (s, t) in alg.sections.iter().zip(&rat.sections) {
+                prop_assert_eq!(&s.vanish, &t.vanish);
+                prop_assert_eq!(s.root.cmp_alg(&t.root), std::cmp::Ordering::Equal);
+            }
+        }
     }
 
     #[test]
@@ -558,9 +674,7 @@ mod tests {
         let y = MPoly::var(1, 2);
         let p = &y.pow(2) - &c(2, 2);
         let q = &y - &x;
-        let sqrt2 = RealAlg::roots_of(&UPoly::from_ints(&[-2, 0, 1]))
-            .pop()
-            .unwrap();
+        let sqrt2 = sqrt2();
         let ctx = QeContext::exact();
         let stack = build_stack(
             &[(0, p), (1, q)],
@@ -603,9 +717,7 @@ mod tests {
         let x = MPoly::var(0, 2);
         let y = MPoly::var(1, 2);
         let p = &y - &x.pow(2);
-        let sqrt2 = RealAlg::roots_of(&UPoly::from_ints(&[-2, 0, 1]))
-            .pop()
-            .unwrap();
+        let sqrt2 = sqrt2();
         let ctx = QeContext::exact();
         let stack = build_stack(&[(7, p)], &[0], &[Coord::Alg(sqrt2)], 1, &no_lower, &ctx).unwrap();
         assert_eq!(stack.sections.len(), 1);
@@ -613,13 +725,13 @@ mod tests {
         assert_eq!(root.cmp_rat(&Rat::from(2i64)), std::cmp::Ordering::Equal);
     }
 
-    /// `promote_root` hands `RealAlg::new` the squarefree part of the
+    /// Roots over an algebraic base carry the squarefree part of the
     /// resultant, never the resultant: `y² − x²` over `x = √2` eliminates to
-    /// `(y² − 2)²`, and the promoted `±√2` carry `y² − 2`, refine to the same
+    /// `(y² − 2)²`, and the sections `±√2` carry `y² − 2`, refine to the same
     /// interval as the per-call reference on the raw resultant, and compare
     /// and take signs exactly.
     #[test]
-    fn promoted_roots_carry_a_squarefree_polynomial() {
+    fn algebraic_base_roots_carry_a_squarefree_polynomial() {
         let x = MPoly::var(0, 2);
         let y = MPoly::var(1, 2);
         let p = &y.pow(2) - &x.pow(2);
@@ -665,9 +777,7 @@ mod tests {
             (8, &y.pow(2) + &c(1, 2)),                // no roots
             (9, &y.pow(3) - &y),                      // −1, 0, 1
         ];
-        let sqrt2 = RealAlg::roots_of(&UPoly::from_ints(&[-2, 0, 1]))
-            .pop()
-            .unwrap();
+        let sqrt2 = sqrt2();
         for base in [
             Coord::Rat(Rat::zero()),
             Coord::Rat(Rat::one()),

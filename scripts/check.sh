@@ -79,6 +79,28 @@ if [ "$lookups" -gt "$intern_ceiling" ]; then
     exit 1
 fi
 
+echo "==> conic_cad lifts the same stacks and its filtered signs stay under their ceiling (one traced repeat at --seed 1)"
+# Cells and sign evaluations are pinned: a change to lifting that moves them
+# changes which stacks are built or which signs are taken. The filtered-sign
+# count is a ceiling, not a target, like the interner ceiling above: finding
+# fibre roots over Q instead of isolating them in Q(alpha)[y] took it from
+# 212,929 to 133,605 (DESIGN.md §5, rule 2).
+filter_ceiling=133605
+conic=$(cargo run --release --quiet --offline --manifest-path stmtbench/Cargo.toml --bin bench -- \
+    --workload conic_cad --seed 1 --seconds 1 --trace 1)
+counter() { echo "$conic" | grep -o "\"$1\": {\"value\": [0-9]*" | awk '{ n += $NF } END { print n + 0 }'; }
+cells=$(counter 'qe\.cad\.cells')
+sign_evals=$(counter 'qe\.cad\.sign_evals')
+if [ "$cells" -ne 8221 ] || [ "$sign_evals" -ne 5071 ]; then
+    echo "conic_cad: qe.cad.cells $cells, qe.cad.sign_evals $sign_evals at --seed 1, pinned 8221 / 5071" >&2
+    exit 1
+fi
+filtered=$(counter 'num\.filter\.\(hits\|fallbacks\)')
+if [ "$filtered" -gt "$filter_ceiling" ]; then
+    echo "conic_cad: $filtered filtered signs (num.filter.hits + fallbacks) at --seed 1, ceiling $filter_ceiling" >&2
+    exit 1
+fi
+
 echo "==> the frozen benchmark is as committed (no step above rewrote stmtbench/ or BENCHMARK.json)"
 # A manifest edit that makes cargo rewrite stmtbench/Cargo.lock shows up here.
 frozen=$(git status --short stmtbench/ BENCHMARK.json)
