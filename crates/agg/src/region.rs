@@ -322,45 +322,6 @@ impl Region2D {
         all.dedup_by(|a, b| (*a - *b).abs() < 1e-9);
         Ok(all)
     }
-
-    /// Merged, deduplicated, ascending roots of the fiber polynomials at a
-    /// rational `x` (exact comparison — roots are algebraic over `Q`).
-    pub fn stack_roots_at(&self, x: &Rat) -> Result<Vec<RealAlg>, AggError> {
-        let mut all: Vec<RealAlg> = Vec::new();
-        for p in &self.fiber_polys {
-            let u = p
-                .substitute(self.xvar, x)
-                .to_upoly_in(self.yvar)
-                .ok_or_else(|| {
-                    AggError::Quadrature("fiber polynomial kept extra variables".into())
-                })?;
-            if u.is_zero() || u.is_constant() {
-                continue;
-            }
-            for r in RealAlg::roots_of(&u) {
-                // Exact insertion sort with dedup.
-                let mut placed = false;
-                for i in 0..all.len() {
-                    match r.cmp_alg(&all[i]) {
-                        std::cmp::Ordering::Equal => {
-                            placed = true;
-                            break;
-                        }
-                        std::cmp::Ordering::Less => {
-                            all.insert(i, r.clone());
-                            placed = true;
-                            break;
-                        }
-                        std::cmp::Ordering::Greater => {}
-                    }
-                }
-                if !placed {
-                    all.push(r);
-                }
-            }
-        }
-        Ok(all)
-    }
 }
 
 /// Extract the bound function of a section cell: an exact polynomial graph
@@ -494,23 +455,5 @@ mod tests {
         if let Some(BoundFn::Poly(g)) = &open_slabs[0].bands[0].upper {
             assert_eq!(g.eval(&Rat::from(2i64)), Rat::from(9i64));
         }
-    }
-
-    #[test]
-    fn branch_roots_of_circle() {
-        let x = MPoly::var(0, 2);
-        let y = MPoly::var(1, 2);
-        let circle = &(&x.pow(2) + &y.pow(2)) - &c(1, 2);
-        let rel = ConstraintRelation::new(
-            2,
-            vec![GeneralizedTuple::new(2, vec![Atom::new(circle, RelOp::Le)])],
-        );
-        let ctx = QeContext::exact();
-        let region = Region2D::from_relation(&rel, 0, 1, &ctx).unwrap();
-        let roots = region.stack_roots_at(&Rat::zero()).unwrap();
-        assert_eq!(roots.len(), 2); // y = ±1
-        let eps: Rat = "1/1000000".parse().unwrap();
-        assert!((roots[0].approx(&eps).to_f64() + 1.0).abs() < 1e-5);
-        assert!((roots[1].approx(&eps).to_f64() - 1.0).abs() < 1e-5);
     }
 }

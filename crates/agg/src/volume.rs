@@ -9,7 +9,7 @@ use crate::quad::adaptive_simpson;
 use crate::region::{Cell1D, Region1D};
 use crate::surface::surface;
 use crate::{AggError, AggValue};
-use cdb_constraints::{ConstraintRelation, Formula, Quantifier};
+use cdb_constraints::{ConstraintRelation, Quantifier};
 use cdb_num::Rat;
 use cdb_qe::QeContext;
 
@@ -46,14 +46,12 @@ pub fn volume(
                 let a = lo.approx(eps).to_f64();
                 let b = hi.approx(eps).to_f64();
                 // Slice area at x: SURFACE of rel with x substituted.
-                let slice_eps = eps.clone();
                 let integrand = |x: f64| -> f64 {
                     let Some(xr) = Rat::from_f64(x) else {
                         return f64::NAN;
                     };
                     let slice = rel.substitute(xvar, &xr).simplify();
-                    let slice_ctx = QeContext::exact();
-                    match surface(&slice, yvar, zvar, &slice_eps, &slice_ctx) {
+                    match surface(&slice, yvar, zvar, eps, ctx) {
                         Ok(v) => v.to_f64(),
                         Err(_) => f64::NAN,
                     }
@@ -68,8 +66,6 @@ pub fn volume(
             }
         }
     }
-    // Validate the matrix was quantifier-free (it is by construction).
-    let _ = Formula::True;
     Ok(AggValue::approx(total))
 }
 
@@ -87,8 +83,7 @@ mod tests {
         "1/1000000".parse().unwrap()
     }
 
-    #[test]
-    fn unit_cube() {
+    fn unit_cube() -> ConstraintRelation {
         let n = 3;
         let vars: Vec<MPoly> = (0..3).map(|i| MPoly::var(i, n)).collect();
         let mut atoms = Vec::new();
@@ -96,10 +91,44 @@ mod tests {
             atoms.push(Atom::new(-v, RelOp::Le));
             atoms.push(Atom::new(v - &c(1, n), RelOp::Le));
         }
-        let rel = ConstraintRelation::new(n, vec![GeneralizedTuple::new(n, atoms)]);
+        ConstraintRelation::new(n, vec![GeneralizedTuple::new(n, atoms)])
+    }
+
+    #[test]
+    fn unit_cube_volume() {
         let ctx = QeContext::exact();
-        let v = volume(&rel, 0, 1, 2, &eps(), &ctx).unwrap();
+        let v = volume(&unit_cube(), 0, 1, 2, &eps(), &ctx).unwrap();
         assert!((v.to_f64() - 1.0).abs() < 1e-4, "{}", v.to_f64());
+    }
+
+    /// Slice areas are computed in the caller's context (its worker count,
+    /// its cache, its counters), so the caller sees more cells than the
+    /// x-shadow's scan alone builds.
+    #[test]
+    fn slices_evaluate_in_the_callers_context() {
+        let rel = unit_cube();
+        let ctx = QeContext::exact();
+        volume(&rel, 0, 1, 2, &eps(), &ctx).unwrap();
+
+        let scan = QeContext::exact();
+        let matrix = cdb_constraints::formula::relation_to_formula(&rel).to_nnf();
+        let shadow = cdb_qe::plan::eliminate_prefix(
+            &matrix,
+            rel.clone(),
+            &[(Quantifier::Exists, 1), (Quantifier::Exists, 2)],
+            &[0],
+            3,
+            &scan,
+        )
+        .unwrap();
+        Region1D::from_relation(&shadow, 0, &scan).unwrap();
+
+        assert!(
+            ctx.cells_built.get() > scan.cells_built.get(),
+            "volume built {} cells, the shadow scan alone {}",
+            ctx.cells_built.get(),
+            scan.cells_built.get()
+        );
     }
 
     #[test]

@@ -73,23 +73,6 @@ impl ABase {
         )
     }
 
-    /// Which interval contains `x` (`None` outside the span; boundary points
-    /// go to the left-closed interval).
-    #[must_use]
-    pub fn locate(&self, x: &Rat) -> Option<usize> {
-        let (lo, hi) = self.span();
-        if x < &lo || x > &hi {
-            return None;
-        }
-        // Last interval is closed on the right.
-        for i in 0..self.num_intervals() {
-            if x < &self.points[i + 1] {
-                return Some(i);
-            }
-        }
-        Some(self.num_intervals() - 1)
-    }
-
     /// Refine: split every interval in two (halving the error at roughly
     /// double the piece count — the paper's accuracy/complexity trade-off).
     #[must_use]
@@ -120,16 +103,6 @@ mod tests {
         assert_eq!(b.interval(0), (rat(0), rat(1)));
         assert_eq!(b.interval(3), (rat(3), rat(4)));
         assert_eq!(b.span(), (rat(0), rat(4)));
-    }
-
-    #[test]
-    fn locate() {
-        let b = ABase::uniform(rat(0), rat(4), 4);
-        assert_eq!(b.locate(&"1/2".parse().unwrap()), Some(0));
-        assert_eq!(b.locate(&rat(1)), Some(1)); // boundary goes right-closed-left
-        assert_eq!(b.locate(&rat(4)), Some(3));
-        assert_eq!(b.locate(&rat(5)), None);
-        assert_eq!(b.locate(&rat(-1)), None);
     }
 
     #[test]

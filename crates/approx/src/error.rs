@@ -32,56 +32,25 @@ pub fn sup_error(f: AnalyticFn, poly: &UPoly, a: f64, b: f64, samples: usize) ->
     worst
 }
 
-/// Same for a piecewise approximation over its whole span.
-#[must_use]
-pub fn sup_error_piecewise(
-    f: AnalyticFn,
-    pw: &crate::modules::PiecewisePoly,
-    samples: usize,
-) -> f64 {
-    let Some((first, _, _)) = pw.pieces.first() else {
-        return 0.0;
-    };
-    let Some((_, last, _)) = pw.pieces.last() else {
-        return 0.0;
-    };
-    let (a, b) = (first.to_f64(), last.to_f64());
-    let mut worst = 0.0f64;
-    for i in 0..=samples {
-        let x = a + (b - a) * (i as f64) / (samples as f64);
-        if !f.in_domain(x) {
-            continue;
-        }
-        if let Some(v) = pw.eval_f64(x) {
-            let e = (f.eval(x) - v).abs();
-            if e > worst {
-                worst = e;
-            }
-        }
-    }
-    worst
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::abase::ABase;
     use crate::modules::{approximate_on_abase, ApproxMethod};
 
+    /// The one piece of a one-interval a-base, as `sup_error` takes it.
+    fn single_piece(f: AnalyticFn, lo: i64, hi: i64, order: u32) -> UPoly {
+        let abase = ABase::uniform(Rat::from(lo), Rat::from(hi), 1);
+        let pw = approximate_on_abase(f, &abase, order, ApproxMethod::Chebyshev).unwrap();
+        pw.pieces.into_iter().next().unwrap().2
+    }
+
     #[test]
     fn zero_error_for_polynomial_functions() {
-        // Approximating a function by itself-as-polynomial: sup error of a
-        // constant-zero difference. Use Sin vs its degree-9 Chebyshev on a
-        // small interval: error must be tiny.
-        let abase = ABase::uniform(Rat::from(0i64), Rat::from(1i64), 1);
-        let pw = approximate_on_abase(
-            crate::funcs::AnalyticFn::Sin,
-            &abase,
-            9,
-            ApproxMethod::Chebyshev,
-        )
-        .unwrap();
-        let e = sup_error_piecewise(crate::funcs::AnalyticFn::Sin, &pw, 500);
+        // Sin vs its degree-9 Chebyshev on a small interval: error must be
+        // tiny.
+        let p = single_piece(AnalyticFn::Sin, 0, 1, 9);
+        let e = sup_error(AnalyticFn::Sin, &p, 0.0, 1.0, 500);
         assert!(e < 1e-10, "error {e}");
     }
 
@@ -101,17 +70,10 @@ mod tests {
 
     #[test]
     fn error_monotone_in_order() {
-        let abase = ABase::uniform(Rat::from(-2i64), Rat::from(2i64), 1);
         let mut prev = f64::INFINITY;
         for k in [2u32, 4, 8] {
-            let pw = approximate_on_abase(
-                crate::funcs::AnalyticFn::Exp,
-                &abase,
-                k,
-                ApproxMethod::Chebyshev,
-            )
-            .unwrap();
-            let e = sup_error_piecewise(crate::funcs::AnalyticFn::Exp, &pw, 500);
+            let p = single_piece(AnalyticFn::Exp, -2, 2, k);
+            let e = sup_error(AnalyticFn::Exp, &p, -2.0, 2.0, 500);
             assert!(e < prev, "order {k}: {e} !< {prev}");
             prev = e;
         }

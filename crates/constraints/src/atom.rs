@@ -167,12 +167,6 @@ impl Atom {
         Some((var, &b / a, a.sign() == Sign::Neg))
     }
 
-    /// True iff this atom is trivially constant.
-    #[must_use]
-    pub fn as_trivial(&self) -> Option<bool> {
-        self.poly.to_constant().map(|c| self.op.accepts(c.sign()))
-    }
-
     /// Render with the given variable names.
     #[must_use]
     pub fn display_with(&self, names: &[&str]) -> String {
@@ -269,6 +263,5 @@ mod tests {
         // Trivial: 3 < 0 is false.
         let t = Atom::new(MPoly::constant(Rat::from(3i64), 1), RelOp::Lt);
         assert_eq!(t.canonicalize(), CanonicalAtom::Trivial(false));
-        assert_eq!(t.as_trivial(), Some(false));
     }
 }

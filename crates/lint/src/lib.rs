@@ -39,11 +39,8 @@
 //!
 //! A directive without a written reason is itself a diagnostic, as is an
 //! allow that suppresses nothing (`unused-allow`) — annotations cannot rot
-//! silently in either direction. Accepted findings live in the committed
-//! `lint_baseline.json` ratchet (see [`baseline`]): new findings fail CI,
-//! stale baseline entries fail CI too.
+//! silently in either direction.
 
-pub mod baseline;
 pub mod graph;
 pub mod items;
 pub mod lexer;
@@ -618,105 +615,10 @@ pub struct Report {
     pub functions: usize,
     /// Number of resolved call edges (candidate pairs).
     pub call_edges: usize,
-    /// The lock-acquisition-order edges (for the JSON report).
+    /// The lock-acquisition-order edges.
     pub lock_edges: Vec<locks::LockEdge>,
     /// Per-crate count of public fns that can reach any panic site.
     pub panic_surface: BTreeMap<String, usize>,
-}
-
-impl Report {
-    /// Render the machine-readable JSON report. `baselined` marks, aligned
-    /// with `diagnostics`, which findings the baseline accepts; `stale` is
-    /// the list of baseline entries nothing matched. Output is
-    /// byte-stable for a given tree (sorted maps, no timestamps).
-    pub fn to_json(&self, baselined: &[bool], stale: &[baseline::Entry]) -> String {
-        use baseline::escape;
-        let mut out = String::from("{\n");
-        out.push_str("  \"version\": 1,\n");
-        out.push_str(&format!("  \"files_scanned\": {},\n", self.files_scanned));
-        out.push_str(&format!("  \"functions\": {},\n", self.functions));
-        out.push_str(&format!("  \"call_edges\": {},\n", self.call_edges));
-        out.push_str("  \"lock_order_edges\": [\n");
-        for (i, e) in self.lock_edges.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{ \"from\": \"{}\", \"to\": \"{}\", \"file\": \"{}\", \"line\": {}, \
-                 \"via\": \"{}\" }}{}\n",
-                escape(&e.from),
-                escape(&e.to),
-                escape(&e.file),
-                e.line,
-                escape(&e.via),
-                if i + 1 == self.lock_edges.len() {
-                    ""
-                } else {
-                    ","
-                }
-            ));
-        }
-        out.push_str("  ],\n");
-        out.push_str("  \"panic_surface\": {");
-        for (i, (k, v)) in self.panic_surface.iter().enumerate() {
-            out.push_str(&format!(
-                "{} \"{}\": {}",
-                if i == 0 { "" } else { "," },
-                escape(k),
-                v
-            ));
-        }
-        out.push_str(" },\n");
-        out.push_str("  \"findings\": [\n");
-        for (i, d) in self.diagnostics.iter().enumerate() {
-            let b = baselined.get(i).copied().unwrap_or(false);
-            out.push_str(&format!(
-                "    {{ \"file\": \"{}\", \"line\": {}, \"col\": {}, \"rule\": \"{}\", \
-                 \"message\": \"{}\", \"baselined\": {} }}{}\n",
-                escape(&d.file),
-                d.line,
-                d.col,
-                escape(d.rule),
-                escape(&d.message),
-                b,
-                if i + 1 == self.diagnostics.len() {
-                    ""
-                } else {
-                    ","
-                }
-            ));
-        }
-        out.push_str("  ],\n");
-        out.push_str("  \"stale_baseline\": [\n");
-        for (i, e) in stale.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{ \"file\": \"{}\", \"rule\": \"{}\", \"message\": \"{}\" }}{}\n",
-                escape(&e.file),
-                escape(&e.rule),
-                escape(&e.message),
-                if i + 1 == stale.len() { "" } else { "," }
-            ));
-        }
-        out.push_str("  ],\n");
-        let matched = baselined.iter().filter(|&&b| b).count();
-        out.push_str(&format!(
-            "  \"summary\": {{ \"new\": {}, \"baselined\": {}, \"stale\": {} }}\n",
-            self.diagnostics.len() - matched,
-            matched,
-            stale.len()
-        ));
-        out.push_str("}\n");
-        out
-    }
-
-    /// The diagnostics as baseline entries (for ratcheting/writing).
-    pub fn entries(&self) -> Vec<baseline::Entry> {
-        self.diagnostics
-            .iter()
-            .map(|d| baseline::Entry {
-                file: d.file.clone(),
-                rule: d.rule.to_owned(),
-                message: d.message.clone(),
-            })
-            .collect()
-    }
 }
 
 /// Lint every non-test `.rs` file under `root`.

@@ -1,25 +1,14 @@
-//! `cdb-lint` CLI: lint the enclosing workspace (or `--root <dir>`),
-//! ratcheting findings against the committed `lint_baseline.json`.
+//! `cdb-lint` CLI: lint the enclosing workspace (or `--root <dir>`) and
+//! print every finding as `file:line:col: [rule] message`.
 //!
-//! Exit codes: 0 clean (no fresh findings, no stale baseline entries),
-//! 1 fresh/stale findings, 2 usage/IO error.
+//! Exit codes: 0 clean, 1 on any finding, 2 usage/IO error.
 
-use cdb_lint::baseline;
 use std::path::PathBuf;
 use std::process::ExitCode;
-
-enum Format {
-    Text,
-    Json,
-}
 
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     let mut root: Option<PathBuf> = None;
-    let mut baseline_path: Option<PathBuf> = None;
-    let mut format = Format::Text;
-    let mut write_baseline = false;
-    let mut no_baseline = false;
     while let Some(a) = args.next() {
         match a.as_str() {
             "--root" => match args.next() {
@@ -29,34 +18,13 @@ fn main() -> ExitCode {
                     return ExitCode::from(2);
                 }
             },
-            "--baseline" => match args.next() {
-                Some(p) => baseline_path = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("cdb-lint: --baseline requires a path");
-                    return ExitCode::from(2);
-                }
-            },
-            "--format" => match args.next().as_deref() {
-                Some("text") => format = Format::Text,
-                Some("json") => format = Format::Json,
-                other => {
-                    eprintln!("cdb-lint: --format requires `text` or `json` (got {other:?})");
-                    return ExitCode::from(2);
-                }
-            },
-            "--write-baseline" => write_baseline = true,
-            "--no-baseline" => no_baseline = true,
             "--help" | "-h" => {
                 println!(
                     "cdb-lint — workspace invariant checker\n\n\
-                     USAGE: cdb-lint [--root <dir>] [--format text|json]\n\
-                     \x20               [--baseline <path>] [--no-baseline] [--write-baseline]\n\n\
-                     Findings are ratcheted against <root>/lint_baseline.json (override with\n\
-                     --baseline, disable with --no-baseline): findings in the baseline are\n\
-                     accepted, *new* findings fail, and stale baseline entries fail too, so\n\
-                     the baseline only shrinks deliberately. --write-baseline rewrites it\n\
-                     from the current findings. --format json emits the full machine-readable\n\
-                     report (call-graph stats, lock-order edges, panic surface, findings).\n\n\
+                     USAGE: cdb-lint [--root <dir>]\n\n\
+                     Prints every finding and exits 1 if there is any. The summary line on\n\
+                     stderr counts files, fns, call edges and lock-order edges, and gives\n\
+                     the per-crate panic surface.\n\n\
                      Rule families (suppress with `// cdb-lint: allow(<rule>) — <reason>`\n\
                      on the offending line or the line above, or\n\
                      `// cdb-lint: allow-file(<rule>) — <reason>` for a whole file):"
@@ -101,88 +69,31 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let entries = report.entries();
-    let baseline_path = baseline_path.unwrap_or_else(|| root.join("lint_baseline.json"));
 
-    if write_baseline {
-        let mut sorted = entries.clone();
-        sorted.sort();
-        let doc = baseline::write_baseline(&sorted);
-        if let Err(e) = std::fs::write(&baseline_path, doc) {
-            eprintln!("cdb-lint: cannot write {}: {e}", baseline_path.display());
-            return ExitCode::from(2);
-        }
-        eprintln!(
-            "cdb-lint: wrote {} finding(s) to {}",
-            sorted.len(),
-            baseline_path.display()
-        );
-        return ExitCode::SUCCESS;
+    for d in &report.diagnostics {
+        println!("{d}");
     }
-
-    let accepted: Vec<baseline::Entry> = if no_baseline {
-        Vec::new()
-    } else {
-        match std::fs::read_to_string(&baseline_path) {
-            Ok(text) => match baseline::parse_baseline(&text) {
-                Ok(b) => b,
-                Err(e) => {
-                    eprintln!(
-                        "cdb-lint: malformed baseline {}: {e}",
-                        baseline_path.display()
-                    );
-                    return ExitCode::from(2);
-                }
-            },
-            // A missing baseline is an empty one: every finding is fresh.
-            Err(_) => Vec::new(),
-        }
-    };
-    let ratchet = baseline::ratchet(&entries, &accepted);
-    let mut baselined = vec![false; report.diagnostics.len()];
-    for &i in &ratchet.matched {
-        if let Some(b) = baselined.get_mut(i) {
-            *b = true;
-        }
-    }
-
-    match format {
-        Format::Json => {
-            print!("{}", report.to_json(&baselined, &ratchet.stale));
-        }
-        Format::Text => {
-            for &i in &ratchet.fresh {
-                if let Some(d) = report.diagnostics.get(i) {
-                    println!("{d}");
-                }
-            }
-            for e in &ratchet.stale {
-                println!(
-                    "{}: [stale-baseline] baseline entry matched no finding \
-                     (rule {}): {}",
-                    e.file, e.rule, e.message
-                );
-            }
-            let summary = format!(
-                "{} fresh, {} baselined, {} stale across {} files \
-                 ({} fns, {} call edges)",
-                ratchet.fresh.len(),
-                ratchet.matched.len(),
-                ratchet.stale.len(),
-                report.files_scanned,
-                report.functions,
-                report.call_edges
-            );
-            if ratchet.fresh.is_empty() && ratchet.stale.is_empty() {
-                eprintln!("cdb-lint: clean ({summary})");
-            } else {
-                eprintln!("cdb-lint: {summary}");
-            }
-        }
-    }
-    if ratchet.fresh.is_empty() && ratchet.stale.is_empty() {
+    let surface: Vec<String> = report
+        .panic_surface
+        .iter()
+        .map(|(krate, n)| format!("{krate} {n}"))
+        .collect();
+    let summary = format!(
+        "{} files, {} fns, {} call edges, {} lock-order edges; panic surface: {}",
+        report.files_scanned,
+        report.functions,
+        report.call_edges,
+        report.lock_edges.len(),
+        surface.join(", ")
+    );
+    if report.diagnostics.is_empty() {
+        eprintln!("cdb-lint: clean ({summary})");
         ExitCode::SUCCESS
     } else {
+        eprintln!(
+            "cdb-lint: {} finding(s) ({summary})",
+            report.diagnostics.len()
+        );
         ExitCode::FAILURE
     }
 }

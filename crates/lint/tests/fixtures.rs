@@ -78,37 +78,20 @@ fn fixture_corpus_matches_goldens() {
     assert!(failures.is_empty(), "\n{}", failures.join("\n"));
 }
 
-/// The linter's reason-for-being: the workspace itself must be clean
-/// against the committed baseline. Runs the same entry point as the CLI
-/// over the real tree, then ratchets: fresh findings fail, stale baseline
-/// entries fail.
+/// The linter's reason-for-being: the workspace itself must be clean.
+/// Runs the same entry point as the CLI over the real tree.
 #[test]
-fn workspace_is_clean_against_baseline() {
+fn workspace_is_clean() {
     let ws = Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("../..")
         .canonicalize()
         .expect("workspace root");
     let report = cdb_lint::run_root(&ws).expect("scan workspace");
-    let accepted = match std::fs::read_to_string(ws.join("lint_baseline.json")) {
-        Ok(text) => cdb_lint::baseline::parse_baseline(&text).expect("parse baseline"),
-        Err(_) => Vec::new(),
-    };
-    let ratchet = cdb_lint::baseline::ratchet(&report.entries(), &accepted);
-    let fresh: Vec<String> = ratchet
-        .fresh
-        .iter()
-        .filter_map(|&i| report.diagnostics.get(i))
-        .map(ToString::to_string)
-        .collect();
+    let findings: Vec<String> = report.diagnostics.iter().map(ToString::to_string).collect();
     assert!(
-        fresh.is_empty(),
-        "workspace has fresh lint findings:\n{}",
-        fresh.join("\n")
-    );
-    assert!(
-        ratchet.stale.is_empty(),
-        "stale baseline entries (baseline only shrinks deliberately):\n{:?}",
-        ratchet.stale
+        findings.is_empty(),
+        "workspace has lint findings:\n{}",
+        findings.join("\n")
     );
     assert!(
         report.files_scanned > 40,

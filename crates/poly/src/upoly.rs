@@ -405,46 +405,6 @@ impl UPoly {
         }
     }
 
-    /// Yun's squarefree decomposition: returns `[(p1, 1), (p2, 2), ...]` with
-    /// `self = lc * Π pi^i`, each `pi` squarefree, pairwise coprime, monic.
-    #[must_use]
-    pub fn squarefree_decomposition(&self) -> Vec<(UPoly, u32)> {
-        assert!(!self.is_zero());
-        let f = self.monic();
-        if f.is_constant() {
-            return Vec::new();
-        }
-        let df = f.derivative();
-        let a0 = f.gcd(&df);
-        if a0.is_constant() {
-            return vec![(f, 1)];
-        }
-        let mut out = Vec::new();
-        let mut b = f.div_exact(&a0);
-        let mut c = df.div_exact(&a0);
-        let mut i = 1u32;
-        loop {
-            let d = &c - &b.derivative();
-            if d.is_zero() {
-                if !b.is_constant() {
-                    out.push((b.monic(), i));
-                }
-                break;
-            }
-            let p = b.gcd(&d);
-            if !p.is_constant() {
-                out.push((p.clone(), i));
-            }
-            b = b.div_exact(&p);
-            c = d.div_exact(&p);
-            i += 1;
-            if b.is_constant() {
-                break;
-            }
-        }
-        out
-    }
-
     /// Cauchy root bound: every real root has `|root| <= bound`.
     #[must_use]
     pub fn cauchy_bound(&self) -> Rat {
@@ -458,17 +418,6 @@ impl UPoly {
             }
         }
         &m + &Rat::one()
-    }
-
-    /// Compose with a linear map: `self(a*x + b)`.
-    #[must_use]
-    pub fn compose_linear(&self, a: &Rat, b: &Rat) -> UPoly {
-        let mut acc = UPoly::zero();
-        let lin = UPoly::from_coeffs(vec![b.clone(), a.clone()]);
-        for c in self.coeffs.iter().rev() {
-            acc = &(&acc * &lin) + &UPoly::constant(c.clone());
-        }
-        acc
     }
 
     /// Substitute another polynomial: `self(g(x))`.
@@ -675,98 +624,18 @@ impl Mul for &UPoly {
         if self.is_zero() || rhs.is_zero() {
             return UPoly::zero();
         }
-        UPoly::from_coeffs(mul_dispatch(&self.coeffs, &rhs.coeffs))
-    }
-}
-
-/// Coefficient-slice length at which `Mul` switches from schoolbook to
-/// Karatsuba. Exact `Rat` additions are not free (each one renormalizes
-/// through a gcd), so the crossover sits well above the textbook value;
-/// below it the three-way recursion costs more than the saved products.
-const KARATSUBA_THRESHOLD: usize = 24;
-
-/// Threshold dispatch: schoolbook below [`KARATSUBA_THRESHOLD`], Karatsuba
-/// above. Both operands are non-empty and untrimmed-free.
-fn mul_dispatch(a: &[Rat], b: &[Rat]) -> Vec<Rat> {
-    if a.len().min(b.len()) < KARATSUBA_THRESHOLD {
-        mul_school(a, b)
-    } else {
-        mul_karatsuba(a, b)
-    }
-}
-
-/// Schoolbook product of coefficient slices (quadratic, cache-friendly).
-fn mul_school(a: &[Rat], b: &[Rat]) -> Vec<Rat> {
-    let mut out = vec![Rat::zero(); a.len() + b.len() - 1];
-    for (i, x) in a.iter().enumerate() {
-        if x.is_zero() {
-            continue;
+        // Schoolbook: quadratic and cache-friendly.
+        let mut out = vec![Rat::zero(); self.coeffs.len() + rhs.coeffs.len() - 1];
+        for (i, x) in self.coeffs.iter().enumerate() {
+            if x.is_zero() {
+                continue;
+            }
+            for (j, y) in rhs.coeffs.iter().enumerate() {
+                out[i + j] = &out[i + j] + &(x * y);
+            }
         }
-        for (j, y) in b.iter().enumerate() {
-            out[i + j] = &out[i + j] + &(x * y);
-        }
+        UPoly::from_coeffs(out)
     }
-    out
-}
-
-/// Karatsuba product: splits both operands at `half`, trading one of the
-/// four half-size products for a handful of additions:
-/// `(a0 + a1·x^h)(b0 + b1·x^h) = z0 + ((a0+a1)(b0+b1) − z0 − z2)·x^h + z2·x^{2h}`.
-/// Recursion falls back to schoolbook through [`mul_dispatch`] once the
-/// halves shrink below the threshold, so the result is identical to the
-/// schoolbook product (exact field arithmetic, same canonical trim).
-fn mul_karatsuba(a: &[Rat], b: &[Rat]) -> Vec<Rat> {
-    let half = a.len().max(b.len()).div_ceil(2);
-    let (a0, a1) = a.split_at(half.min(a.len()));
-    let (b0, b1) = b.split_at(half.min(b.len()));
-    let z0 = mul_dispatch(a0, b0);
-    let z2 = if a1.is_empty() || b1.is_empty() {
-        Vec::new()
-    } else {
-        mul_dispatch(a1, b1)
-    };
-    let z1 = {
-        let sa = add_slices(a0, a1);
-        let sb = add_slices(b0, b1);
-        let mut mid = mul_dispatch(&sa, &sb);
-        for (i, c) in z0.iter().enumerate() {
-            mid[i] = &mid[i] - c;
-        }
-        for (i, c) in z2.iter().enumerate() {
-            mid[i] = &mid[i] - c;
-        }
-        // With an unbalanced split (b1 empty, say) the subtraction cancels
-        // the top entries exactly; trim them so the x^half placement below
-        // stays inside the product's coefficient range.
-        while mid.last().is_some_and(Rat::is_zero) {
-            mid.pop();
-        }
-        mid
-    };
-    let mut out = vec![Rat::zero(); a.len() + b.len() - 1];
-    for (i, c) in z0.into_iter().enumerate() {
-        out[i] = &out[i] + &c;
-    }
-    for (i, c) in z1.into_iter().enumerate() {
-        out[half + i] = &out[half + i] + &c;
-    }
-    for (i, c) in z2.into_iter().enumerate() {
-        out[2 * half + i] = &out[2 * half + i] + &c;
-    }
-    out
-}
-
-/// Element-wise sum of two coefficient slices (length = max of the two).
-fn add_slices(a: &[Rat], b: &[Rat]) -> Vec<Rat> {
-    let n = a.len().max(b.len());
-    (0..n)
-        .map(|i| match (a.get(i), b.get(i)) {
-            (Some(x), Some(y)) => x + y,
-            (Some(x), None) => x.clone(),
-            (None, Some(y)) => y.clone(),
-            (None, None) => Rat::zero(),
-        })
-        .collect()
 }
 
 impl Neg for &UPoly {
@@ -789,45 +658,6 @@ mod tests {
         assert!(p(&[0, 0]).is_zero());
         assert_eq!(p(&[1, 2, 0]).deg(), 1);
         assert_eq!(UPoly::x().deg(), 1);
-    }
-
-    /// Deterministic pseudo-random rational, splitmix-style.
-    fn mix(state: &mut u64) -> Rat {
-        *state = state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        let num = ((*state >> 16) as i64 % 2001) - 1000;
-        let den = 1 + ((*state >> 40) as i64 % 17);
-        Rat::from_ints(num, den)
-    }
-
-    #[test]
-    fn karatsuba_matches_schoolbook() {
-        // Degrees straddling the threshold, including unbalanced operands
-        // and lengths that split unevenly.
-        let mut state = 0x9E3779B97F4A7C15u64;
-        for (da, db) in [(23, 23), (24, 24), (25, 47), (60, 61), (24, 7), (64, 24)] {
-            let a: Vec<Rat> = (0..=da).map(|_| mix(&mut state)).collect();
-            let b: Vec<Rat> = (0..=db).map(|_| mix(&mut state)).collect();
-            assert_eq!(
-                mul_karatsuba(&a, &b),
-                mul_school(&a, &b),
-                "degrees ({da}, {db})"
-            );
-        }
-    }
-
-    #[test]
-    fn karatsuba_tier_engages_and_evaluates_consistently() {
-        // Above-threshold product through the public Mul, cross-checked by
-        // evaluation (a·b)(x) = a(x)·b(x) at a rational point.
-        let mut state = 42u64;
-        let a = UPoly::from_coeffs((0..40).map(|_| mix(&mut state)).collect());
-        let b = UPoly::from_coeffs((0..40).map(|_| mix(&mut state)).collect());
-        let prod = &a * &b;
-        assert_eq!(prod.deg(), a.deg() + b.deg());
-        let x = Rat::from_ints(3, 7);
-        assert_eq!(prod.eval(&x), &a.eval(&x) * &b.eval(&x));
     }
 
     #[test]
@@ -880,18 +710,6 @@ mod tests {
     }
 
     #[test]
-    fn squarefree_decomposition() {
-        // (x-1)(x-2)^2(x-3)^3
-        let f =
-            &(&p(&[-1, 1]) * &p(&[2, -1]).pow(0)) * &(&p(&[-2, 1]).pow(2) * &p(&[-3, 1]).pow(3));
-        let dec = f.squarefree_decomposition();
-        assert_eq!(dec.len(), 3);
-        assert_eq!(dec[0], (p(&[-1, 1]), 1));
-        assert_eq!(dec[1], (p(&[-2, 1]), 2));
-        assert_eq!(dec[2], (p(&[-3, 1]), 3));
-    }
-
-    #[test]
     fn primitive_form() {
         let f = UPoly::from_coeffs(vec!["1/2".parse().unwrap(), "3/4".parse().unwrap()]);
         assert_eq!(f.primitive(), p(&[2, 3]));
@@ -909,8 +727,6 @@ mod tests {
     #[test]
     fn composition() {
         let f = p(&[0, 0, 1]); // x^2
-        let g = f.compose_linear(&Rat::from(2i64), &Rat::one()); // (2x+1)^2
-        assert_eq!(g, p(&[1, 4, 4]));
         let h = f.compose(&p(&[1, 1, 1]));
         assert_eq!(h, &p(&[1, 1, 1]) * &p(&[1, 1, 1]));
     }

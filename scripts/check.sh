@@ -17,12 +17,8 @@ cargo fmt --all -- --check
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> cdb-lint (hygiene rules + interprocedural passes, baseline ratchet)"
+echo "==> cdb-lint (hygiene rules + interprocedural passes)"
 cargo run -p cdb-lint --
-
-echo "==> cdb-lint JSON report is parseable and stable across runs"
-cargo run -q -p cdb-lint -- --format json > lint_report.json
-cargo run -q -p cdb-lint -- --format json | cmp - lint_report.json
 
 echo "==> tier-1 verify: cargo build --release && cargo test -q"
 cargo build --release
