@@ -16,10 +16,11 @@ use cdb_fp::doubling::{add2k_hi, add2k_lo, mul2k_words, Pair};
 use cdb_fp::pathologies::{
     distributivity_counterexample, greatest_element, summation_order_counterexample,
 };
-use cdb_fp::semantics::{compare_semantics, fp_evaluate_query, input_bit_length, FpOutcome};
+use cdb_fp::semantics::input_bit_length;
 use cdb_num::{FkParams, Int, Rat, Zk};
 use cdb_poly::{isolate_real_roots, refine_to_width, MPoly};
 use cdb_qe::{evaluate_query, QeContext};
+use constraintdb::ConstraintDb;
 
 // Bench driver, not library code: a bad experiment id should abort the run
 // immediately with the conventional usage exit code.
@@ -223,28 +224,29 @@ fn e6() {
         "E6",
         "finite precision partiality (Theorem 4.1): fraction of queries undefined vs budget k",
     );
-    let y = MPoly::var(1, 2);
     println!("  {:<8} {:>10} {:>12}", "k", "defined", "of queries");
+    let total = 10;
+    let mut row = Vec::new();
     for k in [4u64, 8, 16, 32, 64, 256] {
         let mut defined = 0;
-        let total = 10;
         for seed in 0..total {
-            let rel = gen_poly_relation(100 + seed, 2, 2, 4);
-            let mut db = Database::new();
-            db.insert("R", rel);
-            let q = Formula::exists(
-                1,
-                Formula::and(
-                    Formula::Rel("R".into(), vec![0, 1]),
-                    Formula::Atom(Atom::new(y.clone(), RelOp::Le)),
-                ),
-            );
-            if let Ok(FpOutcome::Defined(_)) = fp_evaluate_query(&db, &q, 2, k) {
+            let mut db = ConstraintDb::new();
+            db.insert("R", gen_poly_relation(100 + seed, 2, 2, 4))
+                .unwrap();
+            // Only budget exhaustion is "undefined" (`None`); any other
+            // error is a pipeline failure and aborts the run.
+            if db
+                .query_fp("exists y (R(x, y) and y <= 0)", k)
+                .unwrap()
+                .is_some()
+            {
                 defined += 1;
             }
         }
         println!("  {k:<8} {defined:>10} {total:>12}");
+        row.push(defined);
     }
+    assert_eq!(row, [0, 6, 10, 10, 10, 10]);
     println!("  (shape: undefined at small k, all defined at large k — FOF ⊊ FOR)");
 }
 
@@ -257,20 +259,22 @@ fn e7() {
     let mut disagreements_total = 0;
     let mut probes_total = 0;
     for seed in 0..8 {
-        let rel = gen_linear_relation(200 + seed, 3, 2, 4);
-        let mut db = Database::new();
-        db.insert("R", rel);
+        let mut db = ConstraintDb::new();
+        db.insert("R", gen_linear_relation(200 + seed, 3, 2, 4))
+            .unwrap();
         let q = Formula::exists(1, Formula::Rel("R".into(), vec![0, 1]));
-        let k = input_bit_length(&db, &q);
-        let div = compare_semantics(&db, &q, 2, 8 * k, 6).unwrap();
-        assert!(div.fp_defined, "linear query undefined at 8k budget");
+        let k = input_bit_length(db.raw(), &q);
+        let div = db
+            .compare_semantics("exists y R(x, y)", 8 * k, 6)
+            .unwrap()
+            .expect("linear query undefined at 8k budget");
         disagreements_total += div.disagreements;
         probes_total += div.probes;
     }
     println!(
         "  8 random linear dbs, budget 8k: {probes_total} probes, {disagreements_total} disagreements"
     );
-    assert_eq!(disagreements_total, 0);
+    assert_eq!((probes_total, disagreements_total), (200, 0));
     println!("  (paper: total-FOF(<=,+) = FOR(<=,+))");
 }
 
@@ -284,6 +288,7 @@ fn e8() {
         "  {:<14} {:>14} {:>10}",
         "input bits", "observed bits", "ratio"
     );
+    let mut growth = Vec::new();
     for bits in [4u32, 8, 16, 32] {
         let rel = gen_linear_relation(300, 3, 2, bits);
         let mut db = Database::new();
@@ -297,7 +302,9 @@ fn e8() {
             "  {input:<14} {seen:>14} {:>10.2}",
             seen as f64 / input as f64
         );
+        growth.push((input, seen));
     }
+    assert_eq!(growth, [(4, 4), (8, 16), (16, 31), (32, 62)]);
     println!("  (shape: ratio bounded by a constant — linear growth)");
 }
 

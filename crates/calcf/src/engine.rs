@@ -150,17 +150,13 @@ pub struct CalcFEngine {
     /// ([`QeContext::workers`]; `1` = fully sequential evaluation). The
     /// stages themselves, and sibling aggregates, run one after another.
     pub workers: usize,
-    /// Memo-cache for resultants/discriminants/Sturm chains, shared by the
-    /// QE stage and every aggregate stage. Cloning an engine shares the
-    /// cache (it is an [`Arc`]-backed handle), so a long-lived engine
-    /// amortizes algebra across queries.
+    /// Memo-cache for resultants and discriminants, shared by the QE stage
+    /// and every aggregate stage. Cloning an engine shares the cache (it is
+    /// an [`Arc`]-backed handle), so a long-lived engine amortizes algebra
+    /// across queries.
     ///
     /// [`Arc`]: std::sync::Arc
     pub cache: cdb_qe::AlgebraicCache,
-    /// Strategy selection for the per-disjunct QE planner (DESIGN.md §16).
-    /// `Auto` picks the cheapest applicable eliminator per disjunct; the
-    /// `Force*` modes exist for differential testing and benchmarks.
-    pub plan_mode: cdb_qe::PlanMode,
 }
 
 impl Default for CalcFEngine {
@@ -173,23 +169,21 @@ impl Default for CalcFEngine {
             budget_bits: None,
             workers: std::thread::available_parallelism().map_or(1, |n| n.get()),
             cache: cdb_qe::AlgebraicCache::default(),
-            plan_mode: cdb_qe::PlanMode::default(),
         }
     }
 }
 
 impl CalcFEngine {
-    /// The context every stage evaluates in: this engine's workers, plan
-    /// mode and shared memo-cache, under `budget_bits`. The QE stage passes
-    /// the engine's budget; aggregate stages pass `None`, because aggregate
-    /// modules are Definition 5.3 numeric modules with their own precision
-    /// `eps`, outside `⊨_QE^F`.
+    /// The context every stage evaluates in: this engine's workers and
+    /// shared memo-cache, the planner's `Auto` mode, under `budget_bits`.
+    /// The QE stage passes the engine's budget; aggregate stages pass
+    /// `None`, because aggregate modules are Definition 5.3 numeric modules
+    /// with their own precision `eps`, outside `⊨_QE^F`.
     #[must_use]
     pub fn qe_context(&self, budget_bits: Option<u64>) -> QeContext {
         let mut ctx = QeContext::exact()
             .with_workers(self.workers)
-            .with_cache(&self.cache)
-            .with_plan_mode(self.plan_mode);
+            .with_cache(&self.cache);
         ctx.budget_bits = budget_bits;
         ctx
     }

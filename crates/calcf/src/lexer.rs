@@ -1,6 +1,6 @@
 //! The tokenizer of the whole language family: CALC_F formulas, the
-//! server's statements, Datalog¬ rules, the storage format and the shell's
-//! `define` all lex here, and [`crate::parser::Parser`] is the one cursor
+//! server's statements and session commands, Datalog¬ rules and the storage
+//! format all lex here, and [`crate::parser::Parser`] is the one cursor
 //! they parse with.
 //!
 //! Whitespace (any Unicode whitespace) separates tokens; `--` starts a
@@ -42,8 +42,6 @@ pub enum Token<'a> {
     Dot,
     /// `:-` (Datalog¬ rule neck)
     ColonDash,
-    /// `:=` (the shell's `define`)
-    ColonEq,
     /// `+`
     Plus,
     /// `-`
@@ -96,7 +94,6 @@ impl fmt::Display for Token<'_> {
             Token::Semi => ";",
             Token::Dot => ".",
             Token::ColonDash => ":-",
-            Token::ColonEq => ":=",
             Token::Plus => "+",
             Token::Minus => "-",
             Token::Star => "*",
@@ -220,7 +217,6 @@ pub fn tokenize(src: &str) -> Result<Vec<Spanned<'_>>, ParseError> {
                     (b'<', Some(b'>')) | (b'!', Some(b'=')) => (Token::Ne, 2),
                     (b'>', Some(b'=')) => (Token::Ge, 2),
                     (b':', Some(b'-')) => (Token::ColonDash, 2),
-                    (b':', Some(b'=')) => (Token::ColonEq, 2),
                     (b'(', _) => (Token::LParen, 1),
                     (b')', _) => (Token::RParen, 1),
                     (b'[', _) => (Token::LBracket, 1),
@@ -343,13 +339,12 @@ mod tests {
             ]
         );
         assert_eq!(
-            kinds("1.2.3 ; :="),
+            kinds("1.2.3 ;"),
             vec![
                 Token::Number("1.2"),
                 Token::Dot,
                 Token::Number("3"),
                 Token::Semi,
-                Token::ColonEq,
             ]
         );
     }

@@ -27,8 +27,8 @@
 //! A `(` in formula position opens a term when an operator follows its
 //! matching `)` (`(x - 1)^2 <= 4`), and a parenthesized formula otherwise.
 //!
-//! The statement parser (`cdb-server`), the Datalog¬ rule parser, the
-//! storage format and the shell drive the same [`Parser`]: its `head` rule
+//! The statement and command parser (`cdb-server`), the Datalog¬ rule
+//! parser and the storage format drive the same [`Parser`]: its `head` rule
 //! is their `Name(v, …)`, its `conjunction` their constraint, its
 //! `number` their literal, and [`Parser::text`] slices raw source by span.
 //!
@@ -202,7 +202,7 @@ impl<'a> Parser<'a> {
 
     /// `Name "(" var ("," var)* ")"`: the head of a relation — `CREATE
     /// RELATION`, a Datalog¬ head or body atom, a storage `relation` line,
-    /// the shell's `define`, a CALC_F relation atom.
+    /// a CALC_F relation atom.
     pub fn head(&mut self) -> Result<(&'a str, Vec<&'a str>), ParseError> {
         let name = self.ident()?;
         self.require(Token::LParen)?;

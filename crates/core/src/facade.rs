@@ -83,7 +83,7 @@ pub struct QueryResult {
     output: CalcFOutput,
     /// The engine that evaluated `output`, so the numeric step runs under
     /// the same configuration (precision, CAD lifting threads, bit budget,
-    /// planner mode, memo-cache) as the symbolic one.
+    /// memo-cache) as the symbolic one.
     engine: CalcFEngine,
 }
 
@@ -440,6 +440,7 @@ impl ConstraintDb {
         if removed.is_some() {
             self.catalog.remove(name);
             self.unregister_derived(name);
+            // frozen harness: a pure cache needs no wipe.
             self.engine.cache.invalidate();
         }
         removed
@@ -513,14 +514,80 @@ impl ConstraintDb {
     /// Evaluate under the finite precision semantics with bit budget `k`:
     /// `Ok(None)` when the query is *undefined* (`⊨_QE^F` partiality).
     pub fn query_fp(&self, src: &str, budget_bits: u64) -> Result<Option<QueryResult>, DbError> {
+        self.query_fp_then(src, budget_bits, Ok)
+    }
+
+    /// [`Self::query_fp`], then `then` on the answer — which keeps the
+    /// budget, so NUMERICAL EVALUATION ([`QueryResult::solve`]) runs under
+    /// it too: `Ok(None)` when either step exceeds `k` bits. This is the
+    /// one place that turns [`QeError::PrecisionExceeded`] into
+    /// *undefined*.
+    pub fn query_fp_then<T>(
+        &self,
+        src: &str,
+        budget_bits: u64,
+        then: impl FnOnce(QueryResult) -> Result<T, DbError>,
+    ) -> Result<Option<T>, DbError> {
         let mut engine = self.engine.clone();
         engine.budget_bits = Some(budget_bits);
-        match engine.evaluate(&self.db, src) {
-            Ok(output) => Ok(Some(QueryResult { output, engine })),
-            Err(CalcFError::Qe(QeError::PrecisionExceeded { .. })) => Ok(None),
-            Err(e) => Err(e.into()),
+        let answer = engine.evaluate(&self.db, src).map_err(DbError::from);
+        match answer.and_then(|output| then(QueryResult { output, engine })) {
+            Err(DbError::CalcF(CalcFError::Qe(e)) | DbError::Qe(e))
+                if matches!(e, QeError::PrecisionExceeded { .. }) =>
+            {
+                Ok(None)
+            }
+            answer => answer.map(Some),
         }
     }
+
+    /// Evaluate `src` under both semantics and compare the answers on the
+    /// grid of half-integers in `[-range, range]` over the free variables:
+    /// the empirical content of Theorem 4.2 (a linear query agrees whenever
+    /// defined). `Ok(None)` when the finite-precision answer is undefined,
+    /// as for [`Self::query_fp`].
+    pub fn compare_semantics(
+        &self,
+        src: &str,
+        budget_bits: u64,
+        range: i64,
+    ) -> Result<Option<Divergence>, DbError> {
+        let Some(fp) = self.query_fp(src, budget_bits)? else {
+            return Ok(None);
+        };
+        let exact = self.query(src)?;
+        let steps: Vec<Rat> = (-2 * range..=2 * range)
+            .map(|i| Rat::from_ints(i, 2))
+            .collect();
+        let dims = exact.free_vars().len();
+        let probes = (0..dims).fold(1, |n, _| n * steps.len());
+        let disagreements = (0..probes)
+            .filter(|&i| {
+                let mut rest = i;
+                let coords: Vec<Rat> = (0..dims)
+                    .map(|_| {
+                        let c = steps[rest % steps.len()].clone();
+                        rest /= steps.len();
+                        c
+                    })
+                    .collect();
+                exact.contains(&coords) != fp.contains(&coords)
+            })
+            .count();
+        Ok(Some(Divergence {
+            disagreements,
+            probes,
+        }))
+    }
+}
+
+/// What [`ConstraintDb::compare_semantics`] found on a defined answer.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Divergence {
+    /// Probe points where the two answers disagreed.
+    pub disagreements: usize,
+    /// Probe points examined.
+    pub probes: usize,
 }
 
 #[cfg(test)]
@@ -581,6 +648,39 @@ mod tests {
             .query_fp("exists y (S(x, y) and y <= 0)", 64)
             .unwrap()
             .is_some());
+    }
+
+    /// A quantifier-free query passes evaluation at any budget; its
+    /// NUMERICAL EVALUATION still runs under the budget and is undefined
+    /// when it overflows, not an error.
+    #[test]
+    fn numerical_evaluation_keeps_the_budget() {
+        let db = ConstraintDb::new();
+        let solve = |k| db.query_fp_then("x^2 = 1000", k, |a| a.solve());
+        assert!(db.query_fp("x^2 = 1000", 3).unwrap().is_some());
+        assert_eq!(solve(3).unwrap(), None);
+        let points = solve(256).unwrap().expect("defined").expect("finite");
+        assert_eq!(points.len(), 2);
+    }
+
+    /// Theorem 4.2: with `c·k` bits a linear query is defined and agrees
+    /// with the exact semantics; a tiny budget leaves it undefined, never
+    /// wrong.
+    #[test]
+    fn linear_query_semantics_agree_or_are_undefined() {
+        let mut db = ConstraintDb::new();
+        db.define("R", &["x", "y"], "y = 1048576*x and x >= 0 and x <= 4")
+            .unwrap();
+        let generous = db.compare_semantics("exists y R(x, y)", 200, 6).unwrap();
+        assert_eq!(
+            generous,
+            Some(Divergence {
+                disagreements: 0,
+                probes: 25,
+            })
+        );
+        let tiny = db.compare_semantics("exists y R(x, y)", 4, 3).unwrap();
+        assert_eq!(tiny, None);
     }
 
     #[test]

@@ -49,5 +49,5 @@ pub use cdb_poly::{MPoly, UPoly};
 pub use cdb_qe::{QeContext, QeError};
 pub use datalog_text::parse_program;
 pub use deps::DepTracker;
-pub use facade::{ConstraintDb, DbError, QueryResult};
+pub use facade::{ConstraintDb, DbError, Divergence, QueryResult};
 pub use update::UpdateReport;

@@ -73,7 +73,8 @@ pub struct UpdateReport {
     /// The wipe buys nothing — entries are pure and cannot go stale — and
     /// goes together with this field once the frozen benchmark stops
     /// asserting `core.cache_invalidations > 0` (`stmtbench/tests/harness.rs`;
-    /// ROADMAP item 1(d)).
+    /// the ROADMAP's unfreeze ledger).
+    // frozen harness: `stmtbench` counts it as `core.cache_invalidations`.
     pub cache_invalidated: bool,
 }
 
@@ -253,6 +254,7 @@ impl ConstraintDb {
         report: &mut UpdateReport,
     ) -> Result<(), DbError> {
         if matches!(change, Change::Destructive) {
+            // frozen harness: a pure cache needs no wipe.
             self.engine.cache.invalidate();
             report.cache_invalidated = true;
         }
@@ -275,6 +277,7 @@ impl ConstraintDb {
                     } else {
                         report.full_reruns += 1;
                         if !report.cache_invalidated {
+                            // frozen harness: a pure cache needs no wipe.
                             self.engine.cache.invalidate();
                             report.cache_invalidated = true;
                         }

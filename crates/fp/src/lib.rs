@@ -10,9 +10,11 @@
 //! algorithm reduces φ to the tautology using only integers of bit length
 //! `k`. This crate provides:
 //!
-//! * [`semantics`] — the partial query semantics `FOF_QE`: run the exact QE
-//!   engines under a bit-length budget; exceeding it makes the query
-//!   *undefined* (Theorem 4.1's strictness), and linear queries never
+//! * [`semantics`] — the input bit length `k` that budgets of the partial
+//!   query semantics `FOF_QE` are measured against. The budgeted
+//!   evaluation itself is `constraintdb::ConstraintDb::query_fp`: the exact
+//!   QE engines under a bit-length budget, where exceeding it makes the
+//!   query *undefined* (Theorem 4.1's strictness), and linear queries never
 //!   exceed a `c·k` budget (Theorem 4.2 / Lemma 4.4).
 //! * [`doubling`] — the Lemma 4.5 / Theorem 4.2 constructions: `Z_{2k}`
 //!   arithmetic implemented *only* from `Z_k` operations (split-word
@@ -25,4 +27,4 @@ pub mod doubling;
 pub mod pathologies;
 pub mod semantics;
 
-pub use semantics::{fp_evaluate_query, input_bit_length, FpOutcome};
+pub use semantics::input_bit_length;

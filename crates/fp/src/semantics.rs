@@ -1,46 +1,13 @@
-//! The partial query semantics `FOF_QE` (§4).
+//! The input bit length of the partial query semantics `FOF_QE` (§4).
 //!
 //! A query is evaluated by the same deterministic QE algorithm as the exact
 //! semantics, but every integer the algorithm manipulates is restricted to
-//! bit length `k`. "The bit length of the integers allowed in the QE
-//! algorithm depends upon the input database and the query": `k` defaults
-//! to a multiple of [`input_bit_length`].
+//! bit length `k` — `constraintdb::ConstraintDb::query_fp`, the one
+//! evaluation entry point of `⊨_QE^F`. "The bit length of the integers
+//! allowed in the QE algorithm depends upon the input database and the
+//! query": budgets are chosen as multiples of [`input_bit_length`].
 
 use cdb_constraints::{Database, Formula};
-use cdb_num::Rat;
-use cdb_qe::pipeline::EvalOutput;
-use cdb_qe::{evaluate_query, QeContext, QeError};
-
-/// Outcome of a finite-precision evaluation.
-#[derive(Debug)]
-pub enum FpOutcome {
-    /// The QE algorithm completed within the bit budget.
-    Defined(EvalOutput),
-    /// Undefined: some intermediate integer exceeded the budget.
-    Undefined {
-        /// The budget that was in force.
-        budget_bits: u64,
-        /// The bit length that tripped it.
-        needed_bits: u64,
-    },
-}
-
-impl FpOutcome {
-    /// The defined result, if any.
-    #[must_use]
-    pub fn defined(self) -> Option<EvalOutput> {
-        match self {
-            FpOutcome::Defined(out) => Some(out),
-            FpOutcome::Undefined { .. } => None,
-        }
-    }
-
-    /// True iff the query was defined.
-    #[must_use]
-    pub fn is_defined(&self) -> bool {
-        matches!(self, FpOutcome::Defined(_))
-    }
-}
 
 /// Bit length of the input: the largest bit length of any integer occurring
 /// in the database representation or the query — the `k` such that the
@@ -58,117 +25,13 @@ pub fn input_bit_length(db: &Database, query: &Formula) -> u64 {
     db.max_coeff_bits().max(formula_bits(query)).max(1)
 }
 
-/// Evaluate a query under the finite precision semantics with an explicit
-/// bit budget. Errors other than budget exhaustion propagate.
-pub fn fp_evaluate_query(
-    db: &Database,
-    query: &Formula,
-    nvars: usize,
-    budget_bits: u64,
-) -> Result<FpOutcome, QeError> {
-    let ctx = QeContext::with_budget(budget_bits);
-    match evaluate_query(db, query, nvars, &ctx) {
-        Ok(out) => Ok(FpOutcome::Defined(out)),
-        Err(QeError::PrecisionExceeded {
-            budget_bits,
-            seen_bits,
-        }) => Ok(FpOutcome::Undefined {
-            budget_bits,
-            needed_bits: seen_bits,
-        }),
-        Err(e) => Err(e),
-    }
-}
-
-/// Compare exact and finite-precision evaluation of the same query, on a
-/// grid of probe points over the free variables — the empirical content of
-/// Theorems 4.1 and 4.2.
-#[derive(Debug)]
-pub struct Divergence {
-    /// Was the finite-precision run defined at all?
-    pub fp_defined: bool,
-    /// Number of probe points where the two answers disagreed (0 when
-    /// undefined — undefinedness is not disagreement).
-    pub disagreements: usize,
-    /// Probes examined.
-    pub probes: usize,
-    /// Max bit length the exact run needed.
-    pub exact_bits_needed: u64,
-}
-
-/// Run both semantics and probe agreement on integer points in
-/// `[-range, range]^free` (scaled by 1/2 to hit half-integers too).
-pub fn compare_semantics(
-    db: &Database,
-    query: &Formula,
-    nvars: usize,
-    budget_bits: u64,
-    range: i64,
-) -> Result<Divergence, QeError> {
-    let exact_ctx = QeContext::exact();
-    let exact = evaluate_query(db, query, nvars, &exact_ctx)?;
-    let fp = fp_evaluate_query(db, query, nvars, budget_bits)?;
-    let exact_bits_needed = exact_ctx.max_bits_seen.get();
-    let FpOutcome::Defined(fp_out) = fp else {
-        return Ok(Divergence {
-            fp_defined: false,
-            disagreements: 0,
-            probes: 0,
-            exact_bits_needed,
-        });
-    };
-    // Probe grid over free variables.
-    let free = &exact.free_vars;
-    let mut disagreements = 0;
-    let mut probes = 0;
-    let mut point = vec![Rat::zero(); nvars];
-    let steps: Vec<Rat> = (-(2 * range)..=(2 * range))
-        .map(|i| Rat::from_ints(i, 2))
-        .collect();
-    // Enumerate the grid (cartesian product over free vars).
-    let mut idx = vec![0usize; free.len()];
-    loop {
-        for (d, &v) in free.iter().enumerate() {
-            point[v] = steps[idx[d]].clone();
-        }
-        probes += 1;
-        if exact.relation.satisfied_at(&point) != fp_out.relation.satisfied_at(&point) {
-            disagreements += 1;
-        }
-        // Increment odometer.
-        let mut d = 0;
-        loop {
-            if d == free.len() {
-                return Ok(Divergence {
-                    fp_defined: true,
-                    disagreements,
-                    probes,
-                    exact_bits_needed,
-                });
-            }
-            idx[d] += 1;
-            if idx[d] < steps.len() {
-                break;
-            }
-            idx[d] = 0;
-            d += 1;
-        }
-        if free.is_empty() {
-            return Ok(Divergence {
-                fp_defined: true,
-                disagreements,
-                probes,
-                exact_bits_needed,
-            });
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use cdb_constraints::{Atom, ConstraintRelation, GeneralizedTuple, RelOp};
+    use cdb_num::Rat;
     use cdb_poly::MPoly;
+    use cdb_qe::{evaluate_query, QeContext};
 
     fn c(v: i64, n: usize) -> MPoly {
         MPoly::constant(Rat::from(v), n)
@@ -202,36 +65,6 @@ mod tests {
         assert!(input_bit_length(&db, &q) >= 10); // 1000 needs 10 bits
         let (db2, q2) = linear_db(1);
         assert!(input_bit_length(&db2, &q2) <= 4);
-    }
-
-    #[test]
-    fn linear_queries_agree_with_generous_budget() {
-        // Theorem 4.2: with c·k bits, linear FP semantics = exact semantics.
-        let (db, q) = linear_db(7);
-        let k = input_bit_length(&db, &q);
-        let div = compare_semantics(&db, &q, 2, 8 * k, 6).unwrap();
-        assert!(div.fp_defined);
-        assert_eq!(div.disagreements, 0);
-        assert!(div.probes > 0);
-    }
-
-    #[test]
-    fn tiny_budget_is_undefined_not_wrong() {
-        let (db, q) = linear_db(1 << 20);
-        let div = compare_semantics(&db, &q, 2, 4, 3).unwrap();
-        // Never silently wrong: small budgets give undefined.
-        assert!(!div.fp_defined);
-        assert_eq!(div.disagreements, 0);
-    }
-
-    #[test]
-    fn outcome_api() {
-        let (db, q) = linear_db(3);
-        let out = fp_evaluate_query(&db, &q, 2, 64).unwrap();
-        assert!(out.is_defined());
-        assert!(out.defined().is_some());
-        let under = fp_evaluate_query(&db, &q, 2, 1).unwrap();
-        assert!(!under.is_defined());
     }
 
     #[test]

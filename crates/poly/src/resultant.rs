@@ -54,6 +54,7 @@ static STRAT_FALLBACK: AtomicU64 = AtomicU64::new(0);
 pub fn strategy_counters() -> (u64, u64, u64, u64) {
     (
         STRAT_PRS.load(Ordering::SeqCst),
+        // frozen harness: always-zero slot 1, destructured by `stmtbench`.
         0,
         STRAT_CRT.load(Ordering::SeqCst),
         STRAT_FALLBACK.load(Ordering::SeqCst),

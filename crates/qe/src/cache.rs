@@ -46,7 +46,8 @@
 //! can never go stale. The facade's destructive writes call
 //! [`AlgebraicCache::invalidate`] anyway; nothing needs the wipe
 //! (`crates/core/tests/update_path.rs` pins warm ≡ cold), and it goes once
-//! the frozen benchmark stops asserting that it fired (ROADMAP item 1(d)).
+//! the frozen benchmark stops asserting that it fired (the ROADMAP's
+//! unfreeze ledger).
 
 use cdb_poly::resultant as resfn;
 use cdb_poly::MPoly;
@@ -165,6 +166,7 @@ impl AlgebraicCache {
     /// and no write can make one stale; the facade's destructive writes
     /// call it all the same, for as long as the frozen benchmark
     /// (`stmtbench/`) names it and asserts that they do.
+    // frozen harness: `stmtbench` calls it and asserts the wipes fire.
     pub fn invalidate(&self) -> usize {
         let mut removed = 0usize;
         for shard in self.inner.shards.iter() {

@@ -145,7 +145,7 @@ pub struct QeContext {
     /// The server pins it to 1 because its sessions are the unit of
     /// parallelism. Output bytes are the same for every value.
     pub workers: usize,
-    /// Shared memo-cache for resultants, discriminants, and Sturm chains.
+    /// Shared memo-cache for resultants and discriminants.
     pub cache: AlgebraicCache,
     /// Strategy policy for the per-disjunct planner (default [`PlanMode::Auto`]).
     pub plan_mode: PlanMode,
@@ -261,7 +261,7 @@ impl QeContext {
     /// Same context sharing `cache` (a cheap handle clone) instead of a
     /// fresh cold cache. A long-lived owner — the `constraintdb` facade's
     /// update path — threads one cache through every per-call context so
-    /// memoized resultants/discriminants/Sturm chains survive across calls.
+    /// memoized resultants and discriminants survive across calls.
     #[must_use]
     pub fn with_cache(mut self, cache: &AlgebraicCache) -> QeContext {
         self.cache = cache.clone();

@@ -11,20 +11,20 @@
 //! Giusti–Heintz–Kuijpers, the win is amortization across queries. Here
 //! that is **one shared algebraic memo-cache**: every session snapshot
 //! clones the master [`constraintdb::ConstraintDb`], whose cache handle is
-//! `Arc`-backed, so resultants/discriminants/Sturm chains computed for one
-//! user's query answer every user's later queries. Reads evaluate on the
+//! `Arc`-backed, so resultants and discriminants computed for one user's
+//! query answer every user's later queries. Reads evaluate on the
 //! calling session's thread; there is no admission layer between a
 //! session and the engine (DESIGN.md §13 says why).
 //!
-//! Two layers, one module each: [`parser`] (statements over `cdb_calcf`'s
-//! tokenizer and parser, plus the canonical pretty-printer) and [`session`]
-//! (server, sessions, snapshots).
+//! Two layers, one module each: [`parser`] (statements and session
+//! commands over `cdb_calcf`'s tokenizer and parser, plus the canonical
+//! pretty-printer) and [`session`] (server, sessions, snapshots).
 
 pub mod parser;
 pub mod session;
 
 pub use cdb_calcf::ParseError;
-pub use parser::{parse_script, parse_statement, Rows, Statement};
+pub use parser::{parse_command, parse_commands, parse_statement, Command, Rows, Statement};
 pub use session::{Server, ServerConfig, ServerStats, Session};
 
 use std::fmt;
@@ -77,6 +77,30 @@ pub enum Response {
         /// The removed relation.
         name: String,
     },
+    /// `SOLVE` result: the ε-approximate solution points of a finite
+    /// answer, each rendered `x = 5/2, y = 1`; `None` when the answer is
+    /// infinite.
+    Solutions {
+        /// One rendered point per solution, or `None` for an infinite
+        /// answer.
+        points: Option<Vec<String>>,
+    },
+    /// A read under `SET PRECISION k` exceeded its bit budget: the answer
+    /// is undefined under the finite precision semantics `⊨_QE^F` (§4).
+    Undefined {
+        /// The budget `k` that was in force.
+        budget_bits: u64,
+    },
+    /// `SET PRECISION` took effect.
+    Precision {
+        /// The session's bit budget (`None` = exact semantics).
+        budget_bits: Option<u64>,
+    },
+    /// `SAVE` wrote the snapshot.
+    Saved {
+        /// The file written.
+        path: String,
+    },
 }
 
 impl fmt::Display for Response {
@@ -105,6 +129,20 @@ impl fmt::Display for Response {
                 qe_calls,
             } => write!(f, "fixpoint: {iterations} iterations, {qe_calls} qe calls"),
             Response::Dropped { name } => write!(f, "dropped {name}"),
+            Response::Solutions { points: None } => write!(f, "infinite"),
+            Response::Solutions { points: Some(p) } if p.is_empty() => {
+                write!(f, "no solutions")
+            }
+            Response::Solutions { points: Some(p) } => write!(f, "{}", p.join("; ")),
+            Response::Undefined { budget_bits } => write!(
+                f,
+                "undefined (finite precision semantics, k = {budget_bits})"
+            ),
+            Response::Precision {
+                budget_bits: Some(k),
+            } => write!(f, "precision {k} bits"),
+            Response::Precision { budget_bits: None } => write!(f, "precision unbounded"),
+            Response::Saved { path } => write!(f, "saved to {path}"),
         }
     }
 }

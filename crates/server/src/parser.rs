@@ -1,11 +1,16 @@
 //! The statement surface — a thin grammar over `cdb_calcf`'s tokenizer
 //! and [`Parser`] — plus the canonical pretty-printer ([`fmt::Display`] on
-//! [`Statement`]).
+//! [`Statement`] and [`Command`]).
 //!
 //! Grammar (keywords case-insensitive, statements `;`-terminated):
 //!
 //! ```text
-//! script    := statement*
+//! commands  := command*
+//! command   := "SOLVE" raw ";"                       -- CALC_F query text
+//!            | "SET" "PRECISION" (NUMBER | "UNBOUNDED") ";"
+//!            | "SAVE" raw ";"                        -- file path
+//!            | "LOAD" raw ";"                        -- file path
+//!            | statement
 //! statement := "CREATE" "RELATION" head ("AS" raw)? ";"
 //!            | "INSERT" "INTO" IDENT rows ";"
 //!            | "DELETE" "FROM" IDENT rows ";"
@@ -24,7 +29,15 @@
 //! embedded CALC_F and Datalog¬ text round-trips exactly, and is parsed by
 //! its own grammar when the statement executes. The pretty-printer emits
 //! the canonical spacing for everything else, so `parse ∘ print ∘ parse`
-//! is the identity on parsed statements (property-tested).
+//! is the identity on parsed statements and commands (property-tested).
+//!
+//! A [`Command`] is what a session executes: a [`Statement`], or one of
+//! the session commands that reach the paper's NUMERICAL EVALUATION
+//! (`SOLVE`), its finite precision semantics `⊨_QE^F` (`SET PRECISION`)
+//! and the text storage format (`SAVE`, `LOAD`). The command grammar looks
+//! at the first keyword only and hands anything else to the statement
+//! grammar, on the same tokens. A file path is a raw span, so it must lex
+//! under the shared tokenizer (no `;`, `#`, quotes or `--`).
 
 use cdb_calcf::{ParseError, Parser, Token};
 use cdb_num::Rat;
@@ -87,6 +100,37 @@ pub enum Statement {
     },
 }
 
+/// One parsed command of a session: a statement, or a session command.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Command {
+    /// A statement of the server surface.
+    Run(Statement),
+    /// `SOLVE <calc_f text>` — NUMERICAL EVALUATION (§2, step 3) of a
+    /// query's finite answer.
+    Solve {
+        /// CALC_F query text, verbatim.
+        query: String,
+    },
+    /// `SET PRECISION k` (`Some(k)`) or `SET PRECISION UNBOUNDED`
+    /// (`None`): the session's `⊨_QE^F` bit budget for reads.
+    SetPrecision(Option<u64>),
+    /// `SAVE <path>` — write the session's snapshot in the text format.
+    /// The path resolves on the server host and the file is created (or
+    /// truncated) with the server process's privileges, so a remote front
+    /// end must restrict which paths it passes through.
+    Save {
+        /// File path, verbatim.
+        path: String,
+    },
+    /// `LOAD <path>` — replace the database with the one in a file, read
+    /// on the server host with the server process's privileges (its parse
+    /// errors quote the file); the same restriction applies as for `SAVE`.
+    Load {
+        /// File path, verbatim.
+        path: String,
+    },
+}
+
 impl Statement {
     /// Whether the statement only reads: it evaluates against the session's
     /// snapshot and never takes the master lock.
@@ -120,6 +164,19 @@ impl fmt::Display for Statement {
     }
 }
 
+impl fmt::Display for Command {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Command::Run(stmt) => write!(f, "{stmt}"),
+            Command::Solve { query } => write!(f, "SOLVE {query};"),
+            Command::SetPrecision(Some(k)) => write!(f, "SET PRECISION {k};"),
+            Command::SetPrecision(None) => write!(f, "SET PRECISION UNBOUNDED;"),
+            Command::Save { path } => write!(f, "SAVE {path};"),
+            Command::Load { path } => write!(f, "LOAD {path};"),
+        }
+    }
+}
+
 impl fmt::Display for Rows {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -148,26 +205,80 @@ impl fmt::Display for Rows {
 /// Parse one statement (must consume the whole input bar trailing
 /// whitespace/comments).
 pub fn parse_statement(src: &str) -> Result<Statement, ParseError> {
-    let mut stmts = parse_script(src)?;
-    match (stmts.len(), stmts.pop()) {
-        (1, Some(s)) => Ok(s),
-        (0, _) => Err(ParseError::at(src, 0, "empty input: expected a statement")),
-        _ => Err(ParseError::at(
-            src,
-            0,
-            "expected a single statement, found several",
-        )),
-    }
+    single(src, each(src, statement)?, "statement")
 }
 
-/// Parse a `;`-separated script into statements.
-pub fn parse_script(src: &str) -> Result<Vec<Statement>, ParseError> {
+/// Parse one command (must consume the whole input bar trailing
+/// whitespace/comments).
+pub fn parse_command(src: &str) -> Result<Command, ParseError> {
+    single(src, parse_commands(src)?, "command")
+}
+
+/// Parse a `;`-separated script into commands.
+pub fn parse_commands(src: &str) -> Result<Vec<Command>, ParseError> {
+    each(src, command)
+}
+
+/// `item*` over the whole of `src`.
+fn each<T>(
+    src: &str,
+    mut item: impl FnMut(&mut Parser<'_>) -> Result<T, ParseError>,
+) -> Result<Vec<T>, ParseError> {
     let mut p = Parser::new(src)?;
     let mut out = Vec::new();
     while !p.at_end() {
-        out.push(statement(&mut p)?);
+        out.push(item(&mut p)?);
     }
     Ok(out)
+}
+
+/// The one `what` that `items`, parsed from `src`, must hold.
+fn single<T>(src: &str, mut items: Vec<T>, what: &str) -> Result<T, ParseError> {
+    let msg = match (items.len(), items.pop()) {
+        (1, Some(item)) => return Ok(item),
+        (0, _) => format!("empty input: expected a {what}"),
+        _ => format!("expected a single {what}, found several"),
+    };
+    Err(ParseError::at(src, 0, msg))
+}
+
+fn command(p: &mut Parser<'_>) -> Result<Command, ParseError> {
+    let cmd = if p.at_keyword("SOLVE") {
+        p.advance();
+        Command::Solve {
+            query: raw_until_semi(p, "CALC_F query")?,
+        }
+    } else if p.at_keyword("SET") {
+        p.advance();
+        p.keyword("PRECISION")?;
+        Command::SetPrecision(precision(p)?)
+    } else if p.at_keyword("SAVE") {
+        p.advance();
+        Command::Save {
+            path: raw_until_semi(p, "file path")?,
+        }
+    } else if p.at_keyword("LOAD") {
+        p.advance();
+        Command::Load {
+            path: raw_until_semi(p, "file path")?,
+        }
+    } else {
+        return Ok(Command::Run(statement(p)?));
+    };
+    p.require(Token::Semi)?;
+    Ok(cmd)
+}
+
+/// `NUMBER | "UNBOUNDED"`: a bit budget, or none.
+fn precision(p: &mut Parser<'_>) -> Result<Option<u64>, ParseError> {
+    let budget = match p.peek() {
+        Some(Token::Number(digits)) => digits.parse::<u64>().ok().map(Some),
+        _ if p.at_keyword("UNBOUNDED") => Some(None),
+        _ => None,
+    };
+    let budget = budget.ok_or_else(|| p.error("expected a whole number of bits or `UNBOUNDED`"))?;
+    p.advance();
+    Ok(budget)
 }
 
 fn statement(p: &mut Parser<'_>) -> Result<Statement, ParseError> {
@@ -229,7 +340,8 @@ fn statement(p: &mut Parser<'_>) -> Result<Statement, ParseError> {
             None => "expected a statement keyword".to_owned(),
         };
         return Err(p.error(format!(
-            "{head} (expected CREATE, INSERT, DELETE, SELECT, DATALOG, SHOW, or DROP)"
+            "{head} (expected CREATE, INSERT, DELETE, SELECT, DATALOG, SHOW, DROP, SOLVE, SET, \
+             SAVE, or LOAD)"
         )));
     };
     p.require(Token::Semi)?;
@@ -354,10 +466,17 @@ mod tests {
 
     #[test]
     fn script_splits_statements() {
-        let stmts = parse_script(
+        let cmds = parse_commands(
             "CREATE RELATION P(x);\nINSERT INTO P VALUES (1);\nSELECT P(x) AND x >= 0;",
         )
         .unwrap();
+        let stmts: Vec<&Statement> = cmds
+            .iter()
+            .map(|c| match c {
+                Command::Run(stmt) => stmt,
+                other => panic!("not a statement: {other}"),
+            })
+            .collect();
         assert_eq!(stmts.len(), 3);
         assert!(stmts[2].is_read_only());
         assert!(!stmts[1].is_read_only());

@@ -19,11 +19,17 @@
 //! maintenance), and the writing session then refreshes its own snapshot;
 //! other sessions keep their old snapshot until they next write or call
 //! [`Session::refresh`].
+//!
+//! **Session commands** sit beside the statements: `SOLVE` is a read,
+//! `SAVE` reads the snapshot, `LOAD` writes the master, and `SET PRECISION`
+//! is session state off the snapshot that puts the session's reads under
+//! `⊨_QE^F` ([`ConstraintDb::query_fp_then`]); writes are unaffected.
 
-use crate::parser::{parse_script, parse_statement, Rows, Statement};
+use crate::parser::{parse_command, parse_commands, Command, Rows, Statement};
 use crate::{Response, ServerError};
 use cdb_constraints::{ConstraintRelation, GeneralizedTuple};
-use constraintdb::{parse_program, ConstraintDb};
+use cdb_num::Rat;
+use constraintdb::{parse_program, storage, ConstraintDb, DbError, QueryResult};
 use std::io::{self, BufRead, Write};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -33,6 +39,8 @@ const MAX_DATALOG_ITERATIONS: usize = 256;
 
 /// Server configuration. The server has no knobs; the type remains so
 /// that `Server::new(ServerConfig::default())` keeps compiling.
+// frozen harness: `stmtbench` builds every server with
+// `Server::new(ServerConfig::default())`.
 #[derive(Debug, Clone, Default)]
 pub struct ServerConfig {}
 
@@ -46,10 +54,11 @@ pub struct ServerStats {
     pub reads: u64,
     /// Write statements applied to the master.
     pub writes: u64,
-    /// Always 0: there is no admission layer, so nothing is batched. Kept
-    /// only because the frozen benchmark (`stmtbench/src/trace.rs`) reads it.
+    /// Always 0: there is no admission layer, so nothing is batched.
+    // frozen harness: `stmtbench/src/trace.rs` reads it.
     pub batches: u64,
     /// Always 0, for the same reason as [`ServerStats::batches`].
+    // frozen harness: `stmtbench/src/trace.rs` reads it.
     pub batched_reads: u64,
     /// Algebraic memo-cache hits (shared across all sessions).
     pub cache_hits: u64,
@@ -83,6 +92,7 @@ impl Server {
     /// server cache). Per-query engine parallelism is forced to 1 —
     /// session threads are the unit of parallelism.
     #[must_use]
+    // frozen harness: `_cfg` is unused; `stmtbench` passes one.
     pub fn with_db(mut db: ConstraintDb, _cfg: ServerConfig) -> Server {
         db.engine_mut().workers = 1;
         Server {
@@ -110,6 +120,7 @@ impl Server {
         Session {
             inner: Arc::clone(&self.inner),
             snapshot,
+            precision: None,
         }
     }
 
@@ -147,29 +158,59 @@ impl Server {
 pub struct Session {
     inner: Arc<Inner>,
     snapshot: ConstraintDb,
+    /// `SET PRECISION`: the `⊨_QE^F` bit budget of this session's reads
+    /// (`None` = exact semantics).
+    precision: Option<u64>,
 }
 
 impl Session {
-    /// Parse and execute one statement.
+    /// Parse and execute one command (a statement or a session command).
     pub fn execute(&mut self, src: &str) -> Result<Response, ServerError> {
-        let stmt = parse_statement(src).map_err(ServerError::Parse)?;
-        self.execute_statement(&stmt)
+        let cmd = parse_command(src).map_err(ServerError::Parse)?;
+        self.execute_command(&cmd)
     }
 
-    /// Execute an already-parsed statement.
-    pub fn execute_statement(&mut self, stmt: &Statement) -> Result<Response, ServerError> {
+    /// Execute an already-parsed command.
+    pub fn execute_command(&mut self, cmd: &Command) -> Result<Response, ServerError> {
         self.inner.statements.fetch_add(1, Ordering::SeqCst);
-        match stmt {
-            Statement::Select { query } => {
-                self.admit_read()?;
-                self.snapshot
-                    .query(query)
-                    .map(|r| Response::Rows {
-                        text: r.display(),
-                        exact: r.is_exact(),
-                    })
-                    .map_err(|e| ServerError::Db(e.to_string()))
+        match cmd {
+            Command::Run(stmt) => self.run_statement(stmt),
+            Command::Solve { query } => self.read(query, |answer| {
+                let points = answer.solve()?;
+                Ok(Response::Solutions {
+                    points: points.map(|ps| ps.iter().map(|p| render_point(&answer, p)).collect()),
+                })
+            }),
+            Command::SetPrecision(budget_bits) => {
+                self.precision = *budget_bits;
+                Ok(Response::Precision {
+                    budget_bits: *budget_bits,
+                })
             }
+            Command::Save { path } => {
+                self.admit_read()?;
+                let text = storage::save(&self.snapshot).map_err(db_err)?;
+                // Durable before it is reported saved.
+                std::fs::File::create(path)
+                    .and_then(|mut file| {
+                        file.write_all(text.as_bytes())?;
+                        file.sync_all()
+                    })
+                    .map_err(|e| ServerError::Db(format!("cannot write {path}: {e}")))?;
+                Ok(Response::Saved { path: path.clone() })
+            }
+            Command::Load { path } => self.load_file(path),
+        }
+    }
+
+    fn run_statement(&mut self, stmt: &Statement) -> Result<Response, ServerError> {
+        match stmt {
+            Statement::Select { query } => self.read(query, |answer| {
+                Ok(Response::Rows {
+                    text: answer.display(),
+                    exact: answer.is_exact(),
+                })
+            }),
             Statement::ShowRelations => {
                 self.admit_read()?;
                 Ok(Response::Relations {
@@ -180,9 +221,29 @@ impl Session {
         }
     }
 
-    /// The `serve` REPL: read `;`-terminated statements (possibly spanning
+    /// Evaluate a read query against the snapshot and render its answer;
+    /// under `SET PRECISION k` a query whose evaluation or rendering (the
+    /// NUMERICAL EVALUATION of `SOLVE`) exceeds the budget answers
+    /// [`Response::Undefined`].
+    fn read(
+        &self,
+        query: &str,
+        render: impl FnOnce(QueryResult) -> Result<Response, DbError>,
+    ) -> Result<Response, ServerError> {
+        self.admit_read()?;
+        match self.precision {
+            None => self.snapshot.query(query).and_then(render).map_err(db_err),
+            Some(budget_bits) => Ok(self
+                .snapshot
+                .query_fp_then(query, budget_bits, render)
+                .map_err(db_err)?
+                .unwrap_or(Response::Undefined { budget_bits })),
+        }
+    }
+
+    /// The `serve` REPL: read `;`-terminated commands (possibly spanning
     /// lines) from `input` and write one response or error line per
-    /// statement to `out`.
+    /// command to `out`.
     pub fn serve(&mut self, input: impl BufRead, out: &mut impl Write) -> io::Result<()> {
         let mut buf = String::new();
         for line in input.lines() {
@@ -200,8 +261,8 @@ impl Session {
         self.run_buffered(&mut buf, true, out)
     }
 
-    /// Parse → execute → print for the statements buffered so far, then
-    /// clear the buffer. An incomplete trailing statement keeps buffering:
+    /// Parse → execute → print for the commands buffered so far, then
+    /// clear the buffer. An incomplete trailing command keeps buffering:
     /// a real syntax error is printed once a line ends in `;` or the input
     /// ends.
     fn run_buffered(
@@ -210,10 +271,10 @@ impl Session {
         at_eof: bool,
         out: &mut impl Write,
     ) -> io::Result<()> {
-        match parse_script(buf) {
-            Ok(stmts) => {
-                for stmt in &stmts {
-                    match self.execute_statement(stmt) {
+        match parse_commands(buf) {
+            Ok(cmds) => {
+                for cmd in &cmds {
+                    match self.execute_command(cmd) {
                         Ok(resp) => writeln!(out, "{resp}")?,
                         Err(e) => writeln!(out, "error: {e}")?,
                     }
@@ -260,31 +321,57 @@ impl Session {
 
     fn write(&mut self, stmt: &Statement) -> Result<Response, ServerError> {
         self.inner.writes.fetch_add(1, Ordering::SeqCst);
-        let outcome = {
-            let mut master = self
-                .inner
-                .master
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            let r = apply_write(&mut master, stmt);
-            // Refresh the session's own snapshot on success so it reads
-            // its own writes; on failure the master is untouched (every
-            // facade write is all-or-nothing, `ConstraintDb::atomically`).
-            match r {
-                Ok(resp) => {
-                    self.snapshot = master.clone();
-                    Ok(resp)
-                }
-                Err(e) => Err(e),
-            }
-        };
-        outcome
+        let mut master = self
+            .inner
+            .master
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        let resp = apply_write(&mut master, stmt)?;
+        // Refresh the session's own snapshot on success so it reads its own
+        // writes; on failure the master is untouched (every facade write is
+        // all-or-nothing, `ConstraintDb::atomically`).
+        self.snapshot = master.clone();
+        Ok(resp)
     }
+
+    /// `LOAD`: replace the master with the database in the file at `path`,
+    /// served by the server's engine (shared cache, one worker).
+    fn load_file(&mut self, path: &str) -> Result<Response, ServerError> {
+        self.inner.writes.fetch_add(1, Ordering::SeqCst);
+        let text = std::fs::read_to_string(path)
+            .map_err(|e| ServerError::Db(format!("cannot read {path}: {e}")))?;
+        let mut loaded = storage::load(&text).map_err(db_err)?;
+        let mut master = self
+            .inner
+            .master
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        *loaded.engine_mut() = master.engine_mut().clone();
+        *master = loaded;
+        self.snapshot = master.clone();
+        Ok(Response::Relations {
+            schema: master.schema(),
+        })
+    }
+}
+
+fn db_err(e: DbError) -> ServerError {
+    ServerError::Db(e.to_string())
+}
+
+/// One `SOLVE` point: `x = 5/2, y = 1` over the answer's free variables.
+fn render_point(answer: &QueryResult, coords: &[Rat]) -> String {
+    answer
+        .free_vars()
+        .iter()
+        .zip(coords)
+        .map(|(&v, c)| format!("{} = {c}", answer.var_names()[v]))
+        .collect::<Vec<_>>()
+        .join(", ")
 }
 
 /// Apply one write statement to the master database.
 fn apply_write(db: &mut ConstraintDb, stmt: &Statement) -> Result<Response, ServerError> {
-    let db_err = |e: constraintdb::DbError| ServerError::Db(e.to_string());
     match stmt {
         Statement::CreateRelation {
             name,
@@ -308,19 +395,14 @@ fn apply_write(db: &mut ConstraintDb, stmt: &Statement) -> Result<Response, Serv
                 arity: vars.len(),
             })
         }
-        Statement::Insert { name, rows } => {
+        Statement::Insert { name, rows } | Statement::Delete { name, rows } => {
             let tuples = compile_rows(db, name, rows)?;
-            let report = db.insert_tuples(name, &tuples).map_err(db_err)?;
-            Ok(Response::Updated {
-                relation: report.relation,
-                inserted: report.inserted,
-                retracted: report.retracted,
-                refreshed: report.refreshed_views.len() + report.refreshed_heads.len(),
-            })
-        }
-        Statement::Delete { name, rows } => {
-            let tuples = compile_rows(db, name, rows)?;
-            let report = db.retract_tuples(name, &tuples).map_err(db_err)?;
+            let report = if matches!(stmt, Statement::Insert { .. }) {
+                db.insert_tuples(name, &tuples)
+            } else {
+                db.retract_tuples(name, &tuples)
+            }
+            .map_err(db_err)?;
             Ok(Response::Updated {
                 relation: report.relation,
                 inserted: report.inserted,
@@ -598,6 +680,36 @@ mod tests {
             let resp = s.execute(&deep).unwrap().to_string();
             assert!(resp.contains(want), "{resp}");
         }
+    }
+
+    /// `SAVE` writes the snapshot; `LOAD` into a fresh server answers the
+    /// same schema and the same closed forms, byte for byte.
+    #[test]
+    fn save_then_load_into_a_fresh_server() {
+        let dir = std::env::temp_dir().join(format!("cdb_server_save_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("db.txt").display().to_string();
+        let reads = ["SHOW RELATIONS;", "SELECT exists y (S(x, y) and y <= 0);"];
+        let mut s = seeded_server(ServerConfig::default()).session();
+        let saved = s.execute(&format!("SAVE {path};")).unwrap();
+        assert_eq!(saved.to_string(), format!("saved to {path}"));
+        let before: Vec<String> = reads
+            .iter()
+            .map(|r| s.execute(r).unwrap().to_string())
+            .collect();
+        let fresh = Server::new(ServerConfig::default());
+        let mut t = fresh.session();
+        let loaded = t.execute(&format!("LOAD {path};")).unwrap();
+        assert_eq!(loaded.to_string(), "relations: P/1 S/2");
+        let after: Vec<String> = reads
+            .iter()
+            .map(|r| t.execute(r).unwrap().to_string())
+            .collect();
+        assert_eq!(after, before);
+        // The loaded master keeps the server's engine: one worker.
+        let mut view = fresh.session().snapshot().clone();
+        assert_eq!(view.engine_mut().workers, 1);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

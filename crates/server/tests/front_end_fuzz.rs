@@ -1,15 +1,16 @@
 //! No-panic fuzzing of every text front end (ROADMAP 7(c)). Token soups
-//! over the shared alphabet and arbitrary strings go into `parse_script`,
-//! `parse_formula`, `parse_program` and `storage::load`: each call returns
+//! over the shared alphabet and arbitrary strings go into `parse_statement`,
+//! `parse_command`, `parse_commands`, `parse_formula`, `parse_program` and
+//! `storage::load`: each call returns
 //! `Ok` or `Err`, never panics, and every `ParseError` points inside its
 //! input or one column past its last token.
 
 use cdb_calcf::{parse_formula, CalcFError, ParseError};
-use cdb_server::parse_script;
+use cdb_server::{parse_command, parse_commands, parse_statement};
 use constraintdb::{parse_program, storage, DbError};
 use proptest::prelude::*;
 
-/// The shared alphabet: statement, storage and formula keywords, function
+/// The shared alphabet: statement, command, storage and formula keywords, function
 /// and aggregate names, identifiers, numbers, every punctuation token
 /// (brackets drawn one at a time, so soups are unbalanced), comments and
 /// line breaks.
@@ -29,6 +30,12 @@ const WORDS: &[&str] = &[
     "SHOW",
     "RELATIONS",
     "DROP",
+    "SOLVE",
+    "SET",
+    "PRECISION",
+    "UNBOUNDED",
+    "SAVE",
+    "LOAD",
     "relation",
     "tuple",
     "end",
@@ -162,6 +169,8 @@ fn input() -> impl Strategy<Value = String> {
         fragments().prop_map(|s| format!("T(x, y) :- {s}.")),
         fragments().prop_map(|s| format!("relation S(x, y)\ntuple {s}\nend\n")),
         soup().prop_map(|s| format!("SELECT {s};")),
+        fragments().prop_map(|s| format!("SOLVE {s};")),
+        soup().prop_map(|s| format!("SET PRECISION {s};")),
         soup().prop_map(|s| format!("T(x) :- {s}.")),
         soup().prop_map(|s| format!("relation S(x, y)\ntuple {s}\nend\n")),
     ]
@@ -198,8 +207,18 @@ proptest! {
 
     #[test]
     fn statements_never_panic(src in input()) {
-        if let Err(e) = parse_script(&src) {
-            check_parse_error(&src, &e, "parse_script")?;
+        if let Err(e) = parse_statement(&src) {
+            check_parse_error(&src, &e, "parse_statement")?;
+        }
+    }
+
+    #[test]
+    fn commands_never_panic(src in input()) {
+        if let Err(e) = parse_command(&src) {
+            check_parse_error(&src, &e, "parse_command")?;
+        }
+        if let Err(e) = parse_commands(&src) {
+            check_parse_error(&src, &e, "parse_commands")?;
         }
     }
 

@@ -58,4 +58,21 @@ INSERT INTO P VALUES (3/0);
 CREATE RELATION Q(x);
 INSERT INTO Q VALUES (1.5), (9223372036854775808);
 DATALOG { B(x) :- P(x), not(Low(x)). };
+-- Session commands: NUMERICAL EVALUATION and the finite precision
+-- semantics (appended before the unterminated last line, which stays
+-- last). Figure 1: the closed form, then its one solution point.
+CREATE RELATION Fig1(x, y) AS 4*x^2 - y - 20*x + 25 <= 0;
+SELECT exists y (Fig1(x, y) and y <= 0);
+SOLVE exists y (Fig1(x, y) and y <= 0);
+SOLVE Band(x);
+SOLVE x^2 = 4 and y = x + 1;
+SET PRECISION 3;
+SELECT exists y (Fig1(x, y) and y <= 0);
+INSERT INTO Q VALUES (2);
+SOLVE exists y (Fig1(x, y) and y <= 0);
+SOLVE x^2 = 1000;
+SET PRECISION 64;
+SELECT exists y (Fig1(x, y) and y <= 0);
+SET PRECISION UNBOUNDED;
+SET PRECISION 1.5;
 SELECT P(x)

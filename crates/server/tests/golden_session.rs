@@ -1,8 +1,9 @@
 //! Golden session transcript: `golden/session.sql` — every statement kind,
 //! point and `CONSTRAINT` rows, `DATALOG` blocks with comments, decimals
-//! and negation, an aggregate, an analytic function, and malformed
-//! statements — replayed through one `Session` by the `serve` loop must
-//! print `golden/session.out` byte for byte.
+//! and negation, an aggregate, an analytic function, the `SOLVE` and
+//! `SET PRECISION` session commands, and malformed statements — replayed
+//! through one `Session` by the `serve` loop must print
+//! `golden/session.out` byte for byte.
 
 use cdb_server::{Server, ServerConfig};
 

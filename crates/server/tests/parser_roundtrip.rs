@@ -1,14 +1,14 @@
 //! Parser round-trip property tests and error-position unit tests.
 //!
-//! The round-trip property: for any generated [`Statement`],
-//! `parse(print(stmt)) == stmt` — the pretty-printer emits exactly the
+//! The round-trip property: for any generated [`Statement`] or
+//! [`Command`], `parse(print(x)) == x` — the pretty-printer emits exactly the
 //! canonical surface the parser accepts, including verbatim embedded
 //! CALC_F / Datalog¬ text. The error tests pin down *positions* (1-based
 //! line/col), not just messages: a parser that loses track of where it is
 //! fails these even if the message text stays right.
 
 use cdb_num::Rat;
-use cdb_server::{parse_script, parse_statement, Rows, Statement};
+use cdb_server::{parse_command, parse_commands, parse_statement, Command, Rows, Statement};
 use proptest::prelude::*;
 
 fn arb_name() -> impl Strategy<Value = String> {
@@ -96,8 +96,52 @@ fn arb_statement() -> impl Strategy<Value = Statement> {
     ]
 }
 
+/// File paths that lex under the shared tokenizer (a path is a raw span).
+fn arb_path() -> impl Strategy<Value = String> {
+    prop_oneof![
+        Just("db.txt".to_owned()),
+        Just("/var/lib/cdb/run_1.cdb".to_owned()),
+        Just("../saved/paper db".to_owned()),
+    ]
+}
+
+fn arb_command() -> impl Strategy<Value = Command> {
+    prop_oneof![
+        arb_statement().prop_map(Command::Run),
+        arb_formula_text().prop_map(|query| Command::Solve { query }),
+        (0u64..=1 << 20).prop_map(|k| Command::SetPrecision(Some(k))),
+        Just(Command::SetPrecision(None)),
+        arb_path().prop_map(|path| Command::Save { path }),
+        arb_path().prop_map(|path| Command::Load { path }),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// parse ∘ print is the identity on commands, statements included.
+    #[test]
+    fn command_print_parse_roundtrip(cmd in arb_command()) {
+        let printed = cmd.to_string();
+        let reparsed = parse_command(&printed)
+            .unwrap_or_else(|e| panic!("reparse of `{printed}` failed: {e}"));
+        prop_assert_eq!(&reparsed, &cmd, "printed as `{}`", printed);
+        prop_assert_eq!(reparsed.to_string(), printed);
+    }
+
+    /// Scripts of several commands (statements included) split and
+    /// round-trip.
+    #[test]
+    fn command_script_roundtrip(cmds in proptest::collection::vec(arb_command(), 1..=4)) {
+        let script = cmds
+            .iter()
+            .map(ToString::to_string)
+            .collect::<Vec<_>>()
+            .join("\n");
+        let reparsed = parse_commands(&script)
+            .unwrap_or_else(|e| panic!("reparse of script `{script}` failed: {e}"));
+        prop_assert_eq!(reparsed, cmds);
+    }
 
     /// parse ∘ print is the identity on statements.
     #[test]
@@ -109,24 +153,11 @@ proptest! {
         // And printing is a fixpoint.
         prop_assert_eq!(reparsed.to_string(), printed);
     }
-
-    /// Scripts of several statements split and round-trip.
-    #[test]
-    fn script_roundtrip(stmts in proptest::collection::vec(arb_statement(), 1..=4)) {
-        let script = stmts
-            .iter()
-            .map(ToString::to_string)
-            .collect::<Vec<_>>()
-            .join("\n");
-        let reparsed = parse_script(&script)
-            .unwrap_or_else(|e| panic!("reparse of script `{script}` failed: {e}"));
-        prop_assert_eq!(reparsed, stmts);
-    }
 }
 
 /// Error positions: (line, col) of the offending token, 1-based.
 fn err_pos(src: &str) -> (u32, u32, String) {
-    let e = parse_script(src).expect_err("expected a parse error");
+    let e = parse_commands(src).expect_err("expected a parse error");
     (e.line, e.col, e.message)
 }
 
@@ -185,6 +216,38 @@ fn multiline_columns_reset() {
     // The stray `)` is at line 3, col 3.
     let (line, col, _msg) = err_pos("SHOW\nRELATIONS\n  );");
     assert_eq!((line, col), (3, 3));
+}
+
+#[test]
+fn command_keywords_are_case_insensitive_but_canonicalized() {
+    let cmd = parse_command("set precision unbounded;").unwrap();
+    assert_eq!(cmd, Command::SetPrecision(None));
+    assert_eq!(cmd.to_string(), "SET PRECISION UNBOUNDED;");
+    let cmd = parse_command("solve  exists y (S(x, y) and y <= 0) ;").unwrap();
+    assert_eq!(cmd.to_string(), "SOLVE exists y (S(x, y) and y <= 0);");
+}
+
+#[test]
+fn set_precision_errors_point_at_the_budget() {
+    for (src, col, what) in [
+        ("SET PRECISION 1.5;", 15, "whole number"),
+        ("SET PRECISION 99999999999999999999;", 15, "whole number"),
+        ("SET PRECISION x;", 15, "UNBOUNDED"),
+        ("SET EPSILON 3;", 5, "PRECISION"),
+    ] {
+        let e = parse_command(src).expect_err(src);
+        assert_eq!((e.line, e.col), (1, col), "{src}: {e}");
+        assert!(e.message.contains(what), "{src}: {e}");
+    }
+}
+
+#[test]
+fn unknown_first_word_lists_every_command() {
+    let e = parse_command("FROB;").unwrap_err();
+    assert_eq!((e.line, e.col), (1, 1), "{e}");
+    assert!(e.message.starts_with("unknown statement `FROB`"), "{e}");
+    assert!(e.message.contains("SELECT, DATALOG"), "{e}");
+    assert!(e.message.ends_with("SOLVE, SET, SAVE, or LOAD)"), "{e}");
 }
 
 #[test]

@@ -15,7 +15,7 @@ use cdb_fp::doubling::{add2k_lo, le2k, mul2k_words, Pair};
 use cdb_fp::pathologies::{
     distributivity_counterexample, greatest_element, summation_order_counterexample,
 };
-use cdb_fp::semantics::{compare_semantics, input_bit_length};
+use cdb_fp::semantics::input_bit_length;
 use cdb_num::{FkParams, Int, Zk};
 use constraintdb::ConstraintDb;
 
@@ -99,17 +99,18 @@ fn main() {
     }
 
     // ---- Theorem 4.2 empirically: linear agreement whenever defined. -------
-    let raw = db.raw().clone();
     let q =
         cdb_constraints::Formula::exists(1, cdb_constraints::Formula::Rel("L".into(), vec![0, 1]));
-    let k = input_bit_length(&raw, &q);
-    let div = compare_semantics(&raw, &q, 2, 8 * k, 10).unwrap();
+    let k = input_bit_length(db.raw(), &q);
+    let div = db
+        .compare_semantics("exists y L(x, y)", 8 * k, 10)
+        .unwrap()
+        .expect("linear query undefined at 8k budget");
     println!(
-        "\nTheorem 4.2 check (linear query, budget 8k = {}): defined = {}, {} probes, {} disagreements",
+        "\nTheorem 4.2 check (linear query, budget 8k = {}): defined, {} probes, {} disagreements",
         8 * k,
-        div.fp_defined,
         div.probes,
         div.disagreements
     );
-    assert!(div.fp_defined && div.disagreements == 0);
+    assert_eq!(div.disagreements, 0);
 }

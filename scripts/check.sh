@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Repository gate: formatting, lints, the tier-1 verify from ROADMAP.md, the
-# full workspace test suite, the statement benchmark's own tests, the paper's
-# experiments (E1-E15), one checked run of every benchmark workload, and a
+# full workspace test suite, the golden session through the `serve` binary,
+# the statement benchmark's own tests, the paper's experiments (E1-E15), one
+# checked run of every benchmark workload, and a
 # last look that none of it rewrote a frozen benchmark file.
 # Run from anywhere; operates on the workspace containing this script.
 set -euo pipefail
@@ -23,6 +24,12 @@ cargo run -p cdb-lint --
 echo "==> tier-1 verify: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q
+
+echo "==> serve binary: the golden session transcript through the release \`serve\`"
+# The golden test drives `Session::serve` in-process; this runs the binary's
+# `main` (stdin lock, stdout, shutdown) on the same script.
+target/release/serve < crates/server/tests/golden/session.sql |
+    diff crates/server/tests/golden/session.out -
 
 echo "==> full workspace: every per-crate unit, differential and fixture suite"
 cargo test --workspace -q
