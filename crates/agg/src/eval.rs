@@ -12,7 +12,13 @@ use cdb_qe::QeContext;
 pub enum EvalResult {
     /// The relation denotes a finite set: its ε-approximated points, as a
     /// finite constraint relation.
-    Finite(ConstraintRelation),
+    Finite {
+        /// One point tuple per solution.
+        relation: ConstraintRelation,
+        /// True when every coordinate of every point is exact, false when
+        /// one is an ε-approximation of an irrational solution.
+        exact: bool,
+    },
     /// Infinite: the input system unchanged.
     Unchanged(ConstraintRelation),
 }
@@ -22,14 +28,14 @@ impl EvalResult {
     #[must_use]
     pub fn relation(self) -> ConstraintRelation {
         match self {
-            EvalResult::Finite(r) | EvalResult::Unchanged(r) => r,
+            EvalResult::Finite { relation: r, .. } | EvalResult::Unchanged(r) => r,
         }
     }
 
     /// True when the finite branch was taken.
     #[must_use]
     pub fn is_finite(&self) -> bool {
-        matches!(self, EvalResult::Finite(_))
+        matches!(self, EvalResult::Finite { .. })
     }
 }
 
@@ -40,6 +46,12 @@ pub fn eval_aggregate(
     eps: &Rat,
     ctx: &QeContext,
 ) -> Result<EvalResult, AggError> {
+    if vars.is_empty() {
+        return Err(AggError::Arity {
+            expected: 1,
+            got: 0,
+        });
+    }
     match numerical_evaluation(rel, vars, eps, ctx)? {
         None => Ok(EvalResult::Unchanged(rel.clone())),
         Some(points) => {
@@ -48,6 +60,7 @@ pub fn eval_aggregate(
             use cdb_constraints::{Atom, GeneralizedTuple, RelOp};
             use cdb_poly::MPoly;
             let nvars = rel.nvars();
+            let exact = points.iter().all(|p| p.exact);
             let tuples: Vec<GeneralizedTuple> = points
                 .into_iter()
                 .map(|p| {
@@ -64,7 +77,10 @@ pub fn eval_aggregate(
                     GeneralizedTuple::new(nvars, atoms)
                 })
                 .collect();
-            Ok(EvalResult::Finite(ConstraintRelation::new(nvars, tuples)))
+            Ok(EvalResult::Finite {
+                relation: ConstraintRelation::new(nvars, tuples),
+                exact,
+            })
         }
     }
 }
@@ -91,10 +107,31 @@ mod tests {
         );
         let ctx = QeContext::exact();
         let out = eval_aggregate(&rel, &[0], &eps(), &ctx).unwrap();
-        assert!(out.is_finite());
+        assert!(matches!(out, EvalResult::Finite { exact: true, .. }));
         let pts = out.relation().as_finite_points().unwrap();
         assert_eq!(pts.len(), 1);
         assert!((&pts[0][0] - &"5/2".parse().unwrap()).abs() < eps());
+    }
+
+    /// x² = 2: the points are ε-approximations of ±√2, and the result
+    /// says so.
+    #[test]
+    fn irrational_points_are_inexact() {
+        let x = MPoly::var(0, 1);
+        let rel = ConstraintRelation::new(
+            1,
+            vec![GeneralizedTuple::new(
+                1,
+                vec![Atom::new(
+                    &x.pow(2) - &MPoly::constant(Rat::from(2i64), 1),
+                    RelOp::Eq,
+                )],
+            )],
+        );
+        let ctx = QeContext::exact();
+        let out = eval_aggregate(&rel, &[0], &eps(), &ctx).unwrap();
+        assert!(matches!(out, EvalResult::Finite { exact: false, .. }));
+        assert_eq!(out.relation().as_finite_points().unwrap().len(), 2);
     }
 
     #[test]

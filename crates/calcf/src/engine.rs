@@ -6,16 +6,26 @@
 //! are replaced by polynomial approximations over the a-base's hypercubes
 //! (each guarded by range constraints `z ∈ e`); the resulting polynomial
 //! formula is evaluated in closed form by the QE pipeline.
+//!
+//! The first two stages are one recursive pass over the AST that emits the
+//! polynomial [`Formula`]. At each comparison the pass evaluates the
+//! aggregates (each body is a query of its own, so nested aggregates run
+//! innermost-first) and replaces them by their values, then expands the
+//! analytic applications over the a-base; an `EVAL` predicate becomes the
+//! formula of its relation. Negation is pushed to the atoms on the way
+//! down, so the formula handed to QE is already in negation normal form.
 
 use crate::ast::{CFormula, CTerm};
 use crate::parser::{parse_formula, ParseError};
 use cdb_agg::aggregate::AggOutput;
-use cdb_agg::{apply_aggregate, AggError, Aggregate};
+use cdb_agg::eval::EvalResult;
+use cdb_agg::{apply_aggregate, eval_aggregate, AggError, Aggregate};
 use cdb_approx::modules::{approximate, ApproxError, ApproxMethod};
 use cdb_approx::ABase;
+use cdb_constraints::formula::relation_to_formula;
 use cdb_constraints::{Atom, ConstraintRelation, Database, Formula, RelOp};
 use cdb_num::Rat;
-use cdb_poly::{MPoly, Terms, UPoly};
+use cdb_poly::{Terms, UPoly};
 use cdb_qe::{evaluate_query, QeContext, QeError};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -264,18 +274,19 @@ impl CalcFEngine {
             .map(|(i, n)| (n.clone(), i))
             .collect();
         let nvars = var_names.len().max(1);
-        let mut exact = true;
-        // cdb-lint: allow(float) — accumulator for the diagnostic sup-norm
-        // bound (see `CalcFOutput::approx_sup_error`).
-        let mut err = 0.0f64;
-        // Stage 1: aggregates, innermost-first.
-        let agg_free = self.eliminate_aggregates(db, query, &index, nvars, &mut exact, &mut err)?;
-        // Stage 2: NNF, then analytic terms → piecewise approximations.
-        let nnf = cnnf(&agg_free, false);
-        let poly_formula = self.eliminate_analytic(&nnf, &index, nvars, &mut exact, &mut err)?;
-        // Stage 3: the polynomial QE pipeline.
+        let mut lowering = Lowering {
+            engine: self,
+            db,
+            index: &index,
+            nvars,
+            exact: true,
+            // cdb-lint: allow(float) — starts the diagnostic sup-norm bound
+            // (see `CalcFOutput::approx_sup_error`).
+            err: 0.0,
+        };
+        let formula = lowering.formula(query, false)?;
         let ctx = self.qe_context(self.budget_bits);
-        let out = evaluate_query(db, &poly_formula, nvars, &ctx)?;
+        let out = evaluate_query(db, &formula, nvars, &ctx)?;
         let free_names = query.free_vars();
         let mut free_vars = Vec::with_capacity(free_names.len());
         for n in &free_names {
@@ -287,151 +298,151 @@ impl CalcFEngine {
             relation: out.relation,
             var_names,
             free_vars,
-            exact,
-            approx_sup_error: err,
+            exact: lowering.exact,
+            approx_sup_error: lowering.err,
         })
     }
+}
 
-    /// Replace every aggregate predicate by its value (scalar constants, or
-    /// the EVAL relation inlined).
-    #[allow(clippy::too_many_arguments)]
-    // cdb-lint: allow(float-taint) — the only float in the signature is the
-    // `err` sup-norm accumulator, a diagnostic; values stay exact
-    fn eliminate_aggregates(
-        &self,
-        db: &Database,
-        f: &CFormula,
-        index: &BTreeMap<String, usize>,
-        nvars: usize,
-        exact: &mut bool,
-        // cdb-lint: allow(float) — diagnostic sup-norm bound (see above).
-        err: &mut f64,
-    ) -> Result<CFormula, CalcFError> {
+/// One lowering of a CALC_F formula to a polynomial [`Formula`] over the
+/// query's ring: the §5 stages in a single recursive pass. Aggregates are
+/// replaced by their values (EVAL by its relation) and analytic terms by
+/// a-base approximations as each atom is reached; negation is pushed to
+/// the atoms on the way down, so the output is in negation normal form.
+struct Lowering<'a> {
+    engine: &'a CalcFEngine,
+    db: &'a Database,
+    index: &'a BTreeMap<String, usize>,
+    nvars: usize,
+    /// False once an aggregate, EVAL point or analytic term approximated.
+    exact: bool,
+    /// Largest measured sup-norm error of an approximation used so far.
+    // cdb-lint: allow(float) — diagnostic sup-norm bound (see
+    // `CalcFOutput::approx_sup_error`); values stay exact.
+    err: f64,
+}
+
+impl Lowering<'_> {
+    /// Ring index of a variable name.
+    fn var(&self, name: &str) -> Result<usize, CalcFError> {
+        self.index
+            .get(name)
+            .copied()
+            .ok_or_else(|| CalcFError::Semantic(format!("unknown variable {name}")))
+    }
+
+    /// Lower `f` (its negation when `neg`).
+    fn formula(&mut self, f: &CFormula, neg: bool) -> Result<Formula, CalcFError> {
         Ok(match f {
-            CFormula::True => CFormula::True,
-            CFormula::False => CFormula::False,
-            CFormula::Rel(name, args) => CFormula::Rel(name.clone(), args.clone()),
-            CFormula::Cmp(a, op, b) => CFormula::Cmp(
-                self.eliminate_aggregates_term(db, a, exact, err)?,
-                *op,
-                self.eliminate_aggregates_term(db, b, exact, err)?,
-            ),
-            CFormula::EvalPred(vars, body) => {
-                // Evaluate the body as a standalone relation over its own
-                // ring, apply EVAL, then express the result as a formula
-                // over the outer variables.
-                let inner = self.aggregate_input(db, Aggregate::Eval, vars, body, exact, err)?;
-                let (rel, inner_vars) = inner;
-                let ctx = self.qe_context(None);
-                let out = apply_aggregate(Aggregate::Eval, &rel, &inner_vars, &self.eps, &ctx)?;
-                let AggOutput::Relation(result) = out else {
-                    return Err(CalcFError::Internal(
-                        "EVAL aggregate did not yield a relation".to_owned(),
-                    ));
-                };
-                // Remap: inner ring variable i corresponds to outer
-                // variable index[vars[pos]] where inner_vars[pos] = i.
-                let mut map = vec![0usize; result.nvars()];
-                for (pos, &iv) in inner_vars.iter().enumerate() {
-                    map[iv] = *index.get(&vars[pos]).ok_or_else(|| {
-                        CalcFError::Semantic(format!("unknown variable {}", vars[pos]))
-                    })?;
+            CFormula::True if neg => Formula::False,
+            CFormula::False if neg => Formula::True,
+            CFormula::True => Formula::True,
+            CFormula::False => Formula::False,
+            CFormula::Rel(name, args) => {
+                let idx = args.iter().map(|a| self.var(a)).collect::<Result<_, _>>()?;
+                let rel = Formula::Rel(name.clone(), idx);
+                if neg {
+                    Formula::not(rel)
+                } else {
+                    rel
                 }
-                let remapped = result.remap_vars(&map, nvars);
-                relation_to_cformula(&remapped, index)
             }
-            CFormula::Not(g) => CFormula::Not(Box::new(
-                self.eliminate_aggregates(db, g, index, nvars, exact, err)?,
-            )),
-            CFormula::And(fs) => CFormula::And(
-                fs.iter()
-                    .map(|g| self.eliminate_aggregates(db, g, index, nvars, exact, err))
-                    .collect::<Result<_, _>>()?,
-            ),
-            CFormula::Or(fs) => CFormula::Or(
-                fs.iter()
-                    .map(|g| self.eliminate_aggregates(db, g, index, nvars, exact, err))
-                    .collect::<Result<_, _>>()?,
-            ),
-            CFormula::Exists(v, g) => CFormula::Exists(
-                v.clone(),
-                Box::new(self.eliminate_aggregates(db, g, index, nvars, exact, err)?),
-            ),
-            CFormula::Forall(v, g) => CFormula::Forall(
-                v.clone(),
-                Box::new(self.eliminate_aggregates(db, g, index, nvars, exact, err)?),
-            ),
+            CFormula::Cmp(a, op, b) => {
+                let t = CTerm::Sub(Box::new(self.term(a)?), Box::new(self.term(b)?));
+                self.atom(&t, if neg { op.negated() } else { *op })?
+            }
+            CFormula::EvalPred(vars, body) => {
+                let f = relation_to_formula(&self.eval(vars, body)?);
+                if neg {
+                    Formula::not(f).to_nnf()
+                } else {
+                    f
+                }
+            }
+            CFormula::Not(g) => self.formula(g, !neg)?,
+            CFormula::And(fs) | CFormula::Or(fs) => {
+                let parts = fs
+                    .iter()
+                    .map(|g| self.formula(g, neg))
+                    .collect::<Result<_, _>>()?;
+                if matches!(f, CFormula::And(_)) != neg {
+                    Formula::And(parts)
+                } else {
+                    Formula::Or(parts)
+                }
+            }
+            CFormula::Exists(v, g) | CFormula::Forall(v, g) => {
+                let vi = self.var(v)?;
+                let body = self.formula(g, neg)?;
+                if matches!(f, CFormula::Exists(..)) != neg {
+                    Formula::exists(vi, body)
+                } else {
+                    Formula::forall(vi, body)
+                }
+            }
         })
     }
 
-    fn eliminate_aggregates_term(
-        &self,
-        db: &Database,
-        t: &CTerm,
-        exact: &mut bool,
-        // cdb-lint: allow(float) — diagnostic sup-norm bound (see above).
-        err: &mut f64,
-    ) -> Result<CTerm, CalcFError> {
+    /// `t` with every scalar aggregate replaced by its value.
+    fn term(&mut self, t: &CTerm) -> Result<CTerm, CalcFError> {
+        let mut go = |u: &CTerm| self.term(u).map(Box::new);
         Ok(match t {
             CTerm::Var(_) | CTerm::Const(_) => t.clone(),
-            CTerm::Add(a, b) => CTerm::Add(
-                Box::new(self.eliminate_aggregates_term(db, a, exact, err)?),
-                Box::new(self.eliminate_aggregates_term(db, b, exact, err)?),
-            ),
-            CTerm::Sub(a, b) => CTerm::Sub(
-                Box::new(self.eliminate_aggregates_term(db, a, exact, err)?),
-                Box::new(self.eliminate_aggregates_term(db, b, exact, err)?),
-            ),
-            CTerm::Mul(a, b) => CTerm::Mul(
-                Box::new(self.eliminate_aggregates_term(db, a, exact, err)?),
-                Box::new(self.eliminate_aggregates_term(db, b, exact, err)?),
-            ),
-            CTerm::Neg(a) => {
-                CTerm::Neg(Box::new(self.eliminate_aggregates_term(db, a, exact, err)?))
-            }
-            CTerm::Pow(a, n) => CTerm::Pow(
-                Box::new(self.eliminate_aggregates_term(db, a, exact, err)?),
-                *n,
-            ),
-            CTerm::Apply(g, a) => CTerm::Apply(
-                *g,
-                Box::new(self.eliminate_aggregates_term(db, a, exact, err)?),
-            ),
+            CTerm::Add(a, b) => CTerm::Add(go(a)?, go(b)?),
+            CTerm::Sub(a, b) => CTerm::Sub(go(a)?, go(b)?),
+            CTerm::Mul(a, b) => CTerm::Mul(go(a)?, go(b)?),
+            CTerm::Neg(a) => CTerm::Neg(go(a)?),
+            CTerm::Pow(a, n) => CTerm::Pow(go(a)?, *n),
+            CTerm::Apply(g, a) => CTerm::Apply(*g, go(a)?),
             CTerm::Agg(agg, vars, body) => {
                 if *agg == Aggregate::Eval {
                     return Err(CalcFError::Semantic(
                         "EVAL is a predicate, not a scalar term".into(),
                     ));
                 }
-                let (rel, inner_vars) = self.aggregate_input(db, *agg, vars, body, exact, err)?;
-                let ctx = self.qe_context(None);
-                let out = apply_aggregate(*agg, &rel, &inner_vars, &self.eps, &ctx)?;
+                let (rel, inner_vars) = self.aggregate_input(*agg, vars, body)?;
+                let ctx = self.engine.qe_context(None);
+                let out = apply_aggregate(*agg, &rel, &inner_vars, &self.engine.eps, &ctx)?;
                 let AggOutput::Scalar(v) = out else {
                     return Err(CalcFError::Internal(
                         "non-EVAL aggregate did not yield a scalar".to_owned(),
                     ));
                 };
-                if !v.exact {
-                    *exact = false;
-                }
+                self.exact &= v.exact;
                 CTerm::Const(v.value)
             }
         })
     }
 
+    /// The relation `EVAL[vars]{body}` denotes, over the outer ring.
+    fn eval(&mut self, vars: &[String], body: &CFormula) -> Result<ConstraintRelation, CalcFError> {
+        // Evaluate the body as a standalone relation over its own ring,
+        // apply EVAL, then map inner ring variable `inner_vars[pos]` to the
+        // outer variable `vars[pos]`.
+        let (rel, inner_vars) = self.aggregate_input(Aggregate::Eval, vars, body)?;
+        let ctx = self.engine.qe_context(None);
+        let result = match eval_aggregate(&rel, &inner_vars, &self.engine.eps, &ctx)? {
+            EvalResult::Finite { relation, exact } => {
+                self.exact &= exact;
+                relation
+            }
+            EvalResult::Unchanged(relation) => relation,
+        };
+        let mut map = vec![0usize; result.nvars()];
+        for (&iv, v) in inner_vars.iter().zip(vars) {
+            map[iv] = self.var(v)?;
+        }
+        Ok(result.remap_vars(&map, self.nvars))
+    }
+
     /// Evaluate an aggregate's body into a constraint relation over its own
     /// variable ring; return the relation and the ring indices of the
     /// aggregate's bound variables.
-    #[allow(clippy::too_many_arguments)]
     fn aggregate_input(
-        &self,
-        db: &Database,
+        &mut self,
         agg: Aggregate,
         vars: &[String],
         body: &CFormula,
-        exact: &mut bool,
-        // cdb-lint: allow(float) — diagnostic sup-norm bound (see above).
-        err: &mut f64,
     ) -> Result<(ConstraintRelation, Vec<usize>), CalcFError> {
         // The paper's technical assumption: no free parameters.
         let free = body.free_vars();
@@ -443,11 +454,9 @@ impl CalcFEngine {
                 )));
             }
         }
-        let sub = self.evaluate_ast(db, body)?;
-        if !sub.exact {
-            *exact = false;
-        }
-        *err = err.max(sub.approx_sup_error);
+        let sub = self.engine.evaluate_ast(self.db, body)?;
+        self.exact &= sub.exact;
+        self.err = self.err.max(sub.approx_sup_error);
         let inner_vars: Vec<usize> = vars
             .iter()
             .map(|v| {
@@ -459,136 +468,61 @@ impl CalcFEngine {
         Ok((sub.relation, inner_vars))
     }
 
-    /// Replace analytic function applications by piecewise polynomial
-    /// approximations ("each tuple t containing f(z̄) is replaced by a set
-    /// of tuples t_e ∧ z ∈ e"), and translate to the pure formula type.
-    // cdb-lint: allow(float-taint) — the only float in the signature is the
-    // `err` sup-norm accumulator, a diagnostic; values stay exact
-    fn eliminate_analytic(
-        &self,
-        f: &CFormula,
-        index: &BTreeMap<String, usize>,
-        nvars: usize,
-        exact: &mut bool,
-        // cdb-lint: allow(float) — diagnostic sup-norm bound (see above).
-        err: &mut f64,
-    ) -> Result<Formula, CalcFError> {
-        Ok(match f {
-            CFormula::True => Formula::True,
-            CFormula::False => Formula::False,
-            CFormula::Rel(name, args) => {
-                let idx: Vec<usize> =
-                    args.iter()
-                        .map(|a| {
-                            index.get(a).copied().ok_or_else(|| {
-                                CalcFError::Semantic(format!("unknown variable {a}"))
-                            })
-                        })
-                        .collect::<Result<_, _>>()?;
-                Formula::Rel(name.clone(), idx)
-            }
-            CFormula::EvalPred(..) => {
-                return Err(CalcFError::Internal(
-                    "EVAL predicate survived stage-1 aggregate elimination".to_owned(),
-                ))
-            }
-            CFormula::Cmp(a, op, b) => {
-                let t = CTerm::Sub(Box::new(a.clone()), Box::new(b.clone()));
-                self.atom_to_formula(&t, *op, index, nvars, exact, err)?
-            }
-            CFormula::Not(g) => {
-                // NNF leaves Not only over relation symbols.
-                Formula::not(self.eliminate_analytic(g, index, nvars, exact, err)?)
-            }
-            CFormula::And(fs) => Formula::And(
-                fs.iter()
-                    .map(|g| self.eliminate_analytic(g, index, nvars, exact, err))
-                    .collect::<Result<_, _>>()?,
-            ),
-            CFormula::Or(fs) => Formula::Or(
-                fs.iter()
-                    .map(|g| self.eliminate_analytic(g, index, nvars, exact, err))
-                    .collect::<Result<_, _>>()?,
-            ),
-            CFormula::Exists(v, g) => {
-                let vi = *index
-                    .get(v)
-                    .ok_or_else(|| CalcFError::Semantic(format!("unknown variable {v}")))?;
-                Formula::exists(vi, self.eliminate_analytic(g, index, nvars, exact, err)?)
-            }
-            CFormula::Forall(v, g) => {
-                let vi = *index
-                    .get(v)
-                    .ok_or_else(|| CalcFError::Semantic(format!("unknown variable {v}")))?;
-                Formula::forall(vi, self.eliminate_analytic(g, index, nvars, exact, err)?)
-            }
-        })
-    }
-
-    /// Turn `t op 0` into a pure formula, expanding analytic applications
-    /// over the a-base.
-    #[allow(clippy::too_many_arguments)]
-    fn atom_to_formula(
-        &self,
-        t: &CTerm,
-        op: RelOp,
-        index: &BTreeMap<String, usize>,
-        nvars: usize,
-        exact: &mut bool,
-        // cdb-lint: allow(float) — diagnostic sup-norm bound (see above).
-        err: &mut f64,
-    ) -> Result<Formula, CalcFError> {
+    /// Turn the aggregate-free `t op 0` into a pure formula, replacing
+    /// analytic applications by piecewise polynomial approximations ("each
+    /// tuple t containing f(z̄) is replaced by a set of tuples t_e ∧ z ∈ e").
+    fn atom(&mut self, t: &CTerm, op: RelOp) -> Result<Formula, CalcFError> {
         // Find an innermost analytic application.
-        if let Some((func, arg)) = find_innermost_apply(t) {
-            *exact = false;
-            // The argument is analytic-free: a polynomial.
-            let arg_poly = term_to_terms(&arg, index, nvars)?;
-            let mut branches = Vec::with_capacity(self.abase.num_intervals());
-            let mut skipped = 0usize;
-            for (lo, hi) in self.abase.intervals() {
-                // Cells outside the function's domain contribute no points
-                // (the function is undefined there — the paper's singular-
-                // point caveat); skip them rather than failing the query.
-                if !func.interval_in_domain(lo.to_f64(), hi.to_f64()) {
-                    skipped += 1;
-                    continue;
-                }
-                let h_e = approximate(func, &lo, &hi, self.order, self.method)?;
-                // Track the measured sup-norm error of this piece.
-                *err = err.max(cdb_approx::sup_error(
-                    func,
-                    &h_e,
-                    lo.to_f64(),
-                    hi.to_f64(),
-                    64,
-                ));
-                // Substitute h_e(arg) for the application.
-                let replaced = substitute_apply(t, &func, &arg, &h_e);
-                // Guard: lo ≤ arg ≤ hi.
-                let guard_lo =
-                    Atom::new((&Terms::constant(lo, nvars) - &arg_poly).seal(), RelOp::Le);
-                let guard_hi =
-                    Atom::new((&arg_poly - &Terms::constant(hi, nvars)).seal(), RelOp::Le);
-                let inner = self.atom_to_formula(&replaced, op, index, nvars, exact, err)?;
-                branches.push(Formula::And(vec![
-                    Formula::Atom(guard_lo),
-                    Formula::Atom(guard_hi),
-                    inner,
-                ]));
+        let Some((func, arg)) = find_innermost_apply(t) else {
+            let poly = term_to_terms(t, self.index, self.nvars)?.seal();
+            return Ok(Formula::Atom(Atom::new(poly, op)));
+        };
+        self.exact = false;
+        // The argument is analytic-free: a polynomial.
+        let arg_poly = term_to_terms(&arg, self.index, self.nvars)?;
+        let abase = &self.engine.abase;
+        let mut branches = Vec::with_capacity(abase.num_intervals());
+        let mut skipped = 0usize;
+        for (lo, hi) in abase.intervals() {
+            // Cells outside the function's domain contribute no points
+            // (the function is undefined there — the paper's singular-
+            // point caveat); skip them rather than failing the query.
+            // cdb-lint: allow(float-taint) — a domain test on the cell's
+            // float image; the approximation itself is exact
+            if !func.interval_in_domain(lo.to_f64(), hi.to_f64()) {
+                skipped += 1;
+                continue;
             }
-            if branches.is_empty() && skipped > 0 {
-                return Err(CalcFError::Approx(
-                    cdb_approx::modules::ApproxError::OutOfDomain {
-                        func: func.name(),
-                        interval: format!("the whole a-base span {:?}", self.abase.span()),
-                    },
-                ));
-            }
-            return Ok(Formula::Or(branches));
+            let h_e = approximate(func, &lo, &hi, self.engine.order, self.engine.method)?;
+            // Track the measured sup-norm error of this piece.
+            // cdb-lint: allow(float-taint) — diagnostic sup-norm bound
+            let piece_err = cdb_approx::sup_error(func, &h_e, lo.to_f64(), hi.to_f64(), 64);
+            self.err = self.err.max(piece_err);
+            // Substitute h_e(arg) for the application.
+            let replaced = substitute_apply(t, &func, &arg, &h_e);
+            // Guard: lo ≤ arg ≤ hi.
+            let guard_lo = Atom::new(
+                (&Terms::constant(lo, self.nvars) - &arg_poly).seal(),
+                RelOp::Le,
+            );
+            let guard_hi = Atom::new(
+                (&arg_poly - &Terms::constant(hi, self.nvars)).seal(),
+                RelOp::Le,
+            );
+            let inner = self.atom(&replaced, op)?;
+            branches.push(Formula::And(vec![
+                Formula::Atom(guard_lo),
+                Formula::Atom(guard_hi),
+                inner,
+            ]));
         }
-        // Polynomial atom.
-        let poly = term_to_terms(t, index, nvars)?.seal();
-        Ok(Formula::Atom(Atom::new(poly, op)))
+        if branches.is_empty() && skipped > 0 {
+            return Err(CalcFError::Approx(ApproxError::OutOfDomain {
+                func: func.name(),
+                interval: format!("the whole a-base span {:?}", abase.span()),
+            }));
+        }
+        Ok(Formula::Or(branches))
     }
 }
 
@@ -620,70 +554,6 @@ fn check_no_shadowing(f: &CFormula) -> Result<(), CalcFError> {
         }
     }
     go(f, &mut Vec::new())
-}
-
-/// Negation normal form for CALC_F formulas: negation absorbed into
-/// comparison operators; `Not` survives only over relation symbols.
-fn cnnf(f: &CFormula, neg: bool) -> CFormula {
-    match f {
-        CFormula::True => {
-            if neg {
-                CFormula::False
-            } else {
-                CFormula::True
-            }
-        }
-        CFormula::False => {
-            if neg {
-                CFormula::True
-            } else {
-                CFormula::False
-            }
-        }
-        CFormula::Cmp(a, op, b) => {
-            CFormula::Cmp(a.clone(), if neg { op.negated() } else { *op }, b.clone())
-        }
-        CFormula::Rel(..) | CFormula::EvalPred(..) => {
-            if neg {
-                CFormula::Not(Box::new(f.clone()))
-            } else {
-                f.clone()
-            }
-        }
-        CFormula::Not(g) => cnnf(g, !neg),
-        CFormula::And(fs) => {
-            let parts = fs.iter().map(|g| cnnf(g, neg)).collect();
-            if neg {
-                CFormula::Or(parts)
-            } else {
-                CFormula::And(parts)
-            }
-        }
-        CFormula::Or(fs) => {
-            let parts = fs.iter().map(|g| cnnf(g, neg)).collect();
-            if neg {
-                CFormula::And(parts)
-            } else {
-                CFormula::Or(parts)
-            }
-        }
-        CFormula::Exists(v, g) => {
-            let body = Box::new(cnnf(g, neg));
-            if neg {
-                CFormula::Forall(v.clone(), body)
-            } else {
-                CFormula::Exists(v.clone(), body)
-            }
-        }
-        CFormula::Forall(v, g) => {
-            let body = Box::new(cnnf(g, neg));
-            if neg {
-                CFormula::Exists(v.clone(), body)
-            } else {
-                CFormula::Forall(v.clone(), body)
-            }
-        }
-    }
 }
 
 /// Find an innermost analytic application (its argument is analytic-free).
@@ -768,71 +638,11 @@ fn term_to_terms(
     })
 }
 
-/// Express a DNF relation as a CALC_F formula (used to inline EVAL results).
-fn relation_to_cformula(rel: &ConstraintRelation, index: &BTreeMap<String, usize>) -> CFormula {
-    let names: Vec<String> = {
-        let mut v = vec![String::new(); index.len().max(rel.nvars())];
-        for (n, &i) in index {
-            if i < v.len() {
-                v[i] = n.clone();
-            }
-        }
-        v
-    };
-    if rel.tuples().is_empty() {
-        return CFormula::False;
-    }
-    let mut disjuncts = Vec::new();
-    for t in rel.tuples() {
-        let mut conj = Vec::new();
-        for a in t.atoms() {
-            conj.push(CFormula::Cmp(
-                mpoly_to_cterm(&a.poly, &names),
-                a.op,
-                CTerm::Const(Rat::zero()),
-            ));
-        }
-        disjuncts.push(if conj.is_empty() {
-            CFormula::True
-        } else {
-            CFormula::And(conj)
-        });
-    }
-    match disjuncts.pop() {
-        Some(only) if disjuncts.is_empty() => only,
-        Some(last) => {
-            disjuncts.push(last);
-            CFormula::Or(disjuncts)
-        }
-        None => CFormula::Or(disjuncts),
-    }
-}
-
-fn mpoly_to_cterm(p: &MPoly, names: &[String]) -> CTerm {
-    let mut acc = CTerm::Const(Rat::zero());
-    for (mono, coeff) in p.terms() {
-        let mut term = CTerm::Const(coeff.clone());
-        for (i, e) in mono.exps().enumerate() {
-            if e == 0 {
-                continue;
-            }
-            let var = CTerm::Var(names[i].clone());
-            let factor = if e == 1 {
-                var
-            } else {
-                CTerm::Pow(Box::new(var), e)
-            };
-            term = CTerm::Mul(Box::new(term), Box::new(factor));
-        }
-        acc = CTerm::Add(Box::new(acc), Box::new(term));
-    }
-    acc
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use cdb_constraints::GeneralizedTuple;
+    use cdb_poly::MPoly;
 
     fn c(v: i64, n: usize) -> MPoly {
         MPoly::constant(Rat::from(v), n)
@@ -959,6 +769,19 @@ mod tests {
         assert!((&pts[0][0] - &"5/2".parse().unwrap()).abs() < "1/1000".parse().unwrap());
     }
 
+    /// EVAL of an irrational point set is an approximation, and the answer
+    /// says so; rational points stay exact.
+    #[test]
+    fn eval_of_irrational_points_is_inexact() {
+        let db = Database::new();
+        let engine = CalcFEngine::default();
+        let sqrt2 = engine.evaluate(&db, "EVAL[x]{ x^2 = 2 }").unwrap();
+        assert_eq!(sqrt2.as_points().expect("finite").len(), 2);
+        assert!(!sqrt2.exact);
+        let rational = engine.evaluate(&db, "EVAL[x]{ x = 1 or x = 2 }").unwrap();
+        assert!(rational.exact);
+    }
+
     /// Nested aggregates: MAX over a singleton built from SURFACE.
     #[test]
     fn nested_aggregates() {
@@ -1001,6 +824,27 @@ mod tests {
         let engine = CalcFEngine::default();
         let err = engine.evaluate(&db, "z = MAX[y]{ y >= 0 }").unwrap_err();
         assert!(matches!(err, CalcFError::Aggregate(AggError::Unbounded)));
+    }
+
+    /// Lowering is one pass, so when two atoms both fail the first in
+    /// formula order reports: here `ln`, undefined on the whole a-base,
+    /// before the MIN of a set with no least element.
+    #[test]
+    fn first_failing_atom_reports() {
+        let db = Database::new();
+        let engine = CalcFEngine {
+            abase: ABase::uniform(Rat::from(-4i64), Rat::from(-1i64), 3),
+            ..CalcFEngine::default()
+        };
+        let min_alone = engine.evaluate(&db, "z = MIN[y]{ y > 0 }").unwrap_err();
+        assert!(matches!(min_alone, CalcFError::Aggregate(_)), "{min_alone}");
+        let err = engine
+            .evaluate(&db, "ln(x) > 0 and z = MIN[y]{ y > 0 }")
+            .unwrap_err();
+        assert!(
+            matches!(err, CalcFError::Approx(ApproxError::OutOfDomain { .. })),
+            "{err}"
+        );
     }
 
     /// Finite-precision CALC_F: tiny budgets give undefined, not wrong.

@@ -19,6 +19,9 @@
 //! 3. the resulting pure polynomial formula goes through the QE pipeline,
 //!    yielding a closed-form constraint relation — with PTIME data
 //!    complexity and polynomially many module calls (Theorem 5.5).
+//!
+//! The [`engine`] runs stages 1 and 2 as one recursive lowering of the AST
+//! to a polynomial formula in negation normal form, atom by atom.
 
 pub mod ast;
 pub mod engine;

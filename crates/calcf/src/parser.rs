@@ -34,7 +34,7 @@
 //!
 //! The descent recurses once per nested construct (parentheses, `not`,
 //! quantifier, unary minus, function argument, aggregate body), so input
-//! text controls the stack depth; [`MAX_NESTING`] bounds it and deeper
+//! text controls the stack depth; `MAX_NESTING` bounds it and deeper
 //! input is a [`ParseError`], not a stack overflow.
 
 use crate::ast::{CFormula, CTerm};

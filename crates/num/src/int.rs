@@ -4,7 +4,7 @@
 //! environment): sign-magnitude representation over little-endian `u64`
 //! limbs, schoolbook + Karatsuba multiplication, Knuth Algorithm D division.
 //!
-//! Magnitudes that fit one `u64` are stored inline ([`Mag::Small`]) so the
+//! Magnitudes that fit one `u64` are stored inline (`Mag::Small`) so the
 //! small coefficients that dominate CAD/Sturm workloads never touch the heap;
 //! add/mul/cmp/gcd/divrem all have allocation-free single-limb fast paths.
 //!
@@ -34,7 +34,7 @@ enum Mag {
 
 /// Arbitrary-precision signed integer.
 ///
-/// Invariants: `mag` is in canonical form (see [`Mag`]); `sign` is `Zero`
+/// Invariants: `mag` is in canonical form (see `Mag`); `sign` is `Zero`
 /// iff the magnitude is zero.
 #[derive(Clone, PartialEq, Eq, Hash)]
 pub struct Int {

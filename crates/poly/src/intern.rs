@@ -2,8 +2,8 @@
 //!
 //! Every [`crate::MPoly`] is born by sealing a canonical
 //! [`Terms`](crate::Terms) vector ([`Terms::seal`](crate::Terms::seal)),
-//! and sealing funnels the resulting [`PolyData`](crate::mpoly::PolyData)
-//! through [`canonicalize`]: if a structurally equal polynomial is already
+//! and sealing funnels the resulting `PolyData`
+//! through `canonicalize`: if a structurally equal polynomial is already
 //! resident, the existing `Arc` is handed back and the duplicate is
 //! dropped, so equal polynomials share one allocation, `Clone` is a pointer
 //! bump, and `Eq` usually short-circuits on pointer identity.
@@ -20,12 +20,12 @@
 //! Concurrency: 16 shards, each a `Mutex` around a hash → bucket map
 //! (the PR 1 `AlgebraicCache` pattern), poisoned locks recovered with
 //! `PoisonError::into_inner` (the data is a grow-only map of immutable
-//! entries — always valid). [`canonicalize`] takes exactly one lock, never
+//! entries — always valid). `canonicalize` takes exactly one lock, never
 //! nested, and never calls back into polynomial code while holding it.
 //! Memory is bounded by a per-shard sweep: when a shard reaches its
 //! threshold, entries no longer referenced outside the interner
 //! (`strong_count == 1`) are swept, and the threshold re-arms at twice what
-//! survived (never below [`SHARD_WATERMARK`]) — so a shard full of live
+//! survived (never below `SHARD_WATERMARK`) — so a shard full of live
 //! polynomials is swept O(log n) times over n misses, not on every miss.
 //! All metrics counters are `SeqCst`, per the PR 4 determinism sweep.
 

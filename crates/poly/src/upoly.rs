@@ -355,9 +355,9 @@ impl UPoly {
 
     /// Monic GCD in `Q[x]`, computed on integers (DESIGN.md §10.1): both
     /// operands become their primitive integer multiples once, a one-prime
-    /// modular Euclid settles the coprime case ([`coprime_mod_prime`], exact),
+    /// modular Euclid settles the coprime case (`coprime_mod_prime`, exact),
     /// and anything else runs the primitive pseudo-remainder sequence
-    /// ([`prem_primitive`]) — no `Rat` is built until the final `monic()`.
+    /// (`prem_primitive`) — no `Rat` is built until the final `monic()`.
     /// The monic gcd is unique, so the result does not depend on the route.
     #[must_use]
     pub fn gcd(&self, other: &UPoly) -> UPoly {

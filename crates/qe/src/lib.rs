@@ -55,11 +55,6 @@ pub enum QeError {
     FormulaConstruction(String),
     /// Structural error (internal invariant broken or unsupported input).
     Unsupported(String),
-    /// A forced plan mode ([`PlanMode::ForceQuad`]) was applied to a
-    /// disjunct its eliminator cannot handle. Forced modes never fall back
-    /// silently — differential tests rely on the strategy actually
-    /// running — so the planner reports the mismatch instead.
-    PlanUnsupported(String),
 }
 
 impl fmt::Display for QeError {
@@ -75,9 +70,6 @@ impl fmt::Display for QeError {
                 write!(f, "solution formula construction failed: {m}")
             }
             QeError::Unsupported(m) => write!(f, "unsupported: {m}"),
-            QeError::PlanUnsupported(m) => {
-                write!(f, "forced plan mode cannot eliminate this disjunct: {m}")
-            }
         }
     }
 }
@@ -147,29 +139,8 @@ pub struct QeContext {
     pub workers: usize,
     /// Shared memo-cache for resultants and discriminants.
     pub cache: AlgebraicCache,
-    /// Strategy policy for the per-disjunct planner (default [`PlanMode::Auto`]).
-    pub plan_mode: PlanMode,
     /// Per-strategy planner counters (snapshot via [`QeContext::plan_stats`]).
     pub plan: PlanCounters,
-}
-
-/// Strategy selection policy for the per-disjunct planner ([`plan`]).
-///
-/// `Auto` is the production setting: every disjunct is classified into the
-/// cheapest applicable eliminator. The `Force*` modes pin one strategy for
-/// differential tests (mirroring the resultant dispatcher's forced
-/// kernels, DESIGN.md §11); a forced strategy that does not apply to
-/// a disjunct returns [`QeError::PlanUnsupported`] rather than falling back.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum PlanMode {
-    /// Cost-based: substitution → Fourier–Motzkin → quadratic → CAD.
-    #[default]
-    Auto,
-    /// Whole-relation CAD, exactly the pre-planner pipeline path.
-    ForceCAD,
-    /// The quadratic one-variable shortcut on every disjunct (error when a
-    /// disjunct exceeds degree 2 in the target variable).
-    ForceQuad,
 }
 
 /// Live per-strategy counters for the disjunct planner, updated through a
@@ -228,7 +199,6 @@ impl Default for QeContext {
             sign_evals: Counter::default(),
             workers: std::thread::available_parallelism().map_or(1, |n| n.get()),
             cache: AlgebraicCache::new(),
-            plan_mode: PlanMode::default(),
             plan: PlanCounters::default(),
         }
     }
@@ -265,14 +235,6 @@ impl QeContext {
     #[must_use]
     pub fn with_cache(mut self, cache: &AlgebraicCache) -> QeContext {
         self.cache = cache.clone();
-        self
-    }
-
-    /// Same context with an explicit planner strategy policy (the default
-    /// is [`PlanMode::Auto`]; forced modes drive differential tests).
-    #[must_use]
-    pub fn with_plan_mode(mut self, mode: PlanMode) -> QeContext {
-        self.plan_mode = mode;
         self
     }
 

@@ -2,9 +2,10 @@
 //! `FO(≤, +, 0, 1)` (dense order `FO(≤)` is a special case).
 //!
 //! The Fourier–Motzkin eliminator itself is the planner's
-//! ([`crate::plan`]): per disjunct, the variable is isolated in every atom
-//! (`a·x σ rest`), equalities are substituted, `≠` atoms are split into
-//! `<` / `>` disjuncts, and bound pairs are combined. This is the engine
+//! ([`crate::plan`]): per disjunct, an equality in the variable sends it to
+//! the planner's substitution eliminator instead, `≠` atoms are split into
+//! `<` / `>` disjuncts, the variable is isolated in every other atom
+//! (`a·x σ rest`), and bound pairs are combined. This is the engine
 //! behind Theorem 4.2: every number produced is a sum/product of two input
 //! coefficients, so bit growth is linear in the input bit length — finite
 //! precision with `c·k` bits loses nothing.

@@ -29,13 +29,13 @@
 //! ```
 //!
 //! (see DESIGN.md §16 for the derivations). Disjunctive forms split the
-//! disjunct — the output stays DNF. Degenerate inputs degrade gracefully:
-//! a disjunct with *no* degree-2 atom (the `a = 0` case) falls back to the
-//! generalized Fourier–Motzkin pairing, and a linear equality atom pins `v`
-//! by substitution. Everything is certified against `cad::eliminate` by the
-//! differential tests in `tests/plan_differential.rs`.
+//! disjunct — the output stays DNF. The planner sends a disjunct here only
+//! when the cheaper eliminators do not apply, so it has a degree-2 atom and
+//! no linear equality in `v` (the `a = 0` case is Fourier–Motzkin's, a
+//! linear equality is substitution's). Everything is certified against
+//! `cad::eliminate` by the differential tests in
+//! `tests/plan_differential.rs`.
 
-use crate::plan;
 use crate::{QeContext, QeError};
 use cdb_constraints::{Atom, GeneralizedTuple, RelOp};
 use cdb_num::{Rat, Sign};
@@ -163,8 +163,9 @@ fn sqrt_le(
 }
 
 /// Eliminate `∃ var` from one disjunct via the root-interval formulas.
-/// Requires [`applicable`]; `≠` atoms using `var` must be split beforehand
-/// (the planner does both). The result is a small DNF (the branches of the
+/// Requires [`applicable`], one degree-2 atom and no linear equality in
+/// `var`; `≠` atoms using `var` must be split beforehand (the planner
+/// ensures all of it). The result is a small DNF (the branches of the
 /// sign-condition disjunctions), each tuple free of `var`.
 pub fn eliminate_tuple(
     tuple: &GeneralizedTuple,
@@ -172,7 +173,7 @@ pub fn eliminate_tuple(
     ctx: &QeContext,
 ) -> Result<Vec<GeneralizedTuple>, QeError> {
     if !applicable(tuple, var) {
-        return Err(QeError::PlanUnsupported(format!(
+        return Err(QeError::Unsupported(format!(
             "quadratic shortcut: disjunct exceeds degree 2 in x{var}, has a \
              symbolic leading coefficient, or has two distinct quadratic atoms"
         )));
@@ -181,7 +182,6 @@ pub fn eliminate_tuple(
     let mut passthrough: Vec<Atom> = Vec::new();
     let mut lowers: Vec<(Terms, bool)> = Vec::new(); // (bound, strict)
     let mut uppers: Vec<(Terms, bool)> = Vec::new();
-    let mut has_linear_eq = false;
     let mut quad: Option<(Rat, Terms, Terms, RelOp)> = None; // a>0, b, c, op
     for atom in tuple.atoms() {
         let deg = atom.poly.degree_in(var);
@@ -212,7 +212,12 @@ pub fn eliminate_tuple(
                 atom.op
             };
             match op {
-                RelOp::Eq => has_linear_eq = true,
+                RelOp::Eq => {
+                    return Err(QeError::Unsupported(
+                        "quadratic shortcut: linear equality not substituted before elimination"
+                            .into(),
+                    ))
+                }
                 RelOp::Lt => uppers.push((bound, true)),
                 RelOp::Le => uppers.push((bound, false)),
                 RelOp::Gt => lowers.push((bound, true)),
@@ -233,18 +238,10 @@ pub fn eliminate_tuple(
             quad = Some((a, b, c, op));
         }
     }
-    // A linear equality pins `var`; substitution is exact, cheap, and also
-    // covers the quadratic atom (evaluated at the pinned value).
-    if has_linear_eq {
-        return Ok(plan::subst_eliminate_tuple(tuple, var, ctx)?
-            .into_iter()
-            .collect());
-    }
     let Some((a, b, c, qop)) = quad else {
-        // Degenerate `a = 0` disjunct-wide: plain Fourier–Motzkin pairing.
-        return Ok(plan::fm_eliminate_tuple(tuple, var, ctx)?
-            .into_iter()
-            .collect());
+        return Err(QeError::Unsupported(format!(
+            "quadratic shortcut: no degree-2 atom in x{var}"
+        )));
     };
     // D = b² − 4ac; for a linear bound t, A(t) = 2a·t + b compares against
     // ±√D exactly as t compares against r∓ (a > 0 keeps directions).

@@ -1,14 +1,14 @@
 //! Differential tests for the per-disjunct QE planner (DESIGN.md §16).
 //!
-//! Three obligations:
-//! 1. `Auto` output is byte-identical across worker counts (1 vs 4), and
-//!    semantically equal to the `ForceCAD` output (which reproduces the
-//!    pre-planner whole-relation path byte-for-byte, also across workers).
-//! 2. The quadratic shortcut ([`cdb_qe::quad1`]) agrees with CAD on every
-//!    degree-≤2 one-variable formula — including the degenerate `a = 0`
-//!    (linear) case and double roots.
-//! 3. Forced modes fail *typed* on inapplicable disjuncts
-//!    ([`QeError::PlanUnsupported`]), never silently falling back.
+//! Two obligations:
+//! 1. The planner's output is byte-identical across worker counts (1 vs
+//!    4), and semantically equal to the whole-relation CAD reference
+//!    ([`reference_cad`]: `cad::eliminate` or `cad::decide_sentence` on the
+//!    whole matrix, the pre-planner path, also byte-identical across
+//!    workers).
+//! 2. The planner agrees with CAD on every degree-≤2 one-variable formula
+//!    — the quadratic shortcut ([`cdb_qe::quad1`]) on a degree-2 atom, the
+//!    degenerate `a = 0` (linear) case, and double roots.
 //!
 //! A fixed mixed corpus also pins that all four strategies are exercised
 //! (`strategies_all_exercised`), and a reorder pin shows the cost-aware
@@ -18,7 +18,7 @@ use cdb_constraints::{Atom, ConstraintRelation, Formula, GeneralizedTuple, Quant
 use cdb_num::Rat;
 use cdb_poly::MPoly;
 use cdb_qe::cad::{self, solution};
-use cdb_qe::{plan, PlanMode, QeContext, QeError};
+use cdb_qe::{plan, QeContext, QeError};
 use proptest::prelude::*;
 
 fn c(v: i64, n: usize) -> MPoly {
@@ -33,26 +33,44 @@ fn run_planner(
     prefix: &[(Quantifier, usize)],
     free: &[usize],
     nvars: usize,
-    mode: PlanMode,
     workers: usize,
 ) -> Result<ConstraintRelation, QeError> {
-    let ctx = QeContext::exact()
-        .with_workers(workers)
-        .with_plan_mode(mode);
-    run_planner_in(&ctx, matrix, prefix, free, nvars)
+    let ctx = QeContext::exact().with_workers(workers);
+    let rel = matrix.to_dnf(nvars).map_err(QeError::Unsupported)?;
+    plan::eliminate_prefix(matrix, rel, prefix, free, nvars, &ctx)
 }
 
-/// [`run_planner`] in a caller-owned context (whose counters the caller
-/// then reads).
-fn run_planner_in(
+/// The reference: one CAD over the whole prenex matrix (a sentence
+/// decision when nothing is free), the path the planner keeps for a
+/// nonlinear `∀`.
+fn reference_cad(
     ctx: &QeContext,
     matrix: &Formula,
     prefix: &[(Quantifier, usize)],
     free: &[usize],
     nvars: usize,
 ) -> Result<ConstraintRelation, QeError> {
-    let rel = matrix.to_dnf(nvars).map_err(QeError::Unsupported)?;
-    plan::eliminate_prefix(matrix, rel, prefix, free, nvars, ctx)
+    if free.is_empty() {
+        Ok(if cad::decide_sentence(matrix, prefix, nvars, ctx)? {
+            ConstraintRelation::full(nvars)
+        } else {
+            ConstraintRelation::empty(nvars)
+        })
+    } else {
+        cad::eliminate(matrix, prefix, free, nvars, ctx)
+    }
+}
+
+/// [`reference_cad`] in a fresh context with `workers` lifting threads.
+fn run_reference(
+    matrix: &Formula,
+    prefix: &[(Quantifier, usize)],
+    free: &[usize],
+    nvars: usize,
+    workers: usize,
+) -> Result<ConstraintRelation, QeError> {
+    let ctx = QeContext::exact().with_workers(workers);
+    reference_cad(&ctx, matrix, prefix, free, nvars)
 }
 
 /// One mixed-corpus disjunct over `(x, y)` (y is eliminated): `kind`
@@ -104,18 +122,14 @@ fn probe_points() -> Vec<Rat> {
         .collect()
 }
 
-/// Fixed mixed corpus: every strategy fires, and the planner's output
-/// agrees with forced CAD — byte-identical across workers within each
-/// mode, semantically equal across modes.
+/// Fixed mixed corpus: every strategy fires.
 #[test]
 fn strategies_all_exercised() {
     let spec = [(0u8, 2i64, 1i64), (1, -1, 2), (2, 1, -2), (3, 2, 0)];
     let matrix = mixed_matrix(&spec);
     let prefix = [(Quantifier::Exists, 1)];
     for workers in [1usize, 4] {
-        let ctx = QeContext::exact()
-            .with_workers(workers)
-            .with_plan_mode(PlanMode::Auto);
+        let ctx = QeContext::exact().with_workers(workers);
         let rel = matrix.to_dnf(2).unwrap();
         plan::eliminate_prefix(&matrix, rel, &prefix, &[0], 2, &ctx).unwrap();
         let stats = ctx.plan_stats();
@@ -126,32 +140,33 @@ fn strategies_all_exercised() {
     }
 }
 
-/// The fixed corpus again, as a full four-way differential.
+/// The fixed corpus again, as a full four-way differential: planner and
+/// reference, each at workers {1, 4}.
 #[test]
 fn mixed_corpus_differential_fixed() {
     let spec = [(0u8, 2i64, 1i64), (1, -1, 2), (2, 1, -2), (3, 2, 0)];
     let matrix = mixed_matrix(&spec);
     let prefix = [(Quantifier::Exists, 1)];
-    let auto1 = run_planner(&matrix, &prefix, &[0], 2, PlanMode::Auto, 1).unwrap();
-    let auto4 = run_planner(&matrix, &prefix, &[0], 2, PlanMode::Auto, 4).unwrap();
-    let cad1 = run_planner(&matrix, &prefix, &[0], 2, PlanMode::ForceCAD, 1).unwrap();
-    let cad4 = run_planner(&matrix, &prefix, &[0], 2, PlanMode::ForceCAD, 4).unwrap();
+    let auto1 = run_planner(&matrix, &prefix, &[0], 2, 1).unwrap();
+    let auto4 = run_planner(&matrix, &prefix, &[0], 2, 4).unwrap();
+    let cad1 = run_reference(&matrix, &prefix, &[0], 2, 1).unwrap();
+    let cad4 = run_reference(&matrix, &prefix, &[0], 2, 4).unwrap();
     assert_eq!(
         format!("{auto1}"),
         format!("{auto4}"),
-        "Auto not worker-deterministic"
+        "planner not worker-deterministic"
     );
     assert_eq!(
         format!("{cad1}"),
         format!("{cad4}"),
-        "ForceCAD not worker-deterministic"
+        "reference CAD not worker-deterministic"
     );
     for x in probe_points() {
         let point = [x.clone(), Rat::zero()];
         assert_eq!(
             auto1.satisfied_at(&point),
             cad1.satisfied_at(&point),
-            "Auto and ForceCAD disagree at x = {x}"
+            "planner and reference CAD disagree at x = {x}"
         );
     }
 }
@@ -191,41 +206,8 @@ fn reorder_avoids_cad_dispatch() {
     assert!(stats.quad >= 1, "the collapsed disjunct should go quad");
 }
 
-/// Satellite 6: a forced mode returns a typed error on an inapplicable
-/// disjunct — no panic, no silent fallback.
-#[test]
-fn forced_modes_fail_typed() {
-    let n = 1;
-    let x = MPoly::var(0, n);
-    let cubic = ConstraintRelation::new(
-        n,
-        vec![GeneralizedTuple::new(
-            n,
-            vec![Atom::new(&x.pow(3) - &c(2, n), RelOp::Le)],
-        )],
-    );
-    let fq = QeContext::exact().with_plan_mode(PlanMode::ForceQuad);
-    let err = plan::eliminate_exists_run(&cubic, &[0], &fq).unwrap_err();
-    assert!(
-        matches!(err, QeError::PlanUnsupported(_)),
-        "ForceQuad on a cubic must be PlanUnsupported, got: {err}"
-    );
-    // The error also survives the full planner entry point.
-    let matrix = cdb_constraints::formula::relation_to_formula(&cubic);
-    let err = plan::eliminate_prefix(
-        &matrix,
-        cubic.clone(),
-        &[(Quantifier::Exists, 0)],
-        &[],
-        n,
-        &fq,
-    )
-    .unwrap_err();
-    assert!(matches!(err, QeError::PlanUnsupported(_)), "{err}");
-}
-
-/// Quad-vs-CAD on hand-picked degenerate cases: double roots, empty
-/// interiors, the linear `a = 0` delegation, and equality constraints.
+/// Planner-vs-CAD on hand-picked degenerate cases: double roots, empty
+/// interiors, the linear `a = 0` case, and equality constraints.
 #[test]
 fn quad_shortcut_degenerate_cases() {
     // (q(x) atoms, extra linear bounds, expected sentence truth)
@@ -249,7 +231,7 @@ fn quad_shortcut_degenerate_cases() {
             ],
             true,
         ),
-        // a = 0: the "quadratic" is linear; quad1 delegates to FM.
+        // a = 0: the "quadratic" is linear, so FM takes it.
         (
             vec![
                 Atom::new(&x.scale(&Rat::from(2i64)) + &c(1, n), RelOp::Le),
@@ -268,14 +250,10 @@ fn quad_shortcut_degenerate_cases() {
     for (i, (atoms, expect)) in cases.into_iter().enumerate() {
         let matrix = Formula::And(atoms.into_iter().map(Formula::Atom).collect()).to_nnf();
         let prefix = [(Quantifier::Exists, 0)];
-        for mode in [PlanMode::ForceQuad, PlanMode::ForceCAD, PlanMode::Auto] {
-            let out = run_planner(&matrix, &prefix, &[], n, mode, 1).unwrap();
-            assert_eq!(
-                out.satisfied_at(&[Rat::zero()]),
-                expect,
-                "case {i} under {mode:?}"
-            );
-        }
+        let planned = run_planner(&matrix, &prefix, &[], n, 1).unwrap();
+        let reference = run_reference(&matrix, &prefix, &[], n, 1).unwrap();
+        assert_eq!(planned.satisfied_at(&[Rat::zero()]), expect, "case {i}");
+        assert_eq!(reference.satisfied_at(&[Rat::zero()]), expect, "case {i}");
     }
 }
 
@@ -292,8 +270,8 @@ fn poly2(terms: &[(i64, u32, u32)]) -> MPoly {
 /// section of `x`. A rational line can only touch a rational conic at a
 /// rational point (a double root of a rational quadratic is rational), so
 /// the last row takes the line through the disc's boundary at `x = ±1/√2`.
-/// Each row: quantifier, matrix, then the `Display` bytes of the `ForceCAD`
-/// answer, captured at the commit before lifting stopped repeating its
+/// Each row: quantifier, matrix, then the `Display` bytes of the
+/// [`reference_cad`] answer, captured at the commit before lifting stopped repeating its
 /// algebra and untouched since, and the `cells_built` / `sign_evals`
 /// counters of the partial CAD (re-baselined when the innermost level
 /// stopped being materialised; [`FULL_CAD_PINS`] keeps the old ones).
@@ -382,7 +360,7 @@ const FULL_CAD_PINS: [(u64, u64); 6] = [
     (72, 123),
 ];
 
-/// The lifting corpus under `ForceCAD`, workers {1, 4}: output bytes and
+/// The lifting corpus through [`reference_cad`], workers {1, 4}: output bytes and
 /// the deterministic CAD counters equal the pinned ones, and the partial
 /// CAD does strictly less work than the full one did on every row — under
 /// half the sign evaluations overall.
@@ -398,10 +376,8 @@ fn lifting_corpus_matches_pinned_decomposition() {
     for (i, (q, matrix, display, cells, sign_evals)) in lifting_corpus().into_iter().enumerate() {
         let matrix = matrix.to_nnf();
         for workers in [1usize, 4] {
-            let ctx = QeContext::exact()
-                .with_workers(workers)
-                .with_plan_mode(PlanMode::ForceCAD);
-            let out = run_planner_in(&ctx, &matrix, &[(q, 1)], &[0], 2).unwrap();
+            let ctx = QeContext::exact().with_workers(workers);
+            let out = reference_cad(&ctx, &matrix, &[(q, 1)], &[0], 2).unwrap();
             assert_eq!(format!("{out}"), display, "row {i}, workers {workers}");
             assert_eq!(ctx.cells_built.get(), cells, "row {i}, workers {workers}");
             assert_eq!(
@@ -519,19 +495,19 @@ proptest! {
         assert_partial_matches_full(&mixed_matrix(&spec), &[(Quantifier::Exists, 1)], &[0], 2);
     }
 
-    /// Randomized mixed corpora: Auto is byte-identical across workers
-    /// {1, 4}, ForceCAD likewise, and the two modes agree semantically on
-    /// a probe grid.
+    /// Randomized mixed corpora: the planner is byte-identical across
+    /// workers {1, 4}, the reference CAD likewise, and the two agree
+    /// semantically on a probe grid.
     #[test]
     fn mixed_corpus_differential(
         spec in proptest::collection::vec((0u8..=3, -2i64..=2, -2i64..=2), 2..=3),
     ) {
         let matrix = mixed_matrix(&spec);
         let prefix = [(Quantifier::Exists, 1)];
-        let auto1 = run_planner(&matrix, &prefix, &[0], 2, PlanMode::Auto, 1).unwrap();
-        let auto4 = run_planner(&matrix, &prefix, &[0], 2, PlanMode::Auto, 4).unwrap();
-        let cad1 = run_planner(&matrix, &prefix, &[0], 2, PlanMode::ForceCAD, 1).unwrap();
-        let cad4 = run_planner(&matrix, &prefix, &[0], 2, PlanMode::ForceCAD, 4).unwrap();
+        let auto1 = run_planner(&matrix, &prefix, &[0], 2, 1).unwrap();
+        let auto4 = run_planner(&matrix, &prefix, &[0], 2, 4).unwrap();
+        let cad1 = run_reference(&matrix, &prefix, &[0], 2, 1).unwrap();
+        let cad4 = run_reference(&matrix, &prefix, &[0], 2, 4).unwrap();
         prop_assert_eq!(format!("{}", auto1), format!("{}", auto4));
         prop_assert_eq!(format!("{}", cad1), format!("{}", cad4));
         for x in probe_points() {
@@ -539,13 +515,14 @@ proptest! {
             prop_assert_eq!(
                 auto1.satisfied_at(&point),
                 cad1.satisfied_at(&point),
-                "Auto and ForceCAD disagree at x = {}", x
+                "planner and reference CAD disagree at x = {}", x
             );
         }
     }
 
     /// Randomized degree-≤2 one-variable formulas (a = 0 included): the
-    /// quad shortcut and CAD decide the same sentences.
+    /// planner (the quad shortcut on a degree-2 atom) and CAD decide the
+    /// same sentences.
     #[test]
     fn quad_shortcut_matches_cad(
         a in -2i64..=2, b in -3i64..=3, cc in -3i64..=3,
@@ -566,8 +543,8 @@ proptest! {
         }
         let matrix = Formula::And(atoms.into_iter().map(Formula::Atom).collect()).to_nnf();
         let prefix = [(Quantifier::Exists, 0)];
-        let quad = run_planner(&matrix, &prefix, &[], n, PlanMode::ForceQuad, 1).unwrap();
-        let cad = run_planner(&matrix, &prefix, &[], n, PlanMode::ForceCAD, 1).unwrap();
+        let quad = run_planner(&matrix, &prefix, &[], n, 1).unwrap();
+        let cad = run_reference(&matrix, &prefix, &[], n, 1).unwrap();
         prop_assert_eq!(
             quad.satisfied_at(&[Rat::zero()]),
             cad.satisfied_at(&[Rat::zero()]),

@@ -27,6 +27,8 @@
 
 use crate::parser::{parse_command, parse_commands, Command, Rows, Statement};
 use crate::{Response, ServerError};
+use cdb_calcf::lexer::tokenize;
+use cdb_calcf::Token;
 use cdb_constraints::{ConstraintRelation, GeneralizedTuple};
 use cdb_num::Rat;
 use constraintdb::{parse_program, storage, ConstraintDb, DbError, QueryResult};
@@ -247,30 +249,27 @@ impl Session {
     pub fn serve(&mut self, input: impl BufRead, out: &mut impl Write) -> io::Result<()> {
         let mut buf = String::new();
         for line in input.lines() {
-            let line = line?;
-            buf.push_str(&line);
+            buf.push_str(&line?);
             buf.push('\n');
-            // Execute once the buffer holds at least one full statement.
-            if line.contains(';') {
-                self.run_buffered(&mut buf, false, out)?;
+            // Execute once the buffer's last token ends a command; a `;`
+            // inside a `--` comment is no token. A lex error counts as an
+            // end, so that it prints.
+            let complete = tokenize(&buf).map_or(true, |toks| {
+                toks.last().is_some_and(|t| t.token == Token::Semi)
+            });
+            if complete {
+                self.run_buffered(&mut buf, out)?;
             }
         }
         if buf.trim().is_empty() {
             return Ok(());
         }
-        self.run_buffered(&mut buf, true, out)
+        self.run_buffered(&mut buf, out)
     }
 
-    /// Parse → execute → print for the commands buffered so far, then
-    /// clear the buffer. An incomplete trailing command keeps buffering:
-    /// a real syntax error is printed once a line ends in `;` or the input
-    /// ends.
-    fn run_buffered(
-        &mut self,
-        buf: &mut String,
-        at_eof: bool,
-        out: &mut impl Write,
-    ) -> io::Result<()> {
+    /// Parse → execute → print the buffered commands (or their syntax
+    /// error), then clear the buffer.
+    fn run_buffered(&mut self, buf: &mut String, out: &mut impl Write) -> io::Result<()> {
         match parse_commands(buf) {
             Ok(cmds) => {
                 for cmd in &cmds {
@@ -280,10 +279,7 @@ impl Session {
                     }
                 }
             }
-            Err(e) if at_eof || buf.trim_end().ends_with(';') => {
-                writeln!(out, "error: {}", ServerError::Parse(e))?;
-            }
-            Err(_) => return Ok(()),
+            Err(e) => writeln!(out, "error: {}", ServerError::Parse(e))?,
         }
         buf.clear();
         Ok(())

@@ -75,4 +75,17 @@ SET PRECISION 64;
 SELECT exists y (Fig1(x, y) and y <= 0);
 SET PRECISION UNBOUNDED;
 SET PRECISION 1.5;
+-- CALC_F lowering: EVAL under negation and conjunction, analytic terms
+-- and aggregates under negation, aggregate bodies with analytic bounds.
+SELECT x >= -3 and x <= 3 and not EVAL[x]{ x^2 = 2 };
+SELECT EVAL[x]{ x^2 = 2 or x = 1 } and x > 0;
+SELECT EVAL[x]{ x = 1 or x = 2 };
+SELECT x >= 0 and x <= 1 and not (y <= sin(x)) and y <= 1;
+SELECT z = LENGTH[x]{ not (cos(x) < 0) and x >= 0 and x <= 3 };
+SELECT z = SURFACE[x, y]{ x >= 0 and x <= 1 and y >= 0 and not (y > exp(x)) };
+SELECT not (z = AVG[x]{ x >= 0 and x <= 2 }) and z >= 0 and z <= 2;
+-- A `;` inside a comment does not end a command.
+SELECT x >= 0
+-- note;
+and x <= 1;
 SELECT P(x)

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
-# Repository gate: formatting, lints, the tier-1 verify from ROADMAP.md, the
-# full workspace test suite, the golden session through the `serve` binary,
-# the statement benchmark's own tests, the paper's experiments (E1-E15), one
-# checked run of every benchmark workload, and a
+# Repository gate: formatting, lints, rustdoc, the tier-1 verify from
+# ROADMAP.md, the full workspace test suite, the golden session through the
+# `serve` binary, the statement benchmark's own tests, the paper's
+# experiments (E1-E15), one checked run of every benchmark workload, and a
 # last look that none of it rewrote a frozen benchmark file.
 # Run from anywhere; operates on the workspace containing this script.
 set -euo pipefail
@@ -18,6 +18,9 @@ cargo fmt --all -- --check
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> rustdoc: RUSTDOCFLAGS=\"-D warnings\" cargo doc --workspace --no-deps (no broken or private intra-doc links)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "==> cdb-lint (hygiene rules + interprocedural passes)"
 cargo run -p cdb-lint --
 
@@ -27,7 +30,9 @@ cargo test -q
 
 echo "==> serve binary: the golden session transcript through the release \`serve\`"
 # The golden test drives `Session::serve` in-process; this runs the binary's
-# `main` (stdin lock, stdout, shutdown) on the same script.
+# `main` (stdin lock, stdout, shutdown) on the same script. The tier-1 build
+# above builds the root package only, so build the binary first.
+cargo build --release -p cdb-server --bin serve
 target/release/serve < crates/server/tests/golden/session.sql |
     diff crates/server/tests/golden/session.out -
 
