@@ -159,6 +159,8 @@ pub struct CalcFEngine {
     /// Threads CAD lifting may use inside the QE and aggregate stages
     /// ([`QeContext::workers`]; `1` = fully sequential evaluation). The
     /// stages themselves, and sibling aggregates, run one after another.
+    /// The default is [`cdb_qe::hardware_threads`]; the server sets it per
+    /// statement to the statement's share of them.
     pub workers: usize,
     /// Memo-cache for resultants and discriminants, shared by the QE stage
     /// and every aggregate stage. Cloning an engine shares the cache (it is
@@ -177,7 +179,7 @@ impl Default for CalcFEngine {
             method: ApproxMethod::Chebyshev,
             eps: Rat::new(1i64.into(), cdb_num::Int::pow2(30)),
             budget_bits: None,
-            workers: std::thread::available_parallelism().map_or(1, |n| n.get()),
+            workers: cdb_qe::hardware_threads(),
             cache: cdb_qe::AlgebraicCache::default(),
         }
     }

@@ -34,6 +34,19 @@ pub use pipeline::{evaluate_query, numerical_evaluation, EvalOutput};
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
+
+/// The host's hardware thread count (at least 1), read once per process.
+/// The standard library's query re-reads cgroup files on every call, about
+/// 20 µs on a 2-thread Linux host, and every default context and every CAD
+/// lift asks; so the answer is cached here, the query's one caller in the
+/// workspace (`clippy.toml` disallows it elsewhere).
+#[must_use]
+#[allow(clippy::disallowed_methods)]
+pub fn hardware_threads() -> usize {
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
 
 /// Errors from quantifier elimination.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -133,9 +146,9 @@ pub struct QeContext {
     /// Threads CAD lifting may use — the only fan-out under a query
     /// (DESIGN.md §6); disjuncts, Datalog rounds and aggregate stages run
     /// on the calling thread whatever this says. `1` (or `0`) lifts
-    /// sequentially; the default is [`std::thread::available_parallelism`].
-    /// The server pins it to 1 because its sessions are the unit of
-    /// parallelism. Output bytes are the same for every value.
+    /// sequentially; the default is [`hardware_threads`]. The server sets
+    /// it per statement to that statement's share of the hardware threads
+    /// (DESIGN.md §13). Output bytes are the same for every value.
     pub workers: usize,
     /// Shared memo-cache for resultants and discriminants.
     pub cache: AlgebraicCache,
@@ -197,7 +210,7 @@ impl Default for QeContext {
             max_bits_seen: Counter::default(),
             cells_built: Counter::default(),
             sign_evals: Counter::default(),
-            workers: std::thread::available_parallelism().map_or(1, |n| n.get()),
+            workers: hardware_threads(),
             cache: AlgebraicCache::new(),
             plan: PlanCounters::default(),
         }
@@ -255,14 +268,13 @@ impl QeContext {
     }
 
     /// Threads a CAD lift actually gets: [`QeContext::workers`], at least
-    /// 1, at most the host's hardware parallelism. Oversubscribing a
-    /// CPU-bound fan-out only adds scheduling overhead, and the determinism
-    /// contract (byte-identical output for every worker count) makes the
-    /// clamp unobservable in results.
+    /// 1, at most [`hardware_threads`] (read once per process).
+    /// Oversubscribing a CPU-bound fan-out only adds scheduling overhead,
+    /// and the determinism contract (byte-identical output for every worker
+    /// count) makes the clamp unobservable in results.
     #[must_use]
     pub fn effective_workers(&self) -> usize {
-        let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
-        self.workers.max(1).min(hw)
+        self.workers.max(1).min(hardware_threads())
     }
 
     /// Record an observed bit length; error if over budget.

@@ -11,8 +11,10 @@
 //! against the session's snapshot — never against the master — so they
 //! are snapshot-isolated and lock-free, and each result is a pure function
 //! of its own (snapshot, query) pair: concurrency changes *when* a query
-//! runs, never *what* it returns. Session threads are the one unit of
-//! parallelism; per-query engine parallelism is pinned to 1.
+//! runs, never *what* it returns. Each statement lifts its CADs on its
+//! share of the host's hardware threads: all of them when it runs alone,
+//! one each when as many statements are in flight as there are threads
+//! (`statement_share`).
 //! **Writes** (`CREATE`, `INSERT`, `DELETE`, `DATALOG`, `DROP`)
 //! serialize through the master mutex via PR 7's update path
 //! (`insert_tuples` / `retract_tuples`, with incremental view
@@ -33,7 +35,7 @@ use cdb_constraints::{ConstraintRelation, GeneralizedTuple};
 use cdb_num::Rat;
 use constraintdb::{parse_program, storage, ConstraintDb, DbError, QueryResult};
 use std::io::{self, BufRead, Write};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
 /// Maximum Datalog¬ fixpoint iterations a `DATALOG` statement may run.
@@ -75,6 +77,37 @@ struct Inner {
     statements: AtomicU64,
     reads: AtomicU64,
     writes: AtomicU64,
+    /// Statements executing right now, across all sessions.
+    in_flight: AtomicUsize,
+}
+
+/// CAD lifting threads for a statement that starts while `in_flight`
+/// statements (itself included) are executing on a host with
+/// `hardware_threads` threads: an even share, at least 1. Output bytes are
+/// the same for every share (DESIGN.md §6), so the share only decides how
+/// fast a lone statement runs.
+fn statement_share(hardware_threads: usize, in_flight: usize) -> usize {
+    (hardware_threads / in_flight.max(1)).max(1)
+}
+
+/// One statement counted in [`Inner::in_flight`] until it is dropped.
+struct InFlight<'a> {
+    count: &'a AtomicUsize,
+    /// Statements in flight when this one started, itself included.
+    at_start: usize,
+}
+
+impl<'a> InFlight<'a> {
+    fn enter(count: &'a AtomicUsize) -> InFlight<'a> {
+        let at_start = count.fetch_add(1, Ordering::SeqCst) + 1;
+        InFlight { count, at_start }
+    }
+}
+
+impl Drop for InFlight<'_> {
+    fn drop(&mut self) {
+        self.count.fetch_sub(1, Ordering::SeqCst);
+    }
 }
 
 /// A long-lived constraint-database server: the master store and the
@@ -91,12 +124,11 @@ impl Server {
     }
 
     /// Serve an existing database (its memo-cache becomes the shared
-    /// server cache). Per-query engine parallelism is forced to 1 —
-    /// session threads are the unit of parallelism.
+    /// server cache). Each statement then runs at its share of the host's
+    /// hardware threads, whatever `db`'s engine says.
     #[must_use]
     // frozen harness: `_cfg` is unused; `stmtbench` passes one.
-    pub fn with_db(mut db: ConstraintDb, _cfg: ServerConfig) -> Server {
-        db.engine_mut().workers = 1;
+    pub fn with_db(db: ConstraintDb, _cfg: ServerConfig) -> Server {
         Server {
             inner: Arc::new(Inner {
                 master: Mutex::new(db),
@@ -104,6 +136,7 @@ impl Server {
                 statements: AtomicU64::new(0),
                 reads: AtomicU64::new(0),
                 writes: AtomicU64::new(0),
+                in_flight: AtomicUsize::new(0),
             }),
         }
     }
@@ -172,11 +205,17 @@ impl Session {
         self.execute_command(&cmd)
     }
 
-    /// Execute an already-parsed command.
+    /// Execute an already-parsed command. Its CAD lifting runs on its share
+    /// of the hardware threads (`statement_share`), computed once here: for
+    /// a read on the snapshot's engine, for a write on the master's.
     pub fn execute_command(&mut self, cmd: &Command) -> Result<Response, ServerError> {
-        self.inner.statements.fetch_add(1, Ordering::SeqCst);
+        let inner = Arc::clone(&self.inner);
+        inner.statements.fetch_add(1, Ordering::SeqCst);
+        let flight = InFlight::enter(&inner.in_flight);
+        let workers = statement_share(cdb_qe::hardware_threads(), flight.at_start);
+        self.snapshot.engine_mut().workers = workers;
         match cmd {
-            Command::Run(stmt) => self.run_statement(stmt),
+            Command::Run(stmt) => self.run_statement(stmt, workers),
             Command::Solve { query } => self.read(query, |answer| {
                 let points = answer.solve()?;
                 Ok(Response::Solutions {
@@ -205,7 +244,7 @@ impl Session {
         }
     }
 
-    fn run_statement(&mut self, stmt: &Statement) -> Result<Response, ServerError> {
+    fn run_statement(&mut self, stmt: &Statement, workers: usize) -> Result<Response, ServerError> {
         match stmt {
             Statement::Select { query } => self.read(query, |answer| {
                 Ok(Response::Rows {
@@ -219,7 +258,7 @@ impl Session {
                     schema: self.snapshot.schema(),
                 })
             }
-            _ => self.write(stmt),
+            _ => self.write(stmt, workers),
         }
     }
 
@@ -315,13 +354,14 @@ impl Session {
         Ok(())
     }
 
-    fn write(&mut self, stmt: &Statement) -> Result<Response, ServerError> {
+    fn write(&mut self, stmt: &Statement, workers: usize) -> Result<Response, ServerError> {
         self.inner.writes.fetch_add(1, Ordering::SeqCst);
         let mut master = self
             .inner
             .master
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
+        master.engine_mut().workers = workers;
         let resp = apply_write(&mut master, stmt)?;
         // Refresh the session's own snapshot on success so it reads its own
         // writes; on failure the master is untouched (every facade write is
@@ -331,7 +371,7 @@ impl Session {
     }
 
     /// `LOAD`: replace the master with the database in the file at `path`,
-    /// served by the server's engine (shared cache, one worker).
+    /// served by the server's engine (its settings and shared cache).
     fn load_file(&mut self, path: &str) -> Result<Response, ServerError> {
         self.inner.writes.fetch_add(1, Ordering::SeqCst);
         let text = std::fs::read_to_string(path)
@@ -520,13 +560,30 @@ mod tests {
     }
 
     #[test]
+    fn statement_share_splits_the_hardware_threads() {
+        for (hardware_threads, in_flight, share) in
+            [(2, 1, 2), (2, 2, 1), (2, 3, 1), (8, 3, 2), (1, 1, 1)]
+        {
+            assert_eq!(
+                statement_share(hardware_threads, in_flight),
+                share,
+                "{hardware_threads} threads, {in_flight} in flight"
+            );
+        }
+    }
+
+    #[test]
     fn concurrent_sessions_identical_transcripts() {
         // N threads × M queries over one server: per-session transcripts
         // must equal the single-threaded run regardless of interleaving.
+        // The two conic reads go to CAD, so the lone run lifts on every
+        // hardware thread and the concurrent runs mostly on one each.
         let queries = [
             "SELECT P(x) and x >= 2;",
             "SELECT S(x, y) and y = 0;",
             "SELECT P(x) and x <= 1;",
+            "SELECT exists y (x^2 - 2*x + y^2 + 4*y - 4 <= 0 and 2*x^2 + 3*y^2 - 20 <= 0);",
+            "SELECT forall y (x^2 + 2*x + y^2 - 2*y - 3 >= 0 or y - 2*x - 1 <= 0);",
         ];
         let expected: Vec<String> = {
             let server = seeded_server(ServerConfig::default());
@@ -556,7 +613,7 @@ mod tests {
             assert_eq!(*t, expected);
         }
         let stats = server.stats();
-        assert_eq!(stats.reads, 12);
+        assert_eq!(stats.reads, 4 * queries.len() as u64);
     }
 
     #[test]
@@ -695,16 +752,29 @@ mod tests {
             .collect();
         let fresh = Server::new(ServerConfig::default());
         let mut t = fresh.session();
+        // A CAD read warms the fresh server's memo-cache before the LOAD.
+        let conic = "SELECT exists y (x^2 + y^2 <= 4 and y^3 >= x);";
+        let conic_before = t.execute(conic).unwrap().to_string();
+        let warm = fresh.stats();
+        assert!(warm.cache_misses > 0, "{warm:?}");
         let loaded = t.execute(&format!("LOAD {path};")).unwrap();
         assert_eq!(loaded.to_string(), "relations: P/1 S/2");
+        // The loaded master keeps the server's engine: the same cache,
+        // counters and entries included, so the repeated read only hits.
+        let carried = fresh.stats();
+        assert_eq!(
+            (carried.cache_hits, carried.cache_misses),
+            (warm.cache_hits, warm.cache_misses)
+        );
+        assert_eq!(t.execute(conic).unwrap().to_string(), conic_before);
+        let rerun = fresh.stats();
+        assert_eq!(rerun.cache_misses, warm.cache_misses);
+        assert!(rerun.cache_hits > warm.cache_hits, "{rerun:?}");
         let after: Vec<String> = reads
             .iter()
             .map(|r| t.execute(r).unwrap().to_string())
             .collect();
         assert_eq!(after, before);
-        // The loaded master keeps the server's engine: one worker.
-        let mut view = fresh.session().snapshot().clone();
-        assert_eq!(view.engine_mut().workers, 1);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

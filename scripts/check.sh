@@ -31,8 +31,13 @@ cargo test -q
 echo "==> serve binary: the golden session transcript through the release \`serve\`"
 # The golden test drives `Session::serve` in-process; this runs the binary's
 # `main` (stdin lock, stdout, shutdown) on the same script. The tier-1 build
-# above builds the root package only, so build the binary first.
+# above builds the root package only, so build the binary first. A lone
+# session lifts CAD on every hardware thread: pinned to one CPU the lift is
+# sequential, unpinned it is parallel on any host with 2 or more threads,
+# and both must print the same bytes.
 cargo build --release -p cdb-server --bin serve
+taskset -c 0 target/release/serve < crates/server/tests/golden/session.sql |
+    diff crates/server/tests/golden/session.out -
 target/release/serve < crates/server/tests/golden/session.sql |
     diff crates/server/tests/golden/session.out -
 
