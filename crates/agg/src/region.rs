@@ -11,7 +11,7 @@ use crate::AggError;
 use cdb_constraints::formula::relation_to_formula;
 use cdb_constraints::ConstraintRelation;
 use cdb_num::{Rat, Sign};
-use cdb_poly::{MPoly, RealAlg, UPoly};
+use cdb_poly::{MPoly, Partial, RealAlg, UPoly};
 use cdb_qe::cad::sample::Coord;
 use cdb_qe::cad::{build_cad, eval_formula_at_cell};
 use cdb_qe::QeContext;
@@ -303,17 +303,19 @@ impl Region2D {
         let xr = Rat::from_f64(snapped)
             .ok_or_else(|| AggError::Quadrature("non-finite sample".into()))?;
         let eps: Rat = Rat::new(cdb_num::Int::one(), cdb_num::Int::pow2(40));
+        let mut point = vec![None; self.nvars];
+        point[self.xvar] = Some(xr);
         let mut all: Vec<f64> = Vec::new();
         for p in &self.fiber_polys {
-            let u = p
-                .substitute(self.xvar, &xr)
-                .to_upoly_in(self.yvar)
-                .ok_or_else(|| {
-                    AggError::Quadrature("fiber polynomial kept extra variables".into())
-                })?;
-            if u.is_zero() || u.is_constant() {
-                continue;
-            }
+            let u = match p.eval_partial(&point) {
+                Partial::Constant(_) => continue,
+                Partial::Univariate(v, u) if v == self.yvar => u,
+                _ => {
+                    return Err(AggError::Quadrature(
+                        "fiber polynomial kept extra variables".into(),
+                    ))
+                }
+            };
             for r in cdb_poly::roots::real_roots_approx(&u, &eps) {
                 all.push(r.to_f64());
             }

@@ -181,7 +181,7 @@ fn e4() {
             db.insert("R", pol.clone());
             let q = Formula::exists(1, Formula::Rel("R".into(), vec![0, 1]));
             let ctx = QeContext::exact();
-            let _ = evaluate_query(&db, &q, 2, &ctx);
+            let _ = evaluate_query(&db, &q, 2, &ctx).unwrap();
         });
         let pol_m = m.min(8);
         println!("  {m:<10} {t_lin:>14.2?} {t_pol:>14.2?} (poly at m = {pol_m})");

@@ -16,7 +16,7 @@
 //!   resultant, and `Q(α)[y]` only decides which candidates are roots
 //!   (DESIGN.md §5, rule 2).
 
-use crate::roots::{isolate_squarefree, refine_squarefree, RootLocation};
+use crate::roots::{isolate_squarefree, linear_root, refine_squarefree, RootLocation};
 use crate::sturm::SturmChain;
 use crate::upoly::UPoly;
 use cdb_num::{fintv, FIntv, Rat, RatInterval, Sign};
@@ -94,6 +94,9 @@ impl RealAlg {
     pub fn roots_of(p: &UPoly) -> Vec<RealAlg> {
         if p.is_constant() {
             return Vec::new();
+        }
+        if let Some(r) = linear_root(p) {
+            return vec![RealAlg::from_rat(r)];
         }
         let sf = p.squarefree();
         isolate_squarefree(&sf)

@@ -38,6 +38,6 @@ pub mod upoly;
 pub use algebraic::RealAlg;
 pub use mgcd::{mgcd, squarefree_part};
 pub use mono::Mono;
-pub use mpoly::{MPoly, PolyId, Terms};
+pub use mpoly::{MPoly, Partial, PolyId, Terms};
 pub use roots::{isolate_real_roots, refine_to_width, RootLocation};
 pub use upoly::UPoly;

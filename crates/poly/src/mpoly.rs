@@ -30,7 +30,7 @@
 use crate::intern;
 use crate::mono::Mono;
 use crate::upoly::UPoly;
-use cdb_num::{Rat, Sign};
+use cdb_num::{Int, Rat, Sign};
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::ops::{Add, Mul, Neg, Sub};
@@ -303,6 +303,69 @@ impl Neg for Terms {
     }
 }
 
+/// A polynomial evaluated at a partial rational point
+/// ([`MPoly::eval_partial`]), in the smallest form that holds it. Which
+/// form is decided after cancellation: a variable counts as left only if
+/// it occurs in the value.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub enum Partial {
+    /// No variable is left.
+    Constant(Rat),
+    /// Exactly one variable is left: the value as a polynomial in it, of
+    /// degree at least 1.
+    Univariate(usize, UPoly),
+    /// Two or more variables are left: the value, unsealed.
+    Terms(Terms),
+}
+
+impl Partial {
+    /// `u` in variable `v`, a constant when `u` is one.
+    fn univariate(v: usize, u: UPoly) -> Partial {
+        if u.is_constant() {
+            Partial::Constant(u.coeff(0))
+        } else {
+            Partial::Univariate(v, u)
+        }
+    }
+
+    /// Classify canonical terms by the variables occurring in them.
+    fn from_terms(t: Terms) -> Partial {
+        let mut used = (0..t.nvars).filter(|&i| t.terms.iter().any(|(m, _)| m.get(i) > 0));
+        match (used.next(), used.next()) {
+            (None, _) => {
+                Partial::Constant(t.terms.first().map_or_else(Rat::zero, |(_, c)| c.clone()))
+            }
+            (Some(v), None) => {
+                let d = t.terms.iter().map(|(m, _)| m.get(v)).max().unwrap_or(0);
+                let mut coeffs = vec![Rat::zero(); d as usize + 1];
+                for (m, c) in t.terms {
+                    coeffs[m.get(v) as usize] = c;
+                }
+                Partial::Univariate(v, UPoly::from_coeffs(coeffs))
+            }
+            (Some(_), Some(_)) => Partial::Terms(t),
+        }
+    }
+
+    /// Maximum bit length over the nonzero coefficients: exactly
+    /// [`MPoly::max_coeff_bits`] of the sealed value.
+    #[must_use]
+    pub fn max_coeff_bits(&self) -> u64 {
+        match self {
+            Partial::Constant(c) if c.is_zero() => 0,
+            Partial::Constant(c) => c.bit_length(),
+            Partial::Univariate(_, u) => u
+                .coeffs()
+                .iter()
+                .filter(|c| !c.is_zero())
+                .map(Rat::bit_length)
+                .max()
+                .unwrap_or(0),
+            Partial::Terms(t) => t.max_coeff_bits(),
+        }
+    }
+}
+
 /// The interned payload: canonical terms plus caches computed once at
 /// sealing. Immutable after interning.
 pub(crate) struct PolyData {
@@ -352,6 +415,20 @@ fn content_hash(body: &Terms) -> u64 {
     h.write_usize(body.nvars);
     body.terms.hash(&mut h);
     h.finish()
+}
+
+/// For `x = n/δ` and a degree `d`: the integers `nᵉ·δ^(d−e)` for
+/// `e = 0..=d`, and `δ^d`, so that `xᵉ` is the `e`-th over the last.
+fn scaled_powers(x: &Rat, d: u32) -> (Vec<Int>, Int) {
+    let d = d as usize;
+    let mut num = vec![Int::one()];
+    let mut den = vec![Int::one()];
+    for e in 0..d {
+        num.push(&num[e] * x.numer());
+        den.push(&den[e] * x.denom());
+    }
+    let table = (0..=d).map(|e| &num[e] * &den[d - e]).collect();
+    (table, den.swap_remove(d))
 }
 
 impl MPoly {
@@ -561,6 +638,90 @@ impl MPoly {
             acc = &acc + &t;
         }
         acc
+    }
+
+    /// Evaluation at a partial rational point: `point[i]` is the value of
+    /// variable `i`, or `None` to keep it. One pass over the terms, with a
+    /// power table per substituted variable, and nothing sealed: the value
+    /// is exactly the chained [`MPoly::substitute`] calls' followed by
+    /// [`MPoly::to_constant`] or [`MPoly::to_upoly_in`], in the smallest
+    /// form that holds it (see [`Partial`]).
+    #[must_use]
+    pub fn eval_partial(&self, point: &[Option<Rat>]) -> Partial {
+        let nvars = self.nvars();
+        assert_eq!(point.len(), nvars);
+        let degrees = &self.data.var_degrees;
+        // Over one common denominator: with `x_i = n_i/δ_i` of degree `D_i`,
+        // a term `(p/q)·Π x_iᵉ` is the integer `p·(L/q)·Π n_iᵉ·δ_i^(D_i−e)`
+        // over `L·Π δ_i^(D_i)`, `L` the lcm of the coefficients'
+        // denominators. Sums run in `Int`, and each coefficient of the value
+        // is reduced once. An empty table marks a kept variable (or one that
+        // does not occur).
+        let mut scale = Int::one();
+        let tables: Vec<Vec<Int>> = point
+            .iter()
+            .zip(degrees)
+            .map(|(x, &d)| match x {
+                Some(x) if d > 0 => {
+                    let (table, den) = scaled_powers(x, d);
+                    scale = &scale * &den;
+                    table
+                }
+                _ => Vec::new(),
+            })
+            .collect();
+        let lcm = self.terms_slice().iter().fold(Int::one(), |l, (_, c)| {
+            let q = c.denom();
+            if q.is_one() || *q == l {
+                l
+            } else {
+                &l.div_exact(&l.gcd(q)) * q
+            }
+        });
+        let value = |m: &Mono, c: &Rat| {
+            let mut t = if *c.denom() == lcm {
+                c.numer().clone()
+            } else {
+                c.numer() * &lcm.div_exact(c.denom())
+            };
+            for (i, e) in m.exps().enumerate() {
+                if let Some(w) = tables[i].get(e as usize) {
+                    t = &t * w;
+                }
+            }
+            t
+        };
+        let scale = &scale * &lcm;
+        let reduce = |sum: Int| Rat::new(sum, scale.clone());
+        let mut kept = (0..nvars).filter(|&i| point[i].is_none() && degrees[i] > 0);
+        match (kept.next(), kept.next()) {
+            (None, _) => Partial::Constant(reduce(
+                self.terms_slice()
+                    .iter()
+                    .fold(Int::zero(), |acc, (m, c)| &acc + &value(m, c)),
+            )),
+            (Some(v), None) => {
+                let mut sums = vec![Int::zero(); degrees[v] as usize + 1];
+                for (m, c) in self.terms_slice() {
+                    sums[m.get(v) as usize] += &value(m, c);
+                }
+                let coeffs = sums.into_iter().map(reduce).collect();
+                Partial::univariate(v, UPoly::from_coeffs(coeffs))
+            }
+            (Some(_), Some(_)) => {
+                let pairs = self
+                    .terms_slice()
+                    .iter()
+                    .map(|(m, c)| {
+                        let reduced = (0..nvars)
+                            .filter(|&i| !tables[i].is_empty())
+                            .fold(m.clone(), |m, i| m.zeroed(i));
+                        (reduced, reduce(value(m, c)))
+                    })
+                    .collect();
+                Partial::from_terms(Terms::from_pairs(nvars, pairs))
+            }
+        }
     }
 
     /// Substitute a rational value for variable `i` (result keeps the same

@@ -59,6 +59,9 @@ pub(crate) fn isolate_squarefree(sf: &UPoly) -> Vec<RootLocation> {
     if sf.is_constant() {
         return Vec::new();
     }
+    if let Some(r) = linear_root(sf) {
+        return vec![RootLocation::Exact(r)];
+    }
     let mut sf = sf.clone();
     let mut exact = Vec::new();
     // Deflate exact rational roots first (bounded divisor enumeration).
@@ -129,6 +132,13 @@ pub(crate) fn isolate_squarefree(sf: &UPoly) -> Vec<RootLocation> {
         ka.cmp(&kb)
     });
     out
+}
+
+/// The root `−c₀/c₁` of a degree-1 polynomial, read off its coefficients:
+/// no squarefree part, divisor enumeration or zero test (whose float filter
+/// cannot certify a zero) is needed to find it.
+pub(crate) fn linear_root(p: &UPoly) -> Option<Rat> {
+    (p.deg() == 1).then(|| -(&p.coeff(0) / &p.coeff(1)))
 }
 
 /// Exact rational roots of a squarefree polynomial, via the rational-root
@@ -562,6 +572,37 @@ mod tests {
                 prop_assert_eq!(found, zero);
             }
         }
+    }
+
+    /// A linear polynomial's root comes straight off its coefficients, also
+    /// past `rational_roots`' 10⁶ enumeration limit and under a negative
+    /// leading coefficient, and every entry point reports the same root.
+    #[test]
+    fn linear_root_is_exact_past_the_enumeration_limit() {
+        let huge = Rat::from(Int::pow2(70));
+        let cases = [
+            (p(&[7_000_000_019, -3_000_017]), rat("7000000019/3000017")),
+            (p(&[-5, -2_000_003]), rat("-5/2000003")),
+            (
+                UPoly::from_coeffs(vec![Rat::from(3i64), -huge.clone()]),
+                &Rat::from(3i64) / &huge,
+            ),
+            (p(&[0, -9]), Rat::zero()),
+        ];
+        let eps = rat("1/1024");
+        for (f, root) in cases {
+            assert_eq!(linear_root(&f), Some(root.clone()), "{f}");
+            assert_eq!(isolate_real_roots(&f), [RootLocation::Exact(root.clone())]);
+            assert_eq!(real_roots_approx(&f, &eps), std::slice::from_ref(&root));
+            let alg = crate::RealAlg::roots_of(&f);
+            let [only] = alg.as_slice() else {
+                panic!("one root expected for {f}")
+            };
+            assert_eq!(only.to_rat(), Some(root.clone()));
+            assert_eq!(only.poly(), &UPoly::from_coeffs(vec![-root, Rat::one()]));
+        }
+        assert_eq!(linear_root(&p(&[1, 2, 3])), None);
+        assert_eq!(linear_root(&p(&[4])), None);
     }
 
     #[test]

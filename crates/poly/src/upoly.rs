@@ -397,6 +397,10 @@ impl UPoly {
         if self.is_constant() {
             return self.clone();
         }
+        if self.deg() == 1 {
+            // Its derivative is a nonzero constant: the gcd is 1.
+            return self.monic();
+        }
         let g = self.gcd(&self.derivative());
         if g.is_constant() {
             self.monic()

@@ -5,7 +5,7 @@
 use cdb_num::{Int, Rat, Sign};
 use cdb_poly::resultant::{discriminant, resultant};
 use cdb_poly::sturm::SturmChain;
-use cdb_poly::{isolate_real_roots, MPoly, RealAlg, RootLocation, UPoly};
+use cdb_poly::{isolate_real_roots, MPoly, Partial, RealAlg, RootLocation, UPoly};
 use proptest::prelude::*;
 use std::cmp::Ordering;
 
@@ -252,6 +252,77 @@ proptest! {
             .to_constant()
             .unwrap();
         prop_assert_eq!(full, step);
+    }
+}
+
+/// A polynomial in 3 variables: up to 6 terms of degree at most 3 in each
+/// variable, zero coefficients allowed (so the zero polynomial occurs), and
+/// variable `drop` removed (so variables the polynomial does not use occur;
+/// `drop = 3` removes none).
+fn arb_mpoly3() -> impl Strategy<Value = MPoly> {
+    let term = ((0u32..=3, 0u32..=3, 0u32..=3), -4i64..=4);
+    (prop::collection::vec(term, 0..=6), 0usize..4).prop_map(|(terms, drop)| {
+        let terms = terms.into_iter().map(|((a, b, c), k)| {
+            let mut exps = vec![a, b, c];
+            if let Some(e) = exps.get_mut(drop) {
+                *e = 0;
+            }
+            (exps, Rat::from(k))
+        });
+        MPoly::from_terms(3, terms)
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// `eval_partial` against chained `substitute` followed by
+    /// `to_constant` / `to_upoly_in`, for every choice of kept variables.
+    /// A coordinate may come as the rational root of a linear polynomial,
+    /// the way a CAD sample hands over a `RealAlg` that is rational.
+    #[test]
+    fn eval_partial_matches_chained_substitution(
+        p in arb_mpoly3(),
+        coords in prop::collection::vec((-5i64..=5, 1i64..=4, any::<bool>()), 3),
+    ) {
+        let xs: Vec<Rat> = coords
+            .iter()
+            .map(|&(n, d, via_alg)| {
+                let x = Rat::new(n.into(), d.into());
+                if !via_alg {
+                    return x;
+                }
+                let line = UPoly::from_coeffs(vec![-(&x * &Rat::from(d)), Rat::from(d)]);
+                RealAlg::roots_of(&line).pop().and_then(|a| a.to_rat()).unwrap()
+            })
+            .collect();
+        for kept in 0u32..8 {
+            let point: Vec<Option<Rat>> = xs
+                .iter()
+                .enumerate()
+                .map(|(i, x)| (kept >> i & 1 == 0).then(|| x.clone()))
+                .collect();
+            let mut chained = p.clone();
+            for (i, x) in point.iter().enumerate() {
+                if let Some(x) = x {
+                    chained = chained.substitute(i, x);
+                }
+            }
+            let value = p.eval_partial(&point);
+            prop_assert_eq!(value.max_coeff_bits(), chained.max_coeff_bits());
+            let left: Vec<usize> = (0..3).filter(|&i| chained.uses_var(i)).collect();
+            match (&value, left.as_slice()) {
+                (Partial::Constant(c), []) => {
+                    prop_assert_eq!(Some(c.clone()), chained.to_constant());
+                }
+                (Partial::Univariate(v, u), [w]) => {
+                    prop_assert_eq!(v, w);
+                    prop_assert_eq!(Some(u.clone()), chained.to_upoly_in(*v));
+                }
+                (Partial::Terms(t), [_, _, ..]) => prop_assert_eq!(t.clone().seal(), chained),
+                _ => prop_assert!(false, "{:?} for {} ({:?} left)", value, chained, left),
+            }
+        }
     }
 }
 

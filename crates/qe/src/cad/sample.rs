@@ -3,7 +3,7 @@
 
 use crate::{QeContext, QeError};
 use cdb_num::{fintv, FIntv, Rat, RatInterval, Sign};
-use cdb_poly::{MPoly, RealAlg, UPoly};
+use cdb_poly::{MPoly, Partial, RealAlg, Terms, UPoly};
 use std::fmt;
 
 /// One coordinate of a CAD sample point. Every algebraic coordinate carries
@@ -50,32 +50,41 @@ impl fmt::Debug for Coord {
     }
 }
 
-/// Substitute the rational coordinates of `sample` into `p`. `sample[i]`
-/// corresponds to ambient variable `vars[i]`. Returns the reduced polynomial
-/// and the ambient indices of the remaining (algebraic) coordinates.
+/// `p` at the rational coordinates of `sample` (`sample[i]` is the
+/// coordinate of ambient variable `vars[i]`; a `RealAlg` that is rational
+/// counts as rational), evaluated in one pass and not sealed, together with
+/// the irrational coordinates by ambient variable.
 #[must_use]
-pub fn substitute_rationals(
+pub(crate) fn eval_at_rationals(
     p: &MPoly,
     vars: &[usize],
     sample: &[Coord],
-) -> (MPoly, Vec<(usize, RealAlg)>) {
-    let mut q = p.clone();
+) -> (Partial, Vec<(usize, RealAlg)>) {
+    let mut point = vec![None; p.nvars()];
     let mut algs = Vec::new();
-    for (i, c) in sample.iter().enumerate() {
+    for (&v, c) in vars.iter().zip(sample) {
         match c {
-            Coord::Rat(r) => q = q.substitute(vars[i], r),
-            Coord::Alg(a) => {
-                if let Some(r) = a.to_rat() {
-                    q = q.substitute(vars[i], &r);
-                } else {
-                    algs.push((vars[i], a.clone()));
-                }
-            }
+            Coord::Rat(r) => point[v] = Some(r.clone()),
+            Coord::Alg(a) => match a.to_rat() {
+                Some(r) => point[v] = Some(r),
+                None => algs.push((v, a.clone())),
+            },
         }
     }
-    // Only keep algebraic vars that still occur.
-    algs.retain(|(v, _)| q.uses_var(*v));
-    (q, algs)
+    (p.eval_partial(&point), algs)
+}
+
+/// Seal a value that keeps several variables — once — and keep the
+/// algebraic coordinates that still occur in it.
+#[must_use]
+pub(crate) fn seal_over(value: Terms, algs: &[(usize, RealAlg)]) -> (MPoly, Vec<(usize, RealAlg)>) {
+    let q = value.seal();
+    let used = algs
+        .iter()
+        .filter(|(v, _)| q.uses_var(*v))
+        .cloned()
+        .collect();
+    (q, used)
 }
 
 /// Exact sign of `p` at the sample (coordinates for `vars`).
@@ -93,23 +102,31 @@ pub fn sign_at(
     ctx: &QeContext,
 ) -> Result<Sign, QeError> {
     ctx.sign_evals.add(1);
-    let (q, algs) = substitute_rationals(p, vars, sample);
-    if let Some(c) = q.to_constant() {
-        return Ok(c.sign());
-    }
-    match algs.as_slice() {
-        [] => Err(QeError::Unsupported(format!(
-            "sign_at: nonconstant polynomial {q} with no remaining variables"
-        ))),
-        [(v, alpha)] => {
-            let u = q.to_upoly_in(*v).ok_or_else(|| {
-                QeError::Unsupported(format!(
-                    "sign_at: {q} not univariate in its single remaining variable"
-                ))
-            })?;
-            Ok(alpha.sign_of(&u))
+    let (value, algs) = eval_at_rationals(p, vars, sample);
+    sign_of_value(value, &algs)
+}
+
+/// Exact sign of a value whose variables left are among the algebraic
+/// coordinates `algs`: a constant's own, [`RealAlg::sign_of`] in one
+/// coordinate, interval refinement (sealed once) in several.
+pub(crate) fn sign_of_value(value: Partial, algs: &[(usize, RealAlg)]) -> Result<Sign, QeError> {
+    match value {
+        Partial::Constant(c) => Ok(c.sign()),
+        Partial::Univariate(v, u) => match algs.iter().find(|(a, _)| *a == v) {
+            Some((_, alpha)) => Ok(alpha.sign_of(&u)),
+            None => Err(QeError::Unsupported(format!(
+                "sign_at: {u} keeps variable {v}, which is not an algebraic coordinate"
+            ))),
+        },
+        Partial::Terms(t) => {
+            let (q, algs) = seal_over(t, algs);
+            if algs.len() < 2 {
+                return Err(QeError::Unsupported(format!(
+                    "sign_at: {q} keeps variables that are not algebraic coordinates"
+                )));
+            }
+            sign_by_refinement(&q, &algs)
         }
-        _ => sign_by_refinement(&q, &algs),
     }
 }
 
@@ -217,8 +234,19 @@ fn eval_interval(q: &MPoly, algs: &[(usize, RealAlg)]) -> RatInterval {
 /// algebraic coordinate `avar`.
 #[must_use]
 pub fn as_alg_coeff_poly(q: &MPoly, avar: usize, yvar: usize) -> Option<Vec<UPoly>> {
-    let coeffs = q.as_upoly_in(yvar);
-    coeffs.iter().map(|c| c.to_upoly_in(avar)).collect()
+    // Read off the terms: no coefficient polynomial is sealed.
+    let row = vec![Rat::zero(); q.degree_in(avar) as usize + 1];
+    let mut coeffs = vec![row; q.degree_in(yvar) as usize + 1];
+    for (m, c) in q.terms() {
+        if m.exps()
+            .enumerate()
+            .any(|(i, e)| e > 0 && i != avar && i != yvar)
+        {
+            return None;
+        }
+        coeffs[m.get(yvar) as usize][m.get(avar) as usize] = c.clone();
+    }
+    Some(coeffs.into_iter().map(UPoly::from_coeffs).collect())
 }
 
 #[cfg(test)]

@@ -3,7 +3,7 @@
 //!
 //! Exactness strategy (DESIGN.md §5):
 //!
-//! * **All-rational sample** — substitute and isolate over `Q`.
+//! * **All-rational sample** — evaluate into a `UPoly` and isolate over `Q`.
 //! * **Algebraic coordinates** — the candidates are the real roots over `Q`
 //!   of the resultant(s) of the fiber polynomial against each coordinate's
 //!   minimal polynomial, so every root is a plain `RealAlg` over `Q` and
@@ -16,11 +16,13 @@
 //!     discriminant sign at the base sample — known from the projection
 //!     set — is nonzero; otherwise a typed error is raised, never a guess.
 
-use super::sample::{as_alg_coeff_poly, sign_at, substitute_rationals, Coord};
+use super::sample::{
+    as_alg_coeff_poly, eval_at_rationals, seal_over, sign_at, sign_of_value, Coord,
+};
 use crate::{QeContext, QeError};
 use cdb_num::{Int, Rat, Sign};
 use cdb_poly::algebraic::{AlgUPoly, NumberField};
-use cdb_poly::{MPoly, RealAlg};
+use cdb_poly::{MPoly, Partial, RealAlg};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// A section of a stack: a root of one or more level polynomials.
@@ -111,7 +113,9 @@ fn merge_root(merged: &mut Vec<StackSection>, root: RealAlg, id: usize, from: us
     at
 }
 
-/// Roots of `p` restricted to the fiber over `sample`.
+/// Roots of `p` restricted to the fiber over `sample`. The fibre polynomial
+/// is evaluated once, unsealed; only a fibre over algebraic coordinates is
+/// sealed, since it keys the resultant cache.
 fn roots_in_fiber(
     p: &MPoly,
     vars: &[usize],
@@ -120,38 +124,32 @@ fn roots_in_fiber(
     is_zero_lower: &dyn Fn(&MPoly) -> Result<bool, QeError>,
     ctx: &QeContext,
 ) -> Result<FiberRoots, QeError> {
-    let (q, algs) = substitute_rationals(p, vars, sample);
-    ctx.observe_poly(&q)?;
-    match algs.as_slice() {
-        [] => {
-            // Purely rational fiber polynomial.
-            let u = q.to_upoly_in(yvar).ok_or_else(|| {
-                QeError::Unsupported(
-                    "fiber polynomial kept variables besides the stack variable".into(),
-                )
-            })?;
-            if u.is_zero() {
-                return Ok(FiberRoots::Nullified);
-            }
-            if u.is_constant() {
-                return Ok(FiberRoots::Roots(Vec::new()));
-            }
-            Ok(FiberRoots::Roots(RealAlg::roots_of(&u)))
+    let (fibre, algs) = eval_at_rationals(p, vars, sample);
+    ctx.observe_bits(fibre.max_coeff_bits())?;
+    let kept_others = || {
+        QeError::Unsupported("fiber polynomial kept variables besides the stack variable".into())
+    };
+    let (q, algs) = match fibre {
+        Partial::Constant(c) if c.is_zero() => return Ok(FiberRoots::Nullified),
+        Partial::Constant(_) => return Ok(FiberRoots::Roots(Vec::new())),
+        Partial::Univariate(v, u) if v == yvar => {
+            return Ok(FiberRoots::Roots(RealAlg::roots_of(&u)));
         }
-        [one] => {
-            let (avar, alpha) = one.clone();
-            if !q.uses_var(yvar) {
-                // Fiber polynomial is a function of α only.
-                let u = q.to_upoly_in(avar).ok_or_else(|| {
-                    QeError::Unsupported("fiber polynomial kept variables besides alpha".into())
-                })?;
-                return Ok(if alpha.sign_of(&u) == Sign::Zero {
-                    FiberRoots::Nullified
-                } else {
-                    FiberRoots::Roots(Vec::new())
-                });
-            }
-            let coeffs = as_alg_coeff_poly(&q, avar, yvar)
+        Partial::Univariate(v, u) => {
+            // Fiber polynomial is a function of one algebraic coordinate.
+            let (_, alpha) = algs.iter().find(|(a, _)| *a == v).ok_or_else(kept_others)?;
+            return Ok(if alpha.sign_of(&u) == Sign::Zero {
+                FiberRoots::Nullified
+            } else {
+                FiberRoots::Roots(Vec::new())
+            });
+        }
+        Partial::Terms(t) => seal_over(t, &algs),
+    };
+    match algs.as_slice() {
+        [] => Err(kept_others()),
+        [(avar, alpha)] => {
+            let coeffs = as_alg_coeff_poly(&q, *avar, yvar)
                 .ok_or_else(|| QeError::Unsupported("mixed variables in fiber".into()))?;
             let field = NumberField::new(alpha.clone());
             let ap = AlgUPoly::new(field, coeffs);
@@ -163,8 +161,8 @@ fn roots_in_fiber(
             }
             // Candidates over Q: `m_α` is monic, so every real root of
             // q(α, ·) is a root of the resultant.
-            let m_emb = MPoly::from_upoly(alpha.poly(), avar, q.nvars());
-            let r = ctx.cache.resultant(&q, &m_emb, avar);
+            let m_emb = MPoly::from_upoly(alpha.poly(), *avar, q.nvars());
+            let r = ctx.cache.resultant(&q, &m_emb, *avar);
             let ru = r
                 .to_upoly_in(yvar)
                 .ok_or_else(|| QeError::Unsupported("resultant kept variables".into()))?;
@@ -272,10 +270,7 @@ fn roots_multi_alg(
     }
     // The sign of q at a separator is nonzero by construction.
     let candidates = RealAlg::roots_of(&ru);
-    members(candidates, |s| {
-        sign_nonzero_at(&q.substitute(yvar, s), algs, ctx)
-    })
-    .map(FiberRoots::Roots)
+    members(candidates, |s| sign_nonzero_at(q, yvar, s, algs, ctx)).map(FiberRoots::Roots)
 }
 
 /// Rational points strictly interleaving the candidates: `seps[j] < root_j <
@@ -300,22 +295,23 @@ fn separators(candidates: &[RealAlg]) -> Vec<Rat> {
     seps
 }
 
-/// Exact nonzero sign of a polynomial in algebraic coordinates only.
-fn sign_nonzero_at(q: &MPoly, algs: &[(usize, RealAlg)], ctx: &QeContext) -> Result<Sign, QeError> {
-    if let Some(c) = q.to_constant() {
-        return Ok(c.sign());
+/// Exact nonzero sign of `q` at `y = s`, its other variables the algebraic
+/// coordinates `algs`. A value left in several of them is refined by
+/// intervals, which counts as a sign evaluation of its own.
+fn sign_nonzero_at(
+    q: &MPoly,
+    yvar: usize,
+    s: &Rat,
+    algs: &[(usize, RealAlg)],
+    ctx: &QeContext,
+) -> Result<Sign, QeError> {
+    let mut point = vec![None; q.nvars()];
+    point[yvar] = Some(s.clone());
+    let value = q.eval_partial(&point);
+    if let Partial::Terms(_) = value {
+        ctx.sign_evals.add(1);
     }
-    let used: Vec<&(usize, RealAlg)> = algs.iter().filter(|(v, _)| q.uses_var(*v)).collect();
-    if let [(v, a)] = used.as_slice() {
-        if let Some(u) = q.to_upoly_in(*v) {
-            return Ok(a.sign_of(&u));
-        }
-        // Not univariate after all — fall through to interval refinement.
-    }
-    // Multi-variable refinement (value is nonzero, so this terminates).
-    let coords: Vec<Coord> = algs.iter().map(|(_, a)| Coord::Alg(a.clone())).collect();
-    let vars: Vec<usize> = algs.iter().map(|(v, _)| *v).collect();
-    sign_at(q, &vars, &coords, ctx)
+    sign_of_value(value, algs)
 }
 
 /// Pick rational sector sample points interleaving the sections: one below,
@@ -858,6 +854,40 @@ mod tests {
         assert_eq!(vanish, [vec![1], vec![0], vec![0, 2], vec![0, 2], vec![1]]);
         for w in stack.sections.windows(2) {
             assert_eq!(w[0].root.cmp_alg(&w[1].root), std::cmp::Ordering::Less);
+        }
+    }
+
+    /// The §4 monitor reads a fibre's coefficients after substitution, on
+    /// every fibre path: `y − x³` over `x = (2²⁰ + 1)/3` has the 61-bit
+    /// coefficient `(2²⁰ + 1)³/27`, over the rational base and with a
+    /// second, algebraic coordinate `z = √2` (`y − z·x³`) alike.
+    #[test]
+    fn fibre_over_budget_fails_with_its_substituted_bits() {
+        let big = Rat::new(&Int::pow2(20) + &Int::one(), Int::from(3i64));
+        let x3 = MPoly::var(0, 3).pow(3);
+        let z = MPoly::var(1, 3);
+        let y = MPoly::var(2, 3);
+        let cases = [
+            (&y - &x3, vec![0], vec![Coord::Rat(big.clone())]),
+            (
+                &y - &(&z * &x3),
+                vec![0, 1],
+                vec![Coord::Rat(big), Coord::Alg(sqrt2())],
+            ),
+        ];
+        for (p, vars, base) in cases {
+            let ctx = QeContext::with_budget(32);
+            let err = build_stack(&[(0, p)], &vars, &base, 2, &no_lower, &ctx).err();
+            assert!(
+                matches!(
+                    err,
+                    Some(QeError::PrecisionExceeded {
+                        budget_bits: 32,
+                        seen_bits: 61
+                    })
+                ),
+                "{err:?}"
+            );
         }
     }
 

@@ -92,13 +92,29 @@ if [ "$lookups" -gt "$intern_ceiling" ]; then
     exit 1
 fi
 
+echo "==> calcf_agg interner lookups stay under their ceiling (one traced repeat at --seed 1)"
+# Sample evaluation in CAD lifting seals nothing and an algebraic fibre seals
+# once (DESIGN.md §10.2): that took this count from 40,234 to 27,071. A
+# ceiling, like the one above, so a lifting path that goes back to
+# substituting one sealed coordinate at a time fails here without timing.
+agg_intern_ceiling=27071
+lookups=$(cargo run --release --quiet --offline --manifest-path stmtbench/Cargo.toml --bin bench -- \
+    --workload calcf_agg --seed 1 --seconds 1 --trace 1 |
+    grep -o '"poly\.intern\.\(hits\|misses\)": {"value": [0-9]*' |
+    awk '{ n += $NF } END { print n + 0 }')
+if [ "$lookups" -gt "$agg_intern_ceiling" ]; then
+    echo "calcf_agg: $lookups interner lookups at --seed 1, ceiling $agg_intern_ceiling" >&2
+    exit 1
+fi
+
 echo "==> conic_cad lifts the same stacks and its filtered signs stay under their ceiling (one traced repeat at --seed 1)"
 # Cells and sign evaluations are pinned: a change to lifting that moves them
 # changes which stacks are built or which signs are taken. The filtered-sign
 # count is a ceiling, not a target, like the interner ceiling above: finding
 # fibre roots over Q instead of isolating them in Q(alpha)[y] took it from
-# 212,929 to 133,605 (DESIGN.md §5, rule 2).
-filter_ceiling=133605
+# 212,929 to 133,605 (DESIGN.md §5, rule 2), and reading a linear fibre's
+# root off its coefficients took it to 129,579 (DESIGN.md §8).
+filter_ceiling=129579
 conic=$(cargo run --release --quiet --offline --manifest-path stmtbench/Cargo.toml --bin bench -- \
     --workload conic_cad --seed 1 --seconds 1 --trace 1)
 counter() { echo "$conic" | grep -o "\"$1\": {\"value\": [0-9]*" | awk '{ n += $NF } END { print n + 0 }'; }
