@@ -1,4 +1,4 @@
-//! `repro` — regenerate every table/figure of the paper (E1–E15).
+//! `repro` — regenerate every table/figure of the paper (E1–E16).
 //!
 //! Usage: `cargo run --release -p cdb-bench --bin repro [-- e1 e2 …]`
 //! (no arguments = all experiments). Each experiment prints the paper's
@@ -27,10 +27,10 @@ use constraintdb::ConstraintDb;
 #[allow(clippy::disallowed_methods)]
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let known: Vec<String> = (1..=15).map(|i| format!("e{i}")).collect();
+    let known: Vec<String> = (1..=16).map(|i| format!("e{i}")).collect();
     for a in &args {
         if a != "all" && !known.iter().any(|k| k.eq_ignore_ascii_case(a)) {
-            eprintln!("unknown experiment id `{a}` (expected e1..e15 or all)");
+            eprintln!("unknown experiment id `{a}` (expected e1..e16 or all)");
             std::process::exit(2);
         }
     }
@@ -80,6 +80,9 @@ fn main() {
     }
     if want("e15") {
         e15();
+    }
+    if want("e16") {
+        e16();
     }
 }
 
@@ -578,4 +581,56 @@ fn e15() {
         assert_ne!(ltr, rtl);
     }
     println!("  (paper: F_k |= exists x forall y (y <= x); no distributive laws)");
+}
+
+/// E16 — analytic atoms and three-variable tangencies through QE (§5, and
+/// Appendix I's lifting over algebraic samples): each answer is asserted
+/// byte for byte, with its wall time and the CAD cells it took.
+fn e16() {
+    header(
+        "E16",
+        "analytic atoms and 3-variable tangencies through QE (§5, Appendix I lifting)",
+    );
+    let engine = CalcFEngine::default();
+    let db = Database::new();
+    let run = |query: &str, exact: bool, want: &str| {
+        let t0 = std::time::Instant::now();
+        let out = engine.evaluate(&db, query).unwrap();
+        let elapsed = t0.elapsed();
+        println!("  {query}");
+        println!("    {} ({elapsed:.2?}, {} cells)", out.display(), out.cells);
+        assert_eq!(out.exact, exact, "{query}");
+        assert_eq!(out.display(), want, "{query}");
+        out
+    };
+    // exp's a-base piece over [0, 1] puts a double root on a fibre over a
+    // degree-5 algebraic x; the threshold is exp(1) ≈ 2.718 > 2, so the
+    // answer is x ∈ (≈1, 2] up to the approximation's error.
+    run(
+        "exists y (y >= 0 and y <= 1 and exp(y) < x and x <= 2)",
+        false,
+        "(x - 2 < 0 and 274877906944*x - 274877902613 > 0) or (x - 2 = 0) \
+         or (x - 2 < 0 and 549755813888*x - 549755834669 > 0)",
+    );
+    run(
+        "exists y (y >= 0 and y <= 1 and y^6 + y < x and x <= 2)",
+        true,
+        "(x - 2 < 0 and x > 0) or (x - 2 = 0)",
+    );
+    // The hyperbola y·w = 1 touches the sphere's slice y² + w² ≤ 4 − x²
+    // where 4 − x² = 2: the fibres there have double roots over samples
+    // with two algebraic coordinates. x⁴ − 8x² + 12 = (x² − 2)(x² − 6).
+    let tangency = run(
+        "exists y exists w (x^2 + y^2 + w^2 <= 4 and y*w >= 1)",
+        true,
+        "(x^2 - 4 < 0 and x^4 - 8*x^2 + 12 > 0) or (x^2 - 4 < 0 and x^4 - 8*x^2 + 12 = 0)",
+    );
+    for r in ["-2", "-3/2", "-7/5", "-1", "0", "1/2", "7/5", "3/2", "2"] {
+        let r: Rat = r.parse().unwrap();
+        let holds = tangency
+            .relation
+            .satisfied_at(&tangency.point(std::slice::from_ref(&r)));
+        assert_eq!(holds, &r * &r <= Rat::from(2i64), "x = {r}");
+    }
+    println!("  (the tangency answer is x² ≤ 2, checked at ±7/5, ±3/2 and five more rationals)");
 }

@@ -104,6 +104,9 @@ pub struct CalcFOutput {
     // the answer; the answer relation itself is exact (§5 leaves error
     // analysis open, so this stays instrumentation, never a result).
     pub approx_sup_error: f64,
+    /// CAD cells the QE stage built ([`QeContext::cells_built`]; 0 when no
+    /// disjunct went to CAD).
+    pub cells: u64,
 }
 
 impl CalcFOutput {
@@ -302,6 +305,7 @@ impl CalcFEngine {
             free_vars,
             exact: lowering.exact,
             approx_sup_error: lowering.err,
+            cells: ctx.cells_built.get(),
         })
     }
 }

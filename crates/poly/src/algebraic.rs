@@ -1,20 +1,17 @@
-//! Real algebraic numbers and arithmetic in `Q(α)`.
+//! Real algebraic numbers over `Q`.
 //!
 //! CAD cells at "section" level have real algebraic sample coordinates
 //! (Appendix I: "An algebraic number is defined by its minimal polynomial
 //! `p_α` and an isolating interval for the particular root"). This module
-//! provides:
-//!
-//! * [`RealAlg`] — a root of a squarefree polynomial with an isolating
-//!   interval, refinable on demand, with **exact** sign determination
-//!   `sign(q(α))` for rational-coefficient `q` (gcd test for zero, interval
-//!   refinement otherwise — never a guess);
-//! * [`NfElem`]/[`AlgUPoly`] — arithmetic in the number field `Q(α)`, the
-//!   squarefree part of a polynomial with coefficients in `Q(α)` and its
-//!   exact sign at a rational point. That is all lifting a CAD stack over a
-//!   section cell needs: its roots are found over `Q`, among the roots of a
-//!   resultant, and `Q(α)[y]` only decides which candidates are roots
-//!   (DESIGN.md §5, rule 2).
+//! provides [`RealAlg`]: a root of a squarefree polynomial with an isolating
+//! interval, refinable on demand, with **exact** sign determination
+//! `sign(q(α))` for rational-coefficient `q` (gcd test for zero, interval
+//! refinement otherwise — never a guess) and exact comparison. That is all
+//! lifting a CAD stack over a section cell needs of `α`: the fibre's roots
+//! are found over `Q`, among the roots of a resultant, and signs of
+//! polynomials with rational coefficients at rational separators decide
+//! which candidates are roots (DESIGN.md §5, rule 2). No arithmetic in
+//! `Q(α)` remains.
 
 use crate::roots::{isolate_squarefree, linear_root, refine_squarefree, RootLocation};
 use crate::sturm::SturmChain;
@@ -371,300 +368,6 @@ impl fmt::Debug for RealAlg {
     }
 }
 
-/// An element of `Q(α)` represented as a polynomial in `α` of degree less
-/// than `deg(minpoly)`. Arithmetic reduces modulo the minimal polynomial.
-#[derive(Clone, PartialEq, Eq)]
-pub struct NfElem {
-    /// Representative, `deg < deg(modulus)`.
-    pub rep: UPoly,
-}
-
-/// The number field `Q(α)` for a fixed `α`.
-#[derive(Clone)]
-pub struct NumberField {
-    alpha: RealAlg,
-}
-
-impl NumberField {
-    /// Field generated by `α`. For a rational `α` the field is just `Q`
-    /// (modulus `x − α`), which works uniformly.
-    #[must_use]
-    pub fn new(alpha: RealAlg) -> NumberField {
-        NumberField { alpha }
-    }
-
-    fn modulus(&self) -> &UPoly {
-        self.alpha.poly()
-    }
-
-    /// Embed a rational.
-    #[must_use]
-    pub fn from_rat(&self, r: Rat) -> NfElem {
-        NfElem {
-            rep: UPoly::constant(r),
-        }
-    }
-
-    /// Embed a `Q`-polynomial evaluated at `α` (i.e., reduce mod minpoly).
-    #[must_use]
-    pub fn from_upoly(&self, p: &UPoly) -> NfElem {
-        NfElem {
-            rep: p.divrem(self.modulus()).1,
-        }
-    }
-
-    /// The generator as an element.
-    #[must_use]
-    pub fn gen(&self) -> NfElem {
-        self.from_upoly(&UPoly::x())
-    }
-
-    /// Addition.
-    #[must_use]
-    pub fn add(&self, a: &NfElem, b: &NfElem) -> NfElem {
-        NfElem {
-            rep: &a.rep + &b.rep,
-        }
-    }
-
-    /// Subtraction.
-    #[must_use]
-    pub fn sub(&self, a: &NfElem, b: &NfElem) -> NfElem {
-        NfElem {
-            rep: &a.rep - &b.rep,
-        }
-    }
-
-    /// Multiplication (reduced).
-    #[must_use]
-    pub fn mul(&self, a: &NfElem, b: &NfElem) -> NfElem {
-        NfElem {
-            rep: (&a.rep * &b.rep).divrem(self.modulus()).1,
-        }
-    }
-
-    /// Exact zero test: the representative vanishes at `α`.
-    ///
-    /// Note the modulus is squarefree but not necessarily irreducible, so a
-    /// nonzero representative may still denote zero; the sign test decides.
-    #[must_use]
-    pub fn is_zero(&self, a: &NfElem) -> bool {
-        self.sign(a) == Sign::Zero
-    }
-
-    /// Exact sign of the element (as the real number `rep(α)`).
-    #[must_use]
-    pub fn sign(&self, a: &NfElem) -> Sign {
-        self.alpha.sign_of(&a.rep)
-    }
-
-    /// Multiplicative inverse. The modulus may be reducible (we only require
-    /// squarefree), so plain XGCD can fail to produce a unit; in that case
-    /// the gcd factor splits the modulus and we recurse on the factor that
-    /// still has `α` as a root. Panics on zero.
-    #[must_use]
-    pub fn inv(&self, a: &NfElem) -> NfElem {
-        assert!(!self.is_zero(a), "inverse of zero in Q(alpha)");
-        // Extended Euclid: u·rep + v·mod = g.
-        let (g, u) = half_xgcd(&a.rep, self.modulus());
-        // If g is constant, u/g is the inverse.
-        if g.is_constant() {
-            let c = g.coeff(0);
-            return NfElem {
-                rep: u.scale(&c.recip()).divrem(self.modulus()).1,
-            };
-        }
-        // g is a nontrivial common factor; α is a root of the modulus but
-        // not of rep (nonzero), so α is a root of mod/g. Work there.
-        let reduced = NumberField {
-            alpha: RealAlg {
-                poly: self.modulus().div_exact(&g).monic(),
-                loc: Arc::new(Mutex::new(
-                    self.alpha
-                        .loc
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner)
-                        .clone(),
-                )),
-            },
-        };
-        let inv = reduced.inv(&NfElem {
-            rep: a.rep.divrem(reduced.modulus()).1,
-        });
-        NfElem { rep: inv.rep }
-    }
-}
-
-/// Extended Euclid returning `(g, u)` with `u·a ≡ g (mod b)`.
-fn half_xgcd(a: &UPoly, b: &UPoly) -> (UPoly, UPoly) {
-    let mut r0 = a.clone();
-    let mut r1 = b.clone();
-    let mut u0 = UPoly::one();
-    let mut u1 = UPoly::zero();
-    while !r1.is_zero() {
-        let (q, r) = r0.divrem(&r1);
-        let nu = &u0 - &(&q * &u1);
-        r0 = r1;
-        r1 = r;
-        u0 = u1;
-        u1 = nu;
-    }
-    (r0, u0)
-}
-
-/// A univariate polynomial with coefficients in `Q(α)`. Lifting a CAD stack
-/// over a section cell takes its squarefree part once and reads exact signs
-/// of it at rational points.
-#[derive(Clone)]
-pub struct AlgUPoly {
-    field: NumberField,
-    /// Low-to-high coefficients, not necessarily normalized (leading entries
-    /// may denote zero even when their representatives are nonzero).
-    coeffs: Vec<NfElem>,
-}
-
-impl AlgUPoly {
-    /// Build from coefficients given as `Q`-polynomials in `α`, low-to-high.
-    /// Leading coefficients that denote zero are stripped *exactly*.
-    #[must_use]
-    pub fn new(field: NumberField, coeffs: Vec<UPoly>) -> AlgUPoly {
-        let mut elems: Vec<NfElem> = coeffs.iter().map(|c| field.from_upoly(c)).collect();
-        while let Some(last) = elems.last() {
-            if field.is_zero(last) {
-                elems.pop();
-            } else {
-                break;
-            }
-        }
-        AlgUPoly {
-            field,
-            coeffs: elems,
-        }
-    }
-
-    /// True iff the zero polynomial.
-    #[must_use]
-    pub fn is_zero(&self) -> bool {
-        self.coeffs.is_empty()
-    }
-
-    /// Degree (`None` for zero).
-    #[must_use]
-    pub fn degree(&self) -> Option<usize> {
-        self.coeffs.len().checked_sub(1)
-    }
-
-    /// Value at a rational point, as an element of `Q(α)`: a `Q`-linear
-    /// combination of the representatives, whose degrees are already below
-    /// the modulus's, so no product in `Q(α)` and no reduction is needed.
-    #[must_use]
-    pub fn eval_rat(&self, y: &Rat) -> NfElem {
-        let mut rep = UPoly::zero();
-        for c in self.coeffs.iter().rev() {
-            rep = &rep.scale(y) + &c.rep;
-        }
-        NfElem { rep }
-    }
-
-    /// Exact sign of the value at a rational point.
-    #[must_use]
-    pub fn sign_at(&self, y: &Rat) -> Sign {
-        self.field.sign(&self.eval_rat(y))
-    }
-
-    /// Formal derivative.
-    #[must_use]
-    fn derivative(&self) -> AlgUPoly {
-        if self.coeffs.len() <= 1 {
-            return AlgUPoly {
-                field: self.field.clone(),
-                coeffs: Vec::new(),
-            };
-        }
-        let coeffs = self
-            .coeffs
-            .iter()
-            .enumerate()
-            .skip(1)
-            .map(|(i, c)| NfElem {
-                rep: c.rep.scale(&Rat::from(i as i64)),
-            })
-            .collect();
-        AlgUPoly {
-            field: self.field.clone(),
-            coeffs,
-        }
-    }
-
-    /// Division with remainder in `Q(α)[y]` (exact field arithmetic).
-    fn divrem(&self, div: &AlgUPoly) -> (AlgUPoly, AlgUPoly) {
-        assert!(!div.is_zero());
-        let f = &self.field;
-        let dd = div.coeffs.len() - 1;
-        let lead_inv = f.inv(&div.coeffs[dd]);
-        let mut rem = self.coeffs.clone();
-        if rem.len() <= dd {
-            return (
-                AlgUPoly {
-                    field: f.clone(),
-                    coeffs: Vec::new(),
-                },
-                self.clone(),
-            );
-        }
-        let mut quot = vec![f.from_rat(Rat::zero()); rem.len() - dd];
-        for i in (dd..rem.len()).rev() {
-            if f.is_zero(&rem[i]) {
-                continue;
-            }
-            let fac = f.mul(&rem[i], &lead_inv);
-            for (j, dc) in div.coeffs.iter().enumerate() {
-                let t = f.mul(&fac, dc);
-                rem[i - dd + j] = f.sub(&rem[i - dd + j], &t);
-            }
-            quot[i - dd] = fac;
-        }
-        let strip = |mut v: Vec<NfElem>| {
-            while v.last().is_some_and(|c| f.is_zero(c)) {
-                v.pop();
-            }
-            v
-        };
-        rem.truncate(dd);
-        (
-            AlgUPoly {
-                field: f.clone(),
-                coeffs: strip(quot),
-            },
-            AlgUPoly {
-                field: f.clone(),
-                coeffs: strip(rem),
-            },
-        )
-    }
-
-    /// Make squarefree (divide by gcd with derivative).
-    #[must_use]
-    pub fn squarefree(&self) -> AlgUPoly {
-        if self.coeffs.len() <= 1 {
-            return self.clone();
-        }
-        let mut a = self.clone();
-        let mut b = self.derivative();
-        // Euclid in Q(α)[y].
-        while !b.is_zero() {
-            let (_, r) = a.divrem(&b);
-            a = b;
-            b = r;
-        }
-        if a.degree().unwrap_or(0) == 0 {
-            self.clone()
-        } else {
-            self.divrem(&a).0
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -772,110 +475,5 @@ mod tests {
         assert_eq!(roots.len(), 3);
         let vals: Vec<Rat> = roots.iter().map(|r| r.to_rat().unwrap()).collect();
         assert_eq!(vals, vec![Rat::one(), Rat::from(2i64), Rat::from(3i64)]);
-    }
-
-    #[test]
-    fn field_arithmetic_in_q_sqrt2() {
-        let f = NumberField::new(sqrt2());
-        let a = f.gen(); // √2
-        let two = f.mul(&a, &a);
-        assert_eq!(
-            f.sign(&f.sub(&two, &f.from_rat(Rat::from(2i64)))),
-            Sign::Zero
-        );
-        // (1 + √2)(−1 + √2) = 1
-        let u = f.add(&f.from_rat(Rat::one()), &a);
-        let v = f.add(&f.from_rat(Rat::from(-1i64)), &a);
-        let prod = f.mul(&u, &v);
-        assert_eq!(f.sign(&f.sub(&prod, &f.from_rat(Rat::one()))), Sign::Zero);
-        // Inverse: 1/√2 = √2/2.
-        let inv = f.inv(&a);
-        let check = f.sub(
-            &inv,
-            &NfElem {
-                rep: UPoly::from_coeffs(vec![Rat::zero(), "1/2".parse().unwrap()]),
-            },
-        );
-        assert!(f.is_zero(&check));
-    }
-
-    #[test]
-    fn inverse_with_reducible_modulus() {
-        // Modulus (x²−2)(x²−3), α = √2. Invert (x²−3)(α) = −1... that is
-        // nonzero; also invert α itself where xgcd may hit the factor.
-        let m = &p(&[-2, 0, 1]) * &p(&[-3, 0, 1]);
-        let alpha = RealAlg::roots_of(&m)
-            .into_iter()
-            .find(|r| {
-                r.sign_of(&p(&[-2, 0, 1])) == Sign::Zero
-                    && r.cmp_rat(&Rat::zero()) == Ordering::Greater
-            })
-            .unwrap();
-        let f = NumberField::new(alpha);
-        let a = f.gen();
-        let inv = f.inv(&a);
-        let prod = f.mul(&a, &inv);
-        assert!(f.is_zero(&f.sub(&prod, &f.from_rat(Rat::one()))));
-    }
-
-    /// `eval_rat` is the `Q(α)` Horner value without the products: the same
-    /// representative, since it already has degree below the modulus's.
-    #[test]
-    fn eval_rat_is_the_field_horner_value() {
-        let f = NumberField::new(sqrt2());
-        // (α + 1)·y³ − 3α·y + 7/2, at α = √2.
-        let q = AlgUPoly::new(
-            f.clone(),
-            vec![
-                UPoly::constant("7/2".parse().unwrap()),
-                p(&[0, -3]),
-                UPoly::zero(),
-                p(&[1, 1]),
-            ],
-        );
-        for y in ["0", "1", "-5/3", "1234567/1000"] {
-            let y: Rat = y.parse().unwrap();
-            let mut horner = f.from_rat(Rat::zero());
-            for c in q.coeffs.iter().rev() {
-                horner = f.add(&f.mul(&horner, &f.from_rat(y.clone())), c);
-            }
-            assert!(q.eval_rat(&y) == horner, "at {y}");
-        }
-        // 2√2 + 23/2 at y = 2, −2√2 − 9/2 at y = −2.
-        assert_eq!(q.sign_at(&Rat::from(2i64)), Sign::Pos);
-        assert_eq!(q.sign_at(&Rat::from(-2i64)), Sign::Neg);
-    }
-
-    #[test]
-    fn alg_poly_detects_vanishing_lead() {
-        // (α² − 2)·y² + y − 1 has a zero leading coefficient at α = √2:
-        // effectively linear, with its root at 1.
-        let f = NumberField::new(sqrt2());
-        let q = AlgUPoly::new(f, vec![p(&[-1]), p(&[1]), p(&[-2, 0, 1])]);
-        assert_eq!(q.degree(), Some(1));
-        assert_eq!(q.sign_at(&Rat::one()), Sign::Zero);
-        assert_eq!(q.sign_at(&Rat::zero()), Sign::Neg);
-    }
-
-    #[test]
-    fn alg_poly_with_double_root() {
-        // (y − α)² = y² − 2αy + α²: the squarefree part is linear and
-        // changes sign across √2.
-        let f = NumberField::new(sqrt2());
-        let q = AlgUPoly::new(f, vec![p(&[0, 0, 1]), p(&[0, -2]), p(&[1])]);
-        assert_eq!(q.sign_at(&Rat::one()), Sign::Pos);
-        assert_eq!(q.sign_at(&Rat::from(2i64)), Sign::Pos);
-        let sf = q.squarefree();
-        assert_eq!(sf.degree(), Some(1));
-        assert_ne!(sf.sign_at(&Rat::one()), sf.sign_at(&Rat::from(2i64)));
-    }
-
-    #[test]
-    fn rational_alpha_degenerate_field() {
-        let f = NumberField::new(RealAlg::from_rat(Rat::from(3i64)));
-        let a = f.gen();
-        assert_eq!(f.sign(&f.sub(&a, &f.from_rat(Rat::from(3i64)))), Sign::Zero);
-        let q = AlgUPoly::new(f, vec![-&UPoly::x(), UPoly::one()]); // y − α
-        assert_eq!(q.sign_at(&Rat::from(3i64)), Sign::Zero);
     }
 }

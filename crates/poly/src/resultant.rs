@@ -174,6 +174,49 @@ pub fn discriminant(p: &MPoly, var: usize) -> MPoly {
     }
 }
 
+/// The `j`-th subresultant `S_j` of `p` and `q` in `var`, for `deg p ≥ deg
+/// q ≥ j` and `deg p > j`: `Σ_{i ≤ j} det(M_i)·var^i`, where the rows of
+/// the Sylvester submatrix are `var^{deg q − j − 1}·p, …, p, var^{deg p − j
+/// − 1}·q, …, q` and `M_i` keeps its first `deg p + deg q − 2j − 1` columns
+/// and the column of `var^i`. `S_0` is the resultant, the principal
+/// coefficient `psc_j` is `S_j`'s coefficient of `var^j`, and `S_{deg q} =
+/// lc(q)^{deg p − deg q − 1}·q`.
+#[must_use]
+pub fn subresultant(p: &MPoly, q: &MPoly, var: usize, j: usize) -> MPoly {
+    let pc = p.as_upoly_in(var);
+    let qc = q.as_upoly_in(var);
+    let (m, n) = (pc.len() - 1, qc.len() - 1);
+    assert!(
+        j <= n && n <= m && j < m,
+        "subresultant needs deg p >= deg q >= j and deg p > j"
+    );
+    let nvars = p.nvars();
+    let (rows, cols) = (m + n - 2 * j, m + n - j);
+    let mut sylvester = vec![vec![MPoly::zero(nvars); cols]; rows];
+    let shifted = (0..n - j)
+        .map(|r| (r, &pc))
+        .chain((0..m - j).map(|r| (r, &qc)));
+    for (row, (shift, coeffs)) in sylvester.iter_mut().zip(shifted) {
+        for (entry, c) in row.iter_mut().skip(shift).zip(coeffs.iter().rev()) {
+            *entry = c.clone();
+        }
+    }
+    let mut s = MPoly::zero(nvars);
+    for i in 0..=j {
+        let minor = sylvester
+            .iter()
+            .map(|row| {
+                let mut kept = row[..rows - 1].to_vec();
+                kept.push(row[cols - 1 - i].clone());
+                kept
+            })
+            .collect();
+        let term = &bareiss_determinant(minor) * &MPoly::var(var, nvars).pow(i as u32);
+        s = &s + &term;
+    }
+    s
+}
+
 // ──────────────────────────── PRS (seed) kernel ────────────────────────────
 
 /// Seed path: build the Sylvester matrix from the coefficient lists and run

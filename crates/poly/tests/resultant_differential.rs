@@ -4,10 +4,14 @@
 //! byte-for-byte — on random inputs, on the degenerate shapes the CRT path
 //! special-cases (zero polynomials, vanishing leading coefficients, shared
 //! factors, spilled >8-variable monomials) and under 1 and 4 worker threads.
+//! Subresultants are checked against the fibre gcd they stand for in CAD
+//! lifting (DESIGN.md §5 rule 2).
 
 use cdb_num::Rat;
 use cdb_poly::refimpl::{ref_resultant, RefPoly};
-use cdb_poly::resultant::{resultant, resultant_with_strategy, Strategy};
+use cdb_poly::resultant::{
+    discriminant, resultant, resultant_with_strategy, subresultant, Strategy,
+};
 use cdb_poly::MPoly;
 use proptest::prelude::*;
 
@@ -218,5 +222,67 @@ fn dispatcher_matches_forced_prs() {
         let slow = resultant_with_strategy(&a, &b, 1, Strategy::Prs).expect("PRS always applies");
         assert_eq!(fast, slow, "seed {seed}");
         assert_eq!(fast.to_string(), slow.to_string(), "seed {seed}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `p ∈ Z[x, y]` with a planted factor `(y − a(x))^m`, at a rational
+    /// `x = r` where `lc_y(p)` does not vanish: the least `j` with
+    /// `psc_j(p, ∂p/∂y)(r) ≠ 0` is the degree of `gcd(p(r, ·), p_y(r, ·))`,
+    /// `S_k(r, ·)` is a nonzero rational multiple of that gcd, and `psc_0`
+    /// is the resultant, `±lc·disc`.
+    #[test]
+    fn subresultants_specialise_to_the_fibre_gcd(
+        raw in prop::collection::vec((0u32..=2, 0u32..=2, -4i64..=4), 1..=5),
+        (a0, a1) in (-3i64..=3, -2i64..=2),
+        m in 1u32..=3,
+        r in -3i64..=3,
+    ) {
+        let (cofactor, _) = both(2, &terms2(&raw));
+        let (x, y) = (MPoly::var(0, 2), MPoly::var(1, 2));
+        let root = &MPoly::constant(Rat::from(a0), 2) + &x.scale(&Rat::from(a1));
+        let p = &(&y - &root).pow(m) * &cofactor;
+        let d = p.degree_in(1) as usize;
+        prop_assume!(d >= 1);
+        let r = Rat::from(r);
+        let lc = p.as_upoly_in(1).pop().unwrap();
+        let lc_r = lc.substitute(0, &r).to_constant().unwrap();
+        prop_assume!(!lc_r.is_zero());
+        let dp = p.derivative(1);
+        let fibre = p.substitute(0, &r).to_upoly_in(1).unwrap();
+        let gcd = fibre.gcd(&fibre.derivative());
+        let at_r = |s: &MPoly| s.substitute(0, &r);
+        let psc = |j: usize| {
+            let s = subresultant(&p, &dp, 1, j);
+            at_r(&s).as_upoly_in(1).get(j).and_then(MPoly::to_constant).unwrap_or_else(Rat::zero)
+        };
+        let k = (0..d).find(|&j| !psc(j).is_zero()).unwrap();
+        prop_assert_eq!(k, gcd.degree().unwrap_or(0));
+        let s_k = at_r(&subresultant(&p, &dp, 1, k)).to_upoly_in(1).unwrap();
+        prop_assert!(!s_k.is_zero());
+        prop_assert_eq!(s_k.monic(), gcd.monic());
+        let psc_0 = subresultant(&p, &dp, 1, 0);
+        prop_assert_eq!(&psc_0, &resultant(&p, &dp, 1));
+        if d >= 2 {
+            let lc_disc = &lc * &discriminant(&p, 1);
+            prop_assert!(psc_0 == lc_disc || psc_0 == -&lc_disc);
+        }
+    }
+}
+
+/// `S_{deg q}` is `lc(q)^{deg p − deg q − 1}·q`, and every `S_j` of `p` and
+/// `∂p/∂y` has degree at most `j`: one cubic with a symbolic coefficient.
+#[test]
+fn subresultant_shape_on_a_cubic() {
+    let (x, y) = (MPoly::var(0, 2), MPoly::var(1, 2));
+    let p = &(&y.pow(3) - &(&x * &y)) + &MPoly::constant(Rat::from(2i64), 2);
+    let dp = p.derivative(1);
+    assert_eq!(subresultant(&p, &dp, 1, 2), dp);
+    let q = &x * &y;
+    assert_eq!(subresultant(&p, &q, 1, 1), &x * &q);
+    for j in 0..2 {
+        assert!(subresultant(&p, &dp, 1, j).degree_in(1) as usize <= j);
     }
 }

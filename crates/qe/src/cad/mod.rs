@@ -21,9 +21,10 @@ use cdb_num::Sign;
 use cdb_poly::MPoly;
 use project::{normalize, Registry};
 use sample::Coord;
-use stack::{build_stack, StackWalk};
+use stack::{build_stack, Below, StackWalk};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// Hard cap on the number of cells of one level, to fail fast instead of
 /// thrashing.
@@ -226,6 +227,10 @@ fn build_levels(
 struct Level {
     vars: Vec<usize>,
     polys: Vec<(usize, MPoly)>,
+    /// By level polynomial id: the registry id of its discriminant's normal
+    /// form, resolved on the first fibre over an algebraic sample that asks
+    /// (`None` when there is none to read a sign off).
+    discs: BTreeMap<usize, OnceLock<Option<usize>>>,
 }
 
 /// Run `per_parent` (→ its result and the number of cells it cost) on every
@@ -237,12 +242,14 @@ fn lift<T: Send>(
     ctx: &QeContext,
     per_parent: impl Fn(&Level, usize, &CadCell) -> Result<(T, usize), QeError> + Sync,
 ) -> Result<Vec<T>, QeError> {
+    let ids = &cad.level_poly_ids[l - 1];
     let level = Level {
         vars: cad.order[..l].to_vec(),
-        polys: cad.level_poly_ids[l - 1]
+        polys: ids
             .iter()
             .map(|&id| (id, cad.registry.get(id).clone()))
             .collect(),
+        discs: ids.iter().map(|&id| (id, OnceLock::new())).collect(),
     };
     let root_cell = CadCell {
         parent: None,
@@ -307,15 +314,19 @@ fn open_stack<'l>(
         .vars
         .split_last()
         .ok_or_else(|| QeError::Unsupported("CAD level without a variable".into()))?;
-    let is_zero_lower = |p: &MPoly| -> Result<bool, QeError> {
-        zeroness_at_parent(cad, parent, p, parent_vars, ctx)
+    let below = ParentZeros {
+        cad,
+        level,
+        parent,
+        parent_vars,
+        ctx,
     };
     let stack = build_stack(
         &level.polys,
         parent_vars,
         &parent.sample,
         *yvar,
-        &is_zero_lower,
+        &below,
         ctx,
     )?;
     Ok(StackWalk::new(
@@ -398,31 +409,53 @@ fn decide_parent(
     }
 }
 
-/// Zero-test of a lower-level polynomial at a parent sample via the sign
-/// vector, falling back to direct evaluation.
-fn zeroness_at_parent(
-    cad: &Cad,
-    parent: &CadCell,
-    p: &MPoly,
-    parent_vars: &[usize],
-    ctx: &QeContext,
-) -> Result<bool, QeError> {
-    if let Some(c) = p.to_constant() {
-        return Ok(c.is_zero());
-    }
-    let Some(norm) = normalize(p) else {
-        return Ok(false); // effectively a nonzero constant
-    };
-    if let Some(id) = cad.registry.find(&norm) {
-        if let Some(s) = parent.signs.get(&id) {
-            return Ok(*s == Sign::Zero);
+/// The zero tests lifting over `parent` asks of the levels below, read off
+/// its sign vector.
+struct ParentZeros<'a> {
+    cad: &'a Cad,
+    level: &'a Level,
+    parent: &'a CadCell,
+    parent_vars: &'a [usize],
+    ctx: &'a QeContext,
+}
+
+impl Below for ParentZeros<'_> {
+    fn is_zero(&self, p: &MPoly) -> Result<bool, QeError> {
+        if let Some(c) = p.to_constant() {
+            return Ok(c.is_zero());
+        }
+        // A coefficient is often a projection polynomial as it stands.
+        let registered = match self.cad.registry.find(p) {
+            Some(id) => Some(id),
+            None => {
+                let Some(norm) = normalize(p) else {
+                    return Ok(false); // effectively a nonzero constant
+                };
+                self.cad.registry.find(&norm)
+            }
+        };
+        match registered.and_then(|id| self.parent.signs.get(&id)) {
+            Some(s) => Ok(*s == Sign::Zero),
+            // Not in the projection set (shouldn't happen for coefficients
+            // and discriminants, but stay safe): exact evaluation.
+            None => {
+                let s = sample::sign_at(p, self.parent_vars, &self.parent.sample, self.ctx)?;
+                Ok(s == Sign::Zero)
+            }
         }
     }
-    // Not in the projection set (shouldn't happen for coefficients/discs,
-    // but stay safe): exact evaluation where possible.
-    match sample::sign_at(p, parent_vars, &parent.sample, ctx) {
-        Ok(s) => Ok(s == Sign::Zero),
-        Err(e) => Err(e),
+
+    /// The discriminant's normal form is resolved once per level
+    /// polynomial, so a fibre reads one sign and normalises nothing.
+    fn disc_is_zero(&self, id: usize, p: &MPoly, yvar: usize) -> Result<bool, QeError> {
+        let disc = || self.ctx.cache.discriminant(p, yvar);
+        let registered = self.level.discs.get(&id).and_then(|slot| {
+            *slot.get_or_init(|| normalize(&disc()).and_then(|n| self.cad.registry.find(&n)))
+        });
+        match registered.and_then(|r| self.parent.signs.get(&r)) {
+            Some(s) => Ok(*s == Sign::Zero),
+            None => self.is_zero(&disc()),
+        }
     }
 }
 

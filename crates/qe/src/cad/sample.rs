@@ -3,7 +3,7 @@
 
 use crate::{QeContext, QeError};
 use cdb_num::{fintv, FIntv, Rat, RatInterval, Sign};
-use cdb_poly::{MPoly, Partial, RealAlg, Terms, UPoly};
+use cdb_poly::{MPoly, Partial, RealAlg, Terms};
 use std::fmt;
 
 /// One coordinate of a CAD sample point. Every algebraic coordinate carries
@@ -229,29 +229,10 @@ fn eval_interval(q: &MPoly, algs: &[(usize, RealAlg)]) -> RatInterval {
     acc
 }
 
-/// Reduce `q` (free of rational coordinates) to a polynomial in `Q[α][y]`:
-/// coefficients of `y = yvar` as univariate polynomials in the single
-/// algebraic coordinate `avar`.
-#[must_use]
-pub fn as_alg_coeff_poly(q: &MPoly, avar: usize, yvar: usize) -> Option<Vec<UPoly>> {
-    // Read off the terms: no coefficient polynomial is sealed.
-    let row = vec![Rat::zero(); q.degree_in(avar) as usize + 1];
-    let mut coeffs = vec![row; q.degree_in(yvar) as usize + 1];
-    for (m, c) in q.terms() {
-        if m.exps()
-            .enumerate()
-            .any(|(i, e)| e > 0 && i != avar && i != yvar)
-        {
-            return None;
-        }
-        coeffs[m.get(yvar) as usize][m.get(avar) as usize] = c.clone();
-    }
-    Some(coeffs.into_iter().map(UPoly::from_coeffs).collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cdb_poly::UPoly;
 
     fn sqrt2() -> RealAlg {
         RealAlg::roots_of(&UPoly::from_ints(&[-2, 0, 1]))

@@ -1,27 +1,27 @@
 //! CAD stack construction: lifting a cell of `R^{L−1}` to a stack of
 //! sections and sectors in `R^L` (Appendix I, third phase).
 //!
-//! Exactness strategy (DESIGN.md §5):
+//! Exactness strategy (DESIGN.md §5 rule 2):
 //!
 //! * **All-rational sample** — evaluate into a `UPoly` and isolate over `Q`.
 //! * **Algebraic coordinates** — the candidates are the real roots over `Q`
-//!   of the resultant(s) of the fiber polynomial against each coordinate's
+//!   of the resultant(s) of the fibre polynomial against each coordinate's
 //!   minimal polynomial, so every root is a plain `RealAlg` over `Q` and
 //!   downstream levels never see field towers. Membership is decided by
-//!   exact sign changes at rational separators, which is sound because the
-//!   polynomial whose signs are taken has simple roots only:
-//!   - over one coordinate `α`, the squarefree part of `q(α, y)` in
-//!     `Q(α)[y]` ([`cdb_poly::algebraic::AlgUPoly`]), signed exactly;
-//!   - over several, the fiber polynomial itself, squarefree whenever the
-//!     discriminant sign at the base sample — known from the projection
-//!     set — is nonzero; otherwise a typed error is raised, never a guess.
+//!   exact sign changes at rational separators of `q / S_k`, which has the
+//!   fibre's distinct roots, all simple: `k` is the least `j` whose
+//!   subresultant coefficient `psc_j(q, ∂q/∂y)` is nonzero at the sample,
+//!   and `S_k` is then the fibre's gcd with its derivative. The zero tests
+//!   of the coefficients, and of `psc_0` where it is the discriminant (no
+//!   leading coefficient vanishes), read the parent cell's sign vector
+//!   ([`Below`]); any other `psc_j` is signed at the sample, exactly in one
+//!   coordinate and by refinement in several, where a zero is a typed
+//!   error, never a guess.
 
-use super::sample::{
-    as_alg_coeff_poly, eval_at_rationals, seal_over, sign_at, sign_of_value, Coord,
-};
+use super::sample::{eval_at_rationals, seal_over, sign_at, sign_of_value, Coord};
 use crate::{QeContext, QeError};
 use cdb_num::{Int, Rat, Sign};
-use cdb_poly::algebraic::{AlgUPoly, NumberField};
+use cdb_poly::resultant::{discriminant, subresultant};
 use cdb_poly::{MPoly, Partial, RealAlg};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -42,25 +42,43 @@ pub struct Stack {
     pub nullified: BTreeSet<usize>,
 }
 
+/// Exact zero tests, at the base sample, of polynomials of the levels below
+/// — the parent cell's sign vector answers them. A closure answers both
+/// tests by itself.
+pub trait Below {
+    /// Whether `c`, a polynomial of the levels below, vanishes at the base
+    /// sample.
+    fn is_zero(&self, c: &MPoly) -> Result<bool, QeError>;
+
+    /// Whether the discriminant in `yvar` of level polynomial `id` (`p`)
+    /// vanishes at the base sample.
+    fn disc_is_zero(&self, _id: usize, p: &MPoly, yvar: usize) -> Result<bool, QeError> {
+        self.is_zero(&discriminant(p, yvar))
+    }
+}
+
+impl<F: Fn(&MPoly) -> Result<bool, QeError>> Below for F {
+    fn is_zero(&self, c: &MPoly) -> Result<bool, QeError> {
+        self(c)
+    }
+}
+
 /// Build the stack of level polynomials `polys` (global id, polynomial) over
 /// the sample point `sample` (coordinates of ambient variables `vars`),
-/// extending in variable `yvar`.
-///
-/// `is_zero_lower` decides exactly whether a *lower-level* polynomial
-/// vanishes at the base sample (resolved from the parent cell's sign vector
-/// over the projection set).
+/// extending in variable `yvar`. `below` decides exactly whether a
+/// lower-level polynomial vanishes at the sample.
 pub fn build_stack(
     polys: &[(usize, MPoly)],
     vars: &[usize],
     sample: &[Coord],
     yvar: usize,
-    is_zero_lower: &dyn Fn(&MPoly) -> Result<bool, QeError>,
+    below: &dyn Below,
     ctx: &QeContext,
 ) -> Result<Stack, QeError> {
     let mut nullified = BTreeSet::new();
     let mut merged: Vec<StackSection> = Vec::new();
     for (id, p) in polys {
-        let roots = roots_in_fiber(p, vars, sample, yvar, is_zero_lower, ctx)?;
+        let roots = roots_in_fiber(*id, p, vars, sample, yvar, below, ctx)?;
         match roots {
             FiberRoots::Nullified => {
                 nullified.insert(*id);
@@ -113,22 +131,20 @@ fn merge_root(merged: &mut Vec<StackSection>, root: RealAlg, id: usize, from: us
     at
 }
 
-/// Roots of `p` restricted to the fiber over `sample`. The fibre polynomial
-/// is evaluated once, unsealed; only a fibre over algebraic coordinates is
-/// sealed, since it keys the resultant cache.
+/// Roots of level polynomial `id` (`p`) restricted to the fiber over
+/// `sample`. The fibre polynomial is evaluated once, unsealed; only a fibre
+/// over algebraic coordinates is sealed, since it keys the resultant cache.
 fn roots_in_fiber(
+    id: usize,
     p: &MPoly,
     vars: &[usize],
     sample: &[Coord],
     yvar: usize,
-    is_zero_lower: &dyn Fn(&MPoly) -> Result<bool, QeError>,
+    below: &dyn Below,
     ctx: &QeContext,
 ) -> Result<FiberRoots, QeError> {
     let (fibre, algs) = eval_at_rationals(p, vars, sample);
     ctx.observe_bits(fibre.max_coeff_bits())?;
-    let kept_others = || {
-        QeError::Unsupported("fiber polynomial kept variables besides the stack variable".into())
-    };
     let (q, algs) = match fibre {
         Partial::Constant(c) if c.is_zero() => return Ok(FiberRoots::Nullified),
         Partial::Constant(_) => return Ok(FiberRoots::Roots(Vec::new())),
@@ -146,42 +162,113 @@ fn roots_in_fiber(
         }
         Partial::Terms(t) => seal_over(t, &algs),
     };
-    match algs.as_slice() {
-        [] => Err(kept_others()),
-        [(avar, alpha)] => {
-            let coeffs = as_alg_coeff_poly(&q, *avar, yvar)
-                .ok_or_else(|| QeError::Unsupported("mixed variables in fiber".into()))?;
-            let field = NumberField::new(alpha.clone());
-            let ap = AlgUPoly::new(field, coeffs);
-            if ap.is_zero() {
-                return Ok(FiberRoots::Nullified);
-            }
-            if ap.degree() == Some(0) {
-                return Ok(FiberRoots::Roots(Vec::new()));
-            }
-            // Candidates over Q: `m_α` is monic, so every real root of
-            // q(α, ·) is a root of the resultant.
-            let m_emb = MPoly::from_upoly(alpha.poly(), *avar, q.nvars());
-            let r = ctx.cache.resultant(&q, &m_emb, *avar);
-            let ru = r
-                .to_upoly_in(yvar)
-                .ok_or_else(|| QeError::Unsupported("resultant kept variables".into()))?;
-            if ru.is_zero() {
-                return Err(QeError::Unsupported(
-                    "iterated resultant vanished identically".into(),
-                ));
-            }
-            let candidates = RealAlg::roots_of(&ru);
-            if candidates.is_empty() {
-                return Ok(FiberRoots::Roots(Vec::new()));
-            }
-            // Euclid in Q(α)[y], once: the squarefree part has the roots of
-            // q(α, ·), all simple, so it changes sign across each of them.
-            let sf = ap.squarefree();
-            members(candidates, |s| Ok(sf.sign_at(s))).map(FiberRoots::Roots)
-        }
-        _ => roots_multi_alg(p, &q, &algs, yvar, is_zero_lower, ctx),
+    if algs.is_empty() {
+        return Err(kept_others());
     }
+    // Effective degree: the top coefficient that does not vanish at the
+    // sample, a lower-level polynomial in the projection set.
+    let degree = match p.lead_coeff_in(yvar) {
+        Some(lc) if !lc.is_zero() => Some(p.degree_in(yvar) as usize),
+        _ => effective_degree(p, yvar, below)?,
+    };
+    let Some(d) = degree else {
+        return Ok(FiberRoots::Nullified);
+    };
+    if d == 0 {
+        return Ok(FiberRoots::Roots(Vec::new()));
+    }
+    // Candidates: eliminate every algebraic coordinate by resultants with
+    // its minimal polynomial. Each is monic, so every real root of the
+    // fibre is a root of the last resultant.
+    let mut r = q.clone();
+    for (v, a) in &algs {
+        let m_emb = MPoly::from_upoly(a.poly(), *v, q.nvars());
+        r = ctx.cache.resultant(&r, &m_emb, *v);
+        ctx.observe_poly(&r)?;
+    }
+    let ru = r
+        .to_upoly_in(yvar)
+        .ok_or_else(|| QeError::Unsupported("resultant kept variables".into()))?;
+    if ru.is_zero() {
+        return Err(QeError::Unsupported(
+            "iterated resultant vanished identically".into(),
+        ));
+    }
+    let candidates = RealAlg::roots_of(&ru);
+    if candidates.is_empty() {
+        return Ok(FiberRoots::Roots(Vec::new()));
+    }
+    // `psc_0` is `lc ≠ 0` for `d = 1`, and `±lc·disc(p)` when `q` is not
+    // truncated, a zero test the parent's signs answer.
+    let whole = d == p.degree_in(yvar) as usize;
+    let gcd = if d == 1 || (whole && !below.disc_is_zero(id, p, yvar)?) {
+        None
+    } else {
+        Some(fibre_gcd(&q, d, usize::from(whole), yvar, &algs, ctx)?)
+    };
+    // Neither `q` nor the gcd vanishes at a separator: their roots on the
+    // fibre are among the candidates.
+    members(candidates, |s| {
+        let sign = sign_in_fibre(&q, yvar, Some(s), &algs, ctx)?;
+        match &gcd {
+            Some(g) => Ok(sign.mul(sign_in_fibre(g, yvar, Some(s), &algs, ctx)?)),
+            None => Ok(sign),
+        }
+    })
+    .map(FiberRoots::Roots)
+}
+
+/// The degree of `p` in `yvar` on the fibre: that of its top coefficient
+/// not vanishing at the sample, `None` when all do.
+fn effective_degree(p: &MPoly, yvar: usize, below: &dyn Below) -> Result<Option<usize>, QeError> {
+    for (j, c) in p.as_upoly_in(yvar).iter().enumerate().rev() {
+        let zero = match c.to_constant() {
+            Some(v) => v.is_zero(),
+            None => below.is_zero(c)?,
+        };
+        if !zero {
+            return Ok(Some(j));
+        }
+    }
+    Ok(None)
+}
+
+fn kept_others() -> QeError {
+    QeError::Unsupported("fiber polynomial kept variables besides the stack variable".into())
+}
+
+/// The fibre's gcd with its derivative, up to a nonzero factor: `S_k(q_d,
+/// ∂q_d/∂y)` for the fibre polynomial `q` truncated to its degree `d` on
+/// the fibre, `k` the least `j ≥ from` with `psc_j` nonzero at the sample.
+///
+/// `q_d` keeps its degree on the fibre, so its subresultants specialise to
+/// the fibre's: the gcd has degree `k` and `S_k` is a nonzero multiple of
+/// it. `psc_{d−1} = d·lc` is nonzero, and `S_{d−1} = ∂q_d/∂y`. A `k = 0`
+/// (a squarefree fibre) gives the constant `S_0`.
+fn fibre_gcd(
+    q: &MPoly,
+    d: usize,
+    from: usize,
+    yvar: usize,
+    algs: &[(usize, RealAlg)],
+    ctx: &QeContext,
+) -> Result<MPoly, QeError> {
+    let qd = if q.degree_in(yvar) as usize == d {
+        q.clone()
+    } else {
+        let coeffs = q.as_upoly_in(yvar);
+        MPoly::from_upoly_in(yvar, coeffs.get(..=d).unwrap_or(&coeffs), q.nvars())
+    };
+    let dq = qd.derivative(yvar);
+    for j in from..d - 1 {
+        let s = subresultant(&qd, &dq, yvar, j);
+        if let Some(psc) = s.as_upoly_in(yvar).get(j) {
+            if sign_in_fibre(psc, yvar, None, algs, ctx)? != Sign::Zero {
+                return Ok(s);
+            }
+        }
+    }
+    Ok(dq)
 }
 
 /// The candidates that are roots of a fibre polynomial with simple roots
@@ -206,73 +293,6 @@ fn members(
         .collect())
 }
 
-/// Root detection over a sample with ≥2 algebraic coordinates.
-fn roots_multi_alg(
-    p: &MPoly,
-    q: &MPoly,
-    algs: &[(usize, RealAlg)],
-    yvar: usize,
-    is_zero_lower: &dyn Fn(&MPoly) -> Result<bool, QeError>,
-    ctx: &QeContext,
-) -> Result<FiberRoots, QeError> {
-    // Effective degree via coefficient zero-tests at the base sample; the
-    // coefficients are lower-level polynomials whose signs are known from
-    // the projection set.
-    let coeffs = p.as_upoly_in(yvar);
-    let mut d_eff: Option<usize> = None;
-    for (j, c) in coeffs.iter().enumerate().rev() {
-        let zero = if let Some(v) = c.to_constant() {
-            v.is_zero()
-        } else {
-            is_zero_lower(c)?
-        };
-        if !zero {
-            d_eff = Some(j);
-            break;
-        }
-    }
-    let Some(d_eff) = d_eff else {
-        return Ok(FiberRoots::Nullified);
-    };
-    if d_eff == 0 {
-        return Ok(FiberRoots::Roots(Vec::new()));
-    }
-    if d_eff >= 2 {
-        // Squarefree-ness of the fiber polynomial: decided by the sign of
-        // the discriminant at the base sample (a projection polynomial).
-        let disc = ctx.cache.discriminant(p, yvar);
-        let disc_zero = if let Some(v) = disc.to_constant() {
-            v.is_zero()
-        } else {
-            is_zero_lower(&disc)?
-        };
-        if disc_zero {
-            return Err(QeError::IndeterminateSign(
-                "repeated fiber root over multi-algebraic sample".into(),
-            ));
-        }
-    }
-    // Candidates: eliminate every algebraic coordinate by resultants with
-    // its minimal polynomial.
-    let mut r = q.clone();
-    for (v, a) in algs {
-        let m_emb = MPoly::from_upoly(a.poly(), *v, q.nvars());
-        r = ctx.cache.resultant(&r, &m_emb, *v);
-        ctx.observe_poly(&r)?;
-    }
-    let ru = r
-        .to_upoly_in(yvar)
-        .ok_or_else(|| QeError::Unsupported("resultant kept variables".into()))?;
-    if ru.is_zero() {
-        return Err(QeError::Unsupported(
-            "iterated resultant vanished identically".into(),
-        ));
-    }
-    // The sign of q at a separator is nonzero by construction.
-    let candidates = RealAlg::roots_of(&ru);
-    members(candidates, |s| sign_nonzero_at(q, yvar, s, algs, ctx)).map(FiberRoots::Roots)
-}
-
 /// Rational points strictly interleaving the candidates: `seps[j] < root_j <
 /// seps[j+1]`, and no separator is a root of the candidates' polynomial.
 fn separators(candidates: &[RealAlg]) -> Vec<Rat> {
@@ -295,19 +315,20 @@ fn separators(candidates: &[RealAlg]) -> Vec<Rat> {
     seps
 }
 
-/// Exact nonzero sign of `q` at `y = s`, its other variables the algebraic
-/// coordinates `algs`. A value left in several of them is refined by
-/// intervals, which counts as a sign evaluation of its own.
-fn sign_nonzero_at(
-    q: &MPoly,
+/// Exact sign of `f`, whose variables are the stack variable — set to `s`
+/// when given — and the algebraic coordinates `algs`. A value left in
+/// several coordinates is refined by intervals, which counts as a sign
+/// evaluation of its own and proves a nonzero sign only.
+fn sign_in_fibre(
+    f: &MPoly,
     yvar: usize,
-    s: &Rat,
+    s: Option<&Rat>,
     algs: &[(usize, RealAlg)],
     ctx: &QeContext,
 ) -> Result<Sign, QeError> {
-    let mut point = vec![None; q.nvars()];
-    point[yvar] = Some(s.clone());
-    let value = q.eval_partial(&point);
+    let mut point = vec![None; f.nvars()];
+    point[yvar] = s.cloned();
+    let value = f.eval_partial(&point);
     if let Partial::Terms(_) = value {
         ctx.sign_evals.add(1);
     }
@@ -486,6 +507,14 @@ mod tests {
         panic!("no lower-level zero-tests expected in this test")
     }
 
+    /// The exact lower-level oracle over an algebraic base: `sign_at` there.
+    fn at_base<'a>(
+        vars: &'a [usize],
+        base: &'a [Coord],
+    ) -> impl Fn(&MPoly) -> Result<bool, QeError> + 'a {
+        move |c| Ok(sign_at(c, vars, base, &QeContext::exact())? == Sign::Zero)
+    }
+
     fn sqrt2() -> RealAlg {
         RealAlg::roots_of(&UPoly::from_ints(&[-2, 0, 1]))
             .pop()
@@ -494,7 +523,9 @@ mod tests {
 
     /// The stack of `polys` in `(x, y)` over the one coordinate `x`.
     fn stack_over(polys: &[(usize, MPoly)], x: Coord) -> Stack {
-        build_stack(polys, &[0], &[x], 1, &no_lower, &QeContext::exact()).unwrap()
+        let base = [x];
+        let below = at_base(&[0], &base);
+        build_stack(polys, &[0], &base, 1, &below, &QeContext::exact()).unwrap()
     }
 
     #[test]
@@ -539,6 +570,55 @@ mod tests {
         assert!(stack.sections[0].root.eq_alg(&sqrt2()));
     }
 
+    /// Two leading coefficients vanish over the two-algebraic base `(x, z)
+    /// = (√3, √2)`: `(z² − 2)·y⁴ + (x² − 3)·y³ + y² − 1` is `y² − 1` on the
+    /// fibre, so its sections are exactly `±1`. The untruncated quartic's
+    /// discriminant vanishes identically there; the truncated fibre's
+    /// `psc_0` does not.
+    #[test]
+    fn two_leading_coefficients_vanish_over_two_algebraic_coordinates() {
+        let n = 3;
+        let (x, z, y) = (MPoly::var(0, n), MPoly::var(1, n), MPoly::var(2, n));
+        let top = &(&z.pow(2) - &c(2, n)) * &y.pow(4);
+        let next = &(&x.pow(2) - &c(3, n)) * &y.pow(3);
+        let p = &(&(&top + &next) + &y.pow(2)) - &c(1, n);
+        let sqrt3 = RealAlg::roots_of(&UPoly::from_ints(&[-3, 0, 1]))
+            .pop()
+            .unwrap();
+        let base = [Coord::Alg(sqrt3), Coord::Alg(sqrt2())];
+        let below = at_base(&[0, 1], &base);
+        let stack = build_stack(&[(0, p)], &[0, 1], &base, 2, &below, &QeContext::exact()).unwrap();
+        let roots: Vec<std::cmp::Ordering> = [-1i64, 1]
+            .iter()
+            .zip(&stack.sections)
+            .map(|(r, s)| s.root.cmp_rat(&Rat::from(*r)))
+            .collect();
+        assert_eq!(stack.sections.len(), 2);
+        assert_eq!(roots, [std::cmp::Ordering::Equal; 2]);
+    }
+
+    /// A cubic with a double root planted over `x = √2`: `(y − x)²·(y + 1) +
+    /// (x² − 2)·y` is `(y − √2)²·(y + 1)` on the fibre, so `psc_0` (the
+    /// discriminant) vanishes and `psc_1` does not: `S_1`, not the
+    /// derivative `S_2`, is the fibre's gcd, and the sections are exactly
+    /// `−1` and `√2`. The derivative's root `(√2 − 2)/3` is no section.
+    #[test]
+    fn cubic_with_a_double_root_takes_its_gcd_from_s1() {
+        let x = MPoly::var(0, 2);
+        let y = MPoly::var(1, 2);
+        let planted = &(&y - &x).pow(2) * &(&y + &c(1, 2));
+        let p = &planted + &(&(&x.pow(2) - &c(2, 2)) * &y);
+        let stack = stack_over(&[(0, p)], Coord::Alg(sqrt2()));
+        let [below, above] = stack.sections.as_slice() else {
+            panic!("two sections expected, got {}", stack.sections.len())
+        };
+        assert_eq!(
+            below.root.cmp_rat(&Rat::from(-1i64)),
+            std::cmp::Ordering::Equal
+        );
+        assert!(above.root.eq_alg(&sqrt2()));
+    }
+
     #[test]
     fn fiber_over_a_rational_algebraic_number() {
         // y − x over x = 3 given as a `RealAlg`: one section, exactly 3.
@@ -573,9 +653,9 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
         /// The disguised-rational oracle: a base coordinate `a` given as an
-        /// irrational-looking `RealAlg` takes the algebraic branch — roots
-        /// among the resultant's over `Q`, membership by separator signs in
-        /// `Q(α)[y]` — and must lift exactly like the rational `a`. The
+        /// irrational-looking `RealAlg` takes the algebraic rule — roots
+        /// among the resultant's over `Q`, membership by the separator signs
+        /// of `q·S_k` — and must lift exactly like the rational `a`. The
         /// resultant's extra candidates come from `g`'s roots. Shapes:
         /// random, nullified at `a`, a leading coefficient vanishing at `a`,
         /// and a double root; `y − x` rides along to share roots.
@@ -670,14 +750,14 @@ mod tests {
         let y = MPoly::var(1, 2);
         let p = &y.pow(2) - &c(2, 2);
         let q = &y - &x;
-        let sqrt2 = sqrt2();
+        let base = [Coord::Alg(sqrt2())];
         let ctx = QeContext::exact();
         let stack = build_stack(
             &[(0, p), (1, q)],
             &[0],
-            &[Coord::Alg(sqrt2)],
+            &base,
             1,
-            &no_lower,
+            &at_base(&[0], &base),
             &ctx,
         )
         .unwrap();
@@ -713,9 +793,9 @@ mod tests {
         let x = MPoly::var(0, 2);
         let y = MPoly::var(1, 2);
         let p = &y - &x.pow(2);
-        let sqrt2 = sqrt2();
+        let base = [Coord::Alg(sqrt2())];
         let ctx = QeContext::exact();
-        let stack = build_stack(&[(7, p)], &[0], &[Coord::Alg(sqrt2)], 1, &no_lower, &ctx).unwrap();
+        let stack = build_stack(&[(7, p)], &[0], &base, 1, &at_base(&[0], &base), &ctx).unwrap();
         assert_eq!(stack.sections.len(), 1);
         let root = &stack.sections[0].root;
         assert_eq!(root.cmp_rat(&Rat::from(2i64)), std::cmp::Ordering::Equal);
@@ -735,7 +815,7 @@ mod tests {
         let sqrt2 = RealAlg::roots_of(&minpoly).pop().unwrap();
         let ctx = QeContext::exact();
         let alg = [Coord::Alg(sqrt2.clone())];
-        let stack = build_stack(&[(0, p)], &[0], &alg, 1, &no_lower, &ctx).unwrap();
+        let stack = build_stack(&[(0, p)], &[0], &alg, 1, &at_base(&[0], &alg), &ctx).unwrap();
         assert_eq!(stack.sections.len(), 2);
         let raw = minpoly.pow(2);
         let eps = Rat::new(1i64.into(), cdb_num::Int::pow2(40));
@@ -781,7 +861,8 @@ mod tests {
         ] {
             let ctx = QeContext::exact();
             let base = [base];
-            let build = || build_stack(&polys, &[0], &base, 1, &no_lower, &ctx).unwrap();
+            let below = at_base(&[0], &base);
+            let build = || build_stack(&polys, &[0], &base, 1, &below, &ctx).unwrap();
             let stack = build();
             let roots_of = |id| {
                 stack
@@ -877,7 +958,8 @@ mod tests {
         ];
         for (p, vars, base) in cases {
             let ctx = QeContext::with_budget(32);
-            let err = build_stack(&[(0, p)], &vars, &base, 2, &no_lower, &ctx).err();
+            let below = at_base(&vars, &base);
+            let err = build_stack(&[(0, p)], &vars, &base, 2, &below, &ctx).err();
             assert!(
                 matches!(
                     err,

@@ -2,7 +2,7 @@
 # Repository gate: formatting, lints, rustdoc, the tier-1 verify from
 # ROADMAP.md, the full workspace test suite, the golden session through the
 # `serve` binary, the statement benchmark's own tests, the paper's
-# experiments (E1-E15), one checked run of every benchmark workload, and a
+# experiments (E1-E16), one checked run of every benchmark workload, and a
 # last look that none of it rewrote a frozen benchmark file.
 # Run from anywhere; operates on the workspace containing this script.
 set -euo pipefail
@@ -47,7 +47,7 @@ cargo test --workspace -q
 echo "==> statement benchmark builds and its harness passes (stmtbench/, own workspace)"
 cargo test -q --offline --manifest-path stmtbench/Cargo.toml
 
-echo "==> repro: E1-E15 assert the paper's own numbers and unwrap every pipeline stage"
+echo "==> repro: E1-E16 assert the paper's own numbers and unwrap every pipeline stage"
 cargo run --release -p cdb-bench --bin repro > /dev/null
 
 echo "==> statement benchmark: every BENCHMARK.json workload at full size answers, matches its oracle and its pinned transcript"
@@ -112,9 +112,12 @@ echo "==> conic_cad lifts the same stacks and its filtered signs stay under thei
 # changes which stacks are built or which signs are taken. The filtered-sign
 # count is a ceiling, not a target, like the interner ceiling above: finding
 # fibre roots over Q instead of isolating them in Q(alpha)[y] took it from
-# 212,929 to 133,605 (DESIGN.md §5, rule 2), and reading a linear fibre's
-# root off its coefficients took it to 129,579 (DESIGN.md §8).
-filter_ceiling=129579
+# 212,929 to 133,605 (DESIGN.md §5, rule 2), reading a linear fibre's root
+# off its coefficients took it to 129,579 (DESIGN.md §8), and signing the
+# fibre polynomial and its subresultant gcd at the separators, instead of
+# the fibre's squarefree part in Q(alpha)[y], took it to 117,657 (DESIGN.md
+# §5, rule 2).
+filter_ceiling=117657
 conic=$(cargo run --release --quiet --offline --manifest-path stmtbench/Cargo.toml --bin bench -- \
     --workload conic_cad --seed 1 --seconds 1 --trace 1)
 counter() { echo "$conic" | grep -o "\"$1\": {\"value\": [0-9]*" | awk '{ n += $NF } END { print n + 0 }'; }
