@@ -13,8 +13,7 @@
 //! which candidates are roots (DESIGN.md §5, rule 2). No arithmetic in
 //! `Q(α)` remains.
 
-use crate::roots::{isolate_squarefree, linear_root, refine_squarefree, RootLocation};
-use crate::sturm::SturmChain;
+use crate::roots::{halve, isolate_squarefree, linear_root, refine_squarefree, RootLocation};
 use crate::upoly::UPoly;
 use cdb_num::{fintv, FIntv, Rat, RatInterval, Sign};
 use std::cmp::Ordering;
@@ -40,6 +39,13 @@ fn filtered_interval_sign(q: &UPoly, iv: &RatInterval) -> Option<Sign> {
         fintv::note_filter_fallback();
     }
     q.eval_interval(iv).sign()
+}
+
+/// Whether `g` takes opposite signs at the ends of `iv`, which are not roots
+/// of `g`: for a `g` with at most one root inside, a simple one, that is
+/// whether the root is there.
+fn changes_sign(g: &UPoly, iv: &RatInterval) -> bool {
+    g.fsign_at(iv.lo()) != g.fsign_at(iv.hi())
 }
 
 /// A real algebraic number: the unique root of `poly` (squarefree) inside
@@ -71,8 +77,8 @@ impl RealAlg {
     /// From a squarefree polynomial and an isolating location. The caller
     /// guarantees `poly` is squarefree and `loc` isolates exactly one root.
     /// Squarefreeness is load-bearing: `approx`/`refined`/`roots_of` bisect
-    /// on `poly` itself and `sign_of`/`cmp_alg` read root counts off Sturm
-    /// chains of its divisors, none of them re-deriving the squarefree part.
+    /// on `poly` itself and `sign_of`/`cmp_alg` read a root off a sign change
+    /// of one of its divisors, none of them re-deriving the squarefree part.
     #[must_use]
     pub fn new(poly: UPoly, loc: RootLocation) -> RealAlg {
         debug_assert!(!poly.is_constant());
@@ -199,9 +205,15 @@ impl RealAlg {
 
     /// Exact sign of `q(α)` for rational-coefficient `q`.
     ///
-    /// Zero is decided by a gcd test (`q(α) = 0` iff `gcd(q, p_α)` has a
-    /// root in the isolating interval, which then must be `α` itself); the
-    /// nonzero case terminates by interval refinement.
+    /// A few halvings of the isolating interval decide every sign that is
+    /// not zero cheaply. If the interval evaluation of `q` is still
+    /// indefinite after six, zero is decided exactly, once: `g = gcd(p_α, q)`
+    /// divides the squarefree `p_α`, whose only root in the interval is `α`
+    /// and whose endpoints are not roots, so `g` has at most one root there,
+    /// a simple one, and `q(α) = 0` iff `g` changes sign across the interval.
+    /// Otherwise halving goes on until the evaluation is definite. All
+    /// refinement is persisted in the shared cell, so repeated probes of the
+    /// same number get cheaper and cheaper.
     #[must_use]
     pub fn sign_of(&self, q: &UPoly) -> Sign {
         if q.is_zero() {
@@ -210,57 +222,27 @@ impl RealAlg {
         if let Some(r) = self.to_rat() {
             return q.fsign_at(&r);
         }
-        // Fast path: a few rounds of interval refinement decide every
-        // nonzero sign cheaply; the (expensive) gcd zero-test only runs when
-        // ambiguity persists — i.e. when the value is plausibly zero. All
-        // refinement is persisted in the shared cell, so repeated probes of
-        // the same number get cheaper and cheaper.
-        let mut iv = self.interval();
-        let s_hi = self.poly.fsign_at(iv.hi());
-        let bisect = |iv: &RatInterval| -> Result<RatInterval, Sign> {
-            let mid = iv.midpoint();
-            match self.poly.fsign_at(&mid) {
-                Sign::Zero => Err(q.fsign_at(&mid)),
-                s if s == s_hi => Ok(RatInterval::new(iv.lo().clone(), mid)),
-                _ => Ok(RatInterval::new(mid, iv.hi().clone())),
-            }
-        };
-        for _ in 0..6 {
-            if let Some(s) = filtered_interval_sign(q, &iv) {
-                self.store_refinement(&iv);
-                return s;
-            }
-            match bisect(&iv) {
-                Ok(next) => iv = next,
-                Err(s) => {
-                    return s;
-                }
-            }
-        }
-        self.store_refinement(&iv);
-        // Still ambiguous: decide zero-ness exactly. `p_α` is squarefree, so
-        // `gcd(p_α, q)` already is (and equals the gcd with `q`'s squarefree
-        // part): no need to take that part first.
-        let g = self.poly.gcd(q);
-        if !g.is_constant() {
-            // q(α) = 0 iff g has a root in the isolating interval. Interval
-            // endpoints are non-roots of p_α hence of g (g | p_α).
-            let chain = SturmChain::new(&g);
-            if chain.count_roots_half_open(iv.lo(), iv.hi()) > 0 {
-                return Sign::Zero;
-            }
-        }
-        // q(α) != 0: refine until the interval evaluation is definite.
+        let (mut iv, mut s_hi) = (self.interval(), None);
+        let mut halvings = 0;
         loop {
             if let Some(s) = filtered_interval_sign(q, &iv) {
                 self.store_refinement(&iv);
-                debug_assert_ne!(s, Sign::Zero);
                 return s;
             }
-            match bisect(&iv) {
-                Ok(next) => iv = next,
-                Err(s) => return s,
+            if halvings == 6 {
+                self.store_refinement(&iv);
+                // `p_α` is squarefree, so the gcd is too: no need to take
+                // `q`'s squarefree part first.
+                let g = self.poly.gcd(q);
+                if !g.is_constant() && changes_sign(&g, &iv) {
+                    return Sign::Zero;
+                }
             }
+            match halve(&self.poly, &iv, &mut s_hi) {
+                RootLocation::Isolated(next) => iv = next,
+                RootLocation::Exact(mid) => return q.fsign_at(&mid),
+            }
+            halvings += 1;
         }
     }
 
@@ -287,9 +269,8 @@ impl RealAlg {
     pub fn cmp_alg(&self, other: &RealAlg) -> Ordering {
         let quarter = Rat::from_ints(1, 4);
         // `None` = gcd not taken yet; `Some(None)` = provably distinct;
-        // `Some(Some(chain))` = both are roots of `g = gcd(p_α, p_β)`, whose
-        // Sturm chain this is.
-        let mut common: Option<Option<SturmChain>> = None;
+        // `Some(Some(g))` = both are roots of `g = gcd(p_α, p_β)`.
+        let mut common: Option<Option<UPoly>> = None;
         for round in 0.. {
             // Checked every round: a bisection midpoint can land on the root.
             match (self.to_rat(), other.to_rat()) {
@@ -311,27 +292,23 @@ impl RealAlg {
             }
             if round >= 4 {
                 let both_roots = common.get_or_insert_with(|| {
-                    let g = self.poly.gcd(&other.poly);
-                    if g.is_constant() {
-                        return None;
-                    }
                     // `g | p_α`, and α is the only root of `p_α` in its
                     // isolating interval, whose endpoints are non-roots of
-                    // `p_α` hence of `g`: α is a root of `g` iff `g` has a
-                    // root in there. Likewise β. A `g` that misses either
-                    // one means distinct, and refinement separates them.
-                    let chain = SturmChain::new(&g);
-                    let holds =
-                        |iv: &RatInterval| chain.count_roots_half_open(iv.lo(), iv.hi()) > 0;
-                    (holds(&ia) && holds(&ib)).then_some(chain)
+                    // `p_α` hence of `g`: α is a root of `g` iff `g` changes
+                    // sign there. Likewise β. A `g` that misses either one
+                    // means distinct, and refinement separates them.
+                    let g = self.poly.gcd(&other.poly);
+                    (!g.is_constant() && changes_sign(&g, &ia) && changes_sign(&g, &ib))
+                        .then_some(g)
                 });
-                if let Some(chain) = both_roots {
-                    // The hull of the overlapping intervals holds α and β,
-                    // both roots of `g`, and its endpoints are non-roots of
-                    // `g`: exactly one `g`-root in it means they coincide.
+                if let Some(g) = both_roots {
+                    // The overlapping intervals' hull is their union, so the
+                    // `g`-roots in it are exactly α and β, both simple, and
+                    // its ends are non-roots of `g`: `g` changes sign across
+                    // the hull iff they coincide.
                     let lo = Rat::min(ia.lo().clone(), ib.lo().clone());
                     let hi = Rat::max(ia.hi().clone(), ib.hi().clone());
-                    if chain.count_roots_half_open(&lo, &hi) == 1 {
+                    if changes_sign(g, &RatInterval::new(lo, hi)) {
                         return Ordering::Equal;
                     }
                 }

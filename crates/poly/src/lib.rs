@@ -9,12 +9,16 @@
 //! the paper relies on:
 //!
 //! * dense univariate polynomials over `Q` ([`UPoly`]) with GCD, squarefree
-//!   decomposition, Sturm sequences and Cauchy root bounds;
+//!   decomposition and Cauchy root bounds;
 //! * real-root **isolation** and ε-**refinement** ([`roots`]) — the
-//!   NUMERICAL EVALUATION step of the paper's query pipeline (Theorem 3.2);
+//!   NUMERICAL EVALUATION step of the paper's query pipeline (Theorem 3.2).
+//!   Isolation counts roots with a Sturm chain private to that module; every
+//!   refinement is one halving step that keeps the half where the sign
+//!   changes;
 //! * real algebraic numbers ([`RealAlg`]) as (squarefree minimal polynomial,
 //!   isolating interval) pairs, with exact sign determination `sign(q(α))`
-//!   used for CAD stack construction;
+//!   and comparison used for CAD stack construction: zero and equality are
+//!   decided by whether a gcd changes sign across an isolating interval;
 //! * sparse multivariate polynomials ([`MPoly`]) with exact division, and
 //!   fraction-free (Bareiss) resultants/discriminants used by the CAD
 //!   projection operator `PROJ` ([`resultant`]);
@@ -32,7 +36,6 @@ pub mod mpoly;
 pub mod refimpl;
 pub mod resultant;
 pub mod roots;
-pub mod sturm;
 pub mod upoly;
 
 pub use algebraic::RealAlg;

@@ -6,7 +6,8 @@
 //! This module keeps those representations and the seed algorithms alive,
 //! bit-for-bit, for **differential/property testing**: interned arithmetic
 //! must agree with the reference on `add`/`mul`/`div_exact`/`resultant`/Sturm
-//! chains, with byte-identical `Display` (see `crates/poly/tests/`). The
+//! chains, with byte-identical `Display` (see `crates/poly/tests/`, and the
+//! `roots` unit tests for the Sturm chain, which is private there). The
 //! `Rat` remainder sequences behind `gcd`/`squarefree`/Sturm chains, which
 //! the live kernel replaced by integer pseudo-remainders (DESIGN.md §10.1),
 //! are kept here the same way ([`ref_gcd`], [`ref_squarefree`],
@@ -659,7 +660,8 @@ impl std::ops::Neg for &RefUPoly {
 }
 
 /// Seed-algorithm Sturm chain `p, p', -rem(p, p'), ...` with primitive-part
-/// scaling, mirroring [`crate::sturm::SturmChain::new`]. Returns the chain
+/// scaling, mirroring the private chain behind root isolation in
+/// [`crate::roots`]. Returns the chain
 /// members in order.
 #[must_use]
 pub fn ref_sturm_chain(p: &RefUPoly) -> Vec<RefUPoly> {

@@ -2,14 +2,16 @@
 //!
 //! This is the paper's NUMERICAL EVALUATION step (§2 step 3, Theorem 3.2):
 //! given the quantifier-free output of QE, "solve the resulting system(s) of
-//! equation(s)" to ε-approximate values. We substitute Sturm-based bisection
-//! for the witness machinery of \[GV88\]/\[Nef90\]; for a fixed number of
-//! variables this is polynomial in the coefficient bit length and in
-//! `log(1/ε)`, preserving the PTIME statement (see DESIGN.md §3).
+//! equation(s)" to ε-approximate values. We substitute bisection for the
+//! witness machinery of \[GV88\]/\[Nef90\]: a Sturm chain, private to this
+//! module, counts the roots while isolation splits the Cauchy interval, and
+//! once a root is alone in its interval one `halve` step at a time refines
+//! it by sign alone. For a fixed number of variables this is
+//! polynomial in the coefficient bit length and in `log(1/ε)`, preserving
+//! the PTIME statement (see DESIGN.md §3).
 
-use crate::sturm::SturmChain;
-use crate::upoly::UPoly;
-use cdb_num::{Rat, RatInterval, Sign};
+use crate::upoly::{negate, prem_primitive, UPoly};
+use cdb_num::{FIntv, Rat, RatInterval, Sign};
 
 /// Where a single real root of a squarefree polynomial lives.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -63,75 +65,59 @@ pub(crate) fn isolate_squarefree(sf: &UPoly) -> Vec<RootLocation> {
         return vec![RootLocation::Exact(r)];
     }
     let mut sf = sf.clone();
-    let mut exact = Vec::new();
+    let mut exacts = Vec::new();
     // Deflate exact rational roots first (bounded divisor enumeration).
     for r in rational_roots(&sf) {
         let lin = UPoly::from_coeffs(vec![-r.clone(), Rat::one()]);
         sf = sf.div_exact(&lin);
-        exact.push(RootLocation::Exact(r));
+        exacts.push(r);
     }
-    if sf.deg() == 1 {
-        let root = -(&sf.coeff(0) / &sf.coeff(1));
-        exact.push(RootLocation::Exact(root));
+    if let Some(r) = linear_root(&sf) {
+        exacts.push(r);
         sf = UPoly::one();
     }
-    let mut out = exact;
+    let mut out = Vec::new();
     if !sf.is_constant() {
-        let chain = SturmChain::new(&sf);
-        let total = chain.count_real_roots();
-        if total > 0 {
-            let bound = sf.cauchy_bound();
-            let lo = -bound.clone();
-            let hi = bound;
-            // The Cauchy bound is strict, so no root sits at ±bound and the
-            // count on (lo, hi] equals the total.
-            let split = out.len();
-            isolate_in(&sf, &chain, lo, hi, total, &mut out);
-            // Shrink isolated intervals until they exclude the deflated
-            // exact roots (they must be disjoint from every root of `p`,
-            // not just of the deflated `sf`).
-            let exacts: Vec<Rat> = out[..split]
-                .iter()
-                .filter_map(|l| match l {
-                    RootLocation::Exact(r) => Some(r.clone()),
-                    RootLocation::Isolated(_) => None,
-                })
-                .collect();
-            for loc in &mut out[split..] {
-                if let RootLocation::Isolated(iv) = loc {
-                    let mut lo = iv.lo().clone();
-                    let mut hi = iv.hi().clone();
-                    let s_hi = sf.fsign_at(&hi);
-                    while exacts.iter().any(|r| &lo <= r && r <= &hi) {
-                        let mid = Rat::midpoint(&lo, &hi);
-                        match sf.fsign_at(&mid) {
-                            Sign::Zero => {
-                                *loc = RootLocation::Exact(mid);
-                                break;
-                            }
-                            s if s == s_hi => hi = mid,
-                            _ => lo = mid,
-                        }
-                    }
-                    if let RootLocation::Isolated(iv) = loc {
-                        *iv = RatInterval::new(lo, hi);
-                    }
+        let chain = sturm_chain(&sf);
+        // The Cauchy bound is strict, so no root sits at ±bound and the
+        // count on (lo, hi] equals the total.
+        let (bound, total) = (sf.cauchy_bound(), real_root_count(&chain));
+        isolate_in(&sf, &chain, -bound.clone(), bound, total, &mut out);
+        // Shrink isolated intervals until they exclude the deflated exact
+        // roots (they must be disjoint from every root of `p`, not just of
+        // the deflated `sf`).
+        for loc in &mut out {
+            let mut s_hi = None;
+            while let RootLocation::Isolated(iv) = &*loc {
+                if !exacts.iter().any(|r| iv.contains(r)) {
+                    break;
                 }
+                *loc = halve(&sf, iv, &mut s_hi);
             }
         }
     }
-    out.sort_by(|a, b| {
-        let ka = match a {
-            RootLocation::Exact(r) => (r.clone(), r.clone()),
-            RootLocation::Isolated(iv) => (iv.lo().clone(), iv.hi().clone()),
-        };
-        let kb = match b {
-            RootLocation::Exact(r) => (r.clone(), r.clone()),
-            RootLocation::Isolated(iv) => (iv.lo().clone(), iv.hi().clone()),
-        };
-        ka.cmp(&kb)
-    });
+    out.extend(exacts.into_iter().map(RootLocation::Exact));
+    // The locations are disjoint, so their lower ends order them.
+    out.sort_by_cached_key(|loc| loc.interval().lo().clone());
     out
+}
+
+/// One bisection step on an interval `iv` that holds exactly one root of the
+/// squarefree `sf`, a simple one, with `hi` not a root: the half that holds
+/// it, or `Exact(mid)` when the midpoint is the root. The root is in
+/// `(mid, hi)` iff `sf` changes sign there, since it would be that half's
+/// only root. `s_hi` caches `sf`'s sign at `iv.hi()`, taken on first use;
+/// it stays the sign at the returned interval's `hi`, so a caller that
+/// halves repeatedly passes the same cell and the sign is taken once.
+pub(crate) fn halve(sf: &UPoly, iv: &RatInterval, s_hi: &mut Option<Sign>) -> RootLocation {
+    let s_hi = *s_hi.get_or_insert_with(|| sf.fsign_at(iv.hi()));
+    debug_assert_ne!(s_hi, Sign::Zero);
+    let mid = iv.midpoint();
+    match sf.fsign_at(&mid) {
+        Sign::Zero => RootLocation::Exact(mid),
+        s if s == s_hi => RootLocation::Isolated(RatInterval::new(iv.lo().clone(), mid)),
+        _ => RootLocation::Isolated(RatInterval::new(mid, iv.hi().clone())),
+    }
 }
 
 /// The root `−c₀/c₁` of a degree-1 polynomial, read off its coefficients:
@@ -223,10 +209,11 @@ fn rational_roots(sf: &UPoly) -> Vec<Rat> {
     out
 }
 
-/// Recursive bisection: `count` roots of `sf` lie in `(lo, hi]`.
+/// Recursive bisection: `count` roots of `sf` lie in `(lo, hi]`, counted by
+/// `chain`, the Sturm chain of `sf`.
 fn isolate_in(
     sf: &UPoly,
-    chain: &SturmChain,
+    chain: &[UPoly],
     lo: Rat,
     hi: Rat,
     count: usize,
@@ -237,35 +224,94 @@ fn isolate_in(
     }
     if count == 1 {
         // Check whether the right endpoint is the root itself.
-        if sf.fsign_at(&hi) == Sign::Zero {
+        let mut s_hi = Some(sf.fsign_at(&hi));
+        if s_hi == Some(Sign::Zero) {
             out.push(RootLocation::Exact(hi));
             return;
         }
         // The left endpoint may itself be a root of `sf` (not the one being
-        // isolated — the count is over the half-open `(lo, hi]`). Bisect
+        // isolated — the count is over the half-open `(lo, hi]`). Halve
         // until it no longer is, keeping exactly one root inside.
-        let mut lo = lo;
-        let mut hi = hi;
-        while sf.fsign_at(&lo) == Sign::Zero {
-            let mid = Rat::midpoint(&lo, &hi);
-            if sf.fsign_at(&mid) == Sign::Zero {
-                out.push(RootLocation::Exact(mid));
-                return;
+        let mut loc = RootLocation::Isolated(RatInterval::new(lo, hi));
+        while let RootLocation::Isolated(iv) = &loc {
+            if sf.fsign_at(iv.lo()) != Sign::Zero {
+                break;
             }
-            if chain.count_roots_half_open(&mid, &hi) == 1 {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
+            loc = halve(sf, iv, &mut s_hi);
         }
-        out.push(RootLocation::Isolated(RatInterval::new(lo, hi)));
+        out.push(loc);
         return;
     }
     let mid = Rat::midpoint(&lo, &hi);
-    let left = chain.count_roots_half_open(&lo, &mid);
+    let left = variations_at(chain, &lo) - variations_at(chain, &mid);
     let right = count - left;
     isolate_in(sf, chain, lo, mid.clone(), left, out);
     isolate_in(sf, chain, mid, hi, right, out);
+}
+
+/// The Sturm chain `p, p', -rem(p, p'), ...` of `p`; for a squarefree `p`
+/// the number of its distinct real roots in `(a, b]` is
+/// `variations_at(a) − variations_at(b)`. Every member after the first two
+/// is the primitive integer multiple of `-rem` by a *positive* factor
+/// (positive scaling preserves signs, controls coefficient growth). The
+/// remainders are taken on integers (DESIGN.md §10.1): `p` and `p'` become
+/// their primitive integer multiples once and each step is one
+/// sign-preserving pseudo-remainder, so no `Rat` arithmetic runs inside the
+/// loop.
+fn sturm_chain(p: &UPoly) -> Vec<UPoly> {
+    if p.is_zero() {
+        return Vec::new();
+    }
+    let mut seq = vec![p.clone()];
+    if p.is_constant() {
+        return seq;
+    }
+    let dp = p.derivative();
+    let mut a = p.primitive_ints();
+    let mut b = dp.primitive_ints();
+    seq.push(dp);
+    while b.len() > 1 {
+        let mut r = prem_primitive(&a, &b);
+        if r.is_empty() {
+            break;
+        }
+        negate(&mut r);
+        seq.push(UPoly::from_int_coeffs(r.clone()));
+        a = b;
+        b = r;
+    }
+    seq
+}
+
+/// Sign variations of `chain` at `x`. Each member's sign goes through the
+/// outward-rounded float enclosure first ([`UPoly::fsign_at_enclosed`]) and
+/// is evaluated exactly only when the enclosure straddles zero, so the count
+/// is the unfiltered one.
+fn variations_at(chain: &[UPoly], x: &Rat) -> usize {
+    let fx = FIntv::from(x);
+    variations(chain.iter().map(|q| q.fsign_at_enclosed(x, &fx)))
+}
+
+/// Distinct real roots of the (squarefree) polynomial whose Sturm chain this
+/// is: the variations at −∞ minus those at +∞, read off leading coefficients.
+fn real_root_count(chain: &[UPoly]) -> usize {
+    let at_pos_inf = |q: &UPoly| q.leading().sign();
+    let at_neg_inf = |q: &UPoly| match q.deg() % 2 {
+        1 => q.leading().sign().neg(),
+        _ => q.leading().sign(),
+    };
+    variations(chain.iter().map(at_neg_inf)) - variations(chain.iter().map(at_pos_inf))
+}
+
+/// Sign changes in a sequence, zeros skipped.
+fn variations(signs: impl Iterator<Item = Sign>) -> usize {
+    let mut prev = Sign::Zero;
+    let mut count = 0;
+    for s in signs.filter(|&s| s != Sign::Zero) {
+        count += usize::from(prev != Sign::Zero && prev != s);
+        prev = s;
+    }
+    count
 }
 
 /// Refine an isolated root to an enclosing interval of width `<= eps` by
@@ -279,24 +325,15 @@ pub fn refine_to_width(p: &UPoly, loc: &RootLocation, eps: &Rat) -> RatInterval 
 /// [`refine_to_width`] for a polynomial the caller knows to be squarefree.
 pub(crate) fn refine_squarefree(sf: &UPoly, loc: &RootLocation, eps: &Rat) -> RatInterval {
     assert!(eps.sign() == Sign::Pos, "eps must be positive");
-    match loc {
-        RootLocation::Exact(r) => RatInterval::point(r.clone()),
-        RootLocation::Isolated(iv) => {
-            let mut lo = iv.lo().clone();
-            let mut hi = iv.hi().clone();
-            let s_hi = sf.fsign_at(&hi);
-            debug_assert_ne!(s_hi, Sign::Zero);
-            while &(&hi - &lo) > eps {
-                let mid = Rat::midpoint(&lo, &hi);
-                match sf.fsign_at(&mid) {
-                    Sign::Zero => return RatInterval::point(mid),
-                    s if s == s_hi => hi = mid,
-                    _ => lo = mid,
-                }
-            }
-            RatInterval::new(lo, hi)
+    let mut loc = loc.clone();
+    let mut s_hi = None;
+    while let RootLocation::Isolated(iv) = &loc {
+        if &iv.width() <= eps {
+            break;
         }
+        loc = halve(sf, iv, &mut s_hi);
     }
+    loc.interval()
 }
 
 /// Convenience: all real roots ε-approximated as rationals, increasing.
@@ -468,7 +505,7 @@ mod tests {
                 .iter()
                 .map(RefUPoly::to_upoly)
                 .collect();
-            assert_eq!(SturmChain::new(&sf).sequence(), want.as_slice());
+            assert_eq!(sturm_chain(&sf), want);
 
             let locs = isolate_real_roots(&f);
             assert_eq!(isolate_squarefree(&sf), locs);
@@ -615,5 +652,149 @@ mod tests {
         // sqrt(3) inside.
         let m = iv.midpoint();
         assert!((&(&m * &m) - &Rat::from(3i64)).abs() < rat("1/1000000000"));
+    }
+
+    /// Distinct roots in `(a, b]` of the squarefree polynomial whose Sturm
+    /// chain this is.
+    fn count_half_open(chain: &[UPoly], a: &Rat, b: &Rat) -> usize {
+        assert!(a <= b);
+        variations_at(chain, a) - variations_at(chain, b)
+    }
+
+    #[test]
+    fn count_roots_of_cubic() {
+        // (x-1)(x-2)(x-3) = x^3 - 6x^2 + 11x - 6
+        let chain = sturm_chain(&p(&[-6, 11, -6, 1]));
+        assert_eq!(real_root_count(&chain), 3);
+        assert_eq!(count_half_open(&chain, &Rat::zero(), &Rat::from(10i64)), 3);
+        // Half-open (1, 2]: the root at 2 is counted, the root at 1 is not.
+        assert_eq!(count_half_open(&chain, &Rat::one(), &Rat::from(2i64)), 1);
+        assert_eq!(count_half_open(&chain, &rat("3/2"), &rat("5/2")), 1);
+    }
+
+    #[test]
+    fn no_real_roots() {
+        assert_eq!(real_root_count(&sturm_chain(&p(&[1, 0, 1]))), 0); // x^2 + 1
+    }
+
+    #[test]
+    fn double_root_counted_once_after_squarefree() {
+        let chain = sturm_chain(&p(&[25, -20, 4]).squarefree()); // (2x-5)^2
+        assert_eq!(real_root_count(&chain), 1);
+        assert_eq!(
+            count_half_open(&chain, &Rat::from(2i64), &Rat::from(3i64)),
+            1
+        );
+    }
+
+    #[test]
+    fn variations_edges() {
+        let chain = sturm_chain(&p(&[0, 1])); // x, root at 0
+                                              // (−1, 0] contains the root; (0, 1] does not.
+        assert_eq!(count_half_open(&chain, &Rat::from(-1i64), &Rat::zero()), 1);
+        assert_eq!(count_half_open(&chain, &Rat::zero(), &Rat::one()), 0);
+    }
+
+    #[test]
+    fn wilkinson_like_many_roots() {
+        // Π_{i=1..7} (x - i)
+        let mut f = UPoly::one();
+        for i in 1..=7i64 {
+            f = &f * &p(&[-i, 1]);
+        }
+        let chain = sturm_chain(&f);
+        assert_eq!(real_root_count(&chain), 7);
+        // Roots 3, 4, 5.
+        assert_eq!(count_half_open(&chain, &rat("5/2"), &rat("11/2")), 3);
+    }
+
+    /// Product of random small linear factors `den·x − num`, and its roots.
+    fn factored_poly() -> impl Strategy<Value = (UPoly, Vec<Rat>)> {
+        prop::collection::vec((-8i64..=8, 1i64..=4), 1..=4).prop_map(|facs| {
+            let mut f = UPoly::one();
+            let mut roots: Vec<Rat> = Vec::new();
+            for (num, den) in facs {
+                f = &f * &p(&[-num, den]);
+                roots.push(Rat::from_ints(num, den));
+            }
+            roots.sort();
+            roots.dedup();
+            (f, roots)
+        })
+    }
+
+    /// A rational whose numerator has up to ~200 bits (40 and up in the
+    /// common case) over a denominator that is 1, small, or a full word.
+    fn big_rat() -> impl Strategy<Value = Rat> {
+        (
+            any::<i128>(),
+            0u64..=72,
+            prop_oneof![Just(1u64), 1u64..=97, any::<u64>()],
+        )
+            .prop_map(|(num, shift, den)| Rat::new(&Int::from(num) << shift, Int::from(den.max(1))))
+    }
+
+    /// A polynomial of the given coefficient count over [`big_rat`] (count 0
+    /// is the zero polynomial).
+    fn big_poly(len: std::ops::RangeInclusive<usize>) -> impl Strategy<Value = UPoly> {
+        prop::collection::vec(big_rat(), len).prop_map(UPoly::from_coeffs)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn sturm_count_matches_known_roots((f, roots) in factored_poly()) {
+            prop_assert_eq!(real_root_count(&sturm_chain(&f.squarefree())), roots.len());
+        }
+
+        /// Filtered Sturm variation counts equal the exact per-element
+        /// counts, so root isolation takes identical branches with the
+        /// filter on or off.
+        #[test]
+        fn filtered_sturm_variations_agree(
+            coeffs in prop::collection::vec(-30i64..=30, 1..=7),
+            n in -100i64..=100,
+            d in 1i64..=8,
+        ) {
+            let f = p(&coeffs);
+            prop_assume!(!f.is_constant());
+            let chain = sturm_chain(&f);
+            let x = Rat::from_ints(n, d);
+            let exact = {
+                let signs: Vec<Sign> = chain
+                    .iter()
+                    .map(|q| q.sign_at(&x))
+                    .filter(|s| *s != Sign::Zero)
+                    .collect();
+                signs.windows(2).filter(|w| w[0] != w[1]).count()
+            };
+            prop_assert_eq!(variations_at(&chain, &x), exact);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Sturm chains agree member-by-member with the seed algorithm
+        /// (`refimpl::ref_sturm_chain`): `==` on `UPoly`, coefficients and
+        /// content hash. Inputs run from small integer polynomials to
+        /// 200-bit rational coefficients, with repeated factors (the chain
+        /// ends on a zero remainder), constants and linear polynomials.
+        #[test]
+        fn sturm_chain_matches_reference(
+            small in prop::collection::vec(-20i64..=20, 1..=7),
+            f in big_poly(0..=6),
+            q in big_poly(1..=3),
+        ) {
+            use crate::refimpl::{ref_sturm_chain, RefUPoly};
+            for f in [p(&small), f.clone(), &(&q * &q) * &f, &q * &f.derivative()] {
+                let want: Vec<UPoly> = ref_sturm_chain(&RefUPoly::from_upoly(&f))
+                    .iter()
+                    .map(RefUPoly::to_upoly)
+                    .collect();
+                prop_assert_eq!(sturm_chain(&f), want, "chain of {}", &f);
+            }
+        }
     }
 }

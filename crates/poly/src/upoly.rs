@@ -204,7 +204,8 @@ impl UPoly {
 
     /// Filtered sign at a pre-converted float enclosure of a rational
     /// point; `x` is the exact point, `fx` must enclose it. Used by hot
-    /// loops (Sturm chains) that evaluate many polynomials at one point.
+    /// loops (root isolation's Sturm chain) that evaluate many polynomials
+    /// at one point.
     #[must_use]
     pub fn fsign_at_enclosed(&self, x: &Rat, fx: &FIntv) -> Sign {
         if fintv::filter_enabled() {
@@ -321,8 +322,8 @@ impl UPoly {
 
     /// The unique *positive*-rational multiple of `self` with coprime
     /// integer coefficients, low-to-high: every coefficient keeps its sign.
-    /// This is the operand form of the integer kernels ([`UPoly::gcd`],
-    /// `SturmChain::new`); empty for the zero polynomial.
+    /// This is the operand form of the integer kernels ([`UPoly::gcd`] and
+    /// the Sturm chain of root isolation); empty for the zero polynomial.
     pub(crate) fn primitive_ints(&self) -> Vec<Int> {
         // lcm of denominators.
         let mut l = Int::one();

@@ -1,17 +1,14 @@
 //! Differential tests: the interned flat-term representation must agree
 //! with the retained seed reference implementation (`cdb_poly::refimpl`) —
 //! same values, byte-identical `Display` — on random inputs, for
-//! `add`/`mul`/`div_exact`/`resultant`/Sturm chains, under 1 and 4 worker
+//! `add`/`mul`/`div_exact`/`resultant`/`gcd`, under 1 and 4 worker
 //! threads; and a whole expression built in one `Terms` and sealed once
 //! must equal the same expression chained through `MPoly` operators.
 
 use cdb_num::modp::PRIMES;
 use cdb_num::{Int, Rat};
-use cdb_poly::refimpl::{
-    ref_gcd, ref_resultant, ref_squarefree, ref_sturm_chain, RefPoly, RefUPoly,
-};
+use cdb_poly::refimpl::{ref_gcd, ref_resultant, ref_squarefree, RefPoly, RefUPoly};
 use cdb_poly::resultant::resultant;
-use cdb_poly::sturm::SturmChain;
 use cdb_poly::{MPoly, Terms, UPoly};
 use proptest::prelude::*;
 
@@ -195,28 +192,6 @@ proptest! {
             resultant(&a, &b, var).to_string(),
             ref_resultant(&fa, &fb, var).to_string()
         );
-    }
-
-    /// Sturm chains agree member-by-member with the seed algorithm: `==` on
-    /// `UPoly` (coefficients and content hash), so every `AlgebraicCache`
-    /// key built from a chain member is unchanged. Inputs run from the small
-    /// integer polynomials the seed test used to 200-bit rational
-    /// coefficients, with repeated factors (the chain ends on a zero
-    /// remainder), constants and linear polynomials.
-    #[test]
-    fn sturm_chain_matches_reference(
-        small in prop::collection::vec(-20i64..=20, 1..=7),
-        p in big_poly(0..=6),
-        q in big_poly(1..=3),
-    ) {
-        for p in [UPoly::from_ints(&small), p.clone(), &(&q * &q) * &p, &q * &p.derivative()] {
-            let want = ref_sturm_chain(&RefUPoly::from_upoly(&p));
-            let chain = SturmChain::new(&p);
-            prop_assert_eq!(chain.sequence().len(), want.len(), "chain of {}", &p);
-            for (got, want) in chain.sequence().iter().zip(&want) {
-                prop_assert_eq!(got, &want.to_upoly(), "chain of {}", &p);
-            }
-        }
     }
 
     /// `gcd` and `squarefree` agree with the seed `Rat` remainder sequence

@@ -1,10 +1,10 @@
 //! Property-based tests: polynomial ring axioms, division/gcd identities,
-//! Sturm counts vs brute-force sampling, root isolation invariants, and
-//! resultant specialization.
+//! root isolation invariants, exact signs and comparisons of algebraic
+//! numbers, and resultant specialization.
 
-use cdb_num::{Int, Rat, Sign};
+use cdb_num::{Int, Rat, RatInterval, Sign};
+use cdb_poly::refimpl::{ref_squarefree, ref_sturm_chain, RefUPoly};
 use cdb_poly::resultant::{discriminant, resultant};
-use cdb_poly::sturm::SturmChain;
 use cdb_poly::{isolate_real_roots, MPoly, Partial, RealAlg, RootLocation, UPoly};
 use proptest::prelude::*;
 use std::cmp::Ordering;
@@ -87,12 +87,6 @@ proptest! {
         let p = Rat::from(x);
         prop_assert_eq!((&a + &b).eval(&p), &a.eval(&p) + &b.eval(&p));
         prop_assert_eq!((&a * &b).eval(&p), &a.eval(&p) * &b.eval(&p));
-    }
-
-    #[test]
-    fn sturm_count_matches_known_roots((p, roots) in factored_poly()) {
-        let chain = SturmChain::new(&p.squarefree());
-        prop_assert_eq!(chain.count_real_roots(), roots.len());
     }
 
     #[test]
@@ -255,6 +249,168 @@ proptest! {
     }
 }
 
+/// Distinct roots of `p` in the open interval `iv`, counted by the seed
+/// Sturm chain of its squarefree part (`refimpl`), not by `RealAlg`.
+fn ref_roots_in(p: &UPoly, iv: &RatInterval) -> usize {
+    let sf = ref_squarefree(&RefUPoly::from_upoly(p));
+    let chain = ref_sturm_chain(&sf);
+    let variations = |x: &Rat| {
+        let signs: Vec<Sign> = chain
+            .iter()
+            .map(|q| q.eval(x).sign())
+            .filter(|s| *s != Sign::Zero)
+            .collect();
+        signs.windows(2).filter(|w| w[0] != w[1]).count()
+    };
+    variations(iv.lo()) - variations(iv.hi()) - usize::from(sf.eval(iv.hi()).is_zero())
+}
+
+/// `2⁻ⁿ`.
+fn pow2_inv(n: u32) -> Rat {
+    Rat::new(Int::one(), Int::pow2(n.into()))
+}
+
+/// Root `i` of the squarefree `p`, whose roots are known to within 2⁻⁸⁰
+/// as `centres`, as a `RealAlg` with the skewed isolating interval
+/// `(c − 2⁻ˡ, c + 2⁻ʳ)` around `c = centres[i]`: each side is halved until
+/// it keeps clear of every other centre and does not end on a root. The
+/// seed Sturm chain then confirms that one root of `p` lies inside. A side
+/// left wide keeps the interval overlapping a neighbour's through many
+/// refinements.
+fn skewed(p: &UPoly, centres: &[Rat], i: usize, (mut l, mut r): (u32, u32)) -> RealAlg {
+    let (c, margin) = (&centres[i], pow2_inv(70));
+    let clear = |end: &Rat| {
+        let (lo, hi) = (
+            Rat::min(c.clone(), end.clone()),
+            Rat::max(c.clone(), end.clone()),
+        );
+        let (lo, hi) = (&lo - &margin, &hi + &margin);
+        p.sign_at(end) != Sign::Zero
+            && centres
+                .iter()
+                .enumerate()
+                .all(|(j, d)| j == i || d < &lo || &hi < d)
+    };
+    while !clear(&(c - &pow2_inv(l))) {
+        l += 1;
+    }
+    while !clear(&(c + &pow2_inv(r))) {
+        r += 1;
+    }
+    assert!(l.max(r) < 70, "no isolating interval around {c}");
+    let iv = RatInterval::new(c - &pow2_inv(l), c + &pow2_inv(r));
+    assert_eq!(ref_roots_in(p, &iv), 1, "{iv} isolates a root of {p}");
+    RealAlg::new(p.clone(), RootLocation::Isolated(iv))
+}
+
+/// `x² + b·x + c` with two irrational roots.
+fn irrational_quadratic() -> impl Strategy<Value = UPoly> {
+    (-4i64..=4, -6i64..=6)
+        .prop_filter("irrational roots", |&(b, c)| {
+            let d = b * b - 4 * c;
+            d > 0 && (0..=d).all(|r| r * r != d)
+        })
+        .prop_map(|(b, c)| UPoly::from_ints(&[c, b, 1]))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// `sign_of` decides `q(α) = 0`, and `cmp_alg` decides `α = β`, by
+    /// whether a gcd changes sign across an isolating interval (DESIGN.md
+    /// §5, rule 1). α and β are roots of `f·g` and `f·h`, `f` a shared
+    /// quadratic with irrational roots; a cofactor is 1, a small random
+    /// polynomial, or `f − 10⁻ᵏ`, whose roots sit within 10⁻¹⁰ of `f`'s
+    /// (`√2` against `√(2 + 10⁻¹²)` when `f = x² − 2`). Every interval is
+    /// skewed wide on a random side, so shared and near-coincident pairs
+    /// still overlap after `cmp_alg`'s four cheap rounds and reach the gcd:
+    /// each case has at least two equal pairs (`f`'s roots), which only the
+    /// gcd can call equal. The answers are checked against root counts of
+    /// the seed Sturm chain on the intervals: with `I` an isolating interval
+    /// of α, `q(α) = 0` iff `p_α·q` has no more roots in `I` than `q`; and
+    /// α = β iff `p_α`, `p_β` and `p_α·p_β` each have one root in the
+    /// intersection of their intervals. Strict answers are checked against
+    /// intervals refined to 2⁻⁶⁴.
+    #[test]
+    fn gcd_sign_change_decides_zero_and_equality(
+        f in irrational_quadratic(),
+        (kg, kh, kq) in (0u8..3, 0u8..3, 0u8..3),
+        (rg, rh, rq) in (nonzero_upoly(2, 4), nonzero_upoly(2, 4), nonzero_upoly(2, 4)),
+        shift in 10u32..=13,
+        skews in prop::collection::vec((0u32..=30, 0u32..=30), 8),
+    ) {
+        let tenth = Rat::from_ints(1, 10);
+        let near = &f - &UPoly::from_coeffs(vec![(0..shift).fold(Rat::one(), |d, _| &d * &tenth)]);
+        let pick = |kind: u8, r: &UPoly| match kind {
+            0 => UPoly::one(),
+            1 => r.clone(),
+            _ => near.clone(),
+        };
+        let (fg, fh, q) = (&f * &pick(kg, &rg), &f * &pick(kh, &rh), &f * &pick(kq, &rq));
+        // Each root of `f·g` and `f·h` with its skewed interval, once.
+        // Every use builds a fresh number from it: refinement persists in a
+        // `RealAlg`, and a number refined by an earlier comparison would
+        // separate from the next one before the gcd is ever taken.
+        let isolated = |p: &UPoly, skew: usize| -> Vec<RealAlg> {
+            let roots = RealAlg::roots_of(p);
+            let centres: Vec<Rat> = roots.iter().map(|r| r.approx(&pow2_inv(80))).collect();
+            roots
+                .iter()
+                .zip(&skews[skew..])
+                .enumerate()
+                .map(|(i, (root, &lr))| match root.to_rat() {
+                    Some(_) => root.clone(),
+                    None => skewed(root.poly(), &centres, i, lr),
+                })
+                .collect()
+        };
+        let fresh = |r: &RealAlg| match r.to_rat() {
+            Some(x) => RealAlg::from_rat(x),
+            None => RealAlg::new(r.poly().clone(), RootLocation::Isolated(r.interval())),
+        };
+        let (alphas, betas) = (isolated(&fg, 0), isolated(&fh, 4));
+        let eps = pow2_inv(64);
+        let mut equal_pairs = 0;
+        for a in &alphas {
+            let alpha = fresh(a);
+            let s = alpha.sign_of(&q);
+            if let Some(r) = alpha.to_rat() {
+                prop_assert_eq!(s, q.sign_at(&r));
+            } else {
+                let iv = alpha.interval();
+                let zero = ref_roots_in(&(alpha.poly() * &q), &iv) == ref_roots_in(&q, &iv);
+                prop_assert_eq!(s == Sign::Zero, zero, "sign of {} at {:?}", &q, &alpha);
+                if s != Sign::Zero {
+                    prop_assert_eq!(q.sign_at(&alpha.approx(&pow2_inv(80))), s);
+                }
+            }
+            for b in &betas {
+                let (x, y) = (fresh(a), fresh(b));
+                let ord = x.cmp_alg(&y);
+                prop_assert_eq!(y.cmp_alg(&x), ord.reverse());
+                if x.to_rat().is_none() && y.to_rat().is_none() {
+                    let (ix, iy) = (x.interval(), y.interval());
+                    let (lo, hi) = (Rat::max(ix.lo().clone(), iy.lo().clone()), Rat::min(ix.hi().clone(), iy.hi().clone()));
+                    let equal = lo < hi && {
+                        let j = RatInterval::new(lo, hi);
+                        [x.poly().clone(), y.poly().clone(), x.poly() * y.poly()]
+                            .iter()
+                            .all(|p| ref_roots_in(p, &j) == 1)
+                    };
+                    prop_assert_eq!(ord == Ordering::Equal, equal, "{:?} against {:?}", &x, &y);
+                }
+                let (ix, iy) = (x.refined(&eps).interval(), y.refined(&eps).interval());
+                match ord {
+                    Ordering::Less => prop_assert!(ix.hi() < iy.lo()),
+                    Ordering::Greater => prop_assert!(iy.hi() < ix.lo()),
+                    Ordering::Equal => equal_pairs += 1,
+                }
+            }
+        }
+        prop_assert!(equal_pairs >= 2, "f's two roots are shared");
+    }
+}
+
 /// A polynomial in 3 variables: up to 6 terms of degree at most 3 in each
 /// variable, zero coefficients allowed (so the zero polynomial occurs), and
 /// variable `drop` removed (so variables the polynomial does not use occur;
@@ -393,28 +549,5 @@ proptest! {
         if let Some(s) = p.eval_fintv(&cdb_num::FIntv::from(&x)).sign() {
             prop_assert_eq!(s, p.eval(&x).sign());
         }
-    }
-
-    /// Filtered Sturm variation counts equal the exact per-element counts,
-    /// so root isolation takes identical branches with the filter on or off.
-    #[test]
-    fn filtered_sturm_variations_agree(
-        p in nonzero_upoly(6, 30),
-        n in -100i64..=100,
-        d in 1i64..=8,
-    ) {
-        prop_assume!(!p.is_constant());
-        let chain = SturmChain::new(&p);
-        let x = Rat::new(n.into(), d.into());
-        let exact = {
-            let signs: Vec<Sign> = chain
-                .sequence()
-                .iter()
-                .map(|q| q.sign_at(&x))
-                .filter(|s| *s != Sign::Zero)
-                .collect();
-            signs.windows(2).filter(|w| w[0] != w[1]).count()
-        };
-        prop_assert_eq!(chain.variations_at(&x), exact);
     }
 }

@@ -153,16 +153,12 @@ fn sign_by_refinement(q: &MPoly, algs: &[(usize, RealAlg)]) -> Result<Sign, QeEr
         if let Some(s) = iv.sign() {
             return Ok(s);
         }
-        // Halve every enclosure.
+        // Halve every enclosure. A zero width means the coordinate is
+        // exact, and `refined` returns it before reading the width.
         current = current
             .iter()
             .map(|(v, a)| {
                 let w = &a.interval().width() * &Rat::from_ints(1, 4);
-                let w = if w.is_zero() {
-                    Rat::from_ints(1, 1024)
-                } else {
-                    w
-                };
                 (*v, a.refined(&w))
             })
             .collect();

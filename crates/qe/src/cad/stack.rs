@@ -20,7 +20,7 @@
 
 use super::sample::{eval_at_rationals, seal_over, sign_at, sign_of_value, Coord};
 use crate::{QeContext, QeError};
-use cdb_num::{Int, Rat, Sign};
+use cdb_num::{Rat, Sign};
 use cdb_poly::resultant::{discriminant, subresultant};
 use cdb_poly::{MPoly, Partial, RealAlg};
 use std::collections::{BTreeMap, BTreeSet};
@@ -373,13 +373,10 @@ fn separate(sections: &mut [StackSection]) {
         if ok {
             return;
         }
+        // An exact root has zero width, and `refined` returns it before
+        // reading the width.
         for s in sections.iter_mut() {
             let w = &s.root.interval().width() * &Rat::from_ints(1, 4);
-            let w = if w.is_zero() {
-                Rat::new(Int::one(), Int::pow2(16))
-            } else {
-                w
-            };
             s.root = s.root.refined(&w);
         }
     }
@@ -493,9 +490,9 @@ impl<'a> StackWalk<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cdb_num::RatInterval;
+    use cdb_num::{Int, RatInterval};
+    use cdb_poly::refimpl::{ref_sturm_chain, RefUPoly};
     use cdb_poly::roots::RootLocation;
-    use cdb_poly::sturm::SturmChain;
     use cdb_poly::UPoly;
     use proptest::prelude::*;
 
@@ -635,13 +632,23 @@ mod tests {
     /// The interval is skewed so that no bisection midpoint lands on `a`.
     fn disguised(a: &Rat, g: &UPoly) -> RealAlg {
         let m = &UPoly::from_coeffs(vec![-a.clone(), Rat::one()]) * g;
-        let chain = SturmChain::new(&m);
+        let chain = ref_sturm_chain(&RefUPoly::from_upoly(&m));
+        // Sign variations of the chain at `x`: `m` has `V(lo) − V(hi)`
+        // distinct roots in `(lo, hi]`.
+        let variations = |x: &Rat| {
+            let signs: Vec<Sign> = chain
+                .iter()
+                .map(|q| q.eval(x).sign())
+                .filter(|s| *s != Sign::Zero)
+                .collect();
+            signs.windows(2).filter(|w| w[0] != w[1]).count()
+        };
         let mut delta = Rat::one();
         loop {
             let lo = a - &delta;
             let hi = a + &(&delta * &Rat::from_ints(1, 2));
             let clear = m.sign_at(&lo) != Sign::Zero && m.sign_at(&hi) != Sign::Zero;
-            if clear && chain.count_roots_half_open(&lo, &hi) == 1 {
+            if clear && variations(&lo) - variations(&hi) == 1 {
                 let iv = RootLocation::Isolated(RatInterval::new(lo, hi));
                 return RealAlg::new(m, iv);
             }

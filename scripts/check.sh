@@ -116,8 +116,10 @@ echo "==> conic_cad lifts the same stacks and its filtered signs stay under thei
 # off its coefficients took it to 129,579 (DESIGN.md §8), and signing the
 # fibre polynomial and its subresultant gcd at the separators, instead of
 # the fibre's squarefree part in Q(alpha)[y], took it to 117,657 (DESIGN.md
-# §5, rule 2).
-filter_ceiling=117657
+# §5, rule 2). Deciding zero and equality of algebraic numbers by a gcd's
+# sign change instead of Sturm counts, and taking a root interval's end
+# sign only when it is halved, took it to 106,836 (DESIGN.md §5, rule 1).
+filter_ceiling=106836
 conic=$(cargo run --release --quiet --offline --manifest-path stmtbench/Cargo.toml --bin bench -- \
     --workload conic_cad --seed 1 --seconds 1 --trace 1)
 counter() { echo "$conic" | grep -o "\"$1\": {\"value\": [0-9]*" | awk '{ n += $NF } END { print n + 0 }'; }
