@@ -142,7 +142,7 @@ fn lock_class(file: &str, segs: &[String]) -> String {
     let by_file = match file {
         "crates/qe/src/cache.rs" => Some("cache-shard"),
         "crates/poly/src/intern.rs" => Some("interner-shard"),
-        "crates/qe/src/par.rs" => Some("par-slot"),
+        "crates/qe/src/par.rs" => Some("lift-pool"),
         _ => None,
     };
     if let Some(c) = by_file {

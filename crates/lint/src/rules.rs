@@ -286,12 +286,13 @@ fn check_panic(toks: &[Tok], out: &mut Vec<RawDiag>) {
 
 /// Rule L — lock discipline. Two `.lock(` acquisitions inside one
 /// statement risk deadlock under any second lock order; a `Mutex` guard
-/// bound by `let` and still live when `par_map_result` fans out serializes
-/// the pool or deadlocks it if workers need the same lock. The polynomial
-/// interner's entry point (`canonicalize`, reached by every `MPoly`
-/// construction, i.e. every polynomial arithmetic op) takes an interner
-/// shard lock itself, so calling it — or naming the `intern` module in an
-/// expression — while a guard is live nests two lock scopes the same way.
+/// bound by `let` and still live when `fan_out` (the CAD lifting pool's
+/// entry point) publishes a job serializes the pool or deadlocks it if
+/// workers need the same lock. The polynomial interner's entry point
+/// (`canonicalize`, reached by every `MPoly` construction, i.e. every
+/// polynomial arithmetic op) takes an interner shard lock itself, so
+/// calling it — or naming the `intern` module in an expression — while a
+/// guard is live nests two lock scopes the same way.
 /// The interprocedural twin (`lock-order`, `locks.rs`) checks the global
 /// acquisition-order graph for cycles.
 fn check_lock(toks: &[Tok], out: &mut Vec<RawDiag>) {
@@ -374,15 +375,15 @@ fn check_lock(toks: &[Tok], out: &mut Vec<RawDiag>) {
                     guards.retain(|(g, _)| g != name);
                 }
             }
-            TokKind::Ident(s) if s == "par_map_result" && !guards.is_empty() => {
+            TokKind::Ident(s) if s == "fan_out" && !guards.is_empty() => {
                 let held: Vec<&str> = guards.iter().map(|(g, _)| g.as_str()).collect();
                 out.push(RawDiag {
                     line: toks[i].line,
                     col: toks[i].col,
                     rule: "lock",
                     message: format!(
-                        "`par_map_result` fan-out while mutex guard(s) `{}` may still be \
-                         live: drop the guard before spawning workers",
+                        "`fan_out` while mutex guard(s) `{}` may still be live: drop the \
+                         guard before publishing work to the lifting pool",
                         held.join("`, `")
                     ),
                 });

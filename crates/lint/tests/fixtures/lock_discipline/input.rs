@@ -1,6 +1,6 @@
 //! Lock discipline: two `.lock()` calls in one statement deadlock under
-//! opposite acquisition order; a guard held across `par_map_result`
-//! serializes the fan-out.
+//! opposite acquisition order; a guard held across `fan_out` serializes
+//! the fan-out.
 
 use std::sync::Mutex;
 
@@ -11,12 +11,12 @@ pub fn pair_sum(a: &Mutex<i64>, b: &Mutex<i64>) -> i64 {
 }
 
 /// Fan out while a guard is still live.
-pub fn fan_out(total: &Mutex<i64>, items: &[i64]) -> i64 {
+pub fn sum_under_guard(total: &Mutex<i64>, items: &[i64]) -> i64 {
     let guard = total.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-    let s: i64 = par_map_result(items);
+    let s: i64 = fan_out(items);
     *guard + s
 }
 
-fn par_map_result(items: &[i64]) -> i64 {
+fn fan_out(items: &[i64]) -> i64 {
     items.iter().sum()
 }

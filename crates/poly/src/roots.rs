@@ -79,10 +79,13 @@ pub(crate) fn isolate_squarefree(sf: &UPoly) -> Vec<RootLocation> {
     let mut out = Vec::new();
     if !sf.is_constant() {
         let chain = sturm_chain(&sf);
-        // The Cauchy bound is strict, so no root sits at ±bound and the
-        // count on (lo, hi] equals the total.
-        let (bound, total) = (sf.cauchy_bound(), real_root_count(&chain));
-        isolate_in(&sf, &chain, -bound.clone(), bound, total, &mut out);
+        // The Cauchy bound is strict, so no root sits at or beyond ±bound:
+        // the variations at ±bound are those at ±∞, and the count on
+        // (lo, hi] equals the total.
+        let (v_neg, v_pos) = variations_at_infinities(&chain);
+        let bound = sf.cauchy_bound();
+        let lo = (-bound.clone(), v_neg);
+        isolate_in(&sf, &chain, lo, bound, v_neg - v_pos, &mut out);
         // Shrink isolated intervals until they exclude the deflated exact
         // roots (they must be disjoint from every root of `p`, not just of
         // the deflated `sf`).
@@ -210,11 +213,13 @@ fn rational_roots(sf: &UPoly) -> Vec<Rat> {
 }
 
 /// Recursive bisection: `count` roots of `sf` lie in `(lo, hi]`, counted by
-/// `chain`, the Sturm chain of `sf`.
+/// `chain`, the Sturm chain of `sf`. `lo` comes with its variation count,
+/// which the caller already has: it is the parent interval's `lo` or its
+/// midpoint, so each split evaluates the chain once, at the new midpoint.
 fn isolate_in(
     sf: &UPoly,
     chain: &[UPoly],
-    lo: Rat,
+    (lo, v_lo): (Rat, usize),
     hi: Rat,
     count: usize,
     out: &mut Vec<RootLocation>,
@@ -243,10 +248,10 @@ fn isolate_in(
         return;
     }
     let mid = Rat::midpoint(&lo, &hi);
-    let left = variations_at(chain, &lo) - variations_at(chain, &mid);
-    let right = count - left;
-    isolate_in(sf, chain, lo, mid.clone(), left, out);
-    isolate_in(sf, chain, mid, hi, right, out);
+    let v_mid = variations_at(chain, &mid);
+    let left = v_lo - v_mid;
+    isolate_in(sf, chain, (lo, v_lo), mid.clone(), left, out);
+    isolate_in(sf, chain, (mid, v_mid), hi, count - left, out);
 }
 
 /// The Sturm chain `p, p', -rem(p, p'), ...` of `p`; for a squarefree `p`
@@ -292,15 +297,19 @@ fn variations_at(chain: &[UPoly], x: &Rat) -> usize {
     variations(chain.iter().map(|q| q.fsign_at_enclosed(x, &fx)))
 }
 
-/// Distinct real roots of the (squarefree) polynomial whose Sturm chain this
-/// is: the variations at −∞ minus those at +∞, read off leading coefficients.
-fn real_root_count(chain: &[UPoly]) -> usize {
+/// Sign variations of `chain` at −∞ and at +∞, read off leading
+/// coefficients. For the Sturm chain of a squarefree polynomial their
+/// difference is its number of distinct real roots.
+fn variations_at_infinities(chain: &[UPoly]) -> (usize, usize) {
     let at_pos_inf = |q: &UPoly| q.leading().sign();
     let at_neg_inf = |q: &UPoly| match q.deg() % 2 {
         1 => q.leading().sign().neg(),
         _ => q.leading().sign(),
     };
-    variations(chain.iter().map(at_neg_inf)) - variations(chain.iter().map(at_pos_inf))
+    (
+        variations(chain.iter().map(at_neg_inf)),
+        variations(chain.iter().map(at_pos_inf)),
+    )
 }
 
 /// Sign changes in a sequence, zeros skipped.
@@ -654,6 +663,13 @@ mod tests {
         assert!((&(&m * &m) - &Rat::from(3i64)).abs() < rat("1/1000000000"));
     }
 
+    /// Distinct real roots of the squarefree polynomial whose Sturm chain
+    /// this is.
+    fn real_root_count(chain: &[UPoly]) -> usize {
+        let (at_neg, at_pos) = variations_at_infinities(chain);
+        at_neg - at_pos
+    }
+
     /// Distinct roots in `(a, b]` of the squarefree polynomial whose Sturm
     /// chain this is.
     fn count_half_open(chain: &[UPoly], a: &Rat, b: &Rat) -> usize {
@@ -746,6 +762,20 @@ mod tests {
         #[test]
         fn sturm_count_matches_known_roots((f, roots) in factored_poly()) {
             prop_assert_eq!(real_root_count(&sturm_chain(&f.squarefree())), roots.len());
+        }
+
+        /// Isolation starts from the variations at −∞ in place of those at
+        /// minus the Cauchy bound: no root lies at or below it, so the two
+        /// counts agree.
+        #[test]
+        fn variations_at_minus_bound_are_those_at_minus_infinity(
+            coeffs in prop::collection::vec(-30i64..=30, 2..=8),
+        ) {
+            let f = p(&coeffs).squarefree();
+            prop_assume!(!f.is_constant());
+            let chain = sturm_chain(&f);
+            let minus_bound = -f.cauchy_bound();
+            prop_assert_eq!(variations_at(&chain, &minus_bound), variations_at_infinities(&chain).0);
         }
 
         /// Filtered Sturm variation counts equal the exact per-element

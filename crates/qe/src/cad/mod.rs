@@ -14,7 +14,7 @@ pub mod sample;
 pub mod solution;
 pub mod stack;
 
-use crate::par::par_map_result;
+use crate::par::fan_out;
 use crate::{QeContext, QeError};
 use cdb_constraints::{ConstraintRelation, Formula, Quantifier};
 use cdb_num::Sign;
@@ -24,7 +24,7 @@ use sample::Coord;
 use stack::{build_stack, Below, StackWalk};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// Hard cap on the number of cells of one level, to fail fast instead of
 /// thrashing.
@@ -53,21 +53,27 @@ impl CadCell {
 }
 
 /// A completed cylindrical algebraic decomposition.
+///
+/// What lifting a level reads is behind `Arc`s, so the jobs that lift the
+/// next level own a share of it (DESIGN.md §6).
 pub struct Cad {
     /// Ambient ring arity.
     pub nvars: usize,
     /// `order[l-1]` = ambient variable of level `l`.
     pub order: Vec<usize>,
     /// All projection polynomials.
-    pub registry: Registry,
+    pub registry: Arc<Registry>,
     /// Per level: registry ids of that level's polynomials.
     pub level_poly_ids: Vec<Vec<usize>>,
     /// Per level: the cells.
-    pub levels: Vec<Vec<CadCell>>,
+    pub levels: Vec<Arc<[CadCell]>>,
     /// The input polynomials, each resolved against `registry` once (truth
     /// evaluation asks for their signs at every finest cell).
-    inputs: Vec<(MPoly, Option<Resolved>)>,
+    inputs: Arc<[Input]>,
 }
+
+/// An input polynomial and its place in the registry.
+type Input = (MPoly, Option<Resolved>);
 
 /// A polynomial's place in the registry: the projection polynomial that is
 /// its normal form, and — when it is a rational multiple of that normal form
@@ -111,17 +117,15 @@ impl Cad {
     /// Total number of cells at the top (finest) level.
     #[must_use]
     pub fn top_cells(&self) -> usize {
-        self.levels.last().map_or(0, Vec::len)
+        self.levels.last().map_or(0, |cells| cells.len())
     }
 
-    /// `p`'s place in the registry: looked up among the inputs (resolved
-    /// once, at construction), else by normal form.
-    fn resolve(&self, p: &MPoly) -> Option<Resolved> {
-        match self.inputs.iter().find(|(q, _)| q == p) {
-            Some((_, r)) => *r,
-            None => normalize(p)
-                .and_then(|norm| self.registry.find(&norm))
-                .map(|id| Resolved::new(&self.registry, id, p)),
+    /// Sign lookups at this CAD's cells.
+    fn lookup(&self) -> Lookup<'_> {
+        Lookup {
+            order: &self.order,
+            registry: &self.registry,
+            inputs: &self.inputs,
         }
     }
 
@@ -129,6 +133,29 @@ impl Cad {
     /// the position of its highest-order used variable.
     fn level_of(&self, p: &MPoly) -> usize {
         level_of(p, &self.order)
+    }
+}
+
+/// What reading a polynomial's sign at a cell needs of a CAD: the variable
+/// order (at least up to the cell's level), the projection polynomials and
+/// the resolved inputs.
+#[derive(Clone, Copy)]
+struct Lookup<'a> {
+    order: &'a [usize],
+    registry: &'a Registry,
+    inputs: &'a [Input],
+}
+
+impl Lookup<'_> {
+    /// `p`'s place in the registry: looked up among the inputs (resolved
+    /// once, at construction), else by normal form.
+    fn resolve(self, p: &MPoly) -> Option<Resolved> {
+        match self.inputs.iter().find(|(q, _)| q == p) {
+            Some((_, r)) => *r,
+            None => normalize(p)
+                .and_then(|norm| self.registry.find(&norm))
+                .map(|id| Resolved::new(self.registry, id, p)),
+        }
     }
 }
 
@@ -208,18 +235,37 @@ fn build_levels(
     let mut cad = Cad {
         nvars,
         order: order.to_vec(),
-        registry,
+        registry: Arc::new(registry),
         level_poly_ids,
         levels: Vec::with_capacity(upto),
-        inputs,
+        inputs: inputs.into(),
     };
     for l in 1..=upto {
-        let stacks = lift(&cad, l, ctx, |level, pi, parent| {
-            lift_parent(&cad, level, pi, parent, ctx)
-        })?;
+        let stacks = lift(&cad, l, ctx, lift_parent)?;
         cad.levels.push(stacks.into_iter().flatten().collect());
     }
     Ok(cad)
+}
+
+/// What every parent of one lifted level reads, owned so that the parents
+/// can run on the pool's helpers: shares of the CAD's registry and resolved
+/// inputs, and the level.
+struct Frame {
+    registry: Arc<Registry>,
+    inputs: Arc<[Input]>,
+    level: Level,
+}
+
+impl Frame {
+    /// Sign lookups at cells of the levels below the lifted one (and of the
+    /// lifted one).
+    fn lookup(&self) -> Lookup<'_> {
+        Lookup {
+            order: &self.level.vars,
+            registry: &self.registry,
+            inputs: &self.inputs,
+        }
+    }
 }
 
 /// What lifting to one level needs of the CAD: the variables of levels
@@ -236,35 +282,52 @@ struct Level {
 /// Run `per_parent` (→ its result and the number of cells it cost) on every
 /// cell of level `l−1` — the virtual root cell when `l == 1` — through the
 /// one fan-out site, and book the cells.
-fn lift<T: Send>(
+///
+/// The parents run on a [`QeContext::job_local`] copy of `ctx` that the
+/// fan-out's threads share; its sign evaluations and largest bit length
+/// fold back into `ctx` when the level is done, so the counts are the
+/// sequential loop's for every worker count.
+fn lift<T: Send + 'static>(
     cad: &Cad,
     l: usize,
     ctx: &QeContext,
-    per_parent: impl Fn(&Level, usize, &CadCell) -> Result<(T, usize), QeError> + Sync,
+    per_parent: impl Fn(&Frame, usize, &CadCell, &QeContext) -> Result<(T, usize), QeError>
+        + Send
+        + Sync
+        + 'static,
 ) -> Result<Vec<T>, QeError> {
     let ids = &cad.level_poly_ids[l - 1];
-    let level = Level {
-        vars: cad.order[..l].to_vec(),
-        polys: ids
-            .iter()
-            .map(|&id| (id, cad.registry.get(id).clone()))
-            .collect(),
-        discs: ids.iter().map(|&id| (id, OnceLock::new())).collect(),
+    let frame = Frame {
+        registry: Arc::clone(&cad.registry),
+        inputs: Arc::clone(&cad.inputs),
+        level: Level {
+            vars: cad.order[..l].to_vec(),
+            polys: ids
+                .iter()
+                .map(|&id| (id, cad.registry.get(id).clone()))
+                .collect(),
+            discs: ids.iter().map(|&id| (id, OnceLock::new())).collect(),
+        },
     };
-    let root_cell = CadCell {
-        parent: None,
-        sample: Vec::new(),
-        index: Vec::new(),
-        signs: BTreeMap::new(),
+    let parents: Arc<[CadCell]> = match l.checked_sub(2) {
+        Some(below) => Arc::clone(&cad.levels[below]),
+        None => Arc::new([CadCell {
+            parent: None,
+            sample: Vec::new(),
+            index: Vec::new(),
+            signs: BTreeMap::new(),
+        }]),
     };
-    let parents: &[CadCell] = if l == 1 {
-        std::slice::from_ref(&root_cell)
-    } else {
-        &cad.levels[l - 2]
-    };
-    let (out, cells) = lift_level(parents, ctx.effective_workers(), MAX_CELLS, |pi, parent| {
-        per_parent(&level, pi, parent)
-    })?;
+    let job_ctx = Arc::new(ctx.job_local());
+    let shared = Arc::clone(&job_ctx);
+    let lifted = lift_level(
+        parents,
+        ctx.effective_workers(),
+        MAX_CELLS,
+        move |pi, parent| per_parent(&frame, pi, parent, &shared),
+    );
+    ctx.fold(&job_ctx);
+    let (out, cells) = lifted?;
     ctx.cells_built.add(cells as u64);
     Ok(out)
 }
@@ -280,43 +343,43 @@ fn lift<T: Send>(
 /// parents fan out and the per-parent results are collected back in parent
 /// order — the exact sequence the sequential loop produces. This is the
 /// only fan-out under a query (DESIGN.md §6).
-fn lift_level<T: Send>(
-    parents: &[CadCell],
+fn lift_level<T: Send + 'static>(
+    parents: Arc<[CadCell]>,
     workers: usize,
     limit: usize,
-    lift: impl Fn(usize, &CadCell) -> Result<(T, usize), QeError> + Sync,
+    lift: impl Fn(usize, &CadCell) -> Result<(T, usize), QeError> + Send + Sync + 'static,
 ) -> Result<(Vec<T>, usize), QeError> {
     // The guard counts the cells of *finished* parents. That sum only grows
     // towards the size of the level and reaches it when the last parent
     // finishes, so some parent reports the error exactly when the level is
     // over the limit — the sequential condition, whatever the interleaving —
     // and a runaway level still fails before it is built.
-    let built = AtomicUsize::new(0);
-    let indexed: Vec<(usize, &CadCell)> = parents.iter().enumerate().collect();
-    let out = par_map_result(&indexed, workers, |&(pi, parent)| {
-        let (result, cells) = lift(pi, parent)?;
-        if built.fetch_add(cells, Ordering::SeqCst) + cells > limit {
+    let built = Arc::new(AtomicUsize::new(0));
+    let counted = Arc::clone(&built);
+    let out = fan_out(parents.len(), workers, move |pi| {
+        let (result, cells) = lift(pi, &parents[pi])?;
+        if counted.fetch_add(cells, Ordering::SeqCst) + cells > limit {
             return Err(QeError::Unsupported(format!("CAD exceeded {limit} cells")));
         }
         Ok(result)
     })?;
-    Ok((out, built.into_inner()))
+    Ok((out, built.load(Ordering::SeqCst)))
 }
 
-/// The stack over `parent` for the polynomials of `level`, ready to walk.
+/// The stack over `parent` for the polynomials of the lifted level, ready
+/// to walk.
 fn open_stack<'l>(
-    cad: &Cad,
-    level: &'l Level,
+    frame: &'l Frame,
     parent: &'l CadCell,
     ctx: &QeContext,
 ) -> Result<StackWalk<'l>, QeError> {
+    let level = &frame.level;
     let (yvar, parent_vars) = level
         .vars
         .split_last()
         .ok_or_else(|| QeError::Unsupported("CAD level without a variable".into()))?;
     let below = ParentZeros {
-        cad,
-        level,
+        frame,
         parent,
         parent_vars,
         ctx,
@@ -340,13 +403,13 @@ fn open_stack<'l>(
 /// Lift one parent cell: build its stack and emit the interleaved
 /// sector/section cells with their sign vectors (and their number).
 fn lift_parent(
-    cad: &Cad,
-    level: &Level,
+    frame: &Frame,
     pi: usize,
     parent: &CadCell,
     ctx: &QeContext,
 ) -> Result<(Vec<CadCell>, usize), QeError> {
-    let mut walk = open_stack(cad, level, parent, ctx)?;
+    let level = &frame.level;
+    let mut walk = open_stack(frame, parent, ctx)?;
     let mut out: Vec<CadCell> = Vec::with_capacity(walk.cells());
     loop {
         let mut sample = parent.sample.clone();
@@ -373,29 +436,29 @@ fn lift_parent(
 /// building its stack's cells (DESIGN.md §5 rule 4): the verdict, and the
 /// number of cells looked at.
 fn decide_parent(
-    cad: &Cad,
-    level: &Level,
+    frame: &Frame,
     parent: &CadCell,
     matrix: &Formula,
     q: Quantifier,
     ctx: &QeContext,
 ) -> Result<(bool, usize), QeError> {
+    let lookup = frame.lookup();
     // A parent whose own signs decide the matrix gets no stack. (The virtual
     // root of an `n = 1` sentence has no signs to try.)
-    if level.vars.len() > 1 {
-        if let Some(v) = eval3(matrix, &mut |p| cell_sign(cad, parent, p, ctx))? {
+    if frame.level.vars.len() > 1 {
+        if let Some(v) = eval3(matrix, &mut |p| cell_sign(lookup, parent, p, ctx))? {
             return Ok((v, 1));
         }
     }
     let deciding = q == Quantifier::Exists;
-    let mut walk = open_stack(cad, level, parent, ctx)?;
+    let mut walk = open_stack(frame, parent, ctx)?;
     let mut visited = 0;
     loop {
         visited += 1;
-        let truth = eval3(matrix, &mut |p| match cell_sign(cad, parent, p, ctx)? {
+        let truth = eval3(matrix, &mut |p| match cell_sign(lookup, parent, p, ctx)? {
             Some(s) => Ok(Some(s)),
             None => {
-                let r = cad.resolve(p).ok_or_else(|| {
+                let r = lookup.resolve(p).ok_or_else(|| {
                     QeError::Unsupported(format!("matrix polynomial {p} is not in the CAD"))
                 })?;
                 let s = walk.sign(r.id, ctx)?;
@@ -412,8 +475,7 @@ fn decide_parent(
 /// The zero tests lifting over `parent` asks of the levels below, read off
 /// its sign vector.
 struct ParentZeros<'a> {
-    cad: &'a Cad,
-    level: &'a Level,
+    frame: &'a Frame,
     parent: &'a CadCell,
     parent_vars: &'a [usize],
     ctx: &'a QeContext,
@@ -425,13 +487,14 @@ impl Below for ParentZeros<'_> {
             return Ok(c.is_zero());
         }
         // A coefficient is often a projection polynomial as it stands.
-        let registered = match self.cad.registry.find(p) {
+        let registry = &self.frame.registry;
+        let registered = match registry.find(p) {
             Some(id) => Some(id),
             None => {
                 let Some(norm) = normalize(p) else {
                     return Ok(false); // effectively a nonzero constant
                 };
-                self.cad.registry.find(&norm)
+                registry.find(&norm)
             }
         };
         match registered.and_then(|id| self.parent.signs.get(&id)) {
@@ -449,8 +512,8 @@ impl Below for ParentZeros<'_> {
     /// polynomial, so a fibre reads one sign and normalises nothing.
     fn disc_is_zero(&self, id: usize, p: &MPoly, yvar: usize) -> Result<bool, QeError> {
         let disc = || self.ctx.cache.discriminant(p, yvar);
-        let registered = self.level.discs.get(&id).and_then(|slot| {
-            *slot.get_or_init(|| normalize(&disc()).and_then(|n| self.cad.registry.find(&n)))
+        let registered = self.frame.level.discs.get(&id).and_then(|slot| {
+            *slot.get_or_init(|| normalize(&disc()).and_then(|n| self.frame.registry.find(&n)))
         });
         match registered.and_then(|r| self.parent.signs.get(&r)) {
             Some(s) => Ok(*s == Sign::Zero),
@@ -463,7 +526,7 @@ impl Below for ParentZeros<'_> {
 /// sign vector where that decides it; `None` for a polynomial of a higher
 /// level than the cell.
 fn cell_sign(
-    cad: &Cad,
+    lookup: Lookup<'_>,
     cell: &CadCell,
     p: &MPoly,
     ctx: &QeContext,
@@ -471,8 +534,8 @@ fn cell_sign(
     if let Some(c) = p.to_constant() {
         return Ok(Some(c.sign()));
     }
-    let at_sample = || sample::sign_at(p, &cad.order[..cell.sample.len()], &cell.sample, ctx);
-    match cad.resolve(p) {
+    let at_sample = || sample::sign_at(p, &lookup.order[..cell.sample.len()], &cell.sample, ctx);
+    match lookup.resolve(p) {
         Some(r) => match cell.signs.get(&r.id) {
             Some(&s) => r.sign(s, at_sample).map(Some),
             None => Ok(None),
@@ -521,7 +584,7 @@ pub fn eval_formula_at_cell(
     f: &Formula,
     ctx: &QeContext,
 ) -> Result<bool, QeError> {
-    eval3(f, &mut |p| cell_sign(cad, cell, p, ctx))?.ok_or_else(|| {
+    eval3(f, &mut |p| cell_sign(cad.lookup(), cell, p, ctx))?.ok_or_else(|| {
         QeError::Unsupported("formula uses a variable above the cell's level".into())
     })
 }
@@ -602,8 +665,9 @@ pub fn decide(
     };
     let n = order.len();
     let cad = build_levels(input_polys, &order, nvars, n - 1, ctx)?;
-    let verdicts = lift(&cad, n, ctx, |level, _, parent| {
-        decide_parent(&cad, level, parent, matrix, *q, ctx)
+    let (matrix, q) = (matrix.clone(), *q);
+    let verdicts = lift(&cad, n, ctx, move |frame, _, parent, ctx| {
+        decide_parent(frame, parent, &matrix, q, ctx)
     })?;
     let truth = solution::fold_prefix(&cad, verdicts, outer, free.len())?;
     Ok((cad, truth))
@@ -667,7 +731,7 @@ pub fn true_cells<'c>(
     ctx: &QeContext,
 ) -> Result<Vec<&'c CadCell>, QeError> {
     let mut out = Vec::new();
-    for cell in cad.levels.last().into_iter().flatten() {
+    for cell in cad.levels.last().into_iter().flat_map(|cells| cells.iter()) {
         if eval_formula_at_cell(cad, cell, matrix, ctx)? {
             out.push(cell);
         }
@@ -755,6 +819,51 @@ mod tests {
         // on their second cell (the sector below −√x fails y² ≤ x, the
         // section holds), each taking y² − x's sign once.
         assert_eq!(counters, [(5 + 3 + 2 + 2, 4 + 2); 2]);
+    }
+
+    /// The helpers' job-local counters fold back into the caller's context:
+    /// lifting `x² + y² − 4, y³ − x` over its algebraic sections sees longer
+    /// coefficients than projection does, the folded maximum is the same
+    /// for every worker count, and a budget that projection meets but
+    /// lifting does not fails with the same error for every worker count.
+    #[test]
+    fn lift_counters_fold_into_the_callers_context() {
+        let (x, y) = (MPoly::var(0, 2), MPoly::var(1, 2));
+        let polys = [&(&x.pow(2) + &y.pow(2)) - &c(4, 2), &y.pow(3) - &x];
+        let projected = QeContext::exact();
+        build_levels(&polys, &[0, 1], 2, 1, &projected).unwrap();
+        let budget = projected.max_bits_seen.get();
+        let mut seen = Vec::new();
+        for workers in [1usize, 2, 4] {
+            let ctx = QeContext::exact().with_workers(workers);
+            build_cad(&polys, &[0, 1], 2, &ctx).unwrap();
+            seen.push((
+                ctx.max_bits_seen.get(),
+                ctx.sign_evals.get(),
+                ctx.cells_built.get(),
+            ));
+            let err = build_cad(
+                &polys,
+                &[0, 1],
+                2,
+                &QeContext::with_budget(budget).with_workers(workers),
+            )
+            .err()
+            .unwrap();
+            let QeError::PrecisionExceeded {
+                budget_bits,
+                seen_bits,
+            } = err
+            else {
+                panic!("{err:?}");
+            };
+            assert_eq!(budget_bits, budget);
+            assert!(seen_bits > budget, "workers {workers}");
+            seen.push((seen_bits, 0, 0));
+        }
+        assert!(seen[0].0 > budget, "lifting saw no longer coefficient");
+        assert_eq!(seen[0..2], seen[2..4]);
+        assert_eq!(seen[0..2], seen[4..6]);
     }
 
     /// Satellite edge cases of the partial CAD, each against the answer it
@@ -846,7 +955,7 @@ mod tests {
             index: Vec::new(),
             signs: BTreeMap::new(),
         };
-        let parents = vec![root; 8];
+        let parents: Arc<[CadCell]> = vec![root; 8].into();
         let materialise = |pi: usize, parent: &CadCell| {
             let cell = CadCell {
                 parent: Some(pi),
@@ -857,21 +966,22 @@ mod tests {
         // A decided parent: a verdict, and 3 cells visited getting it.
         let decide = |pi: usize, _: &CadCell| Ok((pi.is_multiple_of(2), 3));
         for workers in [1usize, 2, 4] {
-            let (level, cells) = lift_level(&parents, workers, 24, materialise).unwrap();
+            let (level, cells) =
+                lift_level(Arc::clone(&parents), workers, 24, materialise).unwrap();
             let from: Vec<Option<usize>> = level.iter().flatten().map(|c| c.parent).collect();
             let expect: Vec<Option<usize>> = (0..24).map(|i| Some(i / 3)).collect();
             assert_eq!((from, cells), (expect, 24), "workers {workers}");
-            let (verdicts, cells) = lift_level(&parents, workers, 24, decide).unwrap();
+            let (verdicts, cells) = lift_level(Arc::clone(&parents), workers, 24, decide).unwrap();
             let expect: Vec<bool> = (0..8usize).map(|pi| pi.is_multiple_of(2)).collect();
             assert_eq!((verdicts, cells), (expect, 24), "workers {workers}");
             let over = QeError::Unsupported("CAD exceeded 22 cells".into());
             assert_eq!(
-                lift_level(&parents, workers, 22, materialise).unwrap_err(),
+                lift_level(Arc::clone(&parents), workers, 22, materialise).unwrap_err(),
                 over,
                 "workers {workers}"
             );
             assert_eq!(
-                lift_level(&parents, workers, 22, decide).unwrap_err(),
+                lift_level(Arc::clone(&parents), workers, 22, decide).unwrap_err(),
                 over,
                 "workers {workers}"
             );

@@ -38,7 +38,7 @@ pub fn evaluate_truth(
 ) -> Result<TruthTable, QeError> {
     debug_assert_eq!(free_levels + prefix.len(), cad.levels.len());
     let mut truth: Vec<bool> = Vec::with_capacity(cad.top_cells());
-    for cell in cad.levels.last().into_iter().flatten() {
+    for cell in cad.levels.last().into_iter().flat_map(|cells| cells.iter()) {
         truth.push(eval_formula_at_cell(cad, cell, matrix, ctx)?);
     }
     fold_prefix(cad, truth, prefix, free_levels)

@@ -93,7 +93,7 @@ impl std::error::Error for QeError {}
 ///
 /// Keeps the `get`/`set` API the old `Cell<u64>` counters exposed, so
 /// observers in other crates read it unchanged, while letting CAD lifting
-/// workers update it through a shared `&QeContext`.
+/// workers update it through a shared context.
 /// Sequentially consistent per the determinism rule (cdb-lint `determinism`):
 /// counters feed budget decisions via [`QeContext::observe_bits`], so their
 /// ordering must not depend on the memory model.
@@ -131,8 +131,8 @@ impl Counter {
 /// with [`QeError::PrecisionExceeded`] ("the value of terms might be
 /// undefined … caused by overflow").
 ///
-/// The context is `Sync`: one instance is shared by reference across the
-/// threads of a CAD lift.
+/// The context is `Sync`: a CAD lift shares one job-local copy across the
+/// threads it runs on and folds its counts back.
 #[derive(Debug)]
 pub struct QeContext {
     /// Maximum allowed integer bit length (`None` = exact semantics).
@@ -143,12 +143,14 @@ pub struct QeContext {
     pub cells_built: Counter,
     /// Number of polynomial sign evaluations.
     pub sign_evals: Counter,
-    /// Threads CAD lifting may use — the only fan-out under a query
-    /// (DESIGN.md §6); disjuncts, Datalog rounds and aggregate stages run
-    /// on the calling thread whatever this says. `1` (or `0`) lifts
-    /// sequentially; the default is [`hardware_threads`]. The server sets
-    /// it per statement to that statement's share of the hardware threads
-    /// (DESIGN.md §13). Output bytes are the same for every value.
+    /// Threads CAD lifting may use, the calling thread included — the only
+    /// fan-out under a query (DESIGN.md §6); a lift takes up to
+    /// `workers − 1` helpers from the process-wide pool. Disjuncts, Datalog
+    /// rounds and aggregate stages run on the calling thread whatever this
+    /// says. `1` (or `0`) lifts sequentially; the default is
+    /// [`hardware_threads`]. The server sets it per statement to that
+    /// statement's share of the hardware threads (DESIGN.md §13). Output
+    /// bytes are the same for every value.
     pub workers: usize,
     /// Shared memo-cache for resultants and discriminants.
     pub cache: AlgebraicCache,
@@ -275,6 +277,28 @@ impl QeContext {
     #[must_use]
     pub fn effective_workers(&self) -> usize {
         self.workers.max(1).min(hardware_threads())
+    }
+
+    /// A context for one CAD lift's parents, to own and share with the
+    /// pool's helpers: this context's budget and cache handle, fresh
+    /// counters, one worker. [`QeContext::fold`] hands its counts back.
+    pub(crate) fn job_local(&self) -> QeContext {
+        QeContext {
+            budget_bits: self.budget_bits,
+            max_bits_seen: Counter::default(),
+            cells_built: Counter::default(),
+            sign_evals: Counter::default(),
+            workers: 1,
+            cache: self.cache.clone(),
+            plan: PlanCounters::default(),
+        }
+    }
+
+    /// Add the sign evaluations and the largest bit length a
+    /// [`QeContext::job_local`] context saw to this one's.
+    pub(crate) fn fold(&self, job: &QeContext) {
+        self.sign_evals.add(job.sign_evals.get());
+        self.max_bits_seen.record_max(job.max_bits_seen.get());
     }
 
     /// Record an observed bit length; error if over budget.

@@ -79,7 +79,7 @@ fn three_level_cad_structure() {
     assert_eq!(cad.levels[2].len(), 141);
     // Every top cell has a sign recorded for every registered polynomial.
     let ids: Vec<usize> = cad.registry.iter().map(|(i, _)| i).collect();
-    for cell in &cad.levels[2] {
+    for cell in cad.levels[2].iter() {
         for id in &ids {
             assert!(
                 cell.signs.contains_key(id),

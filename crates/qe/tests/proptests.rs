@@ -9,7 +9,7 @@
 use cdb_constraints::{Atom, ConstraintRelation, Database, Formula, GeneralizedTuple, RelOp};
 use cdb_num::Rat;
 use cdb_poly::MPoly;
-use cdb_qe::{evaluate_query, plan, QeContext};
+use cdb_qe::{evaluate_query, plan, QeContext, QeError};
 use proptest::prelude::*;
 
 fn linear_atom(a: i64, b: i64, d: i64, op: u8) -> Atom {
@@ -169,7 +169,10 @@ proptest! {
     /// CAD lifting parallelism is invisible: one worker (the sequential
     /// loop) and many produce structurally identical relations, atom for
     /// atom, in the same order, and the shared memo-cache does not perturb
-    /// results.
+    /// results. The counters the lift's helpers fold back into the caller's
+    /// context (cells, sign evaluations, the largest bit length) are the
+    /// sequential loop's too, and a budget one bit short of what the exact
+    /// run needed fails with the same typed error for every worker count.
     #[test]
     fn cad_parallel_matches_sequential(
         a in -2i64..=2, b in -2i64..=2, c in -2i64..=2,
@@ -188,22 +191,35 @@ proptest! {
             Formula::Atom(conic(a2, b2, c2)),
         ])
         .to_nnf();
-        let run = |workers: usize| {
-            cdb_qe::cad::eliminate(
+        let run = |ctx: QeContext, workers: usize| {
+            let ctx = ctx.with_workers(workers);
+            let rel = cdb_qe::cad::eliminate(
                 &matrix,
                 &[(cdb_constraints::Quantifier::Exists, 1)],
                 &[0],
                 n,
-                &QeContext::exact().with_workers(workers),
-            )
+                &ctx,
+            );
+            let counts = (ctx.cells_built.get(), ctx.sign_evals.get(), ctx.max_bits_seen.get());
+            (rel, counts)
         };
         // Degenerate conics can be rejected by CAD (e.g. identically
         // vanishing iterated resultants); the contract under test only
         // concerns inputs the sequential engine accepts.
-        if let Ok(seq) = run(1) {
+        if let (Ok(seq), seq_counts) = run(QeContext::exact(), 1) {
+            let short = seq_counts.2 - 1;
+            let seq_err = run(QeContext::with_budget(short), 1).0.expect_err("budget below need");
+            prop_assert!(
+                matches!(seq_err, QeError::PrecisionExceeded { budget_bits, .. } if budget_bits == short),
+                "{:?}", seq_err
+            );
             for workers in [2, 4] {
-                let par = run(workers).expect("parallel run failed where sequential succeeded");
+                let (par, par_counts) = run(QeContext::exact(), workers);
+                let par = par.expect("parallel run failed where sequential succeeded");
                 prop_assert_eq!(&seq, &par, "workers = {}", workers);
+                prop_assert_eq!(seq_counts, par_counts, "workers = {}", workers);
+                let par_err = run(QeContext::with_budget(short), workers).0;
+                prop_assert_eq!(Err(seq_err.clone()), par_err, "workers = {}", workers);
             }
         }
     }

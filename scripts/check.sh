@@ -119,7 +119,11 @@ echo "==> conic_cad lifts the same stacks and its filtered signs stay under thei
 # §5, rule 2). Deciding zero and equality of algebraic numbers by a gcd's
 # sign change instead of Sturm counts, and taking a root interval's end
 # sign only when it is halved, took it to 106,836 (DESIGN.md §5, rule 1).
-filter_ceiling=106836
+# Root isolation handing each half-interval the variation count already
+# taken at its lower end (the parent's lower end or its midpoint), instead
+# of evaluating the Sturm chain there again, took it to 72,567, the same
+# over runs pinned to one CPU and unpinned (DESIGN.md §8).
+filter_ceiling=72567
 conic=$(cargo run --release --quiet --offline --manifest-path stmtbench/Cargo.toml --bin bench -- \
     --workload conic_cad --seed 1 --seconds 1 --trace 1)
 counter() { echo "$conic" | grep -o "\"$1\": {\"value\": [0-9]*" | awk '{ n += $NF } END { print n + 0 }'; }
