@@ -10,7 +10,7 @@
 //! reachability, unanimity for taint, where a single exact-arithmetic
 //! candidate should clear the call).
 
-use crate::items::{parse_items, FnItem};
+use crate::items::{parse_items, CallSite, FnItem};
 use crate::lexer::Tok;
 use std::collections::BTreeMap;
 
@@ -349,16 +349,7 @@ pub fn build(files: &[(String, Vec<Tok>)]) -> Graph {
         let calls: Vec<Vec<usize>> = f
             .calls
             .iter()
-            .map(|c| {
-                resolve(
-                    &g,
-                    &by_name,
-                    f,
-                    c.name.as_str(),
-                    c.qual.as_deref(),
-                    c.method,
-                )
-            })
+            .map(|c| resolve(&g, &by_name, f, c))
             .collect();
         resolved.push(calls);
     }
@@ -371,10 +362,9 @@ fn resolve(
     g: &Graph,
     by_name: &BTreeMap<&str, Vec<usize>>,
     caller: &FnItem,
-    name: &str,
-    qual: Option<&str>,
-    method: bool,
+    call: &CallSite,
 ) -> Vec<usize> {
+    let name = call.name.as_str();
     if STD_NAMES.contains(&name) {
         return Vec::new();
     }
@@ -382,17 +372,38 @@ fn resolve(
         return Vec::new();
     };
     let caller_file = g.files.get(caller.file);
-    if method {
+    let caller_crate = caller_file.and_then(|fi| fi.crate_dir.as_deref());
+    if call.method {
         // `recv.name(...)`: any workspace method (has a `self` receiver,
         // lives in an impl/trait) with that name. Union over impls — the
         // passes decide how to combine.
-        return cands
+        let methods = cands
             .iter()
             .copied()
-            .filter(|&id| g.fns[id].has_self && g.fns[id].impl_name.is_some())
-            .collect();
+            .filter(|&id| g.fns[id].has_self && g.fns[id].impl_name.is_some());
+        // `self.name(...)` inside an impl calls the caller's own type's
+        // method when that type (in the caller's crate) defines one; a
+        // trait's default method dispatches to implementors, and a name
+        // the type does not define may come from a trait or `Deref`, so
+        // those keep the union.
+        if call.self_recv && !caller.in_trait {
+            let own: Vec<usize> = methods
+                .clone()
+                .filter(|&id| {
+                    let f = &g.fns[id];
+                    !f.in_trait
+                        && f.impl_name == caller.impl_name
+                        && caller_crate.is_some()
+                        && g.file_of(id).and_then(|fi| fi.crate_dir.as_deref()) == caller_crate
+                })
+                .collect();
+            if !own.is_empty() {
+                return own;
+            }
+        }
+        return methods.collect();
     }
-    if let Some(q) = qual {
+    if let Some(q) = call.qual.as_deref() {
         if q == "Self" {
             // `Self::name(...)`: same impl type in the same file.
             return cands
@@ -405,7 +416,6 @@ fn resolve(
         }
         if q == "crate" || q == "super" || q == "self" {
             // `crate::name(...)` etc.: same crate.
-            let caller_crate = caller_file.and_then(|fi| fi.crate_dir.as_deref());
             return cands
                 .iter()
                 .copied()
@@ -448,7 +458,6 @@ fn resolve(
     if !same_file.is_empty() {
         return same_file;
     }
-    let caller_crate = caller_file.and_then(|fi| fi.crate_dir.as_deref());
     let same_crate: Vec<usize> = free
         .iter()
         .copied()
@@ -520,6 +529,35 @@ mod tests {
             "impl A { fn probe(&self) {} } impl B { fn probe(&self) {} } fn f(x: A) { x.probe(); }",
         )]);
         assert_eq!(callee_names(&g, "f"), vec!["A::probe", "B::probe"]);
+    }
+
+    #[test]
+    fn self_method_resolves_to_own_impl() {
+        let src = "impl A { fn probe(&self) {} fn run(&self) { self.probe(); self.b.probe(); self.gone(); } } \
+                   impl B { fn probe(&self) {} fn gone(&self) {} } \
+                   trait T { fn probe(&self); fn dflt(&self) { self.probe(); } }";
+        let g = graph_of(&[("crates/a/src/lib.rs", src)]);
+        let id = g.fns.iter().position(|f| f.name == "run").unwrap();
+        let per_call: Vec<Vec<String>> = g.resolved[id]
+            .iter()
+            .map(|c| c.iter().map(|&f| g.fns[f].display()).collect())
+            .collect();
+        assert_eq!(
+            per_call,
+            vec![
+                // `self.probe()`: the caller's own impl defines `probe`.
+                vec!["A::probe".to_owned()],
+                // `self.b.probe()`: another receiver keeps the union.
+                vec!["A::probe".into(), "B::probe".into(), "T::probe".into()],
+                // `self.gone()`: `A` has no `gone`, so the union again.
+                vec!["B::gone".into()],
+            ]
+        );
+        // A trait's default method dispatches to every implementor.
+        assert_eq!(
+            callee_names(&g, "dflt"),
+            vec!["A::probe", "B::probe", "T::probe"]
+        );
     }
 
     #[test]

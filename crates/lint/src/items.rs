@@ -25,6 +25,9 @@ pub struct CallSite {
     pub qual: Option<String>,
     /// True for `recv.name(...)` method syntax.
     pub method: bool,
+    /// True when that receiver is the bare `self` (`self.name(...)`, not
+    /// `self.field.name(...)`).
+    pub self_recv: bool,
     /// Index of the name token in the file's scanned stream.
     pub tok: usize,
     /// 1-based line of the name token.
@@ -43,6 +46,9 @@ pub struct FnItem {
     pub name: String,
     /// Enclosing `impl`/`trait` type name, if any.
     pub impl_name: Option<String>,
+    /// True when that enclosing scope is a `trait` declaration (its
+    /// default methods dispatch `self` calls to implementors).
+    pub in_trait: bool,
     /// Enclosing module path inside the file (`a::b`, empty at top level).
     pub mod_path: String,
     /// 1-based line of the `fn` keyword.
@@ -102,7 +108,8 @@ fn punct_at(toks: &[Tok], i: usize) -> Option<char> {
 #[derive(Debug)]
 enum Scope {
     Mod(String),
-    Impl(String),
+    /// An `impl` (false) or `trait` (true) block for the named type.
+    Impl(String, bool),
     /// Index into the output items vec.
     Fn(usize),
     Block,
@@ -112,7 +119,7 @@ enum Scope {
 #[derive(Debug)]
 enum Pending {
     Mod(String),
-    Impl(String),
+    Impl(String, bool),
     Fn(usize),
 }
 
@@ -173,7 +180,7 @@ pub fn parse_items(toks: &[Tok]) -> Vec<FnItem> {
                     Some(p) if pending_depth == 0 => {
                         let scope = match p {
                             Pending::Mod(m) => Scope::Mod(m),
-                            Pending::Impl(t) => Scope::Impl(t),
+                            Pending::Impl(t, is_trait) => Scope::Impl(t, is_trait),
                             Pending::Fn(idx) => {
                                 if let Some(item) = items.get_mut(idx) {
                                     item.sig.1 = i;
@@ -221,7 +228,7 @@ pub fn parse_items(toks: &[Tok]) -> Vec<FnItem> {
             }
             TokKind::Ident(kw) if (kw == "impl" || kw == "trait") && pending.is_none() => {
                 let (name, next) = impl_target(toks, i);
-                pending = Some(Pending::Impl(name));
+                pending = Some(Pending::Impl(name, kw == "trait"));
                 pending_depth = 0;
                 i = next;
             }
@@ -249,11 +256,13 @@ pub fn parse_items(toks: &[Tok]) -> Vec<FnItem> {
                         } else {
                             None
                         };
+                        let self_recv = method && ident_at(toks, i.wrapping_sub(2)) == Some("self");
                         if let Some(item) = items.get_mut(fn_idx) {
                             item.calls.push(CallSite {
                                 name: name.clone(),
                                 qual,
                                 method,
+                                self_recv,
                                 tok: i,
                                 line: toks[i].line,
                                 col: toks[i].col,
@@ -342,10 +351,14 @@ fn scan_fn_header(toks: &[Tok], fn_tok: usize, stack: &[Scope]) -> FnItem {
             j += 1;
         }
     }
-    let impl_name = stack.iter().rev().find_map(|s| match s {
-        Scope::Impl(t) => Some(t.clone()),
-        _ => None,
-    });
+    let (impl_name, in_trait) = stack
+        .iter()
+        .rev()
+        .find_map(|s| match s {
+            Scope::Impl(t, is_trait) => Some((Some(t.clone()), *is_trait)),
+            _ => None,
+        })
+        .unwrap_or((None, false));
     let mod_path = stack
         .iter()
         .filter_map(|s| match s {
@@ -358,6 +371,7 @@ fn scan_fn_header(toks: &[Tok], fn_tok: usize, stack: &[Scope]) -> FnItem {
         file: 0,
         name,
         impl_name,
+        in_trait,
         mod_path,
         line: toks[fn_tok].line,
         col: toks[fn_tok].col,

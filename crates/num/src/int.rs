@@ -472,29 +472,42 @@ impl Int {
     }
 
     /// Greatest common divisor (always non-negative).
+    ///
+    /// Works on borrowed magnitudes: one-limb operands run a binary gcd
+    /// without touching the heap, an operand of magnitude 1 answers at
+    /// once, and a multi-limb Euclid drops to the one-limb path as soon as
+    /// the divisor fits a limb.
     #[must_use]
     pub fn gcd(&self, other: &Int) -> Int {
-        fn gcd_u64(mut a: u64, mut b: u64) -> u64 {
-            while b != 0 {
-                let r = a % b;
-                a = b;
-                b = r;
-            }
-            a
+        let (a, b) = (self.limbs(), other.limbs());
+        if a == [1] || b == [1] {
+            return Int::one();
         }
-        let mut a = self.abs();
-        let mut b = other.abs();
-        while !b.is_zero() {
-            // Euclid's magnitudes shrink monotonically, so most of the loop
-            // runs in the allocation-free single-limb regime.
-            if let (Mag::Small(x), Mag::Small(y)) = (&a.mag, &b.mag) {
-                return Int::small(Sign::Pos, gcd_u64(*x, *y));
+        match (a, b) {
+            ([], _) => other.abs(),
+            (_, []) => self.abs(),
+            ([x], [y]) => Int::small(Sign::Pos, gcd_u64(*x, *y)),
+            (big, [y]) | ([y], big) => Int::small(Sign::Pos, gcd_u64(*y, mod_mag_u64(big, *y))),
+            _ => {
+                let (hi, lo) = if Int::cmp_mag(a, b) == Ordering::Less {
+                    (b, a)
+                } else {
+                    (a, b)
+                };
+                // Invariant: `b < a`, and `gcd(a, b)` is the answer.
+                let mut a = lo.to_vec();
+                let mut b = Int::divrem_mag(hi, lo).1;
+                loop {
+                    match (a.as_slice(), b.as_slice()) {
+                        (_, []) => return Int::from_mag(Sign::Pos, a),
+                        (a, [y]) => return Int::small(Sign::Pos, gcd_u64(*y, mod_mag_u64(a, *y))),
+                        _ => {}
+                    }
+                    let r = Int::divrem_mag(&a, &b).1;
+                    a = std::mem::replace(&mut b, r);
+                }
             }
-            let r = a.divrem(&b).1;
-            a = b;
-            b = r;
         }
-        a
     }
 
     /// `self^exp`.
@@ -629,11 +642,7 @@ impl Int {
     #[must_use]
     pub fn mod_u64(&self, m: u64) -> u64 {
         assert!(m != 0, "modulus must be nonzero");
-        let mut rem = 0u128;
-        for &limb in self.limbs().iter().rev() {
-            rem = ((rem << 64) | u128::from(limb)) % u128::from(m);
-        }
-        rem as u64
+        mod_mag_u64(self.limbs(), m)
     }
 
     /// Decimal string of the magnitude.
@@ -661,6 +670,35 @@ impl Int {
         }
         s
     }
+}
+
+/// Binary (Stein) gcd of two machine words; `gcd(0, 0) = 0`.
+fn gcd_u64(mut a: u64, mut b: u64) -> u64 {
+    if a == 0 || b == 0 {
+        return a | b;
+    }
+    let shift = (a | b).trailing_zeros();
+    a >>= a.trailing_zeros();
+    loop {
+        b >>= b.trailing_zeros();
+        if a > b {
+            std::mem::swap(&mut a, &mut b);
+        }
+        b -= a;
+        if b == 0 {
+            return a << shift;
+        }
+    }
+}
+
+/// `mag mod m` for a little-endian magnitude and a nonzero word `m`, in
+/// one allocation-free pass from the top limb down.
+fn mod_mag_u64(mag: &[u64], m: u64) -> u64 {
+    let mut rem = 0u128;
+    for &limb in mag.iter().rev() {
+        rem = ((rem << 64) | u128::from(limb)) % u128::from(m);
+    }
+    rem as u64
 }
 
 impl Default for Int {
@@ -829,16 +867,19 @@ impl Int {
             },
         }
     }
-}
 
-impl Add for &Int {
-    type Output = Int;
-    fn add(self, rhs: &Int) -> Int {
+    /// `self + rhs` with `rhs`'s sign replaced by `rsign`: addition when
+    /// `rsign == rhs.sign`, subtraction when it is the flipped sign, so
+    /// neither operator clones an operand to negate it.
+    fn add_signed(&self, rsign: Sign, rhs: &Int) -> Int {
         if let (Mag::Small(a), Mag::Small(b)) = (&self.mag, &rhs.mag) {
-            return Int::add_small(self.sign, *a, rhs.sign, *b);
+            return Int::add_small(self.sign, *a, rsign, *b);
         }
-        match (self.sign, rhs.sign) {
-            (Sign::Zero, _) => rhs.clone(),
+        match (self.sign, rsign) {
+            (Sign::Zero, _) => Int {
+                sign: rsign,
+                mag: rhs.mag.clone(),
+            },
             (_, Sign::Zero) => self.clone(),
             (a, b) if a == b => Int::from_mag(a, Int::add_mag(self.limbs(), rhs.limbs())),
             _ => match Int::cmp_mag(self.limbs(), rhs.limbs()) {
@@ -846,19 +887,23 @@ impl Add for &Int {
                 Ordering::Greater => {
                     Int::from_mag(self.sign, Int::sub_mag(self.limbs(), rhs.limbs()))
                 }
-                Ordering::Less => Int::from_mag(rhs.sign, Int::sub_mag(rhs.limbs(), self.limbs())),
+                Ordering::Less => Int::from_mag(rsign, Int::sub_mag(rhs.limbs(), self.limbs())),
             },
         }
+    }
+}
+
+impl Add for &Int {
+    type Output = Int;
+    fn add(self, rhs: &Int) -> Int {
+        self.add_signed(rhs.sign, rhs)
     }
 }
 
 impl Sub for &Int {
     type Output = Int;
     fn sub(self, rhs: &Int) -> Int {
-        if let (Mag::Small(a), Mag::Small(b)) = (&self.mag, &rhs.mag) {
-            return Int::add_small(self.sign, *a, rhs.sign.neg(), *b);
-        }
-        self + &(-rhs.clone())
+        self.add_signed(rhs.sign.neg(), rhs)
     }
 }
 

@@ -4,9 +4,18 @@
 //! interval endpoints, CAD sample points and polynomial coefficients all live
 //! in `Q`. The representation is always normalized (`den > 0`, `gcd = 1`) so
 //! equality is structural.
+//!
+//! Because both operands arrive in that form, the operators never need the
+//! textbook "cross-multiply, then divide by the gcd" step. They follow GMP's
+//! `mpq` rules instead (DESIGN.md §10.3): integer operands take plain `Int`
+//! arithmetic, a sum divides only by the gcd of the denominators (Henrici),
+//! and a product cancels across before it multiplies, so the result is
+//! canonical as built. [`Rat::new`] remains the one place that reduces an
+//! arbitrary fraction.
 
 use crate::int::{Int, ParseIntError};
 use crate::Sign;
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Sub, SubAssign};
@@ -62,6 +71,16 @@ impl Rat {
         }
     }
 
+    /// Wrap a fraction the caller has already put in canonical form
+    /// (`den > 0`, `gcd(num, den) = 1`, so `0` is `0/1`). Debug builds,
+    /// the test suites among them, re-check the gcd the release build
+    /// relies on the arithmetic rules to have made 1.
+    fn canonical(num: Int, den: Int) -> Rat {
+        debug_assert!(den.sign() == Sign::Pos, "canonical denominator is positive");
+        debug_assert!(num.gcd(&den).is_one(), "canonical fraction is reduced");
+        Rat { num, den }
+    }
+
     /// Construct from integers.
     #[must_use]
     pub fn from_ints(num: i64, den: i64) -> Rat {
@@ -101,39 +120,67 @@ impl Rat {
         }
     }
 
+    /// True iff the denominator is 1.
+    fn is_integer(&self) -> bool {
+        self.den.is_one()
+    }
+
     /// Multiplicative inverse. Panics on 0.
+    ///
+    /// Swapping a coprime pair keeps it coprime; only the sign moves.
     #[must_use]
     pub fn recip(&self) -> Rat {
         assert!(!self.is_zero(), "reciprocal of zero");
-        Rat::new(self.den.clone(), self.num.clone())
+        if self.num.is_negative() {
+            Rat::canonical(-&self.den, -&self.num)
+        } else {
+            Rat::canonical(self.den.clone(), self.num.clone())
+        }
     }
 
     /// Integer power (negative exponents allowed for nonzero values).
+    ///
+    /// Powers of coprime integers are coprime, so the result is canonical
+    /// without a gcd.
     #[must_use]
     pub fn pow(&self, exp: i32) -> Rat {
         if exp < 0 {
-            self.recip().pow(-exp)
-        } else {
-            Rat::new(self.num.pow(exp as u32), self.den.pow(exp as u32))
+            return self.recip().pow(-exp);
         }
+        let exp = exp.unsigned_abs();
+        Rat::canonical(self.num.pow(exp), self.den.pow(exp))
     }
 
     /// Largest integer `<= self`.
     #[must_use]
     pub fn floor(&self) -> Int {
+        if self.is_integer() {
+            return self.num.clone();
+        }
         self.num.div_euclid(&self.den).0
     }
 
     /// Smallest integer `>= self`.
     #[must_use]
     pub fn ceil(&self) -> Int {
-        -((-self.clone()).floor())
+        if self.is_integer() {
+            return self.num.clone();
+        }
+        &self.num.div_euclid(&self.den).0 + &Int::one()
     }
 
     /// Midpoint of two rationals.
+    ///
+    /// Halving a canonical `n/d` gives `(n/2)/d` when `n` is even (then `d`
+    /// is odd) and `n/(2d)` when `n` is odd; both are canonical.
     #[must_use]
     pub fn midpoint(a: &Rat, b: &Rat) -> Rat {
-        &(a + b) * &Rat::from_ints(1, 2)
+        let sum = a + b;
+        if sum.num.is_even() {
+            Rat::canonical(&sum.num >> 1, sum.den)
+        } else {
+            Rat::canonical(sum.num, &sum.den << 1)
+        }
     }
 
     /// Lossy conversion to `f64`.
@@ -307,7 +354,16 @@ impl PartialOrd for Rat {
 }
 
 impl Ord for Rat {
+    /// Signs first, then numerators over a shared denominator; only values
+    /// of one sign with different denominators cross-multiply.
     fn cmp(&self, other: &Rat) -> Ordering {
+        let (sa, sb) = (self.sign(), other.sign());
+        if sa != sb || sa == Sign::Zero {
+            return sa.cmp(&sb);
+        }
+        if self.den == other.den {
+            return self.num.cmp(&other.num);
+        }
         (&self.num * &other.den).cmp(&(&other.num * &self.den))
     }
 }
@@ -329,38 +385,108 @@ impl Neg for &Rat {
     }
 }
 
+/// `x + y`, or `x - y` when `sub`.
+fn add_or_sub(x: &Int, y: &Int, sub: bool) -> Int {
+    if sub {
+        x - y
+    } else {
+        x + y
+    }
+}
+
+/// `x / g`, borrowing `x` when `g` is 1.
+fn cancel<'a>(x: &'a Int, g: &Int) -> Cow<'a, Int> {
+    if g.is_one() {
+        Cow::Borrowed(x)
+    } else {
+        Cow::Owned(x.div_exact(g))
+    }
+}
+
+/// `a/b ± c/d` by Henrici's rule. With `g = gcd(b, d)` the sum is
+/// `t / (b·d/g)` for `t = a·(d/g) ± c·(b/g)`, and the only common factor
+/// `t` can share with that denominator divides `g`: one gcd of the
+/// denominators and one of `t` with `g`, where the textbook sum takes a gcd
+/// of the full cross products. Integer operands skip both.
+fn henrici(x: &Rat, y: &Rat, sub: bool) -> Rat {
+    let (a, b, c, d) = (&x.num, &x.den, &y.num, &y.den);
+    match (x.is_integer(), y.is_integer()) {
+        (true, true) => return Rat::from(add_or_sub(a, c, sub)),
+        // a/b ± c = (a ± c·b)/b: adding a multiple of b keeps gcd with b 1.
+        (false, true) => return Rat::canonical(add_or_sub(a, &(c * b), sub), b.clone()),
+        (true, false) => return Rat::canonical(add_or_sub(&(a * d), c, sub), d.clone()),
+        (false, false) => {}
+    }
+    let g = b.gcd(d);
+    if g.is_one() {
+        return Rat::canonical(add_or_sub(&(a * d), &(c * b), sub), b * d);
+    }
+    let (b_g, d_g) = (b.div_exact(&g), d.div_exact(&g));
+    let t = add_or_sub(&(a * &d_g), &(c * &b_g), sub);
+    if t.is_zero() {
+        return Rat::zero();
+    }
+    let h = t.gcd(&g);
+    if h.is_one() {
+        Rat::canonical(t, b * &d_g)
+    } else {
+        Rat::canonical(t.div_exact(&h), &b.div_exact(&h) * &d_g)
+    }
+}
+
 impl Add for &Rat {
     type Output = Rat;
     fn add(self, rhs: &Rat) -> Rat {
-        Rat::new(
-            &(&self.num * &rhs.den) + &(&rhs.num * &self.den),
-            &self.den * &rhs.den,
-        )
+        henrici(self, rhs, false)
     }
 }
 
 impl Sub for &Rat {
     type Output = Rat;
     fn sub(self, rhs: &Rat) -> Rat {
-        Rat::new(
-            &(&self.num * &rhs.den) - &(&rhs.num * &self.den),
-            &self.den * &rhs.den,
-        )
+        henrici(self, rhs, true)
     }
 }
 
 impl Mul for &Rat {
     type Output = Rat;
+    /// `(a/b)·(c/d)`: cancel `gcd(a, d)` and `gcd(c, b)` across before
+    /// multiplying, so the product is canonical as built. A gcd against a
+    /// denominator of 1 returns at once (`Int::gcd`).
     fn mul(self, rhs: &Rat) -> Rat {
-        Rat::new(&self.num * &rhs.num, &self.den * &rhs.den)
+        let (a, b, c, d) = (&self.num, &self.den, &rhs.num, &rhs.den);
+        if a.is_zero() || c.is_zero() {
+            return Rat::zero();
+        }
+        if self.is_integer() && rhs.is_integer() {
+            return Rat::from(a * c);
+        }
+        let (g1, g2) = (a.gcd(d), c.gcd(b));
+        Rat::canonical(
+            &*cancel(a, &g1) * &*cancel(c, &g2),
+            &*cancel(b, &g2) * &*cancel(d, &g1),
+        )
     }
 }
 
 impl Div for &Rat {
     type Output = Rat;
+    /// `(a/b)/(c/d) = (a·d)/(b·c)`, cancelling `gcd(a, c)` and `gcd(d, b)`
+    /// across first; the sign moves to the numerator at the end.
     fn div(self, rhs: &Rat) -> Rat {
         assert!(!rhs.is_zero(), "rational division by zero");
-        Rat::new(&self.num * &rhs.den, &self.den * &rhs.num)
+        let (a, b, c, d) = (&self.num, &self.den, &rhs.num, &rhs.den);
+        if a.is_zero() {
+            return Rat::zero();
+        }
+        let (g1, g2) = (a.gcd(c), d.gcd(b));
+        let num = &*cancel(a, &g1) * &*cancel(d, &g2);
+        let den = &*cancel(b, &g2) * &*cancel(c, &g1);
+        if den.is_negative() {
+            Rat::canonical(-num, -den)
+        } else {
+            Rat::canonical(num, den)
+        }
     }
 }
 

@@ -261,3 +261,172 @@ proptest! {
         }
     }
 }
+
+// ── Differential tests of the normalise-once `Rat` operators ───────────────
+//
+// Every operator builds its canonical result directly (Henrici sums,
+// cross-cancelled products). The reference below is the textbook formula
+// reduced by `Rat::new`, which is canonical by construction; the derived
+// `Eq` is structural, so equality also proves the fast result canonical.
+
+/// Factors shared across independently drawn values, so pairs of them meet
+/// `gcd(b, d) ≠ 1`, `gcd(t, g) ≠ 1` and cross-cancellation in products:
+/// small primes, a 61-bit and a two-limb Mersenne prime, and 2^64 + 1.
+fn factor_pool() -> Vec<Int> {
+    vec![
+        Int::from(2),
+        Int::from(3),
+        Int::from(7),
+        &Int::pow2(61) - &Int::one(),
+        &Int::pow2(89) - &Int::one(),
+        &Int::pow2(64) + &Int::one(),
+    ]
+}
+
+/// A product of pool factors (each to the power 0..=3) times a cofactor of
+/// zero, one, two or three limbs.
+fn arb_factored() -> impl Strategy<Value = Int> {
+    let cofactor = prop_oneof![
+        Just(Int::one()),
+        (1u64..1000).prop_map(Int::from),
+        any::<u64>().prop_map(|v| Int::from(v | 1)),
+        any::<u128>().prop_map(|v| Int::from((v | 1) as i128).abs()),
+        (any::<u128>(), any::<u64>())
+            .prop_map(|(v, w)| &(&Int::from((v >> 1) as i128) << 64) + &Int::from(w | 1)),
+    ];
+    (prop::collection::vec(0u32..4, 6), cofactor).prop_map(|(exps, c)| {
+        factor_pool()
+            .iter()
+            .zip(exps)
+            .fold(c, |acc, (f, e)| &acc * &f.pow(e))
+    })
+}
+
+/// Rationals for the differential tests: multi-limb numerators and
+/// denominators with planted common factors, dyadic denominators (which
+/// often coincide between two draws), integers and zero.
+fn arb_rat_wide() -> impl Strategy<Value = Rat> {
+    prop_oneof![
+        (arb_factored(), arb_factored(), any::<bool>())
+            .prop_map(|(n, d, neg)| Rat::new(if neg { -n } else { n }, d)),
+        (arb_int(), arb_factored()).prop_map(|(n, d)| Rat::new(n, d)),
+        (arb_int(), 0u64..130).prop_map(|(n, k)| Rat::new(n, Int::pow2(k))),
+        (any::<i64>(), 0u64..4).prop_map(|(n, k)| Rat::new(Int::from(n), Int::pow2(k))),
+        arb_int().prop_map(Rat::from),
+        (-3i64..=3).prop_map(Rat::from),
+        Just(Rat::zero()),
+        arb_rat(),
+    ]
+}
+
+/// A pair whose second member often shares the first's denominator exactly
+/// (the `cmp` and Henrici equal-denominator paths).
+fn arb_rat_pair() -> impl Strategy<Value = (Rat, Rat)> {
+    prop_oneof![
+        (arb_rat_wide(), arb_rat_wide()),
+        (arb_rat_wide(), arb_int()).prop_map(|(x, c)| {
+            let y = Rat::new(c, x.denom().clone());
+            (x, y)
+        }),
+        (arb_rat_wide(), arb_factored()).prop_map(|(x, k)| {
+            let y = Rat::new(x.numer() * &k + Int::one(), x.denom() * &k);
+            (x, y)
+        }),
+    ]
+}
+
+/// `(a, b, c, d)` for `x = a/b`, `y = c/d`.
+fn parts<'a>(x: &'a Rat, y: &'a Rat) -> (&'a Int, &'a Int, &'a Int, &'a Int) {
+    (x.numer(), x.denom(), y.numer(), y.denom())
+}
+
+/// Textbook gcd: Euclid on the absolute values through `%`.
+fn gcd_reference(a: &Int, b: &Int) -> Int {
+    let (mut a, mut b) = (a.abs(), b.abs());
+    while !b.is_zero() {
+        let r = &a % &b;
+        a = b;
+        b = r;
+    }
+    a
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn rat_add_sub_match_textbook((x, y) in arb_rat_pair()) {
+        let (a, b, c, d) = parts(&x, &y);
+        let bd = b * d;
+        prop_assert_eq!(&x + &y, Rat::new(&(a * d) + &(c * b), bd.clone()));
+        prop_assert_eq!(&x - &y, Rat::new(&(a * d) - &(c * b), bd));
+        let (mut s, mut t) = (x.clone(), x.clone());
+        s += &y;
+        t -= &y;
+        prop_assert_eq!(s, &x + &y);
+        prop_assert_eq!(t, &x - &y);
+        prop_assert_eq!(x.clone() + y.clone(), &x + &y);
+        prop_assert_eq!(x.clone() - &y, &x - &y);
+    }
+
+    #[test]
+    fn rat_mul_div_match_textbook((x, y) in arb_rat_pair()) {
+        let (a, b, c, d) = parts(&x, &y);
+        prop_assert_eq!(&x * &y, Rat::new(a * c, b * d));
+        let mut p = x.clone();
+        p *= &y;
+        prop_assert_eq!(p, &x * &y);
+        prop_assert_eq!(&x * y.clone(), &x * &y);
+        if !y.is_zero() {
+            prop_assert_eq!(&x / &y, Rat::new(a * d, b * c));
+            prop_assert_eq!(x.clone() / y.clone(), &x / &y);
+        }
+    }
+
+    #[test]
+    fn rat_cmp_matches_cross_multiplication((x, y) in arb_rat_pair()) {
+        let (a, b, c, d) = parts(&x, &y);
+        let want = (a * d).cmp(&(c * b));
+        prop_assert_eq!(x.cmp(&y), want);
+        prop_assert_eq!(y.cmp(&x), want.reverse());
+        prop_assert_eq!(x.cmp(&x), std::cmp::Ordering::Equal);
+        prop_assert!(Rat::min(x.clone(), y.clone()) <= Rat::max(x.clone(), y.clone()));
+    }
+
+    #[test]
+    fn rat_recip_pow_midpoint_match_textbook((x, y) in arb_rat_pair(), e in -4i32..=6) {
+        let (a, b, c, d) = parts(&x, &y);
+        prop_assert_eq!(
+            Rat::midpoint(&x, &y),
+            Rat::new(&(a * d) + &(c * b), &(b * d) * &Int::from(2))
+        );
+        if !x.is_zero() {
+            prop_assert_eq!(x.recip(), Rat::new(b.clone(), a.clone()));
+        }
+        if e >= 0 {
+            prop_assert_eq!(x.pow(e), Rat::new(a.pow(e as u32), b.pow(e as u32)));
+        } else if !x.is_zero() {
+            let k = e.unsigned_abs();
+            prop_assert_eq!(x.pow(e), Rat::new(b.pow(k), a.pow(k)));
+        }
+        prop_assert_eq!(Rat::from(x.floor()), Rat::new(a.div_euclid(b).0, Int::one()));
+        prop_assert!(Rat::from(x.ceil()) >= x && &Rat::from(x.ceil()) - &x < Rat::one());
+    }
+
+    #[test]
+    fn int_gcd_matches_euclid(
+        a in prop_oneof![arb_int(), arb_factored(), (-2i64..=2).prop_map(Int::from)],
+        b in prop_oneof![arb_int(), arb_factored(), (-2i64..=2).prop_map(Int::from)],
+        f in arb_factored(),
+    ) {
+        let g = a.gcd(&b);
+        prop_assert_eq!(&g, &gcd_reference(&a, &b));
+        prop_assert_eq!(b.gcd(&a), g.clone());
+        prop_assert_eq!((-&a).gcd(&b), g.clone());
+        prop_assert_eq!(a.gcd(&Int::zero()), a.abs());
+        prop_assert_eq!(a.gcd(&Int::one()), Int::one());
+        prop_assert_eq!(Int::from(-1).gcd(&a), Int::one());
+        // A planted common factor scales the gcd.
+        prop_assert_eq!((&a * &f).gcd(&(&b * &f)), &g * &f);
+    }
+}

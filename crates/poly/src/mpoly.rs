@@ -159,16 +159,24 @@ impl Terms {
     pub fn pow(&self, mut n: u32) -> Terms {
         // Binary exponentiation: O(log n) polynomial multiplications instead
         // of n (the resultant base cases raise constants to degree-sized n).
-        let mut acc = Terms::constant(Rat::one(), self.nvars);
+        // The accumulator starts at the lowest power the bits of `n` ask
+        // for, not at 1, so `p^2` costs one product rather than two.
+        if n == 0 {
+            return Terms::constant(Rat::one(), self.nvars);
+        }
         let mut base = self.clone();
+        while n & 1 == 0 {
+            base = &base * &base;
+            n >>= 1;
+        }
+        let mut acc = base.clone();
+        n >>= 1;
         while n > 0 {
+            base = &base * &base;
             if n & 1 == 1 {
                 acc = &acc * &base;
             }
             n >>= 1;
-            if n > 0 {
-                base = &base * &base;
-            }
         }
         acc
     }
@@ -1067,6 +1075,19 @@ mod tests {
         assert_eq!(prod.div_exact(&b), a);
         let sq = a.pow(3);
         assert_eq!(sq.div_exact(&a.pow(2)), a);
+    }
+
+    #[test]
+    fn pow_matches_repeated_product() {
+        let p =
+            &(&MPoly::var(0, 2) - &MPoly::var(1, 2)) + &MPoly::constant(Rat::from_ints(1, 2), 2);
+        let mut want = MPoly::constant(Rat::one(), 2);
+        for n in 0..10 {
+            assert_eq!(p.pow(n), want, "p^{n}");
+            want = &want * &p;
+        }
+        assert!(MPoly::zero(2).pow(3).is_zero());
+        assert_eq!(MPoly::zero(2).pow(0), MPoly::constant(Rat::one(), 2));
     }
 
     #[test]

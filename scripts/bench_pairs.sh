@@ -7,7 +7,9 @@
 # verdict, and whether the transcript hashes matched, with the host's
 # 1-minute load average before the first and after the last pair — medians
 # that drift apart while the minima agree and the load moved are a noisy
-# host, not a regression. Pair k runs both sides at --seed k.
+# host, not a regression. The header names the host's hardware thread count
+# (`nproc`): timings are only comparable on like hardware. Pair k runs both
+# sides at --seed k.
 #
 # Verdicts (choosing-metrics §8, §6.5), first that applies:
 #   gain        change wins >= 9/10 of the pairs run (ties count for neither)
@@ -17,7 +19,9 @@
 #   unresolved  the parent's IQR is wider than that bound, and not every
 #               change run reads better than every parent run
 #   same        none of the above
-# Exit status 1 when any row is `regressed`.
+# Exit status 1 when any row is `regressed`, when a workload's transcript
+# hashes DIFFER between the sides, or when any run failed or missed its
+# oracle (the report is still printed in full first).
 #
 #   scripts/bench_pairs.sh <parent-rev | parent-checkout-dir> [workload...]
 set -euo pipefail
@@ -97,6 +101,7 @@ verdict() {
 }
 
 status=0
+echo "host: $(nproc) hardware threads; $pairs pairs per workload, ${seconds} s per run"
 printf '%-12s %-12s %42s %42s %7s  %s\n' workload metric \
     "parent median [q1, q3] min" "change median [q1, q3] min" wins verdict
 for w in $workloads; do
@@ -111,11 +116,11 @@ for w in $workloads; do
         echo "$w pair $k/$pairs done" >&2
         for side in parent change; do
             grep -q '"correct": true' "$out/$side.$k.json" && grep -q '"failed": 0[,}]' "$out/$side.$k.json" ||
-                echo "$w pair $k: $side run failed or was incorrect" >&2
+                { echo "$w pair $k: $side run failed or was incorrect" >&2; status=1; }
         done
         hp=$(grep -o '"transcript_hash": "[^"]*"' "$out/parent.$k.json" | head -1)
         hc=$(grep -o '"transcript_hash": "[^"]*"' "$out/change.$k.json" | head -1)
-        [ -n "$hp" ] && [ "$hp" = "$hc" ] || hashes=DIFFER
+        [ -n "$hp" ] && [ "$hp" = "$hc" ] || { hashes=DIFFER; status=1; }
     done
     load_after=$(load1)
     for m in $metrics; do
