@@ -138,7 +138,7 @@ pub fn arc_length(
             }
         }
     }
-    Ok(AggValue::approx(total))
+    AggValue::approx(total)
 }
 
 fn arc_piece_length(region: &Region2D, arc: &Arc, a: f64, b: f64) -> Result<f64, AggError> {
@@ -338,6 +338,29 @@ mod tests {
         let ctx = QeContext::exact();
         let l = arc_length(&rel, 0, 1, &eps(), &ctx).unwrap();
         assert!((l.to_f64() - 3.0 * std::f64::consts::SQRT_2).abs() < 1e-4);
+    }
+
+    /// `y = 2·10¹⁵⁴·x` on `[0, 1]`: the integrand `√(1 + slope²)` overflows
+    /// to `+∞`, and the answer is a quadrature error, not a number.
+    #[test]
+    fn arc_length_that_overflows_is_an_error() {
+        let x = MPoly::var(0, 2);
+        let y = MPoly::var(1, 2);
+        let steep = &Rat::from(2i64) * &Rat::from(cdb_num::Int::from(10i64).pow(154));
+        let rel = ConstraintRelation::new(
+            2,
+            vec![GeneralizedTuple::new(
+                2,
+                vec![
+                    Atom::new(&y - &x.scale(&steep), RelOp::Eq),
+                    Atom::new(-&x, RelOp::Le),
+                    Atom::new(&x - &c(1, 2), RelOp::Le),
+                ],
+            )],
+        );
+        let ctx = QeContext::exact();
+        let got = arc_length(&rel, 0, 1, &eps(), &ctx);
+        assert!(matches!(got, Err(AggError::Quadrature(_))), "{got:?}");
     }
 
     #[test]

@@ -107,14 +107,17 @@ impl AggValue {
         AggValue { value, exact: true }
     }
 
-    /// Approximate value from an f64.
-    #[must_use]
+    /// Approximate value from an f64; a non-finite one (an overflowed or
+    /// failed quadrature) is an [`AggError::Quadrature`], never a number.
     // cdb-lint: allow(float) — the one inward door for §5 quadrature results;
     // the value is tagged `exact: false` so callers cannot mistake it
-    pub fn approx(v: f64) -> AggValue {
-        AggValue {
-            value: cdb_num::Rat::from_f64(v).unwrap_or_else(cdb_num::Rat::zero),
-            exact: false,
+    pub fn approx(v: f64) -> Result<AggValue, AggError> {
+        match cdb_num::Rat::from_f64(v) {
+            Some(value) => Ok(AggValue {
+                value,
+                exact: false,
+            }),
+            None => Err(AggError::Quadrature(format!("non-finite result {v}"))),
         }
     }
 
@@ -123,5 +126,25 @@ impl AggValue {
     // cdb-lint: allow(float) — reporting-only conversion for display/tests
     pub fn to_f64(&self) -> f64 {
         self.value.to_f64()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A quadrature total that overflowed or failed is an error, not an
+    /// approximate 0; a finite one is kept exactly, tagged inexact.
+    #[test]
+    fn approx_refuses_non_finite_values() {
+        for v in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+            assert!(
+                matches!(AggValue::approx(v), Err(AggError::Quadrature(_))),
+                "{v}"
+            );
+        }
+        let half = AggValue::approx(0.5).unwrap();
+        assert_eq!(half.value, cdb_num::Rat::from_ints(1, 2));
+        assert!(!half.exact);
     }
 }

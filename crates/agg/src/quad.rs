@@ -4,6 +4,9 @@
 // cdb-lint: allow-file(float) — §5 approximate aggregates: adaptive Simpson quadrature is the paper's sanctioned approximate integration path; results are flagged inexact
 /// Adaptive Simpson integration of `f` over `[a, b]` to absolute tolerance
 /// `tol`. `max_depth` bounds recursion (returns the best estimate past it).
+/// A non-finite sample makes the estimate non-finite at once: every sample
+/// enters some Simpson sum of the result, so halving further could not
+/// make it finite.
 #[must_use]
 pub fn adaptive_simpson(f: &dyn Fn(f64) -> f64, a: f64, b: f64, tol: f64) -> f64 {
     let fa = f(a);
@@ -38,7 +41,7 @@ fn recurse(
     let left = simpson(a, m, fa, flm, fm);
     let right = simpson(m, b, fm, frm, fb);
     let delta = left + right - whole;
-    if depth == 0 || delta.abs() <= 15.0 * tol {
+    if depth == 0 || !delta.is_finite() || delta.abs() <= 15.0 * tol {
         return left + right + delta / 15.0;
     }
     recurse(f, a, m, fa, flm, fm, left, tol / 2.0, depth - 1)

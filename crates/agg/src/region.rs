@@ -12,8 +12,7 @@ use cdb_constraints::formula::relation_to_formula;
 use cdb_constraints::ConstraintRelation;
 use cdb_num::{Rat, Sign};
 use cdb_poly::{MPoly, Partial, RealAlg, UPoly};
-use cdb_qe::cad::sample::Coord;
-use cdb_qe::cad::{build_cad, eval_formula_at_cell};
+use cdb_qe::cad::{build_cad, eval_formula_at_cell, CadCell};
 use cdb_qe::QeContext;
 
 /// A cell of a one-dimensional region.
@@ -65,28 +64,8 @@ impl Region1D {
         let max_index = cell_index(last, 0)?;
         let mut out = Vec::new();
         for (i, cell) in cells.iter().enumerate() {
-            if !eval_formula_at_cell(&cad, cell, &matrix, ctx)? {
-                continue;
-            }
-            let pos = cell_index(cell, 0)?;
-            if pos % 2 == 0 {
-                // Section.
-                let Coord::Alg(root) = cell_coord(cell, 0)? else {
-                    return Err(AggError::Internal(
-                        "section cell carries a rational sample, not a root".to_owned(),
-                    ));
-                };
-                out.push(Cell1D::Point(root.clone()));
-            } else {
-                let lo = match i.checked_sub(1).and_then(|j| cells.get(j)) {
-                    Some(below) if pos != 1 => Some(section_root(cell_coord(below, 0)?)),
-                    _ => None,
-                };
-                let hi = match cells.get(i + 1) {
-                    Some(above) if pos != max_index => Some(section_root(cell_coord(above, 0)?)),
-                    _ => None,
-                };
-                out.push(Cell1D::Interval(lo, hi));
+            if eval_formula_at_cell(&cad, cell, &matrix, ctx)? {
+                out.push(x_cell(cells, i, max_index)?);
             }
         }
         Ok(Region1D { cells: out })
@@ -105,27 +84,37 @@ impl Region1D {
     }
 }
 
+/// Level-1 cell `cells[i]` as a [`Cell1D`]: a section is its root; a sector
+/// is the open interval between the sections around it, unbounded below the
+/// first and above the last (stack position `max_index`).
+fn x_cell(cells: &[CadCell], i: usize, max_index: usize) -> Result<Cell1D, AggError> {
+    let root = |j: usize| cells.get(j).map(|c| cell_coord(c, 0).cloned()).transpose();
+    let pos = cell_index(&cells[i], 0)?;
+    if pos % 2 == 0 {
+        return Ok(Cell1D::Point(cell_coord(&cells[i], 0)?.clone()));
+    }
+    let lo = match i.checked_sub(1) {
+        Some(j) if pos != 1 => root(j)?,
+        _ => None,
+    };
+    let hi = if pos == max_index { None } else { root(i + 1)? };
+    Ok(Cell1D::Interval(lo, hi))
+}
+
 /// Index entry of a CAD cell at `level` (cells at level ℓ carry ℓ+1 entries).
-fn cell_index(cell: &cdb_qe::cad::CadCell, level: usize) -> Result<usize, AggError> {
+fn cell_index(cell: &CadCell, level: usize) -> Result<usize, AggError> {
     cell.index.get(level).copied().ok_or_else(|| {
         AggError::Internal(format!("CAD cell carries no index entry at level {level}"))
     })
 }
 
 /// Sample coordinate of a CAD cell at `level`.
-fn cell_coord(cell: &cdb_qe::cad::CadCell, level: usize) -> Result<&Coord, AggError> {
+fn cell_coord(cell: &CadCell, level: usize) -> Result<&RealAlg, AggError> {
     cell.sample.get(level).ok_or_else(|| {
         AggError::Internal(format!(
             "CAD cell carries no sample coordinate at level {level}"
         ))
     })
-}
-
-fn section_root(c: &Coord) -> RealAlg {
-    match c {
-        Coord::Alg(a) => a.clone(),
-        Coord::Rat(r) => RealAlg::from_rat(r.clone()),
-    }
 }
 
 /// A function bounding a band from below or above.
@@ -212,8 +201,8 @@ impl Region2D {
         };
         // Group level-2 cells by parent.
         let mut slabs = Vec::new();
-        for (pi, parent) in level1.iter().enumerate() {
-            let children: Vec<(usize, &cdb_qe::cad::CadCell)> = level2
+        for pi in 0..level1.len() {
+            let children: Vec<(usize, &CadCell)> = level2
                 .iter()
                 .enumerate()
                 .filter(|(_, c)| c.parent == Some(pi))
@@ -222,20 +211,7 @@ impl Region2D {
                 Some((_, c)) => cell_index(c, 1)?,
                 None => 1,
             };
-            let px = cell_index(parent, 0)?;
-            let x_cell = if px % 2 == 0 {
-                Cell1D::Point(section_root(cell_coord(parent, 0)?))
-            } else {
-                let lo = match pi.checked_sub(1).and_then(|j| level1.get(j)) {
-                    Some(below) if px != 1 => Some(section_root(cell_coord(below, 0)?)),
-                    _ => None,
-                };
-                let hi = match level1.get(pi + 1) {
-                    Some(above) if px != max_x_index => Some(section_root(cell_coord(above, 0)?)),
-                    _ => None,
-                };
-                Cell1D::Interval(lo, hi)
-            };
+            let x_cell = x_cell(level1, pi, max_x_index)?;
             let mut bands = Vec::new();
             let mut arcs = Vec::new();
             for (ci, (gi, cell)) in children.iter().enumerate() {
@@ -316,8 +292,8 @@ impl Region2D {
                     ))
                 }
             };
-            for r in cdb_poly::roots::real_roots_approx(&u, &eps) {
-                all.push(r.to_f64());
+            for r in RealAlg::roots_of(&u) {
+                all.push(r.approx(&eps).to_f64());
             }
         }
         all.sort_by(f64::total_cmp);
@@ -329,12 +305,7 @@ impl Region2D {
 /// Extract the bound function of a section cell: an exact polynomial graph
 /// when some vanishing polynomial is linear in `y` with constant leading
 /// coefficient; otherwise the branch index.
-fn bound_of_section(
-    cad: &cdb_qe::cad::Cad,
-    cell: &cdb_qe::cad::CadCell,
-    yvar: usize,
-    branch: usize,
-) -> BoundFn {
+fn bound_of_section(cad: &cdb_qe::cad::Cad, cell: &CadCell, yvar: usize, branch: usize) -> BoundFn {
     for &id in cad.level_poly_ids.get(1).into_iter().flatten() {
         if cell.signs.get(&id) != Some(&Sign::Zero) {
             continue;

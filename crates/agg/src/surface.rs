@@ -59,7 +59,7 @@ pub fn surface(
     if all_exact {
         Ok(AggValue::exact(exact_total))
     } else {
-        Ok(AggValue::approx(exact_total.to_f64() + approx_total))
+        AggValue::approx(exact_total.to_f64() + approx_total)
     }
 }
 

@@ -66,7 +66,7 @@ pub fn volume(
             }
         }
     }
-    Ok(AggValue::approx(total))
+    AggValue::approx(total)
 }
 
 #[cfg(test)]

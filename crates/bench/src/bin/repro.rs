@@ -18,7 +18,7 @@ use cdb_fp::pathologies::{
 };
 use cdb_fp::semantics::input_bit_length;
 use cdb_num::{FkParams, Int, Rat, Zk};
-use cdb_poly::{isolate_real_roots, refine_to_width, MPoly};
+use cdb_poly::{MPoly, RealAlg};
 use cdb_qe::{evaluate_query, QeContext};
 use constraintdb::ConstraintDb;
 
@@ -202,18 +202,18 @@ fn e5() {
     for bits in [4u32, 8, 16, 32] {
         let p = gen_upoly(5, 9, bits);
         let t = time_median(5, || {
-            let _ = isolate_real_roots(&p);
+            let _ = RealAlg::roots_of(&p);
         });
         println!("  {bits:<22} {t:>12.2?}");
     }
     println!("  {:<22} {:>12}", "log2(1/eps)", "refine");
     let p = gen_upoly(5, 9, 8);
-    let roots = isolate_real_roots(&p);
+    let roots = RealAlg::roots_of(&p);
     for k in [16u64, 64, 256] {
         let eps = Rat::new(Int::one(), Int::pow2(k));
         let t = time_median(3, || {
             for r in &roots {
-                let _ = refine_to_width(&p, r, &eps);
+                let _ = r.refined(&eps);
             }
         });
         println!("  {k:<22} {t:>12.2?}");

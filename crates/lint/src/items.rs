@@ -412,8 +412,8 @@ fn impl_target(toks: &[Tok], i: usize) -> (String, usize) {
     let search_from = after_for.unwrap_or(header_start);
     // First type ident at angle depth 0 from `search_from` (skipping the
     // `impl<T>` generic-parameter group), taking the LAST segment of a
-    // path (`fmt::Display for RealAlg` → `RealAlg`; `cad::Coord` →
-    // `Coord`), skipping references, lifetimes and qualifiers.
+    // path (`fmt::Display for RealAlg` → `RealAlg`; `cad::CadCell` →
+    // `CadCell`), skipping references, lifetimes and qualifiers.
     let mut name = String::new();
     let mut k = search_from;
     let mut kangle = 0i32;

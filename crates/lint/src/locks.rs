@@ -2,8 +2,8 @@
 //!
 //! Every `.lock()` site is classified into a **lock class** by its receiver
 //! path and file (the serving stack's classes are enumerated in DESIGN.md
-//! §9: master db, cache shards, interner shards, `RealAlg` root cells,
-//! parallel fan-out slots, stdio). The pass then computes, for every
+//! §9: master db, cache shards, interner shards, the lift pool, stdio). The
+//! pass then computes, for every
 //! function, which classes can be *held* when another class is *acquired* —
 //! following calls made while a guard is live, with each callee's
 //! transitively-acquired classes — and reports any cycle in the resulting
@@ -133,7 +133,6 @@ fn lock_class(file: &str, segs: &[String]) -> String {
     for s in segs.iter().rev() {
         let class = match s.as_str() {
             "master" => "db-master",
-            "loc" => "realalg-loc",
             "stdin" | "stdout" | "stderr" => "stdio",
             _ => continue,
         };
@@ -569,7 +568,7 @@ mod tests {
         );
         assert_eq!(
             lock_class("crates/x/src/y.rs", &["self".to_owned(), "loc".to_owned()]),
-            "realalg-loc"
+            "other:loc"
         );
     }
 
@@ -582,11 +581,11 @@ mod tests {
         assert!(a
             .edges
             .iter()
-            .any(|e| e.from == "db-master" && e.to == "realalg-loc"));
+            .any(|e| e.from == "db-master" && e.to == "other:loc"));
         assert!(a
             .edges
             .iter()
-            .any(|e| e.from == "realalg-loc" && e.to == "db-master"));
+            .any(|e| e.from == "other:loc" && e.to == "db-master"));
         assert_eq!(a.diags.len(), 1, "one deduplicated cycle: {:?}", a.diags);
         assert!(a.diags[0].message.contains("cycle"));
     }
@@ -600,7 +599,7 @@ mod tests {
         assert!(
             a.edges
                 .iter()
-                .any(|e| e.from == "db-master" && e.to == "realalg-loc"),
+                .any(|e| e.from == "db-master" && e.to == "other:loc"),
             "edges: {:?}",
             a.edges
         );
@@ -625,7 +624,7 @@ mod tests {
         assert!(
             a.edges
                 .iter()
-                .any(|e| e.from == "realalg-loc" && e.to == "db-master"),
+                .any(|e| e.from == "other:loc" && e.to == "db-master"),
             "edges: {:?}",
             a.edges
         );

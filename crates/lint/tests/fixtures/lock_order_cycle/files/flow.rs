@@ -1,6 +1,6 @@
 //@ path: crates/srv/src/flow.rs
 //! Fixture: acquires the master cell, then calls into `helper`, which
-//! takes a `RealAlg` root cell — the forward direction of the cycle.
+//! takes a `loc` cell — the forward direction of the cycle.
 
 pub fn forward(s: &S) {
     let g = s.master.lock().unwrap_or_else(recover);

@@ -1,5 +1,5 @@
 //@ path: crates/srv/src/helper.rs
-//! Fixture: `backward` takes a `RealAlg` root cell first and the master cell
+//! Fixture: `backward` takes a `loc` cell first and the master cell
 //! under it — the opposite order to `flow::forward`, closing the cycle.
 
 pub fn grab_root(s: &S) {

@@ -1,10 +1,11 @@
 //! Real algebraic numbers over `Q`.
 //!
-//! CAD cells at "section" level have real algebraic sample coordinates
-//! (Appendix I: "An algebraic number is defined by its minimal polynomial
-//! `p_α` and an isolating interval for the particular root"). This module
-//! provides [`RealAlg`]: a root of a squarefree polynomial with an isolating
-//! interval, refinable on demand, with **exact** sign determination
+//! Every real number the system holds exactly is a [`RealAlg`] (Appendix I:
+//! "An algebraic number is defined by its minimal polynomial `p_α` and an
+//! isolating interval for the particular root"): a rational, or a root of a
+//! squarefree polynomial with an isolating interval — CAD sample
+//! coordinates, region endpoints, the roots NUMERICAL EVALUATION
+//! approximates. It is refinable on demand, with **exact** sign determination
 //! `sign(q(α))` for rational-coefficient `q` (gcd test for zero, interval
 //! refinement otherwise — never a guess) and exact comparison. That is all
 //! lifting a CAD stack over a section cell needs of `α`: the fibre's roots
@@ -13,12 +14,11 @@
 //! which candidates are roots (DESIGN.md §5, rule 2). No arithmetic in
 //! `Q(α)` remains.
 
-use crate::roots::{halve, isolate_squarefree, linear_root, refine_squarefree, RootLocation};
+use crate::roots::{halve, isolate_squarefree, linear_root, refine, RootLocation};
 use crate::upoly::UPoly;
 use cdb_num::{fintv, FIntv, Rat, RatInterval, Sign};
 use std::cmp::Ordering;
 use std::fmt;
-use std::sync::{Arc, Mutex};
 
 /// Filtered sign of `q` over an exact rational interval: evaluate over the
 /// outward-rounded float hull first and certify with the exact
@@ -48,51 +48,54 @@ fn changes_sign(g: &UPoly, iv: &RatInterval) -> bool {
     g.fsign_at(iv.lo()) != g.fsign_at(iv.hi())
 }
 
-/// A real algebraic number: the unique root of `poly` (squarefree) inside
-/// `interval` (open, endpoints not roots), or an exact rational.
+/// A real number that is algebraic over `Q`: an exact rational, or the
+/// unique root of a squarefree polynomial inside an isolating interval.
 ///
-/// The isolating interval is held behind a shared cell: refinement done by
-/// one observer (a sign test, a comparison) persists and benefits every
-/// clone — crucial for CAD performance, where the same sample coordinate
-/// is probed by many polynomials.
+/// A plain value: `clone` is a copy, and refinement — by a sign test, a
+/// comparison, [`RealAlg::refined`] — narrows only the interval of the
+/// value it runs on. Whoever owns a number keeps what was learnt about it
+/// by holding on to the refined value (DESIGN.md §5).
 #[derive(Clone)]
-pub struct RealAlg {
-    /// Squarefree defining polynomial (monic). For `Exact` values this is
-    /// `x − r`.
-    poly: UPoly,
-    loc: Arc<Mutex<RootLocation>>,
+pub struct RealAlg(Repr);
+
+#[derive(Clone)]
+enum Repr {
+    /// Exactly this rational.
+    Rat(Rat),
+    /// The only root of `poly` (squarefree, monic) in the open `interval`,
+    /// whose endpoints are not roots of `poly`.
+    Root { poly: UPoly, interval: RatInterval },
 }
 
 impl RealAlg {
     /// From a rational value.
     #[must_use]
     pub fn from_rat(r: Rat) -> RealAlg {
-        let poly = UPoly::from_coeffs(vec![-r.clone(), Rat::one()]);
-        RealAlg {
-            poly,
-            loc: Arc::new(Mutex::new(RootLocation::Exact(r))),
-        }
+        RealAlg(Repr::Rat(r))
     }
 
-    /// From a squarefree polynomial and an isolating location. The caller
-    /// guarantees `poly` is squarefree and `loc` isolates exactly one root.
-    /// Squarefreeness is load-bearing: `approx`/`refined`/`roots_of` bisect
-    /// on `poly` itself and `sign_of`/`cmp_alg` read a root off a sign change
-    /// of one of its divisors, none of them re-deriving the squarefree part.
+    /// The root of `poly` in `interval`. The caller guarantees `poly` is
+    /// squarefree, and that `interval` holds exactly one of its roots and
+    /// has no root at either end. Squarefreeness is load-bearing:
+    /// `approx`/`refined`/`sign_of`/`cmp_alg` bisect on `poly` itself and
+    /// read a root off a sign change of one of its divisors, none of them
+    /// re-deriving the squarefree part.
     #[must_use]
-    pub fn new(poly: UPoly, loc: RootLocation) -> RealAlg {
+    pub fn new(poly: UPoly, interval: RatInterval) -> RealAlg {
         debug_assert!(!poly.is_constant());
         debug_assert!(
             poly.gcd(&poly.derivative()).is_constant(),
             "RealAlg::new: defining polynomial must be squarefree"
         );
-        RealAlg {
+        RealAlg(Repr::Root {
             poly: poly.monic(),
-            loc: Arc::new(Mutex::new(loc)),
-        }
+            interval,
+        })
     }
 
-    /// All real roots of `p` as algebraic numbers, ascending.
+    /// All real roots of `p` as algebraic numbers, ascending. The
+    /// squarefree part of `p` is taken here, once; a root found to be
+    /// rational is returned as a rational.
     #[must_use]
     pub fn roots_of(p: &UPoly) -> Vec<RealAlg> {
         if p.is_constant() {
@@ -101,77 +104,58 @@ impl RealAlg {
         if let Some(r) = linear_root(p) {
             return vec![RealAlg::from_rat(r)];
         }
+        // `squarefree` is monic.
         let sf = p.squarefree();
         isolate_squarefree(&sf)
             .into_iter()
             .map(|loc| match loc {
                 RootLocation::Exact(r) => RealAlg::from_rat(r),
-                iso => RealAlg::new(sf.clone(), iso),
+                RootLocation::Isolated(interval) => RealAlg(Repr::Root {
+                    poly: sf.clone(),
+                    interval,
+                }),
             })
             .collect()
     }
 
-    /// Defining polynomial (squarefree, monic).
+    /// Defining polynomial (squarefree, monic) of an irrational-looking
+    /// number; `None` for a rational.
     #[must_use]
-    pub fn poly(&self) -> &UPoly {
-        &self.poly
+    pub fn poly(&self) -> Option<&UPoly> {
+        match &self.0 {
+            Repr::Rat(_) => None,
+            Repr::Root { poly, .. } => Some(poly),
+        }
     }
 
-    /// Exact rational value, when the number is rational.
+    /// Exact rational value, when the number is held as a rational.
     #[must_use]
     pub fn to_rat(&self) -> Option<Rat> {
-        match &*self
-            .loc
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-        {
-            RootLocation::Exact(r) => Some(r.clone()),
-            RootLocation::Isolated(_) => None,
+        match &self.0 {
+            Repr::Rat(r) => Some(r.clone()),
+            Repr::Root { .. } => None,
         }
     }
 
     /// Current enclosing interval (degenerate for rationals).
     #[must_use]
     pub fn interval(&self) -> RatInterval {
-        self.loc
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            // cdb-lint: allow(lock-order) — resolves to RootLocation::interval,
-            // which takes no lock; the RealAlg::interval candidate is the
-            // method-name union's over-approximation, not a real recursion
-            .interval()
-    }
-
-    /// A rational approximation within `eps`.
-    #[must_use]
-    pub fn approx(&self, eps: &Rat) -> Rat {
-        let loc = self
-            .loc
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .clone();
-        match loc {
-            RootLocation::Exact(r) => r,
-            RootLocation::Isolated(_) => {
-                let iv = refine_squarefree(&self.poly, &loc, eps);
-                self.store_refinement(&iv);
-                iv.midpoint()
-            }
+        match &self.0 {
+            Repr::Rat(r) => RatInterval::point(r.clone()),
+            Repr::Root { interval, .. } => interval.clone(),
         }
     }
 
-    /// Persist a refined enclosure into the shared cell.
-    fn store_refinement(&self, iv: &RatInterval) {
-        let mut loc = self
-            .loc
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if matches!(&*loc, RootLocation::Isolated(_)) {
-            *loc = if iv.width().is_zero() {
-                RootLocation::Exact(iv.midpoint())
-            } else {
-                RootLocation::Isolated(iv.clone())
-            };
+    /// A rational within `eps` of the number: the midpoint of its interval
+    /// halved to width `<= eps`. Pure: the number keeps its interval.
+    #[must_use]
+    pub fn approx(&self, eps: &Rat) -> Rat {
+        match &self.0 {
+            Repr::Rat(r) => r.clone(),
+            Repr::Root { poly, interval } => match refine(poly, interval, eps) {
+                RootLocation::Exact(r) => r,
+                RootLocation::Isolated(iv) => iv.midpoint(),
+            },
         }
     }
 
@@ -184,21 +168,21 @@ impl RealAlg {
             .to_f64()
     }
 
-    /// A copy with the isolating interval refined to width `<= eps`
-    /// (refinement is persisted in the shared cell).
+    /// A copy with the isolating interval halved to width `<= eps` (a
+    /// rational when a midpoint lands on the root).
     #[must_use]
     pub fn refined(&self, eps: &Rat) -> RealAlg {
-        let loc = self
-            .loc
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .clone();
-        match loc {
-            RootLocation::Exact(_) => self.clone(),
-            RootLocation::Isolated(_) => {
-                let iv = refine_squarefree(&self.poly, &loc, eps);
-                self.store_refinement(&iv);
-                self.clone()
+        let mut copy = self.clone();
+        copy.refine(eps);
+        copy
+    }
+
+    /// Halve the isolating interval to width `<= eps`, in place.
+    fn refine(&mut self, eps: &Rat) {
+        if let Repr::Root { poly, interval } = &mut self.0 {
+            match refine(poly, interval, eps) {
+                RootLocation::Exact(r) => self.0 = Repr::Rat(r),
+                RootLocation::Isolated(iv) => *interval = iv,
             }
         }
     }
@@ -211,34 +195,35 @@ impl RealAlg {
     /// divides the squarefree `p_α`, whose only root in the interval is `α`
     /// and whose endpoints are not roots, so `g` has at most one root there,
     /// a simple one, and `q(α) = 0` iff `g` changes sign across the interval.
-    /// Otherwise halving goes on until the evaluation is definite. All
-    /// refinement is persisted in the shared cell, so repeated probes of the
-    /// same number get cheaper and cheaper.
+    /// Otherwise halving goes on until the evaluation is definite. The
+    /// interval that decided is kept, so the next probe of this value starts
+    /// from it.
     #[must_use]
-    pub fn sign_of(&self, q: &UPoly) -> Sign {
+    pub fn sign_of(&mut self, q: &UPoly) -> Sign {
         if q.is_zero() {
             return Sign::Zero;
         }
-        if let Some(r) = self.to_rat() {
-            return q.fsign_at(&r);
-        }
-        let (mut iv, mut s_hi) = (self.interval(), None);
+        let (poly, interval) = match &mut self.0 {
+            Repr::Rat(r) => return q.fsign_at(r),
+            Repr::Root { poly, interval } => (&*poly, interval),
+        };
+        let (mut iv, mut s_hi) = (interval.clone(), None);
         let mut halvings = 0;
         loop {
             if let Some(s) = filtered_interval_sign(q, &iv) {
-                self.store_refinement(&iv);
+                *interval = iv;
                 return s;
             }
             if halvings == 6 {
-                self.store_refinement(&iv);
+                *interval = iv.clone();
                 // `p_α` is squarefree, so the gcd is too: no need to take
                 // `q`'s squarefree part first.
-                let g = self.poly.gcd(q);
+                let g = poly.gcd(q);
                 if !g.is_constant() && changes_sign(&g, &iv) {
                     return Sign::Zero;
                 }
             }
-            match halve(&self.poly, &iv, &mut s_hi) {
+            match halve(poly, &iv, &mut s_hi) {
                 RootLocation::Isolated(next) => iv = next,
                 RootLocation::Exact(mid) => return q.fsign_at(&mid),
             }
@@ -248,7 +233,7 @@ impl RealAlg {
 
     /// Compare with a rational, exactly.
     #[must_use]
-    pub fn cmp_rat(&self, r: &Rat) -> Ordering {
+    pub fn cmp_rat(&mut self, r: &Rat) -> Ordering {
         // sign(α − r) = sign of (x − r) at α, negated order.
         let q = UPoly::from_coeffs(vec![-r.clone(), Rat::one()]);
         match self.sign_of(&q) {
@@ -258,32 +243,41 @@ impl RealAlg {
         }
     }
 
-    /// Exact equality test.
+    /// Exact comparison of two real algebraic numbers; both keep the
+    /// intervals that decided it.
     #[must_use]
-    pub fn eq_alg(&self, other: &RealAlg) -> bool {
-        self.cmp_alg(other) == Ordering::Equal
-    }
-
-    /// Exact comparison of two real algebraic numbers.
-    #[must_use]
-    pub fn cmp_alg(&self, other: &RealAlg) -> Ordering {
+    pub fn cmp_alg(&mut self, other: &mut RealAlg) -> Ordering {
         let quarter = Rat::from_ints(1, 4);
         // `None` = gcd not taken yet; `Some(None)` = provably distinct;
         // `Some(Some(g))` = both are roots of `g = gcd(p_α, p_β)`.
         let mut common: Option<Option<UPoly>> = None;
         for round in 0.. {
             // Checked every round: a bisection midpoint can land on the root.
-            match (self.to_rat(), other.to_rat()) {
-                (Some(a), Some(b)) => return a.cmp(&b),
-                (Some(a), None) => return other.cmp_rat(&a).reverse(),
-                (None, Some(b)) => return self.cmp_rat(&b),
-                (None, None) => {}
-            }
+            let (pa, ia, pb, ib) = match (&self.0, &other.0) {
+                (Repr::Rat(a), Repr::Rat(b)) => return a.cmp(b),
+                (Repr::Rat(a), Repr::Root { .. }) => {
+                    let a = a.clone();
+                    return other.cmp_rat(&a).reverse();
+                }
+                (Repr::Root { .. }, Repr::Rat(b)) => {
+                    let b = b.clone();
+                    return self.cmp_rat(&b);
+                }
+                (
+                    Repr::Root {
+                        poly: pa,
+                        interval: ia,
+                    },
+                    Repr::Root {
+                        poly: pb,
+                        interval: ib,
+                    },
+                ) => (pa, ia, pb, ib),
+            };
             // Both irrational. Cheap rounds of interval refinement decide all
             // strictly-separated pairs; the (expensive) gcd only runs when the
             // intervals persist in overlapping — i.e. the numbers are
             // plausibly equal.
-            let (ia, ib) = (self.interval(), other.interval());
             if ia.hi() < ib.lo() {
                 return Ordering::Less;
             }
@@ -297,9 +291,8 @@ impl RealAlg {
                     // `p_α` hence of `g`: α is a root of `g` iff `g` changes
                     // sign there. Likewise β. A `g` that misses either one
                     // means distinct, and refinement separates them.
-                    let g = self.poly.gcd(&other.poly);
-                    (!g.is_constant() && changes_sign(&g, &ia) && changes_sign(&g, &ib))
-                        .then_some(g)
+                    let g = pa.gcd(pb);
+                    (!g.is_constant() && changes_sign(&g, ia) && changes_sign(&g, ib)).then_some(g)
                 });
                 if let Some(g) = both_roots {
                     // The overlapping intervals' hull is their union, so the
@@ -314,8 +307,8 @@ impl RealAlg {
                 }
             }
             let w = &Rat::min(ia.width(), ib.width()) * &quarter;
-            let _ = self.refined(&w);
-            let _ = other.refined(&w);
+            self.refine(&w);
+            other.refine(&w);
         }
         // cdb-lint: allow(panic) — the `for round in 0..` loop above only exits
         // via `return`: every pair of distinct reals separates under refinement
@@ -326,15 +319,9 @@ impl RealAlg {
 
 impl fmt::Display for RealAlg {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match &*self
-            .loc
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-        {
-            RootLocation::Exact(r) => write!(f, "{r}"),
-            RootLocation::Isolated(iv) => {
-                write!(f, "root of {} in {}", self.poly, iv)
-            }
+        match &self.0 {
+            Repr::Rat(r) => write!(f, "{r}"),
+            Repr::Root { poly, interval } => write!(f, "root of {poly} in {interval}"),
         }
     }
 }
@@ -359,7 +346,7 @@ mod tests {
 
     #[test]
     fn sign_of_exact_zero() {
-        let a = sqrt2();
+        let mut a = sqrt2();
         // (x²−2)·(x+7) vanishes at √2.
         let q = &p(&[-2, 0, 1]) * &p(&[7, 1]);
         assert_eq!(a.sign_of(&q), Sign::Zero);
@@ -369,21 +356,45 @@ mod tests {
 
     #[test]
     fn cmp_rationals_and_algebraics() {
-        let a = sqrt2();
+        let mut a = sqrt2();
         assert_eq!(a.cmp_rat(&Rat::one()), Ordering::Greater);
         assert_eq!(a.cmp_rat(&Rat::from(2i64)), Ordering::Less);
-        let b = RealAlg::roots_of(&p(&[-3, 0, 1])).pop().unwrap(); // √3
-        assert_eq!(a.cmp_alg(&b), Ordering::Less);
-        assert_eq!(b.cmp_alg(&a), Ordering::Greater);
+        let mut b = RealAlg::roots_of(&p(&[-3, 0, 1])).pop().unwrap(); // √3
+        assert_eq!(a.cmp_alg(&mut b), Ordering::Less);
+        assert_eq!(b.cmp_alg(&mut a), Ordering::Greater);
         // Same number via different polynomials: √2 as root of (x²−2)(x²−5).
-        let c = RealAlg::roots_of(&(&p(&[-2, 0, 1]) * &p(&[-5, 0, 1])))
+        let mut c = RealAlg::roots_of(&(&p(&[-2, 0, 1]) * &p(&[-5, 0, 1])))
             .into_iter()
             .find(|r| {
+                let mut r = r.clone();
                 r.cmp_rat(&Rat::one()) == Ordering::Greater
                     && r.cmp_rat(&Rat::from(2i64)) == Ordering::Less
             })
             .unwrap();
-        assert!(a.eq_alg(&c));
+        assert_eq!(a.cmp_alg(&mut c), Ordering::Equal);
+    }
+
+    /// A clone is a copy: refining, sign-testing or comparing it leaves the
+    /// original's interval as it was, and `refined` and `approx` leave their
+    /// receiver's.
+    #[test]
+    fn clones_refine_independently() {
+        let a = sqrt2();
+        let before = a.interval();
+        let eps = Rat::from_ints(1, 1 << 20);
+        let mut b = a.clone();
+        // 10·x − 14 at √2 ≈ 1.414 needs a few halvings of [1, 2] or so.
+        assert_eq!(b.sign_of(&p(&[-14, 10])), Sign::Pos);
+        let mut c = a.clone();
+        let mut sqrt3 = RealAlg::roots_of(&p(&[-3, 0, 1])).pop().unwrap();
+        assert_eq!(c.cmp_alg(&mut sqrt3), Ordering::Less);
+        let d = a.refined(&eps);
+        let _ = a.approx(&eps);
+        assert_eq!(a.interval(), before);
+        for narrower in [&b, &c, &d] {
+            assert!(narrower.interval().width() < before.width(), "{narrower}");
+        }
+        assert!(d.interval().width() <= eps);
     }
 
     /// `gcd(p_α, p_β)` must hold *both* operands before a one-root hull
@@ -391,35 +402,33 @@ mod tests {
     /// is not, and their intervals overlap until refined past 10⁻¹³.
     #[test]
     fn cmp_alg_checks_both_operands_against_the_gcd() {
-        let iso = |lo: &str, hi: &str| {
-            RootLocation::Isolated(RatInterval::new(lo.parse().unwrap(), hi.parse().unwrap()))
-        };
+        let iv = |lo: &str, hi: &str| RatInterval::new(lo.parse().unwrap(), hi.parse().unwrap());
         let near: Rat = "-2000000000001/1000000000000".parse().unwrap();
-        let a = RealAlg::new(p(&[-2, 0, 1]), iso("1", "2"));
+        let a = RealAlg::new(p(&[-2, 0, 1]), iv("1", "2"));
         let b = RealAlg::new(
             &p(&[-2, 0, 1]) * &UPoly::from_coeffs(vec![near, Rat::zero(), Rat::one()]),
-            iso("14142135623731/10000000000000", "3"),
+            iv("14142135623731/10000000000000", "3"),
         );
-        assert_eq!(a.cmp_alg(&b), Ordering::Less);
-        assert_eq!(b.cmp_alg(&a), Ordering::Greater);
+        assert_eq!(a.clone().cmp_alg(&mut b.clone()), Ordering::Less);
+        assert_eq!(b.clone().cmp_alg(&mut a.clone()), Ordering::Greater);
     }
 
     /// The squarefree invariant is established by `roots_of`, not assumed
     /// of its input: numbers built from `(x²−2)²·(x−1)` carry `x³−x²−2x+2`
     /// and `approx`/`refined`/`cmp_alg`/`sign_of`, which bisect on that
-    /// polynomial without re-deriving it, agree with the per-call reference
-    /// (`refine_to_width` on the raw input) and with the exact answers.
+    /// polynomial without re-deriving it, agree with bisection on the
+    /// squarefree part of the raw input and with the exact answers.
     #[test]
     fn roots_of_establishes_the_squarefree_invariant() {
         let raw = &p(&[-2, 0, 1]).pow(2) * &p(&[-1, 1]);
         let eps = Rat::new(1i64.into(), cdb_num::Int::pow2(40));
-        let roots = RealAlg::roots_of(&raw);
+        let mut roots = RealAlg::roots_of(&raw);
         assert_eq!(roots.len(), 3);
         assert_eq!(roots[1].to_rat(), Some(Rat::one()));
-        for r in [&roots[0], &roots[2]] {
-            assert_eq!(r.poly(), &p(&[2, -2, -1, 1]));
-            let before = RootLocation::Isolated(r.interval());
-            let want = crate::roots::refine_to_width(&raw, &before, &eps);
+        for i in [0, 2] {
+            let r = &mut roots[i];
+            assert_eq!(r.poly(), Some(&p(&[2, -2, -1, 1])));
+            let want = refine(&raw.squarefree(), &r.interval(), &eps).interval();
             assert_eq!(r.approx(&eps), want.midpoint());
             assert_eq!(r.refined(&eps).interval(), want);
             assert_eq!(r.sign_of(&p(&[-2, 0, 1])), Sign::Zero);
@@ -432,10 +441,13 @@ mod tests {
             ]);
             assert_eq!(r.sign_of(&(&near.pow(2) * &p(&[7, 1]))), Sign::Pos);
         }
-        assert_eq!(roots[0].cmp_alg(&roots[2]), Ordering::Less);
-        assert_eq!(roots[2].cmp_alg(&roots[1]), Ordering::Greater);
-        assert!(roots[2].eq_alg(&sqrt2()));
-        assert_eq!(roots[0].cmp_alg(&sqrt2()), Ordering::Less);
+        let [low, one, high] = &mut roots[..] else {
+            unreachable!("three roots")
+        };
+        assert_eq!(low.cmp_alg(high), Ordering::Less);
+        assert_eq!(high.cmp_alg(one), Ordering::Greater);
+        assert_eq!(high.cmp_alg(&mut sqrt2()), Ordering::Equal);
+        assert_eq!(low.cmp_alg(&mut sqrt2()), Ordering::Less);
     }
 
     #[test]
@@ -443,7 +455,7 @@ mod tests {
     #[should_panic(expected = "must be squarefree")]
     fn new_rejects_a_non_squarefree_polynomial() {
         let iv = RatInterval::new(Rat::one(), Rat::from(2i64));
-        let _ = RealAlg::new(p(&[-2, 0, 1]).pow(2), RootLocation::Isolated(iv));
+        let _ = RealAlg::new(p(&[-2, 0, 1]).pow(2), iv);
     }
 
     #[test]

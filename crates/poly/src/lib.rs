@@ -10,15 +10,16 @@
 //!
 //! * dense univariate polynomials over `Q` ([`UPoly`]) with GCD, squarefree
 //!   decomposition and Cauchy root bounds;
-//! * real-root **isolation** and ε-**refinement** ([`roots`]) — the
-//!   NUMERICAL EVALUATION step of the paper's query pipeline (Theorem 3.2).
-//!   Isolation counts roots with a Sturm chain private to that module; every
-//!   refinement is one halving step that keeps the half where the sign
-//!   changes;
-//! * real algebraic numbers ([`RealAlg`]) as (squarefree minimal polynomial,
-//!   isolating interval) pairs, with exact sign determination `sign(q(α))`
-//!   and comparison used for CAD stack construction: zero and equality are
-//!   decided by whether a gcd changes sign across an isolating interval;
+//! * real algebraic numbers ([`RealAlg`]), the one exact real-number type:
+//!   a rational, or a (squarefree minimal polynomial, isolating interval)
+//!   pair, held as a plain value. Real-root **isolation** and
+//!   ε-**refinement** (`RealAlg::roots_of`, `refined`, `approx`) are the
+//!   NUMERICAL EVALUATION step of the paper's query pipeline (Theorem 3.2):
+//!   isolation counts roots with a Sturm chain private to the crate, and
+//!   every refinement is one halving step that keeps the half where the
+//!   sign changes. Exact sign determination `sign(q(α))` and comparison
+//!   serve CAD stack construction: zero and equality are decided by whether
+//!   a gcd changes sign across an isolating interval;
 //! * sparse multivariate polynomials ([`MPoly`]) with exact division, and
 //!   fraction-free (Bareiss) resultants/discriminants used by the CAD
 //!   projection operator `PROJ` ([`resultant`]);
@@ -35,12 +36,11 @@ pub mod mono;
 pub mod mpoly;
 pub mod refimpl;
 pub mod resultant;
-pub mod roots;
+mod roots;
 pub mod upoly;
 
 pub use algebraic::RealAlg;
 pub use mgcd::{mgcd, squarefree_part};
 pub use mono::Mono;
 pub use mpoly::{MPoly, Partial, PolyId, Terms};
-pub use roots::{isolate_real_roots, refine_to_width, RootLocation};
 pub use upoly::UPoly;

@@ -660,9 +660,8 @@ impl std::ops::Neg for &RefUPoly {
 }
 
 /// Seed-algorithm Sturm chain `p, p', -rem(p, p'), ...` with primitive-part
-/// scaling, mirroring the private chain behind root isolation in
-/// [`crate::roots`]. Returns the chain
-/// members in order.
+/// scaling, mirroring the private chain behind root isolation
+/// (`RealAlg::roots_of`). Returns the chain members in order.
 #[must_use]
 pub fn ref_sturm_chain(p: &RefUPoly) -> Vec<RefUPoly> {
     let mut seq = Vec::new();

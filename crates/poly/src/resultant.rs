@@ -760,7 +760,11 @@ mod tests {
         let r = resultant(&p, &q, 1);
         let u = r.to_upoly_in(0).unwrap();
         // 2x² − 2 (up to sign/scale): roots ±1.
-        let roots = crate::roots::real_roots_approx(&u, &"1/1000000".parse().unwrap());
+        let eps = "1/1000000".parse().unwrap();
+        let roots: Vec<Rat> = crate::RealAlg::roots_of(&u)
+            .iter()
+            .map(|r| r.approx(&eps))
+            .collect();
         assert_eq!(roots.len(), 2);
         assert!((roots[0].to_f64() + 1.0).abs() < 1e-5);
         assert!((roots[1].to_f64() - 1.0).abs() < 1e-5);

@@ -8,14 +8,17 @@
 //! once a root is alone in its interval one `halve` step at a time refines
 //! it by sign alone. For a fixed number of variables this is
 //! polynomial in the coefficient bit length and in `log(1/ε)`, preserving
-//! the PTIME statement (see DESIGN.md §3).
+//! the PTIME statement (see DESIGN.md §3). The entry points are
+//! `RealAlg::roots_of`, `RealAlg::refined` and `RealAlg::approx`; this
+//! module's results are private to the crate.
 
 use crate::upoly::{negate, prem_primitive, UPoly};
 use cdb_num::{FIntv, Rat, RatInterval, Sign};
 
-/// Where a single real root of a squarefree polynomial lives.
+/// Where a single real root of a squarefree polynomial lives: isolation's
+/// and one halving step's result.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RootLocation {
+pub(crate) enum RootLocation {
     /// The root is exactly this rational.
     Exact(Rat),
     /// The root lies strictly inside the open interval, which contains
@@ -24,19 +27,8 @@ pub enum RootLocation {
 }
 
 impl RootLocation {
-    /// A rational point inside the location (the root itself, or the
-    /// interval midpoint).
-    #[must_use]
-    pub fn approx(&self) -> Rat {
-        match self {
-            RootLocation::Exact(r) => r.clone(),
-            RootLocation::Isolated(iv) => iv.midpoint(),
-        }
-    }
-
     /// Interval enclosing the root (degenerate for exact roots).
-    #[must_use]
-    pub fn interval(&self) -> RatInterval {
+    pub(crate) fn interval(&self) -> RatInterval {
         match self {
             RootLocation::Exact(r) => RatInterval::point(r.clone()),
             RootLocation::Isolated(iv) => iv.clone(),
@@ -44,18 +36,11 @@ impl RootLocation {
     }
 }
 
-/// Isolate all distinct real roots of `p` (any nonzero polynomial; the
-/// squarefree part is taken here, once). Roots are returned in increasing
-/// order. Rational roots with small coefficients are detected exactly
-/// (rational sample points keep downstream CAD arithmetic cheap).
-#[must_use]
-pub fn isolate_real_roots(p: &UPoly) -> Vec<RootLocation> {
-    isolate_squarefree(&p.squarefree())
-}
-
-/// [`isolate_real_roots`] for a polynomial the caller knows to be squarefree
-/// (`gcd(sf, sf')` constant) — `RealAlg` and `real_roots_approx` establish
-/// that once and carry it instead of re-deriving it per call.
+/// Isolate all distinct real roots of `sf`, which the caller knows to be
+/// squarefree (`gcd(sf, sf')` constant): `RealAlg::roots_of` establishes that
+/// once and carries it. Roots are returned in increasing order. Rational
+/// roots with small coefficients are detected exactly (rational sample
+/// points keep downstream CAD arithmetic cheap).
 pub(crate) fn isolate_squarefree(sf: &UPoly) -> Vec<RootLocation> {
     assert!(!sf.is_zero(), "cannot isolate roots of the zero polynomial");
     if sf.is_constant() {
@@ -323,18 +308,11 @@ fn variations(signs: impl Iterator<Item = Sign>) -> usize {
     count
 }
 
-/// Refine an isolated root to an enclosing interval of width `<= eps` by
-/// bisection. Exact roots return a degenerate interval immediately. The
-/// squarefree part of `p` is taken here, once.
-#[must_use]
-pub fn refine_to_width(p: &UPoly, loc: &RootLocation, eps: &Rat) -> RatInterval {
-    refine_squarefree(&p.squarefree(), loc, eps)
-}
-
-/// [`refine_to_width`] for a polynomial the caller knows to be squarefree.
-pub(crate) fn refine_squarefree(sf: &UPoly, loc: &RootLocation, eps: &Rat) -> RatInterval {
+/// Halve the isolating interval `iv` of a root of the squarefree `sf` until
+/// it is at most `eps` wide, or a midpoint is the root.
+pub(crate) fn refine(sf: &UPoly, iv: &RatInterval, eps: &Rat) -> RootLocation {
     assert!(eps.sign() == Sign::Pos, "eps must be positive");
-    let mut loc = loc.clone();
+    let mut loc = RootLocation::Isolated(iv.clone());
     let mut s_hi = None;
     while let RootLocation::Isolated(iv) = &loc {
         if &iv.width() <= eps {
@@ -342,27 +320,23 @@ pub(crate) fn refine_squarefree(sf: &UPoly, loc: &RootLocation, eps: &Rat) -> Ra
         }
         loc = halve(sf, iv, &mut s_hi);
     }
-    loc.interval()
-}
-
-/// Convenience: all real roots ε-approximated as rationals, increasing.
-#[must_use]
-pub fn real_roots_approx(p: &UPoly, eps: &Rat) -> Vec<Rat> {
-    let sf = p.squarefree();
-    isolate_squarefree(&sf)
-        .iter()
-        .map(|loc| refine_squarefree(&sf, loc, eps).midpoint())
-        .collect()
+    loc
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::RealAlg;
     use cdb_num::Int;
     use proptest::prelude::*;
 
     fn p(coeffs: &[i64]) -> UPoly {
         UPoly::from_ints(coeffs)
+    }
+
+    /// All real roots of `f`, ε-approximated, increasing.
+    fn approx_roots(f: &UPoly, eps: &Rat) -> Vec<Rat> {
+        RealAlg::roots_of(f).iter().map(|r| r.approx(eps)).collect()
     }
 
     fn rat(s: &str) -> Rat {
@@ -373,18 +347,17 @@ mod tests {
     fn figure1_unique_root() {
         // 4x^2 - 20x + 25 = (2x-5)^2: unique root 2.5 — the paper's example.
         let f = p(&[25, -20, 4]);
-        let roots = isolate_real_roots(&f);
+        let roots = RealAlg::roots_of(&f);
         assert_eq!(roots.len(), 1);
-        let refined = refine_to_width(&f, &roots[0], &rat("1/1000000"));
-        assert!(refined.contains(&rat("5/2")));
         // Squarefree part is linear, so the root is exact.
-        assert_eq!(roots[0], RootLocation::Exact(rat("5/2")));
+        assert_eq!(roots[0].to_rat(), Some(rat("5/2")));
+        assert_eq!(roots[0].approx(&rat("1/1000000")), rat("5/2"));
     }
 
     #[test]
     fn three_rational_roots() {
         let f = p(&[-6, 11, -6, 1]); // roots 1, 2, 3
-        let roots = real_roots_approx(&f, &rat("1/1024"));
+        let roots = approx_roots(&f, &rat("1/1024"));
         assert_eq!(roots.len(), 3);
         for (r, expect) in roots.iter().zip([1i64, 2, 3]) {
             assert!((r - &Rat::from(expect)).abs() < rat("1/1000"));
@@ -394,30 +367,30 @@ mod tests {
     #[test]
     fn irrational_roots_sqrt2() {
         let f = p(&[-2, 0, 1]); // x^2 - 2
-        let roots = isolate_real_roots(&f);
+        let roots = RealAlg::roots_of(&f);
         assert_eq!(roots.len(), 2);
         let eps = rat("1/1000000000");
-        let pos = refine_to_width(&f, &roots[1], &eps);
+        let pos = roots[1].refined(&eps).interval();
         let mid = pos.midpoint().to_f64();
         assert!((mid - std::f64::consts::SQRT_2).abs() < 1e-8);
-        let neg = refine_to_width(&f, &roots[0], &eps);
+        let neg = roots[0].refined(&eps).interval();
         assert!((neg.midpoint().to_f64() + std::f64::consts::SQRT_2).abs() < 1e-8);
     }
 
     #[test]
     fn no_roots() {
-        assert!(isolate_real_roots(&p(&[1, 0, 1])).is_empty());
-        assert!(isolate_real_roots(&p(&[5])).is_empty());
+        assert!(RealAlg::roots_of(&p(&[1, 0, 1])).is_empty());
+        assert!(RealAlg::roots_of(&p(&[5])).is_empty());
     }
 
     #[test]
     fn close_roots_separated() {
         // (x - 1)(x - 1001/1000): two roots 1/1000 apart.
         let f = &p(&[-1, 1]) * &UPoly::from_coeffs(vec![rat("-1001/1000"), Rat::one()]);
-        let roots = isolate_real_roots(&f);
+        let roots = RealAlg::roots_of(&f);
         assert_eq!(roots.len(), 2);
-        let a = refine_to_width(&f, &roots[0], &rat("1/100000"));
-        let b = refine_to_width(&f, &roots[1], &rat("1/100000"));
+        let a = roots[0].refined(&rat("1/100000")).interval();
+        let b = roots[1].refined(&rat("1/100000")).interval();
         assert!(a.hi() < b.lo());
         assert!(a.contains(&Rat::one()));
         assert!(b.contains(&rat("1001/1000")));
@@ -426,7 +399,7 @@ mod tests {
     #[test]
     fn multiple_root_counted_once() {
         let f = &p(&[-1, 1]).pow(3) * &p(&[-4, 1]); // (x-1)^3 (x-4)
-        let roots = real_roots_approx(&f, &rat("1/1000"));
+        let roots = approx_roots(&f, &rat("1/1000"));
         assert_eq!(roots.len(), 2);
     }
 
@@ -436,7 +409,7 @@ mod tests {
         for i in 1..=7i64 {
             f = &f * &p(&[-i, 1]);
         }
-        let roots = real_roots_approx(&f, &rat("1/4096"));
+        let roots = approx_roots(&f, &rat("1/4096"));
         assert_eq!(roots.len(), 7);
         for w in roots.windows(2) {
             assert!(w[0] < w[1]);
@@ -448,9 +421,9 @@ mod tests {
     /// `LENGTH[x]{cos(x) >= 0 and 0 <= x <= 3}` isolates and refines. The
     /// integer kernel's squarefree part and Sturm chain equal the seed `Rat`
     /// sequences member for member — all that isolation and refinement read
-    /// besides the polynomial itself — and the path that carries the
-    /// squarefree part lands on the same `RootLocation`s and ε = 2⁻³⁰
-    /// midpoints as the path that re-derives it per call.
+    /// besides the polynomial itself — and `RealAlg::approx` lands on the
+    /// ε = 2⁻³⁰ midpoints of isolation and refinement on that squarefree
+    /// part.
     #[test]
     fn abase_cos_pieces_match_the_reference_path() {
         use crate::refimpl::{ref_squarefree, ref_sturm_chain, RefUPoly};
@@ -516,13 +489,14 @@ mod tests {
                 .collect();
             assert_eq!(sturm_chain(&sf), want);
 
-            let locs = isolate_real_roots(&f);
-            assert_eq!(isolate_squarefree(&sf), locs);
-            let mids: Vec<Rat> = locs
+            let mids: Vec<Rat> = isolate_squarefree(&sf)
                 .iter()
-                .map(|loc| refine_to_width(&f, loc, &eps).midpoint())
+                .map(|loc| match loc {
+                    RootLocation::Exact(r) => r.clone(),
+                    RootLocation::Isolated(iv) => refine(&sf, iv, &eps).interval().midpoint(),
+                })
                 .collect();
-            assert_eq!(real_roots_approx(&f, &eps), mids);
+            assert_eq!(approx_roots(&f, &eps), mids);
             let (lo, hi) = (Rat::from(lo), Rat::from(lo + 1));
             in_cell.extend(mids.into_iter().filter(|m| &lo <= m && m <= &hi));
         }
@@ -638,14 +612,17 @@ mod tests {
         let eps = rat("1/1024");
         for (f, root) in cases {
             assert_eq!(linear_root(&f), Some(root.clone()), "{f}");
-            assert_eq!(isolate_real_roots(&f), [RootLocation::Exact(root.clone())]);
-            assert_eq!(real_roots_approx(&f, &eps), std::slice::from_ref(&root));
-            let alg = crate::RealAlg::roots_of(&f);
+            assert_eq!(
+                isolate_squarefree(&f.squarefree()),
+                [RootLocation::Exact(root.clone())]
+            );
+            assert_eq!(approx_roots(&f, &eps), std::slice::from_ref(&root));
+            let alg = RealAlg::roots_of(&f);
             let [only] = alg.as_slice() else {
                 panic!("one root expected for {f}")
             };
-            assert_eq!(only.to_rat(), Some(root.clone()));
-            assert_eq!(only.poly(), &UPoly::from_coeffs(vec![-root, Rat::one()]));
+            assert_eq!(only.to_rat(), Some(root));
+            assert_eq!(only.poly(), None);
         }
         assert_eq!(linear_root(&p(&[1, 2, 3])), None);
         assert_eq!(linear_root(&p(&[4])), None);
@@ -654,9 +631,9 @@ mod tests {
     #[test]
     fn refinement_hits_epsilon() {
         let f = p(&[-3, 0, 1]); // sqrt(3)
-        let roots = isolate_real_roots(&f);
+        let roots = RealAlg::roots_of(&f);
         let eps = rat("1/1000000000000");
-        let iv = refine_to_width(&f, &roots[1], &eps);
+        let iv = roots[1].refined(&eps).interval();
         assert!(iv.width() <= eps);
         // sqrt(3) inside.
         let m = iv.midpoint();

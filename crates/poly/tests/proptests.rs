@@ -5,7 +5,7 @@
 use cdb_num::{Int, Rat, RatInterval, Sign};
 use cdb_poly::refimpl::{ref_squarefree, ref_sturm_chain, RefUPoly};
 use cdb_poly::resultant::{discriminant, resultant};
-use cdb_poly::{isolate_real_roots, MPoly, Partial, RealAlg, RootLocation, UPoly};
+use cdb_poly::{MPoly, Partial, RealAlg, UPoly};
 use proptest::prelude::*;
 use std::cmp::Ordering;
 
@@ -91,12 +91,12 @@ proptest! {
 
     #[test]
     fn isolation_finds_all_known_roots((p, roots) in factored_poly()) {
-        let locs = isolate_real_roots(&p);
-        prop_assert_eq!(locs.len(), roots.len());
-        for (loc, expect) in locs.iter().zip(&roots) {
-            match loc {
-                RootLocation::Exact(r) => prop_assert_eq!(r, expect),
-                RootLocation::Isolated(iv) => prop_assert!(iv.contains(expect)),
+        let found = RealAlg::roots_of(&p);
+        prop_assert_eq!(found.len(), roots.len());
+        for (root, expect) in found.iter().zip(&roots) {
+            match root.to_rat() {
+                Some(r) => prop_assert_eq!(&r, expect),
+                None => prop_assert!(root.interval().contains(expect)),
             }
         }
     }
@@ -104,24 +104,17 @@ proptest! {
     #[test]
     fn isolated_intervals_are_disjoint(p in nonzero_upoly(6, 12)) {
         prop_assume!(!p.is_constant());
-        let locs = isolate_real_roots(&p);
-        for w in locs.windows(2) {
-            let hi_prev = match &w[0] {
-                RootLocation::Exact(r) => r.clone(),
-                RootLocation::Isolated(iv) => iv.hi().clone(),
-            };
-            let lo_next = match &w[1] {
-                RootLocation::Exact(r) => r.clone(),
-                RootLocation::Isolated(iv) => iv.lo().clone(),
-            };
-            prop_assert!(hi_prev <= lo_next);
+        let roots = RealAlg::roots_of(&p);
+        for w in roots.windows(2) {
+            prop_assert!(w[0].interval().hi() <= w[1].interval().lo());
         }
         // Each interval/point actually brackets a sign change or exact zero.
         let sf = p.squarefree();
-        for loc in &locs {
-            match loc {
-                RootLocation::Exact(r) => prop_assert_eq!(sf.sign_at(r), Sign::Zero),
-                RootLocation::Isolated(iv) => {
+        for root in &roots {
+            match root.to_rat() {
+                Some(r) => prop_assert_eq!(sf.sign_at(&r), Sign::Zero),
+                None => {
+                    let iv = root.interval();
                     let sl = sf.sign_at(iv.lo());
                     let sh = sf.sign_at(iv.hi());
                     prop_assert!(sl != Sign::Zero && sh != Sign::Zero && sl != sh);
@@ -134,8 +127,8 @@ proptest! {
     fn refinement_preserves_root(p in nonzero_upoly(5, 10), bits in 4u32..20) {
         prop_assume!(!p.is_constant());
         let eps = Rat::new(1i64.into(), cdb_num::Int::pow2(u64::from(bits)));
-        for loc in isolate_real_roots(&p) {
-            let iv = cdb_poly::refine_to_width(&p, &loc, &eps);
+        for root in RealAlg::roots_of(&p) {
+            let iv = root.refined(&eps).interval();
             prop_assert!(iv.width() <= eps);
             // Sign change or zero still inside.
             let sf = p.squarefree();
@@ -192,7 +185,7 @@ proptest! {
     fn realalg_sign_consistent_with_approx(c0 in -9i64..=9, c1 in -9i64..=9) {
         // α = roots of x² + c1 x + c0; check sign_of(x - m) against approx.
         let p = UPoly::from_ints(&[c0, c1, 1]);
-        for alpha in RealAlg::roots_of(&p) {
+        for mut alpha in RealAlg::roots_of(&p) {
             let a = alpha.approx(&"1/65536".parse().unwrap());
             for m in [-3i64, 0, 2] {
                 let q = UPoly::from_coeffs(vec![Rat::from(-m), Rat::one()]);
@@ -214,10 +207,10 @@ proptest! {
         let (fh, gh) = (&f * &h, &g * &h);
         let common = fh.gcd(&gh);
         let eps = Rat::new(Int::one(), Int::pow2(64));
-        for a in RealAlg::roots_of(&fh) {
-            for b in RealAlg::roots_of(&gh) {
-                let ord = a.cmp_alg(&b);
-                prop_assert_eq!(b.cmp_alg(&a), ord.reverse());
+        for mut a in RealAlg::roots_of(&fh) {
+            for mut b in RealAlg::roots_of(&gh) {
+                let ord = a.cmp_alg(&mut b);
+                prop_assert_eq!(b.cmp_alg(&mut a), ord.reverse());
                 let (ia, ib) = (a.refined(&eps).interval(), b.refined(&eps).interval());
                 match ord {
                     Ordering::Less => prop_assert!(ia.hi() < ib.lo()),
@@ -300,7 +293,7 @@ fn skewed(p: &UPoly, centres: &[Rat], i: usize, (mut l, mut r): (u32, u32)) -> R
     assert!(l.max(r) < 70, "no isolating interval around {c}");
     let iv = RatInterval::new(c - &pow2_inv(l), c + &pow2_inv(r));
     assert_eq!(ref_roots_in(p, &iv), 1, "{iv} isolates a root of {p}");
-    RealAlg::new(p.clone(), RootLocation::Isolated(iv))
+    RealAlg::new(p.clone(), iv)
 }
 
 /// `x² + b·x + c` with two irrational roots.
@@ -348,8 +341,8 @@ proptest! {
         };
         let (fg, fh, q) = (&f * &pick(kg, &rg), &f * &pick(kh, &rh), &f * &pick(kq, &rq));
         // Each root of `f·g` and `f·h` with its skewed interval, once.
-        // Every use builds a fresh number from it: refinement persists in a
-        // `RealAlg`, and a number refined by an earlier comparison would
+        // Every use takes a copy: refinement persists in the `RealAlg` it
+        // ran on, and a number refined by an earlier comparison would
         // separate from the next one before the gcd is ever taken.
         let isolated = |p: &UPoly, skew: usize| -> Vec<RealAlg> {
             let roots = RealAlg::roots_of(p);
@@ -358,42 +351,38 @@ proptest! {
                 .iter()
                 .zip(&skews[skew..])
                 .enumerate()
-                .map(|(i, (root, &lr))| match root.to_rat() {
-                    Some(_) => root.clone(),
-                    None => skewed(root.poly(), &centres, i, lr),
+                .map(|(i, (root, &lr))| match root.poly() {
+                    None => root.clone(),
+                    Some(p) => skewed(p, &centres, i, lr),
                 })
                 .collect()
-        };
-        let fresh = |r: &RealAlg| match r.to_rat() {
-            Some(x) => RealAlg::from_rat(x),
-            None => RealAlg::new(r.poly().clone(), RootLocation::Isolated(r.interval())),
         };
         let (alphas, betas) = (isolated(&fg, 0), isolated(&fh, 4));
         let eps = pow2_inv(64);
         let mut equal_pairs = 0;
         for a in &alphas {
-            let alpha = fresh(a);
+            let mut alpha = a.clone();
             let s = alpha.sign_of(&q);
             if let Some(r) = alpha.to_rat() {
                 prop_assert_eq!(s, q.sign_at(&r));
-            } else {
+            } else if let Some(p_alpha) = alpha.poly() {
                 let iv = alpha.interval();
-                let zero = ref_roots_in(&(alpha.poly() * &q), &iv) == ref_roots_in(&q, &iv);
+                let zero = ref_roots_in(&(p_alpha * &q), &iv) == ref_roots_in(&q, &iv);
                 prop_assert_eq!(s == Sign::Zero, zero, "sign of {} at {:?}", &q, &alpha);
                 if s != Sign::Zero {
                     prop_assert_eq!(q.sign_at(&alpha.approx(&pow2_inv(80))), s);
                 }
             }
             for b in &betas {
-                let (x, y) = (fresh(a), fresh(b));
-                let ord = x.cmp_alg(&y);
-                prop_assert_eq!(y.cmp_alg(&x), ord.reverse());
-                if x.to_rat().is_none() && y.to_rat().is_none() {
+                let (mut x, mut y) = (a.clone(), b.clone());
+                let ord = x.cmp_alg(&mut y);
+                prop_assert_eq!(y.cmp_alg(&mut x), ord.reverse());
+                if let (Some(px), Some(py)) = (x.poly(), y.poly()) {
                     let (ix, iy) = (x.interval(), y.interval());
                     let (lo, hi) = (Rat::max(ix.lo().clone(), iy.lo().clone()), Rat::min(ix.hi().clone(), iy.hi().clone()));
                     let equal = lo < hi && {
                         let j = RatInterval::new(lo, hi);
-                        [x.poly().clone(), y.poly().clone(), x.poly() * y.poly()]
+                        [px.clone(), py.clone(), px * py]
                             .iter()
                             .all(|p| ref_roots_in(p, &j) == 1)
                     };

@@ -133,8 +133,10 @@ impl AlgebraicCache {
 
     /// An empty cache bounded at roughly `capacity` total entries (rounded
     /// up to a multiple of the shard count; at least one entry per shard).
+    /// Private: [`DEFAULT_CAPACITY`] is the one size outside this module's
+    /// eviction test.
     #[must_use]
-    pub fn with_capacity(capacity: usize) -> AlgebraicCache {
+    fn with_capacity(capacity: usize) -> AlgebraicCache {
         let shards: Vec<Shard> = (0..SHARD_COUNT)
             .map(|_| {
                 #[allow(clippy::disallowed_types)]

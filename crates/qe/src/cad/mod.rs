@@ -18,9 +18,8 @@ use crate::par::fan_out;
 use crate::{QeContext, QeError};
 use cdb_constraints::{ConstraintRelation, Formula, Quantifier};
 use cdb_num::Sign;
-use cdb_poly::MPoly;
+use cdb_poly::{MPoly, RealAlg};
 use project::{normalize, Registry};
-use sample::Coord;
 use stack::{build_stack, Below, StackWalk};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -37,7 +36,7 @@ pub struct CadCell {
     /// Index of the parent cell at the previous level (`None` at level 1).
     pub parent: Option<usize>,
     /// Sample coordinates for levels 1..=L, in variable-order positions.
-    pub sample: Vec<Coord>,
+    pub sample: Vec<RealAlg>,
     /// Stack position per level (1-based; odd = sector, even = section).
     pub index: Vec<usize>,
     /// Sign of each projection polynomial (by registry id) at the sample.
@@ -387,17 +386,12 @@ fn open_stack<'l>(
     let stack = build_stack(
         &level.polys,
         parent_vars,
-        &parent.sample,
+        parent.sample.clone(),
         *yvar,
         &below,
         ctx,
     )?;
-    Ok(StackWalk::new(
-        &level.polys,
-        &level.vars,
-        &parent.sample,
-        stack,
-    ))
+    Ok(StackWalk::new(&level.polys, &level.vars, stack))
 }
 
 /// Lift one parent cell: build its stack and emit the interleaved
@@ -412,7 +406,8 @@ fn lift_parent(
     let mut walk = open_stack(frame, parent, ctx)?;
     let mut out: Vec<CadCell> = Vec::with_capacity(walk.cells());
     loop {
-        let mut sample = parent.sample.clone();
+        // The base as building and walking the stack refined it so far.
+        let mut sample = walk.base().to_vec();
         sample.push(walk.coord());
         let mut index = parent.index.clone();
         index.push(out.len() + 1); // 1-based; odd = sector
@@ -502,7 +497,8 @@ impl Below for ParentZeros<'_> {
             // Not in the projection set (shouldn't happen for coefficients
             // and discriminants, but stay safe): exact evaluation.
             None => {
-                let s = sample::sign_at(p, self.parent_vars, &self.parent.sample, self.ctx)?;
+                let mut at = self.parent.sample.clone();
+                let s = sample::sign_at(p, self.parent_vars, &mut at, self.ctx)?;
                 Ok(s == Sign::Zero)
             }
         }
@@ -534,7 +530,11 @@ fn cell_sign(
     if let Some(c) = p.to_constant() {
         return Ok(Some(c.sign()));
     }
-    let at_sample = || sample::sign_at(p, &lookup.order[..cell.sample.len()], &cell.sample, ctx);
+    // The cell is finished and shared: sign on a copy of its sample.
+    let at_sample = || {
+        let vars = &lookup.order[..cell.sample.len()];
+        sample::sign_at(p, vars, &mut cell.sample.clone(), ctx)
+    };
     match lookup.resolve(p) {
         Some(r) => match cell.signs.get(&r.id) {
             Some(&s) => r.sign(s, at_sample).map(Some),

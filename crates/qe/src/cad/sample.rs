@@ -1,93 +1,49 @@
-//! Sample points with rational and real algebraic coordinates, and exact
-//! sign evaluation of polynomials at them.
+//! Sample points, whose coordinates are real algebraic numbers (rational or
+//! not), and exact sign evaluation of polynomials at them.
 
 use crate::{QeContext, QeError};
 use cdb_num::{fintv, FIntv, Rat, RatInterval, Sign};
-use cdb_poly::{MPoly, Partial, RealAlg, Terms};
-use std::fmt;
-
-/// One coordinate of a CAD sample point. Every algebraic coordinate carries
-/// its own minimal polynomial over `Q` (no field towers — see DESIGN.md).
-#[derive(Clone)]
-pub enum Coord {
-    /// Exact rational.
-    Rat(Rat),
-    /// Real algebraic number over `Q`.
-    Alg(RealAlg),
-}
-
-impl Coord {
-    /// `f64` approximation (for reporting).
-    #[must_use]
-    // cdb-lint: allow(float) — display/reporting widening only: the value
-    // feeds `Debug` output and CLI summaries, never a sign decision or a
-    // stored relation (those go through `interval()` / exact arithmetic).
-    pub fn to_f64(&self) -> f64 {
-        match self {
-            Coord::Rat(r) => r.to_f64(),
-            Coord::Alg(a) => a.to_f64(),
-        }
-    }
-
-    /// Enclosing interval.
-    #[must_use]
-    pub fn interval(&self) -> RatInterval {
-        match self {
-            Coord::Rat(r) => RatInterval::point(r.clone()),
-            Coord::Alg(a) => a.interval(),
-        }
-    }
-}
-
-impl fmt::Debug for Coord {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Coord::Rat(r) => write!(f, "{r}"),
-            // cdb-lint: allow(float-taint) — Debug rendering only; the float
-            // goes to the formatter, never into result bytes
-            Coord::Alg(a) => write!(f, "≈{:.6}", a.to_f64()),
-        }
-    }
-}
+use cdb_poly::{MPoly, Partial, RealAlg};
 
 /// `p` at the rational coordinates of `sample` (`sample[i]` is the
-/// coordinate of ambient variable `vars[i]`; a `RealAlg` that is rational
-/// counts as rational), evaluated in one pass and not sealed, together with
-/// the irrational coordinates by ambient variable.
+/// coordinate of ambient variable `vars[i]`), evaluated in one pass and not
+/// sealed, together with copies of the irrational coordinates by ambient
+/// variable. A caller that refines the copies hands them back with
+/// [`write_back`].
 #[must_use]
 pub(crate) fn eval_at_rationals(
     p: &MPoly,
     vars: &[usize],
-    sample: &[Coord],
+    sample: &[RealAlg],
 ) -> (Partial, Vec<(usize, RealAlg)>) {
     let mut point = vec![None; p.nvars()];
     let mut algs = Vec::new();
     for (&v, c) in vars.iter().zip(sample) {
-        match c {
-            Coord::Rat(r) => point[v] = Some(r.clone()),
-            Coord::Alg(a) => match a.to_rat() {
-                Some(r) => point[v] = Some(r),
-                None => algs.push((v, a.clone())),
-            },
+        match c.to_rat() {
+            Some(r) => point[v] = Some(r),
+            None => algs.push((v, c.clone())),
         }
     }
     (p.eval_partial(&point), algs)
 }
 
-/// Seal a value that keeps several variables — once — and keep the
-/// algebraic coordinates that still occur in it.
-#[must_use]
-pub(crate) fn seal_over(value: Terms, algs: &[(usize, RealAlg)]) -> (MPoly, Vec<(usize, RealAlg)>) {
-    let q = value.seal();
-    let used = algs
-        .iter()
-        .filter(|(v, _)| q.uses_var(*v))
-        .cloned()
-        .collect();
-    (q, used)
+/// Put coordinates taken out by [`eval_at_rationals`], refined since, back
+/// into the sample they came from, so its owner keeps the refinement.
+pub(crate) fn write_back(vars: &[usize], sample: &mut [RealAlg], algs: Vec<(usize, RealAlg)>) {
+    for (v, a) in algs {
+        if let Some(c) = vars
+            .iter()
+            .position(|&w| w == v)
+            .and_then(|i| sample.get_mut(i))
+        {
+            *c = a;
+        }
+    }
 }
 
-/// Exact sign of `p` at the sample (coordinates for `vars`).
+/// Exact sign of `p` at the sample (coordinates for `vars`). The sample
+/// keeps whatever refinement the sign took; a reader of a cell it does not
+/// own signs on a copy.
 ///
 /// * All-rational: exact evaluation.
 /// * One algebraic coordinate: exact via [`RealAlg::sign_of`] (zero decided
@@ -98,34 +54,40 @@ pub(crate) fn seal_over(value: Terms, algs: &[(usize, RealAlg)]) -> (MPoly, Vec<
 pub fn sign_at(
     p: &MPoly,
     vars: &[usize],
-    sample: &[Coord],
+    sample: &mut [RealAlg],
     ctx: &QeContext,
 ) -> Result<Sign, QeError> {
     ctx.sign_evals.add(1);
-    let (value, algs) = eval_at_rationals(p, vars, sample);
-    sign_of_value(value, &algs)
+    let (value, mut algs) = eval_at_rationals(p, vars, sample);
+    let sign = sign_of_value(value, &mut algs);
+    write_back(vars, sample, algs);
+    sign
 }
 
 /// Exact sign of a value whose variables left are among the algebraic
 /// coordinates `algs`: a constant's own, [`RealAlg::sign_of`] in one
-/// coordinate, interval refinement (sealed once) in several.
-pub(crate) fn sign_of_value(value: Partial, algs: &[(usize, RealAlg)]) -> Result<Sign, QeError> {
+/// coordinate, interval refinement (sealed once) in several. The
+/// coordinates keep the refinement.
+pub(crate) fn sign_of_value(
+    value: Partial,
+    algs: &mut [(usize, RealAlg)],
+) -> Result<Sign, QeError> {
     match value {
         Partial::Constant(c) => Ok(c.sign()),
-        Partial::Univariate(v, u) => match algs.iter().find(|(a, _)| *a == v) {
+        Partial::Univariate(v, u) => match algs.iter_mut().find(|(a, _)| *a == v) {
             Some((_, alpha)) => Ok(alpha.sign_of(&u)),
             None => Err(QeError::Unsupported(format!(
                 "sign_at: {u} keeps variable {v}, which is not an algebraic coordinate"
             ))),
         },
         Partial::Terms(t) => {
-            let (q, algs) = seal_over(t, algs);
-            if algs.len() < 2 {
+            let q = t.seal();
+            if algs.iter().filter(|(v, _)| q.uses_var(*v)).count() < 2 {
                 return Err(QeError::Unsupported(format!(
                     "sign_at: {q} keeps variables that are not algebraic coordinates"
                 )));
             }
-            sign_by_refinement(&q, &algs)
+            sign_by_refinement(&q, algs)
         }
     }
 }
@@ -139,29 +101,26 @@ pub(crate) fn sign_of_value(value: Partial, algs: &[(usize, RealAlg)]) -> Result
 /// (float intervals contain the exact ones), so the refinement trajectory —
 /// and therefore every downstream byte of output — is identical with the
 /// filter on or off.
-fn sign_by_refinement(q: &MPoly, algs: &[(usize, RealAlg)]) -> Result<Sign, QeError> {
-    let mut current: Vec<(usize, RealAlg)> = algs.to_vec();
+fn sign_by_refinement(q: &MPoly, algs: &mut [(usize, RealAlg)]) -> Result<Sign, QeError> {
     for _ in 0..64 {
         if fintv::filter_enabled() {
-            if let Some(s) = eval_fintv(q, &current).sign() {
+            if let Some(s) = eval_fintv(q, algs).sign() {
                 fintv::note_filter_hit();
                 return Ok(s);
             }
             fintv::note_filter_fallback();
         }
-        let iv = eval_interval(q, &current);
+        let iv = eval_interval(q, algs);
         if let Some(s) = iv.sign() {
             return Ok(s);
         }
-        // Halve every enclosure. A zero width means the coordinate is
-        // exact, and `refined` returns it before reading the width.
-        current = current
-            .iter()
-            .map(|(v, a)| {
-                let w = &a.interval().width() * &Rat::from_ints(1, 4);
-                (*v, a.refined(&w))
-            })
-            .collect();
+        // Halve every enclosure `q` reads. A zero width means the
+        // coordinate is exact, and `refined` returns it before reading the
+        // width.
+        for (_, a) in algs.iter_mut().filter(|(v, _)| q.uses_var(*v)) {
+            let w = &a.interval().width() * &Rat::from_ints(1, 4);
+            *a = a.refined(&w);
+        }
     }
     Err(QeError::IndeterminateSign(format!(
         "interval refinement did not converge for {q}"
@@ -251,7 +210,10 @@ mod tests {
         let s = sign_at(
             &p,
             &[0, 1],
-            &[Coord::Rat(Rat::from(1i64)), Coord::Rat(Rat::from(2i64))],
+            &mut [
+                RealAlg::from_rat(Rat::from(1i64)),
+                RealAlg::from_rat(Rat::from(2i64)),
+            ],
             &ctx,
         )
         .unwrap();
@@ -259,7 +221,10 @@ mod tests {
         let s2 = sign_at(
             &p,
             &[0, 1],
-            &[Coord::Rat(Rat::from(1i64)), Coord::Rat(Rat::from(3i64))],
+            &mut [
+                RealAlg::from_rat(Rat::from(1i64)),
+                RealAlg::from_rat(Rat::from(3i64)),
+            ],
             &ctx,
         )
         .unwrap();
@@ -275,7 +240,7 @@ mod tests {
         let s = sign_at(
             &p,
             &[0, 1],
-            &[Coord::Alg(sqrt2()), Coord::Rat(Rat::zero())],
+            &mut [sqrt2(), RealAlg::from_rat(Rat::zero())],
             &ctx,
         )
         .unwrap();
@@ -289,23 +254,11 @@ mod tests {
         let y = MPoly::var(1, 2);
         let p = &(&x * &y) - &MPoly::constant(Rat::from(2i64), 2);
         let ctx = QeContext::exact();
-        let s = sign_at(
-            &p,
-            &[0, 1],
-            &[Coord::Alg(sqrt2()), Coord::Alg(sqrt3())],
-            &ctx,
-        )
-        .unwrap();
+        let s = sign_at(&p, &[0, 1], &mut [sqrt2(), sqrt3()], &ctx).unwrap();
         assert_eq!(s, Sign::Pos);
         // √2·√3 − 3 < 0 (≈ −0.551).
         let q = &(&x * &y) - &MPoly::constant(Rat::from(3i64), 2);
-        let s2 = sign_at(
-            &q,
-            &[0, 1],
-            &[Coord::Alg(sqrt2()), Coord::Alg(sqrt3())],
-            &ctx,
-        )
-        .unwrap();
+        let s2 = sign_at(&q, &[0, 1], &mut [sqrt2(), sqrt3()], &ctx).unwrap();
         assert_eq!(s2, Sign::Neg);
     }
 
@@ -320,7 +273,7 @@ mod tests {
         let s = sign_at(
             &p,
             &[0, 1],
-            &[Coord::Alg(sqrt2()), Coord::Rat(Rat::from(3i64))],
+            &mut [sqrt2(), RealAlg::from_rat(Rat::from(3i64))],
             &ctx,
         )
         .unwrap();

@@ -18,7 +18,7 @@
 //!   coordinate and by refinement in several, where a zero is a typed
 //!   error, never a guess.
 
-use super::sample::{eval_at_rationals, seal_over, sign_at, sign_of_value, Coord};
+use super::sample::{eval_at_rationals, sign_at, sign_of_value, write_back};
 use crate::{QeContext, QeError};
 use cdb_num::{Rat, Sign};
 use cdb_poly::resultant::{discriminant, subresultant};
@@ -40,6 +40,9 @@ pub struct Stack {
     pub sections: Vec<StackSection>,
     /// Level polynomials that vanish identically on the whole fiber.
     pub nullified: BTreeSet<usize>,
+    /// The base sample the stack was built over, with the refinement its
+    /// coordinates took; the walk over the stack signs at it.
+    pub base: Vec<RealAlg>,
 }
 
 /// Exact zero tests, at the base sample, of polynomials of the levels below
@@ -66,11 +69,12 @@ impl<F: Fn(&MPoly) -> Result<bool, QeError>> Below for F {
 /// Build the stack of level polynomials `polys` (global id, polynomial) over
 /// the sample point `sample` (coordinates of ambient variables `vars`),
 /// extending in variable `yvar`. `below` decides exactly whether a
-/// lower-level polynomial vanishes at the sample.
+/// lower-level polynomial vanishes at the sample. The stack owns the
+/// sample from here on, refined by the fibres' sign tests.
 pub fn build_stack(
     polys: &[(usize, MPoly)],
     vars: &[usize],
-    sample: &[Coord],
+    mut sample: Vec<RealAlg>,
     yvar: usize,
     below: &dyn Below,
     ctx: &QeContext,
@@ -78,7 +82,7 @@ pub fn build_stack(
     let mut nullified = BTreeSet::new();
     let mut merged: Vec<StackSection> = Vec::new();
     for (id, p) in polys {
-        let roots = roots_in_fiber(*id, p, vars, sample, yvar, below, ctx)?;
+        let roots = roots_in_fiber(*id, p, vars, &mut sample, yvar, below, ctx)?;
         match roots {
             FiberRoots::Nullified => {
                 nullified.insert(*id);
@@ -95,6 +99,7 @@ pub fn build_stack(
     Ok(Stack {
         sections: merged,
         nullified,
+        base: sample,
     })
 }
 
@@ -107,11 +112,11 @@ enum FiberRoots {
 
 /// Insert `root` in order among `merged[from..]` (everything below `from` is
 /// known to be smaller), merging with an equal existing root (exact
-/// compare). Returns the index it landed on.
-fn merge_root(merged: &mut Vec<StackSection>, root: RealAlg, id: usize, from: usize) -> usize {
+/// compare, which refines both in place). Returns the index it landed on.
+fn merge_root(merged: &mut Vec<StackSection>, mut root: RealAlg, id: usize, from: usize) -> usize {
     let mut at = merged.len();
     for (i, s) in merged.iter_mut().enumerate().skip(from) {
-        match root.cmp_alg(&s.root) {
+        match root.cmp_alg(&mut s.root) {
             std::cmp::Ordering::Equal => {
                 s.vanish.insert(id);
                 return i;
@@ -134,18 +139,35 @@ fn merge_root(merged: &mut Vec<StackSection>, root: RealAlg, id: usize, from: us
 /// Roots of level polynomial `id` (`p`) restricted to the fiber over
 /// `sample`. The fibre polynomial is evaluated once, unsealed; only a fibre
 /// over algebraic coordinates is sealed, since it keys the resultant cache.
+/// The sample keeps the refinement its coordinates took.
 fn roots_in_fiber(
     id: usize,
     p: &MPoly,
     vars: &[usize],
-    sample: &[Coord],
+    sample: &mut [RealAlg],
     yvar: usize,
     below: &dyn Below,
     ctx: &QeContext,
 ) -> Result<FiberRoots, QeError> {
-    let (fibre, algs) = eval_at_rationals(p, vars, sample);
+    let (fibre, mut algs) = eval_at_rationals(p, vars, sample);
+    let roots = fibre_roots(id, p, fibre, &mut algs, yvar, below, ctx);
+    write_back(vars, sample, algs);
+    roots
+}
+
+/// [`roots_in_fiber`] on the fibre polynomial `fibre`, whose variables left
+/// are `yvar` and the algebraic coordinates `algs`, refined in place.
+fn fibre_roots(
+    id: usize,
+    p: &MPoly,
+    fibre: Partial,
+    algs: &mut Vec<(usize, RealAlg)>,
+    yvar: usize,
+    below: &dyn Below,
+    ctx: &QeContext,
+) -> Result<FiberRoots, QeError> {
     ctx.observe_bits(fibre.max_coeff_bits())?;
-    let (q, algs) = match fibre {
+    let q = match fibre {
         Partial::Constant(c) if c.is_zero() => return Ok(FiberRoots::Nullified),
         Partial::Constant(_) => return Ok(FiberRoots::Roots(Vec::new())),
         Partial::Univariate(v, u) if v == yvar => {
@@ -153,14 +175,22 @@ fn roots_in_fiber(
         }
         Partial::Univariate(v, u) => {
             // Fiber polynomial is a function of one algebraic coordinate.
-            let (_, alpha) = algs.iter().find(|(a, _)| *a == v).ok_or_else(kept_others)?;
+            let (_, alpha) = algs
+                .iter_mut()
+                .find(|(a, _)| *a == v)
+                .ok_or_else(kept_others)?;
             return Ok(if alpha.sign_of(&u) == Sign::Zero {
                 FiberRoots::Nullified
             } else {
                 FiberRoots::Roots(Vec::new())
             });
         }
-        Partial::Terms(t) => seal_over(t, &algs),
+        // Sealed once; only the coordinates still in it matter from here.
+        Partial::Terms(t) => {
+            let q = t.seal();
+            algs.retain(|(v, _)| q.uses_var(*v));
+            q
+        }
     };
     if algs.is_empty() {
         return Err(kept_others());
@@ -178,12 +208,13 @@ fn roots_in_fiber(
         return Ok(FiberRoots::Roots(Vec::new()));
     }
     // Candidates: eliminate every algebraic coordinate by resultants with
-    // its minimal polynomial. Each is monic, so every real root of the
-    // fibre is a root of the last resultant.
+    // its minimal polynomial (all of them are irrational here: the
+    // rational ones were substituted). Each is monic, so every real root
+    // of the fibre is a root of the last resultant.
     let mut r = q.clone();
-    for (v, a) in &algs {
-        let m_emb = MPoly::from_upoly(a.poly(), *v, q.nvars());
-        r = ctx.cache.resultant(&r, &m_emb, *v);
+    for (v, m) in algs.iter().filter_map(|(v, a)| Some((*v, a.poly()?))) {
+        let m_emb = MPoly::from_upoly(m, v, q.nvars());
+        r = ctx.cache.resultant(&r, &m_emb, v);
         ctx.observe_poly(&r)?;
     }
     let ru = r
@@ -204,14 +235,14 @@ fn roots_in_fiber(
     let gcd = if d == 1 || (whole && !below.disc_is_zero(id, p, yvar)?) {
         None
     } else {
-        Some(fibre_gcd(&q, d, usize::from(whole), yvar, &algs, ctx)?)
+        Some(fibre_gcd(&q, d, usize::from(whole), yvar, algs, ctx)?)
     };
     // Neither `q` nor the gcd vanishes at a separator: their roots on the
     // fibre are among the candidates.
     members(candidates, |s| {
-        let sign = sign_in_fibre(&q, yvar, Some(s), &algs, ctx)?;
+        let sign = sign_in_fibre(&q, yvar, Some(s), algs, ctx)?;
         match &gcd {
-            Some(g) => Ok(sign.mul(sign_in_fibre(g, yvar, Some(s), &algs, ctx)?)),
+            Some(g) => Ok(sign.mul(sign_in_fibre(g, yvar, Some(s), algs, ctx)?)),
             None => Ok(sign),
         }
     })
@@ -250,7 +281,7 @@ fn fibre_gcd(
     d: usize,
     from: usize,
     yvar: usize,
-    algs: &[(usize, RealAlg)],
+    algs: &mut [(usize, RealAlg)],
     ctx: &QeContext,
 ) -> Result<MPoly, QeError> {
     let qd = if q.degree_in(yvar) as usize == d {
@@ -323,7 +354,7 @@ fn sign_in_fibre(
     f: &MPoly,
     yvar: usize,
     s: Option<&Rat>,
-    algs: &[(usize, RealAlg)],
+    algs: &mut [(usize, RealAlg)],
     ctx: &QeContext,
 ) -> Result<Sign, QeError> {
     let mut point = vec![None; f.nvars()];
@@ -394,7 +425,6 @@ fn separate(sections: &mut [StackSection]) {
 pub struct StackWalk<'a> {
     polys: &'a [(usize, MPoly)],
     vars: &'a [usize],
-    base: &'a [Coord],
     stack: Stack,
     sectors: Vec<Rat>,
     /// 0-based position of the current cell (even = sector).
@@ -405,20 +435,14 @@ pub struct StackWalk<'a> {
 
 impl<'a> StackWalk<'a> {
     /// Start at the lowest sector of `stack`, built for the level
-    /// polynomials `polys` over `base` (coordinates of `vars[..vars.len()−1]`;
-    /// the last of `vars` is the stack variable).
+    /// polynomials `polys` over its base (coordinates of
+    /// `vars[..vars.len()−1]`; the last of `vars` is the stack variable).
     #[must_use]
-    pub fn new(
-        polys: &'a [(usize, MPoly)],
-        vars: &'a [usize],
-        base: &'a [Coord],
-        mut stack: Stack,
-    ) -> StackWalk<'a> {
+    pub fn new(polys: &'a [(usize, MPoly)], vars: &'a [usize], mut stack: Stack) -> StackWalk<'a> {
         let sectors = sector_samples(&mut stack.sections);
         StackWalk {
             polys,
             vars,
-            base,
             stack,
             sectors,
             pos: 0,
@@ -437,13 +461,20 @@ impl<'a> StackWalk<'a> {
         (self.pos % 2 == 1).then(|| &self.stack.sections[self.pos / 2])
     }
 
+    /// The base sample, with the refinement building and walking the stack
+    /// gave its coordinates.
+    #[must_use]
+    pub fn base(&self) -> &[RealAlg] {
+        &self.stack.base
+    }
+
     /// The current cell's own sample coordinate: the root on a section, the
     /// rational sector sample otherwise.
     #[must_use]
-    pub fn coord(&self) -> Coord {
+    pub fn coord(&self) -> RealAlg {
         match self.section() {
-            Some(section) => Coord::Alg(section.root.clone()),
-            None => Coord::Rat(self.sectors[self.pos / 2].clone()),
+            Some(section) => section.root.clone(),
+            None => RealAlg::from_rat(self.sectors[self.pos / 2].clone()),
         }
     }
 
@@ -468,11 +499,15 @@ impl<'a> StackWalk<'a> {
 
     /// Sign at the current cell of a polynomial known to have no root
     /// between the cell and the sector sample at or just below it: all
-    /// evaluation happens at that rational point.
-    pub fn sign_at_sector(&self, p: &MPoly, ctx: &QeContext) -> Result<Sign, QeError> {
-        let mut point = self.base.to_vec();
-        point.push(Coord::Rat(self.sectors[self.pos / 2].clone()));
-        sign_at(p, self.vars, &point, ctx)
+    /// evaluation happens at that rational point, and the base keeps the
+    /// refinement.
+    pub fn sign_at_sector(&mut self, p: &MPoly, ctx: &QeContext) -> Result<Sign, QeError> {
+        let sector = RealAlg::from_rat(self.sectors[self.pos / 2].clone());
+        let point = &mut self.stack.base;
+        point.push(sector);
+        let sign = sign_at(p, self.vars, point, ctx);
+        point.pop();
+        sign
     }
 
     /// Move to the next cell up; `false` when the stack is exhausted.
@@ -492,7 +527,6 @@ mod tests {
     use super::*;
     use cdb_num::{Int, RatInterval};
     use cdb_poly::refimpl::{ref_sturm_chain, RefUPoly};
-    use cdb_poly::roots::RootLocation;
     use cdb_poly::UPoly;
     use proptest::prelude::*;
 
@@ -504,12 +538,13 @@ mod tests {
         panic!("no lower-level zero-tests expected in this test")
     }
 
-    /// The exact lower-level oracle over an algebraic base: `sign_at` there.
+    /// The exact lower-level oracle over an algebraic base: `sign_at` on a
+    /// copy of it.
     fn at_base<'a>(
         vars: &'a [usize],
-        base: &'a [Coord],
+        base: &'a [RealAlg],
     ) -> impl Fn(&MPoly) -> Result<bool, QeError> + 'a {
-        move |c| Ok(sign_at(c, vars, base, &QeContext::exact())? == Sign::Zero)
+        move |c| Ok(sign_at(c, vars, &mut base.to_vec(), &QeContext::exact())? == Sign::Zero)
     }
 
     fn sqrt2() -> RealAlg {
@@ -519,10 +554,10 @@ mod tests {
     }
 
     /// The stack of `polys` in `(x, y)` over the one coordinate `x`.
-    fn stack_over(polys: &[(usize, MPoly)], x: Coord) -> Stack {
+    fn stack_over(polys: &[(usize, MPoly)], x: RealAlg) -> Stack {
         let base = [x];
         let below = at_base(&[0], &base);
-        build_stack(polys, &[0], &base, 1, &below, &QeContext::exact()).unwrap()
+        build_stack(polys, &[0], base.to_vec(), 1, &below, &QeContext::exact()).unwrap()
     }
 
     #[test]
@@ -530,12 +565,12 @@ mod tests {
         // y² − x over x = √2: the sections are ±2^(1/4).
         let x = MPoly::var(0, 2);
         let y = MPoly::var(1, 2);
-        let stack = stack_over(&[(0, &y.pow(2) - &x)], Coord::Alg(sqrt2()));
-        let [below, above] = stack.sections.as_slice() else {
-            panic!("two sections expected, got {}", stack.sections.len())
+        let mut stack = stack_over(&[(0, &y.pow(2) - &x)], sqrt2());
+        let [below, above] = stack.sections.as_mut_slice() else {
+            panic!("two sections expected")
         };
         let quartic = UPoly::from_ints(&[-2, 0, 0, 0, 1]);
-        for root in [&below.root, &above.root] {
+        for root in [&mut below.root, &mut above.root] {
             assert_eq!(root.sign_of(&quartic), Sign::Zero);
         }
         assert_eq!(below.root.cmp_rat(&Rat::zero()), std::cmp::Ordering::Less);
@@ -552,7 +587,7 @@ mod tests {
         let x = MPoly::var(0, 2);
         let y = MPoly::var(1, 2);
         let p = &(&(&(&x.pow(2) - &c(2, 2)) * &y.pow(2)) + &y) - &c(1, 2);
-        let stack = stack_over(&[(0, p)], Coord::Alg(sqrt2()));
+        let stack = stack_over(&[(0, p)], sqrt2());
         assert_eq!(stack.sections.len(), 1);
         assert_eq!(stack.sections[0].root.to_rat(), Some(Rat::one()));
     }
@@ -562,9 +597,10 @@ mod tests {
         // (y − x)² over x = √2: one section, √2 itself.
         let x = MPoly::var(0, 2);
         let y = MPoly::var(1, 2);
-        let stack = stack_over(&[(0, (&y - &x).pow(2))], Coord::Alg(sqrt2()));
+        let stack = stack_over(&[(0, (&y - &x).pow(2))], sqrt2());
         assert_eq!(stack.sections.len(), 1);
-        assert!(stack.sections[0].root.eq_alg(&sqrt2()));
+        let mut root = stack.sections[0].root.clone();
+        assert_eq!(root.cmp_alg(&mut sqrt2()), std::cmp::Ordering::Equal);
     }
 
     /// Two leading coefficients vanish over the two-algebraic base `(x, z)
@@ -582,12 +618,20 @@ mod tests {
         let sqrt3 = RealAlg::roots_of(&UPoly::from_ints(&[-3, 0, 1]))
             .pop()
             .unwrap();
-        let base = [Coord::Alg(sqrt3), Coord::Alg(sqrt2())];
+        let base = [sqrt3, sqrt2()];
         let below = at_base(&[0, 1], &base);
-        let stack = build_stack(&[(0, p)], &[0, 1], &base, 2, &below, &QeContext::exact()).unwrap();
+        let mut stack = build_stack(
+            &[(0, p)],
+            &[0, 1],
+            base.to_vec(),
+            2,
+            &below,
+            &QeContext::exact(),
+        )
+        .unwrap();
         let roots: Vec<std::cmp::Ordering> = [-1i64, 1]
             .iter()
-            .zip(&stack.sections)
+            .zip(&mut stack.sections)
             .map(|(r, s)| s.root.cmp_rat(&Rat::from(*r)))
             .collect();
         assert_eq!(stack.sections.len(), 2);
@@ -605,15 +649,15 @@ mod tests {
         let y = MPoly::var(1, 2);
         let planted = &(&y - &x).pow(2) * &(&y + &c(1, 2));
         let p = &planted + &(&(&x.pow(2) - &c(2, 2)) * &y);
-        let stack = stack_over(&[(0, p)], Coord::Alg(sqrt2()));
-        let [below, above] = stack.sections.as_slice() else {
-            panic!("two sections expected, got {}", stack.sections.len())
+        let mut stack = stack_over(&[(0, p)], sqrt2());
+        let [below, above] = stack.sections.as_mut_slice() else {
+            panic!("two sections expected")
         };
         assert_eq!(
             below.root.cmp_rat(&Rat::from(-1i64)),
             std::cmp::Ordering::Equal
         );
-        assert!(above.root.eq_alg(&sqrt2()));
+        assert_eq!(above.root.cmp_alg(&mut sqrt2()), std::cmp::Ordering::Equal);
     }
 
     #[test]
@@ -621,7 +665,7 @@ mod tests {
         // y − x over x = 3 given as a `RealAlg`: one section, exactly 3.
         let x = MPoly::var(0, 2);
         let y = MPoly::var(1, 2);
-        let three = Coord::Alg(RealAlg::from_rat(Rat::from(3i64)));
+        let three = RealAlg::from_rat(Rat::from(3i64));
         let stack = stack_over(&[(0, &y - &x)], three);
         assert_eq!(stack.sections.len(), 1);
         assert_eq!(stack.sections[0].root.to_rat(), Some(Rat::from(3i64)));
@@ -649,8 +693,7 @@ mod tests {
             let hi = a + &(&delta * &Rat::from_ints(1, 2));
             let clear = m.sign_at(&lo) != Sign::Zero && m.sign_at(&hi) != Sign::Zero;
             if clear && variations(&lo) - variations(&hi) == 1 {
-                let iv = RootLocation::Isolated(RatInterval::new(lo, hi));
-                return RealAlg::new(m, iv);
+                return RealAlg::new(m, RatInterval::new(lo, hi));
             }
             delta = &delta * &Rat::from_ints(1, 4);
         }
@@ -702,13 +745,13 @@ mod tests {
             let polys = [(0, p), (1, &y - &x)];
             let alpha = disguised(&a, &UPoly::from_ints(&[l, k, 1]));
             prop_assert!(alpha.to_rat().is_none());
-            let alg = stack_over(&polys, Coord::Alg(alpha));
-            let rat = stack_over(&polys, Coord::Rat(a));
+            let alg = stack_over(&polys, alpha);
+            let mut rat = stack_over(&polys, RealAlg::from_rat(a));
             prop_assert_eq!(alg.nullified, rat.nullified);
             prop_assert_eq!(alg.sections.len(), rat.sections.len());
-            for (s, t) in alg.sections.iter().zip(&rat.sections) {
+            for (mut s, t) in alg.sections.into_iter().zip(&mut rat.sections) {
                 prop_assert_eq!(&s.vanish, &t.vanish);
-                prop_assert_eq!(s.root.cmp_alg(&t.root), std::cmp::Ordering::Equal);
+                prop_assert_eq!(s.root.cmp_alg(&mut t.root), std::cmp::Ordering::Equal);
             }
         }
     }
@@ -724,7 +767,7 @@ mod tests {
         let stack = build_stack(
             &[(0, circle), (1, line)],
             &[0],
-            &[Coord::Rat(Rat::zero())],
+            vec![RealAlg::from_rat(Rat::zero())],
             1,
             &no_lower,
             &ctx,
@@ -757,12 +800,12 @@ mod tests {
         let y = MPoly::var(1, 2);
         let p = &y.pow(2) - &c(2, 2);
         let q = &y - &x;
-        let base = [Coord::Alg(sqrt2())];
+        let base = [sqrt2()];
         let ctx = QeContext::exact();
         let stack = build_stack(
             &[(0, p), (1, q)],
             &[0],
-            &base,
+            base.to_vec(),
             1,
             &at_base(&[0], &base),
             &ctx,
@@ -784,7 +827,7 @@ mod tests {
         let stack = build_stack(
             &[(0, p)],
             &[0],
-            &[Coord::Rat(Rat::zero())],
+            vec![RealAlg::from_rat(Rat::zero())],
             1,
             &no_lower,
             &ctx,
@@ -800,19 +843,27 @@ mod tests {
         let x = MPoly::var(0, 2);
         let y = MPoly::var(1, 2);
         let p = &y - &x.pow(2);
-        let base = [Coord::Alg(sqrt2())];
+        let base = [sqrt2()];
         let ctx = QeContext::exact();
-        let stack = build_stack(&[(7, p)], &[0], &base, 1, &at_base(&[0], &base), &ctx).unwrap();
+        let stack = build_stack(
+            &[(7, p)],
+            &[0],
+            base.to_vec(),
+            1,
+            &at_base(&[0], &base),
+            &ctx,
+        )
+        .unwrap();
         assert_eq!(stack.sections.len(), 1);
-        let root = &stack.sections[0].root;
+        let mut root = stack.sections[0].root.clone();
         assert_eq!(root.cmp_rat(&Rat::from(2i64)), std::cmp::Ordering::Equal);
     }
 
     /// Roots over an algebraic base carry the squarefree part of the
     /// resultant, never the resultant: `y² − x²` over `x = √2` eliminates to
     /// `(y² − 2)²`, and the sections `±√2` carry `y² − 2`, refine to the same
-    /// interval as the per-call reference on the raw resultant, and compare
-    /// and take signs exactly.
+    /// interval as a number built on the raw resultant's squarefree part, and
+    /// compare and take signs exactly.
     #[test]
     fn algebraic_base_roots_carry_a_squarefree_polynomial() {
         let x = MPoly::var(0, 2);
@@ -821,26 +872,27 @@ mod tests {
         let minpoly = UPoly::from_ints(&[-2, 0, 1]);
         let sqrt2 = RealAlg::roots_of(&minpoly).pop().unwrap();
         let ctx = QeContext::exact();
-        let alg = [Coord::Alg(sqrt2.clone())];
-        let stack = build_stack(&[(0, p)], &[0], &alg, 1, &at_base(&[0], &alg), &ctx).unwrap();
-        assert_eq!(stack.sections.len(), 2);
+        let alg = [sqrt2.clone()];
+        let stack =
+            build_stack(&[(0, p)], &[0], alg.to_vec(), 1, &at_base(&[0], &alg), &ctx).unwrap();
+        let mut roots: Vec<RealAlg> = stack.sections.into_iter().map(|s| s.root).collect();
+        assert_eq!(roots.len(), 2);
         let raw = minpoly.pow(2);
         let eps = Rat::new(1i64.into(), cdb_num::Int::pow2(40));
-        for section in &stack.sections {
-            let root = &section.root;
-            assert_eq!(root.poly(), &minpoly);
-            let before = RootLocation::Isolated(root.interval());
-            let want = cdb_poly::refine_to_width(&raw, &before, &eps);
+        for root in &mut roots {
+            assert_eq!(root.poly(), Some(&minpoly));
+            let reference = RealAlg::new(raw.squarefree(), root.interval());
+            let want = reference.refined(&eps).interval();
             assert_eq!(root.approx(&eps), want.midpoint());
             assert_eq!(root.refined(&eps).interval(), want);
             assert_eq!(root.sign_of(&raw), Sign::Zero);
         }
-        let [below, above] = stack.sections.as_slice() else {
+        let [below, above] = &mut roots[..] else {
             unreachable!("two sections")
         };
-        assert_eq!(below.root.cmp_alg(&above.root), std::cmp::Ordering::Less);
-        assert!(above.root.eq_alg(&sqrt2));
-        assert_eq!(above.root.sign_of(&UPoly::from_ints(&[-1, 1])), Sign::Pos);
+        assert_eq!(below.cmp_alg(above), std::cmp::Ordering::Less);
+        assert_eq!(above.cmp_alg(&mut sqrt2.clone()), std::cmp::Ordering::Equal);
+        assert_eq!(above.sign_of(&UPoly::from_ints(&[-1, 1])), Sign::Pos);
     }
 
     /// Sign by interval against brute force: over a rational and an
@@ -862,14 +914,14 @@ mod tests {
         ];
         let sqrt2 = sqrt2();
         for base in [
-            Coord::Rat(Rat::zero()),
-            Coord::Rat(Rat::one()),
-            Coord::Alg(sqrt2),
+            RealAlg::from_rat(Rat::zero()),
+            RealAlg::from_rat(Rat::one()),
+            (sqrt2),
         ] {
             let ctx = QeContext::exact();
             let base = [base];
             let below = at_base(&[0], &base);
-            let build = || build_stack(&polys, &[0], &base, 1, &below, &ctx).unwrap();
+            let build = || build_stack(&polys, &[0], base.to_vec(), 1, &below, &ctx).unwrap();
             let stack = build();
             let roots_of = |id| {
                 stack
@@ -884,8 +936,8 @@ mod tests {
                 .map(|(id, _)| roots_of(id) + 1)
                 .sum();
             let before = ctx.sign_evals.get();
-            let mut walk = StackWalk::new(&polys, &[0, 1], &base, stack);
-            let mut table: Vec<(Coord, Vec<Sign>)> = Vec::new();
+            let mut walk = StackWalk::new(&polys, &[0, 1], stack);
+            let mut table: Vec<(RealAlg, Vec<Sign>)> = Vec::new();
             loop {
                 let signs = polys.iter().map(|(id, _)| walk.sign(*id, &ctx).unwrap());
                 let signs: Vec<Sign> = signs.collect();
@@ -897,9 +949,9 @@ mod tests {
             assert_eq!(ctx.sign_evals.get() - before, expected_evals as u64);
             assert_eq!(table.len(), walk.cells());
             for (coord, signs) in &table {
-                let cell = [base[0].clone(), coord.clone()];
+                let mut cell = [base[0].clone(), coord.clone()];
                 for ((_, p), s) in polys.iter().zip(signs) {
-                    match sign_at(p, &[0, 1], &cell, &ctx) {
+                    match sign_at(p, &[0, 1], &mut cell, &ctx) {
                         Ok(direct) => assert_eq!(direct, *s, "{p} at {cell:?}"),
                         // Two algebraic coordinates: refinement cannot
                         // prove a zero, it can only fail to refute it.
@@ -908,7 +960,7 @@ mod tests {
                     }
                 }
             }
-            let mut lazy = StackWalk::new(&polys, &[0, 1], &base, build());
+            let mut lazy = StackWalk::new(&polys, &[0, 1], build());
             for (k, (_, signs)) in table.iter().enumerate() {
                 for (j, (id, _)) in polys.iter().enumerate() {
                     if (k + j) % 3 == 1 {
@@ -932,16 +984,21 @@ mod tests {
             (2, &y.pow(2) - &y),
         ];
         let ctx = QeContext::exact();
-        let base = [Coord::Rat(Rat::zero())];
-        let stack = build_stack(&polys, &[0], &base, 1, &no_lower, &ctx).unwrap();
+        let base = [RealAlg::from_rat(Rat::zero())];
+        let stack = build_stack(&polys, &[0], base.to_vec(), 1, &no_lower, &ctx).unwrap();
         let vanish: Vec<Vec<usize>> = stack
             .sections
             .iter()
             .map(|s| s.vanish.iter().copied().collect())
             .collect();
         assert_eq!(vanish, [vec![1], vec![0], vec![0, 2], vec![0, 2], vec![1]]);
-        for w in stack.sections.windows(2) {
-            assert_eq!(w[0].root.cmp_alg(&w[1].root), std::cmp::Ordering::Less);
+        let mut roots: Vec<RealAlg> = stack.sections.into_iter().map(|s| s.root).collect();
+        for i in 1..roots.len() {
+            let (lower, upper) = roots.split_at_mut(i);
+            assert_eq!(
+                lower[i - 1].cmp_alg(&mut upper[0]),
+                std::cmp::Ordering::Less
+            );
         }
     }
 
@@ -956,17 +1013,17 @@ mod tests {
         let z = MPoly::var(1, 3);
         let y = MPoly::var(2, 3);
         let cases = [
-            (&y - &x3, vec![0], vec![Coord::Rat(big.clone())]),
+            (&y - &x3, vec![0], vec![RealAlg::from_rat(big.clone())]),
             (
                 &y - &(&z * &x3),
                 vec![0, 1],
-                vec![Coord::Rat(big), Coord::Alg(sqrt2())],
+                vec![RealAlg::from_rat(big), sqrt2()],
             ),
         ];
         for (p, vars, base) in cases {
             let ctx = QeContext::with_budget(32);
             let below = at_base(&vars, &base);
-            let err = build_stack(&[(0, p)], &vars, &base, 2, &below, &ctx).err();
+            let err = build_stack(&[(0, p)], &vars, base.clone(), 2, &below, &ctx).err();
             assert!(
                 matches!(
                     err,

@@ -104,15 +104,12 @@ pub fn numerical_evaluation(
         let mut coords = Vec::with_capacity(cell.sample.len());
         let mut exact = true;
         for c in &cell.sample {
-            match c {
-                cad::sample::Coord::Rat(r) => coords.push(r.clone()),
-                cad::sample::Coord::Alg(a) => match a.to_rat() {
-                    Some(r) => coords.push(r),
-                    None => {
-                        exact = false;
-                        coords.push(a.approx(eps));
-                    }
-                },
+            match c.to_rat() {
+                Some(r) => coords.push(r),
+                None => {
+                    exact = false;
+                    coords.push(c.approx(eps));
+                }
             }
         }
         out.push(ApproxPoint { coords, exact });

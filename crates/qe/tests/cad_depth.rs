@@ -90,6 +90,47 @@ fn three_level_cad_structure() {
     }
 }
 
+/// The tangency of `repro` E16, `x² + y² + w² − 4` and `y·w − 1`, as a
+/// full three-level CAD: level-3 stacks over sibling level-2 cells read the
+/// same level-1 coordinate, each from its own copy, so the cells, their
+/// sign vectors and their sample intervals are the same for every worker
+/// count.
+#[test]
+fn three_level_tangency_is_worker_independent() {
+    let n = 3;
+    let (x, y, w) = (MPoly::var(0, n), MPoly::var(1, n), MPoly::var(2, n));
+    let sphere = &(&(&x.pow(2) + &y.pow(2)) + &w.pow(2)) - &c(4, n);
+    let hyperbola = &(&y * &w) - &c(1, n);
+    let cells = |workers: usize| {
+        let ctx = QeContext::exact().with_workers(workers);
+        let cad = build_cad(&[sphere.clone(), hyperbola.clone()], &[0, 1, 2], n, &ctx).unwrap();
+        let per_level: Vec<usize> = cad.levels.iter().map(|l| l.len()).collect();
+        let cells: Vec<(Vec<String>, Vec<usize>, String)> = cad
+            .levels
+            .iter()
+            .flat_map(|level| level.iter())
+            .map(|cell| {
+                let sample = cell.sample.iter().map(|c| c.interval().to_string());
+                (
+                    sample.collect(),
+                    cell.index.clone(),
+                    format!("{:?}", cell.signs),
+                )
+            })
+            .collect();
+        (per_level, cells)
+    };
+    let (per_level, sequential) = cells(1);
+    assert_eq!(per_level.iter().sum::<usize>(), 419, "{per_level:?}");
+    for workers in [2, 4] {
+        assert_eq!(
+            cells(workers),
+            (per_level.clone(), sequential.clone()),
+            "workers {workers}"
+        );
+    }
+}
+
 /// z = x·y over x = √2, y = √3 has the (irrational) root √6: EVAL-style
 /// numeric extraction through a 3-var finite system.
 #[test]

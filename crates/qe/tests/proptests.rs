@@ -173,6 +173,8 @@ proptest! {
     /// context (cells, sign evaluations, the largest bit length) are the
     /// sequential loop's too, and a budget one bit short of what the exact
     /// run needed fails with the same typed error for every worker count.
+    /// Every cell of the full CAD carries the same sample coordinates, down
+    /// to the isolating intervals their refinement left.
     #[test]
     fn cad_parallel_matches_sequential(
         a in -2i64..=2, b in -2i64..=2, c in -2i64..=2,
@@ -206,7 +208,20 @@ proptest! {
         // Degenerate conics can be rejected by CAD (e.g. identically
         // vanishing iterated resultants); the contract under test only
         // concerns inputs the sequential engine accepts.
+        // Each cell's sample, interval by interval.
+        let samples = |workers: usize| -> Option<Vec<Vec<String>>> {
+            let polys = cdb_qe::cad::matrix_polys(&matrix).ok()?;
+            let ctx = QeContext::exact().with_workers(workers);
+            let cad = cdb_qe::cad::build_cad(&polys, &[0, 1], n, &ctx).ok()?;
+            let cells = cad.levels.iter().flat_map(|level| level.iter());
+            Some(
+                cells
+                    .map(|cell| cell.sample.iter().map(|c| c.interval().to_string()).collect())
+                    .collect(),
+            )
+        };
         if let (Ok(seq), seq_counts) = run(QeContext::exact(), 1) {
+            let seq_samples = samples(1);
             let short = seq_counts.2 - 1;
             let seq_err = run(QeContext::with_budget(short), 1).0.expect_err("budget below need");
             prop_assert!(
@@ -220,6 +235,7 @@ proptest! {
                 prop_assert_eq!(seq_counts, par_counts, "workers = {}", workers);
                 let par_err = run(QeContext::with_budget(short), workers).0;
                 prop_assert_eq!(Err(seq_err.clone()), par_err, "workers = {}", workers);
+                prop_assert_eq!(&seq_samples, &samples(workers), "workers = {}", workers);
             }
         }
     }

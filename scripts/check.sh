@@ -123,21 +123,33 @@ echo "==> conic_cad lifts the same stacks and its filtered signs stay under thei
 # taken at its lower end (the parent's lower end or its midpoint), instead
 # of evaluating the Sturm chain there again, took it to 72,567, the same
 # over runs pinned to one CPU and unpinned (DESIGN.md §8).
-filter_ceiling=72567
-conic=$(cargo run --release --quiet --offline --manifest-path stmtbench/Cargo.toml --bin bench -- \
-    --workload conic_cad --seed 1 --seconds 1 --trace 1)
-counter() { echo "$conic" | grep -o "\"$1\": {\"value\": [0-9]*" | awk '{ n += $NF } END { print n + 0 }'; }
-cells=$(counter 'qe\.cad\.cells')
-sign_evals=$(counter 'qe\.cad\.sign_evals')
-if [ "$cells" -ne 8221 ] || [ "$sign_evals" -ne 5071 ]; then
-    echo "conic_cad: qe.cad.cells $cells, qe.cad.sign_evals $sign_evals at --seed 1, pinned 8221 / 5071" >&2
-    exit 1
-fi
-filtered=$(counter 'num\.filter\.\(hits\|fallbacks\)')
-if [ "$filtered" -gt "$filter_ceiling" ]; then
-    echo "conic_cad: $filtered filtered signs (num.filter.hits + fallbacks) at --seed 1, ceiling $filter_ceiling" >&2
-    exit 1
-fi
+# lift_gate <workload> <pinned cells> <pinned sign evaluations> <filtered-sign ceiling>
+lift_gate() {
+    local run
+    run=$(cargo run --release --quiet --offline --manifest-path stmtbench/Cargo.toml --bin bench -- \
+        --workload "$1" --seed 1 --seconds 1 --trace 1)
+    counter() { echo "$run" | grep -o "\"$1\": {\"value\": [0-9]*" | awk '{ n += $NF } END { print n + 0 }'; }
+    local cells sign_evals filtered
+    cells=$(counter 'qe\.cad\.cells')
+    sign_evals=$(counter 'qe\.cad\.sign_evals')
+    if [ "$cells" -ne "$2" ] || [ "$sign_evals" -ne "$3" ]; then
+        echo "$1: qe.cad.cells $cells, qe.cad.sign_evals $sign_evals at --seed 1, pinned $2 / $3" >&2
+        exit 1
+    fi
+    filtered=$(counter 'num\.filter\.\(hits\|fallbacks\)')
+    if [ "$filtered" -gt "$4" ]; then
+        echo "$1: $filtered filtered signs (num.filter.hits + fallbacks) at --seed 1, ceiling $4" >&2
+        exit 1
+    fi
+}
+lift_gate conic_cad 8221 5071 72567
+
+echo "==> serve_mixed lifts the same stacks and its filtered signs stay under their ceiling (one traced repeat at --seed 1)"
+# The same gate on the workload whose two sessions lift concurrently. Its
+# counts were identical over three runs and a run pinned to one CPU once each
+# number owned its refinement (DESIGN.md §5, "Refinement is owned"), so they
+# are pinned like conic_cad's; the filtered-sign ceiling is the count then.
+lift_gate serve_mixed 7940 4960 69520
 
 echo "==> the frozen benchmark is as committed (no step above rewrote stmtbench/ or BENCHMARK.json)"
 # A manifest edit that makes cargo rewrite stmtbench/Cargo.lock shows up here.
