@@ -12,7 +12,6 @@ use crate::region::{Arc, Cell1D, Region1D, Region2D};
 use crate::{AggError, AggValue};
 use cdb_constraints::ConstraintRelation;
 use cdb_num::Rat;
-use cdb_poly::RealAlg;
 use cdb_qe::QeContext;
 
 /// 1D measure of a unary relation over `var` (exact when all endpoints are
@@ -23,7 +22,7 @@ pub fn length(
     eps: &Rat,
     ctx: &QeContext,
 ) -> Result<AggValue, AggError> {
-    let region = Region1D::from_relation(rel, var, ctx)?;
+    let region = Region1D::from_relation(rel, var, eps, ctx)?;
     let mut total = Rat::zero();
     let mut exact = true;
     for cell in &region.cells {
@@ -33,10 +32,8 @@ pub fn length(
                 return Err(AggError::InfiniteMeasure)
             }
             Cell1D::Interval(Some(lo), Some(hi)) => {
-                let (l, el) = endpoint(lo, eps);
-                let (h, eh) = endpoint(hi, eps);
-                exact = exact && el && eh;
-                total = &total + &(&h - &l);
+                exact = exact && lo.exact && hi.exact;
+                total = &total + &(&hi.value - &lo.value);
             }
         }
     }
@@ -54,7 +51,7 @@ pub fn avg(
     eps: &Rat,
     ctx: &QeContext,
 ) -> Result<AggValue, AggError> {
-    let region = Region1D::from_relation(rel, var, ctx)?;
+    let region = Region1D::from_relation(rel, var, eps, ctx)?;
     if region.is_empty() {
         return Err(AggError::EmptyRegion);
     }
@@ -68,9 +65,9 @@ pub fn avg(
                     "finite-set region produced a non-point cell".to_owned(),
                 ));
             };
-            let (v, e) = endpoint(p, eps);
-            sum = &sum + &v;
-            exact = exact && e;
+            let v = AggValue::of(p, eps);
+            sum = &sum + &v.value;
+            exact = exact && v.exact;
             n += 1;
         }
         return Ok(AggValue {
@@ -89,13 +86,12 @@ pub fn avg(
                 return Err(AggError::Unbounded)
             }
             Cell1D::Interval(Some(lo), Some(hi)) => {
-                let (l, el) = endpoint(lo, eps);
-                let (h, eh) = endpoint(hi, eps);
-                exact = exact && el && eh;
-                measure = &measure + &(&h - &l);
+                let (l, h) = (&lo.value, &hi.value);
+                exact = exact && lo.exact && hi.exact;
+                measure = &measure + &(h - l);
                 // ∫ₗʰ x dx = (h² − l²)/2.
                 let half = Rat::from_ints(1, 2);
-                moment = &moment + &(&(&(&h * &h) - &(&l * &l)) * &half);
+                moment = &moment + &(&(&(h * h) - &(l * l)) * &half);
             }
         }
     }
@@ -115,7 +111,7 @@ pub fn arc_length(
     eps: &Rat,
     ctx: &QeContext,
 ) -> Result<AggValue, AggError> {
-    let region = Region2D::from_relation(rel, xvar, yvar, ctx)?;
+    let region = Region2D::from_relation(rel, xvar, yvar, eps, ctx)?;
     let mut total = 0.0f64;
     for slab in &region.slabs {
         if !slab.bands.is_empty() {
@@ -130,8 +126,7 @@ pub fn arc_length(
                 }
             }
             Cell1D::Interval(Some(lo), Some(hi)) => {
-                let a = lo.approx(eps).to_f64();
-                let b = hi.approx(eps).to_f64();
+                let (a, b) = (lo.to_f64(), hi.to_f64());
                 for arc in &slab.arcs {
                     total += arc_piece_length(&region, arc, a, b)?;
                 }
@@ -173,13 +168,6 @@ fn arc_piece_length(region: &Region2D, arc: &Arc, a: f64, b: f64) -> Result<f64,
         return Err(AggError::Quadrature("vertical tangent in arc".into()));
     }
     Ok(v)
-}
-
-fn endpoint(p: &RealAlg, eps: &Rat) -> (Rat, bool) {
-    match p.to_rat() {
-        Some(r) => (r, true),
-        None => (p.approx(eps), false),
-    }
 }
 
 #[cfg(test)]

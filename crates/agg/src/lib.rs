@@ -107,6 +107,19 @@ impl AggValue {
         AggValue { value, exact: true }
     }
 
+    /// The real number `root`: itself when it is rational, else a rational
+    /// within `eps` of it.
+    #[must_use]
+    pub(crate) fn of(root: &cdb_poly::RealAlg, eps: &cdb_num::Rat) -> AggValue {
+        match root.to_rat() {
+            Some(r) => AggValue::exact(r),
+            None => AggValue {
+                value: root.approx(eps),
+                exact: false,
+            },
+        }
+    }
+
     /// Approximate value from an f64; a non-finite one (an overflowed or
     /// failed quadrature) is an [`AggError::Quadrature`], never a number.
     // cdb-lint: allow(float) — the one inward door for §5 quadrature results;

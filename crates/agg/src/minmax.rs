@@ -16,10 +16,10 @@ pub fn min_of(
     eps: &Rat,
     ctx: &QeContext,
 ) -> Result<AggValue, AggError> {
-    let region = Region1D::from_relation(rel, var, ctx)?;
+    let region = Region1D::from_relation(rel, var, eps, ctx)?;
     let first = region.cells.first().ok_or(AggError::EmptyRegion)?;
     match first {
-        Cell1D::Point(p) => Ok(value_of(p, eps)),
+        Cell1D::Point(p) => Ok(AggValue::of(p, eps)),
         Cell1D::Interval(None, _) => Err(AggError::Unbounded),
         // Open from the left: the infimum is not attained, so MIN does not
         // exist (the region's leftmost cell is open — had the endpoint been
@@ -35,22 +35,12 @@ pub fn max_of(
     eps: &Rat,
     ctx: &QeContext,
 ) -> Result<AggValue, AggError> {
-    let region = Region1D::from_relation(rel, var, ctx)?;
+    let region = Region1D::from_relation(rel, var, eps, ctx)?;
     let last = region.cells.last().ok_or(AggError::EmptyRegion)?;
     match last {
-        Cell1D::Point(p) => Ok(value_of(p, eps)),
+        Cell1D::Point(p) => Ok(AggValue::of(p, eps)),
         Cell1D::Interval(_, None) => Err(AggError::Unbounded),
         Cell1D::Interval(_, Some(_)) => Err(AggError::NotAttained),
-    }
-}
-
-fn value_of(p: &cdb_poly::RealAlg, eps: &Rat) -> AggValue {
-    match p.to_rat() {
-        Some(r) => AggValue::exact(r),
-        None => AggValue {
-            value: p.approx(eps),
-            exact: false,
-        },
     }
 }
 

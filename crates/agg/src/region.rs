@@ -7,21 +7,23 @@
 //! determine their dimension and their relative positions in the stacks").
 
 // cdb-lint: allow-file(float) — §5 approximate aggregates: region scanning feeds the quadrature paths, whose results are explicitly flagged inexact via AggValue::exact
-use crate::AggError;
+use crate::{AggError, AggValue};
 use cdb_constraints::formula::relation_to_formula;
 use cdb_constraints::ConstraintRelation;
 use cdb_num::{Rat, Sign};
 use cdb_poly::{MPoly, Partial, RealAlg, UPoly};
 use cdb_qe::cad::{build_cad, eval_formula_at_cell, CadCell};
 use cdb_qe::QeContext;
+use std::collections::BTreeMap;
 
 /// A cell of a one-dimensional region.
 #[derive(Debug, Clone)]
 pub enum Cell1D {
     /// An isolated point.
     Point(RealAlg),
-    /// An open interval; `None` endpoints are infinite.
-    Interval(Option<RealAlg>, Option<RealAlg>),
+    /// An open interval; `None` endpoints are infinite. A finite end is
+    /// its root when rational, else a rational within the region's `eps`.
+    Interval(Option<AggValue>, Option<AggValue>),
 }
 
 /// A one-dimensional region: true cells of the CAD of a unary relation,
@@ -33,10 +35,12 @@ pub struct Region1D {
 }
 
 impl Region1D {
-    /// Scan a relation that constrains the single variable `var`.
+    /// Scan a relation that constrains the single variable `var`; interval
+    /// ends are approximated to `eps`.
     pub fn from_relation(
         rel: &ConstraintRelation,
         var: usize,
+        eps: &Rat,
         ctx: &QeContext,
     ) -> Result<Region1D, AggError> {
         if rel.is_syntactically_empty() {
@@ -62,10 +66,11 @@ impl Region1D {
             return Ok(Region1D { cells: Vec::new() });
         };
         let max_index = cell_index(last, 0)?;
+        let mut ends = BTreeMap::new();
         let mut out = Vec::new();
         for (i, cell) in cells.iter().enumerate() {
             if eval_formula_at_cell(&cad, cell, &matrix, ctx)? {
-                out.push(x_cell(cells, i, max_index)?);
+                out.push(x_cell(cells, i, max_index, eps, &mut ends)?);
             }
         }
         Ok(Region1D { cells: out })
@@ -86,18 +91,36 @@ impl Region1D {
 
 /// Level-1 cell `cells[i]` as a [`Cell1D`]: a section is its root; a sector
 /// is the open interval between the sections around it, unbounded below the
-/// first and above the last (stack position `max_index`).
-fn x_cell(cells: &[CadCell], i: usize, max_index: usize) -> Result<Cell1D, AggError> {
-    let root = |j: usize| cells.get(j).map(|c| cell_coord(c, 0).cloned()).transpose();
+/// first and above the last (stack position `max_index`). Each root is
+/// approximated to `eps` once per region: `ends` keeps the approximations
+/// by section index, so neighbouring sectors share their common end.
+fn x_cell(
+    cells: &[CadCell],
+    i: usize,
+    max_index: usize,
+    eps: &Rat,
+    ends: &mut BTreeMap<usize, AggValue>,
+) -> Result<Cell1D, AggError> {
     let pos = cell_index(&cells[i], 0)?;
     if pos % 2 == 0 {
         return Ok(Cell1D::Point(cell_coord(&cells[i], 0)?.clone()));
     }
+    let mut end = |j: usize| -> Result<Option<AggValue>, AggError> {
+        let Some(cell) = cells.get(j) else {
+            return Ok(None);
+        };
+        if let Some(v) = ends.get(&j) {
+            return Ok(Some(v.clone()));
+        }
+        let v = AggValue::of(cell_coord(cell, 0)?, eps);
+        ends.insert(j, v.clone());
+        Ok(Some(v))
+    };
     let lo = match i.checked_sub(1) {
-        Some(j) if pos != 1 => root(j)?,
+        Some(j) if pos != 1 => end(j)?,
         _ => None,
     };
-    let hi = if pos == max_index { None } else { root(i + 1)? };
+    let hi = if pos == max_index { None } else { end(i + 1)? };
     Ok(Cell1D::Interval(lo, hi))
 }
 
@@ -173,11 +196,13 @@ pub struct Region2D {
 }
 
 impl Region2D {
-    /// Scan a relation constraining variables `xvar` and `yvar`.
+    /// Scan a relation constraining variables `xvar` and `yvar`; the ends
+    /// of the slabs' x-intervals are approximated to `eps`.
     pub fn from_relation(
         rel: &ConstraintRelation,
         xvar: usize,
         yvar: usize,
+        eps: &Rat,
         ctx: &QeContext,
     ) -> Result<Region2D, AggError> {
         let polys = rel.polynomials();
@@ -200,6 +225,7 @@ impl Region2D {
             None => 1,
         };
         // Group level-2 cells by parent.
+        let mut ends = BTreeMap::new();
         let mut slabs = Vec::new();
         for pi in 0..level1.len() {
             let children: Vec<(usize, &CadCell)> = level2
@@ -211,7 +237,6 @@ impl Region2D {
                 Some((_, c)) => cell_index(c, 1)?,
                 None => 1,
             };
-            let x_cell = x_cell(level1, pi, max_x_index)?;
             let mut bands = Vec::new();
             let mut arcs = Vec::new();
             for (ci, (gi, cell)) in children.iter().enumerate() {
@@ -253,7 +278,7 @@ impl Region2D {
             }
             if !bands.is_empty() || !arcs.is_empty() {
                 slabs.push(Slab {
-                    x_cell,
+                    x_cell: x_cell(level1, pi, max_x_index, eps, &mut ends)?,
                     bands,
                     arcs,
                 });
@@ -338,6 +363,10 @@ mod tests {
         MPoly::constant(Rat::from(v), n)
     }
 
+    fn eps() -> Rat {
+        "1/100000000".parse().unwrap()
+    }
+
     fn interval_rel() -> ConstraintRelation {
         // 0 ≤ x ≤ 2 ∪ {4}
         let x = MPoly::var(0, 1);
@@ -359,15 +388,15 @@ mod tests {
     #[test]
     fn region1d_cells() {
         let ctx = QeContext::exact();
-        let r = Region1D::from_relation(&interval_rel(), 0, &ctx).unwrap();
+        let r = Region1D::from_relation(&interval_rel(), 0, &eps(), &ctx).unwrap();
         // Sections at 0 and 2 are *in* the set (≤), plus the open interval
         // and the isolated point 4: point(0), (0,2), point(2), point(4).
         assert_eq!(r.cells.len(), 4);
         assert!(!r.is_finite_set());
         match &r.cells[1] {
             Cell1D::Interval(Some(lo), Some(hi)) => {
-                assert_eq!(lo.to_rat(), Some(Rat::zero()));
-                assert_eq!(hi.to_rat(), Some(Rat::from(2i64)));
+                assert_eq!(*lo, AggValue::exact(Rat::zero()));
+                assert_eq!(*hi, AggValue::exact(Rat::from(2i64)));
             }
             other => panic!("expected bounded interval, got {other:?}"),
         }
@@ -385,7 +414,7 @@ mod tests {
             vec![GeneralizedTuple::new(1, vec![Atom::new(-&x, RelOp::Le)])],
         );
         let ctx = QeContext::exact();
-        let r = Region1D::from_relation(&rel, 0, &ctx).unwrap();
+        let r = Region1D::from_relation(&rel, 0, &eps(), &ctx).unwrap();
         assert!(r
             .cells
             .iter()
@@ -406,7 +435,7 @@ mod tests {
             )],
         );
         let ctx = QeContext::exact();
-        let region = Region2D::from_relation(&rel, 0, 1, &ctx).unwrap();
+        let region = Region2D::from_relation(&rel, 0, 1, &eps(), &ctx).unwrap();
         // Open slabs over (1, 5/2) and (5/2, 4) plus measure-zero pieces.
         let open_slabs: Vec<&Slab> = region
             .slabs

@@ -24,7 +24,7 @@ pub fn surface(
     eps: &Rat,
     ctx: &QeContext,
 ) -> Result<AggValue, AggError> {
-    let region = Region2D::from_relation(rel, xvar, yvar, ctx)?;
+    let region = Region2D::from_relation(rel, xvar, yvar, eps, ctx)?;
     let mut exact_total = Rat::zero();
     let mut approx_total = 0.0f64;
     let mut all_exact = true;
@@ -43,15 +43,16 @@ pub fn surface(
             let (Some(lower), Some(upper)) = (&band.lower, &band.upper) else {
                 return Err(AggError::InfiniteMeasure);
             };
-            match (lo.to_rat(), hi.to_rat(), lower, upper) {
-                (Some(a), Some(b), BoundFn::Poly(gl), BoundFn::Poly(gu)) => {
+            match (lower, upper) {
+                (BoundFn::Poly(gl), BoundFn::Poly(gu)) if lo.exact && hi.exact => {
                     // Exact: ∫ₐᵇ (gu − gl) dx.
                     let diff = gu - gl;
-                    exact_total = &exact_total + &diff.integrate(&a, &b);
+                    exact_total = &exact_total + &diff.integrate(&lo.value, &hi.value);
                 }
                 _ => {
                     all_exact = false;
-                    approx_total += integrate_band_numeric(&region, band, lo, hi, eps)?;
+                    approx_total +=
+                        integrate_band_numeric(&region, band, lo.to_f64(), hi.to_f64())?;
                 }
             }
         }
@@ -63,15 +64,8 @@ pub fn surface(
     }
 }
 
-fn integrate_band_numeric(
-    region: &Region2D,
-    band: &Band,
-    lo: &cdb_poly::RealAlg,
-    hi: &cdb_poly::RealAlg,
-    eps: &Rat,
-) -> Result<f64, AggError> {
-    let a = lo.approx(eps).to_f64();
-    let b = hi.approx(eps).to_f64();
+/// `∫ₐᵇ (upper − lower) dx` by quadrature over the x-interval `(a, b)`.
+fn integrate_band_numeric(region: &Region2D, band: &Band, a: f64, b: f64) -> Result<f64, AggError> {
     let eval_bound = |bf: &BoundFn, x: f64| -> f64 {
         match bf {
             BoundFn::Poly(g) => g.eval_f64(x),

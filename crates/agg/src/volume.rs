@@ -34,7 +34,7 @@ pub fn volume(
         rel.nvars(),
         ctx,
     )?;
-    let region = Region1D::from_relation(&shadow, xvar, ctx)?;
+    let region = Region1D::from_relation(&shadow, xvar, eps, ctx)?;
     let mut total = 0.0f64;
     for cell in &region.cells {
         match cell {
@@ -43,8 +43,7 @@ pub fn volume(
                 return Err(AggError::InfiniteMeasure)
             }
             Cell1D::Interval(Some(lo), Some(hi)) => {
-                let a = lo.approx(eps).to_f64();
-                let b = hi.approx(eps).to_f64();
+                let (a, b) = (lo.to_f64(), hi.to_f64());
                 // Slice area at x: SURFACE of rel with x substituted.
                 let integrand = |x: f64| -> f64 {
                     let Some(xr) = Rat::from_f64(x) else {
@@ -121,7 +120,7 @@ mod tests {
             &scan,
         )
         .unwrap();
-        Region1D::from_relation(&shadow, 0, &scan).unwrap();
+        Region1D::from_relation(&shadow, 0, &eps(), &scan).unwrap();
 
         assert!(
             ctx.cells_built.get() > scan.cells_built.get(),

@@ -1,10 +1,10 @@
 //! First-occurrence sets of generalized tuples.
 
 use crate::gtuple::GeneralizedTuple;
+use cdb_num::hash::BuildContentHasher;
 use std::borrow::Cow;
-use std::collections::hash_map::DefaultHasher;
 use std::collections::BTreeSet;
-use std::hash::{Hash, Hasher};
+use std::hash::BuildHasher;
 
 /// A list of generalized tuples in insertion order with hashed membership:
 /// every position is filed under its tuple's content hash (`MPoly` hashes in
@@ -19,10 +19,9 @@ pub struct TupleSet<'a> {
     index: BTreeSet<(u64, usize)>,
 }
 
+/// Content hash under the fixed-key [`cdb_num::hash::ContentHasher`].
 fn content_hash(t: &GeneralizedTuple) -> u64 {
-    let mut h = DefaultHasher::new();
-    t.hash(&mut h);
-    h.finish()
+    BuildContentHasher::default().hash_one(t)
 }
 
 impl<'a> TupleSet<'a> {

@@ -29,9 +29,13 @@
 //! outward-rounded machine-float intervals ([`fintv::FIntv`]) provide the
 //! split-word *filter* layer that short-circuits exact sign computations
 //! whenever a cheap f64 enclosure already excludes zero.
+//!
+//! Every content-addressed table of the workspace hashes with the one
+//! fixed-key word hasher [`hash::ContentHasher`].
 
 pub mod fintv;
 pub mod fk;
+pub mod hash;
 pub mod int;
 pub mod interval;
 pub mod modp;

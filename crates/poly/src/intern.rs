@@ -1,41 +1,46 @@
 //! Hash-consing interner for canonical polynomial term vectors.
 //!
 //! Every [`crate::MPoly`] is born by sealing a canonical
-//! [`Terms`](crate::Terms) vector ([`Terms::seal`](crate::Terms::seal)),
-//! and sealing funnels the resulting `PolyData`
-//! through `canonicalize`: if a structurally equal polynomial is already
-//! resident, the existing `Arc` is handed back and the duplicate is
-//! dropped, so equal polynomials share one allocation, `Clone` is a pointer
-//! bump, and `Eq` usually short-circuits on pointer identity.
-//! Intermediates that a kernel builds and discards in `Terms` never reach
-//! the interner (DESIGN.md §10.2).
+//! [`Terms`] vector ([`Terms::seal`]),
+//! and sealing funnels the vector and its content hash through
+//! `canonicalize`: if a structurally equal polynomial is already resident,
+//! the existing `Arc` is handed back and the vector is dropped, so equal
+//! polynomials share one allocation, `Clone` is a pointer bump, and `Eq`
+//! usually short-circuits on pointer identity. A hit builds nothing: the
+//! degree caches of `PolyData` are computed on a miss only. Intermediates
+//! that a kernel builds and discards in `Terms` never reach the interner
+//! (DESIGN.md §10.2).
 //!
 //! Determinism: interning changes **sharing**, never **values**. Handles
 //! carry a content hash computed from `(nvars, terms)` with the fixed-key
-//! `DefaultHasher`, so ids ([`crate::PolyId`]) are a pure function of the
-//! polynomial — independent of insertion order, eviction history or thread
-//! schedule. A lookup miss yields a fresh allocation whose observable
-//! behaviour is identical.
+//! [`cdb_num::hash::ContentHasher`], so ids ([`crate::PolyId`]) are a pure
+//! function of the polynomial — independent of insertion order, eviction
+//! history or thread schedule. A lookup miss yields a fresh allocation
+//! whose observable behaviour is identical.
 //!
 //! Concurrency: 16 shards, each a `Mutex` around a hash → bucket map
-//! (the PR 1 `AlgebraicCache` pattern), poisoned locks recovered with
-//! `PoisonError::into_inner` (the data is a grow-only map of immutable
-//! entries — always valid). `canonicalize` takes exactly one lock, never
-//! nested, and never calls back into polynomial code while holding it.
+//! (the PR 1 `AlgebraicCache` pattern) and the shard's traffic counters,
+//! poisoned locks recovered with `PoisonError::into_inner` (the data is a
+//! grow-only map of immutable entries and three counts — always valid).
+//! `canonicalize` takes exactly one lock, never nested, and never calls
+//! back into polynomial code while holding it; [`stats`] takes the shard
+//! locks one at a time. The map is keyed by finished content hashes, so it
+//! hashes them with the same word hasher rather than re-hashing them with
+//! a keyed one.
 //! Memory is bounded by a per-shard sweep: when a shard reaches its
 //! threshold, entries no longer referenced outside the interner
 //! (`strong_count == 1`) are swept, and the threshold re-arms at twice what
 //! survived (never below `SHARD_WATERMARK`) — so a shard full of live
 //! polynomials is swept O(log n) times over n misses, not on every miss.
-//! All metrics counters are `SeqCst`, per the PR 4 determinism sweep.
 
 use crate::mpoly::PolyData;
+use crate::Terms;
+use cdb_num::hash::BuildContentHasher;
 // Keyed lookups only — bucket iteration order never reaches any output, and
 // `cdb_poly` is outside the determinism-rule scope anyway; results are
 // content-addressed (the same contract as cdb-qe's memo shards).
 #[allow(clippy::disallowed_types)]
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::sync::{Mutex, OnceLock, PoisonError};
 
@@ -51,12 +56,19 @@ const SHARD_WATERMARK: usize = 4096;
 /// against hash collisions: a hit requires full structural equality.
 /// Keyed lookups only (see the allow on the import above).
 #[allow(clippy::disallowed_types)]
-type ShardMap = HashMap<u64, Vec<Arc<PolyData>>>;
+type ShardMap = HashMap<u64, Vec<Arc<PolyData>>, BuildContentHasher>;
 
-/// One interner shard: its map and the size at which the next miss sweeps.
+/// One interner shard: its map, the size at which the next miss sweeps, and
+/// its counters, kept under the shard's lock.
 struct Shard {
     map: ShardMap,
     threshold: usize,
+    /// Resident polynomials.
+    entries: u64,
+    /// Lookups answered by a resident polynomial.
+    hits: u64,
+    /// Lookups that inserted a new polynomial.
+    misses: u64,
 }
 
 impl Shard {
@@ -66,20 +78,39 @@ impl Shard {
     fn new() -> Shard {
         Shard {
             #[allow(clippy::disallowed_types)]
-            map: HashMap::new(),
+            map: HashMap::default(),
             threshold: SHARD_WATERMARK,
+            entries: 0,
+            hits: 0,
+            misses: 0,
         }
+    }
+
+    /// The resident polynomial equal to `body`, if any, counting the
+    /// lookup as a hit or a miss.
+    fn find(&mut self, body: &Terms, hash: u64) -> Option<Arc<PolyData>> {
+        let found = self
+            .map
+            .get(&hash)
+            .and_then(|bucket| bucket.iter().find(|c| c.body == *body))
+            .cloned();
+        match found {
+            Some(_) => self.hits += 1,
+            None => self.misses += 1,
+        }
+        found
     }
 
     /// Insert a polynomial known to be absent, sweeping first when the
     /// shard has reached its threshold.
     fn insert(&mut self, data: PolyData) -> Arc<PolyData> {
         if self.map.len() >= self.threshold {
-            sweep(&mut self.map);
+            self.entries -= sweep(&mut self.map);
             self.threshold = rearm(self.map.len());
         }
         let arc = Arc::new(data);
         self.map.entry(arc.hash).or_default().push(Arc::clone(&arc));
+        self.entries += 1;
         arc
     }
 }
@@ -96,31 +127,22 @@ fn pool() -> &'static Vec<Mutex<Shard>> {
     POOL.get_or_init(|| (0..SHARDS).map(|_| Mutex::new(Shard::new())).collect())
 }
 
-static HITS: AtomicU64 = AtomicU64::new(0);
-static MISSES: AtomicU64 = AtomicU64::new(0);
-static ENTRIES: AtomicU64 = AtomicU64::new(0);
-
-/// Intern a canonical polynomial: return the resident `Arc` for a
-/// structurally equal polynomial if one exists, else insert `data`.
-pub(crate) fn canonicalize(data: PolyData) -> Arc<PolyData> {
-    let shards = pool();
-    let idx = (data.hash as usize) & (SHARDS - 1);
-    let mut shard = shards[idx].lock().unwrap_or_else(PoisonError::into_inner);
-    if let Some(bucket) = shard.map.get(&data.hash) {
-        if let Some(found) = bucket.iter().find(|c| c.body == data.body) {
-            HITS.fetch_add(1, Ordering::SeqCst);
-            return Arc::clone(found);
-        }
+/// Intern the canonical term vector `body`, whose content hash is `hash`:
+/// return the resident `Arc` for a structurally equal polynomial if one
+/// exists, else seal `body` into a new entry.
+pub(crate) fn canonicalize(body: Terms, hash: u64) -> Arc<PolyData> {
+    let idx = (hash as usize) & (SHARDS - 1);
+    let mut shard = pool()[idx].lock().unwrap_or_else(PoisonError::into_inner);
+    // On a hit `body` is dropped after the guard, outside the lock.
+    match shard.find(&body, hash) {
+        Some(found) => found,
+        None => shard.insert(PolyData::new(body, hash)),
     }
-    MISSES.fetch_add(1, Ordering::SeqCst);
-    let arc = shard.insert(data);
-    ENTRIES.fetch_add(1, Ordering::SeqCst);
-    arc
 }
 
-/// Drop every entry no longer referenced outside the interner. Called with
-/// the shard lock held; touches no other locks.
-fn sweep(map: &mut ShardMap) {
+/// Drop every entry no longer referenced outside the interner, returning
+/// how many went. Called with the shard lock held; touches no other locks.
+fn sweep(map: &mut ShardMap) -> u64 {
     let mut removed = 0u64;
     map.retain(|_, bucket| {
         bucket.retain(|a| {
@@ -133,12 +155,10 @@ fn sweep(map: &mut ShardMap) {
         });
         !bucket.is_empty()
     });
-    if removed > 0 {
-        ENTRIES.fetch_sub(removed, Ordering::SeqCst);
-    }
+    removed
 }
 
-/// Interner occupancy and traffic counters (all `SeqCst` reads).
+/// Interner occupancy and traffic counters, summed over the shards.
 #[derive(Debug, Clone, Copy)]
 pub struct InternStats {
     /// Resident canonical polynomials.
@@ -149,14 +169,22 @@ pub struct InternStats {
     pub misses: u64,
 }
 
-/// Snapshot the interner metrics.
+/// Snapshot the interner metrics. Each shard is read under its lock, so
+/// the counts are exact whenever no seal runs concurrently.
 #[must_use]
 pub fn stats() -> InternStats {
-    InternStats {
-        entries: ENTRIES.load(Ordering::SeqCst),
-        hits: HITS.load(Ordering::SeqCst),
-        misses: MISSES.load(Ordering::SeqCst),
+    let mut sum = InternStats {
+        entries: 0,
+        hits: 0,
+        misses: 0,
+    };
+    for shard in pool() {
+        let shard = shard.lock().unwrap_or_else(PoisonError::into_inner);
+        sum.entries += shard.entries;
+        sum.hits += shard.hits;
+        sum.misses += shard.misses;
     }
+    sum
 }
 
 #[cfg(test)]

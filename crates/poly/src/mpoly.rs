@@ -14,14 +14,15 @@
 //!   implemented on it once, and a kernel that chains several operations
 //!   (term lowering, Horner substitution, discriminants) stays in `Terms`
 //!   until its result is final.
-//! * [`MPoly`] — the sealed handle. [`Terms::seal`] computes the caches and
-//!   interns the vector in the [`crate::intern`] shards, once per result
+//! * [`MPoly`] — the sealed handle. [`Terms::seal`] hashes the vector and
+//!   interns it in the [`crate::intern`] shards, once per result
 //!   (DESIGN.md §10.2); `MPoly`'s own operators are a `Terms` operation
 //!   followed by one seal. `Clone` is a pointer bump, `Hash` writes one
 //!   precomputed content hash, and `Eq` short-circuits on pointer identity
 //!   before falling back to a hash-guarded structural compare — so `MPoly`
 //!   stays usable directly as a memo-cache key at O(1) per probe. Total
-//!   degree and per-variable degrees are computed at sealing
+//!   degree and per-variable degrees are computed when the interner first
+//!   takes a polynomial in, never on a hit
 //!   ([`MPoly::total_degree`]/[`MPoly::degree_in`] are O(1) reads).
 //!
 //! Lexicographic order is a valid monomial order; exact division
@@ -30,6 +31,7 @@
 use crate::intern;
 use crate::mono::Mono;
 use crate::upoly::UPoly;
+use cdb_num::hash::ContentHasher;
 use cdb_num::{Int, Rat, Sign};
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -42,11 +44,11 @@ use std::sync::Arc;
 pub type Monomial = Vec<u32>;
 
 /// Deterministic identity of a canonical polynomial: the content hash of
-/// `(nvars, terms)` under the fixed-key `DefaultHasher`. Equal polynomials
-/// always carry equal ids, across threads, runs, and interner states
-/// (ids derive from content, not insertion order). Distinct polynomials
-/// collide only with `DefaultHasher` probability, so ids are for
-/// diagnostics and hash-keying — `Eq` still verifies structure.
+/// `(nvars, terms)` under the fixed-key [`cdb_num::hash::ContentHasher`].
+/// Equal polynomials always carry equal ids, across threads, runs, hosts
+/// and interner states (ids derive from content, not insertion order).
+/// Distinct polynomials may collide, so ids are for diagnostics and
+/// hash-keying — `Eq` still verifies structure.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
 pub struct PolyId(u64);
 
@@ -54,7 +56,7 @@ pub struct PolyId(u64);
 ///
 /// Invariant (kept by every operation): `terms` is canonical — ascending
 /// lex monomial order, distinct monomials, no zero coefficients — so
-/// [`Terms::seal`] only computes caches and interns, and structural
+/// [`Terms::seal`] only hashes and interns, and structural
 /// equality is polynomial equality. Nothing is hashed or interned until
 /// `seal`.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -251,8 +253,8 @@ impl Terms {
         out
     }
 
-    /// Finish: compute the caches and intern — the one place a polynomial
-    /// is hashed and looked up.
+    /// Finish: hash and intern — the one place a polynomial is hashed and
+    /// looked up.
     #[must_use]
     pub fn seal(self) -> MPoly {
         MPoly::from_canonical(self)
@@ -374,12 +376,12 @@ impl Partial {
     }
 }
 
-/// The interned payload: canonical terms plus caches computed once at
-/// sealing. Immutable after interning.
+/// The interned payload: canonical terms plus caches computed once, when
+/// the interner first takes the polynomial in. Immutable after interning.
 pub(crate) struct PolyData {
     /// The canonical term vector and its ring arity.
     pub(crate) body: Terms,
-    /// Content hash of `(nvars, terms)` (fixed-key `DefaultHasher`).
+    /// Content hash of `(nvars, terms)` ([`content_hash`]).
     pub(crate) hash: u64,
     /// Max total degree over terms (0 for the zero polynomial).
     pub(crate) total_degree: u32,
@@ -415,11 +417,31 @@ impl Hash for MPoly {
     }
 }
 
+impl PolyData {
+    /// The payload of a canonical `body` whose content hash is `hash`, with
+    /// its degree caches; built on an interner miss only.
+    pub(crate) fn new(body: Terms, hash: u64) -> PolyData {
+        let mut total_degree = 0u32;
+        let mut var_degrees = vec![0u32; body.nvars];
+        for (m, _) in &body.terms {
+            total_degree = total_degree.max(m.total_degree());
+            for (d, e) in var_degrees.iter_mut().zip(m.exps()) {
+                *d = (*d).max(e);
+            }
+        }
+        PolyData {
+            body,
+            hash,
+            total_degree,
+            var_degrees,
+        }
+    }
+}
+
 /// Content hash of canonical `(nvars, terms)` under the fixed-key
-/// `DefaultHasher` (deterministic across processes; same idiom as the
-/// `AlgebraicCache` shard router).
+/// [`ContentHasher`] (deterministic across threads, processes and hosts).
 fn content_hash(body: &Terms) -> u64 {
-    let mut h = std::collections::hash_map::DefaultHasher::new();
+    let mut h = ContentHasher::default();
     h.write_usize(body.nvars);
     body.terms.hash(&mut h);
     h.finish()
@@ -440,8 +462,7 @@ fn scaled_powers(x: &Rat, d: u32) -> (Vec<Int>, Int) {
 }
 
 impl MPoly {
-    /// Seal a term vector that is already canonical: compute caches and
-    /// intern.
+    /// Seal a term vector that is already canonical: hash and intern.
     fn from_canonical(body: Terms) -> MPoly {
         let terms = &body.terms;
         debug_assert!(
@@ -452,22 +473,9 @@ impl MPoly {
             "terms not sorted"
         );
         debug_assert!(terms.iter().all(|(_, c)| !c.is_zero()), "zero coefficient");
-        let mut total_degree = 0u32;
-        let mut var_degrees = vec![0u32; body.nvars];
-        for (m, _) in terms {
-            total_degree = total_degree.max(m.total_degree());
-            for (d, e) in var_degrees.iter_mut().zip(m.exps()) {
-                *d = (*d).max(e);
-            }
-        }
         let hash = content_hash(&body);
         MPoly {
-            data: intern::canonicalize(PolyData {
-                body,
-                hash,
-                total_degree,
-                var_degrees,
-            }),
+            data: intern::canonicalize(body, hash),
         }
     }
 
@@ -1132,13 +1140,41 @@ mod tests {
         assert_ne!(p.id(), MPoly::var(0, 2).id());
     }
 
+    /// Ids are a pure function of content: pinned literals, the same in
+    /// every process and on every host.
+    #[test]
+    fn ids_are_pinned() {
+        let x0 = MPoly::var(0, 2);
+        let p = &(&MPoly::constant(Rat::from(3), 2) * &x0.pow(2)) - &MPoly::var(1, 2);
+        assert_eq!(x0.id(), PolyId(16_588_870_406_903_969_835));
+        assert_eq!(p.id(), PolyId(8_755_707_371_278_487_562));
+    }
+
+    /// No two polynomials `Σ c_ij x^i y^j`, `c_ij ∈ {−1, 0, 1}`, `i, j ≤ 2`
+    /// share a content hash.
+    #[test]
+    fn small_polynomials_have_distinct_ids() {
+        let monos: Vec<Mono> = (0..3)
+            .flat_map(|i| (0..3).map(move |j| Mono::from_exps(&[i, j])))
+            .collect();
+        let mut ids = std::collections::BTreeSet::new();
+        for mut code in 0..3usize.pow(9) {
+            let mut pairs = Vec::new();
+            for m in &monos {
+                pairs.push((m.clone(), Rat::from(code as i64 % 3 - 1)));
+                code /= 3;
+            }
+            assert!(ids.insert(Terms::from_pairs(2, pairs).seal().id()));
+        }
+        assert_eq!(ids.len(), 19_683);
+    }
+
     #[test]
     fn hash_is_content_hash() {
-        use std::collections::hash_map::DefaultHasher;
         let p = paper_poly();
         let q = paper_poly();
         let h = |x: &MPoly| {
-            let mut s = DefaultHasher::new();
+            let mut s = ContentHasher::default();
             x.hash(&mut s);
             s.finish()
         };

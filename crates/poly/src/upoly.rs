@@ -3,7 +3,6 @@
 use cdb_num::modp::{ModP, PRIMES};
 use cdb_num::{fintv, FIntv, Int, Rat, RatInterval, Sign};
 use std::fmt;
-use std::hash::{Hash, Hasher};
 use std::ops::{Add, Mul, Neg, Sub};
 use std::sync::Arc;
 
@@ -12,33 +11,21 @@ use std::sync::Arc;
 /// an empty coefficient vector).
 ///
 /// Coefficients live behind `Arc`, so `Clone` is a pointer bump (Sturm
-/// chains clone polynomials freely), and the content hash is computed once
-/// at construction so `Hash` is O(1) — `AlgebraicCache` keys no longer
-/// re-hash every coefficient per probe.
+/// chains clone polynomials freely). No map or memo key hashes a `UPoly`,
+/// so none carries a content hash.
 #[derive(Clone)]
 pub struct UPoly {
     /// `coeffs[i]` is the coefficient of `x^i`.
     coeffs: Arc<[Rat]>,
-    /// Content hash of the coefficient list (fixed-key `DefaultHasher`).
-    hash: u64,
 }
 
 impl PartialEq for UPoly {
     fn eq(&self, other: &UPoly) -> bool {
-        Arc::ptr_eq(&self.coeffs, &other.coeffs)
-            || (self.hash == other.hash && self.coeffs[..] == other.coeffs[..])
+        Arc::ptr_eq(&self.coeffs, &other.coeffs) || self.coeffs[..] == other.coeffs[..]
     }
 }
 
 impl Eq for UPoly {}
-
-impl Hash for UPoly {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        // O(1): equal coefficient lists always carry equal precomputed
-        // hashes, so this is consistent with `Eq`.
-        state.write_u64(self.hash);
-    }
-}
 
 impl UPoly {
     /// The zero polynomial.
@@ -71,14 +58,8 @@ impl UPoly {
         while coeffs.last().is_some_and(Rat::is_zero) {
             coeffs.pop();
         }
-        // Content hash under the fixed-key `DefaultHasher` (deterministic
-        // across threads and processes; the `AlgebraicCache` idiom).
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        h.write_usize(coeffs.len());
-        coeffs.hash(&mut h);
         UPoly {
             coeffs: coeffs.into(),
-            hash: h.finish(),
         }
     }
 
@@ -663,6 +644,19 @@ mod tests {
         assert!(p(&[0, 0]).is_zero());
         assert_eq!(p(&[1, 2, 0]).deg(), 1);
         assert_eq!(UPoly::x().deg(), 1);
+    }
+
+    /// Equality is of coefficients, whichever way they were built.
+    #[test]
+    fn equality_across_construction_paths() {
+        let padded =
+            UPoly::from_coeffs(vec![Rat::from(-1i64), Rat::zero(), Rat::one(), Rat::zero()]);
+        let product = &p(&[1, 1]) * &p(&[-1, 1]);
+        assert_eq!(padded, p(&[-1, 0, 1]));
+        assert_eq!(product, padded);
+        assert_eq!(&product - &padded, UPoly::zero());
+        assert_ne!(padded, p(&[-1, 0, 2]));
+        assert_ne!(padded, p(&[-1, 0, 1, 1]));
     }
 
     #[test]

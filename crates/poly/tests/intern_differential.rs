@@ -243,7 +243,7 @@ proptest! {
     fn eq_hash_id_consistent(
         ra in prop::collection::vec((0u32..=4, 0u32..=4, -9i64..=9), 0..=6),
     ) {
-        use std::collections::hash_map::DefaultHasher;
+        use cdb_num::hash::ContentHasher;
         use std::hash::{Hash, Hasher};
         let (a, fa) = both(2, &terms2(&ra));
         // Rebuild by summing single-term polynomials: same content.
@@ -254,7 +254,7 @@ proptest! {
         prop_assert_eq!(&a, &b);
         prop_assert_eq!(a.id(), b.id());
         let h = |p: &MPoly| {
-            let mut s = DefaultHasher::new();
+            let mut s = ContentHasher::default();
             p.hash(&mut s);
             s.finish()
         };

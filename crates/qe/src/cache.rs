@@ -49,16 +49,16 @@
 //! the frozen benchmark stops asserting that it fired (the ROADMAP's
 //! unfreeze ledger).
 
+use cdb_num::hash::BuildContentHasher;
 use cdb_poly::resultant as resfn;
 use cdb_poly::MPoly;
-use std::collections::hash_map::DefaultHasher;
 #[allow(clippy::disallowed_types)]
 // cdb-lint: allow(determinism) — bounded memo table: the map is only ever
 // read by key, counted (`len`) and emptied (`clear`), never iterated, and
 // cached values are pure functions of the key, so cache contents can never
 // alter a result.
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::hash::BuildHasher;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -84,7 +84,7 @@ enum Key {
 #[allow(clippy::disallowed_types)]
 // cdb-lint: allow(determinism) — see the `use` above: keyed access, `len`
 // and `clear` only.
-type Shard = Mutex<HashMap<Key, MPoly>>;
+type Shard = Mutex<HashMap<Key, MPoly, BuildContentHasher>>;
 
 /// Sharded, thread-safe, size-bounded memo-cache for resultants and
 /// discriminants. One instance lives on
@@ -142,7 +142,7 @@ impl AlgebraicCache {
                 #[allow(clippy::disallowed_types)]
                 // cdb-lint: allow(determinism) — see the `use` above: keyed
                 // access, `len` and `clear` only.
-                Mutex::new(HashMap::new())
+                Mutex::new(HashMap::default())
             })
             .collect();
         AlgebraicCache {
@@ -181,10 +181,12 @@ impl AlgebraicCache {
         removed
     }
 
+    /// The shard of `key`, picked by bits 32 and up of its hash: the
+    /// shard's own map places the key by the low bits and tags it with the
+    /// top seven of the same hash, so those must vary within a shard.
     fn shard_of(&self, key: &Key) -> &Shard {
-        let mut h = DefaultHasher::new();
-        key.hash(&mut h);
-        &self.inner.shards[(h.finish() as usize) % self.inner.shards.len()]
+        let h = BuildContentHasher::default().hash_one(key);
+        &self.inner.shards[((h >> 32) as usize) % self.inner.shards.len()]
     }
 
     /// Look up `key`, or compute it with `f` (outside the shard lock) and

@@ -6,7 +6,9 @@
 //! * **All-rational sample** — evaluate into a `UPoly` and isolate over `Q`.
 //! * **Algebraic coordinates** — the candidates are the real roots over `Q`
 //!   of the resultant(s) of the fibre polynomial against each coordinate's
-//!   minimal polynomial, so every root is a plain `RealAlg` over `Q` and
+//!   defining polynomial (squarefree, not always irreducible: a factor
+//!   whose roots make the fibre vanish identically is divided out first),
+//!   so every root is a plain `RealAlg` over `Q` and
 //!   downstream levels never see field towers. Membership is decided by
 //!   exact sign changes at rational separators of `q / S_k`, which has the
 //!   fibre's distinct roots, all simple: `k` is the least `j` whose
@@ -22,7 +24,7 @@ use super::sample::{eval_at_rationals, sign_at, sign_of_value, write_back};
 use crate::{QeContext, QeError};
 use cdb_num::{Rat, Sign};
 use cdb_poly::resultant::{discriminant, subresultant};
-use cdb_poly::{MPoly, Partial, RealAlg};
+use cdb_poly::{MPoly, Partial, RealAlg, UPoly};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// A section of a stack: a root of one or more level polynomials.
@@ -208,13 +210,16 @@ fn fibre_roots(
         return Ok(FiberRoots::Roots(Vec::new()));
     }
     // Candidates: eliminate every algebraic coordinate by resultants with
-    // its minimal polynomial (all of them are irrational here: the
-    // rational ones were substituted). Each is monic, so every real root
-    // of the fibre is a root of the last resultant.
+    // its defining polynomial (all of them are irrational here: the
+    // rational ones were substituted). The coordinate is a root of that
+    // polynomial, so every real root of the fibre is a root of the last
+    // resultant.
     let mut r = q.clone();
-    for (v, m) in algs.iter().filter_map(|(v, a)| Some((*v, a.poly()?))) {
-        let m_emb = MPoly::from_upoly(m, v, q.nvars());
-        r = ctx.cache.resultant(&r, &m_emb, v);
+    for (v, alpha) in algs.iter_mut() {
+        let Some(m) = alpha.poly().cloned() else {
+            continue;
+        };
+        r = eliminate(&r, *v, m, alpha, ctx)?;
         ctx.observe_poly(&r)?;
     }
     let ru = r
@@ -247,6 +252,45 @@ fn fibre_roots(
         }
     })
     .map(FiberRoots::Roots)
+}
+
+/// `res_v(r, m)` for the defining polynomial `m` of the coordinate `alpha`
+/// of variable `v`. The defining polynomial is squarefree but need not be
+/// irreducible, so `r` may share a factor with it: then the resultant
+/// vanishes identically, and `m` is replaced by `m / g` for `g` the gcd of
+/// `m` and every coefficient of `r` in `Q[v]`. The roots of `g` are exactly
+/// the conjugates over which `r` vanishes identically; `alpha` must not be
+/// one of them (a typed error if it is), so it stays a root of `m / g`.
+fn eliminate(
+    r: &MPoly,
+    v: usize,
+    m: UPoly,
+    alpha: &mut RealAlg,
+    ctx: &QeContext,
+) -> Result<MPoly, QeError> {
+    let nvars = r.nvars();
+    let res = ctx.cache.resultant(r, &MPoly::from_upoly(&m, v, nvars), v);
+    if !res.is_zero() {
+        return Ok(res);
+    }
+    let mut in_v: BTreeMap<Vec<u32>, Vec<Rat>> = BTreeMap::new();
+    for (mono, c) in r.terms() {
+        let mut rest = mono.to_vec();
+        let e = std::mem::take(&mut rest[v]) as usize;
+        let coeffs = in_v.entry(rest).or_default();
+        coeffs.resize(coeffs.len().max(e + 1), Rat::zero());
+        coeffs[e] = c.clone();
+    }
+    let g = in_v
+        .into_values()
+        .fold(m.clone(), |g, c| g.gcd(&UPoly::from_coeffs(c)));
+    if alpha.sign_of(&g) == Sign::Zero {
+        return Err(QeError::Unsupported(
+            "iterated resultant vanished identically".into(),
+        ));
+    }
+    let m = MPoly::from_upoly(&m.div_exact(&g), v, nvars);
+    Ok(ctx.cache.resultant(r, &m, v))
 }
 
 /// The degree of `p` in `yvar` on the fibre: that of its top coefficient

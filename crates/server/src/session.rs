@@ -559,6 +559,31 @@ mod tests {
         );
     }
 
+    /// A CAD coordinate whose defining polynomial is squarefree but
+    /// reducible: over `x = ±√2` the polynomial `x^3 - 2*x` shares the
+    /// factor `x` with the fibre's coefficients, so eliminating `x` by a
+    /// resultant against it vanishes identically until that factor is
+    /// divided out. The `x = 0` disjunct repeats a root of `x^3 - 2*x`: the
+    /// set is the three roots either way. The second and third lines are
+    /// the irreducible analogue and the form with two algebraic
+    /// coordinates, whose `y^4 - y^2 - 6` shares `y^2 + 2` with the
+    /// resultant in `x`.
+    #[test]
+    fn reducible_defining_polynomial_lifts() {
+        let server = Server::new(ServerConfig::default());
+        let script = "SELECT exists y (x^3 - 2*x = 0 and x*y + x^2 - 2*x = 0);\n\
+             SELECT exists y (x^2 - 2 = 0 and x*y + x^2 - 2*x = 0);\n\
+             SELECT exists w (x^3 - 2*x = 0 and y^4 - y^2 - 6 = 0 and x*w + x^2 - y^2 - 2 = 0);\n";
+        let mut out = Vec::new();
+        server.session().serve(script.as_bytes(), &mut out).unwrap();
+        assert_eq!(
+            String::from_utf8(out).unwrap(),
+            "rows (exact=true): (x^3 - 2*x = 0) or (x = 0)\n\
+             rows (exact=true): (x^2 - 2 = 0)\n\
+             rows (exact=true): (y^4 - y^2 - 6 = 0 and x^2 - 2 = 0)\n"
+        );
+    }
+
     #[test]
     fn statement_share_splits_the_hardware_threads() {
         for (hardware_threads, in_flight, share) in

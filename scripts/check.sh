@@ -92,18 +92,28 @@ if [ "$lookups" -gt "$intern_ceiling" ]; then
     exit 1
 fi
 
-echo "==> calcf_agg interner lookups stay under their ceiling (one traced repeat at --seed 1)"
+echo "==> calcf_agg interner lookups and filtered signs stay under their ceilings (one traced repeat at --seed 1)"
 # Sample evaluation in CAD lifting seals nothing and an algebraic fibre seals
-# once (DESIGN.md §10.2): that took this count from 40,234 to 27,071. A
+# once (DESIGN.md §10.2): that took the lookup count from 40,234 to 27,071. A
 # ceiling, like the one above, so a lifting path that goes back to
 # substituting one sealed coordinate at a time fails here without timing.
+# Filtered signs (num.filter.hits + fallbacks) are a ceiling too: the region
+# scan approximating each x-interval end once per region, where it builds
+# the cell, instead of once per band and per neighbouring slab, took them
+# from 1,383 to 1,333.
 agg_intern_ceiling=27071
-lookups=$(cargo run --release --quiet --offline --manifest-path stmtbench/Cargo.toml --bin bench -- \
-    --workload calcf_agg --seed 1 --seconds 1 --trace 1 |
-    grep -o '"poly\.intern\.\(hits\|misses\)": {"value": [0-9]*' |
-    awk '{ n += $NF } END { print n + 0 }')
+agg_filter_ceiling=1333
+agg_run=$(cargo run --release --quiet --offline --manifest-path stmtbench/Cargo.toml --bin bench -- \
+    --workload calcf_agg --seed 1 --seconds 1 --trace 1)
+agg_counter() { echo "$agg_run" | grep -o "\"$1\": {\"value\": [0-9]*" | awk '{ n += $NF } END { print n + 0 }'; }
+lookups=$(agg_counter 'poly\.intern\.\(hits\|misses\)')
 if [ "$lookups" -gt "$agg_intern_ceiling" ]; then
     echo "calcf_agg: $lookups interner lookups at --seed 1, ceiling $agg_intern_ceiling" >&2
+    exit 1
+fi
+filtered=$(agg_counter 'num\.filter\.\(hits\|fallbacks\)')
+if [ "$filtered" -gt "$agg_filter_ceiling" ]; then
+    echo "calcf_agg: $filtered filtered signs (num.filter.hits + fallbacks) at --seed 1, ceiling $agg_filter_ceiling" >&2
     exit 1
 fi
 
