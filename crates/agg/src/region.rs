@@ -224,23 +224,21 @@ impl Region2D {
             Some(c) => cell_index(c, 0)?,
             None => 1,
         };
-        // Group level-2 cells by parent.
+        // Lifting lays each level-1 cell's stack out as one run of level 2,
+        // in parent order.
         let mut ends = BTreeMap::new();
         let mut slabs = Vec::new();
-        for pi in 0..level1.len() {
-            let children: Vec<(usize, &CadCell)> = level2
-                .iter()
-                .enumerate()
-                .filter(|(_, c)| c.parent == Some(pi))
-                .collect();
-            let max_y_index = match children.last() {
-                Some((_, c)) => cell_index(c, 1)?,
-                None => 1,
+        for children in level2.chunk_by(|a, b| a.parent == b.parent) {
+            let (Some(first), Some(last)) = (children.first(), children.last()) else {
+                continue;
             };
+            let pi = first
+                .parent
+                .ok_or_else(|| AggError::Internal("level-2 CAD cell has no parent".to_owned()))?;
+            let max_y_index = cell_index(last, 1)?;
             let mut bands = Vec::new();
             let mut arcs = Vec::new();
-            for (ci, (gi, cell)) in children.iter().enumerate() {
-                let _ = gi;
+            for (ci, cell) in children.iter().enumerate() {
                 if !eval_formula_at_cell(&cad, cell, &matrix, ctx)? {
                     continue;
                 }
@@ -261,17 +259,12 @@ impl Region2D {
                     let lower = if pos == 1 {
                         None
                     } else {
-                        Some(bound_of_section(&cad, children[ci - 1].1, yvar, pos / 2))
+                        Some(bound_of_section(&cad, &children[ci - 1], yvar, pos / 2))
                     };
                     let upper = if pos == max_y_index {
                         None
                     } else {
-                        Some(bound_of_section(
-                            &cad,
-                            children[ci + 1].1,
-                            yvar,
-                            pos / 2 + 1,
-                        ))
+                        Some(bound_of_section(&cad, &children[ci + 1], yvar, pos / 2 + 1))
                     };
                     bands.push(Band { lower, upper });
                 }

@@ -401,6 +401,25 @@ fn resolve(
                 return own;
             }
         }
+        // `param.name(...)` on a parameter declared `T`, `&T` or `&mut T`
+        // (and never rebound) calls `T`'s method when `T` defines one; a
+        // name `T` does not define may come from a trait or `Deref`, so
+        // that keeps the union.
+        let declared = call.recv.as_deref().and_then(|r| {
+            caller
+                .typed_params
+                .iter()
+                .find_map(|(p, ty)| (p == r).then_some(ty.as_str()))
+        });
+        if let Some(ty) = declared {
+            let typed: Vec<usize> = methods
+                .clone()
+                .filter(|&id| !g.fns[id].in_trait && g.fns[id].impl_name.as_deref() == Some(ty))
+                .collect();
+            if !typed.is_empty() {
+                return typed;
+            }
+        }
         return methods.collect();
     }
     if let Some(q) = call.qual.as_deref() {
@@ -524,9 +543,11 @@ mod tests {
 
     #[test]
     fn method_union_over_impls() {
+        // A receiver whose type the resolver cannot name (`Box<A>`) calls
+        // every workspace method of that name.
         let g = graph_of(&[(
             "crates/a/src/lib.rs",
-            "impl A { fn probe(&self) {} } impl B { fn probe(&self) {} } fn f(x: A) { x.probe(); }",
+            "impl A { fn probe(&self) {} } impl B { fn probe(&self) {} } fn f(x: Box<A>) { x.probe(); }",
         )]);
         assert_eq!(callee_names(&g, "f"), vec!["A::probe", "B::probe"]);
     }
@@ -558,6 +579,24 @@ mod tests {
             callee_names(&g, "dflt"),
             vec!["A::probe", "B::probe", "T::probe"]
         );
+    }
+
+    #[test]
+    fn typed_param_method_resolves_to_its_type() {
+        let src = "impl A { fn probe(&self) {} fn run(&self, other: &Self) { other.probe(); } } \
+                   impl B { fn probe(&self) {} } \
+                   fn f(a: &mut A, b: B, x: X) { a.probe(); b.probe(); x.probe(); } \
+                   fn g(a: A, bs: &[B]) { bs.iter().for_each(|a| a.probe()); }";
+        let g = graph_of(&[("crates/a/src/lib.rs", src)]);
+        // `other: &Self` in `impl A` is an `A`.
+        assert_eq!(callee_names(&g, "run"), vec!["A::probe"]);
+        // `X` defines no `probe`: that call keeps the union.
+        assert_eq!(
+            callee_names(&g, "f"),
+            vec!["A::probe", "B::probe", "A::probe", "B::probe"]
+        );
+        // The closure parameter shadows `a: A`: the union again.
+        assert_eq!(callee_names(&g, "g"), vec!["A::probe", "B::probe"]);
     }
 
     #[test]

@@ -28,6 +28,9 @@ pub struct CallSite {
     /// True when that receiver is the bare `self` (`self.name(...)`, not
     /// `self.field.name(...)`).
     pub self_recv: bool,
+    /// The receiver of `recv.name(...)` when it is a bare local name (not
+    /// `self`, a field, a call result or a path).
+    pub recv: Option<String>,
     /// Index of the name token in the file's scanned stream.
     pub tok: usize,
     /// 1-based line of the name token.
@@ -60,6 +63,10 @@ pub struct FnItem {
     pub is_pub: bool,
     /// Whether the parameter list contains `self` (method vs. free/assoc).
     pub has_self: bool,
+    /// Parameters declared `T`, `&T` or `&mut T` that the body never
+    /// rebinds, as `(name, T)` (a path type by its last segment, `Self` as
+    /// the enclosing impl's type): a method called on one of them is `T`'s.
+    pub typed_params: Vec<(String, String)>,
     /// Token range `[start, end)` of the signature (from `fn` to the body
     /// `{` or the terminating `;`).
     pub sig: (usize, usize),
@@ -204,6 +211,8 @@ pub fn parse_items(toks: &[Tok]) -> Vec<FnItem> {
                 if let Some(Scope::Fn(idx)) = stack.pop() {
                     if let Some(item) = items.get_mut(idx) {
                         item.body.1 = i + 1;
+                        let body = toks.get(item.body.0..item.body.1).unwrap_or_default();
+                        item.typed_params.retain(|(name, _)| !rebinds(body, name));
                     }
                 }
                 i += 1;
@@ -256,13 +265,21 @@ pub fn parse_items(toks: &[Tok]) -> Vec<FnItem> {
                         } else {
                             None
                         };
-                        let self_recv = method && ident_at(toks, i.wrapping_sub(2)) == Some("self");
+                        let before = ident_at(toks, i.wrapping_sub(2)).filter(|_| method);
+                        let self_recv = before == Some("self");
+                        let recv = before
+                            .filter(|r| *r != "self")
+                            .filter(|_| {
+                                !matches!(punct_at(toks, i.wrapping_sub(3)), Some('.' | ':'))
+                            })
+                            .map(str::to_owned);
                         if let Some(item) = items.get_mut(fn_idx) {
                             item.calls.push(CallSite {
                                 name: name.clone(),
                                 qual,
                                 method,
                                 self_recv,
+                                recv,
                                 tok: i,
                                 line: toks[i].line,
                                 col: toks[i].col,
@@ -320,6 +337,7 @@ fn scan_fn_header(toks: &[Tok], fn_tok: usize, stack: &[Scope]) -> FnItem {
     let mut j = fn_tok + 2;
     let mut angle = 0i32;
     let mut has_self = false;
+    let mut typed_params: Vec<(String, String)> = Vec::new();
     let n = toks.len();
     while j < n {
         match punct_at(toks, j) {
@@ -346,6 +364,13 @@ fn scan_fn_header(toks: &[Tok], fn_tok: usize, stack: &[Scope]) -> FnItem {
                     if depth == 1 && ident_at(toks, j) == Some("self") {
                         has_self = true;
                     }
+                    let single_colon =
+                        punct_at(toks, j + 1) == Some(':') && punct_at(toks, j + 2) != Some(':');
+                    if let (1, Some(name), true) = (depth, ident_at(toks, j), single_colon) {
+                        if let Some(ty) = plain_type(toks, j + 2) {
+                            typed_params.push((name.to_owned(), ty.to_owned()));
+                        }
+                    }
                 }
             }
             j += 1;
@@ -359,6 +384,15 @@ fn scan_fn_header(toks: &[Tok], fn_tok: usize, stack: &[Scope]) -> FnItem {
             _ => None,
         })
         .unwrap_or((None, false));
+    // `Self` names the impl's type; in a trait it is every implementor.
+    typed_params.retain_mut(|(_, ty)| match (ty.as_str(), &impl_name) {
+        ("Self", Some(t)) if !in_trait => {
+            ty.clone_from(t);
+            true
+        }
+        ("Self", _) => false,
+        _ => true,
+    });
     let mod_path = stack
         .iter()
         .filter_map(|s| match s {
@@ -377,10 +411,93 @@ fn scan_fn_header(toks: &[Tok], fn_tok: usize, stack: &[Scope]) -> FnItem {
         col: toks[fn_tok].col,
         is_pub,
         has_self,
+        typed_params,
         sig: (fn_tok, fn_tok),
         body: (0, 0),
         calls: Vec::new(),
     }
+}
+
+/// The type of a parameter whose type starts at `k` (just past its `:`),
+/// when it is a plain `T`, `&T`, `&'a T` or `&mut T` followed by the end of
+/// the parameter; for a path `a::b::T`, its last segment. Generic, tuple,
+/// slice, `impl` and `dyn` types answer `None`.
+fn plain_type(toks: &[Tok], mut k: usize) -> Option<&str> {
+    if punct_at(toks, k) == Some('&') {
+        k += 1;
+        if matches!(toks.get(k).map(|t| &t.kind), Some(TokKind::Lifetime)) {
+            k += 1;
+        }
+        if ident_at(toks, k) == Some("mut") {
+            k += 1;
+        }
+    }
+    let mut ty = ident_at(toks, k)?;
+    while punct_at(toks, k + 1) == Some(':') && punct_at(toks, k + 2) == Some(':') {
+        k += 3;
+        ty = ident_at(toks, k)?;
+    }
+    let plain = !matches!(ty, "impl" | "dyn" | "mut" | "fn");
+    (plain && matches!(punct_at(toks, k + 1), Some(',' | ')'))).then_some(ty)
+}
+
+/// Whether `body` may bind `name` again: it appears in a `let` pattern (up
+/// to the `=`), a `for` pattern (up to `in`), a closure's parameter list or
+/// a `match` arm's pattern (back from the `=>` to the arm's start). Over-
+/// approximate on purpose — a guard counts as pattern — so a parameter is
+/// trusted only when nothing can shadow it.
+fn rebinds(body: &[Tok], name: &str) -> bool {
+    let is = |k: usize| ident_at(body, k) == Some(name);
+    let n = body.len();
+    for (i, tok) in body.iter().enumerate() {
+        let region = match &tok.kind {
+            TokKind::Ident(kw) if kw == "let" => (i + 1..n)
+                .find(|&k| matches!(punct_at(body, k), Some('=' | ';')))
+                .map(|end| i + 1..end),
+            TokKind::Ident(kw) if kw == "for" => (i + 1..n)
+                .find(|&k| ident_at(body, k) == Some("in"))
+                .map(|end| i + 1..end),
+            // A `|` where an operand starts opens a closure's parameters.
+            TokKind::Punct('|')
+                if matches!(
+                    punct_at(body, i.wrapping_sub(1)),
+                    Some('(' | ',' | '=' | '{' | ';' | '[')
+                ) || matches!(ident_at(body, i.wrapping_sub(1)), Some("move" | "return")) =>
+            {
+                (i + 1..n)
+                    .find(|&k| punct_at(body, k) == Some('|'))
+                    .map(|end| i + 1..end)
+            }
+            TokKind::Punct('=') if punct_at(body, i + 1) == Some('>') => {
+                Some(arm_start(body, i)..i)
+            }
+            _ => None,
+        };
+        if region.is_some_and(|mut r| r.any(is)) {
+            return true;
+        }
+    }
+    false
+}
+
+/// The first token of the `match` arm whose `=>` is at `arrow`: just past
+/// the `,` or `;` before it at bracket depth 0, or the bracket that opens
+/// the enclosing group. A block arm before it (`X => { … }`) counts as
+/// bracketed, so the region may reach back over it: over-approximate.
+fn arm_start(body: &[Tok], arrow: usize) -> usize {
+    let mut depth = 0usize;
+    let mut k = arrow;
+    while k > 0 {
+        match punct_at(body, k - 1) {
+            Some(')' | ']' | '}') => depth += 1,
+            Some('(' | '[' | '{') if depth == 0 => return k,
+            Some('(' | '[' | '{') => depth -= 1,
+            Some(',' | ';') if depth == 0 => return k,
+            _ => {}
+        }
+        k -= 1;
+    }
+    0
 }
 
 /// Extract the target type name of an `impl`/`trait` header starting at
@@ -534,6 +651,28 @@ mod tests {
     fn generic_impl_name() {
         let items = parse("impl<T: Clone> Wrapper<T> { fn get(&self) -> T { self.pull() } }");
         assert_eq!(items[0].impl_name.as_deref(), Some("Wrapper"));
+    }
+
+    #[test]
+    fn typed_params_and_receivers() {
+        let items = parse(
+            "impl W { fn f<'a>(&self, a: &'a mut cdb_num::Int, b: Rat, o: &Self, v: Vec<Int>, \
+             s: &[Int], g: impl Fn(Int)) { a.sign(); self.a.sign(); b.x.sign(); } \
+             fn h(a: Int, b: Int, c: Int, d: Int) { let x = a; for b in it {} \
+             match m { Some(c) => (), _ => () } d.sign(); } }",
+        );
+        let params = |i: usize| -> Vec<(&str, &str)> {
+            items[i]
+                .typed_params
+                .iter()
+                .map(|(p, t)| (p.as_str(), t.as_str()))
+                .collect()
+        };
+        assert_eq!(params(0), vec![("a", "Int"), ("b", "Rat"), ("o", "W")]);
+        let recvs: Vec<Option<&str>> = items[0].calls.iter().map(|c| c.recv.as_deref()).collect();
+        assert_eq!(recvs, vec![Some("a"), None, None]);
+        // `a` is only read by a `let`; `b` and `c` are rebound.
+        assert_eq!(params(1), vec![("a", "Int"), ("d", "Int")]);
     }
 
     #[test]

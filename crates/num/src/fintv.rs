@@ -45,11 +45,29 @@ static FILTER_FALLBACKS: AtomicU64 = AtomicU64::new(0);
 static FILTER_ENABLED: AtomicBool = AtomicBool::new(true);
 
 /// Is the float filter currently enabled? (Default: yes.)
-#[must_use]
 // cdb-lint: allow(determinism-taint) — the flag only gates a result-transparent
 // fast path: on either branch the exact path confirms the same bytes
-pub fn filter_enabled() -> bool {
+fn filter_enabled() -> bool {
     FILTER_ENABLED.load(Ordering::Relaxed)
+}
+
+/// The filtered-sign gate: when the filter is enabled, the sign of the
+/// float `enclosure` if it excludes zero (counted as a hit), else `None`
+/// (counted as a fallback); when disabled, `None` without building the
+/// enclosure. On `None` the caller takes its exact path, so the decision is
+/// byte-identical with the filter on or off.
+#[must_use]
+pub fn filtered(enclosure: impl FnOnce() -> FIntv) -> Option<Sign> {
+    if !filter_enabled() {
+        return None;
+    }
+    let sign = FIntv::sign(&enclosure());
+    if sign.is_some() {
+        note_filter_hit();
+    } else {
+        note_filter_fallback();
+    }
+    sign
 }
 
 /// Enable or disable the float filter process-wide.
@@ -64,13 +82,13 @@ pub fn set_filter_enabled(enabled: bool) {
 
 /// Record one filter hit (float enclosure settled the sign).
 // cdb-lint: allow(determinism-taint) — stats counter; never read on a result path
-pub fn note_filter_hit() {
+fn note_filter_hit() {
     FILTER_HITS.fetch_add(1, Ordering::Relaxed);
 }
 
 /// Record one filter fallback (straddle; exact certification ran).
 // cdb-lint: allow(determinism-taint) — stats counter; never read on a result path
-pub fn note_filter_fallback() {
+fn note_filter_fallback() {
     FILTER_FALLBACKS.fetch_add(1, Ordering::Relaxed);
 }
 

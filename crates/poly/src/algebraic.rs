@@ -28,17 +28,8 @@ use std::fmt;
 /// the filter on or off. `None` means even the exact evaluation is
 /// indefinite (the caller must refine).
 fn filtered_interval_sign(q: &UPoly, iv: &RatInterval) -> Option<Sign> {
-    if fintv::filter_enabled() {
-        if let Some(s) = q
-            .eval_fintv(&FIntv::from_rat_endpoints(iv.lo(), iv.hi()))
-            .sign()
-        {
-            fintv::note_filter_hit();
-            return Some(s);
-        }
-        fintv::note_filter_fallback();
-    }
-    q.eval_interval(iv).sign()
+    fintv::filtered(|| q.eval_fintv(&FIntv::from_rat_endpoints(iv.lo(), iv.hi())))
+        .or_else(|| q.eval_interval(iv).sign())
 }
 
 /// Whether `g` takes opposite signs at the ends of `iv`, which are not roots

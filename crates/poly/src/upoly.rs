@@ -173,14 +173,7 @@ impl UPoly {
     /// the enclosure straddles zero. Always equal to [`UPoly::sign_at`].
     #[must_use]
     pub fn fsign_at(&self, x: &Rat) -> Sign {
-        if fintv::filter_enabled() {
-            if let Some(s) = self.eval_fintv(&FIntv::from(x)).sign() {
-                fintv::note_filter_hit();
-                return s;
-            }
-            fintv::note_filter_fallback();
-        }
-        self.sign_at(x)
+        fintv::filtered(|| self.eval_fintv(&FIntv::from(x))).unwrap_or_else(|| self.sign_at(x))
     }
 
     /// Filtered sign at a pre-converted float enclosure of a rational
@@ -189,14 +182,7 @@ impl UPoly {
     /// at one point.
     #[must_use]
     pub fn fsign_at_enclosed(&self, x: &Rat, fx: &FIntv) -> Sign {
-        if fintv::filter_enabled() {
-            if let Some(s) = self.eval_fintv(fx).sign() {
-                fintv::note_filter_hit();
-                return s;
-            }
-            fintv::note_filter_fallback();
-        }
-        self.sign_at(x)
+        fintv::filtered(|| self.eval_fintv(fx)).unwrap_or_else(|| self.sign_at(x))
     }
 
     /// Formal derivative.

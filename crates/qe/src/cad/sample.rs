@@ -103,12 +103,8 @@ pub(crate) fn sign_of_value(
 /// filter on or off.
 fn sign_by_refinement(q: &MPoly, algs: &mut [(usize, RealAlg)]) -> Result<Sign, QeError> {
     for _ in 0..64 {
-        if fintv::filter_enabled() {
-            if let Some(s) = eval_fintv(q, algs).sign() {
-                fintv::note_filter_hit();
-                return Ok(s);
-            }
-            fintv::note_filter_fallback();
+        if let Some(s) = fintv::filtered(|| eval_fintv(q, algs)) {
+            return Ok(s);
         }
         let iv = eval_interval(q, algs);
         if let Some(s) = iv.sign() {

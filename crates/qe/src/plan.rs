@@ -11,7 +11,7 @@
 //! |------|----------|------------------------------------------|
 //! | 0 | substitution | an `=` atom linear in `v` with constant coefficient |
 //! | 1 | Fourier–Motzkin | every atom using `v` is linear in `v` (constant coefficient) |
-//! | 2 | quadratic ([`crate::quad1`]) | degree ≤ 2 in `v`, constant lead, ≤ 1 quadratic atom |
+//! | 2 | quadratic | degree ≤ 2 in `v`, constant lead, exactly 1 quadratic atom |
 //! | 3 | CAD fallback | everything else |
 //!
 //! Within a run of identical quantifiers (adjacent `∃∃` / `∀∀` commute) the
@@ -26,11 +26,16 @@
 //! that falls back to CAD. `∀` runs go through `¬∃¬` when the relation is
 //! linear; nonlinear `∀` keeps the pre-planner whole-relation CAD.
 //!
+//! Rows 1 and 2 are one eliminator, [`crate::quad1::eliminate_tuple`]:
+//! both isolate the linear bounds on `v` and pair every lower with every
+//! upper bound, and a quadratic atom adds its root comparisons. The two
+//! rows stay apart because the rank orders variables and [`crate::PlanStats`]
+//! counts each.
+//!
 //! The table is the only policy: each eliminator is reached only through
-//! [`classify`], so it may assume the cheaper rows did not apply (FM sees
-//! no linear equality, the quadratic shortcut sees a degree-2 atom and no
-//! linear equality). An input outside its class is reported as
-//! [`QeError::Unsupported`], never silently rerouted.
+//! [`classify`], so it may assume the cheaper rows did not apply (the bound
+//! eliminator sees no linear equality). An input outside its class is
+//! reported as [`QeError::Unsupported`], never silently rerouted.
 
 use crate::cad;
 use crate::linear;
@@ -38,7 +43,7 @@ use crate::quad1;
 use crate::{QeContext, QeError};
 use cdb_constraints::formula::relation_to_formula;
 use cdb_constraints::{Atom, ConstraintRelation, Formula, GeneralizedTuple, Quantifier, RelOp};
-use cdb_num::{Rat, Sign};
+use cdb_num::Rat;
 use cdb_poly::{MPoly, Terms};
 // cdb-lint: allow(determinism) — wall-clock readings feed only the
 // per-strategy PlanStats diagnostics; no result-producing decision reads
@@ -80,30 +85,17 @@ fn find_subst_atom(tuple: &GeneralizedTuple, var: usize) -> Option<(usize, Rat)>
     })
 }
 
-/// True iff Fourier–Motzkin can eliminate `var`: every atom *using* `var`
-/// is linear in it with a constant coefficient. Atoms not using `var` pass
-/// through regardless of their degree (the interval-intersection argument
-/// never touches them), which is what lets FM handle disjuncts the
-/// whole-matrix `is_linear` test would have sent to CAD.
-fn fm_applicable(tuple: &GeneralizedTuple, var: usize) -> bool {
-    tuple.atoms().iter().all(|a| {
-        a.poly.degree_in(var) == 0
-            || (a.poly.degree_in(var) == 1 && a.poly.lead_coeff_in(var).is_some())
-    })
-}
-
 /// Classify one disjunct for eliminating `∃ var`: the cheapest applicable
 /// strategy in the table above.
 #[must_use]
 pub fn classify(tuple: &GeneralizedTuple, var: usize) -> Strategy {
     if find_subst_atom(tuple, var).is_some() {
-        Strategy::Subst
-    } else if fm_applicable(tuple, var) {
-        Strategy::Fm
-    } else if quad1::applicable(tuple, var) {
-        Strategy::Quad
-    } else {
-        Strategy::Cad
+        return Strategy::Subst;
+    }
+    match quad1::degree2_atoms(tuple, var) {
+        Some(0) => Strategy::Fm,
+        Some(1) => Strategy::Quad,
+        _ => Strategy::Cad,
     }
 }
 
@@ -153,67 +145,6 @@ fn constant_coeff(p: &MPoly, var: usize) -> Terms {
         .unwrap_or_else(|| Terms::zero(p.nvars()))
 }
 
-/// Generalized Fourier–Motzkin on one disjunct (`≠` atoms using `var`
-/// already split, no equality using `var`: [`classify`] substitutes those
-/// first): isolate `var` in each atom using it and pair lower × upper
-/// bounds. Pass-through atoms may have any degree and bounds are arbitrary
-/// polynomials in the other variables.
-fn fm_eliminate_tuple(
-    tuple: &GeneralizedTuple,
-    var: usize,
-    ctx: &QeContext,
-) -> Result<Option<GeneralizedTuple>, QeError> {
-    let nvars = tuple.nvars();
-    let mut atoms: Vec<Atom> = Vec::new();
-    let mut lowers: Vec<(Terms, bool)> = Vec::new(); // (bound, strict)
-    let mut uppers: Vec<(Terms, bool)> = Vec::new();
-    for atom in tuple.atoms() {
-        if !atom.poly.uses_var(var) {
-            atoms.push(atom.clone());
-            continue;
-        }
-        if atom.poly.degree_in(var) != 1 {
-            return Err(QeError::Unsupported(format!(
-                "Fourier–Motzkin: atom is nonlinear in x{var}"
-            )));
-        }
-        let c = atom.poly.lead_coeff_in(var).ok_or_else(|| {
-            QeError::Unsupported(format!("Fourier–Motzkin: symbolic coefficient of x{var}"))
-        })?;
-        let bound = constant_coeff(&atom.poly, var).scale(&(-c.recip()));
-        ctx.observe_bits(bound.max_coeff_bits())?;
-        let op = if c.sign() == Sign::Neg {
-            atom.op.flipped()
-        } else {
-            atom.op
-        };
-        match op {
-            RelOp::Lt => uppers.push((bound, true)),
-            RelOp::Le => uppers.push((bound, false)),
-            RelOp::Gt => lowers.push((bound, true)),
-            RelOp::Ge => lowers.push((bound, false)),
-            RelOp::Eq => {
-                return Err(QeError::Unsupported(
-                    "Fourier–Motzkin: equality not substituted before elimination".into(),
-                ))
-            }
-            RelOp::Ne => {
-                return Err(QeError::Unsupported(
-                    "Fourier–Motzkin: `≠` atom not split before elimination".into(),
-                ))
-            }
-        }
-    }
-    for (l, ls) in &lowers {
-        for (u, us) in &uppers {
-            let d = (l - u).seal(); // need l ⋈ u (density of the reals)
-            ctx.observe_poly(&d)?;
-            atoms.push(Atom::new(d, if *ls || *us { RelOp::Lt } else { RelOp::Le }));
-        }
-    }
-    Ok(GeneralizedTuple::new(nvars, atoms).simplify())
-}
-
 /// CAD fallback for one disjunct: a decomposition over just the variables
 /// this disjunct uses — the other disjuncts never pay for it.
 fn cad_eliminate_tuple(
@@ -222,22 +153,32 @@ fn cad_eliminate_tuple(
     nvars: usize,
     ctx: &QeContext,
 ) -> Result<Vec<GeneralizedTuple>, QeError> {
-    let single = ConstraintRelation::new(nvars, vec![tuple.clone()]);
-    let matrix = relation_to_formula(&single);
-    let prefix = [(Quantifier::Exists, var)];
+    let matrix = relation_to_formula(&ConstraintRelation::new(nvars, vec![tuple.clone()]));
     let free: Vec<usize> = (0..nvars)
         .filter(|&v| v != var && tuple.uses_var(v))
         .collect();
-    if free.is_empty() {
-        // The disjunct is univariate in `var`: `∃ var` is a sentence.
-        return Ok(if cad::decide_sentence(&matrix, &prefix, nvars, ctx)? {
-            vec![GeneralizedTuple::top(nvars)]
-        } else {
-            Vec::new()
-        });
-    }
-    let out = cad::eliminate(&matrix, &prefix, &free, nvars, ctx)?;
+    let out = cad_run(&matrix, &[(Quantifier::Exists, var)], &free, nvars, ctx)?;
     Ok(out.tuples().to_vec())
+}
+
+/// One CAD over `matrix` under `prefix`: a sentence (nothing `free`) is
+/// decided and answers all of `R^nvars` or nothing, anything else goes
+/// through `cad::eliminate`.
+fn cad_run(
+    matrix: &Formula,
+    prefix: &[(Quantifier, usize)],
+    free: &[usize],
+    nvars: usize,
+    ctx: &QeContext,
+) -> Result<ConstraintRelation, QeError> {
+    if !free.is_empty() {
+        return cad::eliminate(matrix, prefix, free, nvars, ctx);
+    }
+    Ok(if cad::decide_sentence(matrix, prefix, nvars, ctx)? {
+        ConstraintRelation::full(nvars)
+    } else {
+        ConstraintRelation::empty(nvars)
+    })
 }
 
 /// Eliminate `∃ var` from one work tuple by its [`classify`] strategy,
@@ -258,16 +199,7 @@ fn eliminate_var_from_tuple(
         Strategy::Subst => subst_eliminate_tuple(tuple, var, ctx)?
             .into_iter()
             .collect(),
-        Strategy::Fm => {
-            let mut rs = Vec::new();
-            for split in linear::split_ne(tuple, var) {
-                if let Some(t) = fm_eliminate_tuple(&split, var, ctx)? {
-                    rs.push(t);
-                }
-            }
-            rs
-        }
-        Strategy::Quad => {
+        Strategy::Fm | Strategy::Quad => {
             let mut rs = Vec::new();
             for split in linear::split_ne(tuple, var) {
                 rs.extend(quad1::eliminate_tuple(&split, var, ctx)?);
@@ -373,16 +305,7 @@ fn whole_cad(
 ) -> Result<ConstraintRelation, QeError> {
     // cdb-lint: allow(determinism) — stats-only timing (see module `use`).
     let t0 = Instant::now();
-    let matrix = &relation_to_formula(rel);
-    let out = if free.is_empty() {
-        if cad::decide_sentence(matrix, prefix, nvars, ctx)? {
-            ConstraintRelation::full(nvars)
-        } else {
-            ConstraintRelation::empty(nvars)
-        }
-    } else {
-        cad::eliminate(matrix, prefix, free, nvars, ctx)?
-    };
+    let out = cad_run(&relation_to_formula(rel), prefix, free, nvars, ctx)?;
     ctx.plan.cad.add(rel.tuples().len().max(1) as u64);
     ctx.plan
         .cad_nanos

@@ -1,11 +1,15 @@
-//! Quadratic one-variable elimination — the planner's middle tier between
-//! Fourier–Motzkin and full CAD (DESIGN.md §16).
+//! Bound elimination of one variable — the planner's Fourier–Motzkin and
+//! quadratic tiers, between substitution and full CAD (DESIGN.md §16).
 //!
 //! When the target variable `v` occurs at degree ≤ 2 in every atom of a
 //! disjunct, with a *constant* leading coefficient and at most one atom of
-//! degree exactly 2, `∃v` can be eliminated by explicit root-interval
-//! formulas instead of a cylindrical decomposition. Write the quadratic
-//! atom (normalized to `a > 0`) as
+//! degree exactly 2, `∃v` is eliminated by explicit formulas instead of a
+//! cylindrical decomposition. Every atom linear in `v` is isolated into a
+//! lower or upper bound on `v` (a polynomial in the other variables), and
+//! every lower bound is paired with every upper bound. With no degree-2
+//! atom that pairing *is* Fourier–Motzkin, and the answer is the atoms not
+//! using `v` followed by the pairs. Otherwise write the quadratic atom
+//! (normalized to `a > 0`) as
 //!
 //! ```text
 //! a·v² + b·v + c  ⋈  0,        D = b² − 4ac,   r± = (−b ± √D) / (2a)
@@ -30,153 +34,177 @@
 //!
 //! (see DESIGN.md §16 for the derivations). Disjunctive forms split the
 //! disjunct — the output stays DNF. The planner sends a disjunct here only
-//! when the cheaper eliminators do not apply, so it has a degree-2 atom and
-//! no linear equality in `v` (the `a = 0` case is Fourier–Motzkin's, a
-//! linear equality is substitution's). Everything is certified against
-//! `cad::eliminate` by the differential tests in
-//! `tests/plan_differential.rs`.
+//! when substitution does not apply, so it has no linear equality in `v`.
+//! Everything is certified against `cad::eliminate` by the differential
+//! tests in `tests/plan_differential.rs`, and the printed output is pinned
+//! by `tests/eliminator_bytes.rs`.
 
 use crate::{QeContext, QeError};
 use cdb_constraints::{Atom, GeneralizedTuple, RelOp};
 use cdb_num::{Rat, Sign};
 use cdb_poly::{MPoly, Terms};
 
-/// True iff the quadratic shortcut can eliminate `∃ var` from this
-/// disjunct: every atom using `var` has degree ≤ 2 in it with a constant
-/// leading coefficient, and at most one atom has degree exactly 2.
+/// The number of degree-2 atoms in `var` when this module can eliminate
+/// `∃ var` from the disjunct — every atom using `var` has degree ≤ 2 in it
+/// with a constant leading coefficient — else `None`. The planner reads
+/// `Some(0)` as Fourier–Motzkin and `Some(1)` as the quadratic shortcut.
 /// (`≠` atoms are fine — they are split into `<` / `>` before elimination.)
 #[must_use]
-pub fn applicable(tuple: &GeneralizedTuple, var: usize) -> bool {
+pub fn degree2_atoms(tuple: &GeneralizedTuple, var: usize) -> Option<usize> {
     let mut quads = 0usize;
     for atom in tuple.atoms() {
         match atom.poly.degree_in(var) {
             0 => {}
-            1 | 2 => {
-                if atom.poly.lead_coeff_in(var).is_none() {
-                    return false;
-                }
-                if atom.poly.degree_in(var) == 2 {
-                    quads += 1;
-                }
+            deg @ (1 | 2) => {
+                atom.poly.lead_coeff_in(var)?;
+                quads += usize::from(deg == 2);
             }
-            _ => return false,
+            _ => return None,
         }
     }
-    quads <= 1
+    Some(quads)
 }
 
-/// Append `atoms` to every branch (a conjunctive condition).
-fn conj(branches: &mut [Vec<Atom>], atoms: &[Atom]) {
-    for b in branches.iter_mut() {
-        b.extend_from_slice(atoms);
+/// `atoms` followed by every lower × upper pair `l ⋈ u` (`<` when either
+/// bound is strict, else `≤`; density of the reals): the Fourier–Motzkin
+/// step, budget-checked pair by pair.
+fn paired(
+    mut atoms: Vec<Atom>,
+    lowers: &[(Terms, bool)],
+    uppers: &[(Terms, bool)],
+    ctx: &QeContext,
+) -> Result<Vec<Atom>, QeError> {
+    for (l, ls) in lowers {
+        for (u, us) in uppers {
+            let d = (l - u).seal();
+            ctx.observe_poly(&d)?;
+            atoms.push(Atom::new(d, if *ls || *us { RelOp::Lt } else { RelOp::Le }));
+        }
+    }
+    Ok(atoms)
+}
+
+/// One of the quadratic atom's roots `r±`.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Root {
+    Minus,
+    Plus,
+}
+
+/// One family of output branches for the quadratic atom's operator: the
+/// sign condition on `D`, the root every lower bound must lie below and the
+/// root every upper bound must lie above (`None`: that side is free).
+type Family = (RelOp, Option<Root>, Option<Root>);
+
+/// The families for the (normalized, `a > 0`) quadratic operator, in output
+/// order.
+fn families(op: RelOp) -> &'static [Family] {
+    use Root::{Minus, Plus};
+    match op {
+        // v ∈ [r−, r+] (open when strict): the roots join the bound
+        // pairing — feasibility of r− ⋈ r+ is exactly D ≥ 0 (resp. > 0).
+        RelOp::Le => &[(RelOp::Ge, Some(Plus), Some(Minus))],
+        RelOp::Lt => &[(RelOp::Gt, Some(Plus), Some(Minus))],
+        // Three overlapping families: no real roots (the parabola never
+        // dips below zero), v ≤ r−, and v ≥ r+.
+        RelOp::Ge => &[
+            (RelOp::Le, None, None),
+            (RelOp::Ge, Some(Minus), None),
+            (RelOp::Ge, None, Some(Plus)),
+        ],
+        RelOp::Gt => &[
+            (RelOp::Lt, None, None),
+            (RelOp::Ge, Some(Minus), None),
+            (RelOp::Ge, None, Some(Plus)),
+        ],
+        // v = r− or v = r+ (both need D ≥ 0); linear bounds must hold at
+        // the chosen root.
+        RelOp::Eq => &[
+            (RelOp::Ge, Some(Minus), Some(Minus)),
+            (RelOp::Ge, Some(Plus), Some(Plus)),
+        ],
+        // Rejected before the families are read.
+        RelOp::Ne => &[],
     }
 }
 
-/// Split every branch over a two-way disjunction.
-fn disj(branches: &mut Vec<Vec<Atom>>, alt1: &[Atom], alt2: &[Atom]) {
-    let mut next = Vec::with_capacity(branches.len() * 2);
-    for b in branches.drain(..) {
-        let mut x = b.clone();
-        x.extend_from_slice(alt1);
-        next.push(x);
-        let mut y = b;
-        y.extend_from_slice(alt2);
-        next.push(y);
+/// The degree-2 atom normalized to `a > 0`: `2a`, `b`, and `D = b² − 4ac`.
+struct Quadratic {
+    two_a: Rat,
+    b: Terms,
+    d: MPoly,
+}
+
+impl Quadratic {
+    /// Conjoin to every branch that the linear bound `t` lies below the
+    /// root (a lower bound, `upper = false`) or above it (an upper bound),
+    /// strictly when `strict`. With `A = 2a·t + b` that is `A ⋈ ±√D` or
+    /// `±√D ⋈ A`. A lower bound against `r+` or an upper bound against `r−`
+    /// holds when `A` is on the bound's side of 0 (`A ⋈ 0` for a lower
+    /// bound, `0 ⋈ A` for an upper one) *or* `A² ⋈ D`: a disjunction, which
+    /// doubles the branches. A lower bound against `r−` or an upper bound
+    /// against `r+` needs `A` on the bound's side *and* `D ⋈ A²`: a
+    /// conjunction. The `A` atom comes first either way.
+    fn compare(
+        &self,
+        branches: &mut Vec<Vec<Atom>>,
+        t: &Terms,
+        upper: bool,
+        root: Root,
+        strict: bool,
+        ctx: &QeContext,
+    ) -> Result<(), QeError> {
+        let a_t = (&t.clone().scale(&self.two_a) + &self.b).seal();
+        ctx.observe_poly(&a_t)?;
+        let sq = (&(a_t.as_terms() * a_t.as_terms()) - self.d.as_terms()).seal();
+        ctx.observe_poly(&sq)?;
+        let (le, ge) = if strict {
+            (RelOp::Lt, RelOp::Gt)
+        } else {
+            (RelOp::Le, RelOp::Ge)
+        };
+        let side = Atom::new(a_t, if upper { ge } else { le });
+        if upper != (root == Root::Plus) {
+            let square = Atom::new(sq, le);
+            let mut next = Vec::with_capacity(branches.len() * 2);
+            for b in branches.drain(..) {
+                let mut x = b.clone();
+                x.push(side.clone());
+                next.push(x);
+                let mut y = b;
+                y.push(square.clone());
+                next.push(y);
+            }
+            *branches = next;
+        } else {
+            let square = Atom::new(sq, ge);
+            for b in branches.iter_mut() {
+                b.extend([side.clone(), square.clone()]);
+            }
+        }
+        Ok(())
     }
-    *branches = next;
 }
 
-/// `X² − D`, budget-checked.
-fn sq_minus_d(x: &MPoly, d: &MPoly, ctx: &QeContext) -> Result<MPoly, QeError> {
-    let (x, d) = (x.as_terms(), d.as_terms());
-    let p = (&(x * x) - d).seal();
-    ctx.observe_poly(&p)?;
-    Ok(p)
-}
-
-/// `X ⋈ √D` (root `r+` as an upper bound for linear lower bound `X/2a`):
-/// `X ≤ 0 ∨ X² ≤ D` (strict: `X < 0 ∨ X² < D`).
-fn le_sqrt(
-    branches: &mut Vec<Vec<Atom>>,
-    x: &MPoly,
-    d: &MPoly,
-    strict: bool,
-    ctx: &QeContext,
-) -> Result<(), QeError> {
-    let op = if strict { RelOp::Lt } else { RelOp::Le };
-    let sq = sq_minus_d(x, d, ctx)?;
-    disj(branches, &[Atom::new(x.clone(), op)], &[Atom::new(sq, op)]);
-    Ok(())
-}
-
-/// `X ⋈ −√D` (root `r−` as an upper bound): `X ≤ 0 ∧ X² ≥ D`
-/// (strict: `X < 0 ∧ X² > D`).
-fn le_neg_sqrt(
-    branches: &mut [Vec<Atom>],
-    x: &MPoly,
-    d: &MPoly,
-    strict: bool,
-    ctx: &QeContext,
-) -> Result<(), QeError> {
-    let (lo, hi) = if strict {
-        (RelOp::Lt, RelOp::Gt)
-    } else {
-        (RelOp::Le, RelOp::Ge)
-    };
-    let sq = sq_minus_d(x, d, ctx)?;
-    conj(branches, &[Atom::new(x.clone(), lo), Atom::new(sq, hi)]);
-    Ok(())
-}
-
-/// `−√D ⋈ X` (root `r−` as a lower bound for linear upper bound `X/2a`):
-/// `X ≥ 0 ∨ X² ≤ D` (strict: `X > 0 ∨ X² < D`).
-fn neg_sqrt_le(
-    branches: &mut Vec<Vec<Atom>>,
-    x: &MPoly,
-    d: &MPoly,
-    strict: bool,
-    ctx: &QeContext,
-) -> Result<(), QeError> {
-    let (lo, hi) = if strict {
-        (RelOp::Gt, RelOp::Lt)
-    } else {
-        (RelOp::Ge, RelOp::Le)
-    };
-    let sq = sq_minus_d(x, d, ctx)?;
-    disj(branches, &[Atom::new(x.clone(), lo)], &[Atom::new(sq, hi)]);
-    Ok(())
-}
-
-/// `√D ⋈ X` (root `r+` as a lower bound): `X ≥ 0 ∧ X² ≥ D`
-/// (strict: `X > 0 ∧ X² > D`).
-fn sqrt_le(
-    branches: &mut [Vec<Atom>],
-    x: &MPoly,
-    d: &MPoly,
-    strict: bool,
-    ctx: &QeContext,
-) -> Result<(), QeError> {
-    let op = if strict { RelOp::Gt } else { RelOp::Ge };
-    let sq = sq_minus_d(x, d, ctx)?;
-    conj(branches, &[Atom::new(x.clone(), op), Atom::new(sq, op)]);
-    Ok(())
-}
-
-/// Eliminate `∃ var` from one disjunct via the root-interval formulas.
-/// Requires [`applicable`], one degree-2 atom and no linear equality in
-/// `var`; `≠` atoms using `var` must be split beforehand (the planner
-/// ensures all of it). The result is a small DNF (the branches of the
-/// sign-condition disjunctions), each tuple free of `var`.
+/// Eliminate `∃ var` from one disjunct with at most one degree-2 atom
+/// ([`degree2_atoms`] is 0 or 1) and no linear equality in `var`; `≠`
+/// atoms using `var` must be split beforehand (the planner ensures all of
+/// it). With no degree-2 atom the result is the Fourier–Motzkin tuple (or
+/// nothing when it simplifies to false); otherwise a small DNF (the
+/// branches of the sign-condition disjunctions), each tuple free of `var`.
 pub fn eliminate_tuple(
     tuple: &GeneralizedTuple,
     var: usize,
     ctx: &QeContext,
 ) -> Result<Vec<GeneralizedTuple>, QeError> {
-    if !applicable(tuple, var) {
-        return Err(QeError::Unsupported(format!(
-            "quadratic shortcut: disjunct exceeds degree 2 in x{var}, has a \
+    let unsupported = || {
+        QeError::Unsupported(format!(
+            "bound elimination: disjunct exceeds degree 2 in x{var}, has a \
              symbolic leading coefficient, or has two distinct quadratic atoms"
-        )));
+        ))
+    };
+    if degree2_atoms(tuple, var).is_none_or(|quads| quads > 1) {
+        return Err(unsupported());
     }
     let nvars = tuple.nvars();
     let mut passthrough: Vec<Atom> = Vec::new();
@@ -191,152 +219,72 @@ pub fn eliminate_tuple(
         }
         if atom.op == RelOp::Ne {
             return Err(QeError::Unsupported(
-                "quadratic shortcut: `≠` atom not split before elimination".into(),
+                "bound elimination: `≠` atom not split before elimination".into(),
             ));
         }
-        let lead = atom.poly.lead_coeff_in(var).ok_or_else(|| {
-            QeError::Unsupported(format!(
-                "quadratic shortcut: symbolic leading coefficient in x{var}"
-            ))
-        })?;
+        let lead = atom.poly.lead_coeff_in(var).ok_or_else(unsupported)?;
         let mut rest = atom.poly.coeffs_in(var).into_iter();
         let c0 = rest.next().unwrap_or_else(|| Terms::zero(nvars));
-        let c1 = rest.next().unwrap_or_else(|| Terms::zero(nvars));
-        if deg == 1 {
-            // lead·var + rest σ 0 ⇔ var σ' −rest/lead.
-            let bound = c0.scale(&(-lead.recip()));
-            ctx.observe_bits(bound.max_coeff_bits())?;
-            let op = if lead.sign() == Sign::Neg {
-                atom.op.flipped()
+        if deg == 2 {
+            let c1 = rest.next().unwrap_or_else(|| Terms::zero(nvars));
+            quad = Some(if lead.sign() == Sign::Neg {
+                (-lead, -c1, -c0, atom.op.flipped())
             } else {
-                atom.op
-            };
-            match op {
-                RelOp::Eq => {
-                    return Err(QeError::Unsupported(
-                        "quadratic shortcut: linear equality not substituted before elimination"
-                            .into(),
-                    ))
-                }
-                RelOp::Lt => uppers.push((bound, true)),
-                RelOp::Le => uppers.push((bound, false)),
-                RelOp::Gt => lowers.push((bound, true)),
-                RelOp::Ge => lowers.push((bound, false)),
-                RelOp::Ne => {} // excluded above
-            }
+                (lead, c1, c0, atom.op)
+            });
+            continue;
+        }
+        // lead·var + rest σ 0 ⇔ var σ' −rest/lead.
+        let bound = c0.scale(&(-lead.recip()));
+        ctx.observe_bits(bound.max_coeff_bits())?;
+        let op = if lead.sign() == Sign::Neg {
+            atom.op.flipped()
         } else {
-            let mut a = lead;
-            let mut b = c1;
-            let mut c = c0;
-            let mut op = atom.op;
-            if a.sign() == Sign::Neg {
-                a = -a;
-                b = -b;
-                c = -c;
-                op = op.flipped();
+            atom.op
+        };
+        match op {
+            RelOp::Lt => uppers.push((bound, true)),
+            RelOp::Le => uppers.push((bound, false)),
+            RelOp::Gt => lowers.push((bound, true)),
+            RelOp::Ge => lowers.push((bound, false)),
+            RelOp::Eq => {
+                return Err(QeError::Unsupported(
+                    "bound elimination: linear equality not substituted before elimination".into(),
+                ))
             }
-            quad = Some((a, b, c, op));
+            RelOp::Ne => {} // rejected above
         }
     }
     let Some((a, b, c, qop)) = quad else {
-        return Err(QeError::Unsupported(format!(
-            "quadratic shortcut: no degree-2 atom in x{var}"
-        )));
+        let atoms = paired(passthrough, &lowers, &uppers, ctx)?;
+        return Ok(GeneralizedTuple::new(nvars, atoms)
+            .simplify()
+            .into_iter()
+            .collect());
     };
-    // D = b² − 4ac; for a linear bound t, A(t) = 2a·t + b compares against
-    // ±√D exactly as t compares against r∓ (a > 0 keeps directions).
     let two_a = &a + &a;
-    let four_a = &two_a + &two_a;
-    let d_poly = (&(&b * &b) - &c.scale(&four_a)).seal();
-    ctx.observe_poly(&d_poly)?;
-    let lin = |t: &Terms| -> Result<MPoly, QeError> {
-        let p = (&t.clone().scale(&two_a) + &b).seal();
-        ctx.observe_poly(&p)?;
-        Ok(p)
-    };
+    let d = (&(&b * &b) - &c.scale(&(&two_a + &two_a))).seal();
+    ctx.observe_poly(&d)?;
     // Bounds must still pair among themselves in every branch.
-    let mut base = passthrough;
-    for (l, ls) in &lowers {
-        for (u, us) in &uppers {
-            let d = (l - u).seal();
-            ctx.observe_poly(&d)?;
-            base.push(Atom::new(d, if *ls || *us { RelOp::Lt } else { RelOp::Le }));
-        }
-    }
-    let with = |extra: Atom| -> Vec<Vec<Atom>> {
-        let mut b0 = base.clone();
-        b0.push(extra);
-        vec![b0]
-    };
+    let base = paired(passthrough, &lowers, &uppers, ctx)?;
+    let q = Quadratic { two_a, b, d };
     let qs = matches!(qop, RelOp::Lt | RelOp::Gt);
-    let mut branches: Vec<Vec<Atom>> = Vec::new();
-    match qop {
-        RelOp::Le | RelOp::Lt => {
-            // v ∈ [r−, r+] (open when strict): the roots join the bound
-            // pairing — feasibility of r− ⋈ r+ is exactly D ≥ 0 (resp. > 0).
-            let mut fam = with(Atom::new(
-                d_poly.clone(),
-                if qs { RelOp::Gt } else { RelOp::Ge },
-            ));
-            for (l, ls) in &lowers {
-                le_sqrt(&mut fam, &lin(l)?, &d_poly, *ls || qs, ctx)?;
-            }
-            for (u, us) in &uppers {
-                neg_sqrt_le(&mut fam, &lin(u)?, &d_poly, *us || qs, ctx)?;
-            }
-            branches.append(&mut fam);
-        }
-        RelOp::Ge | RelOp::Gt => {
-            // Three overlapping families: no real roots (the parabola never
-            // dips below zero), v ≤ r−, and v ≥ r+.
-            let fam1 = with(Atom::new(
-                d_poly.clone(),
-                if qs { RelOp::Lt } else { RelOp::Le },
-            ));
-            branches.extend(fam1);
-            let mut fam2 = with(Atom::new(d_poly.clone(), RelOp::Ge));
-            for (l, ls) in &lowers {
-                le_neg_sqrt(&mut fam2, &lin(l)?, &d_poly, *ls || qs, ctx)?;
-            }
-            branches.append(&mut fam2);
-            let mut fam3 = with(Atom::new(d_poly.clone(), RelOp::Ge));
-            for (u, us) in &uppers {
-                sqrt_le(&mut fam3, &lin(u)?, &d_poly, *us || qs, ctx)?;
-            }
-            branches.append(&mut fam3);
-        }
-        RelOp::Eq => {
-            // v = r− or v = r+ (both need D ≥ 0); linear bounds must hold
-            // at the chosen root.
-            let mut fam_m = with(Atom::new(d_poly.clone(), RelOp::Ge));
-            for (l, ls) in &lowers {
-                le_neg_sqrt(&mut fam_m, &lin(l)?, &d_poly, *ls, ctx)?;
-            }
-            for (u, us) in &uppers {
-                neg_sqrt_le(&mut fam_m, &lin(u)?, &d_poly, *us, ctx)?;
-            }
-            branches.append(&mut fam_m);
-            let mut fam_p = with(Atom::new(d_poly.clone(), RelOp::Ge));
-            for (l, ls) in &lowers {
-                le_sqrt(&mut fam_p, &lin(l)?, &d_poly, *ls, ctx)?;
-            }
-            for (u, us) in &uppers {
-                sqrt_le(&mut fam_p, &lin(u)?, &d_poly, *us, ctx)?;
-            }
-            branches.append(&mut fam_p);
-        }
-        RelOp::Ne => {
-            // Excluded above (and the planner splits `≠` beforehand).
-            return Err(QeError::Unsupported(
-                "quadratic shortcut: `≠` atom not split before elimination".into(),
-            ));
-        }
-    }
     let mut out: Vec<GeneralizedTuple> = Vec::new();
-    for atoms in branches {
-        if let Some(t) = GeneralizedTuple::new(nvars, atoms).simplify() {
-            if !out.contains(&t) {
-                out.push(t);
+    for &(d_op, lower_root, upper_root) in families(qop) {
+        let mut first = base.clone();
+        first.push(Atom::new(q.d.clone(), d_op));
+        let mut branches = vec![first];
+        for (bounds, upper, root) in [(&lowers, false, lower_root), (&uppers, true, upper_root)] {
+            let Some(root) = root else { continue };
+            for (t, strict) in bounds {
+                q.compare(&mut branches, t, upper, root, *strict || qs, ctx)?;
+            }
+        }
+        for atoms in branches {
+            if let Some(t) = GeneralizedTuple::new(nvars, atoms).simplify() {
+                if !out.contains(&t) {
+                    out.push(t);
+                }
             }
         }
     }

@@ -77,18 +77,27 @@ for w in $(sed -n 's/^ *"name": "\([a-z_]*\)",$/\1/p' BENCHMARK.json); do
     fi
 done
 
-echo "==> alibi_scan interner lookups stay under their ceiling (one traced repeat at --seed 1)"
+echo "==> alibi_scan interner lookups stay under their ceiling and its planner dispatch counts are pinned (one traced repeat at --seed 1)"
 # The count is deterministic (sealing once per finished polynomial took it
 # from 529,498 to 57,506; DESIGN.md §10.2). The number below is a ceiling,
 # not a target: a change that cuts lookups further lowers it on purpose, and
 # one that needs more must say why here.
 intern_ceiling=57506
-lookups=$(cargo run --release --quiet --offline --manifest-path stmtbench/Cargo.toml --bin bench -- \
-    --workload alibi_scan --seed 1 --seconds 1 --trace 1 |
-    grep -o '"poly\.intern\.\(hits\|misses\)": {"value": [0-9]*' |
-    awk '{ n += $NF } END { print n + 0 }')
+alibi_run=$(cargo run --release --quiet --offline --manifest-path stmtbench/Cargo.toml --bin bench -- \
+    --workload alibi_scan --seed 1 --seconds 1 --trace 1)
+alibi_counter() { echo "$alibi_run" | grep -o "\"$1\": {\"value\": [0-9]*" | awk '{ n += $NF } END { print n + 0 }'; }
+lookups=$(alibi_counter 'poly\.intern\.\(hits\|misses\)')
 if [ "$lookups" -gt "$intern_ceiling" ]; then
     echo "alibi_scan: $lookups interner lookups at --seed 1, ceiling $intern_ceiling" >&2
+    exit 1
+fi
+# Which eliminator each disjunct went to (DESIGN.md §16): substitution,
+# Fourier-Motzkin, the quadratic shortcut, CAD. The counts are deterministic,
+# so a planner change that reroutes a disjunct fails here without timing. A
+# change that reroutes on purpose re-pins these numbers and says why here.
+plan="$(alibi_counter 'qe\.plan\.subst') $(alibi_counter 'qe\.plan\.fm') $(alibi_counter 'qe\.plan\.quad') $(alibi_counter 'qe\.plan\.cad')"
+if [ "$plan" != "1826 7 5477 0" ]; then
+    echo "alibi_scan: qe.plan.{subst,fm,quad,cad} $plan at --seed 1, pinned 1826 7 5477 0" >&2
     exit 1
 fi
 
