@@ -10,7 +10,7 @@
 //! reachability, unanimity for taint, where a single exact-arithmetic
 //! candidate should clear the call).
 
-use crate::items::{parse_items, CallSite, FnItem};
+use crate::items::{parse_items, parse_structs, CallSite, FnItem};
 use crate::lexer::Tok;
 use std::collections::BTreeMap;
 
@@ -278,7 +278,13 @@ pub struct Graph {
     /// For each function, for each of its call sites (same index as
     /// `FnItem::calls`), the candidate callee ids (possibly empty).
     pub resolved: Vec<Vec<Vec<usize>>>,
+    /// `(crate dir, struct name)` → its typed fields; a name two structs
+    /// of one crate share is left out.
+    pub struct_fields: BTreeMap<(String, String), TypedFields>,
 }
+
+/// A struct's fields declared `T`, `&T` or `&mut T`, as `(field, T)`.
+pub type TypedFields = Vec<(String, String)>;
 
 impl Graph {
     /// Total number of resolved call edges (candidate pairs).
@@ -330,14 +336,28 @@ fn file_info(rel: &str) -> FileInfo {
 /// `files` must be sorted by path (the lint driver guarantees it).
 pub fn build(files: &[(String, Vec<Tok>)]) -> Graph {
     let mut g = Graph::default();
+    let mut structs: BTreeMap<(String, String), Option<TypedFields>> = BTreeMap::new();
     for (idx, (rel, toks)) in files.iter().enumerate() {
-        g.files.push(file_info(rel));
+        let info = file_info(rel);
+        if let Some(dir) = &info.crate_dir {
+            for st in parse_structs(toks) {
+                structs
+                    .entry((dir.clone(), st.name))
+                    .and_modify(|seen| *seen = None)
+                    .or_insert(Some(st.typed_fields));
+            }
+        }
+        g.files.push(info);
         let mut items = parse_items(toks);
         for item in &mut items {
             item.file = idx;
         }
         g.fns.extend(items);
     }
+    g.struct_fields = structs
+        .into_iter()
+        .filter_map(|(key, fields)| Some((key, fields?)))
+        .collect();
     // Deterministic ids: files arrive sorted, items are in source order
     // within a file, so the flattened order is already (file, line, col).
     let mut by_name: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
@@ -402,15 +422,25 @@ fn resolve(
             }
         }
         // `param.name(...)` on a parameter declared `T`, `&T` or `&mut T`
-        // (and never rebound) calls `T`'s method when `T` defines one; a
-        // name `T` does not define may come from a trait or `Deref`, so
-        // that keeps the union.
-        let declared = call.recv.as_deref().and_then(|r| {
+        // (and never rebound), and `self.f.name(...)` on a field the
+        // caller's own struct declares `f: T` or `f: &T`, call `T`'s
+        // method when `T` defines one; a name `T` does not define may come
+        // from a trait or `Deref`, so that keeps the union.
+        let param_ty = call.recv.as_deref().and_then(|r| {
             caller
                 .typed_params
                 .iter()
                 .find_map(|(p, ty)| (p == r).then_some(ty.as_str()))
         });
+        let field_ty = || {
+            let field = call.self_field.as_deref().filter(|_| !caller.in_trait)?;
+            let key = (caller_crate?.to_owned(), caller.impl_name.clone()?);
+            g.struct_fields
+                .get(&key)?
+                .iter()
+                .find_map(|(f, ty)| (f == field).then_some(ty.as_str()))
+        };
+        let declared = param_ty.or_else(field_ty);
         if let Some(ty) = declared {
             let typed: Vec<usize> = methods
                 .clone()
@@ -597,6 +627,29 @@ mod tests {
         );
         // The closure parameter shadows `a: A`: the union again.
         assert_eq!(callee_names(&g, "g"), vec!["A::probe", "B::probe"]);
+    }
+
+    #[test]
+    fn field_method_resolves_to_its_type() {
+        let src = "struct S<T> { a: A, r: &'static A, b: Box<A>, x: X, t: T } \
+                   impl A { fn probe(&self) {} } impl B { fn probe(&self) {} } \
+                   impl<T> S<T> { fn run(&self) { self.a.probe(); self.r.probe(); } \
+                   fn rest(&self) { self.b.probe(); self.x.probe(); self.t.probe(); self.a.b.probe(); } }";
+        let g = graph_of(&[
+            ("crates/a/src/lib.rs", src),
+            // Fields are looked up in the caller's crate.
+            (
+                "crates/b/src/lib.rs",
+                "struct S { a: B } impl B { fn other(&self) { } } impl S { fn run2(&self) { self.a.probe(); } }",
+            ),
+        ]);
+        // `a: A` and `r: &A` are `A`s.
+        assert_eq!(callee_names(&g, "run"), vec!["A::probe", "A::probe"]);
+        // `Box<A>`, a type without `probe`, a generic parameter and a
+        // deeper field path keep the union.
+        assert_eq!(callee_names(&g, "rest").len(), 8);
+        // In crate `b`, `self.a` is the field of `b`'s own `S`: a `B`.
+        assert_eq!(callee_names(&g, "run2"), vec!["B::probe"]);
     }
 
     #[test]

@@ -31,6 +31,8 @@ pub struct CallSite {
     /// The receiver of `recv.name(...)` when it is a bare local name (not
     /// `self`, a field, a call result or a path).
     pub recv: Option<String>,
+    /// The field `f` of `self.f.name(...)` (not a deeper field path).
+    pub self_field: Option<String>,
     /// Index of the name token in the file's scanned stream.
     pub tok: usize,
     /// 1-based line of the name token.
@@ -267,11 +269,15 @@ pub fn parse_items(toks: &[Tok]) -> Vec<FnItem> {
                         };
                         let before = ident_at(toks, i.wrapping_sub(2)).filter(|_| method);
                         let self_recv = before == Some("self");
+                        let path_before = |k: usize| matches!(punct_at(toks, k), Some('.' | ':'));
                         let recv = before
                             .filter(|r| *r != "self")
-                            .filter(|_| {
-                                !matches!(punct_at(toks, i.wrapping_sub(3)), Some('.' | ':'))
-                            })
+                            .filter(|_| !path_before(i.wrapping_sub(3)))
+                            .map(str::to_owned);
+                        let self_field = before
+                            .filter(|_| punct_at(toks, i.wrapping_sub(3)) == Some('.'))
+                            .filter(|_| ident_at(toks, i.wrapping_sub(4)) == Some("self"))
+                            .filter(|_| !path_before(i.wrapping_sub(5)))
                             .map(str::to_owned);
                         if let Some(item) = items.get_mut(fn_idx) {
                             item.calls.push(CallSite {
@@ -280,6 +286,7 @@ pub fn parse_items(toks: &[Tok]) -> Vec<FnItem> {
                                 method,
                                 self_recv,
                                 recv,
+                                self_field,
                                 tok: i,
                                 line: toks[i].line,
                                 col: toks[i].col,
@@ -367,7 +374,7 @@ fn scan_fn_header(toks: &[Tok], fn_tok: usize, stack: &[Scope]) -> FnItem {
                     let single_colon =
                         punct_at(toks, j + 1) == Some(':') && punct_at(toks, j + 2) != Some(':');
                     if let (1, Some(name), true) = (depth, ident_at(toks, j), single_colon) {
-                        if let Some(ty) = plain_type(toks, j + 2) {
+                        if let Some(ty) = plain_type(toks, j + 2, ')') {
                             typed_params.push((name.to_owned(), ty.to_owned()));
                         }
                     }
@@ -418,11 +425,11 @@ fn scan_fn_header(toks: &[Tok], fn_tok: usize, stack: &[Scope]) -> FnItem {
     }
 }
 
-/// The type of a parameter whose type starts at `k` (just past its `:`),
-/// when it is a plain `T`, `&T`, `&'a T` or `&mut T` followed by the end of
-/// the parameter; for a path `a::b::T`, its last segment. Generic, tuple,
+/// The type of a parameter or field whose type starts at `k` (just past
+/// its `:`), when it is a plain `T`, `&T`, `&'a T` or `&mut T` followed by
+/// `,` or `close`; for a path `a::b::T`, its last segment. Generic, tuple,
 /// slice, `impl` and `dyn` types answer `None`.
-fn plain_type(toks: &[Tok], mut k: usize) -> Option<&str> {
+fn plain_type(toks: &[Tok], mut k: usize, close: char) -> Option<&str> {
     if punct_at(toks, k) == Some('&') {
         k += 1;
         if matches!(toks.get(k).map(|t| &t.kind), Some(TokKind::Lifetime)) {
@@ -438,7 +445,79 @@ fn plain_type(toks: &[Tok], mut k: usize) -> Option<&str> {
         ty = ident_at(toks, k)?;
     }
     let plain = !matches!(ty, "impl" | "dyn" | "mut" | "fn");
-    (plain && matches!(punct_at(toks, k + 1), Some(',' | ')'))).then_some(ty)
+    let ends = matches!(punct_at(toks, k + 1), Some(c) if c == ',' || c == close);
+    (plain && ends).then_some(ty)
+}
+
+/// One `struct` with named fields.
+#[derive(Debug, Clone)]
+pub struct StructItem {
+    /// The struct's name.
+    pub name: String,
+    /// Fields declared `T`, `&T`, `&'a T` or `&mut T` for a `T` that is
+    /// not one of the struct's generic parameters, as `(field, T)` (a path
+    /// type by its last segment).
+    pub typed_fields: Vec<(String, String)>,
+}
+
+/// Every `struct Name<…> { field: Type, … }` in a token stream (tuple and
+/// unit structs have no named fields and are skipped).
+pub fn parse_structs(toks: &[Tok]) -> Vec<StructItem> {
+    let mut out = Vec::new();
+    for i in 0..toks.len() {
+        let Some(name) = ident_at(toks, i + 1).filter(|_| ident_at(toks, i) == Some("struct"))
+        else {
+            continue;
+        };
+        // Generic parameters: the identifiers right after `<` or `,` at
+        // angle depth 1, before the body.
+        let mut generics: Vec<&str> = Vec::new();
+        let mut angle = 0i32;
+        let mut k = i + 2;
+        while k < toks.len() {
+            match punct_at(toks, k) {
+                Some('<') => angle += 1,
+                Some('>') if punct_at(toks, k - 1) != Some('-') => angle -= 1,
+                Some('{' | ';' | '(') if angle <= 0 => break,
+                _ => {}
+            }
+            if angle == 1 && matches!(punct_at(toks, k - 1), Some('<' | ',')) {
+                generics.extend(ident_at(toks, k));
+            }
+            k += 1;
+        }
+        if punct_at(toks, k) != Some('{') {
+            continue;
+        }
+        let mut typed_fields = Vec::new();
+        let mut depth = 0usize;
+        while k < toks.len() {
+            match punct_at(toks, k) {
+                Some('{' | '(' | '[' | '<') => depth += 1,
+                Some('>') if punct_at(toks, k - 1) == Some('-') => {}
+                Some('}' | ')' | ']' | '>') => {
+                    depth = depth.saturating_sub(1);
+                    if depth == 0 {
+                        break;
+                    }
+                }
+                _ => {}
+            }
+            let single_colon =
+                punct_at(toks, k + 1) == Some(':') && punct_at(toks, k + 2) != Some(':');
+            if let (1, Some(field), true) = (depth, ident_at(toks, k), single_colon) {
+                if let Some(ty) = plain_type(toks, k + 2, '}').filter(|t| !generics.contains(t)) {
+                    typed_fields.push((field.to_owned(), ty.to_owned()));
+                }
+            }
+            k += 1;
+        }
+        out.push(StructItem {
+            name: name.to_owned(),
+            typed_fields,
+        });
+    }
+    out
 }
 
 /// Whether `body` may bind `name` again: it appears in a `let` pattern (up
@@ -673,6 +752,34 @@ mod tests {
         assert_eq!(recvs, vec![Some("a"), None, None]);
         // `a` is only read by a `let`; `b` and `c` are rebound.
         assert_eq!(params(1), vec![("a", "Int"), ("d", "Int")]);
+    }
+
+    #[test]
+    fn struct_fields_and_self_field_receivers() {
+        let toks = lex(
+            "pub struct S<'a, T: Clone, const N: usize> { pub a: cdb_num::Int, \
+             pub(crate) r: &'a mut Rat, v: Vec<Int>, t: T, f: fn(Int) -> Int, z: Zk<N> } \
+             struct Unit; struct Pair(Int, Int);",
+        )
+        .toks;
+        let structs = parse_structs(&toks);
+        assert_eq!(structs.len(), 1);
+        assert_eq!(structs[0].name, "S");
+        let fields: Vec<(&str, &str)> = structs[0]
+            .typed_fields
+            .iter()
+            .map(|(f, t)| (f.as_str(), t.as_str()))
+            .collect();
+        assert_eq!(fields, vec![("a", "Int"), ("r", "Rat")]);
+        let items = parse(
+            "impl S { fn f(&self) { self.a.sign(); self.a.b.sign(); x.a.sign(); self.sign(); } }",
+        );
+        let fields: Vec<Option<&str>> = items[0]
+            .calls
+            .iter()
+            .map(|c| c.self_field.as_deref())
+            .collect();
+        assert_eq!(fields, vec![Some("a"), None, None, None]);
     }
 
     #[test]
