@@ -152,6 +152,47 @@ impl CFormula {
         s.into_iter().collect()
     }
 
+    /// Names of the relations the formula reads, inside aggregate and
+    /// `EVAL` bodies too (`AGG[ȳ]{φ}` reads whatever φ reads).
+    #[must_use]
+    pub fn relation_names(&self) -> BTreeSet<String> {
+        fn term(t: &CTerm, out: &mut BTreeSet<String>) {
+            match t {
+                CTerm::Var(_) | CTerm::Const(_) => {}
+                CTerm::Add(a, b) | CTerm::Sub(a, b) | CTerm::Mul(a, b) => {
+                    term(a, out);
+                    term(b, out);
+                }
+                CTerm::Neg(a) | CTerm::Pow(a, _) | CTerm::Apply(_, a) => term(a, out),
+                CTerm::Agg(_, _, f) => go(f, out),
+            }
+        }
+        fn go(f: &CFormula, out: &mut BTreeSet<String>) {
+            match f {
+                CFormula::True | CFormula::False => {}
+                CFormula::Cmp(a, _, b) => {
+                    term(a, out);
+                    term(b, out);
+                }
+                CFormula::Rel(name, _) => {
+                    out.insert(name.clone());
+                }
+                CFormula::EvalPred(_, g)
+                | CFormula::Not(g)
+                | CFormula::Exists(_, g)
+                | CFormula::Forall(_, g) => go(g, out),
+                CFormula::And(fs) | CFormula::Or(fs) => {
+                    for g in fs {
+                        go(g, out);
+                    }
+                }
+            }
+        }
+        let mut out = BTreeSet::new();
+        go(self, &mut out);
+        out
+    }
+
     /// All variables mentioned anywhere (free, quantified, aggregate-bound),
     /// in first-appearance order — the paper's "pre-established order".
     #[must_use]
@@ -319,6 +360,14 @@ mod tests {
         let f = example51();
         assert_eq!(f.free_vars(), vec!["z".to_owned()]);
         assert_eq!(f.aggregate_depth(), 1);
+    }
+
+    #[test]
+    fn relation_names_descend_into_aggregates() {
+        let f =
+            crate::parse_formula("exists y (S(x, y) and z = LENGTH[w]{ P(w) and Q(w) })").unwrap();
+        let names: Vec<String> = f.relation_names().into_iter().collect();
+        assert_eq!(names, ["P", "Q", "S"]);
     }
 
     #[test]

@@ -1,13 +1,12 @@
 //! The user-facing constraint database.
 
-use crate::deps::{formula_reads, DepTracker};
-use crate::update::{Change, Materialization, UpdateReport};
+use crate::update::{Change, Derivation, UpdateReport};
 use cdb_calcf::{CalcFEngine, CalcFError, CalcFOutput};
 use cdb_constraints::{ConstraintRelation, Database};
 use cdb_datalog::{DatalogError, FixpointStats, Program, DELTA_PREFIX};
 use cdb_num::Rat;
 use cdb_qe::pipeline::numerical_evaluation;
-use cdb_qe::{AlgebraicCache, QeContext, QeError};
+use cdb_qe::{AlgebraicCache, QeError};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
@@ -156,15 +155,6 @@ impl QueryResult {
     }
 }
 
-/// Catalog entry: what the schema knows about a relation beyond its
-/// extent — declared variable names (round-tripped by [`crate::storage`])
-/// and, for `define`d views, the source text updates recompile from.
-#[derive(Debug, Clone)]
-pub(crate) struct RelMeta {
-    pub(crate) var_names: Vec<String>,
-    pub(crate) view_src: Option<String>,
-}
-
 /// A constraint database with a CALC_F query engine.
 ///
 /// Beyond evaluation, the database is *updatable*: [`Self::insert_tuples`]
@@ -178,13 +168,11 @@ pub struct ConstraintDb {
     /// Engine configuration, including the one algebraic memo-cache
     /// handle every evaluation context of this database shares.
     pub(crate) engine: CalcFEngine,
-    /// Per-relation schema metadata (variable names, view sources).
-    pub(crate) catalog: BTreeMap<String, RelMeta>,
-    /// Which derived relations read which others.
-    pub(crate) deps: DepTracker,
-    /// Datalog¬ programs whose heads are materialized in `db`, kept for
-    /// re-running under updates.
-    pub(crate) programs: Vec<Materialization>,
+    /// Declared variable names per relation (display and storage only).
+    pub(crate) catalog: BTreeMap<String, Vec<String>>,
+    /// The derived relations' definitions, in registration order; each
+    /// relation has at most one owner here.
+    pub(crate) derived: Vec<Derivation>,
 }
 
 impl Default for ConstraintDb {
@@ -208,8 +196,7 @@ impl ConstraintDb {
             db: Database::new(),
             engine,
             catalog: BTreeMap::new(),
-            deps: DepTracker::new(),
-            programs: Vec::new(),
+            derived: Vec::new(),
         }
     }
 
@@ -230,12 +217,6 @@ impl ConstraintDb {
     #[must_use]
     pub fn cache(&self) -> &AlgebraicCache {
         &self.engine.cache
-    }
-
-    /// The evaluation context carrying the engine's full configuration
-    /// ([`CalcFEngine::qe_context`] under the engine's own bit budget).
-    pub(crate) fn qe_context(&self) -> QeContext {
-        self.engine.qe_context(self.engine.budget_bits)
     }
 
     /// Reject names the evaluator reserves and arity-0 schemas (the
@@ -289,90 +270,72 @@ impl ConstraintDb {
         (0..arity).map(|i| format!("v{i}")).collect()
     }
 
-    /// Drop derived-relation bookkeeping for `name`: its dependency edges,
-    /// and any materialized program one of whose heads it is (the caller
-    /// is taking manual control of the extent).
-    fn unregister_derived(&mut self, name: &str) {
-        self.deps.forget(name);
-        let mut dropped_heads = Vec::new();
-        self.programs.retain(|m| {
-            let heads = m.program.head_names();
-            if heads.contains(name) {
-                dropped_heads.extend(heads);
-                false
-            } else {
-                true
-            }
-        });
-        for head in dropped_heads {
-            self.deps.forget(&head);
-        }
-    }
-
     /// Define a relation from CALC_F source over the named variables:
     /// `db.define("S", &["x", "y"], "4*x^2 - y - 20*x + 25 <= 0")`.
     /// Definitions may use quantifiers, previously defined relations,
     /// analytic functions and aggregates.
     ///
-    /// The definition is recorded: when a relation it reads is later
-    /// updated, the view is recompiled automatically. Redefining an
-    /// existing relation keeps its arity ([`DbError::ArityMismatch`]
-    /// otherwise) and refreshes everything that reads *it*.
+    /// The definition is registered as the relation's one owner (replacing
+    /// a view or program that owned it): when a relation it reads is later
+    /// updated, the view is recompiled over `vars`. Redefining an existing
+    /// relation keeps its arity ([`DbError::ArityMismatch`] otherwise) and
+    /// refreshes everything that reads *it*.
     pub fn define(&mut self, name: &str, vars: &[&str], src: &str) -> Result<(), DbError> {
         Self::check_schema(name, vars.len())?;
         Self::check_distinct_vars(name, vars)?;
         self.check_arity(name, vars.len())?;
         let ast = cdb_calcf::parse_formula(src).map_err(CalcFError::from)?;
         let rel = self.engine.compile_relation_ast(&self.db, vars, &ast)?;
-        let meta = RelMeta {
-            var_names: vars.iter().map(|v| (*v).to_owned()).collect(),
-            view_src: Some(src.to_owned()),
+        let vars: Vec<String> = vars.iter().map(|v| (*v).to_owned()).collect();
+        let view = Derivation::View {
+            name: name.to_owned(),
+            vars: vars.clone(),
+            src: src.to_owned(),
+            reads: ast.relation_names(),
         };
-        self.store(name, rel, meta, Some(formula_reads(&ast)))
+        self.store(name, rel, vars, Some(view))
     }
 
-    /// Insert (or replace) a pre-built relation. Replacing requires the
-    /// arity to match ([`DbError::ArityMismatch`]) and refreshes every
-    /// view / materialized head that transitively reads `name`.
+    /// Insert (or replace) a pre-built relation. Over a view or a program
+    /// head this makes `name` a base relation (the program's other heads
+    /// too). Replacing requires the arity to match
+    /// ([`DbError::ArityMismatch`]) and refreshes every view /
+    /// materialized head that transitively reads `name`.
     pub fn insert(&mut self, name: &str, rel: ConstraintRelation) -> Result<(), DbError> {
         Self::check_schema(name, rel.nvars())?;
         self.check_arity(name, rel.nvars())?;
         let arity = rel.nvars();
-        let keep_names = self
+        let var_names = self
             .catalog
             .get(name)
-            .filter(|m| m.var_names.len() == arity)
-            .map(|m| m.var_names.clone());
-        let meta = RelMeta {
-            var_names: keep_names.unwrap_or_else(|| Self::default_var_names(arity)),
-            view_src: None,
-        };
-        self.store(name, rel, meta, None)
+            .filter(|names| names.len() == arity)
+            .cloned()
+            .unwrap_or_else(|| Self::default_var_names(arity));
+        self.store(name, rel, var_names, None)
     }
 
-    /// Store `rel` as `name` with its catalog entry — and, for a view, the
-    /// relations it reads. Over an existing relation this takes manual
-    /// control of the extent and refreshes everything that reads it, all
-    /// or nothing: when a dependent fails to refresh, nothing is stored.
+    /// Store `rel` as `name` with its variable names, owned by `view` or,
+    /// without one, as a base relation. Over an existing relation this
+    /// refreshes everything that reads it, all or nothing: when a
+    /// dependent fails to refresh, nothing is stored.
     fn store(
         &mut self,
         name: &str,
         rel: ConstraintRelation,
-        meta: RelMeta,
-        reads: Option<BTreeSet<String>>,
+        var_names: Vec<String>,
+        view: Option<Derivation>,
     ) -> Result<(), DbError> {
         let replacing = self.db.get(name).is_some();
         self.atomically(|next| {
-            if replacing {
-                next.unregister_derived(name);
-            }
             next.db.insert(name, rel.canonicalized());
-            next.catalog.insert(name.to_owned(), meta);
-            if let Some(reads) = reads {
-                next.deps.record(name, reads);
+            next.catalog.insert(name.to_owned(), var_names);
+            match view {
+                Some(view) => next.register(view),
+                None => next.disown(&BTreeSet::from([name.to_owned()])),
             }
             if replacing {
-                next.propagate(name, Change::Destructive, &mut UpdateReport::default())?;
+                let changed = BTreeMap::from([(name.to_owned(), Change::Destructive)]);
+                next.propagate(changed, &mut UpdateReport::default())?;
             }
             Ok(())
         })
@@ -398,12 +361,13 @@ impl ConstraintDb {
     /// when it was inserted without names).
     #[must_use]
     pub fn var_names(&self, name: &str) -> Option<&[String]> {
-        self.catalog.get(name).map(|m| m.var_names.as_slice())
+        self.catalog.get(name).map(Vec::as_slice)
     }
 
     /// Declare the variable names of an existing relation (count must
     /// match its arity, no name twice). The names are cosmetic — display
-    /// and storage — so no recompilation happens.
+    /// and storage — so no recompilation happens, and a view keeps
+    /// recompiling over the variables it was defined over.
     pub fn rename_vars(&mut self, name: &str, vars: &[&str]) -> Result<(), DbError> {
         let Some(rel) = self.db.get(name) else {
             return Err(DbError::Schema(format!("no relation named {name}")));
@@ -416,30 +380,21 @@ impl ConstraintDb {
             });
         }
         Self::check_distinct_vars(name, vars)?;
-        let var_names: Vec<String> = vars.iter().map(|v| (*v).to_owned()).collect();
-        match self.catalog.get_mut(name) {
-            Some(meta) => meta.var_names = var_names,
-            None => {
-                self.catalog.insert(
-                    name.to_owned(),
-                    RelMeta {
-                        var_names,
-                        view_src: None,
-                    },
-                );
-            }
-        }
+        let var_names = vars.iter().map(|v| (*v).to_owned()).collect();
+        self.catalog.insert(name.to_owned(), var_names);
         Ok(())
     }
 
-    /// Remove a relation. Derived relations that read it keep their last
-    /// materialized extents (they can no longer be refreshed); the
-    /// memo-cache is invalidated.
+    /// Remove a relation, with the view or program that owned it. Every
+    /// derived relation whose definition reads it stops being derived: it
+    /// keeps its last materialized extent as a base relation (a program's
+    /// other heads too). The memo-cache is invalidated.
     pub fn remove(&mut self, name: &str) -> Option<ConstraintRelation> {
         let removed = self.db.remove(name);
         if removed.is_some() {
             self.catalog.remove(name);
-            self.unregister_derived(name);
+            self.derived
+                .retain(|d| !d.outputs().contains(name) && !d.reads().contains(name));
             // frozen harness: a pure cache needs no wipe.
             self.engine.cache.invalidate();
         }
@@ -469,11 +424,12 @@ impl ConstraintDb {
     /// path reuse each other's algebraic work); returns the run's
     /// [`FixpointStats`].
     ///
-    /// The program is also *registered*: its heads are tracked as
-    /// materialized views of the relations the rule bodies read, and
-    /// later [`Self::insert_tuples`] / [`Self::retract_tuples`] calls
-    /// re-run it — incrementally when the change permits. Re-running a
-    /// program with the same head set replaces the previous registration.
+    /// The program is also *registered* as the one owner of its heads,
+    /// replacing any view or program that owned one of them, and later
+    /// [`Self::insert_tuples`] / [`Self::retract_tuples`] calls re-run it —
+    /// incrementally when the change permits. A head that existed before
+    /// the run counts as replaced: everything else that reads it is
+    /// refreshed, all or nothing.
     ///
     /// Programs are built directly ([`cdb_datalog::Rule`]) or parsed from
     /// text with [`crate::parse_program`].
@@ -490,25 +446,34 @@ impl ConstraintDb {
             .iter()
             .map(|h| (h.clone(), self.db.get(h).cloned()))
             .collect();
-        let ctx = self.qe_context();
-        let (saturated, stats) = program.run(&self.db, &ctx, max_iterations)?;
-        self.db = saturated;
-        let reads = program.read_names();
-        for head in &heads {
-            self.deps.record(head, reads.clone());
-            let arity = self.db.get(head).map_or(0, ConstraintRelation::nvars);
-            self.catalog.entry(head.clone()).or_insert_with(|| RelMeta {
-                var_names: Self::default_var_names(arity),
-                view_src: None,
-            });
-        }
-        self.programs.retain(|m| m.program.head_names() != heads);
-        self.programs.push(Materialization {
-            program: program.clone(),
+        let replaced: BTreeMap<String, Change> = base_heads
+            .iter()
+            .filter(|(_, snapshot)| snapshot.is_some())
+            .map(|(head, _)| (head.clone(), Change::Destructive))
+            .collect();
+        let (saturated, stats) = program.run(
+            &self.db,
+            &self.engine.qe_context(self.engine.budget_bits),
             max_iterations,
-            base_heads,
-        });
-        Ok(stats)
+        )?;
+        self.atomically(|next| {
+            next.db = saturated;
+            for head in &heads {
+                let arity = next.db.get(head).map_or(0, ConstraintRelation::nvars);
+                next.catalog
+                    .entry(head.clone())
+                    .or_insert_with(|| Self::default_var_names(arity));
+            }
+            next.register(Derivation::Program {
+                program: program.clone(),
+                max_iterations,
+                base_heads,
+            });
+            if !replaced.is_empty() {
+                next.propagate(replaced, &mut UpdateReport::default())?;
+            }
+            Ok(stats)
+        })
     }
 
     /// Evaluate under the finite precision semantics with bit budget `k`:

@@ -34,7 +34,6 @@
 //! ```
 
 pub mod datalog_text;
-pub mod deps;
 pub mod facade;
 pub mod storage;
 pub mod update;
@@ -48,6 +47,5 @@ pub use cdb_num::{Int, Rat};
 pub use cdb_poly::{MPoly, UPoly};
 pub use cdb_qe::{QeContext, QeError};
 pub use datalog_text::parse_program;
-pub use deps::DepTracker;
 pub use facade::{ConstraintDb, DbError, Divergence, QueryResult};
 pub use update::UpdateReport;

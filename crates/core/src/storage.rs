@@ -14,6 +14,11 @@
 //! tuple t - 2 = 0
 //! end
 //! ```
+//!
+//! The format holds extents and variable names only, not definitions: a
+//! `define`d view or a materialized Datalog¬ head is written as its current
+//! extent, so after [`load`] every relation is a base relation and no
+//! update refreshes it.
 
 use crate::facade::{ConstraintDb, DbError};
 use cdb_calcf::{CFormula, ParseError, Parser};

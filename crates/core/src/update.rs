@@ -1,20 +1,32 @@
-//! Updates and incremental view maintenance.
+//! Updates, the registry of derived relations, and incremental view
+//! maintenance.
+//!
+//! Every derived relation has exactly one owner in the registry
+//! (`ConstraintDb::derived`): a `Derivation` that is either a
+//! [`ConstraintDb::define`]d view or a Datalog¬ program materialized by
+//! [`ConstraintDb::run_datalog`]. Registering a derivation drops every
+//! derivation that owned one of its outputs; [`ConstraintDb::insert`] over
+//! a derived relation makes it a base relation; [`ConstraintDb::remove`]
+//! drops the owner of the removed relation and every derivation that reads
+//! it (those keep their extents as base relations).
 //!
 //! [`ConstraintDb::insert_tuples`] and [`ConstraintDb::retract_tuples`]
 //! change a named base relation in place and produce an explicit
 //! per-relation delta. The facade then *propagates* the change instead of
-//! recomputing the world: the dependency tracker ([`crate::deps`]) names
-//! every `define`d view and materialized Datalog¬ head that transitively
-//! reads the changed relation, and each is refreshed exactly once, in
-//! dependency order —
+//! recomputing the world: one scheduler collects every derivation that
+//! transitively reads the changed relation and runs each exactly once, a
+//! derivation after every pending one that produces a relation it reads
+//! (ties and cycles break by registration order) —
 //!
-//! * **incrementally**, when the change is an insertion and the program is
-//!   [`Program::incrementally_maintainable`] for it: the delta re-enters
-//!   the semi-naive evaluator ([`Program::run_incremental`]) so only
-//!   delta-bound rule variants pay QE calls;
+//! * **incrementally**, when every changed input of a program enlarged:
+//!   the deltas re-enter the semi-naive evaluator
+//!   ([`Program::run_incremental`]) so only delta-bound rule variants pay
+//!   QE calls; when the evaluator answers [`DatalogError::NotIncremental`]
+//!   (negation over an intensional or changed relation) the program
+//!   restarts as below;
 //! * **by recompute**, for retractions, replacements and redefinitions
-//!   (views recompile from their stored source; programs restart from
-//!   their pre-materialization head snapshots), with the shared
+//!   (views recompile from their source over their own variables; programs
+//!   restart from their pre-materialization head snapshots), with the shared
 //!   [`cdb_qe::AlgebraicCache`] invalidated first. Its entries are pure
 //!   functions of their polynomial keys and cannot go stale
 //!   (`tests/update_path.rs` pins warm ≡ cold), so the wipe is never
@@ -32,23 +44,118 @@
 //! across worker counts); on infinite extents it is semantically equal.
 
 use crate::facade::{ConstraintDb, DbError};
-use cdb_constraints::{ConstraintRelation, GeneralizedTuple, TupleSet};
+use cdb_calcf::CalcFEngine;
+use cdb_constraints::{ConstraintRelation, Database, GeneralizedTuple, TupleSet};
 use cdb_datalog::{DatalogError, Program};
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 
-/// A Datalog¬ program whose heads are materialized in the database,
-/// registered by [`ConstraintDb::run_datalog`] for re-running under
-/// updates.
+/// The one definition of one or more derived relations, kept to refresh
+/// them when a relation they read changes.
 #[derive(Debug, Clone)]
-pub(crate) struct Materialization {
-    pub(crate) program: Program,
-    pub(crate) max_iterations: usize,
-    /// Head extents as they were *before* the program first ran (`None` =
-    /// the head did not exist). Full recomputes restart from these: the
-    /// inflationary semantics never shrinks an extent, so restarting from
-    /// the saturated state would fossilize retracted derivations.
-    pub(crate) base_heads: BTreeMap<String, Option<ConstraintRelation>>,
+pub(crate) enum Derivation {
+    /// A `define`d view: `src` compiled over `vars`, the variables it was
+    /// defined over (renaming the relation's variables leaves them alone).
+    View {
+        name: String,
+        vars: Vec<String>,
+        src: String,
+        reads: BTreeSet<String>,
+    },
+    /// A Datalog¬ program whose heads are materialized.
+    Program {
+        program: Program,
+        max_iterations: usize,
+        /// Head extents as they were *before* the program first ran
+        /// (`None` = the head did not exist). Full recomputes restart from
+        /// these: the inflationary semantics never shrinks an extent, so
+        /// restarting from the saturated state would fossilize retracted
+        /// derivations.
+        base_heads: BTreeMap<String, Option<ConstraintRelation>>,
+    },
+}
+
+impl Derivation {
+    /// The relations this derivation writes.
+    pub(crate) fn outputs(&self) -> BTreeSet<String> {
+        match self {
+            Derivation::View { name, .. } => BTreeSet::from([name.clone()]),
+            Derivation::Program { program, .. } => program.head_names(),
+        }
+    }
+
+    /// The relations its definition reads, other than its own outputs: a
+    /// change to one of these makes it stale.
+    pub(crate) fn reads(&self) -> BTreeSet<String> {
+        let mut reads = match self {
+            Derivation::View { reads, .. } => reads.clone(),
+            Derivation::Program { program, .. } => program.read_names(),
+        };
+        let outputs = self.outputs();
+        reads.retain(|r| !outputs.contains(r));
+        reads
+    }
+
+    /// Recompute the outputs in `db` after the inputs changed as `arrived`
+    /// records. `Some(incremental)` for a program: whether it resumed from
+    /// its saturated state.
+    fn recompute(
+        &self,
+        db: &mut Database,
+        engine: &CalcFEngine,
+        arrived: &BTreeMap<String, Change>,
+    ) -> Result<Option<bool>, DbError> {
+        let (program, max_iterations, base_heads) = match self {
+            Derivation::View {
+                name, vars, src, ..
+            } => {
+                let refs: Vec<&str> = vars.iter().map(String::as_str).collect();
+                let rel = engine.compile_relation(db, &refs, src)?;
+                db.insert(name, rel.canonicalized());
+                return Ok(None);
+            }
+            Derivation::Program {
+                program,
+                max_iterations,
+                base_heads,
+            } => (program, *max_iterations, base_heads),
+        };
+        let ctx = engine.qe_context(engine.budget_bits);
+        let reads = self.reads();
+        let mut deltas = BTreeMap::new();
+        let mut all_enlarging = true;
+        for (name, change) in arrived.iter().filter(|(name, _)| reads.contains(*name)) {
+            match change {
+                Change::Enlarge(delta) => {
+                    deltas.insert(name.clone(), delta.clone());
+                }
+                Change::Destructive => all_enlarging = false,
+            }
+        }
+        if all_enlarging {
+            match program.run_incremental(db, &deltas, &ctx, max_iterations) {
+                Ok((saturated, _stats)) => {
+                    *db = saturated;
+                    return Ok(Some(true));
+                }
+                Err(DatalogError::NotIncremental(_)) => {}
+                Err(e) => return Err(e.into()),
+            }
+        }
+        // Full recompute: restart the heads from their
+        // pre-materialization snapshots, then saturate.
+        for (head, snapshot) in base_heads {
+            match snapshot {
+                Some(rel) => db.insert(head.clone(), rel.clone()),
+                None => {
+                    db.remove(head);
+                }
+            }
+        }
+        let (saturated, _stats) = program.run(db, &ctx, max_iterations)?;
+        *db = saturated;
+        Ok(Some(false))
+    }
 }
 
 /// What an update did: the direct change, plus every derived relation the
@@ -61,7 +168,9 @@ pub struct UpdateReport {
     pub inserted: usize,
     /// Tuples actually removed (absent tuples are skipped).
     pub retracted: usize,
-    /// `define`d views recompiled, in processing order.
+    /// `define`d views recompiled, in processing order: dependency order,
+    /// and registration order between views that do not depend on each
+    /// other.
     pub refreshed_views: Vec<String>,
     /// Materialized heads refreshed, in processing order.
     pub refreshed_heads: Vec<String>,
@@ -113,25 +222,6 @@ pub(crate) enum Change {
     /// refreshed derived relation with no tracked delta) — consumers must
     /// recompute.
     Destructive,
-}
-
-/// A unit of propagation work, scheduled at most once per update.
-#[derive(Debug, Clone)]
-enum Unit {
-    /// Recompile a `define`d view from its stored source.
-    View { name: String },
-    /// Re-run a materialized program (incrementally if possible).
-    Program { mat: Materialization },
-}
-
-impl Unit {
-    /// Relations this unit rewrites.
-    fn outputs(&self) -> BTreeSet<String> {
-        match self {
-            Unit::View { name } => BTreeSet::from([name.clone()]),
-            Unit::Program { mat } => mat.program.head_names(),
-        }
-    }
 }
 
 impl ConstraintDb {
@@ -187,7 +277,10 @@ impl ConstraintDb {
         let merged = self.updatable_relation(name)?.union(&delta).canonicalized();
         self.atomically(|next| {
             next.db.insert(name, merged);
-            next.propagate(name, Change::Enlarge(delta), &mut report)
+            next.propagate(
+                BTreeMap::from([(name.to_owned(), Change::Enlarge(delta))]),
+                &mut report,
+            )
         })?;
         Ok(report)
     }
@@ -221,14 +314,17 @@ impl ConstraintDb {
         report.retracted = removed;
         self.atomically(|next| {
             next.db.insert(name, shrunk.canonicalized());
-            next.propagate(name, Change::Destructive, &mut report)
+            next.propagate(
+                BTreeMap::from([(name.to_owned(), Change::Destructive)]),
+                &mut report,
+            )
         })?;
         Ok(report)
     }
 
     /// The stored relation `name`, rejecting updates to derived relations.
     fn updatable_relation(&self, name: &str) -> Result<&ConstraintRelation, DbError> {
-        if self.deps.reads_of(name).is_some() {
+        if self.derived.iter().any(|d| d.outputs().contains(name)) {
             return Err(DbError::Schema(format!(
                 "{name} is a derived relation (view or materialized head); \
                  update the relations it reads, or redefine it"
@@ -239,39 +335,63 @@ impl ConstraintDb {
             .ok_or_else(|| DbError::Schema(format!("no relation named {name}")))
     }
 
-    /// Propagate the `change` of relation `name` to every affected derived
-    /// relation, each refreshed exactly once in dependency order. Views
-    /// recompile from their stored source; programs re-run incrementally
-    /// when every dirty input carries an enlarging delta and the program is
-    /// incrementally maintainable for the change set, from their base-head
-    /// snapshots otherwise. A destructive change invalidates the shared
-    /// memo-cache first. Mutates in place: callers run it inside
-    /// [`ConstraintDb::atomically`].
+    /// Make `derivation` the one owner of its outputs: drop every
+    /// derivation that owns one of them, then register it last.
+    pub(crate) fn register(&mut self, derivation: Derivation) {
+        self.disown(&derivation.outputs());
+        self.derived.push(derivation);
+    }
+
+    /// Drop every derivation that owns one of `names`: their outputs become
+    /// base relations with their current extents.
+    pub(crate) fn disown(&mut self, names: &BTreeSet<String>) {
+        self.derived.retain(|d| d.outputs().is_disjoint(names));
+    }
+
+    /// Propagate the `changes` of some relations to every derivation that
+    /// transitively reads them, each refreshed exactly once: first collect
+    /// the derivations the change reaches, then run them in order — a
+    /// derivation after every pending one that produces a relation it
+    /// reads, ties and cycles broken by registration order. A destructive
+    /// change invalidates the shared memo-cache first. Mutates in place:
+    /// callers run it inside [`ConstraintDb::atomically`].
     pub(crate) fn propagate(
         &mut self,
-        name: &str,
-        change: Change,
+        mut arrived: BTreeMap<String, Change>,
         report: &mut UpdateReport,
     ) -> Result<(), DbError> {
-        if matches!(change, Change::Destructive) {
+        if arrived.values().any(|c| matches!(c, Change::Destructive)) {
             // frozen harness: a pure cache needs no wipe.
             self.engine.cache.invalidate();
             report.cache_invalidated = true;
         }
-        // `arrived` tracks how each relation has changed so far; it grows
-        // as units run (their outputs become Destructive changes for
-        // downstream units).
-        let mut arrived = BTreeMap::from([(name.to_owned(), change)]);
-        let units = self.schedule_units(&arrived);
-        for unit in units {
-            match unit {
-                Unit::View { name } => {
-                    self.refresh_view(&name)?;
-                    arrived.insert(name.clone(), Change::Destructive);
-                    report.refreshed_views.push(name);
+        let mut dirty: BTreeSet<String> = arrived.keys().cloned().collect();
+        let mut reached = vec![false; self.derived.len()];
+        let mut grew = true;
+        while grew {
+            grew = false;
+            for (d, reached) in self.derived.iter().zip(&mut reached) {
+                if !*reached && !d.reads().is_disjoint(&dirty) {
+                    *reached = true;
+                    dirty.extend(d.outputs());
+                    grew = true;
                 }
-                Unit::Program { mat } => {
-                    let incremental = self.rerun_program(&mat, &arrived)?;
+            }
+        }
+        let mut pending: Vec<&Derivation> = (self.derived.iter().zip(reached))
+            .filter_map(|(d, reached)| reached.then_some(d))
+            .collect();
+        while !pending.is_empty() {
+            let produced: BTreeSet<String> = pending.iter().flat_map(|d| d.outputs()).collect();
+            let next = pending
+                .iter()
+                .position(|d| d.reads().is_disjoint(&produced))
+                .unwrap_or(0);
+            let derivation = pending.remove(next);
+            let outputs = derivation.outputs();
+            match derivation.recompute(&mut self.db, &self.engine, &arrived)? {
+                None => report.refreshed_views.extend(outputs.iter().cloned()),
+                Some(incremental) => {
                     if incremental {
                         report.incremental_reruns += 1;
                     } else {
@@ -282,162 +402,11 @@ impl ConstraintDb {
                             report.cache_invalidated = true;
                         }
                     }
-                    for head in mat.program.head_names() {
-                        arrived.insert(head.clone(), Change::Destructive);
-                        report.refreshed_heads.push(head);
-                    }
+                    report.refreshed_heads.extend(outputs.iter().cloned());
                 }
             }
+            arrived.extend(outputs.into_iter().map(|o| (o, Change::Destructive)));
         }
         Ok(())
-    }
-
-    /// Every affected unit, in dependency order: transitively collect the
-    /// views and programs whose read sets touch the dirty names, then
-    /// topologically order them (a unit runs after the units producing its
-    /// inputs; ties and cycles break on the deterministic collection
-    /// order: views by name, then programs by registration).
-    fn schedule_units(&self, changes: &BTreeMap<String, Change>) -> Vec<Unit> {
-        let mut dirty: BTreeSet<String> = changes.keys().cloned().collect();
-        let mut units: Vec<Unit> = Vec::new();
-        let mut seen_views: BTreeSet<String> = BTreeSet::new();
-        let mut seen_programs: BTreeSet<usize> = BTreeSet::new();
-        loop {
-            let mut grew = false;
-            for (name, meta) in &self.catalog {
-                if meta.view_src.is_none() || seen_views.contains(name) {
-                    continue;
-                }
-                let reads_dirty = self
-                    .deps
-                    .reads_of(name)
-                    .is_some_and(|reads| !reads.is_disjoint(&dirty));
-                if reads_dirty {
-                    seen_views.insert(name.clone());
-                    units.push(Unit::View { name: name.clone() });
-                    dirty.insert(name.clone());
-                    grew = true;
-                }
-            }
-            for (idx, mat) in self.programs.iter().enumerate() {
-                if seen_programs.contains(&idx) {
-                    continue;
-                }
-                if !mat.program.read_names().is_disjoint(&dirty) {
-                    seen_programs.insert(idx);
-                    units.push(Unit::Program { mat: mat.clone() });
-                    dirty.extend(mat.program.head_names());
-                    grew = true;
-                }
-            }
-            if !grew {
-                break;
-            }
-        }
-        // Topological order over the collected units.
-        let inputs_of = |unit: &Unit| -> BTreeSet<String> {
-            match unit {
-                Unit::View { name } => self.deps.reads_of(name).cloned().unwrap_or_default(),
-                Unit::Program { mat } => {
-                    let heads = mat.program.head_names();
-                    mat.program
-                        .read_names()
-                        .into_iter()
-                        .filter(|r| !heads.contains(r))
-                        .collect()
-                }
-            }
-        };
-        let mut remaining = units;
-        let mut ordered: Vec<Unit> = Vec::new();
-        while !remaining.is_empty() {
-            let mut pending_outputs: BTreeSet<String> = BTreeSet::new();
-            for u in &remaining {
-                pending_outputs.extend(u.outputs());
-            }
-            let pos = remaining
-                .iter()
-                .position(|u| {
-                    let own = u.outputs();
-                    inputs_of(u)
-                        .iter()
-                        .all(|i| own.contains(i) || !pending_outputs.contains(i))
-                })
-                // A dependency cycle across units (e.g. a view over a head
-                // of a program that reads the view): break it at the first
-                // unit in collection order — each still runs exactly once.
-                .unwrap_or(0);
-            ordered.push(remaining.remove(pos));
-        }
-        ordered
-    }
-
-    /// Recompile a `define`d view from its stored source against the
-    /// current extents.
-    fn refresh_view(&mut self, name: &str) -> Result<(), DbError> {
-        let Some(meta) = self.catalog.get(name).cloned() else {
-            return Err(DbError::Schema(format!("view {name} has no catalog entry")));
-        };
-        let Some(src) = meta.view_src else {
-            return Err(DbError::Schema(format!("{name} is not a view")));
-        };
-        let refs: Vec<&str> = meta.var_names.iter().map(String::as_str).collect();
-        let rel = self.engine.compile_relation(&self.db, &refs, &src)?;
-        self.db.insert(name, rel.canonicalized());
-        Ok(())
-    }
-
-    /// Re-run a materialized program after its inputs changed. Returns
-    /// `true` when the incremental path was taken.
-    fn rerun_program(
-        &mut self,
-        mat: &Materialization,
-        arrived: &BTreeMap<String, Change>,
-    ) -> Result<bool, DbError> {
-        let reads = mat.program.read_names();
-        let dirty_inputs: BTreeMap<String, &Change> = arrived
-            .iter()
-            .filter(|(name, _)| reads.contains(*name))
-            .map(|(name, change)| (name.clone(), change))
-            .collect();
-        let dirty_names: BTreeSet<String> = dirty_inputs.keys().cloned().collect();
-        let all_enlarging = dirty_inputs
-            .values()
-            .all(|c| matches!(c, Change::Enlarge(_)));
-        let ctx = self.qe_context();
-        if all_enlarging && mat.program.incrementally_maintainable(&dirty_names) {
-            let mut base_deltas: BTreeMap<String, ConstraintRelation> = BTreeMap::new();
-            for (name, change) in &dirty_inputs {
-                if let Change::Enlarge(delta) = change {
-                    base_deltas.insert(name.clone(), delta.clone());
-                }
-            }
-            match mat
-                .program
-                .run_incremental(&self.db, &base_deltas, &ctx, mat.max_iterations)
-            {
-                Ok((saturated, _stats)) => {
-                    self.db = saturated;
-                    return Ok(true);
-                }
-                // Belt-and-braces: if the evaluator still refuses, take
-                // the full path below rather than failing the update.
-                Err(DatalogError::NotIncremental(_)) => {}
-                Err(e) => return Err(e.into()),
-            }
-        }
-        // Full recompute: restart the heads from their
-        // pre-materialization snapshots, then saturate.
-        for (head, snapshot) in &mat.base_heads {
-            match snapshot {
-                Some(rel) => self.db.insert(head.clone(), rel.clone()),
-                None => {
-                    self.db.remove(head);
-                }
-            }
-        }
-        let (saturated, _stats) = mat.program.run(&self.db, &ctx, mat.max_iterations)?;
-        self.db = saturated;
-        Ok(false)
     }
 }

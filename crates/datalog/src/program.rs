@@ -285,8 +285,8 @@ impl Program {
     }
 
     /// Names of every relation a rule body reads (positively or under
-    /// negation), heads included when the program is recursive. The
-    /// dependency tracker records these at materialization time.
+    /// negation), heads included when the program is recursive: what the
+    /// update path watches to re-run a materialized program.
     #[must_use]
     pub fn read_names(&self) -> BTreeSet<String> {
         let mut out = BTreeSet::new();

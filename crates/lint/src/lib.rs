@@ -202,11 +202,10 @@ pub fn classify(rel: &str) -> FileClass {
             // determinism bar as the result-producing crates: u64 modular
             // arithmetic is fine, HashMap/Relaxed/wall-clocks are not.
             || rel == "crates/num/src/modp.rs"
-            // The update path (DESIGN.md §12) decides *which* units re-run
-            // and in what order from dependency sets; iteration order over
-            // those sets becomes evaluation order, so both modules answer
+            // The update path (DESIGN.md §12) decides *which* derivations
+            // re-run and in what order from their read sets; iteration
+            // order over those sets becomes evaluation order, so it answers
             // to the determinism bar (BTree containers, no wall-clocks).
-            || rel == "crates/core/src/deps.rs"
             || rel == "crates/core/src/update.rs"
             // The serving layer (DESIGN.md §13) promises byte-identical
             // results across session interleavings; nothing order- or

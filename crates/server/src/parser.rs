@@ -114,8 +114,10 @@ pub enum Command {
     /// `SET PRECISION k` (`Some(k)`) or `SET PRECISION UNBOUNDED`
     /// (`None`): the session's `⊨_QE^F` bit budget for reads.
     SetPrecision(Option<u64>),
-    /// `SAVE <path>` — write the session's snapshot in the text format.
-    /// The path resolves on the server host and the file is created (or
+    /// `SAVE <path>` — write the session's snapshot in the text format:
+    /// extents and variable names only, so after `LOAD` every view and
+    /// Datalog¬ head is a base relation holding its saved extent. The path
+    /// resolves on the server host and the file is created (or
     /// truncated) with the server process's privileges, so a remote front
     /// end must restrict which paths it passes through.
     Save {

@@ -2,8 +2,9 @@
 # Repository gate: formatting, lints, rustdoc, the tier-1 verify from
 # ROADMAP.md, the full workspace test suite, the golden session through the
 # `serve` binary, the statement benchmark's own tests, the paper's
-# experiments (E1-E16), one checked run of every benchmark workload, and a
-# last look that none of it rewrote a frozen benchmark file.
+# experiments (E1-E16), one checked run of every benchmark workload, the
+# pinned per-layer counts of a few traced runs, and a last look that none of
+# it rewrote a frozen benchmark file.
 # Run from anywhere; operates on the workspace containing this script.
 set -euo pipefail
 
@@ -142,12 +143,15 @@ echo "==> conic_cad lifts the same stacks and its filtered signs stay under thei
 # taken at its lower end (the parent's lower end or its midpoint), instead
 # of evaluating the Sturm chain there again, took it to 72,567, the same
 # over runs pinned to one CPU and unpinned (DESIGN.md §8).
-# lift_gate <workload> <pinned cells> <pinned sign evaluations> <filtered-sign ceiling>
-lift_gate() {
-    local run
+# traced <workload>: one traced repeat at --seed 1 into $run; counter reads it.
+traced() {
     run=$(cargo run --release --quiet --offline --manifest-path stmtbench/Cargo.toml --bin bench -- \
         --workload "$1" --seed 1 --seconds 1 --trace 1)
-    counter() { echo "$run" | grep -o "\"$1\": {\"value\": [0-9]*" | awk '{ n += $NF } END { print n + 0 }'; }
+}
+counter() { echo "$run" | grep -o "\"$1\": {\"value\": [0-9]*" | awk '{ n += $NF } END { print n + 0 }'; }
+# lift_gate <workload> <pinned cells> <pinned sign evaluations> <filtered-sign ceiling>
+lift_gate() {
+    traced "$1"
     local cells sign_evals filtered
     cells=$(counter 'qe\.cad\.cells')
     sign_evals=$(counter 'qe\.cad\.sign_evals')
@@ -169,6 +173,29 @@ echo "==> serve_mixed lifts the same stacks and its filtered signs stay under th
 # number owned its refinement (DESIGN.md §5, "Refinement is owned"), so they
 # are pinned like conic_cad's; the filtered-sign ceiling is the count then.
 lift_gate serve_mixed 7940 4960 69520
+
+echo "==> tc_update and serve_mixed route their writes as pinned (one traced repeat each at --seed 1)"
+# How the update path refreshed the derived relations of every write
+# (DESIGN.md §12): programs resumed incrementally, programs re-run from
+# their base snapshots, and views plus heads refreshed. The counts are
+# deterministic (tc_update: 8 inserts into a Datalog head's input, then one
+# delete; serve_mixed: 40 inserts and deletes, each refreshing a view and a
+# Datalog head, every fifth a delete), so a change to the scheduler that
+# reroutes a refresh fails here without timing. A change that reroutes on purpose re-pins these
+# numbers and says why here.
+# routing_gate <workload> <incremental reruns> <full reruns> <refreshed>, on
+# the last traced run
+routing_gate() {
+    local routing
+    routing="$(counter 'core\.incremental_reruns') $(counter 'core\.full_reruns') $(counter 'core\.refreshed')"
+    if [ "$routing" != "$2 $3 $4" ]; then
+        echo "$1: core.{incremental_reruns,full_reruns,refreshed} $routing at --seed 1, pinned $2 $3 $4" >&2
+        exit 1
+    fi
+}
+routing_gate serve_mixed 32 8 80
+traced tc_update
+routing_gate tc_update 8 1 9
 
 echo "==> the frozen benchmark is as committed (no step above rewrote stmtbench/ or BENCHMARK.json)"
 # A manifest edit that makes cargo rewrite stmtbench/Cargo.lock shows up here.
