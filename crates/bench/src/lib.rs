@@ -1,6 +1,6 @@
 //! `cdb-bench`: workload generators and experiment fixtures for the
 //! reproduction of every table and figure (see DESIGN.md §4 and
-//! EXPERIMENTS.md for the experiment index E1–E15).
+//! EXPERIMENTS.md for the experiment index E1–E16).
 //!
 //! The paper is a theory paper: its "evaluation" consists of Figure 1, the
 //! worked examples, and complexity theorems. Each experiment regenerates
