@@ -8,9 +8,11 @@
 //! formula is evaluated in closed form by the QE pipeline.
 //!
 //! The first two stages are one recursive pass over the AST that emits the
-//! polynomial [`Formula`]. At each comparison the pass evaluates the
-//! aggregates (each body is a query of its own, so nested aggregates run
-//! innermost-first) and replaces them by their values, then expands the
+//! polynomial [`Formula`]. A comparison without analytic applications
+//! lowers straight to the polynomial `lhs − rhs`, each aggregate evaluated
+//! where it stands (each body is a query of its own, so nested aggregates
+//! run innermost-first). A comparison with them first replaces its
+//! aggregates by their values in a copy of the term, then expands the
 //! analytic applications over the a-base; an `EVAL` predicate becomes the
 //! formula of its relation. Negation is pushed to the atoms on the way
 //! down, so the formula handed to QE is already in negation normal form.
@@ -354,8 +356,14 @@ impl Lowering<'_> {
                 }
             }
             CFormula::Cmp(a, op, b) => {
-                let t = CTerm::Sub(Box::new(self.term(a)?), Box::new(self.term(b)?));
-                self.atom(&t, if neg { op.negated() } else { *op })?
+                let op = if neg { op.negated() } else { *op };
+                if find_innermost_apply(a).is_some() || find_innermost_apply(b).is_some() {
+                    let t = CTerm::Sub(Box::new(self.term(a)?), Box::new(self.term(b)?));
+                    self.atom(&t, op)?
+                } else {
+                    let poly = &self.poly(a)? - &self.poly(b)?;
+                    Formula::Atom(Atom::new(poly.seal(), op))
+                }
             }
             CFormula::EvalPred(vars, body) => {
                 let f = relation_to_formula(&self.eval(vars, body)?);
@@ -389,7 +397,8 @@ impl Lowering<'_> {
         })
     }
 
-    /// `t` with every scalar aggregate replaced by its value.
+    /// `t` with every scalar aggregate replaced by its value (the analytic
+    /// path, which substitutes approximations into the term tree).
     fn term(&mut self, t: &CTerm) -> Result<CTerm, CalcFError> {
         let mut go = |u: &CTerm| self.term(u).map(Box::new);
         Ok(match t {
@@ -400,24 +409,59 @@ impl Lowering<'_> {
             CTerm::Neg(a) => CTerm::Neg(go(a)?),
             CTerm::Pow(a, n) => CTerm::Pow(go(a)?, *n),
             CTerm::Apply(g, a) => CTerm::Apply(*g, go(a)?),
+            CTerm::Agg(agg, vars, body) => CTerm::Const(self.scalar(*agg, vars, body)?),
+        })
+    }
+
+    /// `t` as a polynomial over the query's ring, each scalar aggregate
+    /// evaluated where it stands; an analytic application is an error
+    /// (`atom` substitutes its approximations first).
+    fn poly(&mut self, t: &CTerm) -> Result<Terms, CalcFError> {
+        Ok(match t {
+            CTerm::Var(v) => Terms::var(self.var(v)?, self.nvars),
+            CTerm::Const(c) => Terms::constant(c.clone(), self.nvars),
+            CTerm::Add(a, b) => &self.poly(a)? + &self.poly(b)?,
+            CTerm::Sub(a, b) => &self.poly(a)? - &self.poly(b)?,
+            CTerm::Mul(a, b) => match (&**a, &**b) {
+                (CTerm::Const(c), _) => self.poly(b)?.scale(c),
+                (_, CTerm::Const(c)) => self.poly(a)?.scale(c),
+                _ => &self.poly(a)? * &self.poly(b)?,
+            },
+            CTerm::Neg(a) => -self.poly(a)?,
+            CTerm::Pow(a, n) => self.poly(a)?.pow(*n),
+            CTerm::Apply(f, _) => {
+                return Err(CalcFError::Semantic(format!(
+                    "analytic function {f} not eliminated"
+                )))
+            }
             CTerm::Agg(agg, vars, body) => {
-                if *agg == Aggregate::Eval {
-                    return Err(CalcFError::Semantic(
-                        "EVAL is a predicate, not a scalar term".into(),
-                    ));
-                }
-                let (rel, inner_vars) = self.aggregate_input(*agg, vars, body)?;
-                let ctx = self.engine.qe_context(None);
-                let out = apply_aggregate(*agg, &rel, &inner_vars, &self.engine.eps, &ctx)?;
-                let AggOutput::Scalar(v) = out else {
-                    return Err(CalcFError::Internal(
-                        "non-EVAL aggregate did not yield a scalar".to_owned(),
-                    ));
-                };
-                self.exact &= v.exact;
-                CTerm::Const(v.value)
+                Terms::constant(self.scalar(*agg, vars, body)?, self.nvars)
             }
         })
+    }
+
+    /// The value of the scalar aggregate `agg[vars]{body}`.
+    fn scalar(
+        &mut self,
+        agg: Aggregate,
+        vars: &[String],
+        body: &CFormula,
+    ) -> Result<Rat, CalcFError> {
+        if agg == Aggregate::Eval {
+            return Err(CalcFError::Semantic(
+                "EVAL is a predicate, not a scalar term".into(),
+            ));
+        }
+        let (rel, inner_vars) = self.aggregate_input(agg, vars, body)?;
+        let ctx = self.engine.qe_context(None);
+        let out = apply_aggregate(agg, &rel, &inner_vars, &self.engine.eps, &ctx)?;
+        let AggOutput::Scalar(v) = out else {
+            return Err(CalcFError::Internal(
+                "non-EVAL aggregate did not yield a scalar".to_owned(),
+            ));
+        };
+        self.exact &= v.exact;
+        Ok(v.value)
     }
 
     /// The relation `EVAL[vars]{body}` denotes, over the outer ring.
@@ -480,12 +524,11 @@ impl Lowering<'_> {
     fn atom(&mut self, t: &CTerm, op: RelOp) -> Result<Formula, CalcFError> {
         // Find an innermost analytic application.
         let Some((func, arg)) = find_innermost_apply(t) else {
-            let poly = term_to_terms(t, self.index, self.nvars)?.seal();
-            return Ok(Formula::Atom(Atom::new(poly, op)));
+            return Ok(Formula::Atom(Atom::new(self.poly(t)?.seal(), op)));
         };
         self.exact = false;
         // The argument is analytic-free: a polynomial.
-        let arg_poly = term_to_terms(&arg, self.index, self.nvars)?;
+        let arg_poly = self.poly(arg)?;
         let abase = &self.engine.abase;
         let mut branches = Vec::with_capacity(abase.num_intervals());
         let mut skipped = 0usize;
@@ -505,7 +548,7 @@ impl Lowering<'_> {
             let piece_err = cdb_approx::sup_error(func, &h_e, lo.to_f64(), hi.to_f64(), 64);
             self.err = self.err.max(piece_err);
             // Substitute h_e(arg) for the application.
-            let replaced = substitute_apply(t, &func, &arg, &h_e);
+            let replaced = substitute_apply(t, &func, arg, &h_e);
             // Guard: lo ≤ arg ≤ hi.
             let guard_lo = Atom::new(
                 (&Terms::constant(lo, self.nvars) - &arg_poly).seal(),
@@ -563,14 +606,14 @@ fn check_no_shadowing(f: &CFormula) -> Result<(), CalcFError> {
 }
 
 /// Find an innermost analytic application (its argument is analytic-free).
-fn find_innermost_apply(t: &CTerm) -> Option<(cdb_approx::AnalyticFn, CTerm)> {
+fn find_innermost_apply(t: &CTerm) -> Option<(cdb_approx::AnalyticFn, &CTerm)> {
     match t {
         CTerm::Var(_) | CTerm::Const(_) => None,
         CTerm::Add(a, b) | CTerm::Sub(a, b) | CTerm::Mul(a, b) => {
             find_innermost_apply(a).or_else(|| find_innermost_apply(b))
         }
         CTerm::Neg(a) | CTerm::Pow(a, _) => find_innermost_apply(a),
-        CTerm::Apply(f, a) => find_innermost_apply(a).or_else(|| Some((*f, (**a).clone()))),
+        CTerm::Apply(f, a) => find_innermost_apply(a).or(Some((*f, &**a))),
         CTerm::Agg(..) => None,
     }
 }
@@ -607,41 +650,6 @@ fn substitute_apply(t: &CTerm, func: &cdb_approx::AnalyticFn, arg: &CTerm, h: &U
         CTerm::Apply(f, a) => CTerm::Apply(*f, Box::new(substitute_apply(a, func, arg, h))),
         CTerm::Agg(..) => t.clone(),
     }
-}
-
-/// Lower an analytic-free, aggregate-free term to an unsealed polynomial:
-/// the whole tree is built in [`Terms`], so a caller seals once per atom.
-fn term_to_terms(
-    t: &CTerm,
-    index: &BTreeMap<String, usize>,
-    nvars: usize,
-) -> Result<Terms, CalcFError> {
-    let go = |u: &CTerm| term_to_terms(u, index, nvars);
-    Ok(match t {
-        CTerm::Var(v) => {
-            let i = *index
-                .get(v)
-                .ok_or_else(|| CalcFError::Semantic(format!("unknown variable {v}")))?;
-            Terms::var(i, nvars)
-        }
-        CTerm::Const(c) => Terms::constant(c.clone(), nvars),
-        CTerm::Add(a, b) => &go(a)? + &go(b)?,
-        CTerm::Sub(a, b) => &go(a)? - &go(b)?,
-        CTerm::Mul(a, b) => &go(a)? * &go(b)?,
-        CTerm::Neg(a) => -go(a)?,
-        CTerm::Pow(a, n) => go(a)?.pow(*n),
-        CTerm::Apply(f, _) => {
-            return Err(CalcFError::Semantic(format!(
-                "analytic function {f} not eliminated"
-            )))
-        }
-        CTerm::Agg(agg, ..) => {
-            return Err(CalcFError::Semantic(format!(
-                "aggregate {} not eliminated",
-                agg.name()
-            )))
-        }
-    })
 }
 
 #[cfg(test)]

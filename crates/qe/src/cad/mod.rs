@@ -19,7 +19,7 @@ use crate::{QeContext, QeError};
 use cdb_constraints::{ConstraintRelation, Formula, Quantifier};
 use cdb_num::Sign;
 use cdb_poly::{MPoly, RealAlg};
-use project::{normalize, Registry};
+use project::Registry;
 use stack::{build_stack, Below, StackWalk};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -148,10 +148,12 @@ struct Lookup<'a> {
 impl Lookup<'_> {
     /// `p`'s place in the registry: looked up among the inputs (resolved
     /// once, at construction), else by normal form.
-    fn resolve(self, p: &MPoly) -> Option<Resolved> {
+    fn resolve(self, p: &MPoly, ctx: &QeContext) -> Option<Resolved> {
         match self.inputs.iter().find(|(q, _)| q == p) {
             Some((_, r)) => *r,
-            None => normalize(p)
+            None => ctx
+                .cache
+                .normal_form(p)
                 .and_then(|norm| self.registry.find(&norm))
                 .map(|id| Resolved::new(self.registry, id, p)),
         }
@@ -201,7 +203,7 @@ fn build_levels(
                level_poly_ids: &mut Vec<Vec<usize>>|
      -> Result<Option<usize>, QeError> {
         ctx.observe_poly(p)?;
-        let Some(norm) = normalize(p) else {
+        let Some(norm) = ctx.cache.normal_form(p) else {
             return Ok(None);
         };
         let lvl = level_of(&norm, order);
@@ -453,7 +455,7 @@ fn decide_parent(
         let truth = eval3(matrix, &mut |p| match cell_sign(lookup, parent, p, ctx)? {
             Some(s) => Ok(Some(s)),
             None => {
-                let r = lookup.resolve(p).ok_or_else(|| {
+                let r = lookup.resolve(p, ctx).ok_or_else(|| {
                     QeError::Unsupported(format!("matrix polynomial {p} is not in the CAD"))
                 })?;
                 let s = walk.sign(r.id, ctx)?;
@@ -486,7 +488,7 @@ impl Below for ParentZeros<'_> {
         let registered = match registry.find(p) {
             Some(id) => Some(id),
             None => {
-                let Some(norm) = normalize(p) else {
+                let Some(norm) = self.ctx.cache.normal_form(p) else {
                     return Ok(false); // effectively a nonzero constant
                 };
                 registry.find(&norm)
@@ -509,7 +511,10 @@ impl Below for ParentZeros<'_> {
     fn disc_is_zero(&self, id: usize, p: &MPoly, yvar: usize) -> Result<bool, QeError> {
         let disc = || self.ctx.cache.discriminant(p, yvar);
         let registered = self.frame.level.discs.get(&id).and_then(|slot| {
-            *slot.get_or_init(|| normalize(&disc()).and_then(|n| self.frame.registry.find(&n)))
+            *slot.get_or_init(|| {
+                let norm = self.ctx.cache.normal_form(&disc());
+                norm.and_then(|n| self.frame.registry.find(&n))
+            })
         });
         match registered.and_then(|r| self.parent.signs.get(&r)) {
             Some(s) => Ok(*s == Sign::Zero),
@@ -535,7 +540,7 @@ fn cell_sign(
         let vars = &lookup.order[..cell.sample.len()];
         sample::sign_at(p, vars, &mut cell.sample.clone(), ctx)
     };
-    match lookup.resolve(p) {
+    match lookup.resolve(p, ctx) {
         Some(r) => match cell.signs.get(&r.id) {
             Some(&s) => r.sign(s, at_sample).map(Some),
             None => Ok(None),
@@ -864,6 +869,31 @@ mod tests {
         assert!(seen[0].0 > budget, "lifting saw no longer coefficient");
         assert_eq!(seen[0..2], seen[2..4]);
         assert_eq!(seen[0..2], seen[4..6]);
+    }
+
+    /// A second identical CAD on one context finds every normal form,
+    /// resultant and discriminant in the memo-cache: the same levels, and
+    /// not one miss.
+    #[test]
+    fn warm_rebuild_computes_no_normal_form() {
+        let (x, y) = (MPoly::var(0, 2), MPoly::var(1, 2));
+        // A squared input, and one with content `x − 1` in the main variable.
+        let polys = [
+            (&(&x.pow(2) + &y.pow(2)) - &c(4, 2)).pow(2),
+            &(&x - &c(1, 2)) * &(&y.pow(3) - &x),
+        ];
+        let ctx = QeContext::exact();
+        let cold = build_cad(&polys, &[0, 1], 2, &ctx).unwrap();
+        let (misses, hits) = (ctx.cache.misses(), ctx.cache.hits());
+        let warm = build_cad(&polys, &[0, 1], 2, &ctx).unwrap();
+        assert_eq!(ctx.cache.misses(), misses);
+        assert!(ctx.cache.hits() > hits);
+        assert_eq!(
+            format!("{:?}", cold.registry),
+            format!("{:?}", warm.registry)
+        );
+        assert_eq!(cold.level_poly_ids, warm.level_poly_ids);
+        assert_eq!(format!("{:?}", cold.levels), format!("{:?}", warm.levels));
     }
 
     /// Satellite edge cases of the partial CAD, each against the answer it

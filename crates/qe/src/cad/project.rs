@@ -8,8 +8,11 @@
 //! * the **discriminant** of each polynomial of `v`-degree ≥ 2,
 //! * the **pairwise resultants**.
 //!
-//! Every output is normalized to its primitive squarefree part; constants
-//! are dropped. This is sound for well-oriented inputs (nullification over
+//! Every output is normalized to its primitive squarefree part
+//! ([`normalize`]); constants are dropped. Every CAD site reads the normal
+//! form through the context's memo-cache
+//! ([`crate::AlgebraicCache::normal_form`]), whose miss computes
+//! [`normalize`] — the one definition. This is sound for well-oriented inputs (nullification over
 //! positive-dimensional cells is detected during lifting and handled as
 //! documented in DESIGN.md).
 
@@ -85,7 +88,7 @@ pub fn project(polys: &[MPoly], v: usize, ctx: &QeContext) -> Result<Vec<MPoly>,
     let mut out: Vec<MPoly> = Vec::new();
     let mut push = |p: MPoly, ctx: &QeContext| -> Result<(), QeError> {
         ctx.observe_poly(&p)?;
-        if let Some(n) = normalize(&p) {
+        if let Some(n) = ctx.cache.normal_form(&p) {
             ctx.observe_poly(&n)?;
             if !out.contains(&n) {
                 out.push(n);

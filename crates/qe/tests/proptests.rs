@@ -9,7 +9,8 @@
 use cdb_constraints::{Atom, ConstraintRelation, Database, Formula, GeneralizedTuple, RelOp};
 use cdb_num::Rat;
 use cdb_poly::MPoly;
-use cdb_qe::{evaluate_query, plan, QeContext, QeError};
+use cdb_qe::cad::project::normalize;
+use cdb_qe::{evaluate_query, plan, AlgebraicCache, QeContext, QeError};
 use proptest::prelude::*;
 
 fn linear_atom(a: i64, b: i64, d: i64, op: u8) -> Atom {
@@ -27,6 +28,32 @@ fn linear_atom(a: i64, b: i64, d: i64, op: u8) -> Atom {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The memo-cache's normal form is `normalize`'s, cold and warm, on
+    /// `s · (a·x + b)^e · Π (c·x + d·y² + f)^k`: constants (`s = 0`, or
+    /// every factor constant), content in the main variable `y` (`d = 0`,
+    /// and the `x`-only first factor) and repeated factors (`k > 1`).
+    #[test]
+    fn cached_normal_form_is_normalize(
+        s in -2i64..=2,
+        content in (-2i64..=2, -2i64..=2, 0u32..=2),
+        factors in prop::collection::vec((-2i64..=2, -2i64..=2, -2i64..=2, 1u32..=3), 0..=2),
+    ) {
+        let n = 2;
+        let (x, y) = (MPoly::var(0, n), MPoly::var(1, n));
+        let k = |v: i64| MPoly::constant(Rat::from(v), n);
+        let (a, b, e) = content;
+        let mut p = &k(s) * &(&(&k(a) * &x) + &k(b)).pow(e);
+        for &(c, d, f, m) in &factors {
+            p = &p * &(&(&(&k(c) * &x) + &(&k(d) * &y.pow(2))) + &k(f)).pow(m);
+        }
+        let expect = normalize(&p);
+        let cache = AlgebraicCache::default();
+        prop_assert_eq!(cache.normal_form(&p), expect.clone());
+        prop_assert_eq!(cache.normal_form(&p), expect);
+        let lookups = if p.is_constant() { (0, 0) } else { (1, 1) };
+        prop_assert_eq!((cache.misses(), cache.hits()), lookups);
+    }
 
     /// FM elimination is pointwise sound against a witness grid.
     #[test]

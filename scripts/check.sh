@@ -104,14 +104,17 @@ fi
 
 echo "==> calcf_agg interner lookups and filtered signs stay under their ceilings (one traced repeat at --seed 1)"
 # Sample evaluation in CAD lifting seals nothing and an algebraic fibre seals
-# once (DESIGN.md §10.2): that took the lookup count from 40,234 to 27,071. A
-# ceiling, like the one above, so a lifting path that goes back to
-# substituting one sealed coordinate at a time fails here without timing.
+# once (DESIGN.md §10.2): that took the lookup count from 40,234 to 27,071.
+# Reading every CAD normal form (primitive squarefree part) through the
+# memo-cache, instead of recomputing it at each site, took it to 12,220
+# (DESIGN.md §6). A ceiling, like the one above, so a lifting path that goes
+# back to substituting one sealed coordinate at a time, or a CAD site that
+# goes back to unmemoised squarefree parts, fails here without timing.
 # Filtered signs (num.filter.hits + fallbacks) are a ceiling too: the region
 # scan approximating each x-interval end once per region, where it builds
 # the cell, instead of once per band and per neighbouring slab, took them
 # from 1,383 to 1,333.
-agg_intern_ceiling=27071
+agg_intern_ceiling=12220
 agg_filter_ceiling=1333
 agg_run=$(cargo run --release --quiet --offline --manifest-path stmtbench/Cargo.toml --bin bench -- \
     --workload calcf_agg --seed 1 --seconds 1 --trace 1)
