@@ -383,13 +383,23 @@ fn e10() {
 }
 
 /// E11 — Theorem 4.7: Datalog¬_F is PTIME (iterations scale, budget cuts).
+///
+/// Transitive closure of an n-chain, counted: iterations must be n + 1 and
+/// |T| must be n(n+1)/2. Interner lookups (`poly::intern` hits + misses, a
+/// deterministic count of polynomials built or looked up) measure the work;
+/// their log–log slope between the two largest chains is asserted, since a
+/// fixpoint round that rebuilt the whole head grows like n³.
 fn e11() {
     header(
         "E11",
         "Datalog¬ under finite precision (Theorem 4.7): iterations vs db size",
     );
-    println!("  {:<10} {:>12} {:>12}", "chain n", "iterations", "time");
-    for n in [2usize, 4, 8, 16] {
+    println!(
+        "  {:<10} {:>12} {:>10} {:>10} {:>12} {:>12}",
+        "chain n", "iterations", "|T|", "qe calls", "lookups", "time"
+    );
+    let mut lookups_at = Vec::new();
+    for n in [16usize, 32, 64, 128] {
         let mut db = Database::new();
         let pts: Vec<Vec<Rat>> = (0..n as i64)
             .map(|i| vec![Rat::from(i), Rat::from(i + 1)])
@@ -417,10 +427,24 @@ fn e11() {
             ],
         };
         let ctx = QeContext::exact();
+        let before = cdb_poly::intern::stats();
         let t0 = std::time::Instant::now();
-        let (_, stats) = program.run(&db, &ctx, 64).unwrap();
-        println!("  {n:<10} {:>12} {:>12.2?}", stats.iterations, t0.elapsed());
+        let (out, stats) = program.run(&db, &ctx, 2 * n + 2).unwrap();
+        let elapsed = t0.elapsed();
+        let after = cdb_poly::intern::stats();
+        let lookups = (after.hits + after.misses) - (before.hits + before.misses);
+        let closure = out.get("T").unwrap().tuples().len();
+        assert_eq!(stats.iterations, n + 1, "n + 1 iterations on an {n}-chain");
+        assert_eq!(closure, n * (n + 1) / 2, "|T| on an {n}-chain");
+        println!(
+            "  {n:<10} {:>12} {closure:>10} {:>10} {lookups:>12} {elapsed:>12.2?}",
+            stats.iterations, stats.qe_calls
+        );
+        lookups_at.push(lookups as f64);
     }
+    let slope = (lookups_at[3] / lookups_at[2]).log2();
+    println!("  interner-lookup slope (log–log, n = 64 → 128): {slope:.2}");
+    assert!(slope <= 2.25, "lookup slope {slope:.2} above 2.25");
     println!("  (shape: n+1 iterations for linear-join TC; PTIME overall)");
 }
 

@@ -13,6 +13,7 @@ use crate::atom::RelOp;
 use crate::gtuple::GeneralizedTuple;
 use crate::relation::ConstraintRelation;
 use cdb_num::Rat;
+use std::cmp::Ordering;
 
 /// One-sided bound with strictness.
 #[derive(Debug, Clone, PartialEq)]
@@ -87,32 +88,76 @@ impl TupleBox {
         }
     }
 
-    /// The box of a conjunction: per variable and side, the tighter of the
-    /// two bounds — `meet(of_tuple(a), of_tuple(b)) == of_tuple(a.and(b))`.
-    #[must_use]
-    pub fn meet(&self, other: &TupleBox) -> TupleBox {
-        let mut out = self.clone();
-        for (v, (lo, hi)) in other.sides.iter().enumerate() {
-            if let Some(lo) = lo {
-                out.tighten_lower(v, lo);
-            }
-            if let Some(hi) = hi {
-                out.tighten_upper(v, hi);
-            }
-        }
-        out
-    }
-
     /// True iff the box is certainly empty (some variable's lower bound
     /// exceeds — or meets with strictness — its upper bound).
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.sides.iter().any(|(lo, hi)| match (lo, hi) {
-            (Some(l), Some(h)) => {
-                l.value > h.value || (l.value == h.value && (l.strict || h.strict))
-            }
-            _ => false,
-        })
+        self.sides
+            .iter()
+            .any(|(lo, hi)| crosses(lo.as_ref().map(Bound::of), hi.as_ref().map(Bound::of)))
+    }
+
+    /// True iff the box of the conjunction of the two boxes' tuples is
+    /// certainly empty, decided side by side without building it: per
+    /// variable, the tighter lower bound against the tighter upper bound, a
+    /// strict side winning a tie — what [`Self::of_tuple`] of `a.and(b)`
+    /// would hold, then [`Self::is_empty`]. Nothing is cloned or allocated.
+    #[must_use]
+    pub fn disjoint(&self, other: &TupleBox) -> bool {
+        debug_assert_eq!(self.sides.len(), other.sides.len());
+        self.sides
+            .iter()
+            .zip(&other.sides)
+            .any(|((l1, h1), (l2, h2))| {
+                let lo = tighter(l1.as_ref(), l2.as_ref(), Ordering::Greater);
+                let hi = tighter(h1.as_ref(), h2.as_ref(), Ordering::Less);
+                crosses(lo, hi)
+            })
+    }
+}
+
+/// The tighter of two bounds on one side: the one whose value compares
+/// `wins` against the other's, strict on a tie if either is.
+fn tighter<'a>(
+    a: Option<&'a SideBound>,
+    b: Option<&'a SideBound>,
+    wins: Ordering,
+) -> Option<Bound<'a>> {
+    match (a, b) {
+        (Some(a), Some(b)) => Some(match a.value.cmp(&b.value) {
+            Ordering::Equal => Bound {
+                value: &a.value,
+                strict: a.strict || b.strict,
+            },
+            o if o == wins => Bound::of(a),
+            _ => Bound::of(b),
+        }),
+        (Some(s), None) | (None, Some(s)) => Some(Bound::of(s)),
+        (None, None) => None,
+    }
+}
+
+/// A borrowed bound: what [`crosses`] reads of a [`SideBound`].
+struct Bound<'a> {
+    value: &'a Rat,
+    strict: bool,
+}
+
+impl<'a> Bound<'a> {
+    fn of(s: &'a SideBound) -> Bound<'a> {
+        Bound {
+            value: &s.value,
+            strict: s.strict,
+        }
+    }
+}
+
+/// True iff a lower bound exceeds an upper bound, or meets it with a strict
+/// side: no value lies between them.
+fn crosses(lo: Option<Bound<'_>>, hi: Option<Bound<'_>>) -> bool {
+    match (lo, hi) {
+        (Some(l), Some(h)) => l.value > h.value || (l.value == h.value && (l.strict || h.strict)),
+        _ => false,
     }
 }
 

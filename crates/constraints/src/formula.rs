@@ -295,9 +295,10 @@ impl Formula {
     /// [`ConstraintRelation::simplify`] and
     /// [`ConstraintRelation::prune_empty_boxes`] (both idempotent on it),
     /// but is built in one pass whose work follows the pairs that survive:
-    /// a cross product of two many-tuple operands meets the operands' boxes
-    /// first and never conjoins a pair whose meet is empty (DESIGN.md §5.1
-    /// has the identity arguments).
+    /// a cross product of two many-tuple operands compares the operands'
+    /// boxes first and never conjoins a pair whose boxes are disjoint, and an
+    /// `And` of atoms is one tuple simplified once (DESIGN.md §5.1 has the
+    /// identity arguments).
     pub fn to_dnf(&self, nvars: usize) -> Result<ConstraintRelation, String> {
         let mut kept = TupleSet::default();
         for t in self.disjuncts(nvars)? {
@@ -323,6 +324,22 @@ impl Formula {
                 Ok(leaf.into_iter().collect())
             }
             Formula::And(fs) => {
+                // An `And` of atoms — every instantiated stored tuple — is
+                // one tuple simplified once: the product below would conjoin
+                // the same canonical atoms one at a time (DESIGN.md §5.1).
+                if let Some(atoms) = fs
+                    .iter()
+                    .map(|f| match f {
+                        Formula::Atom(a) => Some(a.clone()),
+                        _ => None,
+                    })
+                    .collect::<Option<Vec<Atom>>>()
+                {
+                    return Ok(GeneralizedTuple::new(nvars, atoms)
+                        .simplify()
+                        .into_iter()
+                        .collect());
+                }
                 let mut acc = vec![GeneralizedTuple::top(nvars)];
                 for f in fs {
                     acc = product(&acc, &f.disjuncts(nvars)?);
@@ -375,10 +392,11 @@ impl Formula {
 
 /// The ordered cross product `lhs ∧ rhs` of two lists of simplified tuples.
 /// When both sides have several tuples, each operand tuple's box is computed
-/// once, a pair's box is the meet of the two, and a certified-empty meet
-/// skips the pair before anything is cloned; a one-tuple side — an `And` of
-/// atoms — computes no box at all. Boxes are not kept past the product: where
-/// nothing is prunable (curved atoms) they would cost a box per survivor.
+/// once, and a pair whose boxes are [`TupleBox::disjoint`] (the box of the
+/// pair's conjunction is certified empty) is skipped before anything is
+/// cloned; a one-tuple side — an `And` of atoms — computes no box at all.
+/// Boxes are not kept past the product: where nothing is prunable (curved
+/// atoms) they would cost a box per survivor.
 fn product(lhs: &[GeneralizedTuple], rhs: &[GeneralizedTuple]) -> Vec<GeneralizedTuple> {
     let prune = lhs.len() > 1 && rhs.len() > 1;
     let boxes = |side: &[GeneralizedTuple]| -> Vec<TupleBox> {
@@ -389,7 +407,7 @@ fn product(lhs: &[GeneralizedTuple], rhs: &[GeneralizedTuple]) -> Vec<Generalize
     let mut out = Vec::new();
     for (i, a) in lhs.iter().enumerate() {
         for (j, b) in rhs.iter().enumerate() {
-            if prune && lhs_boxes[i].meet(&rhs_boxes[j]).is_empty() {
+            if prune && lhs_boxes[i].disjoint(&rhs_boxes[j]) {
                 continue;
             }
             out.extend(a.conjoin(b));

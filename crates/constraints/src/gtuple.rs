@@ -68,11 +68,50 @@ impl GeneralizedTuple {
         coords.into_iter().collect()
     }
 
+    /// The point of a tuple written exactly as [`Self::point`] writes it —
+    /// atom `i` is `xᵢ − cᵢ = 0` with unit coefficient, one atom per
+    /// coordinate in order — so `Self::point(&p) == *self` whenever this is
+    /// `Some(p)`. Any other spelling of a point (`2x − 6 = 0`, atoms out of
+    /// order or repeated) is `None`; [`Self::as_point`] still reads it.
+    /// Decoding builds no polynomial, which is what lets stored finite
+    /// extents be kept instead of rebuilt.
+    #[must_use]
+    pub fn canonical_point(&self) -> Option<Vec<Rat>> {
+        if self.atoms.len() != self.nvars {
+            return None;
+        }
+        self.atoms
+            .iter()
+            .enumerate()
+            .map(|(i, a)| {
+                let p = &a.poly;
+                if a.op != RelOp::Eq || p.total_degree() != 1 || p.num_terms() > 2 {
+                    return None;
+                }
+                // Ascending lex order puts the constant term, if any, first.
+                let mut terms = p.terms();
+                let (mono, lead) = terms.next_back()?;
+                if mono.get(i) != 1 || *lead != Rat::one() {
+                    return None;
+                }
+                match terms.next() {
+                    None => Some(Rat::zero()),
+                    Some((m, c)) if m.is_constant() => Some(-c),
+                    Some(_) => None,
+                }
+            })
+            .collect()
+    }
+
     /// The canonical representative of a point tuple ([`Self::point`] of
-    /// [`Self::as_point`]); any other tuple unchanged. Stored finite extents
-    /// hold this form, so the update path compares against it.
+    /// [`Self::as_point`], kept as it is when already in that form); any
+    /// other tuple unchanged. Stored finite extents hold this form, so the
+    /// update path compares against it.
     #[must_use]
     pub fn canonicalized(self) -> GeneralizedTuple {
+        if self.canonical_point().is_some() {
+            return self;
+        }
         match self.as_point() {
             Some(p) => GeneralizedTuple::point(&p),
             None => self,
@@ -295,6 +334,46 @@ mod tests {
         let p = GeneralizedTuple::point(&[Rat::one(), Rat::from(2i64)]);
         assert!(p.satisfied_at(&[Rat::one(), Rat::from(2i64)]));
         assert!(!p.satisfied_at(&[Rat::one(), Rat::one()]));
+    }
+
+    /// `canonical_point` reads exactly what `point` writes; every other
+    /// spelling of a point is left to `as_point` and rebuilt.
+    #[test]
+    fn canonical_point_reads_only_the_stored_form() {
+        let half = Rat::from(-1i64) / Rat::from(2i64);
+        for p in [
+            vec![],
+            vec![Rat::zero()],
+            vec![Rat::from(3i64), half.clone()],
+            vec![Rat::zero(), Rat::from(7i64), half],
+        ] {
+            let t = GeneralizedTuple::point(&p);
+            assert_eq!(t.canonical_point(), Some(p.clone()));
+            assert_eq!(t.clone().canonicalized(), t);
+        }
+        let (x, y) = (MPoly::var(0, 2), MPoly::var(1, 2));
+        let c = |v: i64| MPoly::constant(Rat::from(v), 2);
+        let eq = |p: MPoly| Atom::new(p, RelOp::Eq);
+        let stored = GeneralizedTuple::point(&[Rat::from(3i64), Rat::one()]);
+        for other in [
+            vec![eq((&x - &c(3)).scale(&Rat::from(2i64))), eq(&y - &c(1))],
+            vec![eq(&y - &c(1)), eq(&x - &c(3))],
+            vec![eq(&x - &c(3)), eq(&y - &c(1)), eq(&y - &c(1))],
+            vec![eq(&c(3) - &x), eq(&y - &c(1))],
+        ] {
+            let t = GeneralizedTuple::new(2, other);
+            assert_eq!(t.canonical_point(), None, "{t}");
+            assert_eq!(t.clone().canonicalized(), stored, "{t}");
+        }
+        for no_point in [
+            vec![eq(&x - &c(3)), Atom::new(&y - &c(1), RelOp::Ge)],
+            vec![eq(&x - &y), eq(&y - &c(1))],
+            vec![eq(&x - &c(3))],
+        ] {
+            let t = GeneralizedTuple::new(2, no_point);
+            assert_eq!(t.canonical_point(), None, "{t}");
+            assert_eq!(t.clone().canonicalized(), t);
+        }
     }
 
     #[test]

@@ -83,15 +83,39 @@ impl ConstraintRelation {
     /// byte-identically. Non-finite extents are returned unchanged (their
     /// tuple order is the derivation order, which evaluators keep
     /// deterministic by construction).
+    ///
+    /// A tuple already in [`GeneralizedTuple::point`] form is kept as it
+    /// is ([`GeneralizedTuple::canonical_point`] decides that without
+    /// building anything); only other spellings of a point are rebuilt.
     #[must_use]
     pub fn canonicalized(self) -> ConstraintRelation {
-        match self.as_finite_points() {
-            Some(mut pts) => {
-                pts.sort();
-                pts.dedup();
-                ConstraintRelation::from_points(self.nvars, &pts)
-            }
-            None => self,
+        let keys: Option<Vec<(Vec<Rat>, bool)>> = self
+            .tuples
+            .iter()
+            .map(|t| match t.canonical_point() {
+                Some(p) => Some((p, true)),
+                None => t.as_point().map(|p| (p, false)),
+            })
+            .collect();
+        let Some(keys) = keys else {
+            return self;
+        };
+        let mut keyed: Vec<_> = keys.into_iter().zip(self.tuples).collect();
+        keyed.sort_by(|a, b| a.0 .0.cmp(&b.0 .0));
+        keyed.dedup_by(|a, b| a.0 .0 == b.0 .0);
+        let tuples = keyed
+            .into_iter()
+            .map(|((p, stored), t)| {
+                if stored {
+                    t
+                } else {
+                    GeneralizedTuple::point(&p)
+                }
+            })
+            .collect();
+        ConstraintRelation {
+            nvars: self.nvars,
+            tuples,
         }
     }
 

@@ -6,7 +6,11 @@
 //! tuple, `Vec::contains` dedup), then `prune_empty_boxes`. The contract is
 //! equality of the `ConstraintRelation`s — tuple order and atom order
 //! included — not semantic equivalence.
+//!
+//! `TupleBox::disjoint` is checked the same way, against the box meet it
+//! replaced (kept below as test code).
 
+use cdb_constraints::boxes::SideBound;
 use cdb_constraints::{
     Atom, ConstraintRelation, Database, Formula, GeneralizedTuple, RelOp, TupleBox,
 };
@@ -58,6 +62,36 @@ fn reference_simplify(rel: &ConstraintRelation) -> ConstraintRelation {
 
 fn reference_dnf(f: &Formula, nvars: usize) -> ConstraintRelation {
     reference_simplify(&reference_fold(f, nvars)).prune_empty_boxes()
+}
+
+/// The box of a conjunction as the pairwise tightening `TupleBox::meet` did
+/// before `disjoint` replaced it: per variable and side, the tighter bound,
+/// a strict one winning a tie.
+fn reference_meet(a: &TupleBox, b: &TupleBox) -> TupleBox {
+    let pick = |x: &Option<SideBound>, y: &Option<SideBound>, lower: bool| match (x, y) {
+        (Some(x), Some(y)) => {
+            let tighter = if lower {
+                y.value > x.value
+            } else {
+                y.value < x.value
+            };
+            if tighter || (y.value == x.value && y.strict && !x.strict) {
+                Some(y.clone())
+            } else {
+                Some(x.clone())
+            }
+        }
+        (Some(s), None) | (None, Some(s)) => Some(s.clone()),
+        (None, None) => None,
+    };
+    TupleBox {
+        sides: a
+            .sides
+            .iter()
+            .zip(&b.sides)
+            .map(|((l1, h1), (l2, h2))| (pick(l1, l2, true), pick(h1, h2, false)))
+            .collect(),
+    }
 }
 
 fn assert_matches_reference(f: &Formula, nvars: usize) {
@@ -119,12 +153,76 @@ fn formula() -> impl Strategy<Value = Formula> {
     })
 }
 
+/// The shape instantiation produces: `Or`s of `And`s of 0–8 atoms (a stored
+/// relation's tuples), joined by an enclosing `And` and unioned by an `Or`.
+/// The atom pool supplies constant atoms, repeats, scaled copies and
+/// `p σ 0 ∧ p σ̄ 0` pairs; `contradiction` plants the last on purpose.
+fn instantiated() -> impl Strategy<Value = Formula> {
+    fn conjunction() -> BoxedStrategy<Formula> {
+        let atoms = || prop::collection::vec(atom(), 0..9);
+        let contradiction =
+            (atom(), prop::collection::vec(atom(), 0..4)).prop_map(|(a, mut rest)| {
+                rest.push(a.clone());
+                rest.push(a.negated());
+                rest
+            });
+        prop_oneof![atoms(), atoms(), atoms(), contradiction]
+            .prop_map(|atoms| Formula::And(atoms.into_iter().map(Formula::Atom).collect()))
+            .boxed()
+    }
+    fn relation() -> BoxedStrategy<Formula> {
+        prop::collection::vec(conjunction(), 0..5)
+            .prop_map(Formula::Or)
+            .boxed()
+    }
+    let join = || prop::collection::vec(relation(), 1..4).prop_map(Formula::And);
+    prop_oneof![
+        relation(),
+        join(),
+        prop::collection::vec(join(), 1..3).prop_map(Formula::Or),
+    ]
+}
+
+/// One side of a box: unbounded, or a small value (so ties are common),
+/// closed or strict.
+fn side() -> impl Strategy<Value = Option<SideBound>> {
+    let bounded = || {
+        (-2i64..3, any::<bool>()).prop_map(|(v, strict)| {
+            Some(SideBound {
+                value: Rat::from(v),
+                strict,
+            })
+        })
+    };
+    prop_oneof![Just(None), bounded(), bounded(), bounded()]
+}
+
+fn tuple_box() -> impl Strategy<Value = TupleBox> {
+    prop::collection::vec((side(), side()), NVARS).prop_map(|sides| TupleBox { sides })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(400))]
 
     #[test]
     fn dnf_matches_reference(f in formula()) {
         assert_matches_reference(&f, NVARS);
+    }
+
+    /// The instantiated shape: an `And` of atoms becomes one tuple
+    /// simplified once, and products of stored relations prune by
+    /// `disjoint` boxes.
+    #[test]
+    fn instantiated_dnf_matches_reference(f in instantiated()) {
+        assert_matches_reference(&f, NVARS);
+    }
+
+    /// `disjoint` decides what the meet's `is_empty` decided, on arbitrary
+    /// boxes: crossed, touching closed, touching strict and unbounded sides.
+    #[test]
+    fn disjoint_is_the_empty_meet(a in tuple_box(), b in tuple_box()) {
+        prop_assert_eq!(a.disjoint(&b), reference_meet(&a, &b).is_empty());
+        prop_assert_eq!(a.disjoint(&b), b.disjoint(&a));
     }
 
     /// The box of a conjunction is the meet of the boxes, before and after
@@ -136,9 +234,11 @@ proptest! {
     ) {
         let a = GeneralizedTuple::new(NVARS, a);
         let b = GeneralizedTuple::new(NVARS, b);
-        let meet = TupleBox::of_tuple(&a).meet(&TupleBox::of_tuple(&b));
+        let (ba, bb) = (TupleBox::of_tuple(&a), TupleBox::of_tuple(&b));
+        let meet = reference_meet(&ba, &bb);
         let both = a.and(&b);
         prop_assert_eq!(&meet, &TupleBox::of_tuple(&both));
+        prop_assert_eq!(ba.disjoint(&bb), meet.is_empty());
         if let Some(s) = both.simplify() {
             prop_assert_eq!(&meet, &TupleBox::of_tuple(&s));
         }

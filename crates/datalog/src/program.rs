@@ -444,6 +444,7 @@ impl Program {
             Some(s) => s.clone(),
             None => BTreeMap::new(),
         };
+        let mut keys = HeadKeys::default();
         for it in 1..=max_iterations {
             // cdb-lint: allow(determinism) — stats-only timing (see module `use`).
             let round_t0 = Instant::now();
@@ -495,33 +496,56 @@ impl Program {
                 stats.qe_calls_per_rule[job.rule_idx] += 1;
             }
             stats.max_bits_seen = stats.max_bits_seen.max(ctx.max_bits_seen.get());
-            // Merge in job order.
+            // Merge in job order. A point head merges by key and hands back
+            // the tuples it gained; any other head takes the general path.
             let mut changed = false;
-            let mut grown: BTreeMap<String, ConstraintRelation> = BTreeMap::new();
+            let mut grown: BTreeMap<String, Grown> = BTreeMap::new();
             for (job, out) in jobs.iter().zip(results) {
                 let rule = &self.rules[job.rule_idx];
                 let derived = project_to_head(rule, &out.relation)?;
-                let current = match grown.entry(rule.head.clone()) {
-                    std::collections::btree_map::Entry::Occupied(e) => e.into_mut(),
-                    std::collections::btree_map::Entry::Vacant(slot) => {
-                        let base = db
-                            .get(&rule.head)
-                            .ok_or_else(|| missing_head(&rule.head))?
-                            .clone();
-                        slot.insert(base)
+                let current = match grown.get(&rule.head) {
+                    Some(g) => &g.extent,
+                    None => db.get(&rule.head).ok_or_else(|| missing_head(&rule.head))?,
+                };
+                let (merged, grew) = keys.merge(&rule.head, current, &derived, ctx)?;
+                changed |= grew;
+                let fresh = match grown.remove(&rule.head) {
+                    Some(earlier) => earlier.fresh.zip(merged.fresh).map(|(mut all, more)| {
+                        all.extend(more);
+                        all
+                    }),
+                    None => merged.fresh,
+                };
+                grown.insert(
+                    rule.head.clone(),
+                    Grown {
+                        extent: merged.extent,
+                        fresh,
+                    },
+                );
+            }
+            // Next round's deltas: the tuples new to each head this round,
+            // in the head's order. Stale deltas (heads untouched this round)
+            // drop out — every consumer already ran against them in this
+            // round's jobs.
+            deltas = BTreeMap::new();
+            for (name, g) in grown {
+                let delta = match g.fresh {
+                    Some(mut fresh) => {
+                        // Each job's gains are sorted and disjoint from the
+                        // others': a stable sort merges the runs.
+                        fresh.sort_by(|a, b| a.0.cmp(&b.0));
+                        let tuples = fresh.into_iter().map(|(_, t)| t).collect();
+                        ConstraintRelation::new(g.extent.nvars(), tuples)
+                    }
+                    None => {
+                        let old = db.get(&name).ok_or_else(|| missing_head(&name))?;
+                        g.extent.without_tuples(old.tuples())
                     }
                 };
-                let (merged, grew) = merge_extent(current, &derived, ctx)?;
-                changed |= grew;
-                *current = merged;
-            }
-            // Next round's deltas: the syntactically new tuples per head.
-            // Stale deltas (heads untouched this round) drop out — every
-            // consumer already ran against them in this round's jobs.
-            deltas = BTreeMap::new();
-            for (name, g) in &grown {
-                let old = db.get(name).ok_or_else(|| missing_head(name))?;
-                deltas.insert(name.clone(), g.without_tuples(old.tuples()));
+                deltas.insert(name.clone(), delta);
+                // Copy-on-write commit: only the touched heads are replaced.
+                db.insert(name, g.extent);
             }
             stats.per_iteration.push(IterationStats {
                 qe_calls: jobs.len(),
@@ -531,10 +555,6 @@ impl Program {
                     .collect(),
                 wall: round_t0.elapsed(),
             });
-            // Copy-on-write commit: only the touched heads are replaced.
-            for (name, g) in grown {
-                db.insert(name, g);
-            }
             if !changed {
                 stats.wall = t0.elapsed();
                 return Ok((db, stats));
@@ -557,6 +577,7 @@ impl Program {
         let mut db = db.clone();
         self.init_heads(&mut db)?;
         let heads: BTreeSet<&str> = self.idb_names();
+        let mut keys = HeadKeys::default();
         let mut stats = FixpointStats {
             qe_calls_per_rule: vec![0; self.rules.len()],
             ..FixpointStats::default()
@@ -577,9 +598,9 @@ impl Program {
                 let current = next
                     .get(&rule.head)
                     .ok_or_else(|| missing_head(&rule.head))?;
-                let (grown, grew) = merge_extent(current, &derived, ctx)?;
+                let (merged, grew) = keys.merge(&rule.head, current, &derived, ctx)?;
                 changed |= grew;
-                next.insert(rule.head.clone(), grown);
+                next.insert(rule.head.clone(), merged.extent);
             }
             let mut delta_tuples = Vec::with_capacity(heads.len());
             for h in &heads {
@@ -642,18 +663,119 @@ fn project_to_head(
     Ok(derived.remap_vars(&remap, head_arity).simplify())
 }
 
-/// Merge one job's `derived` tuples into a head's `current` extent: the
-/// merged extent in canonical form (QE may render the same point with
-/// differently-ordered atoms, defeating the syntactic dedup and bloating the
-/// extent) and whether anything new arrived — the inflationary growth test
-/// `derived ⊄ current`.
+/// A head's extent after one or more merges, and the tuples it gained with
+/// their point keys while every merge into it went by key (`None` once one
+/// took the general path).
+struct Grown {
+    extent: ConstraintRelation,
+    fresh: Option<Vec<(Vec<Rat>, GeneralizedTuple)>>,
+}
+
+/// The sorted point keys of every head whose extent is a canonical finite
+/// point set — [`GeneralizedTuple::point`] tuples in strictly increasing
+/// point order, which is what the merge stores — aligned with its tuples.
+/// A head is decoded once per run, at its first merge (or its first after
+/// the general path), and every key merge keeps its keys in step, so a
+/// round decodes and builds only what it derives.
+#[derive(Default)]
+struct HeadKeys(BTreeMap<String, Vec<Vec<Rat>>>);
+
+impl HeadKeys {
+    /// Merge one job's `derived` tuples into `head`, whose extent is
+    /// `current`: the new extent and whether anything new arrived (`derived
+    /// ⊄ current`). Derived points merge into a point head by key: stored
+    /// tuples are kept, [`GeneralizedTuple::point`] is built for the new
+    /// points only, and those come back, in key order, as `fresh`. That is
+    /// byte for byte what [`merge_extent`] makes of the two (the sorted,
+    /// deduplicated union rebuilt from points), and `fresh` is what
+    /// `without_tuples` of the old extent would leave. Any other pair takes
+    /// [`merge_extent`].
+    fn merge(
+        &mut self,
+        head: &str,
+        current: &ConstraintRelation,
+        derived: &ConstraintRelation,
+        ctx: &QeContext,
+    ) -> Result<(Grown, bool), QeError> {
+        if let Some(mut points) = derived.as_finite_points() {
+            if let Some(keys) = self.keys(head, current) {
+                points.sort();
+                points.dedup();
+                let mut stored = std::mem::take(keys)
+                    .into_iter()
+                    .zip(current.tuples())
+                    .peekable();
+                let mut tuples = Vec::with_capacity(current.tuples().len() + points.len());
+                let mut fresh = Vec::new();
+                for p in points {
+                    while let Some((k, t)) = stored.next_if(|(k, _)| *k <= p) {
+                        keys.push(k);
+                        tuples.push(t.clone());
+                    }
+                    if keys.last() != Some(&p) {
+                        let t = GeneralizedTuple::point(&p);
+                        tuples.push(t.clone());
+                        fresh.push((p.clone(), t));
+                        keys.push(p);
+                    }
+                }
+                for (k, t) in stored {
+                    keys.push(k);
+                    tuples.push(t.clone());
+                }
+                let grew = !fresh.is_empty();
+                let extent = ConstraintRelation::new(current.nvars(), tuples);
+                return Ok((
+                    Grown {
+                        extent,
+                        fresh: Some(fresh),
+                    },
+                    grew,
+                ));
+            }
+        }
+        self.0.remove(head);
+        let (extent, grew) = merge_extent(current, derived, ctx)?;
+        Ok((
+            Grown {
+                extent,
+                fresh: None,
+            },
+            grew,
+        ))
+    }
+
+    /// The keys of `head`, decoding `current` if they are not held; `None`
+    /// when `current` is not a canonical finite point set.
+    fn keys(&mut self, head: &str, current: &ConstraintRelation) -> Option<&mut Vec<Vec<Rat>>> {
+        if !self.0.contains_key(head) {
+            let keys: Vec<Vec<Rat>> = current
+                .tuples()
+                .iter()
+                .map(GeneralizedTuple::canonical_point)
+                .collect::<Option<_>>()?;
+            if !keys.is_sorted_by(|a, b| a < b) {
+                return None;
+            }
+            self.0.insert(head.to_owned(), keys);
+        }
+        self.0.get_mut(head)
+    }
+}
+
+/// The general merge of one job's `derived` tuples into a head's `current`
+/// extent: the merged extent in canonical form (QE may render the same point
+/// with differently-ordered atoms, defeating the syntactic dedup and
+/// bloating the extent) and whether anything new arrived — the inflationary
+/// growth test `derived ⊄ current`.
 ///
 /// Two finite point sets merge as point sets: the sorted, deduplicated
 /// union, rebuilt once. That is what `canonicalized` makes of
 /// `union → simplify` there (`simplify` has nothing to drop from a point
 /// tuple, and its atom order does not survive `canonicalized`), and the
 /// set difference is `subset_of` on points. Anything else takes that
-/// general path.
+/// general path. A head already in canonical point form never gets here
+/// with derived points: [`HeadKeys::merge`] merges those by key.
 fn merge_extent(
     current: &ConstraintRelation,
     derived: &ConstraintRelation,
@@ -1182,12 +1304,31 @@ mod tests {
                 .cloned()
                 .collect();
             let got = merge_extent(current, derived, &ctx).unwrap();
-            assert_eq!(got, (merged, grew), "{current} + {derived}");
+            assert_eq!(got, (merged.clone(), grew), "{current} + {derived}");
             assert_eq!(
                 got.0.without_tuples(current.tuples()).tuples(),
                 fresh,
                 "delta of {current} + {derived}"
             );
+            // The key merge: the same extent and growth, and — when it went
+            // by key, which needs a canonical point head and derived points
+            // — the same delta, handed back instead of re-diffed.
+            let (by_key, by_key_grew) = HeadKeys::default()
+                .merge("H", current, derived, &ctx)
+                .unwrap();
+            assert_eq!((&by_key.extent, by_key_grew), (&merged, grew));
+            let canonical =
+                current.as_finite_points().is_some() && current.clone().canonicalized() == *current;
+            let points = derived.as_finite_points().is_some();
+            assert_eq!(
+                by_key.fresh.is_some(),
+                canonical && points,
+                "{current} + {derived}"
+            );
+            if let Some(keyed) = by_key.fresh {
+                let keyed: Vec<GeneralizedTuple> = keyed.into_iter().map(|(_, t)| t).collect();
+                assert_eq!(keyed, fresh, "keyed delta of {current} + {derived}");
+            }
         }
     }
 

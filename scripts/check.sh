@@ -200,6 +200,28 @@ routing_gate serve_mixed 32 8 80
 traced tc_update
 routing_gate tc_update 8 1 9
 
+echo "==> tc_update's fixpoint work is pinned and its interner lookups stay under their ceiling (the same traced repeat)"
+# The semi-naive rounds of every refresh (DESIGN.md §7): body-QE calls,
+# tuples new to a head summed over rounds, and rounds. Deterministic, so a
+# change to delta rewriting or to the merge that derives, or re-derives, a
+# tuple fails here without timing; a change that means to move them re-pins
+# them and says why here.
+fixpoint="$(counter 'datalog\.qe_calls') $(counter 'datalog\.delta_tuples') $(counter 'datalog\.iterations')"
+if [ "$fixpoint" != "22 210 21" ]; then
+    echo "tc_update: datalog.{qe_calls,delta_tuples,iterations} $fixpoint at --seed 1, pinned 22 210 21" >&2
+    exit 1
+fi
+# Merging a point head by key, which builds a point tuple for new points
+# only and keeps the stored ones, took the lookups from 42,034 to 16,194
+# (DESIGN.md §7). A ceiling, like the ones above: a merge that goes back to
+# rebuilding the whole head from its points fails here without timing.
+tc_intern_ceiling=16194
+lookups=$(counter 'poly\.intern\.\(hits\|misses\)')
+if [ "$lookups" -gt "$tc_intern_ceiling" ]; then
+    echo "tc_update: $lookups interner lookups at --seed 1, ceiling $tc_intern_ceiling" >&2
+    exit 1
+fi
+
 echo "==> the frozen benchmark is as committed (no step above rewrote stmtbench/ or BENCHMARK.json)"
 # A manifest edit that makes cargo rewrite stmtbench/Cargo.lock shows up here.
 frozen=$(git status --short stmtbench/ BENCHMARK.json)
