@@ -6,9 +6,9 @@
 //! never a guess — when the name is a common std method, or the qualifier
 //! matches nothing in the workspace, the call simply has no candidates.
 //! The interprocedural passes choose per-pass how to combine candidate
-//! sets (union for must-not-happen properties like lock order and panic
-//! reachability, unanimity for taint, where a single exact-arithmetic
-//! candidate should clear the call).
+//! sets (union for must-not-happen properties like panic reachability,
+//! unanimity for taint, where a single exact-arithmetic candidate should
+//! clear the call).
 
 use crate::items::{parse_items, parse_structs, CallSite, FnItem};
 use crate::lexer::Tok;

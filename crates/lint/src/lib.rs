@@ -25,10 +25,13 @@
 //!
 //! | id                  | pass              | guards                          |
 //! |---------------------|-------------------|---------------------------------|
-//! | `lock-order`        | lock-order cycles | global acquisition order        |
 //! | `panic-reach`       | panic reach       | public API panic surface        |
 //! | `float-taint`       | float taint       | laundering past the boundary    |
 //! | `determinism-taint` | determinism taint | cross-crate nondeterminism      |
+//!
+//! The global lock order is not a pass: every lock is a
+//! `cdb_num::ranked::Ranked` mutex, which checks the order where it is
+//! taken (DESIGN.md §13).
 //!
 //! Every rule has a machine-readable escape hatch:
 //!
@@ -44,7 +47,6 @@
 pub mod graph;
 pub mod items;
 pub mod lexer;
-pub mod locks;
 mod reach;
 pub mod rules;
 
@@ -64,8 +66,6 @@ pub enum Rule {
     Panic,
     /// L: lock discipline.
     Lock,
-    /// Interprocedural: cycles in the lock-acquisition order.
-    LockOrder,
     /// Interprocedural: public fns that can transitively panic.
     PanicReach,
     /// Interprocedural: confined code calling float-signature functions.
@@ -98,11 +98,6 @@ impl Rule {
             Rule::Lock,
             "lock",
             "nested .lock() in one statement; guards live across the parallel fan-out",
-        ),
-        (
-            Rule::LockOrder,
-            "lock-order",
-            "cycle in the interprocedural lock-acquisition-order graph",
         ),
         (
             Rule::PanicReach,
@@ -154,7 +149,7 @@ pub struct Diagnostic {
     pub line: u32,
     /// 1-based column.
     pub col: u32,
-    /// Rule id (`float`, `lock-order`, …, `directive`, `unused-allow`).
+    /// Rule id (`float`, `panic-reach`, …, `directive`, `unused-allow`).
     pub rule: &'static str,
     /// Human-readable explanation.
     pub message: String,
@@ -323,8 +318,8 @@ fn file_stage(rel: &str, src: &str) -> FileCtx {
 }
 
 /// Lint a set of files as one unit: the per-file rule families plus the
-/// call-graph passes (lock order, panic reachability, float/determinism
-/// taint). `files` is `(workspace-relative path, source)`.
+/// call-graph passes (panic reachability, float/determinism taint).
+/// `files` is `(workspace-relative path, source)`.
 pub fn lint_files(files: &[(String, String)]) -> Report {
     let mut inputs: Vec<&(String, String)> = files.iter().collect();
     inputs.sort_by(|a, b| a.0.cmp(&b.0));
@@ -348,7 +343,6 @@ pub fn lint_files(files: &[(String, String)]) -> Report {
         .map(|c| std::mem::take(&mut c.allows))
         .collect();
 
-    let lock = locks::analyze(&g, &toks);
     let (pr_diags, panic_surface) = reach::panic_reach(&g, &toks, &classes, &allows);
     let ft_diags = reach::float_taint(&g, &toks, &classes, &allows);
     let dt_diags = reach::determinism_taint(&g, &toks, &classes, &allows);
@@ -363,10 +357,8 @@ pub fn lint_files(files: &[(String, String)]) -> Report {
     for c in &ctxs {
         diagnostics.extend(c.diags.iter().cloned());
     }
-    for d in lock
-        .diags
+    for d in pr_diags
         .iter()
-        .chain(pr_diags.iter())
         .chain(ft_diags.iter())
         .chain(dt_diags.iter())
     {
@@ -402,7 +394,6 @@ pub fn lint_files(files: &[(String, String)]) -> Report {
         files_scanned: ctxs.len(),
         functions: g.fns.len(),
         call_edges: g.edge_count(),
-        lock_edges: lock.edges,
         panic_surface,
     }
 }
@@ -614,8 +605,6 @@ pub struct Report {
     pub functions: usize,
     /// Number of resolved call edges (candidate pairs).
     pub call_edges: usize,
-    /// The lock-acquisition-order edges.
-    pub lock_edges: Vec<locks::LockEdge>,
     /// Per-crate count of public fns that can reach any panic site.
     pub panic_surface: BTreeMap<String, usize>,
 }

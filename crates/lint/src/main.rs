@@ -23,8 +23,8 @@ fn main() -> ExitCode {
                     "cdb-lint — workspace invariant checker\n\n\
                      USAGE: cdb-lint [--root <dir>]\n\n\
                      Prints every finding and exits 1 if there is any. The summary line on\n\
-                     stderr counts files, fns, call edges and lock-order edges, and gives\n\
-                     the per-crate panic surface.\n\n\
+                     stderr counts files, fns and call edges, and gives the per-crate\n\
+                     panic surface.\n\n\
                      Rule families (suppress with `// cdb-lint: allow(<rule>) — <reason>`\n\
                      on the offending line or the line above, or\n\
                      `// cdb-lint: allow-file(<rule>) — <reason>` for a whole file):"
@@ -79,11 +79,10 @@ fn main() -> ExitCode {
         .map(|(krate, n)| format!("{krate} {n}"))
         .collect();
     let summary = format!(
-        "{} files, {} fns, {} call edges, {} lock-order edges; panic surface: {}",
+        "{} files, {} fns, {} call edges; panic surface: {}",
         report.files_scanned,
         report.functions,
         report.call_edges,
-        report.lock_edges.len(),
         surface.join(", ")
     );
     if report.diagnostics.is_empty() {

@@ -293,8 +293,8 @@ fn check_panic(toks: &[Tok], out: &mut Vec<RawDiag>) {
 /// polynomial arithmetic op) takes an interner shard lock itself, so
 /// calling it — or naming the `intern` module in an expression — while a
 /// guard is live nests two lock scopes the same way.
-/// The interprocedural twin (`lock-order`, `locks.rs`) checks the global
-/// acquisition-order graph for cycles.
+/// The global order across functions is checked where locks are taken, by
+/// `cdb_num::ranked::Ranked` in debug builds, not here.
 fn check_lock(toks: &[Tok], out: &mut Vec<RawDiag>) {
     // (a) nested acquisition in one statement.
     let mut locks_in_stmt = 0usize;

@@ -31,7 +31,10 @@ fn workspace_is_clean_and_summary_names_the_panic_surface() {
     assert!(r.stdout.is_empty(), "a clean run prints no findings");
     let summary = String::from_utf8_lossy(&r.stderr);
     assert!(summary.starts_with("cdb-lint: clean ("), "{summary}");
-    assert!(summary.contains("lock-order edges"), "{summary}");
+    assert!(
+        summary.contains(" call edges; panic surface: "),
+        "{summary}"
+    );
     assert!(summary.contains("panic surface: "), "{summary}");
     assert!(summary.contains("qe "), "{summary}");
 }

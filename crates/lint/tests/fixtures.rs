@@ -100,38 +100,16 @@ fn workspace_is_clean() {
     );
 }
 
-/// The lock-order pass is the machine-checked proof obligation for the
-/// serving stack (DESIGN.md §13): the acquisition-order graph over the
-/// real workspace must contain the documented hierarchy and stay acyclic
-/// (every cycle would have surfaced as a diagnostic above).
+/// The call graph over the real workspace carries real volume and the
+/// panic surface is populated. The lock order is not the linter's: it is
+/// driven edge by edge in `crates/server/tests/lock_order.rs`.
 #[test]
-fn workspace_lock_hierarchy_holds() {
+fn workspace_call_graph_and_panic_surface_are_populated() {
     let ws = Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("../..")
         .canonicalize()
         .expect("workspace root");
     let report = cdb_lint::run_root(&ws).expect("scan workspace");
-    let has = |from: &str, to: &str| {
-        report
-            .lock_edges
-            .iter()
-            .any(|e| e.from == from && e.to == to)
-    };
-    // Session::write holds the master cell across apply_write, which can
-    // touch the cache shards and the interner.
-    assert!(
-        has("db-master", "cache-shard"),
-        "edges: {:?}",
-        report.lock_edges
-    );
-    assert!(has("db-master", "interner-shard"));
-    // The serve loop holds the stdin lock for the whole session.
-    assert!(has("stdio", "db-master"));
-    // The documented order is top-down only: nothing re-acquires the
-    // master cell from below it.
-    assert!(!has("cache-shard", "db-master"));
-    assert!(!has("interner-shard", "db-master"));
-    // The graph carries real volume and the panic surface is populated.
     assert!(report.functions > 500, "functions: {}", report.functions);
     assert!(report.call_edges > 1000, "edges: {}", report.call_edges);
     assert!(

@@ -31,7 +31,8 @@
 //! whenever a cheap f64 enclosure already excludes zero.
 //!
 //! Every content-addressed table of the workspace hashes with the one
-//! fixed-key word hasher [`hash::ContentHasher`].
+//! fixed-key word hasher [`hash::ContentHasher`], and every lock is a
+//! [`ranked::Ranked`] mutex that checks the workspace's one lock order.
 
 pub mod fintv;
 pub mod fk;
@@ -39,6 +40,7 @@ pub mod hash;
 pub mod int;
 pub mod interval;
 pub mod modp;
+pub mod ranked;
 pub mod rat;
 pub mod zk;
 

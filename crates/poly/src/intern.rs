@@ -18,13 +18,14 @@
 //! history or thread schedule. A lookup miss yields a fresh allocation
 //! whose observable behaviour is identical.
 //!
-//! Concurrency: 16 shards, each a `Mutex` around a hash → bucket map
-//! (the PR 1 `AlgebraicCache` pattern) and the shard's traffic counters,
-//! poisoned locks recovered with `PoisonError::into_inner` (the data is a
-//! grow-only map of immutable entries and three counts — always valid).
-//! `canonicalize` takes exactly one lock, never nested, and never calls
-//! back into polynomial code while holding it; [`stats`] takes the shard
-//! locks one at a time. The map is keyed by finished content hashes, so it
+//! Concurrency: 16 shards, each a leaf-ranked mutex
+//! ([`cdb_num::ranked::Rank::InternerShard`]) around a hash → bucket map
+//! (the `AlgebraicCache` pattern) and the shard's traffic counters;
+//! the lock recovers a poisoned shard (the data is a grow-only map of
+//! immutable entries and three counts — always valid). `canonicalize`
+//! takes exactly one lock, never nested, and never calls back into
+//! polynomial code while holding it; [`stats`] takes the shard locks one
+//! at a time. The map is keyed by finished content hashes, so it
 //! hashes them with the same word hasher rather than re-hashing them with
 //! a keyed one.
 //! Memory is bounded by a per-shard sweep: when a shard reaches its
@@ -36,13 +37,14 @@
 use crate::mpoly::PolyData;
 use crate::Terms;
 use cdb_num::hash::BuildContentHasher;
+use cdb_num::ranked::{Rank, Ranked};
 // Keyed lookups only — bucket iteration order never reaches any output, and
 // `cdb_poly` is outside the determinism-rule scope anyway; results are
 // content-addressed (the same contract as cdb-qe's memo shards).
 #[allow(clippy::disallowed_types)]
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::sync::{Mutex, OnceLock, PoisonError};
+use std::sync::OnceLock;
 
 const SHARDS: usize = 16;
 
@@ -122,9 +124,13 @@ fn rearm(live: usize) -> usize {
     SHARD_WATERMARK.max(2 * live)
 }
 
-fn pool() -> &'static Vec<Mutex<Shard>> {
-    static POOL: OnceLock<Vec<Mutex<Shard>>> = OnceLock::new();
-    POOL.get_or_init(|| (0..SHARDS).map(|_| Mutex::new(Shard::new())).collect())
+fn pool() -> &'static Vec<Ranked<Shard>> {
+    static POOL: OnceLock<Vec<Ranked<Shard>>> = OnceLock::new();
+    POOL.get_or_init(|| {
+        (0..SHARDS)
+            .map(|_| Ranked::new(Rank::InternerShard, Shard::new()))
+            .collect()
+    })
 }
 
 /// Intern the canonical term vector `body`, whose content hash is `hash`:
@@ -132,7 +138,7 @@ fn pool() -> &'static Vec<Mutex<Shard>> {
 /// exists, else seal `body` into a new entry.
 pub(crate) fn canonicalize(body: Terms, hash: u64) -> Arc<PolyData> {
     let idx = (hash as usize) & (SHARDS - 1);
-    let mut shard = pool()[idx].lock().unwrap_or_else(PoisonError::into_inner);
+    let mut shard = pool()[idx].lock();
     // On a hit `body` is dropped after the guard, outside the lock.
     match shard.find(&body, hash) {
         Some(found) => found,
@@ -179,7 +185,7 @@ pub fn stats() -> InternStats {
         misses: 0,
     };
     for shard in pool() {
-        let shard = shard.lock().unwrap_or_else(PoisonError::into_inner);
+        let shard = shard.lock();
         sum.entries += shard.entries;
         sum.hits += shard.hits;
         sum.misses += shard.misses;

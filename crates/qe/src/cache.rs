@@ -26,8 +26,9 @@
 //!
 //! # Concurrency
 //!
-//! The table is sharded (`Arc<[Mutex<HashMap>]>`): the shard index is
-//! derived from the key hash, so concurrent workers contend only when they
+//! The table is sharded (`Arc<[Ranked<HashMap>]>`, each shard a leaf of
+//! the lock order, [`cdb_num::ranked::Rank::CacheShard`]): the shard index
+//! is derived from the key hash, so concurrent workers contend only when they
 //! touch the same slice of the key space. Values are computed *outside* the
 //! shard lock; two workers racing on the same missing key may both compute
 //! it, but the functions are pure so either result is identical and the
@@ -57,6 +58,7 @@
 
 use crate::cad::project::normalize;
 use cdb_num::hash::BuildContentHasher;
+use cdb_num::ranked::{Rank, Ranked};
 use cdb_poly::resultant as resfn;
 use cdb_poly::MPoly;
 #[allow(clippy::disallowed_types)]
@@ -67,7 +69,7 @@ use cdb_poly::MPoly;
 use std::collections::HashMap;
 use std::hash::BuildHasher;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Number of independent lock shards; a small power of two keeps the
 /// modulo cheap while comfortably exceeding typical worker counts.
@@ -95,7 +97,7 @@ enum Key {
 #[allow(clippy::disallowed_types)]
 // cdb-lint: allow(determinism) — see the `use` above: keyed access, `len`
 // and `clear` only.
-type Shard = Mutex<HashMap<Key, MPoly, BuildContentHasher>>;
+type Shard = Ranked<HashMap<Key, MPoly, BuildContentHasher>>;
 
 /// Sharded, thread-safe, size-bounded memo-cache for resultants,
 /// discriminants and CAD normal forms. One instance lives on
@@ -153,7 +155,7 @@ impl AlgebraicCache {
                 #[allow(clippy::disallowed_types)]
                 // cdb-lint: allow(determinism) — see the `use` above: keyed
                 // access, `len` and `clear` only.
-                Mutex::new(HashMap::default())
+                Ranked::new(Rank::CacheShard, HashMap::default())
             })
             .collect();
         AlgebraicCache {
@@ -183,9 +185,7 @@ impl AlgebraicCache {
     pub fn invalidate(&self) -> usize {
         let mut removed = 0usize;
         for shard in self.inner.shards.iter() {
-            let mut guard = shard
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            let mut guard = shard.lock();
             removed += guard.len();
             guard.clear();
         }
@@ -204,23 +204,17 @@ impl AlgebraicCache {
     /// insert, clearing the shard first when it is full. Pure `f` makes the
     /// compute-twice race benign. A poisoned shard holds a structurally
     /// valid map (std's `HashMap` never unwinds mid-rehash into an invalid
-    /// state) of fully-constructed pure entries, so poison recovery is
-    /// sound here.
+    /// state) of fully-constructed pure entries, so the lock's poison
+    /// recovery is sound here.
     fn get_or_insert(&self, key: Key, f: impl FnOnce() -> MPoly) -> MPoly {
         let shard = self.shard_of(&key);
-        if let Some(v) = shard
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .get(&key)
-        {
+        if let Some(v) = shard.lock().get(&key) {
             self.inner.hits.fetch_add(1, Ordering::SeqCst);
             return v.clone();
         }
         self.inner.misses.fetch_add(1, Ordering::SeqCst);
         let v = f();
-        let mut guard = shard
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut guard = shard.lock();
         if !guard.contains_key(&key) && guard.len() >= self.inner.per_shard_capacity {
             self.inner
                 .evictions
@@ -287,15 +281,7 @@ impl AlgebraicCache {
 
     /// Current entry count of each shard (index = shard number).
     fn shard_entry_counts(&self) -> Vec<usize> {
-        self.inner
-            .shards
-            .iter()
-            .map(|s| {
-                s.lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .len()
-            })
-            .collect()
+        self.inner.shards.iter().map(|s| s.lock().len()).collect()
     }
 
     /// Number of memoized entries across all shards.

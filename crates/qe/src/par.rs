@@ -28,11 +28,12 @@
 //! goes back to the pool.
 
 use crate::{hardware_threads, QeError};
+use cdb_num::ranked::{Rank, Ranked};
 use std::any::Any;
 use std::collections::VecDeque;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, Once, PoisonError};
+use std::sync::{Arc, Condvar, Once};
 
 /// Number of chunks each worker should get on average: small enough that
 /// the claim traffic is negligible, large enough to rebalance when chunk
@@ -44,13 +45,6 @@ const CHUNKS_PER_WORKER: usize = 4;
 /// rebalanced, floored at 1 (heavyweight jobs keep per-item claiming).
 fn chunk_len(n: usize, workers: usize) -> usize {
     (n / (workers * CHUNKS_PER_WORKER)).max(1)
-}
-
-/// Lock `m`, recovering the value of a poisoned mutex: every critical
-/// section below stores whole values, and panics inside a job are caught
-/// before any lock is taken.
-fn lock_recovering<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Map `f` over `0..n` on up to `workers` threads (the caller's thread is
@@ -75,10 +69,13 @@ where
         chunk,
         next: AtomicUsize::new(0),
         stop: AtomicBool::new(false),
-        done: Mutex::new(Done {
-            slots: (0..n.div_ceil(chunk)).map(|_| None).collect(),
-            panic: None,
-        }),
+        done: Ranked::new(
+            Rank::LiftPool,
+            Done {
+                slots: (0..n.div_ceil(chunk)).map(|_| None).collect(),
+                panic: None,
+            },
+        ),
         finished: Condvar::new(),
     });
     let published: Arc<dyn Work> = job.clone();
@@ -100,7 +97,7 @@ struct Job<U, F> {
     next: AtomicUsize,
     /// Set by the first chunk that fails; consulted between claims only.
     stop: AtomicBool,
-    done: Mutex<Done<U>>,
+    done: Ranked<Done<U>>,
     /// Signalled whenever a chunk lands in `done`.
     finished: Condvar,
 }
@@ -154,7 +151,7 @@ where
             if panicked.is_some() || results.last().is_some_and(Result::is_err) {
                 self.stop.store(true, Ordering::SeqCst);
             }
-            let mut done = lock_recovering(&self.done);
+            let mut done = self.done.lock();
             if let Some(slot) = done.slots.get_mut(start / self.chunk) {
                 *slot = Some(results);
             }
@@ -180,12 +177,9 @@ impl<U, F> Job<U, F> {
             .swap(self.n, Ordering::SeqCst)
             .min(self.n)
             .div_ceil(self.chunk);
-        let mut done = lock_recovering(&self.done);
+        let mut done = self.done.lock();
         while done.slots.iter().take(claimed).any(Option::is_none) {
-            done = self
-                .finished
-                .wait(done)
-                .unwrap_or_else(PoisonError::into_inner);
+            done = done.wait(&self.finished);
         }
         let slots = std::mem::take(&mut done.slots);
         let panicked = done.panic.take();
@@ -218,7 +212,7 @@ impl<U, F> Job<U, F> {
 /// The process-wide helper pool: published jobs with seats left, and the
 /// condition variable parked helpers wait on.
 struct Pool {
-    queue: Mutex<VecDeque<Published>>,
+    queue: Ranked<VecDeque<Published>>,
     wake: Condvar,
 }
 
@@ -235,7 +229,7 @@ struct Published {
 /// it still completes.
 fn pool() -> &'static Pool {
     static POOL: Pool = Pool {
-        queue: Mutex::new(VecDeque::new()),
+        queue: Ranked::new(Rank::LiftPool, VecDeque::new()),
         wake: Condvar::new(),
     };
     static HELPERS: Once = Once::new();
@@ -255,7 +249,7 @@ fn pool() -> &'static Pool {
 impl Pool {
     /// Put `job` on the queue for up to `seats` helpers and wake them.
     fn publish(&self, job: &Arc<dyn Work>, seats: usize) {
-        lock_recovering(&self.queue).push_back(Published {
+        self.queue.lock().push_back(Published {
             job: Arc::clone(job),
             seats,
         });
@@ -267,7 +261,7 @@ impl Pool {
     /// Take `job` off the queue if no helper took its last seat: the caller
     /// has run out of chunks, so a helper arriving now would find none.
     fn withdraw(&self, job: &Arc<dyn Work>) {
-        lock_recovering(&self.queue).retain(|p| !Arc::ptr_eq(&p.job, job));
+        self.queue.lock().retain(|p| !Arc::ptr_eq(&p.job, job));
     }
 
     /// A helper's life: take a seat at the oldest published job, run it,
@@ -275,7 +269,7 @@ impl Pool {
     fn run_helper(&self) {
         loop {
             let job = {
-                let mut queue = lock_recovering(&self.queue);
+                let mut queue = self.queue.lock();
                 loop {
                     if let Some(front) = queue.front_mut() {
                         front.seats -= 1;
@@ -285,10 +279,7 @@ impl Pool {
                         }
                         break job;
                     }
-                    queue = self
-                        .wake
-                        .wait(queue)
-                        .unwrap_or_else(PoisonError::into_inner);
+                    queue = queue.wait(&self.wake);
                 }
             };
             job.claim_chunks();
@@ -302,6 +293,12 @@ mod tests {
     use std::sync::Barrier;
     use std::thread;
     use std::time::Duration;
+
+    // The tests' handshake flags are plain mutexes outside the lock order:
+    // they need `Condvar::wait_timeout_while`, and no ranked lock is taken
+    // under them.
+    #[allow(clippy::disallowed_types)]
+    use std::sync::Mutex;
 
     /// `fan_out` over `items`, mapping each through `g`.
     fn map_items(
@@ -392,6 +389,7 @@ mod tests {
     /// the caller and a helper have both started one, so neither can run
     /// both. The item the helper runs answers `on_helper(i)`, the caller's
     /// `None`. With no helper coming, both are `None`.
+    #[allow(clippy::disallowed_types)] // a handshake flag, see the `use` above
     fn one_item_on_a_helper<U: Send + 'static>(on_helper: fn(usize) -> U) -> Vec<Option<U>> {
         let caller = thread::current().id();
         let started = Arc::new((Mutex::new((false, false)), Condvar::new()));
@@ -451,6 +449,7 @@ mod tests {
     /// sequential results. A pool whose callers only wait for helpers
     /// would hang here.
     #[test]
+    #[allow(clippy::disallowed_types)] // a handshake flag, see the `use` above
     fn concurrent_fan_outs_finish_while_helpers_are_busy() {
         let second_done = Arc::new((Mutex::new(false), Condvar::new()));
         let helper_busy = Arc::new(Barrier::new(2));

@@ -12,10 +12,15 @@ use cdb_num::{fintv, Rat};
 use cdb_poly::MPoly;
 use cdb_qe::QeContext;
 use proptest::prelude::*;
-use std::sync::{Mutex, MutexGuard};
+use std::sync::MutexGuard;
+// A test-only serialiser outside the workspace's lock order: it is held
+// across whole QE runs, which take every leaf rank under it.
+#[allow(clippy::disallowed_types)]
+use std::sync::Mutex;
 
 /// The filter switch is process-global; serialize every test that toggles
 /// it, and restore the enabled default even on panic.
+#[allow(clippy::disallowed_types)]
 static FILTER_LOCK: Mutex<()> = Mutex::new(());
 
 struct FilterGuard(#[allow(dead_code)] MutexGuard<'static, ()>);

@@ -32,11 +32,12 @@ use crate::{Response, ServerError};
 use cdb_calcf::lexer::tokenize;
 use cdb_calcf::Token;
 use cdb_constraints::{ConstraintRelation, GeneralizedTuple};
+use cdb_num::ranked::{Rank, Ranked};
 use cdb_num::Rat;
 use constraintdb::{parse_program, storage, ConstraintDb, DbError, QueryResult};
 use std::io::{self, BufRead, Write};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 
 /// Maximum Datalog¬ fixpoint iterations a `DATALOG` statement may run.
 const MAX_DATALOG_ITERATIONS: usize = 256;
@@ -72,7 +73,7 @@ pub struct ServerStats {
 
 /// Shared server state.
 struct Inner {
-    master: Mutex<ConstraintDb>,
+    master: Ranked<ConstraintDb>,
     shutdown: AtomicBool,
     statements: AtomicU64,
     reads: AtomicU64,
@@ -131,7 +132,7 @@ impl Server {
     pub fn with_db(db: ConstraintDb, _cfg: ServerConfig) -> Server {
         Server {
             inner: Arc::new(Inner {
-                master: Mutex::new(db),
+                master: Ranked::new(Rank::DbMaster, db),
                 shutdown: AtomicBool::new(false),
                 statements: AtomicU64::new(0),
                 reads: AtomicU64::new(0),
@@ -144,14 +145,7 @@ impl Server {
     /// Open a session. Its snapshot is the master state as of this call.
     #[must_use]
     pub fn session(&self) -> Session {
-        let snapshot = {
-            let master = self
-                .inner
-                .master
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            master.clone()
-        };
+        let snapshot = self.inner.master.lock().clone();
         Session {
             inner: Arc::clone(&self.inner),
             snapshot,
@@ -163,11 +157,7 @@ impl Server {
     #[must_use]
     pub fn stats(&self) -> ServerStats {
         let (cache_hits, cache_misses) = {
-            let master = self
-                .inner
-                .master
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
+            let master = self.inner.master.lock();
             (master.cache().hits(), master.cache().misses())
         };
         ServerStats {
@@ -328,14 +318,7 @@ impl Session {
     /// writes. Never implicit on reads: snapshot isolation means a
     /// session's view moves only when it writes or asks.
     pub fn refresh(&mut self) {
-        let fresh = {
-            let master = self
-                .inner
-                .master
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            master.clone()
-        };
+        let fresh = self.inner.master.lock().clone();
         self.snapshot = fresh;
     }
 
@@ -356,11 +339,7 @@ impl Session {
 
     fn write(&mut self, stmt: &Statement, workers: usize) -> Result<Response, ServerError> {
         self.inner.writes.fetch_add(1, Ordering::SeqCst);
-        let mut master = self
-            .inner
-            .master
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
+        let mut master = self.inner.master.lock();
         master.engine_mut().workers = workers;
         let resp = apply_write(&mut master, stmt)?;
         // Refresh the session's own snapshot on success so it reads its own
@@ -377,11 +356,7 @@ impl Session {
         let text = std::fs::read_to_string(path)
             .map_err(|e| ServerError::Db(format!("cannot read {path}: {e}")))?;
         let mut loaded = storage::load(&text).map_err(db_err)?;
-        let mut master = self
-            .inner
-            .master
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
+        let mut master = self.inner.master.lock();
         *loaded.engine_mut() = master.engine_mut().clone();
         *master = loaded;
         self.snapshot = master.clone();

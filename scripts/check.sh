@@ -42,6 +42,16 @@ taskset -c 0 target/release/serve < crates/server/tests/golden/session.sql |
 target/release/serve < crates/server/tests/golden/session.sql |
     diff crates/server/tests/golden/session.out -
 
+echo "==> serve binary: the golden session transcript through a debug \`serve\`, under the lock-order check"
+# A build with debug assertions checks the lock order wherever a lock is
+# taken (cdb_num::ranked, DESIGN.md §13). Unpinned, a lone session lifts
+# on every hardware thread, so the binary's `main` and the parallel lift
+# pool both run under the check; a broken order panics instead of
+# printing the transcript.
+cargo build -p cdb-server --bin serve
+target/debug/serve < crates/server/tests/golden/session.sql |
+    diff crates/server/tests/golden/session.out -
+
 echo "==> full workspace: every per-crate unit, differential and fixture suite"
 cargo test --workspace -q
 
