@@ -65,13 +65,18 @@ pub enum CFormula {
     Forall(String, Box<CFormula>),
 }
 
+/// Add `v` to `out`, allocating its `String` only when it is new.
+fn insert_var(out: &mut BTreeSet<String>, v: &str) {
+    if !out.contains(v) {
+        out.insert(v.to_owned());
+    }
+}
+
 impl CTerm {
     /// Variables occurring (free; aggregate-bound variables excluded).
     pub fn collect_vars(&self, out: &mut BTreeSet<String>) {
         match self {
-            CTerm::Var(v) => {
-                out.insert(v.clone());
-            }
+            CTerm::Var(v) => insert_var(out, v),
             CTerm::Const(_) => {}
             CTerm::Add(a, b) | CTerm::Sub(a, b) | CTerm::Mul(a, b) => {
                 a.collect_vars(out);
@@ -127,8 +132,11 @@ impl CFormula {
                 a.collect_vars(out);
                 b.collect_vars(out);
             }
-            CFormula::Rel(_, args) => out.extend(args.iter().cloned()),
-            CFormula::EvalPred(vars, _) => out.extend(vars.iter().cloned()),
+            CFormula::Rel(_, vars) | CFormula::EvalPred(vars, _) => {
+                for v in vars {
+                    insert_var(out, v);
+                }
+            }
             CFormula::Not(f) => f.collect_free_vars(out),
             CFormula::And(fs) | CFormula::Or(fs) => {
                 for f in fs {

@@ -340,8 +340,14 @@ impl Formula {
                         .into_iter()
                         .collect());
                 }
-                let mut acc = vec![GeneralizedTuple::top(nvars)];
-                for f in fs {
+                // `⊤ ∧ t` is `t` for a simplified `t`: start from the first
+                // operand instead of conjoining each of its tuples with `⊤`.
+                let mut operands = fs.iter();
+                let mut acc = match operands.next() {
+                    Some(f) => f.disjuncts(nvars)?,
+                    None => vec![GeneralizedTuple::top(nvars)],
+                };
+                for f in operands {
                     acc = product(&acc, &f.disjuncts(nvars)?);
                 }
                 Ok(acc)

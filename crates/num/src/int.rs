@@ -762,18 +762,35 @@ impl FromStr for Int {
         if digits.is_empty() || !digits.bytes().all(|b| b.is_ascii_digit()) {
             return Err(ParseIntError(s.to_owned()));
         }
-        let mut acc = Int::zero();
-        for chunk in digits.as_bytes().chunks(19) {
-            let chunk_str = std::str::from_utf8(chunk).map_err(|_| ParseIntError(s.to_owned()))?;
-            let v: u64 = chunk_str.parse().map_err(|_| ParseIntError(s.to_owned()))?;
-            let scale = Int::from(10u64).pow(chunk.len() as u32);
-            acc = &(&acc * &scale) + &Int::from(v);
-        }
-        if neg {
-            acc = -acc;
-        }
-        Ok(acc)
+        let digits = digits.trim_start_matches('0');
+        // Up to 19 digits stay below 10^19 < 2^64: one machine parse.
+        let acc = if digits.len() <= 19 {
+            Int::from(u64_of(digits).ok_or_else(|| ParseIntError(s.to_owned()))?)
+        } else {
+            from_digits_chunked(digits).ok_or_else(|| ParseIntError(s.to_owned()))?
+        };
+        Ok(if neg { -acc } else { acc })
     }
+}
+
+/// The value of at most 19 ASCII decimal digits (`0` for none).
+fn u64_of(digits: &str) -> Option<u64> {
+    if digits.is_empty() {
+        return Some(0);
+    }
+    digits.parse().ok()
+}
+
+/// The value of a string of ASCII decimal digits of any length, 19 digits
+/// (one `u64`) at a time.
+fn from_digits_chunked(digits: &str) -> Option<Int> {
+    let mut acc = Int::zero();
+    for chunk in digits.as_bytes().chunks(19) {
+        let v = u64_of(std::str::from_utf8(chunk).ok()?)?;
+        let scale = Int::from(10u64).pow(chunk.len() as u32);
+        acc = &(&acc * &scale) + &Int::from(v);
+    }
+    Some(acc)
 }
 
 impl fmt::Display for Int {
@@ -1011,9 +1028,41 @@ impl SubAssign<&Int> for Int {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn int(s: &str) -> Int {
         s.parse().unwrap()
+    }
+
+    proptest! {
+        /// A literal that fits one `u64` parses without bignum work; it
+        /// must agree with the chunked path, and both must print back the
+        /// literal without its leading zeros (and without the sign of
+        /// `-0`). Digit strings of length 1–60: leading zeros, then digits.
+        #[test]
+        fn short_and_chunked_parses_agree(
+            neg in any::<bool>(),
+            zeros in 0usize..=25,
+            tail in prop::collection::vec(0u8..=9, 0..=35),
+        ) {
+            let mut digits = "0".repeat(zeros);
+            digits.extend(tail.iter().map(|&d| char::from(b'0' + d)));
+            if digits.is_empty() {
+                digits.push('0');
+            }
+            let literal = format!("{}{digits}", if neg { "-" } else { "" });
+            let parsed: Int = literal.parse().map_err(|e| TestCaseError::fail(format!("{e}")))?;
+            let magnitude = from_digits_chunked(&digits).ok_or_else(|| TestCaseError::fail("chunked"))?;
+            let chunked = if neg { -magnitude } else { magnitude };
+            prop_assert_eq!(&parsed, &chunked);
+            let trimmed = digits.trim_start_matches('0');
+            let want = match (trimmed, neg) {
+                ("", _) => "0".to_owned(),
+                (t, true) => format!("-{t}"),
+                (t, false) => t.to_owned(),
+            };
+            prop_assert_eq!(parsed.to_string(), want);
+        }
     }
 
     #[test]

@@ -33,6 +33,9 @@
 //! (`strong_count == 1`) are swept, and the threshold re-arms at twice what
 //! survived (never below `SHARD_WATERMARK`) — so a shard full of live
 //! polynomials is swept O(log n) times over n misses, not on every miss.
+//! An entry's memoised primitive and squarefree parts are handles to other
+//! entries, never in a cycle (DESIGN.md §10.2), so a form stays resident
+//! while an entry points at it and goes at the first sweep after that.
 
 use crate::mpoly::PolyData;
 use crate::Terms;
@@ -202,12 +205,7 @@ mod tests {
     /// A distinct payload per `k` (the constant `k + 1`, hashed as `k`),
     /// built without touching the global pool.
     fn payload(k: u64) -> PolyData {
-        PolyData {
-            body: Terms::constant(Rat::from(k as i64 + 1), 1),
-            hash: k,
-            total_degree: 0,
-            var_degrees: vec![0],
-        }
+        PolyData::new(Terms::constant(Rat::from(k as i64 + 1), 1), k)
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! replaced by its primitive squarefree part (same real variety, honest
 //! discriminants).
 
-use crate::mpoly::MPoly;
+use crate::mpoly::{Form, MPoly};
 use cdb_num::Rat;
 
 /// Greatest common divisor in `Q[x₀, …]`, in primitive normal form
@@ -134,8 +134,16 @@ pub fn pseudo_rem(a: &MPoly, b: &MPoly, v: usize) -> MPoly {
 /// free of `v` — e.g. it would reduce `x·y` to `y`, losing the `x = 0`
 /// component of the variety (a CAD soundness bug caught by the
 /// `three_level_cad_structure` test).
+///
+/// Computed once per interned polynomial, then read off its entry
+/// (DESIGN.md §10.2).
 #[must_use]
 pub fn squarefree_part(p: &MPoly) -> MPoly {
+    p.memoised(Form::Squarefree, squarefree_uncached)
+}
+
+/// [`squarefree_part`] without the memo.
+pub(crate) fn squarefree_uncached(p: &MPoly) -> MPoly {
     if p.is_zero() || p.is_constant() {
         return p.clone();
     }

@@ -36,7 +36,7 @@ use cdb_num::{Int, Rat, Sign};
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::ops::{Add, Mul, Neg, Sub};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Exponent vector as a plain vector; `mono[i]` is the exponent of variable
 /// `i`. Retained as the [`MPoly::from_terms`] input currency; internal
@@ -377,7 +377,8 @@ impl Partial {
 }
 
 /// The interned payload: canonical terms plus caches computed once, when
-/// the interner first takes the polynomial in. Immutable after interning.
+/// the interner first takes the polynomial in, and two pure forms written
+/// once, on their first use (DESIGN.md §10.2). Immutable otherwise.
 pub(crate) struct PolyData {
     /// The canonical term vector and its ring arity.
     pub(crate) body: Terms,
@@ -387,6 +388,36 @@ pub(crate) struct PolyData {
     pub(crate) total_degree: u32,
     /// `var_degrees[i]` = max exponent of variable `i` (0 if absent).
     pub(crate) var_degrees: Vec<u32>,
+    /// [`MPoly::primitive`], once computed: `None` when the polynomial is
+    /// its own primitive part.
+    pub(crate) primitive: OnceLock<Option<MPoly>>,
+    /// [`crate::squarefree_part`], once computed: `None` when the
+    /// polynomial is its own squarefree part.
+    pub(crate) squarefree: OnceLock<Option<MPoly>>,
+}
+
+/// A pure form of a polynomial that its interned entry memoises.
+///
+/// Both forms are idempotent and a form other than the polynomial itself
+/// is primitive, so a slot only ever points at an entry whose own slot for
+/// that form reads `None`: memo links are at most two deep and never form
+/// an `Arc` cycle, and the interner's `strong_count == 1` sweep still
+/// reclaims every entry.
+#[derive(Clone, Copy)]
+pub(crate) enum Form {
+    /// The integer-primitive part with a positive lex-leading coefficient.
+    Primitive,
+    /// The primitive squarefree part (constants are their own).
+    Squarefree,
+}
+
+impl Form {
+    fn slot(self, data: &PolyData) -> &OnceLock<Option<MPoly>> {
+        match self {
+            Form::Primitive => &data.primitive,
+            Form::Squarefree => &data.squarefree,
+        }
+    }
 }
 
 /// A sparse multivariate polynomial in a fixed number of variables.
@@ -434,6 +465,8 @@ impl PolyData {
             hash,
             total_degree,
             var_degrees,
+            primitive: OnceLock::new(),
+            squarefree: OnceLock::new(),
         }
     }
 }
@@ -853,19 +886,34 @@ impl MPoly {
     pub fn remap_vars(&self, map: &[usize], new_nvars: usize) -> MPoly {
         assert_eq!(map.len(), self.nvars());
         assert!(map.iter().all(|&m| m < new_nvars));
+        // A strictly increasing map keeps the variables' relative order, so
+        // the terms stay in lex order and no two of them meet; into a ring
+        // of the same arity it is the identity.
+        let increasing = map.is_sorted_by(|a, b| a < b);
+        if increasing && new_nvars == map.len() {
+            return self.clone();
+        }
+        let mut nm = vec![0u32; new_nvars];
         let pairs = self
             .terms_slice()
             .iter()
             .map(|(m, c)| {
                 // Mapping two sources onto one target is legal (diagonals like
                 // R(x, x)); exponents add up.
-                let mut nm = vec![0u32; new_nvars];
+                nm.fill(0);
                 for (i, e) in m.exps().enumerate() {
                     nm[map[i]] += e;
                 }
-                (Mono::from_vec(nm), c.clone())
+                (Mono::from_exps(&nm), c.clone())
             })
             .collect();
+        if increasing {
+            return Terms {
+                nvars: new_nvars,
+                terms: pairs,
+            }
+            .seal();
+        }
         Terms::from_pairs(new_nvars, pairs).seal()
     }
 
@@ -877,9 +925,38 @@ impl MPoly {
     }
 
     /// Integer-primitive normal form with positive lex-leading coefficient
-    /// (used to deduplicate CAD projection sets).
+    /// (used to deduplicate CAD projection sets). Computed once per
+    /// interned polynomial, then read off its entry.
     #[must_use]
     pub fn primitive(&self) -> MPoly {
+        self.memoised(Form::Primitive, MPoly::primitive_uncached)
+    }
+
+    /// `form` of this polynomial: the entry's slot when it is filled, else
+    /// `compute(self)`, written to the slot. Racing first calls compute
+    /// the same interned value and agree on whichever lands first; nothing
+    /// blocks while a form is computed. A form other than `self` gets its
+    /// own slot filled with `None` as it is stored: both forms are
+    /// idempotent.
+    pub(crate) fn memoised(&self, form: Form, compute: fn(&MPoly) -> MPoly) -> MPoly {
+        let slot = form.slot(&self.data);
+        let memo = match slot.get() {
+            Some(memo) => memo,
+            None => {
+                let value = compute(self);
+                let memo = (value != *self).then(|| {
+                    // Already filled only by a racing call that agrees.
+                    let _ = form.slot(&value.data).set(None);
+                    value
+                });
+                slot.get_or_init(|| memo)
+            }
+        };
+        memo.clone().unwrap_or_else(|| self.clone())
+    }
+
+    /// [`MPoly::primitive`] without the memo.
+    fn primitive_uncached(&self) -> MPoly {
         if self.is_zero() {
             return self.clone();
         }
@@ -1008,6 +1085,8 @@ impl Mul for &MPoly {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mgcd::{squarefree_part, squarefree_uncached};
+    use proptest::prelude::*;
 
     /// The paper's running example: S(x, y) uses 4x² − y − 20x + 25.
     fn paper_poly() -> MPoly {
@@ -1179,5 +1258,112 @@ mod tests {
             s.finish()
         };
         assert_eq!(h(&p), h(&q));
+    }
+
+    /// `r · (a·x + b) · Π (c·x + d·y^j + f)^k` in 2 variables: a rational
+    /// scale of either sign (content, a negative lex-leading coefficient,
+    /// rational coefficients), content in the main variable `y`, and
+    /// repeated factors; zero and constants included.
+    fn memo_case() -> impl Strategy<Value = MPoly> {
+        let rat = (-6i64..=6, 1i64..=5).prop_map(|(n, d)| Rat::from_ints(n, d));
+        let factor = (-2i64..=2, -2i64..=2, 1u32..=2, -2i64..=2, 1u32..=3);
+        (
+            rat,
+            (-2i64..=2, -2i64..=2),
+            prop::collection::vec(factor, 0..=2),
+        )
+            .prop_map(|(r, (a, b), factors)| {
+                let (x, y) = (MPoly::var(0, 2), MPoly::var(1, 2));
+                let k = |v: i64| MPoly::constant(Rat::from(v), 2);
+                let mut p = (&(&k(a) * &x) + &k(b)).scale(&r);
+                for (c, d, j, f, m) in factors {
+                    p = &p * &(&(&(&k(c) * &x) + &(&k(d) * &y.pow(j))) + &k(f)).pow(m);
+                }
+                p
+            })
+    }
+
+    /// The form each slot of `p` holds, or `None` while it is unwritten.
+    fn slots(p: &MPoly) -> [Option<Option<MPoly>>; 2] {
+        [
+            p.data.primitive.get().cloned(),
+            p.data.squarefree.get().cloned(),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The memoised primitive and squarefree parts equal the unmemoised
+        /// computations on the first call, on the second, and from 4
+        /// threads racing on a fresh polynomial; each form's own slot then
+        /// reads `None` (it is its own form), and so does that of a
+        /// polynomial that is already in form.
+        #[test]
+        fn memoised_forms_equal_the_unmemoised(p in memo_case(), t in 7i64..=1000) {
+            let (prim, sf) = (p.primitive_uncached(), squarefree_uncached(&p));
+            for _ in 0..2 {
+                prop_assert_eq!(p.primitive(), prim.clone());
+                prop_assert_eq!(squarefree_part(&p), sf.clone());
+            }
+            for (form, f) in [(&prim, 0), (&sf, 1)] {
+                prop_assert_eq!(slots(form)[f].clone(), Some(None));
+            }
+            let filled = |form: &MPoly| Some((form != &p).then(|| form.clone()));
+            prop_assert_eq!(slots(&p), [filled(&prim), filled(&sf)]);
+            // The generator draws no denominator of 1009, so the racers
+            // find `q`'s slots empty unless an earlier race drew `q` too.
+            let q = p.scale(&Rat::from_ints(t, 1009));
+            let want = (q.primitive_uncached(), squarefree_uncached(&q));
+            let barrier = std::sync::Barrier::new(4);
+            std::thread::scope(|s| {
+                let racers: Vec<_> = (0..4)
+                    .map(|_| {
+                        s.spawn(|| {
+                            barrier.wait();
+                            (q.primitive(), squarefree_part(&q))
+                        })
+                    })
+                    .collect();
+                for r in racers {
+                    assert_eq!(r.join().ok(), Some(want.clone()));
+                }
+            });
+        }
+
+        /// `remap_vars` — identity, strictly increasing and arbitrary maps,
+        /// diagonals included — equals renaming term by term and
+        /// re-canonicalising. Exponents of 200 make a diagonal's sum spill
+        /// out of the packed monomial.
+        #[test]
+        fn remap_vars_renames_term_by_term(
+            terms in prop::collection::vec(
+                (
+                    prop::collection::vec((0u32..=3).prop_map(|e| if e == 3 { 200 } else { e }), 3),
+                    -3i64..=3,
+                ),
+                0..=5,
+            ),
+            extra in 0usize..=2,
+            targets in prop::collection::vec(0usize..=4, 3),
+        ) {
+            let p = MPoly::from_terms(3, terms.iter().map(|(m, c)| (m.clone(), Rat::from(*c))));
+            let new_nvars = 3 + extra;
+            let renamed = |map: &[usize]| {
+                MPoly::from_terms(new_nvars, p.terms().map(|(m, c)| {
+                    let mut out = vec![0u32; new_nvars];
+                    for (i, e) in m.exps().enumerate() {
+                        out[map[i]] += e;
+                    }
+                    (out, c.clone())
+                }))
+            };
+            let arbitrary: Vec<usize> = targets.iter().map(|&t| t % new_nvars).collect();
+            let increasing = [0, 1 + extra / 2, 2 + extra];
+            for map in [&arbitrary[..], &increasing[..]] {
+                prop_assert_eq!(p.remap_vars(map, new_nvars), renamed(map));
+            }
+            prop_assert_eq!(p.remap_vars(&[0, 1, 2], 3), p);
+        }
     }
 }

@@ -1,17 +1,16 @@
 //! Shared algebraic memo-cache for the QE hot path.
 //!
-//! CAD projection and lifting recompute the same resultants,
-//! discriminants and normal forms many times: projection emits pairwise
-//! resultants level by level, every stack lifted over an algebraic sample
-//! eliminates the coordinates by resultants against the same minimal
-//! polynomials, and every polynomial entering a CAD level — an input, a
-//! projection output, a coefficient or discriminant tested for zero over a
-//! parent cell — is first replaced by its primitive squarefree part
-//! ([`crate::cad::project::normalize`], a multivariate gcd). Queries over
-//! the same stored relations keep feeding the same polynomials back in.
-//! All three operations are *pure* functions of their (canonicalized)
+//! CAD projection and lifting recompute the same resultants and
+//! discriminants many times: projection emits pairwise resultants level by
+//! level, and every stack lifted over an algebraic sample eliminates the
+//! coordinates by resultants against the same minimal polynomials. Queries
+//! over the same stored relations keep feeding the same polynomials back
+//! in. Both operations are *pure* functions of their (canonicalized)
 //! polynomial arguments, so memoizing them cannot change any result — only
-//! skip redundant work.
+//! skip redundant work. The CAD normal form
+//! ([`crate::cad::project::normalize`]) is a pure function of *one*
+//! polynomial, so it is not kept here: it is memoised on the polynomial's
+//! interned entry, through [`cdb_poly::squarefree_part`] (DESIGN.md §10.2).
 //!
 //! # Cache key canonicalization
 //!
@@ -56,7 +55,6 @@
 //! the frozen benchmark stops asserting that it fired (the ROADMAP's
 //! unfreeze ledger).
 
-use crate::cad::project::normalize;
 use cdb_num::hash::BuildContentHasher;
 use cdb_num::ranked::{Rank, Ranked};
 use cdb_poly::resultant as resfn;
@@ -88,10 +86,6 @@ enum Key {
     Resultant(MPoly, MPoly, usize),
     /// `disc_var(p)`.
     Discriminant(MPoly, usize),
-    /// `normalize(p)` of a non-constant `p`; the entry holds the normal
-    /// form, or a constant where `normalize` found none (a normal form is
-    /// never constant, so the two cannot be confused).
-    Normal(MPoly),
 }
 
 #[allow(clippy::disallowed_types)]
@@ -99,8 +93,8 @@ enum Key {
 // and `clear` only.
 type Shard = Ranked<HashMap<Key, MPoly, BuildContentHasher>>;
 
-/// Sharded, thread-safe, size-bounded memo-cache for resultants,
-/// discriminants and CAD normal forms. One instance lives on
+/// Sharded, thread-safe, size-bounded memo-cache for resultants and
+/// discriminants. One instance lives on
 /// [`crate::QeContext`] and is shared by every worker of a parallel
 /// elimination; `clone()` is a shallow handle copy, so one instance can
 /// also be shared *across* contexts (see the module docs).
@@ -239,20 +233,6 @@ impl AlgebraicCache {
         self.get_or_insert(Key::Discriminant(p.clone(), var), || {
             resfn::discriminant(p, var)
         })
-    }
-
-    /// Memoized [`normalize`]`(p)`: the primitive squarefree part a
-    /// polynomial enters a CAD level as, `None` when it is (effectively)
-    /// constant. A constant `p` is answered without a lookup.
-    #[must_use]
-    pub fn normal_form(&self, p: &MPoly) -> Option<MPoly> {
-        if p.is_constant() {
-            return None;
-        }
-        let n = self.get_or_insert(Key::Normal(p.clone()), || {
-            normalize(p).unwrap_or_else(|| MPoly::zero(p.nvars()))
-        });
-        (!n.is_constant()).then_some(n)
     }
 
     /// Total lookups that found an entry.
@@ -413,44 +393,6 @@ mod tests {
         assert_eq!(cache.discriminant(&p, 0), d1);
         assert_eq!(d1, resfn::discriminant(&p, 0));
         assert_eq!(cache.hits(), hits + 1, "recomputed entry must be kept");
-    }
-
-    /// `(x − y)²·(x + 1)` in 2 vars: content in `y` and a repeated factor.
-    fn content_and_square() -> MPoly {
-        let (x, y) = (MPoly::var(0, 2), MPoly::var(1, 2));
-        let one = MPoly::constant(Rat::one(), 2);
-        &(&x - &y).pow(2) * &(&x + &one)
-    }
-
-    #[test]
-    fn normal_form_hits_on_repeat() {
-        let cache = AlgebraicCache::new();
-        let p = content_and_square();
-        let n1 = cache.normal_form(&p);
-        let n2 = cache.normal_form(&p);
-        assert_eq!(n1, normalize(&p));
-        assert_eq!(n1, n2);
-        assert!(n1.is_some_and(|n| n != p), "a repeated factor must go");
-        assert_eq!((cache.misses(), cache.hits(), cache.len()), (1, 1, 1));
-    }
-
-    /// A constant input has no normal form and is answered without a
-    /// lookup; a stored constant reads back as no normal form, the way
-    /// `normalize` answers a constant squarefree part.
-    #[test]
-    fn constants_have_no_normal_form() {
-        let cache = AlgebraicCache::new();
-        for c in [Rat::zero(), Rat::from(5i64)] {
-            let k = MPoly::constant(c, 2);
-            assert_eq!(normalize(&k), None);
-            assert_eq!(cache.normal_form(&k), None);
-        }
-        assert_eq!(cache.hits() + cache.misses(), 0);
-        let p = xy_poly();
-        let stored = cache.get_or_insert(Key::Normal(p.clone()), || MPoly::zero(2));
-        assert!(stored.is_zero());
-        assert_eq!(cache.normal_form(&p), None);
-        assert_eq!(cache.hits(), 1);
     }
 
     #[test]

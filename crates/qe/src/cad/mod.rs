@@ -19,7 +19,7 @@ use crate::{QeContext, QeError};
 use cdb_constraints::{ConstraintRelation, Formula, Quantifier};
 use cdb_num::Sign;
 use cdb_poly::{MPoly, RealAlg};
-use project::Registry;
+use project::{normalize, Registry};
 use stack::{build_stack, Below, StackWalk};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -148,12 +148,10 @@ struct Lookup<'a> {
 impl Lookup<'_> {
     /// `p`'s place in the registry: looked up among the inputs (resolved
     /// once, at construction), else by normal form.
-    fn resolve(self, p: &MPoly, ctx: &QeContext) -> Option<Resolved> {
+    fn resolve(self, p: &MPoly) -> Option<Resolved> {
         match self.inputs.iter().find(|(q, _)| q == p) {
             Some((_, r)) => *r,
-            None => ctx
-                .cache
-                .normal_form(p)
+            None => normalize(p)
                 .and_then(|norm| self.registry.find(&norm))
                 .map(|id| Resolved::new(self.registry, id, p)),
         }
@@ -203,7 +201,7 @@ fn build_levels(
                level_poly_ids: &mut Vec<Vec<usize>>|
      -> Result<Option<usize>, QeError> {
         ctx.observe_poly(p)?;
-        let Some(norm) = ctx.cache.normal_form(p) else {
+        let Some(norm) = normalize(p) else {
             return Ok(None);
         };
         let lvl = level_of(&norm, order);
@@ -455,7 +453,7 @@ fn decide_parent(
         let truth = eval3(matrix, &mut |p| match cell_sign(lookup, parent, p, ctx)? {
             Some(s) => Ok(Some(s)),
             None => {
-                let r = lookup.resolve(p, ctx).ok_or_else(|| {
+                let r = lookup.resolve(p).ok_or_else(|| {
                     QeError::Unsupported(format!("matrix polynomial {p} is not in the CAD"))
                 })?;
                 let s = walk.sign(r.id, ctx)?;
@@ -488,7 +486,7 @@ impl Below for ParentZeros<'_> {
         let registered = match registry.find(p) {
             Some(id) => Some(id),
             None => {
-                let Some(norm) = self.ctx.cache.normal_form(p) else {
+                let Some(norm) = normalize(p) else {
                     return Ok(false); // effectively a nonzero constant
                 };
                 registry.find(&norm)
@@ -512,7 +510,7 @@ impl Below for ParentZeros<'_> {
         let disc = || self.ctx.cache.discriminant(p, yvar);
         let registered = self.frame.level.discs.get(&id).and_then(|slot| {
             *slot.get_or_init(|| {
-                let norm = self.ctx.cache.normal_form(&disc());
+                let norm = normalize(&disc());
                 norm.and_then(|n| self.frame.registry.find(&n))
             })
         });
@@ -540,7 +538,7 @@ fn cell_sign(
         let vars = &lookup.order[..cell.sample.len()];
         sample::sign_at(p, vars, &mut cell.sample.clone(), ctx)
     };
-    match lookup.resolve(p, ctx) {
+    match lookup.resolve(p) {
         Some(r) => match cell.signs.get(&r.id) {
             Some(&s) => r.sign(s, at_sample).map(Some),
             None => Ok(None),
@@ -871,9 +869,9 @@ mod tests {
         assert_eq!(seen[0..2], seen[4..6]);
     }
 
-    /// A second identical CAD on one context finds every normal form,
-    /// resultant and discriminant in the memo-cache: the same levels, and
-    /// not one miss.
+    /// A second identical CAD on one context finds every resultant and
+    /// discriminant in the memo-cache, and every normal form on its
+    /// polynomial's interned entry: the same levels, and not one miss.
     #[test]
     fn warm_rebuild_computes_no_normal_form() {
         let (x, y) = (MPoly::var(0, 2), MPoly::var(1, 2));

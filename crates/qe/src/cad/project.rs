@@ -9,10 +9,11 @@
 //! * the **pairwise resultants**.
 //!
 //! Every output is normalized to its primitive squarefree part
-//! ([`normalize`]); constants are dropped. Every CAD site reads the normal
-//! form through the context's memo-cache
-//! ([`crate::AlgebraicCache::normal_form`]), whose miss computes
-//! [`normalize`] — the one definition. This is sound for well-oriented inputs (nullification over
+//! ([`normalize`]); constants are dropped. Every CAD site calls
+//! [`normalize`] — the one definition — and the squarefree part it reads is
+//! memoised on the polynomial's interned entry
+//! ([`cdb_poly::squarefree_part`]), so a polynomial is normalised once per
+//! process. This is sound for well-oriented inputs (nullification over
 //! positive-dimensional cells is detected during lifting and handled as
 //! documented in DESIGN.md).
 
@@ -20,7 +21,8 @@ use crate::{QeContext, QeError};
 use cdb_poly::{squarefree_part, MPoly};
 
 /// Normalize a polynomial for membership in a CAD level set: primitive
-/// squarefree part. `None` when (effectively) constant.
+/// squarefree part. `None` when (effectively) constant. Memoised through
+/// [`squarefree_part`]: a repeat reads the form off `p`'s interned entry.
 #[must_use]
 pub fn normalize(p: &MPoly) -> Option<MPoly> {
     if p.is_constant() {
@@ -88,7 +90,7 @@ pub fn project(polys: &[MPoly], v: usize, ctx: &QeContext) -> Result<Vec<MPoly>,
     let mut out: Vec<MPoly> = Vec::new();
     let mut push = |p: MPoly, ctx: &QeContext| -> Result<(), QeError> {
         ctx.observe_poly(&p)?;
-        if let Some(n) = ctx.cache.normal_form(&p) {
+        if let Some(n) = normalize(&p) {
             ctx.observe_poly(&n)?;
             if !out.contains(&n) {
                 out.push(n);
@@ -123,6 +125,27 @@ mod tests {
 
     fn c(v: i64, n: usize) -> MPoly {
         MPoly::constant(Rat::from(v), n)
+    }
+
+    /// The normal form of `(x − y)²·(x + 1)` — content in the main
+    /// variable `y` and a repeated factor — is `(x − y)·(x + 1)` up to
+    /// its primitive sign, on the first call and on the memoised repeat.
+    #[test]
+    fn normal_form_is_the_same_cold_and_warm() {
+        let (x, y) = (MPoly::var(0, 2), MPoly::var(1, 2));
+        let p = &(&x - &y).pow(2) * &(&x + &c(1, 2));
+        let want = (&(&x - &y) * &(&x + &c(1, 2))).primitive();
+        assert_eq!(normalize(&p), Some(want.clone()));
+        assert_eq!(normalize(&p), Some(want));
+        // A normal form is its own.
+        assert_eq!(normalize(&p).and_then(|n| normalize(&n)), normalize(&p));
+    }
+
+    #[test]
+    fn constants_have_no_normal_form() {
+        for v in [0, 5, -3] {
+            assert_eq!(normalize(&c(v, 2)), None);
+        }
     }
 
     #[test]

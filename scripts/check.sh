@@ -90,10 +90,12 @@ done
 
 echo "==> alibi_scan interner lookups stay under their ceiling and its planner dispatch counts are pinned (one traced repeat at --seed 1)"
 # The count is deterministic (sealing once per finished polynomial took it
-# from 529,498 to 57,506; DESIGN.md §10.2). The number below is a ceiling,
-# not a target: a change that cuts lookups further lowers it on purpose, and
-# one that needs more must say why here.
-intern_ceiling=57506
+# from 529,498 to 57,506; DESIGN.md §10.2). Memoising each polynomial's
+# primitive part on its interned entry, so a repeated canonicalisation of
+# an atom reads it instead of sealing it again, took it to 55,483. The
+# number below is a ceiling, not a target: a change that cuts lookups
+# further lowers it on purpose, and one that needs more must say why here.
+intern_ceiling=55483
 alibi_run=$(cargo run --release --quiet --offline --manifest-path stmtbench/Cargo.toml --bin bench -- \
     --workload alibi_scan --seed 1 --seconds 1 --trace 1)
 alibi_counter() { echo "$alibi_run" | grep -o "\"$1\": {\"value\": [0-9]*" | awk '{ n += $NF } END { print n + 0 }'; }
@@ -117,14 +119,19 @@ echo "==> calcf_agg interner lookups and filtered signs stay under their ceiling
 # once (DESIGN.md §10.2): that took the lookup count from 40,234 to 27,071.
 # Reading every CAD normal form (primitive squarefree part) through the
 # memo-cache, instead of recomputing it at each site, took it to 12,220
-# (DESIGN.md §6). A ceiling, like the one above, so a lifting path that goes
-# back to substituting one sealed coordinate at a time, or a CAD site that
-# goes back to unmemoised squarefree parts, fails here without timing.
+# (DESIGN.md §6). Memoising the primitive and squarefree parts on each
+# polynomial's interned entry instead, where they outlive a `Server` and its
+# cache (DESIGN.md §10.2), took it to 5,899, and instantiating a relation
+# under the identity variable map without re-sealing its polynomials
+# (DESIGN.md §5.1) to 5,287. A ceiling, like the one above,
+# so a lifting path that goes back to substituting one sealed coordinate at
+# a time, or a CAD site that goes back to unmemoised squarefree parts, fails
+# here without timing.
 # Filtered signs (num.filter.hits + fallbacks) are a ceiling too: the region
 # scan approximating each x-interval end once per region, where it builds
 # the cell, instead of once per band and per neighbouring slab, took them
 # from 1,383 to 1,333.
-agg_intern_ceiling=12220
+agg_intern_ceiling=5287
 agg_filter_ceiling=1333
 agg_run=$(cargo run --release --quiet --offline --manifest-path stmtbench/Cargo.toml --bin bench -- \
     --workload calcf_agg --seed 1 --seconds 1 --trace 1)
@@ -223,9 +230,12 @@ if [ "$fixpoint" != "22 210 21" ]; then
 fi
 # Merging a point head by key, which builds a point tuple for new points
 # only and keeps the stored ones, took the lookups from 42,034 to 16,194
-# (DESIGN.md §7). A ceiling, like the ones above: a merge that goes back to
-# rebuilding the whole head from its points fails here without timing.
-tc_intern_ceiling=16194
+# (DESIGN.md §7). Instantiating a relation under the identity variable map
+# without re-sealing its polynomials (DESIGN.md §5.1) took them to 10,518.
+# A ceiling, like the ones above: a merge that goes back to rebuilding the
+# whole head from its points, or an instantiation that goes back to
+# re-sealing every stored polynomial, fails here without timing.
+tc_intern_ceiling=10518
 lookups=$(counter 'poly\.intern\.\(hits\|misses\)')
 if [ "$lookups" -gt "$tc_intern_ceiling" ]; then
     echo "tc_update: $lookups interner lookups at --seed 1, ceiling $tc_intern_ceiling" >&2
