@@ -479,9 +479,6 @@ impl Div for &Rat {
         if a.is_zero() {
             return Rat::zero();
         }
-        if c.is_one() && d.is_one() {
-            return self.clone();
-        }
         let (g1, g2) = (a.gcd(c), d.gcd(b));
         let num = &*cancel(a, &g1) * &*cancel(d, &g2);
         let den = &*cancel(b, &g2) * &*cancel(c, &g1);

@@ -886,34 +886,23 @@ impl MPoly {
     pub fn remap_vars(&self, map: &[usize], new_nvars: usize) -> MPoly {
         assert_eq!(map.len(), self.nvars());
         assert!(map.iter().all(|&m| m < new_nvars));
-        // A strictly increasing map keeps the variables' relative order, so
-        // the terms stay in lex order and no two of them meet; into a ring
-        // of the same arity it is the identity.
-        let increasing = map.is_sorted_by(|a, b| a < b);
-        if increasing && new_nvars == map.len() {
+        // The identity map into a ring of the same arity.
+        if new_nvars == map.len() && map.iter().enumerate().all(|(i, &m)| i == m) {
             return self.clone();
         }
-        let mut nm = vec![0u32; new_nvars];
         let pairs = self
             .terms_slice()
             .iter()
             .map(|(m, c)| {
                 // Mapping two sources onto one target is legal (diagonals like
                 // R(x, x)); exponents add up.
-                nm.fill(0);
+                let mut nm = vec![0u32; new_nvars];
                 for (i, e) in m.exps().enumerate() {
                     nm[map[i]] += e;
                 }
-                (Mono::from_exps(&nm), c.clone())
+                (Mono::from_vec(nm), c.clone())
             })
             .collect();
-        if increasing {
-            return Terms {
-                nvars: new_nvars,
-                terms: pairs,
-            }
-            .seal();
-        }
         Terms::from_pairs(new_nvars, pairs).seal()
     }
 
@@ -945,8 +934,14 @@ impl MPoly {
             None => {
                 let value = compute(self);
                 let memo = (value != *self).then(|| {
-                    // Already filled only by a racing call that agrees.
-                    let _ = form.slot(&value.data).set(None);
+                    // Unset, or already `None` from a racing call: a form
+                    // is its own form.
+                    let own = form.slot(&value.data);
+                    let _ = own.set(None);
+                    debug_assert!(
+                        matches!(own.get(), Some(None)),
+                        "a form is its own form: its slot reads `None`"
+                    );
                     value
                 });
                 slot.get_or_init(|| memo)
@@ -1302,6 +1297,10 @@ mod tests {
         #[test]
         fn memoised_forms_equal_the_unmemoised(p in memo_case(), t in 7i64..=1000) {
             let (prim, sf) = (p.primitive_uncached(), squarefree_uncached(&p));
+            // Idempotence, checked without the memo: it is what lets a form's
+            // own slot read `None`.
+            prop_assert_eq!(prim.primitive_uncached(), prim.clone());
+            prop_assert_eq!(squarefree_uncached(&sf), sf.clone());
             for _ in 0..2 {
                 prop_assert_eq!(p.primitive(), prim.clone());
                 prop_assert_eq!(squarefree_part(&p), sf.clone());

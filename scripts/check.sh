@@ -93,6 +93,9 @@ echo "==> alibi_scan interner lookups stay under their ceiling and its planner d
 # from 529,498 to 57,506; DESIGN.md §10.2). Memoising each polynomial's
 # primitive part on its interned entry, so a repeated canonicalisation of
 # an atom reads it instead of sealing it again, took it to 55,483. The
+# memo is process-global and the traced repeat follows the verification
+# pass, so it also reads the forms that pass computed; a first repeat in a
+# fresh process reads 57,311. The
 # number below is a ceiling, not a target: a change that cuts lookups
 # further lowers it on purpose, and one that needs more must say why here.
 intern_ceiling=55483
@@ -123,7 +126,9 @@ echo "==> calcf_agg interner lookups and filtered signs stay under their ceiling
 # polynomial's interned entry instead, where they outlive a `Server` and its
 # cache (DESIGN.md §10.2), took it to 5,899, and instantiating a relation
 # under the identity variable map without re-sealing its polynomials
-# (DESIGN.md §5.1) to 5,287. A ceiling, like the one above,
+# (DESIGN.md §5.1) to 5,287. Most of the fall is forms that the
+# verification pass before the traced repeat memoised: a first repeat in a
+# fresh process reads 10,563 (DESIGN.md §6). A ceiling, like the one above,
 # so a lifting path that goes back to substituting one sealed coordinate at
 # a time, or a CAD site that goes back to unmemoised squarefree parts, fails
 # here without timing.
